@@ -146,7 +146,7 @@ func (r *GNMFResult) ReconstructionError(ex Exec, t Mat) (float64, error) {
 				idx, vals := tc.RowNNZ(i)
 				wr := wc.Row(i)
 				for k, j := range idx {
-					s -= 2 * vals[k] * dotVec(wr, r.H.Row(int(j)))
+					s -= 2 * vals[k] * la.Dot(wr, r.H.Row(int(j)))
 				}
 			}
 		default:
@@ -154,7 +154,7 @@ func (r *GNMFResult) ReconstructionError(ex Exec, t Mat) (float64, error) {
 				wr := wc.Row(i)
 				for j := 0; j < c.Cols(); j++ {
 					if v := c.At(i, j); v != 0 {
-						s -= 2 * v * dotVec(wr, r.H.Row(j))
+						s -= 2 * v * la.Dot(wr, r.H.Row(j))
 					}
 				}
 			}
@@ -171,15 +171,6 @@ func (r *GNMFResult) ReconstructionError(ex Exec, t Mat) (float64, error) {
 		return nil
 	})
 	return total, err
-}
-
-// dotVec is the inner product of two equal-length slices.
-func dotVec(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 // multiplicative computes base ∗ num / den element-wise with a stabilizer,

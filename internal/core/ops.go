@@ -142,47 +142,83 @@ func weightedSum(w, v []float64) float64 {
 
 // --- Multiplication operators (§3.3.3, §3.3.4, §3.5, appendix A/D/E) ---
 
+// rowMuler is a base-table matrix whose LMM kernel runs block by block
+// over a caller's output (la.Dense and la.CSR).
+type rowMuler interface {
+	MulRows(out, x *la.Dense, lo, hi int)
+}
+
+// mulBlock is how many output rows mulRaw finishes at a time: few enough
+// that the block stays in cache between the entity part writing it and
+// the gathers adding to it.
+const mulBlock = 256
+
 // mulRaw computes the factorized LMM over the untransposed T:
 //
 //	TX → IS·(S·X[1:dS,]) + Σ Ki·(Ri·X[d'i-1+1 : d'i,])
 //
 // The multiplication order Ki·(Ri·Xi) — never (Ki·Ri)·Xi — is what avoids
-// re-materializing the join (§3.3.3).
+// re-materializing the join (§3.3.3). The small products Zi = Ri·Xi come
+// first; then one pass over the output computes, block by block,
+// out[i,:] = S[i,:]·X_S + Σ Zi[Ki[i],:], so each row is written once
+// instead of once per table.
 func (m *NormalizedMatrix) mulRaw(x *la.Dense) *la.Dense {
 	if x.Rows() != m.dCols {
 		panicShape("LMM", m.nRows, m.dCols, x)
 	}
 	offs := m.colOffsets()
-	var out *la.Dense
+	k := x.Cols()
+	type gather struct {
+		assign []int32
+		z      []float64
+	}
+	terms := make([]gather, 0, len(m.ks)+1)
+	var out, xs *la.Dense
+	var direct rowMuler
 	if m.s != nil {
-		sx := m.s.Mul(x.SliceRowsDense(0, offs[0]))
+		xs = x.SliceRowsDense(0, offs[0])
 		if m.is != nil {
-			sx = m.is.Mul(sx)
+			terms = append(terms, gather{m.is.Assignments(), m.s.Mul(xs).Data()})
+		} else if rm, ok := m.s.(rowMuler); ok {
+			direct = rm
+		} else {
+			out = m.s.Mul(xs)
 		}
-		out = sx
-	} else {
-		out = la.NewDense(m.nRows, x.Cols())
 	}
-	for i, k := range m.ks {
-		ri := m.rs[i].Mul(x.SliceRowsDense(offs[i], offs[i+1]))
-		addGather(out, k, ri)
+	for i, ki := range m.ks {
+		zi := m.rs[i].Mul(x.SliceRowsDense(offs[i], offs[i+1]))
+		terms = append(terms, gather{ki.Assignments(), zi.Data()})
 	}
-	return out
-}
-
-// addGather accumulates out += K·Z without materializing K·Z. Each output
-// row is written exactly once per call, so rows parallelize safely.
-func addGather(out *la.Dense, k *la.Indicator, z *la.Dense) {
-	assign := k.Assignments()
-	la.ParallelRows(len(assign), len(assign)*z.Cols(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst := out.Row(i)
-			src := z.Row(int(assign[i]))
-			for j, v := range src {
-				dst[j] += v
+	fresh := out == nil
+	if fresh {
+		out = la.NewDense(m.nRows, k)
+	}
+	od := out.Data()
+	la.ParallelRows(m.nRows, m.nRows*k*(m.dS()+len(terms)), func(lo, hi int) {
+		for b := lo; b < hi; b += mulBlock {
+			e := min(b+mulBlock, hi)
+			if direct != nil {
+				direct.MulRows(out, xs, b, e)
+			} else if fresh {
+				clear(od[b*k : e*k]) // written before read: one page fault per fresh page, not two
+			}
+			for _, t := range terms {
+				if k == 1 {
+					for i, a := range t.assign[b:e] {
+						od[b+i] += t.z[a]
+					}
+					continue
+				}
+				for i := b; i < e; i++ {
+					dst, a := od[i*k:(i+1)*k], int(t.assign[i])
+					for c, v := range t.z[a*k : (a+1)*k] {
+						dst[c] += v
+					}
+				}
 			}
 		}
 	})
+	return out
 }
 
 // tMulRaw computes the transposed LMM TᵀX over the untransposed parts:

@@ -108,3 +108,60 @@ func BenchmarkCholeskySolve(b *testing.B) {
 		}
 	}
 }
+
+// oneHotCSR builds a rows×cols CSR with nnz ones per row at random
+// distinct columns, like a one-hot encoded attribute table.
+func oneHotCSR(rng *rand.Rand, rows, cols, nnz int) *CSR {
+	indptr := make([]int, rows+1)
+	indices := make([]int32, 0, rows*nnz)
+	vals := make([]float64, 0, rows*nnz)
+	band := cols / nnz
+	for i := 0; i < rows; i++ {
+		for g := 0; g < nnz; g++ {
+			indices = append(indices, int32(g*band+rng.Intn(band)))
+			vals = append(vals, 1)
+		}
+		indptr[i+1] = len(indices)
+	}
+	return NewCSR(rows, cols, indptr, indices, vals)
+}
+
+// BenchmarkNarrowKernels times the factorized operators' building blocks
+// at the benchmark's shapes (bench/w_train_inmem.go: S 400k×10, R 20k×40,
+// K 400k→20k; a 400k×600 one-hot CSR stands for e2e-csv's tables) for the
+// widths the §4 algorithms multiply by. SetBytes counts each operand and
+// the output once, as bench/roofline.go does, so the MB/s column reads
+// against la.copy_gb_per_s.
+func BenchmarkNarrowKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	s, r := randDense(rng, 400_000, 10), randDense(rng, 20_000, 40)
+	c := oneHotCSR(rng, 400_000, 600, 3)
+	ind := randIndicator(rng, 400_000, 20_000)
+	run := func(name string, bytes int, f func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(bytes))
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		})
+	}
+	for _, k := range []int{1, 5, 10} {
+		for _, m := range []struct {
+			name string
+			a    *Dense
+		}{{"S400kx10", s}, {"R20kx40", r}} {
+			n, d := m.a.rows, m.a.cols
+			x, xt := randDense(rng, d, k), randDense(rng, n, k)
+			bytes := 8 * (n*d + d*k + n*k)
+			run(fmt.Sprintf("dense/%s/Mul/k%d", m.name, k), bytes, func() { m.a.Mul(x) })
+			run(fmt.Sprintf("dense/%s/TMul/k%d", m.name, k), bytes, func() { m.a.TMul(xt) })
+		}
+		x, xt := randDense(rng, c.cols, k), randDense(rng, c.rows, k)
+		bytes := 12*c.NNZ() + 8*(c.rows+1) + 8*k*(c.rows+c.cols)
+		run(fmt.Sprintf("csr/Mul/k%d", k), bytes, func() { c.Mul(x) })
+		run(fmt.Sprintf("csr/TMul/k%d", k), bytes, func() { c.TMul(xt) })
+		z, zt := randDense(rng, ind.nCols, k), randDense(rng, len(ind.rows), k)
+		run(fmt.Sprintf("indicator/Mul/k%d", k), 4*len(ind.rows)+16*k*len(ind.rows), func() { ind.Mul(z) })
+		run(fmt.Sprintf("indicator/TMul/k%d", k), 4*len(ind.rows)+8*k*(len(ind.rows)+ind.nCols), func() { ind.TMul(zt) })
+	}
+}

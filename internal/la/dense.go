@@ -353,10 +353,3 @@ func (m *Dense) String() string {
 	}
 	return sb.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,98 +2,206 @@ package la
 
 import "fmt"
 
-// MatMul computes a·b for dense matrices with a cache-blocked, row-parallel
-// kernel (the i-k-j loop order keeps the inner loop streaming over
-// contiguous rows of b and the output).
-func MatMul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("la: MatMul %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := NewDense(a.rows, b.cols)
-	work := a.rows * a.cols * b.cols
-	parallelFor(a.rows, work, func(lo, hi int) {
-		matMulRange(out, a, b, lo, hi)
-	})
-	return out
-}
+// Every multiplication kernel in this package (MatMul, TMatMul, CSR.Mul,
+// CSR.TMul, Indicator.Mul, Indicator.TMul) picks one of three shape classes
+// from the width k of its dense right operand, and from nothing else:
+//
+//   - vector (k = 1): loops over plain slices, four rows of the left
+//     operand at a time where they can share loads or stores;
+//   - narrow (1 < k ≤ narrowMax): the k columns are looped over in the
+//     kernel itself, four of them held in registers where the access
+//     pattern allows (combineNarrow), and nothing is called per scalar of
+//     the left operand;
+//   - wide (k > narrowMax): one unrolled axpy per scalar.
+//
+// The §4 algorithms multiply by k = 1 (GLMs) or k = 5–10 (K-Means, GNMF),
+// where a call per scalar costs more than the flops it performs.
+const narrowMax = 16
 
-func matMulRange(out, a, b *Dense, lo, hi int) {
-	n := b.cols
-	const kb = 256
-	for k0 := 0; k0 < a.cols; k0 += kb {
-		k1 := min(k0+kb, a.cols)
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k := k0; k < k1; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
-				}
-				brow := b.data[k*n : (k+1)*n]
-				axpy(orow, brow, aik)
-			}
-		}
-	}
-}
-
-// axpy computes dst += alpha*src with 4-way unrolling.
-func axpy(dst, src []float64, alpha float64) {
-	n := len(dst)
+// Dot returns Σ x[i]·y[i] over four independent accumulators; y must be at
+// least as long as x.
+func Dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
 	i := 0
-	for ; i+4 <= n; i += 4 {
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] * y[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// axpy computes dst[i] += alpha*src[i] over src with 4-way unrolling; dst
+// must be at least as long as src.
+func axpy(dst, src []float64, alpha float64) {
+	dst = dst[:len(src)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
 		dst[i] += alpha * src[i]
 		dst[i+1] += alpha * src[i+1]
 		dst[i+2] += alpha * src[i+2]
 		dst[i+3] += alpha * src[i+3]
 	}
-	for ; i < n; i++ {
+	for ; i < len(dst); i++ {
 		dst[i] += alpha * src[i]
 	}
 }
 
-// TMatMul computes aᵀ·b without materializing aᵀ. Parallelism is over rows
-// of a with per-chunk partial accumulators merged in chunk order, so the
-// result is deterministic for a fixed GOMAXPROCS (merging in goroutine
-// completion order would make every call a slightly different float sum).
+// axpyNarrow is axpy for rows of the narrow class: the bare loop, which
+// inlines, so a kernel calling it once per scalar of its left operand pays
+// no call.
+func axpyNarrow(dst, src []float64, alpha float64) {
+	for i, v := range src {
+		dst[i] += alpha * v
+	}
+}
+
+// MatMul computes a·b for dense matrices, row-parallel.
+func MatMul(a, b *Dense) *Dense {
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("la: MatMul %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	out := NewDense(a.rows, b.cols)
+	parallelFor(a.rows, a.rows*a.cols*b.cols, func(lo, hi int) { a.MulRows(out, b, lo, hi) })
+	return out
+}
+
+// MulRows writes rows [lo,hi) of m·x into the same rows of out. It is the
+// dense LMM kernel and where its shape dispatch lives; callers that fuse
+// more work into the same pass over the output (core's factorized LMM)
+// call it block by block. It never reads out before writing it: a fresh
+// allocation read first costs a second page fault per page.
+func (m *Dense) MulRows(out, x *Dense, lo, hi int) {
+	d, k := m.cols, x.cols
+	switch {
+	case k == 1:
+		// Four rows at a time share the loads of x, one register
+		// accumulator each; every row sums in ascending j.
+		row := func(i int) []float64 { return m.data[i*d : (i+1)*d] }
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+			var s0, s1, s2, s3 float64
+			for j, v := range x.data {
+				s0 += r0[j] * v
+				s1 += r1[j] * v
+				s2 += r2[j] * v
+				s3 += r3[j] * v
+			}
+			out.data[i], out.data[i+1], out.data[i+2], out.data[i+3] = s0, s1, s2, s3
+		}
+		for ; i < hi; i++ {
+			s := 0.0
+			for j, v := range row(i) {
+				s += v * x.data[j]
+			}
+			out.data[i] = s
+		}
+	case k <= narrowMax:
+		for i := lo; i < hi; i++ {
+			combineNarrow(out.data[i*k:(i+1)*k], false, m.data[i*d:], 1, d, x.data)
+		}
+	default:
+		clear(out.data[lo*k : hi*k])
+		// The i-k-j loop order keeps the inner loop streaming over
+		// contiguous rows of x and out; kb rows of x stay cached.
+		const kb = 256
+		for k0 := 0; k0 < d; k0 += kb {
+			k1 := min(k0+kb, d)
+			for i := lo; i < hi; i++ {
+				orow := out.data[i*k : (i+1)*k]
+				for j, v := range m.data[i*d+k0 : i*d+k1] {
+					axpy(orow, x.data[(k0+j)*k:(k0+j+1)*k], v)
+				}
+			}
+		}
+	}
+}
+
+// combineNarrow is the narrow class's kernel: it sets out to (or, with
+// add, increases out by) Σ_j coef[j·stride]·x[j,:] over the n rows of a
+// row-major x with len(out) columns. Four output columns at a time
+// accumulate in registers over one sweep of coef, then the remaining
+// columns one at a time; each sum runs in ascending j.
+func combineNarrow(out []float64, add bool, coef []float64, stride, n int, x []float64) {
+	k, end := len(out), n*stride
+	c := 0
+	for ; c+4 <= k; c += 4 {
+		var s0, s1, s2, s3 float64
+		for q, p := 0, c; q < end; q, p = q+stride, p+k {
+			v, xr := coef[q], x[p:p+4:p+4]
+			s0 += v * xr[0]
+			s1 += v * xr[1]
+			s2 += v * xr[2]
+			s3 += v * xr[3]
+		}
+		o := out[c : c+4 : c+4]
+		if add {
+			s0, s1, s2, s3 = o[0]+s0, o[1]+s1, o[2]+s2, o[3]+s3
+		}
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; c < k; c++ {
+		s := 0.0
+		for q, p := 0, c; q < end; q, p = q+stride, p+k {
+			s += coef[q] * x[p]
+		}
+		if add {
+			s += out[c]
+		}
+		out[c] = s
+	}
+}
+
+// TMatMul computes aᵀ·b without materializing aᵀ, as a blockReduce over
+// the rows of a: bit-identical for any GOMAXPROCS.
 func TMatMul(a, b *Dense) *Dense {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("la: TMatMul %dx%d ᵀ· %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	work := a.rows * a.cols * b.cols
-	chunks := parallelChunks(a.rows, work)
-	if chunks == 1 {
-		out := NewDense(a.cols, b.cols)
-		tMatMulRange(out, a, b, 0, a.rows)
-		return out
-	}
-	parts := make([]*Dense, chunks)
-	parallelForChunked(a.rows, chunks, func(c, lo, hi int) {
-		p := NewDense(a.cols, b.cols)
-		tMatMulRange(p, a, b, lo, hi)
-		parts[c] = p
-	})
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		if p != nil {
-			acc.AddInPlace(p)
-		}
-	}
-	return acc
-}
-
-func tMatMulRange(out, a, b *Dense, lo, hi int) {
-	n := b.cols
-	for r := lo; r < hi; r++ {
-		arow := a.Row(r)
-		brow := b.data[r*n : (r+1)*n]
-		for j, av := range arow {
-			if av == 0 {
-				continue
+	d, k := a.cols, b.cols
+	// The narrow class sweeps a column of a against sub rows of b at a
+	// time: few enough that both stay in the first-level cache across the
+	// d sweeps.
+	sub := max(8, 4096/(d+k+1))
+	return NewDenseData(d, k, blockReduce(a.rows, d*k, a.rows*d*k, func(acc []float64, lo, hi int) {
+		switch {
+		case k == 1:
+			// Four rows at a time, so acc is loaded and stored once per
+			// four products.
+			row := func(r int) []float64 { return a.data[r*d : (r+1)*d] }
+			r := lo
+			for ; r+4 <= hi; r += 4 {
+				r0, r1, r2, r3 := row(r), row(r+1), row(r+2), row(r+3)
+				b0, b1, b2, b3 := b.data[r], b.data[r+1], b.data[r+2], b.data[r+3]
+				for j := range acc {
+					acc[j] += r0[j]*b0 + r1[j]*b1 + r2[j]*b2 + r3[j]*b3
+				}
 			}
-			axpy(out.data[j*n:(j+1)*n], brow, av)
+			for ; r < hi; r++ {
+				axpy(acc, row(r), b.data[r])
+			}
+		case k <= narrowMax:
+			for ; lo < hi; lo += sub {
+				n := min(sub, hi-lo)
+				for j := 0; j < d; j++ {
+					combineNarrow(acc[j*k:(j+1)*k], true, a.data[lo*d+j:], d, n, b.data[lo*k:])
+				}
+			}
+		default:
+			for r := lo; r < hi; r++ {
+				brow := b.data[r*k : (r+1)*k]
+				for j, v := range a.data[r*d : (r+1)*d] {
+					axpy(acc[j*k:], brow, v)
+				}
+			}
 		}
-	}
+	}))
 }
 
 // MatMulT computes a·bᵀ using dot products over rows of both operands.
@@ -108,68 +216,33 @@ func MatMulT(a, b *Dense) *Dense {
 			arow := a.Row(i)
 			orow := out.Row(i)
 			for j := 0; j < b.rows; j++ {
-				orow[j] = dot(arow, b.Row(j))
+				orow[j] = Dot(arow, b.Row(j))
 			}
 		}
 	})
 	return out
-}
-
-func dot(x, y []float64) float64 {
-	s := 0.0
-	n := len(x)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s += x[i]*y[i] + x[i+1]*y[i+1] + x[i+2]*y[i+2] + x[i+3]*y[i+3]
-	}
-	for ; i < n; i++ {
-		s += x[i] * y[i]
-	}
-	return s
 }
 
 // CrossProd computes mᵀm exploiting symmetry: only the upper triangle is
-// accumulated, then mirrored. This is the dense building block used by the
-// efficient factorized cross-product (Algorithm 2).
+// accumulated (a blockReduce over the rows, so bit-identical for any
+// GOMAXPROCS), then mirrored. This is the dense building block used by
+// the efficient factorized cross-product (Algorithm 2).
 func (m *Dense) CrossProd() *Dense {
 	d := m.cols
-	work := m.rows * d * d / 2
-	chunks := parallelChunks(m.rows, work)
-	if chunks == 1 {
-		out := NewDense(d, d)
-		crossRange(out, m, 0, m.rows)
-		mirrorLower(out)
-		return out
-	}
-	// Per-chunk partials merged in chunk order: deterministic for a fixed
-	// GOMAXPROCS, unlike completion-order merging.
-	parts := make([]*Dense, chunks)
-	parallelForChunked(m.rows, chunks, func(c, lo, hi int) {
-		p := NewDense(d, d)
-		crossRange(p, m, lo, hi)
-		parts[c] = p
-	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		if p != nil {
-			out.AddInPlace(p)
+	out := NewDenseData(d, d, blockReduce(m.rows, d*d, m.rows*d*d/2, func(acc []float64, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := m.data[r*d : (r+1)*d]
+			for i, v := range row {
+				if d <= narrowMax {
+					axpyNarrow(acc[i*d+i:], row[i:], v)
+				} else {
+					axpy(acc[i*d+i:], row[i:], v)
+				}
+			}
 		}
-	}
+	}))
 	mirrorLower(out)
 	return out
-}
-
-func crossRange(out, m *Dense, lo, hi int) {
-	d := m.cols
-	for r := lo; r < hi; r++ {
-		row := m.Row(r)
-		for i, v := range row {
-			if v == 0 {
-				continue
-			}
-			axpy(out.data[i*d+i:(i+1)*d], row[i:], v)
-		}
-	}
 }
 
 func mirrorLower(s *Dense) {

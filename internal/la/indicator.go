@@ -3,6 +3,7 @@ package la
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Indicator is a row-selector matrix: a sparse 0/1 matrix with exactly one 1
@@ -14,6 +15,9 @@ import (
 type Indicator struct {
 	rows  []int32 // rows[i] = column index of the single 1 in row i
 	nCols int
+
+	rangeOnce              sync.Once // guards the lazily built by-range bucketing
+	rangeStart, rangeOrder []int32   // see byRange
 }
 
 // NewIndicator builds an indicator from the per-row column assignments.
@@ -77,24 +81,92 @@ func (k *Indicator) Mul(z *Dense) *Dense {
 		panic(fmt.Sprintf("la: indicator Mul %dx%d · %dx%d", len(k.rows), k.nCols, z.rows, z.cols))
 	}
 	out := NewDense(len(k.rows), z.cols)
-	parallelFor(len(k.rows), len(k.rows)*z.cols, func(lo, hi int) {
+	w := z.cols
+	parallelFor(len(k.rows), len(k.rows)*w, func(lo, hi int) {
+		if w == 1 {
+			for i, c := range k.rows[lo:hi] {
+				out.data[lo+i] = z.data[c]
+			}
+			return
+		}
 		for i := lo; i < hi; i++ {
-			copy(out.Row(i), z.Row(int(k.rows[i])))
+			copy(out.data[i*w:(i+1)*w], z.data[int(k.rows[i])*w:])
 		}
 	})
 	return out
 }
 
-// TMul computes Kᵀ·Z: a scatter-add of Z's rows into the output.
+// TMul computes Kᵀ·Z: a scatter-add of Z's rows into the output. Run in
+// parallel, each worker scatters the rows of its own column ranges (see
+// byRange), so every output element still adds its Z rows in ascending row
+// order — the serial scatter's additions in the serial scatter's order —
+// and the result is bit-identical however many workers compute it.
 func (k *Indicator) TMul(z *Dense) *Dense {
 	if z.rows != len(k.rows) {
 		panic(fmt.Sprintf("la: indicator TMul %dx%dᵀ · %dx%d", len(k.rows), k.nCols, z.rows, z.cols))
 	}
-	out := NewDense(k.nCols, z.cols)
-	for i, c := range k.rows {
-		axpy(out.Row(int(c)), z.Row(i), 1)
+	w := z.cols
+	out := NewDense(k.nCols, w)
+	// scatter adds the n rows of Z listed in ids (rows 0..n-1 when ids is
+	// nil), in that order, into their output rows.
+	scatter := func(ids []int32, n int) {
+		for t := 0; t < n; t++ {
+			i := t
+			if ids != nil {
+				i = int(ids[t])
+			}
+			c := int(k.rows[i])
+			switch {
+			case w == 1:
+				out.data[c] += z.data[i]
+			case w <= narrowMax:
+				axpyNarrow(out.data[c*w:], z.data[i*w:(i+1)*w], 1)
+			default:
+				axpy(out.data[c*w:], z.data[i*w:(i+1)*w], 1)
+			}
+		}
 	}
+	work := len(k.rows) * w
+	if parallelChunks(k.nCols, work) == 1 {
+		scatter(nil, len(k.rows))
+		return out
+	}
+	start, order := k.byRange()
+	parallelFor(len(start)-1, work, func(b0, b1 int) {
+		ids := order[start[b0]:start[b1]]
+		scatter(ids, len(ids))
+	})
 	return out
+}
+
+// byRange returns the row ids bucketed by column range: the columns are
+// cut into len(start)-1 equal ranges, and order[start[b]:start[b+1]]
+// lists, ascending, the rows whose 1 falls in range b. Ascending row ids
+// keep a worker's pass over Z sequential, which a grouping by single
+// column would not. It is built on first parallel use — one range per
+// worker then available; any other count gives the same sums — and
+// cached, at 4 bytes per row.
+func (k *Indicator) byRange() (start, order []int32) {
+	k.rangeOnce.Do(func() {
+		nb := parallelChunks(k.nCols, parallelThreshold)
+		bucket := func(c int32) int { return int(c) * nb / k.nCols }
+		start := make([]int32, nb+1)
+		for _, c := range k.rows {
+			start[bucket(c)+1]++
+		}
+		for b := 0; b < nb; b++ {
+			start[b+1] += start[b]
+		}
+		order := make([]int32, len(k.rows))
+		next := append([]int32(nil), start[:nb]...)
+		for i, c := range k.rows {
+			b := bucket(c)
+			order[next[b]] = int32(i)
+			next[b]++
+		}
+		k.rangeStart, k.rangeOrder = start, order
+	})
+	return k.rangeStart, k.rangeOrder
 }
 
 // LeftMul computes X·K: column j of the result accumulates the columns of X

@@ -11,9 +11,9 @@ const parallelThreshold = 1 << 15
 
 // parallelChunks reports how many contiguous chunks parallelFor would
 // split [0,n) into: 1 when parallelism does not pay off, else up to
-// GOMAXPROCS. Reduction kernels use it to pre-size per-chunk partial
-// accumulators that are merged in chunk order, keeping results
-// deterministic for a fixed GOMAXPROCS.
+// GOMAXPROCS. Only kernels whose result does not depend on the split may
+// use it: each output element is written by one chunk, in an order of
+// additions the split cannot change. Reductions go through blockReduce.
 func parallelChunks(n int, work int) int {
 	procs := runtime.GOMAXPROCS(0)
 	if procs == 1 || work < parallelThreshold || n < 2 {
@@ -29,39 +29,58 @@ func parallelChunks(n int, work int) int {
 // up to GOMAXPROCS goroutines. work is an estimate of total scalar
 // operations used to decide whether parallelism pays off.
 func parallelFor(n int, work int, body func(lo, hi int)) {
-	parallelForChunked(n, parallelChunks(n, work), func(c, lo, hi int) { body(lo, hi) })
-}
-
-// parallelForChunked runs body over `chunks` contiguous ranges of [0,n)
-// with the chunk index exposed, so reduction kernels can write into
-// per-chunk slots. The caller passes the chunk count it sized those slots
-// with (from parallelChunks) — recomputing it here could disagree if
-// GOMAXPROCS changed in between, indexing the slots out of range.
-func parallelForChunked(n int, chunks int, body func(c, lo, hi int)) {
+	chunks := parallelChunks(n, work)
 	if n == 0 {
 		return
 	}
 	if chunks <= 1 {
-		body(0, 0, n)
+		body(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(chunks)
 	size := (n + chunks - 1) / chunks
 	for c := 0; c < chunks; c++ {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		go func(c, lo, hi int) {
+		lo, hi := c*size, min((c+1)*size, n)
+		go func() {
 			defer wg.Done()
 			if lo < hi {
-				body(c, lo, hi)
+				body(lo, hi)
 			}
-		}(c, lo, hi)
+		}()
 	}
 	wg.Wait()
+}
+
+// blockReduce sums a reduction over the rows [0,n) into a size-long
+// result. f(acc, lo, hi) adds the contribution of rows [lo,hi) into acc,
+// which starts zeroed; the block sums are then added in block order.
+//
+// This is the package's determinism rule: block boundaries are a function
+// of the operand's shape (n, size, work) and never of GOMAXPROCS, and the
+// serial path sums the same blocks in the same order, so every reduction
+// is bit-identical on one core and on sixty-four. There are at most 64
+// blocks of at least 64 rows, each with at least 16× the work of merging
+// it, and (beyond two) no more than fit 4 Mi partial elements.
+func blockReduce(n, size, work int, f func(acc []float64, lo, hi int)) []float64 {
+	sz := max(size, 1)
+	nb := max(1, min(64, n/64, work/(16*sz), max(2, (4<<20)/sz)))
+	rows := (n + nb - 1) / nb
+	parts := make([]float64, nb*size)
+	parallelFor(nb, work, func(b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			f(parts[b*size:(b+1)*size], min(b*rows, n), min((b+1)*rows, n))
+		}
+	})
+	if nb == 1 {
+		return parts
+	}
+	out := make([]float64, size) // not parts[:size]: that would pin all nb partials
+	copy(out, parts)
+	for b := 1; b < nb; b++ {
+		axpy(out, parts[b*size:(b+1)*size], 1)
+	}
+	return out
 }
 
 // ParallelRows exposes the package's chunked row-parallel loop to sibling

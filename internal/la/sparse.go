@@ -290,38 +290,71 @@ func VCatCSR(ms ...*CSR) *CSR {
 
 // --- Mat interface ---
 
-// Mul computes c·X (sparse × dense → dense).
+// Mul computes c·X (sparse × dense → dense), row-parallel.
 func (c *CSR) Mul(x *Dense) *Dense {
 	if x.rows != c.cols {
 		panic(fmt.Sprintf("la: CSR Mul %dx%d · %dx%d", c.rows, c.cols, x.rows, x.cols))
 	}
 	out := NewDense(c.rows, x.cols)
-	parallelFor(c.rows, c.NNZ()*x.cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			idx, vs := c.RowNNZ(i)
-			orow := out.Row(i)
-			for k, j := range idx {
-				axpy(orow, x.Row(int(j)), vs[k])
-			}
-		}
-	})
+	parallelFor(c.rows, c.NNZ()*x.cols, func(lo, hi int) { c.MulRows(out, x, lo, hi) })
 	return out
 }
 
-// TMul computes cᵀ·X without materializing the transpose.
+// MulRows writes rows [lo,hi) of c·x into the same rows of out: the
+// sparse twin of Dense.MulRows, with the same dispatch.
+func (c *CSR) MulRows(out, x *Dense, lo, hi int) {
+	k := x.cols
+	if k > 1 {
+		clear(out.data[lo*k : hi*k])
+	}
+	for i := lo; i < hi; i++ {
+		idx, vs := c.RowNNZ(i)
+		switch {
+		case k == 1:
+			s := 0.0
+			for p, j := range idx {
+				s += vs[p] * x.data[j]
+			}
+			out.data[i] = s
+		case k <= narrowMax:
+			for p, j := range idx {
+				axpyNarrow(out.data[i*k:], x.data[int(j)*k:(int(j)+1)*k], vs[p])
+			}
+		default:
+			for p, j := range idx {
+				axpy(out.data[i*k:], x.data[int(j)*k:(int(j)+1)*k], vs[p])
+			}
+		}
+	}
+}
+
+// TMul computes cᵀ·X without materializing the transpose: a scatter per
+// row block under blockReduce, so bit-identical for any GOMAXPROCS.
 func (c *CSR) TMul(x *Dense) *Dense {
 	if x.rows != c.rows {
 		panic(fmt.Sprintf("la: CSR TMul %dx%dᵀ · %dx%d", c.rows, c.cols, x.rows, x.cols))
 	}
-	out := NewDense(c.cols, x.cols)
-	for i := 0; i < c.rows; i++ {
-		idx, vs := c.RowNNZ(i)
-		xrow := x.Row(i)
-		for k, j := range idx {
-			axpy(out.Row(int(j)), xrow, vs[k])
+	k := x.cols
+	return NewDenseData(c.cols, k, blockReduce(c.rows, c.cols*k, c.NNZ()*k, func(acc []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			idx, vs := c.RowNNZ(i)
+			xrow := x.data[i*k : (i+1)*k]
+			switch {
+			case k == 1:
+				for p, j := range idx {
+					acc[j] += vs[p] * xrow[0]
+				}
+			case k <= narrowMax:
+				for p, j := range idx {
+					axpyNarrow(acc[int(j)*k:], xrow, vs[p])
+				}
+			default:
+				for p, j := range idx {
+					axpy(acc[int(j)*k:], xrow, vs[p])
+				}
+			}
 		}
-	}
-	return out
+	}))
 }
 
 // LeftMul computes X·c (dense × sparse → dense).
@@ -336,9 +369,6 @@ func (c *CSR) LeftMul(x *Dense) *Dense {
 			orow := out.Row(i)
 			for r := 0; r < c.rows; r++ {
 				xv := xrow[r]
-				if xv == 0 {
-					continue
-				}
 				idx, vs := c.RowNNZ(r)
 				for k, j := range idx {
 					orow[j] += xv * vs[k]

@@ -67,8 +67,11 @@ func positiveRandom(rng *rand.Rand, rows, cols int) *la.Dense {
 func multiplicative(base, num, den *la.Dense, eps float64) *la.Dense {
 	out := la.NewDense(base.Rows(), base.Cols())
 	bd, nd, dd, od := base.Data(), num.Data(), den.Data(), out.Data()
-	for i := range bd {
-		od[i] = bd[i] * nd[i] / (dd[i] + eps)
-	}
+	cols := base.Cols()
+	la.ParallelRows(base.Rows(), 4*len(bd), func(lo, hi int) {
+		for i := lo * cols; i < hi*cols; i++ {
+			od[i] = bd[i] * nd[i] / (dd[i] + eps)
+		}
+	})
 	return out
 }

@@ -42,68 +42,53 @@ func KMeans(t la.Matrix, k int, opt Options) (*KMeansResult, error) {
 	}
 
 	// Pre-compute the point norms once (they never change).
-	dt := t.Pow(2).RowSums() // n×1
-	t2 := t.Scale(2)         // stays normalized for a normalized input
+	dt := t.Pow(2).RowSums().Data() // length n
+	t2 := t.Scale(2)                // stays normalized for a normalized input
 	t2T := t2.T()
-	var a *la.Dense
+	res := &KMeansResult{Centroids: c, Assign: make([]int, n)}
+	bestD := make([]float64, n)
 	for it := 0; it < opt.Iters; it++ {
-		// Pairwise squared distances (points × clusters).
-		cNorm := c.PowDense(2).ColSumsVec() // length k
-		tc := t2.Mul(c)                     // n×k (LMM)
-		dist := la.NewDense(n, k)
-		for i := 0; i < n; i++ {
-			di := dt.At(i, 0)
-			row := tc.Row(i)
-			drow := dist.Row(i)
-			for j := 0; j < k; j++ {
-				drow[j] = di + cNorm[j] - row[j]
-			}
+		nearest(dt, c, t2.Mul(c), res.Assign, bestD) // LMM inside
+		// Boolean assignment matrix A and its column sums.
+		a := la.NewDense(n, k)
+		counts := make([]float64, k)
+		for i, j := range res.Assign {
+			a.Data()[i*k+j] = 1
+			counts[j]++
 		}
-		// Boolean assignment matrix from row minima.
-		a = assignmentMatrix(dist)
 		// New centroids; empty clusters keep their previous centroid.
-		counts := a.ColSumsVec()
-		ta := t2T.Mul(a) // d×k = 2·Tᵀ·A (transposed LMM on the scaled matrix)
-		for j := 0; j < k; j++ {
-			if counts[j] == 0 {
-				continue
-			}
-			for i := 0; i < d; i++ {
-				c.Set(i, j, ta.At(i, j)/(2*counts[j]))
+		ta := t2T.Mul(a).Data() // d×k = 2·Tᵀ·A (transposed LMM on the scaled matrix)
+		for i, v := range ta {
+			if cnt := counts[i%k]; cnt != 0 {
+				c.Data()[i] = v / (2 * cnt)
 			}
 		}
 	}
-
-	res := &KMeansResult{Centroids: c, Assign: make([]int, n)}
-	cNorm := c.PowDense(2).ColSumsVec()
-	tc := t2.Mul(c)
-	for i := 0; i < n; i++ {
-		best, bestD := 0, dt.At(i, 0)+cNorm[0]-tc.At(i, 0)
-		for j := 1; j < k; j++ {
-			if dd := dt.At(i, 0) + cNorm[j] - tc.At(i, j); dd < bestD {
-				best, bestD = j, dd
-			}
-		}
-		res.Assign[i] = best
-		res.Objective += bestD
+	nearest(dt, c, t2.Mul(c), res.Assign, bestD)
+	for _, v := range bestD {
+		res.Objective += v
 	}
 	return res, nil
 }
 
-// assignmentMatrix builds the 0/1 matrix A = (D == rowMin(D)·1), breaking
-// ties toward the lowest cluster index so each row has exactly one 1.
-func assignmentMatrix(dist *la.Dense) *la.Dense {
-	n, k := dist.Rows(), dist.Cols()
-	a := la.NewDense(n, k)
-	for i := 0; i < n; i++ {
-		row := dist.Row(i)
-		best := 0
-		for j := 1; j < k; j++ {
-			if row[j] < row[best] {
-				best = j
+// nearest assigns every point its closest centroid from the squared
+// distances D = dt·1 + 1·colSums(C²) − 2TC, given dt and tc = 2TC: the
+// rows of D are formed, scanned for their minimum (ties to the lowest
+// cluster index) and dropped one at a time, in parallel over the points.
+func nearest(dt []float64, c, tc *la.Dense, assign []int, bestD []float64) {
+	k := c.Cols()
+	cNorm := c.PowDense(2).ColSumsVec() // length k
+	tcd := tc.Data()
+	la.ParallelRows(len(dt), 2*len(tcd), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := tcd[i*k : (i+1)*k]
+			best, bd := 0, dt[i]+cNorm[0]-row[0]
+			for j := 1; j < k; j++ {
+				if dd := dt[i] + cNorm[j] - row[j]; dd < bd {
+					best, bd = j, dd
+				}
 			}
+			assign[i], bestD[i] = best, bd
 		}
-		a.Set(i, best, 1)
-	}
-	return a
+	})
 }

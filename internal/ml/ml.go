@@ -52,9 +52,12 @@ func LogisticRegressionGD(t la.Matrix, y *la.Dense, w0 *la.Dense, opt Options) (
 	for it := 0; it < opt.Iters; it++ {
 		tw := t.Mul(w) // LMM
 		p := la.NewDense(n, 1)
-		for i := 0; i < n; i++ {
-			p.Set(i, 0, y.At(i, 0)/(1+math.Exp(tw.At(i, 0))))
-		}
+		pd, yd, twd := p.Data(), y.Data(), tw.Data()
+		la.ParallelRows(n, 16*n, func(lo, hi int) { // an exp is worth ~16 flops
+			for i := lo; i < hi; i++ {
+				pd[i] = yd[i] / (1 + math.Exp(twd[i]))
+			}
+		})
 		grad := tt.Mul(p) // transposed LMM
 		w.AXPYInPlace(opt.StepSize, grad)
 	}

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -341,5 +342,31 @@ func TestStarSchemaAlgorithms(t *testing.T) {
 	gF, _ := GNMF(nmPos, 2, Options{Iters: 5, Seed: 3})
 	if la.MaxAbsDiff(gM.W, gF.W) > 1e-6 {
 		t.Fatal("star gnmf differs")
+	}
+}
+
+// TestWidthDeterminismLogReg: three gradient steps over a normalized
+// matrix give the same bits at every worker count (ROADMAP 5a) — the
+// training-level consequence of la's fixed-block reductions.
+func TestWidthDeterminismLogReg(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	nm, _, y := makeJoin(rand.New(rand.NewSource(90)), 12_000, 6, 400, 9)
+	labels := signLabels(y)
+	var first *la.Dense
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		w, err := LogisticRegressionGD(nm, labels, nil, Options{Iters: 3, StepSize: 1e-4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = w
+			continue
+		}
+		for i, v := range first.Data() {
+			if g := w.Data()[i]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("weight %d is %v at GOMAXPROCS=1 and %v at GOMAXPROCS=%d", i, v, g, procs)
+			}
+		}
 	}
 }
