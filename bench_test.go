@@ -5,7 +5,8 @@ package repro
 // strategies as sub-benchmarks on the same generated data, so
 // `go test -bench=. -benchmem` regenerates every experiment's comparison at
 // reduced, fixed dimensions; `cmd/morpheus-bench` runs the full sweeps and
-// prints paper-style tables (see EXPERIMENTS.md for the mapping).
+// prints paper-style tables (each experiment id names its paper table or
+// figure; `morpheus-bench -list` enumerates them).
 
 import (
 	"fmt"

@@ -20,8 +20,8 @@
 //
 // Each experiment prints a text table with the materialized (M) and
 // factorized (F) runtimes and the speed-up, mirroring the series in the
-// corresponding paper table/figure. See EXPERIMENTS.md for the mapping and
-// the paper-vs-measured record.
+// corresponding paper table/figure, which the experiment id names (-list
+// enumerates them).
 //
 // -chunked runs the out-of-core suite: the serial-vs-parallel engine
 // comparison (chunkpar), the star-schema/sparse/k-means interface suite

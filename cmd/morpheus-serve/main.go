@@ -28,15 +28,17 @@
 // Staged rows are invisible until commit; commit patches the scorer's
 // cached partial products incrementally (subtract old contribution, add
 // new) before returning, so the next score already reflects the new
-// epoch. Scoring requests racing a commit observe exactly one epoch per
-// batch — never a mix.
+// epoch. A scoring request racing a commit scores every row at a
+// committed epoch — one epoch per batch, except that a sharded batch
+// straddling the commit may see its slices one epoch apart.
 //
 // -replicas N serves through an N-replica fleet behind the serve.Router:
 // -placement sharded (default) hash-partitions row ids so the entity-side
 // partial cache exists once across the fleet; -placement replicated gives
-// every replica the full cache and rotates batches round-robin. With
-// -mutable the fleet is replicated EpochScorers sharing one store — a
-// commit publishes to every replica before returning. -queue bounds the
+// every replica the full cache and rotates batches round-robin. Both
+// placements work with -mutable: every replica subscribes to the one
+// store, and a commit patches entity rows on the slice that owns them and
+// attribute rows everywhere before it returns. -queue bounds the
 // admission queue; when it is full, requests are rejected with
 // ErrOverloaded instead of queueing without bound.
 //
@@ -66,13 +68,6 @@ import (
 	"repro/internal/serve"
 )
 
-// scorer is what request handling needs from either scorer flavor; both
-// serve.Scorer and serve.EpochScorer satisfy it.
-type scorer interface {
-	serve.BatchScorer
-	ScoreAll() []float64
-}
-
 func main() {
 	var (
 		ns      = flag.Int("ns", 20000, "entity tuples (fact-table rows)")
@@ -89,8 +84,8 @@ func main() {
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		compare = flag.Bool("compare", false, "report cached vs naive scoring throughput before serving")
 		mutable = flag.Bool("mutable", false, "serve from a versioned epoch store accepting set/commit/epoch requests")
-		fleet   = flag.Int("replicas", 1, "serving-fleet width (1 = single scorer)")
-		place   = flag.String("placement", "sharded", "fleet cache placement: sharded | replicated (-mutable fleets are always replicated)")
+		fleet   = flag.Int("replicas", 1, "serving-fleet width")
+		place   = flag.String("placement", "sharded", "fleet cache placement: sharded | replicated")
 		queue   = flag.Int("queue", 0, "admission queue depth; full queue rejects with ErrOverloaded (0 = workers x batch)")
 	)
 	flag.Parse()
@@ -136,51 +131,41 @@ func main() {
 		fail("-replicas must be >= 1, got %d", *fleet)
 	}
 
-	var sc scorer
+	// One construction path for every configuration: -mutable picks the
+	// partial source, -placement the ownership of each of -replicas scorers.
 	var st *epoch.Store
 	if *mutable {
-		st, err = epoch.NewStore(nm)
-		if err != nil {
+		if st, err = epoch.NewStore(nm); err != nil {
 			fail("building epoch store: %v", err)
 		}
-		if *fleet > 1 {
-			rt, err := serve.NewEpochFleet(st, w, head, *fleet)
-			if err != nil {
-				fail("building epoch fleet: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "mutable fleet: %d replicated replicas at epoch %d (set/commit/epoch requests enabled)\n",
-				rt.NumReplicas(), st.Version())
-			sc = rt
-		} else {
-			es, err := serve.NewEpochScorer(st, w, head)
-			if err != nil {
-				fail("building scorer: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "mutable store at epoch %d (set/commit/epoch requests enabled)\n", es.Version())
-			sc = es
+	}
+	replicas := make([]serve.Replica, *fleet)
+	for i := range replicas {
+		shard, of := 0, 1
+		if placement == serve.HashSharded {
+			shard, of = i, *fleet
 		}
+		if st != nil {
+			replicas[i], err = serve.NewShardedEpochScorer(st, w, head, shard, of)
+		} else {
+			replicas[i], err = serve.NewShardedScorer(nm, w, head, shard, of)
+		}
+		if err != nil {
+			fail("building scorer: %v", err)
+		}
+	}
+	sc, err := serve.NewRouter(replicas, placement)
+	if err != nil {
+		fail("building fleet: %v", err)
+	}
+	if st != nil {
+		fmt.Fprintf(os.Stderr, "mutable fleet: %d %s replicas at epoch %d (set/commit/epoch requests enabled)\n",
+			sc.NumReplicas(), sc.Placement(), st.Version())
 	} else {
-		if *compare {
-			s, err := serve.NewScorer(nm, w, head)
-			if err != nil {
-				fail("building scorer: %v", err)
-			}
-			reportSpeedup(s, nm.Rows(), head, w)
-		}
-		if *fleet > 1 {
-			rt, err := serve.NewScorerFleet(nm, w, head, *fleet, placement)
-			if err != nil {
-				fail("building fleet: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "serving fleet: %d %s replicas\n", rt.NumReplicas(), rt.Placement())
-			sc = rt
-		} else {
-			s, err := serve.NewScorer(nm, w, head)
-			if err != nil {
-				fail("building scorer: %v", err)
-			}
-			sc = s
-		}
+		fmt.Fprintf(os.Stderr, "serving fleet: %d %s replicas\n", sc.NumReplicas(), sc.Placement())
+	}
+	if *compare {
+		reportSpeedup(sc, nm, head, w)
 	}
 	b := serve.NewBatcher(sc, serve.BatchOptions{MaxBatch: *batch, MaxDelay: *delay, Workers: *workers, QueueDepth: *queue})
 	defer b.Close()
@@ -308,7 +293,7 @@ func parseVals(csv string) ([]float64, error) {
 
 // handleRequest serves one input line: "all", a single row id, or a
 // comma-separated batch. Bad requests are reported to stderr and skipped.
-func handleRequest(line string, sc scorer, b *serve.Batcher, out *bufio.Writer) {
+func handleRequest(line string, sc *serve.Router, b *serve.Batcher, out *bufio.Writer) {
 	if line == "all" {
 		for id, v := range sc.ScoreAll() {
 			fmt.Fprintf(out, "%d,%g\n", id, v)
@@ -352,10 +337,10 @@ func generate(ns, ds, nr, dr, tables int, seed int64) (*core.NormalizedMatrix, e
 	return datagen.Star(datagen.StarSpec{NS: ns, DS: ds, NR: nrs, DR: drs, Seed: seed})
 }
 
-// reportSpeedup times scoring every row via the cached partials against
-// rerunning the factorized predictor, mirroring BenchmarkServe*.
-func reportSpeedup(sc *serve.Scorer, rows int, head serve.Head, w *la.Dense) {
-	nm := sc.Matrix()
+// reportSpeedup times scoring every row via the serving fleet's cached
+// partials against rerunning the factorized predictor, mirroring
+// BenchmarkServe*.
+func reportSpeedup(sc *serve.Router, nm *core.NormalizedMatrix, head serve.Head, w *la.Dense) {
 	const reps = 5
 	naive := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
@@ -378,7 +363,7 @@ func reportSpeedup(sc *serve.Scorer, rows int, head serve.Head, w *la.Dense) {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "scoring %d rows: naive factorized %v, cached partials %v (%.1fx)\n",
-		rows, naive, cached, float64(naive)/float64(cached))
+		nm.Rows(), naive, cached, float64(naive)/float64(cached))
 }
 
 func parseIDs(line string) ([]int, error) {

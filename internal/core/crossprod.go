@@ -99,10 +99,10 @@ func crossBlock(a, b part) *la.Dense {
 		// scatter-add selBᵀ·featA (nRb×dA), then its transpose times
 		// featB — never gathering featB up to n rows.
 		kta := indicatorTMulMat(b.sel, a.feat)
-		return matTMulMat2(kta, b.feat)
+		return matTMulMat(kta, b.feat)
 	case b.sel == nil:
 		kta := indicatorTMulMat(a.sel, b.feat)
-		return matTMulMat3(a.feat, kta)
+		return a.feat.TMul(kta)
 	default:
 		p := a.sel.TMulIndicator(b.sel) // sparse count matrix nRa×nRb
 		return a.feat.TMul(p.MulMat(b.feat))
@@ -130,31 +130,20 @@ func indicatorTMulMat(k *la.Indicator, m la.Mat) *la.Dense {
 	}
 }
 
-// matTMulMat computes Aᵀ·B for two base-table matrices.
+// matTMulMat computes Aᵀ·B for two base-table matrices, without
+// densifying a CSR B when A is already dense.
 func matTMulMat(a, b la.Mat) *la.Dense {
 	switch t := b.(type) {
 	case *la.Dense:
 		return a.TMul(t)
-	default:
-		return a.TMul(b.Dense())
-	}
-}
-
-// matTMulMat2 computes Aᵀ·B where A is already dense.
-func matTMulMat2(a *la.Dense, b la.Mat) *la.Dense {
-	switch t := b.(type) {
-	case *la.Dense:
-		return la.TMatMul(a, t)
 	case *la.CSR:
-		// Aᵀ·B = (Bᵀ·A)ᵀ using the CSR transposed kernel.
-		return t.TMul(a).TDense()
-	default:
-		return la.TMatMul(a, b.Dense())
+		if ad, ok := a.(*la.Dense); ok {
+			// Aᵀ·B = (Bᵀ·A)ᵀ using the CSR transposed kernel.
+			return t.TMul(ad).TDense()
+		}
 	}
+	return a.TMul(b.Dense())
 }
-
-// matTMulMat3 computes Aᵀ·B where B is already dense.
-func matTMulMat3(a la.Mat, b *la.Dense) *la.Dense { return a.TMul(b) }
 
 func placeBlock(out, blk *la.Dense, r0, c0 int) {
 	for i := 0; i < blk.Rows(); i++ {

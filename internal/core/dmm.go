@@ -131,7 +131,7 @@ func (a *NormalizedMatrix) MulNormTN(b *NormalizedMatrix) (*la.Dense, error) {
 		return nil, fmt.Errorf("core: DMM TN (%dx%d)ᵀ · %dx%d", a.nRows, a.dCols, b.nRows, b.dCols)
 	}
 	tile11 := matTMulMat(sa, sb)
-	tile12 := matTMulMat2(indicatorTMulMat(kb, sa), rb)
+	tile12 := matTMulMat(indicatorTMulMat(kb, sa), rb)
 	tile21 := ra.TMul(indicatorTMulMat(ka, sb))
 	p := ka.TMulIndicator(kb)
 	tile22 := ra.TMul(p.MulMat(rb))

@@ -15,7 +15,7 @@
 // Readers never block writers and vice versa:
 //
 //   - The scoring path subscribes to commits (Subscribe) and patches its
-//     cached partial products per changed row — see serve.EpochScorer.
+//     cached partial products per changed row — see serve.Scorer.
 //   - The training path pins an epoch (Pin) and reads a consistent
 //     snapshot — in memory via Snapshot.NormalizedMatrix, or streamed
 //     out-of-core via Snapshot.BuildChunked — that later commits can
@@ -36,6 +36,7 @@ package epoch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -58,6 +59,10 @@ var (
 	// ErrTableRange is returned when an upsert addresses an attribute
 	// table index outside [0, NumTables()).
 	ErrTableRange = errors.New("epoch: attribute table index out of range")
+	// ErrNonFinite is returned when an upsert carries a NaN or ±Inf value.
+	// Such a value would poison every later incremental patch of the row
+	// (NaN − NaN stays NaN), so it is refused before it is staged.
+	ErrNonFinite = errors.New("epoch: upsert value is not finite")
 	// ErrNoEntity is returned by UpsertEntity when the store's schema has
 	// no entity feature table (dS = 0).
 	ErrNoEntity = errors.New("epoch: store has no entity feature table")
@@ -222,8 +227,9 @@ func (st *Store) Pending() int {
 // UpsertEntity stages new feature values for entity tuple row. The
 // values are copied. Staged upserts are invisible to readers until
 // Commit; a second upsert to the same row before Commit overwrites the
-// first (last-write-wins within an epoch). Safe to call concurrently
-// with scoring, pinned snapshots, and Commit.
+// first (last-write-wins within an epoch). Non-finite values are refused
+// with ErrNonFinite. Safe to call concurrently with scoring, pinned
+// snapshots, and Commit.
 func (st *Store) UpsertEntity(row int, vals []float64) error {
 	if st.bases[0] == nil {
 		return ErrNoEntity
@@ -246,6 +252,11 @@ func (st *Store) upsert(slot int, base la.Mat, row int, vals []float64) error {
 	}
 	if len(vals) != base.Cols() {
 		return fmt.Errorf("%w: got %d values, table has %d columns", ErrWidth, len(vals), base.Cols())
+	}
+	for j, x := range vals {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: column %d is %g", ErrNonFinite, j, x)
+		}
 	}
 	v := make([]float64, len(vals))
 	copy(v, vals)

@@ -89,6 +89,24 @@ func TestUpsertValidation(t *testing.T) {
 		t.Fatalf("attr row past end: got %v", err)
 	}
 
+	// Non-finite values are refused before they are staged: once committed
+	// they would survive every incremental patch of the row (NaN − NaN).
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		v := randRow(rng, st.EntityCols())
+		v[len(v)-1] = bad
+		if err := st.UpsertEntity(0, v); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("entity upsert of %g: got %v", bad, err)
+		}
+		v = randRow(rng, st.AttrCols(0))
+		v[0] = bad
+		if err := st.UpsertAttr(0, 0, v); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("attr upsert of %g: got %v", bad, err)
+		}
+	}
+	if n := st.Pending(); n != 0 {
+		t.Fatalf("%d rows staged by rejected upserts, want 0", n)
+	}
+
 	// A schema without entity features rejects entity upserts.
 	nm, err := core.NewPKFK(nil, randIndicatorE(rng, 10, 3), randDense(rng, 3, 2))
 	if err != nil {

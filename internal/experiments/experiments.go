@@ -6,7 +6,7 @@
 // Absolute numbers differ from the paper (different hardware, R/BLAS
 // replaced by the Go substrate); the shapes — who wins, how speed-ups grow
 // with tuple ratio and feature ratio, where the low-ratio crossover region
-// lies — are the reproduction target. EXPERIMENTS.md records both.
+// lies — are the reproduction target.
 package experiments
 
 import (
@@ -89,8 +89,8 @@ func (r Result) Format() string {
 }
 
 // Config scales the experiment workloads. Scale=1 is the laptop-friendly
-// default documented in DESIGN.md; larger values move dimensions toward the
-// paper's (at proportionally larger runtimes).
+// default; larger values move dimensions toward the paper's (at
+// proportionally larger runtimes).
 type Config struct {
 	Scale float64
 	Seed  int64

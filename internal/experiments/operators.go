@@ -42,7 +42,7 @@ var (
 )
 
 const (
-	basePKFKNR = 5000 // paper: 1e6; scaled per DESIGN.md
+	basePKFKNR = 5000 // paper: 1e6; scaled by Config.Scale
 	basePKFKDS = 20   // paper: 20
 )
 
@@ -240,7 +240,7 @@ func fig11and12(cfg Config) (Result, error) {
 }
 
 // cpAblate compares the naive (Algorithm 1) and efficient (Algorithm 2)
-// cross-product rewrites, the design-choice ablation DESIGN.md calls out.
+// cross-product rewrites: the design-choice ablation of §3.3.5.
 func cpAblate(cfg Config) (Result, error) {
 	res := Result{
 		ID:     "cpablate",

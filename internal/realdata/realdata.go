@@ -4,7 +4,7 @@
 // as sparse one-hot feature matrices with the published dimensions and
 // non-zero counts (nS, dS, nnzS, q, nRi, dRi, nnzRi). The factorized-vs-
 // materialized runtime behaviour depends only on these statistics, which is
-// what the substitution preserves (see DESIGN.md §3).
+// what the substitution preserves.
 package realdata
 
 import (

@@ -3,6 +3,8 @@ package serve
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 // TestSteadyStateZeroAlloc is the allocation audit: once warm, the
@@ -65,4 +67,40 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	ownedOut := make([]float64, len(owned))
 	check("ShardedScorer", func() error { return sh.ScoreBatchInto(owned, ownedOut) })
+}
+
+// TestScoreRowZeroAlloc extends the audit to the single-row path: for
+// every partial source × ownership combination, ScoreRow must not touch
+// the heap.
+func TestScoreRowZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the allocation audit runs in the non-race pass")
+	}
+	rng := rand.New(rand.NewSource(52))
+	nm := randStar(rng, false)
+	w := randWeights(rng, nm.Cols())
+	st, err := epoch.NewStore(nm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, own := range []struct{ shard, of int }{{0, 1}, {1, 3}} {
+		static, err := NewShardedScorer(nm, w, Logistic, own.shard, own.of)
+		if err != nil {
+			t.Fatal(err)
+		}
+		versioned, err := NewShardedEpochScorer(st, w, Logistic, own.shard, own.of)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, sc := range map[string]*Scorer{"matrix": static, "store": versioned} {
+			id := own.shard + own.of*rng.Intn(nm.Rows()/own.of)
+			if a := testing.AllocsPerRun(100, func() {
+				if _, err := sc.ScoreRow(id); err != nil {
+					t.Errorf("%s %d/%d: %v", name, own.shard, own.of, err)
+				}
+			}); a != 0 {
+				t.Errorf("%s source, shard %d of %d: %v allocs per ScoreRow, want 0", name, own.shard, own.of, a)
+			}
+		}
+	}
 }

@@ -49,6 +49,17 @@ type BatchScorer interface {
 	ScoreBatch(ids []int) ([]float64, error)
 }
 
+// IntoScorer is the optional allocation-free capability the Batcher
+// probes its backend for: when present, coalesced batches are scored
+// into pooled buffers instead of allocating a fresh score slice per
+// batch.
+type IntoScorer interface {
+	// ScoreBatchInto scores ids into the caller-owned out slice
+	// (len(out) == len(ids)) without allocating — the steady-state
+	// request path.
+	ScoreBatchInto(ids []int, out []float64) error
+}
+
 // BatcherStats counts the admission and execution work a Batcher has
 // performed. Snapshot via Batcher.Stats.
 type BatcherStats struct {

@@ -170,7 +170,7 @@ func TestBatcherClose(t *testing.T) {
 					if err == ErrOverloaded {
 						continue // admission control shedding load, not shutdown
 					}
-					if err != ErrClosed {
+					if err != ErrBatcherClosed {
 						t.Errorf("unexpected error: %v", err)
 					}
 					return
@@ -182,7 +182,7 @@ func TestBatcherClose(t *testing.T) {
 	b.Close()
 	b.Close() // idempotent
 	wg.Wait()
-	if _, err := b.Score(0); err != ErrClosed {
+	if _, err := b.Score(0); err != ErrBatcherClosed {
 		t.Fatalf("Score after Close = %v, want ErrClosed", err)
 	}
 	if _, err := b.Score(-1); err != ErrRowRange {

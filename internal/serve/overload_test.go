@@ -187,11 +187,6 @@ func TestScoreAfterCloseNeverHangs(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Score after Close hung")
 	}
-	// The historical name must stay interchangeable with the documented
-	// sentinel: existing callers compare with == ErrClosed.
-	if ErrClosed != ErrBatcherClosed {
-		t.Fatal("ErrClosed is no longer an alias of ErrBatcherClosed")
-	}
 }
 
 // TestBatcherCloseScoreStorm races Close against a storm of Score calls:

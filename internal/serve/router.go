@@ -61,6 +61,24 @@ type RouterStats struct {
 	WeightUpdates uint64
 }
 
+// Replica is one member of a serving fleet: the scoring surface the
+// Router fans batches out to, plus the management surface fleet-wide
+// operations (weight updates) apply through. Scorer — whole or slice,
+// over either source — and Router itself satisfy it, so fleets compose;
+// instrumentation wrappers only need to embed a Replica and override
+// the calls they care about.
+type Replica interface {
+	BatchScorer
+	IntoScorer
+	// UpdateWeights atomically replaces this replica's model.
+	UpdateWeights(w *la.Dense) error
+}
+
+var (
+	_ Replica = (*Scorer)(nil)
+	_ Replica = (*Router)(nil)
+)
+
 // Router fans scoring batches out across a fleet of replicas and merges
 // the results back in request order. It implements BatchScorer (and
 // Replica — routers compose), so it drops into the Batcher seam exactly
@@ -70,10 +88,12 @@ type RouterStats struct {
 // version across every replica it touches. UpdateWeights is a fleet-wide
 // barrier — it excludes in-flight batches, updates every replica, then
 // readmits — so even a hash-sharded batch split across N replicas never
-// mixes weight versions. Epoch fleets (replicas backed by EpochScorer
-// over one epoch.Store) forward each batch whole to a single replica,
-// whose own generation snapshot guarantees one (weights, epoch) pair per
-// batch; commits reach every replica synchronously inside Store.Commit.
+// mixes weight versions. Over an epoch.Store, commits reach every replica
+// synchronously inside Store.Commit and each replica scores its
+// (sub-)batch against one generation: a Replicated fleet forwards the
+// batch whole, so it observes one (weights, epoch) pair; a HashSharded
+// batch that straddles a commit may score rows of different slices one
+// epoch apart, each row at an epoch that was committed.
 type Router struct {
 	replicas  []Replica
 	placement Placement
@@ -89,8 +109,6 @@ type Router struct {
 	batches, subBatches, rowsScored, updates atomic.Uint64
 }
 
-var _ Replica = (*Router)(nil)
-
 // routeScratch holds the per-call partition state for hash-sharded
 // fan-out; pooling it keeps the steady-state path allocation-free.
 type routeScratch struct {
@@ -101,8 +119,10 @@ type routeScratch struct {
 
 // NewRouter builds a router over an explicit replica fleet. All replicas
 // must agree on Rows. Under HashSharded placement, replica k must accept
-// exactly the rows with id ≡ k (mod len(replicas)) — NewShardedScorer
-// with matching (shard, of) coordinates, or any wrapper around one.
+// the rows with id ≡ k (mod len(replicas)): a true Scorer slice (of >
+// 1) is checked for exactly those coordinates, a whole-store scorer
+// accepts every row and is always valid, and wrappers are trusted. A true
+// slice cannot serve a Replicated fleet, which sends any row anywhere.
 func NewRouter(replicas []Replica, placement Placement) (*Router, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("serve: router needs at least one replica")
@@ -118,10 +138,10 @@ func NewRouter(replicas []Replica, placement Placement) (*Router, error) {
 		if r.Rows() != rows {
 			return nil, fmt.Errorf("serve: replica %d serves %d rows, replica 0 serves %d", i, r.Rows(), rows)
 		}
-		if sh, ok := r.(*ShardedScorer); ok && placement == HashSharded {
-			if sh.Shard() != i || sh.Of() != len(replicas) {
-				return nil, fmt.Errorf("serve: replica %d is shard %d of %d, want shard %d of %d",
-					i, sh.Shard(), sh.Of(), i, len(replicas))
+		if sh, ok := r.(*Scorer); ok && sh.of > 1 {
+			if placement != HashSharded || sh.shard != i || sh.of != len(replicas) {
+				return nil, fmt.Errorf("serve: replica %d is shard %d of %d, want shard %d of %d under %s placement",
+					i, sh.shard, sh.of, i, len(replicas), HashSharded)
 			}
 		}
 	}
@@ -134,48 +154,49 @@ func NewRouter(replicas []Replica, placement Placement) (*Router, error) {
 }
 
 // NewScorerFleet builds an n-replica fleet over an immutable feature
-// store: n ShardedScorers under HashSharded placement (the entity-side
-// cache exists once across the fleet), or n independent full Scorers
-// under Replicated placement. n = 1 degenerates to a single-scorer
-// router either way.
+// store: n slices under HashSharded placement (the entity-side cache
+// exists once across the fleet), or n whole-store scorers under
+// Replicated placement. n = 1 degenerates to a single-scorer router
+// either way.
 func NewScorerFleet(nm *core.NormalizedMatrix, w *la.Dense, head Head, n int, placement Placement) (*Router, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("serve: fleet needs at least one replica, got %d", n)
-	}
-	replicas := make([]Replica, n)
-	for i := 0; i < n; i++ {
-		var err error
-		if placement == HashSharded {
-			replicas[i], err = NewShardedScorer(nm, w, head, i, n)
-		} else {
-			replicas[i], err = NewScorer(nm, w, head)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return NewRouter(replicas, placement)
+	return newFleet(n, placement, func(shard, of int) (*Scorer, error) {
+		return NewShardedScorer(nm, w, head, shard, of)
+	})
 }
 
-// NewEpochFleet builds an n-replica fleet of EpochScorers over one
-// versioned store, under Replicated placement: each replica subscribes
-// to the store and patches its own cached partials inside Store.Commit,
-// so when Commit returns every replica already serves the new epoch.
-// Batches forward whole to one replica, whose generation snapshot
-// guarantees exactly one (weights, epoch) pair per batch.
+// NewEpochFleet builds an n-replica fleet of whole-store scorers over
+// one versioned store, under Replicated placement: each replica
+// subscribes to the store and patches its own cached partials inside
+// Store.Commit, so when Commit returns every replica already serves the
+// new epoch. Batches forward whole to one replica, whose generation
+// guarantees exactly one (weights, epoch) pair per batch. For a sharded
+// epoch fleet, hand NewShardedEpochScorer slices to NewRouter.
 func NewEpochFleet(store *epoch.Store, w *la.Dense, head Head, n int) (*Router, error) {
+	return newFleet(n, Replicated, func(shard, of int) (*Scorer, error) {
+		return NewShardedEpochScorer(store, w, head, shard, of)
+	})
+}
+
+// newFleet builds n scorers with mk — slices i of n under HashSharded
+// placement, whole-store scorers (0 of 1) under Replicated — and routes
+// over them.
+func newFleet(n int, placement Placement, mk func(shard, of int) (*Scorer, error)) (*Router, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serve: fleet needs at least one replica, got %d", n)
 	}
 	replicas := make([]Replica, n)
-	for i := 0; i < n; i++ {
-		es, err := NewEpochScorer(store, w, head)
+	for i := range replicas {
+		shard, of := 0, 1
+		if placement == HashSharded {
+			shard, of = i, n
+		}
+		r, err := mk(shard, of)
 		if err != nil {
 			return nil, err
 		}
-		replicas[i] = es
+		replicas[i] = r
 	}
-	return NewRouter(replicas, Replicated)
+	return NewRouter(replicas, placement)
 }
 
 // Rows reports the fleet-wide row count.
@@ -270,30 +291,13 @@ func (rt *Router) ScoreBatchInto(ids []int, out []float64) error {
 	return nil
 }
 
-// ScoreRow serves a single prediction: routed to the owning replica
-// under HashSharded placement, round-robin under Replicated.
+// ScoreRow serves a single prediction as a one-row batch: routed to the
+// owning replica under HashSharded placement, round-robin under
+// Replicated.
 func (rt *Router) ScoreRow(id int) (float64, error) {
-	if id < 0 || id >= rt.rows {
-		return 0, fmt.Errorf("%w: %d not in [0,%d)", ErrRowRange, id, rt.rows)
-	}
-	var ids [1]int
-	var out [1]float64
-	ids[0] = id
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	rt.batches.Add(1)
-	rt.subBatches.Add(1)
-	rt.rowsScored.Add(1)
-	var r Replica
-	if rt.placement == HashSharded {
-		r = rt.replicas[id%len(rt.replicas)]
-	} else {
-		r = rt.replicas[rt.rr.Add(1)%uint64(len(rt.replicas))]
-	}
-	if err := r.ScoreBatchInto(ids[:], out[:]); err != nil {
-		return 0, err
-	}
-	return out[0], nil
+	ids, out := [1]int{id}, [1]float64{}
+	err := rt.ScoreBatchInto(ids[:], out[:])
+	return out[0], err
 }
 
 // ScoreAll serves every row in order through the fleet, under one weight

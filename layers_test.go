@@ -1,107 +1,6 @@
 package repro
 
-import (
-	"strings"
-	"testing"
-)
-
-// TestLayersFacade drives the table and expression layers through the
-// public facade: CSV text → normalized matrix → optimized LA script.
-func TestLayersFacade(t *testing.T) {
-	entity, err := ReadCSVTable("S", strings.NewReader("id,x,fk\na,1.5,r1\nb,2.5,r2\nc,0.5,r1\n"),
-		map[string]ColumnKind{"id": Key, "fk": Key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attr, err := ReadCSVTable("R", strings.NewReader("rid,v,cat\nr1,10,hi\nr2,20,lo\n"),
-		map[string]ColumnKind{"rid": Key, "cat": Categorical})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm, _, features, err := BuildJoin(JoinSpec{
-		Entity:         entity,
-		EntityFeatures: []string{"x"},
-		Attributes: []AttributeRef{{
-			Table: attr, PrimaryKey: "rid", ForeignKey: "fk",
-			Features: []string{"v", "cat"},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm.Rows() != 3 || nm.Cols() != 4 || len(features) != 4 {
-		t.Fatalf("join %dx%d features %v", nm.Rows(), nm.Cols(), features)
-	}
-
-	// Script layer over the normalized operand: optimize recognizes AᵀA.
-	tl := Leaf("T", nm)
-	e := OptimizeExpr(MulOf(TransposeOf(tl), tl))
-	got := e.Eval().Dense()
-	want := nm.Dense().CrossProd()
-	for i := 0; i < want.Rows(); i++ {
-		for j := 0; j < want.Cols(); j++ {
-			d := got.At(i, j) - want.At(i, j)
-			if d > 1e-9 || d < -1e-9 {
-				t.Fatal("script-layer crossprod mismatch")
-			}
-		}
-	}
-	if !strings.Contains(e.String(), "crossprod") {
-		t.Fatalf("optimizer missed crossprod: %s", e.String())
-	}
-}
-
-// TestOutOfCoreFacade drives the sharded out-of-core layer through the
-// public facade: a two-shard store, a streamed build, chunked k-means and
-// GNMF, and shard accounting.
-func TestOutOfCoreFacade(t *testing.T) {
-	root := t.TempDir()
-	st, err := NewShardedChunkStore([]string{root + "/a", root + "/b"}, ChunkLeastBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	const n, d = 48, 5
-	m, err := ChunkBuild(st, n, d, 8, func(lo, hi int, dst *Dense) {
-		for i := range dst.Data() {
-			dst.Data()[i] = float64((lo+i)%7) + 0.25
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumShards() != 2 {
-		t.Fatalf("NumShards = %d", st.NumShards())
-	}
-	var tracked int
-	for _, sh := range st.ShardStats() {
-		tracked += sh.Chunks
-	}
-	if tracked != m.NumChunks() {
-		t.Fatalf("shard stats track %d chunks, matrix has %d", tracked, m.NumChunks())
-	}
-	env := PlanEnvFor(st, 0, 0)
-	km, kmDec, err := PlannedKMeans(env, m, 3, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if km.Centroids.Rows() != d || km.Centroids.Cols() != 3 {
-		t.Fatalf("centroids %dx%d", km.Centroids.Rows(), km.Centroids.Cols())
-	}
-	if !kmDec.Strategy.Chunked || kmDec.Rule == "" {
-		t.Fatalf("k-means decision not explainable: %+v", kmDec)
-	}
-	g, _, err := PlannedGNMF(env, m, 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.W.Rows() != n || g.H.Rows() != d {
-		t.Fatalf("GNMF factors W %d rows, H %d rows", g.W.Rows(), g.H.Rows())
-	}
-	if _, err := AutoChunkRowsChecked(1, 1<<20, 4, 4); err == nil {
-		t.Fatal("infeasible chunk budget not reported")
-	}
-}
+import "testing"
 
 // TestServingFacade drives the serving layer through the public facade:
 // train factorized, build a cached-partial scorer plus a micro-batching
