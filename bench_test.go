@@ -403,14 +403,14 @@ func BenchmarkTable9OutOfCore(b *testing.B) {
 	}
 	b.Run("M", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := chunk.LogRegMaterializedExec(chunk.Parallel(), tM, y, 2, 1e-6); err != nil {
+			if _, err := ml.LogRegScan(chunk.MatOperand(chunk.Parallel(), tM), y, nil, ml.Options{Iters: 2, StepSize: 1e-6}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("F", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := chunk.LogRegFactorizedExec(chunk.Parallel(), nt, y, 2, 1e-6); err != nil {
+			if _, err := ml.LogRegScan(nt.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 2, StepSize: 1e-6}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -450,14 +450,14 @@ func BenchmarkTable10OutOfCoreMN(b *testing.B) {
 	}
 	b.Run("M", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := chunk.LogRegMaterializedExec(chunk.Parallel(), tM, y, 2, 1e-7); err != nil {
+			if _, err := ml.LogRegScan(chunk.MatOperand(chunk.Parallel(), tM), y, nil, ml.Options{Iters: 2, StepSize: 1e-7}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("F", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := chunk.LogRegFactorizedMNExec(chunk.Parallel(), mn, y, 2, 1e-7); err != nil {
+			if _, err := ml.LogRegScan(mn.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 2, StepSize: 1e-7}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -499,14 +499,14 @@ func BenchmarkChunkedGLMSerialVsParallel(b *testing.B) {
 	}{{"Serial", chunk.Serial}, {"Parallel", chunk.Parallel()}} {
 		b.Run("M/"+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := chunk.LogRegMaterializedExec(mode.ex, tM, y, 2, 1e-6); err != nil {
+				if _, err := ml.LogRegScan(chunk.MatOperand(mode.ex, tM), y, nil, ml.Options{Iters: 2, StepSize: 1e-6}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("F/"+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := chunk.LogRegFactorizedExec(mode.ex, nt, y, 2, 1e-6); err != nil {
+				if _, err := ml.LogRegScan(nt.Operand(mode.ex), y, nil, ml.Options{Iters: 2, StepSize: 1e-6}); err != nil {
 					b.Fatal(err)
 				}
 			}

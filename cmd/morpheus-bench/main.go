@@ -14,7 +14,6 @@
 //	morpheus-bench -chunked -remote-shards http://node1:9431,http://node2:9431
 //	morpheus-bench -chunked -remote-shards http://node1:9431 -pushdown
 //	morpheus-bench -exp chunkpar -inproc-chunkd 2 -pushdown -json
-//	morpheus-bench -exp table9 -plan -json > bench-plan.json
 //	morpheus-bench -exp chunkpar -codec shuffle-flate -zonemap -json
 //	morpheus-bench -exp fig3 -json > bench.json
 //
@@ -52,14 +51,6 @@
 // chunk.Backend seam, results stay bit-identical, and the -json output
 // records bytes_read, bytes_on_wire, chunks_skipped, and codec per result.
 //
-// -plan additionally routes every training workload through the
-// plan.Plan(op, operands, env) seam: each run records an explained
-// Decision (strategy, the rule that fired, the structural facts it read,
-// and the planning time in microseconds) and is verified bit-identical to
-// the explicit execution it selected — a divergence fails the run. With
-// -json the decisions appear under each result's "decisions" field, which
-// is how CI's plan-smoke step archives the planner trace.
-//
 // -exp serve-mutate runs the HTAP serving workload: an epoch-aware scorer
 // over a versioned store, measured at steady state and then under a
 // commit storm — per-commit publish latency (including the incremental
@@ -67,7 +58,7 @@
 // while mutating. -mutate sets the rows upserted per commit. The run
 // asserts the patched scorer identical (≤1e-12) to a from-scratch rebuild
 // at the final epoch and fails otherwise, so CI's epoch smoke step gates
-// on the differential, like the plan smoke does.
+// on the differential.
 //
 // -exp serve-slo runs the serving-fleet latency harness: single,
 // replicated, and hash-sharded fleets (width -replicas) behind the
@@ -82,9 +73,9 @@
 // p50_us/p99_us/p999_us/rejected fields CI archives as bench-serve.json.
 //
 // -json replaces the text tables with one JSON array of results on stdout
-// (the schema is experiments.Result: id/title/header/rows/notes, plus
-// decisions under -plan), the machine-readable record CI archives per run
-// so the performance trajectory accumulates.
+// (the schema is experiments.Result: id/title/header/rows/notes), the
+// machine-readable record CI archives per run so the performance
+// trajectory accumulates.
 package main
 
 import (
@@ -120,7 +111,6 @@ func run() error {
 		workers  = flag.Int("workers", 0, "out-of-core chunk workers (0 = GOMAXPROCS)")
 		mem      = flag.Int("mem", 0, "out-of-core decoded-chunk memory budget in MB; chunk heights are autotuned from it (0 = 256)")
 		chunked  = flag.Bool("chunked", false, "run the out-of-core suite (chunkpar, chunkstar, table9, table10)")
-		planOn   = flag.Bool("plan", false, "route training workloads through the planner seam, record explained decisions, and verify each against its explicit twin")
 		codec    = flag.String("codec", "", "compress spill chunks with this chunk codec (see -list-codecs); empty = raw chunks")
 		zonemap  = flag.Bool("zonemap", false, "record per-chunk zone-map sidecars at spill time so reductions skip proven all-zero chunks")
 		mutate   = flag.Int("mutate", 0, "rows upserted per epoch commit in the serve-mutate experiment (0 = scale-derived default)")
@@ -151,7 +141,7 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "morpheus-bench: -exp is required (try -list or -chunked)")
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, TmpDir: *tmpdir, Workers: *workers, MemBudgetMB: *mem, Pushdown: *pushdown, Plan: *planOn, Codec: *codec, ZoneMap: *zonemap, MutateRows: *mutate, Replicas: *replicas, SLORate: *sloRate, SLOConc: *sloConc, SLODur: *sloDur}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, TmpDir: *tmpdir, Workers: *workers, MemBudgetMB: *mem, Pushdown: *pushdown, Codec: *codec, ZoneMap: *zonemap, MutateRows: *mutate, Replicas: *replicas, SLORate: *sloRate, SLOConc: *sloConc, SLODur: *sloDur}
 	if *shards != "" {
 		for _, d := range strings.Split(*shards, ",") {
 			if d = strings.TrimSpace(d); d != "" {

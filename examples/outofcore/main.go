@@ -2,17 +2,17 @@
 // streams a table that never exists in memory into a sharded chunk store
 // (spill files spread across two directories with size-aware placement
 // and per-shard write-behind queues — point them at different disks for
-// real machines), trains the factorized GLM over the chunked base tables
-// under both the serial and parallel engines, extends the same pipeline
-// to a two-attribute-table star schema and a one-hot sparse table through
-// the unified chunk.Mat interface, clusters the chunked table with
-// streamed k-means, factorizes it with streamed GNMF (chunked W factor),
-// and shows the spill-file lifecycle (Free / Close) leaving every shard
-// directory empty. Chunk heights come from a memory budget via
+// real machines), then runs internal/ml's algorithms — the same code the
+// in-memory examples call — over chunked scan operands: logistic
+// regression factorized over a two-attribute-table star under both the
+// serial and parallel engines and over a one-hot CSR table, k-means with
+// a chunked assignment column, GNMF with a chunked W factor, and shows
+// the spill-file lifecycle (Free / Close) leaving every shard directory
+// empty. Chunk heights come from a memory budget via
 // chunk.AutoRows, not hard-coded constants. The final section shards a
 // store between a local directory and a remote chunk server (an in-process
-// morpheus-chunkd): the same drivers run unchanged with half their spill
-// chunks living across HTTP.
+// morpheus-chunkd): the same algorithms run unchanged with half their
+// spill chunks living across HTTP.
 package main
 
 import (
@@ -28,8 +28,8 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/core"
 	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 func main() {
@@ -110,14 +110,15 @@ func main() {
 
 	// Factorized GLM over the chunked star: serial vs parallel.
 	const iters = 2
+	glm := ml.Options{Iters: iters, StepSize: 1e-6}
 	t0 := time.Now()
-	serial, err := chunk.LogRegFactorizedExec(chunk.Serial, nt, y, iters, 1e-6)
+	serial, err := ml.LogRegScan(nt.Operand(chunk.Serial), y, nil, glm)
 	if err != nil {
 		log.Fatal(err)
 	}
 	serialT := time.Since(t0)
 	t0 = time.Now()
-	parallel, err := chunk.LogRegFactorizedExec(ex, nt, y, iters, 1e-6)
+	parallel, err := ml.LogRegScan(nt.Operand(ex), y, nil, glm)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,31 +126,31 @@ func main() {
 	fmt.Printf("factorized star GLM ×%d: serial %v, parallel %v (%d workers) — speedup %.2f×, weights identical: %v\n",
 		iters, serialT.Round(time.Millisecond), parallelT.Round(time.Millisecond),
 		runtime.GOMAXPROCS(0), float64(serialT)/float64(parallelT),
-		la.MaxAbsDiff(serial.W, parallel.W) == 0)
+		la.MaxAbsDiff(serial, parallel) == 0)
 
-	// A one-hot sparse table trains through the same chunk.Mat interface:
-	// CSR chunks pay I/O per non-zero, not per cell.
+	// A one-hot sparse table is the same operand with CSR chunks, which pay
+	// I/O per non-zero, not per cell.
 	sparseT, err := buildOneHot(store, rng, nS, 512, chunk.AutoRows(memBudget, 512, ex.Workers, ex.Prefetch))
 	if err != nil {
 		log.Fatal(err)
 	}
 	t0 = time.Now()
-	resSparse, err := chunk.LogRegMaterializedExec(ex, sparseT, y, iters, 1e-6)
-	if err != nil {
+	readBefore := store.IOStats().BytesRead
+	if _, err := ml.LogRegScan(chunk.MatOperand(ex, sparseT), y, nil, glm); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("sparse one-hot GLM ×%d over CSR chunks: %v, %.1f MB read (dense equivalent would read %.1f MB)\n",
 		iters, time.Since(t0).Round(time.Millisecond),
-		float64(resSparse.BytesRead)/(1<<20),
+		float64(store.IOStats().BytesRead-readBefore)/(1<<20),
 		float64(iters)*float64(nS)*512*8/(1<<20))
 	if err := sparseT.Free(); err != nil {
 		log.Fatal(err)
 	}
 
-	// Streamed factorized operators (internal/core): TᵀT of the star
-	// without ever materializing T.
+	// Streamed factorized operators: TᵀT of the star without ever
+	// materializing T.
 	t0 = time.Now()
-	ctc, err := core.StreamedCrossProd(ex, nt)
+	ctc, err := nt.CrossProdExec(ex)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -160,12 +161,12 @@ func main() {
 	// chunks, centroid reduction through the ordered-commit pipeline, and
 	// a chunked assignment column that never sits in memory.
 	t0 = time.Now()
-	km, err := chunk.KMeansExec(ex, sM, 8, 3, 7)
+	km, err := ml.KMeansScan(chunk.MatOperand(ex, sM), 8, ml.Options{Iters: 3, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("streamed k-means (k=8, 3 iters): %v, objective %.1f, assignments stored as %d chunked rows\n",
-		time.Since(t0).Round(time.Millisecond), km.Objective, km.Assign.Rows())
+		time.Since(t0).Round(time.Millisecond), km.Objective, km.Assign.(*chunk.Matrix).Rows())
 	if err := km.Assign.Free(); err != nil {
 		log.Fatal(err)
 	}
@@ -180,16 +181,18 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 = time.Now()
-	gn, err := chunk.GNMFExec(ex, posT, 5, 3, 7)
+	readBefore = store.IOStats().BytesRead
+	gn, err := ml.GNMFScan(chunk.MatOperand(ex, posT), 5, ml.Options{Iters: 3, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	recon, err := gn.ReconstructionError(ex, posT)
+	streamed := store.IOStats().BytesRead - readBefore
+	recon, err := gn.ReconstructionError(chunk.MatOperand(ex, posT))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("streamed GNMF (rank=5, 3 iters): %v, ‖T−WHᵀ‖² %.1f, W spilled as %d chunks, %.1f MB streamed\n",
-		time.Since(t0).Round(time.Millisecond), recon, gn.W.NumChunks(), float64(gn.BytesRead)/(1<<20))
+		time.Since(t0).Round(time.Millisecond), recon, gn.W.(*chunk.Matrix).NumChunks(), float64(streamed)/(1<<20))
 	if err := gn.W.Free(); err != nil {
 		log.Fatal(err)
 	}
@@ -199,7 +202,7 @@ func main() {
 
 	// Spill-file lifecycle: intermediates are refcounted; Free releases
 	// them as soon as the pipeline is done with them.
-	prod, err := core.StreamedMul(ex, nt, la.Ones(nt.Cols(), 2))
+	prod, err := nt.MulExec(ex, la.Ones(nt.Cols(), 2))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -279,12 +282,12 @@ func remoteShardDemo(rng *rand.Rand) {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	res, err := chunk.LogRegMaterializedExec(ex, tM, y, 2, 1e-6)
+	w, err := ml.LogRegScan(chunk.MatOperand(ex, tM), y, nil, ml.Options{Iters: 2, StepSize: 1e-6})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("mixed local+remote store: GLM over %d chunks in %v, ‖w‖ %.4f\n",
-		tM.NumChunks(), time.Since(t0).Round(time.Millisecond), math.Sqrt(res.W.CrossProd().At(0, 0)))
+		tM.NumChunks(), time.Since(t0).Round(time.Millisecond), math.Sqrt(w.CrossProd().At(0, 0)))
 	for _, sh := range store.ShardStats() {
 		kind := "local dir"
 		if strings.HasPrefix(sh.Dir, "http") {
@@ -310,11 +313,11 @@ func remoteShardDemo(rng *rand.Rand) {
 	if la.MaxAbsDiff(xpLocal, xpPush) != 0 {
 		log.Fatal("pushdown crossprod diverged from the all-local pass")
 	}
-	kmLocal, err := chunk.KMeansExec(ex, tM, 4, 2, 7)
+	kmLocal, err := ml.KMeansScan(chunk.MatOperand(ex, tM), 4, ml.Options{Iters: 2, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	kmPush, err := chunk.KMeansExec(exPush, tM, 4, 2, 7)
+	kmPush, err := ml.KMeansScan(chunk.MatOperand(exPush, tM), 4, ml.Options{Iters: 2, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -852,38 +852,6 @@ func (m *Matrix) MapChunks(ex Exec, mapFn func(ci, lo int, c *la.Dense) (any, er
 	return m.pipeline(ex, mapFn, commit)
 }
 
-// MapChunksToMatrix streams every chunk through f and spills the per-chunk
-// results (which must all have outCols columns and preserve the row count)
-// as a new chunked matrix. Under a pipelined execution the spills go
-// through the dedicated write-behind stage, so output I/O overlaps compute;
-// output chunk files keep the input's chunk order and are byte-identical to
-// a serial pass. On failure every output chunk written so far is removed
-// and no matrix is registered.
-func (m *Matrix) MapChunksToMatrix(ex Exec, outCols int, f func(ci, lo int, c *la.Dense) (*la.Dense, error)) (*Matrix, error) {
-	if m.freed {
-		return nil, ErrFreed
-	}
-	sp, err := newOutputSpiller(m.store, len(m.paths), ex)
-	if err != nil {
-		return nil, err
-	}
-	err = m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		out, err := f(ci, lo, c)
-		if err != nil {
-			return nil, err
-		}
-		if out.Rows() != c.Rows() || out.Cols() != outCols {
-			return nil, fmt.Errorf("chunk: mapped chunk is %dx%d, want %dx%d", out.Rows(), out.Cols(), c.Rows(), outCols)
-		}
-		return nil, sp.emit(ci, out)
-	}, nil)
-	paths, err := sp.finish(err)
-	if err != nil {
-		return nil, err
-	}
-	return &Matrix{store: m.store, rows: m.rows, cols: outCols, chunkRows: m.chunkRows, paths: paths}, nil
-}
-
 // Stream implements Mat: the chunk pipeline with each decoded chunk
 // delivered as an la.Mat.
 func (m *Matrix) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
@@ -915,12 +883,13 @@ func (m *Matrix) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 	return src.runOp(ex, op, commit)
 }
 
-// StreamToMatrix implements Mat: MapChunksToMatrix with the chunk exposed
-// as an la.Mat.
+// StreamToMatrix implements Mat. Under a pipelined execution the spills go
+// through the dedicated write-behind stage, so output I/O overlaps compute;
+// output chunk files keep the input's chunk order and are byte-identical to
+// a serial pass. On failure every output chunk written so far is removed
+// and no matrix is registered.
 func (m *Matrix) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
-	return m.MapChunksToMatrix(ex, outCols, func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-		return f(ci, lo, c)
-	})
+	return streamToMatrix(ex, m, outCols, f)
 }
 
 // Dense loads the whole matrix into memory (tests and small data only).
@@ -941,14 +910,7 @@ func (m *Matrix) Dense() (*la.Dense, error) {
 func (m *Matrix) Mul(x *la.Dense) (*Matrix, error) { return m.MulExec(Parallel(), x) }
 
 // MulExec computes m·x under the given execution.
-func (m *Matrix) MulExec(ex Exec, x *la.Dense) (*Matrix, error) {
-	if x.Rows() != m.cols {
-		return nil, fmt.Errorf("chunk: Mul %dx%d · %dx%d", m.rows, m.cols, x.Rows(), x.Cols())
-	}
-	return m.MapChunksToMatrix(ex, x.Cols(), func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-		return la.MatMul(c, x), nil
-	})
-}
+func (m *Matrix) MulExec(ex Exec, x *la.Dense) (*Matrix, error) { return MatOperand(ex, m).mul(x) }
 
 // TMul computes mᵀ·x for an in-memory x with one parallel streaming pass,
 // accumulating the (small) cols×xCols output in memory.
@@ -956,20 +918,7 @@ func (m *Matrix) TMul(x *la.Dense) (*la.Dense, error) { return m.TMulExec(Parall
 
 // TMulExec computes mᵀ·x under the given execution.
 func (m *Matrix) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
-	if x.Rows() != m.rows {
-		return nil, fmt.Errorf("chunk: TMul %dx%dᵀ · %dx%d", m.rows, m.cols, x.Rows(), x.Cols())
-	}
-	acc := la.NewDense(m.cols, x.Cols())
-	err := m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		return la.TMatMul(c, x.SliceRowsDense(lo, lo+c.Rows())), nil
-	}, func(ci int, v any) error {
-		acc.AddInPlace(v.(*la.Dense))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
+	return MatOperand(ex, m).tmul(x)
 }
 
 // CrossProd computes mᵀ·m by accumulating per-chunk cross-products.
@@ -979,15 +928,7 @@ func (m *Matrix) CrossProd() (*la.Dense, error) { return m.CrossProdExec(Paralle
 // cross-products run through the registered op, so with ex.Pushdown they
 // execute on the shard holding each chunk.
 func (m *Matrix) CrossProdExec(ex Exec) (*la.Dense, error) {
-	acc := la.NewDense(m.cols, m.cols)
-	err := m.StreamOp(ex, OpCrossProd(), func(ci int, v any) error {
-		acc.AddInPlace(v.(*la.Dense))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
+	return reduceExec(ex, m, OpCrossProd(), m.cols, m.cols)
 }
 
 // Scale computes m·x element-wise into a new chunked matrix.
@@ -995,8 +936,8 @@ func (m *Matrix) Scale(x float64) (*Matrix, error) { return m.ScaleExec(Parallel
 
 // ScaleExec computes m·x element-wise under the given execution.
 func (m *Matrix) ScaleExec(ex Exec, x float64) (*Matrix, error) {
-	return m.MapChunksToMatrix(ex, m.cols, func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-		return c.ScaleDense(x), nil
+	return m.StreamToMatrix(ex, m.cols, func(ci, lo int, c la.Mat) (*la.Dense, error) {
+		return c.(*la.Dense).ScaleDense(x), nil
 	})
 }
 
@@ -1006,15 +947,7 @@ func (m *Matrix) ColSums() (*la.Dense, error) { return m.ColSumsExec(Parallel())
 // ColSumsExec aggregates column sums under the given execution, via the
 // registered op (pushdown-capable).
 func (m *Matrix) ColSumsExec(ex Exec) (*la.Dense, error) {
-	acc := la.NewDense(1, m.cols)
-	err := m.StreamOp(ex, OpColSums(), func(ci int, v any) error {
-		acc.AddInPlace(v.(*la.Dense))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
+	return reduceExec(ex, m, OpColSums(), 1, m.cols)
 }
 
 // RowSums computes row sums into a chunked n×1 matrix.
@@ -1022,7 +955,7 @@ func (m *Matrix) RowSums() (*Matrix, error) { return m.RowSumsExec(Parallel()) }
 
 // RowSumsExec computes row sums under the given execution.
 func (m *Matrix) RowSumsExec(ex Exec) (*Matrix, error) {
-	return m.MapChunksToMatrix(ex, 1, func(ci, lo int, c *la.Dense) (*la.Dense, error) {
+	return m.StreamToMatrix(ex, 1, func(ci, lo int, c la.Mat) (*la.Dense, error) {
 		return c.RowSums(), nil
 	})
 }
@@ -1032,14 +965,7 @@ func (m *Matrix) Sum() (float64, error) { return m.SumExec(Parallel()) }
 
 // SumExec aggregates the grand total under the given execution, via the
 // registered op (pushdown-capable).
-func (m *Matrix) SumExec(ex Exec) (float64, error) {
-	total := 0.0
-	err := m.StreamOp(ex, OpSum(), func(ci int, v any) error {
-		total += v.(float64)
-		return nil
-	})
-	return total, err
-}
+func (m *Matrix) SumExec(ex Exec) (float64, error) { return sumExec(ex, m) }
 
 // BytesOnDisk reports the matrix's storage footprint as the store tracks
 // it: the bytes actually written for its chunks — the compressed size when

@@ -172,7 +172,7 @@ func TestOutOfCoreLogRegMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resM, err := LogRegMaterializedExec(Parallel(), tm, y, iters, alpha)
+	resM, err := logRegM(Parallel(), tm, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestOutOfCoreLogRegMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resF, err := LogRegFactorizedExec(Parallel(), nt, y, iters, alpha)
+	resF, err := logRegF(Parallel(), nt, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestLogRegSurfacesChunkError(t *testing.T) {
 	}
 	y := randDense(rng, 40, 1)
 	corruptOneChunk(t, dir)
-	if _, err := LogRegMaterializedExec(Parallel(), m, y, 2, 1e-3); err == nil {
+	if _, err := logRegM(Parallel(), m, y, 2, 1e-3); err == nil {
 		t.Fatal("training succeeded on corrupt store")
 	}
 }

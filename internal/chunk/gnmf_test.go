@@ -33,7 +33,7 @@ func TestChunkedGNMFMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GNMFExec(Parallel(), tc, rank, iters, seed)
+	res, err := gnmf(Parallel(), tc, rank, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestChunkedGNMFMatchesInMemory(t *testing.T) {
 		t.Fatal("no I/O accounted")
 	}
 	// Streamed reconstruction error agrees with the in-memory one.
-	got, err := res.ReconstructionError(Parallel(), tc)
+	got, err := (&ml.GNMFFit{W: res.W, H: res.H}).ReconstructionError(MatOperand(Parallel(), tc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestChunkedGNMFSparseMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GNMFExec(Parallel(), tc, rank, iters, seed)
+	res, err := gnmf(Parallel(), tc, rank, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestChunkedGNMFSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := GNMFExec(Serial, tc, 3, 5, 2)
+	a, err := gnmf(Serial, tc, 3, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GNMFExec(Exec{Workers: 4, Prefetch: 8}, tc, 3, 5, 2)
+	b, err := gnmf(Exec{Workers: 4, Prefetch: 8}, tc, 3, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestChunkedGNMFLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := s.LiveChunks()
-	res, err := GNMFExec(Parallel(), tc, 2, 4, 3)
+	res, err := gnmf(Parallel(), tc, 2, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestChunkedGNMFLifecycle(t *testing.T) {
 		t.Fatalf("after freeing W the store tracks %d chunks, want %d", got, base)
 	}
 	// Invalid parameters fail loudly.
-	if _, err := GNMFExec(Parallel(), tc, 0, 4, 3); err == nil {
+	if _, err := gnmf(Parallel(), tc, 0, 4, 3); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := GNMFExec(Parallel(), tc, 2, 0, 3); err == nil {
+	if _, err := gnmf(Parallel(), tc, 2, 0, 3); err == nil {
 		t.Fatal("iters 0 accepted")
 	}
 }

@@ -27,7 +27,7 @@ func TestChunkedKMeansMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := KMeansExec(Parallel(), m, k, iters, seed)
+	got, err := kMeans(Parallel(), m, k, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestChunkedKMeansSerialParallelIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k, iters, seed = 4, 5, 3
-	serial, err := KMeansExec(Serial, m, k, iters, seed)
+	serial, err := kMeans(Serial, m, k, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := KMeansExec(parExec, m, k, iters, seed)
+	parallel, err := kMeans(parExec, m, k, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestChunkedKMeansSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := KMeansExec(Parallel(), m, k, iters, seed)
+	got, err := kMeans(Parallel(), m, k, iters, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +124,13 @@ func TestChunkedKMeansValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KMeansExec(Parallel(), m, 0, 3, 1); err == nil {
+	if _, err := kMeans(Parallel(), m, 0, 3, 1); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := KMeansExec(Parallel(), m, 11, 3, 1); err == nil {
+	if _, err := kMeans(Parallel(), m, 11, 3, 1); err == nil {
 		t.Fatal("accepted k>n")
 	}
-	if _, err := KMeansExec(Parallel(), m, 2, 0, 1); err == nil {
+	if _, err := kMeans(Parallel(), m, 2, 0, 1); err == nil {
 		t.Fatal("accepted iters=0")
 	}
 }
@@ -173,7 +173,7 @@ func BenchmarkChunkedKMeans(b *testing.B) {
 	b.SetBytes(m.BytesOnDisk() * (iters + 1)) // one read pass per iteration + assignment pass
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := KMeansExec(ex, m, k, iters, 7)
+		res, err := kMeans(ex, m, k, iters, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func TestLogRegFactorizedMNMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mn, td, y := buildMN(t, rng, 30, 25, 3, 4, 6, 16)
 	const iters, alpha = 6, 1e-3
-	resF, err := LogRegFactorizedMNExec(Parallel(), mn, y, iters, alpha)
+	resF, err := logRegMN(Parallel(), mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestMaterializeMNAndIOAdvantage(t *testing.T) {
 		t.Fatal("MaterializeMN content mismatch")
 	}
 	const iters, alpha = 4, 1e-3
-	resM, err := LogRegMaterializedExec(Parallel(), tm, y, iters, alpha)
+	resM, err := logRegM(Parallel(), tm, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resF, err := LogRegFactorizedMNExec(Parallel(), mn, y, iters, alpha)
+	resF, err := logRegMN(Parallel(), mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,10 @@ import (
 
 // Mat is the chunked-operand interface: the out-of-core mirror of la.Mat.
 // Both chunked storage backends — dense (*Matrix) and CSR (*SparseMatrix)
-// — implement it, so every consumer (the GLM drivers, the streamed
-// factorized operators in internal/core, the chunked k-means) is written
-// once and runs over either representation, exactly as the in-memory
-// rewrites are written once against la.Mat.
+// — implement it, so every consumer (the scan operands internal/ml runs
+// over, the star's streamed factorized operators) is written once and
+// runs over either representation, exactly as the in-memory rewrites are
+// written once against la.Mat.
 //
 // Stream is the fused-pass primitive: it delivers each decoded chunk as an
 // la.Mat (concretely *la.Dense or *la.CSR), which carries the full Table 1
@@ -57,16 +57,62 @@ var (
 	_ Mat = (*SparseMatrix)(nil)
 )
 
-// EncodedBytes reports the on-disk size of one decoded chunk — the I/O a
-// streaming pass pays to load it. Dense chunks store rows×cols float64s;
-// CSR chunks follow sparseChunkBytes.
-func EncodedBytes(c la.Mat) int64 {
-	switch t := c.(type) {
-	case *la.CSR:
-		return sparseChunkBytes(t.Rows(), int64(t.NNZ()))
-	default:
-		return int64(c.Rows()) * int64(c.Cols()) * 8
+// The whole-matrix operators are written once over Mat; the dense and CSR
+// backends' methods are these.
+
+// scanToMatrix streams t, spilling each chunk's mapped rows×outCols output
+// as the aligned chunk of a new matrix (through the write-behind stage
+// under a pipelined execution) while commit sees the parts in chunk order.
+// On failure every output chunk written so far is removed.
+func scanToMatrix(ex Exec, t Mat, outCols int, mapFn func(ci, lo int, c la.Mat) (*la.Dense, any, error), commit func(ci int, v any) error) (*Matrix, error) {
+	sp, err := newOutputSpiller(t.Store(), t.NumChunks(), ex)
+	if err != nil {
+		return nil, err
 	}
+	err = t.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
+		out, part, err := mapFn(ci, lo, c)
+		if err != nil {
+			return nil, err
+		}
+		if out.Rows() != c.Rows() || out.Cols() != outCols {
+			return nil, fmt.Errorf("chunk: mapped chunk is %dx%d, want %dx%d", out.Rows(), out.Cols(), c.Rows(), outCols)
+		}
+		return part, sp.emit(ci, out)
+	}, commit)
+	paths, err := sp.finish(err)
+	if err != nil {
+		return nil, err
+	}
+	return &Matrix{store: t.Store(), rows: t.Rows(), cols: outCols, chunkRows: t.ChunkRows(), paths: paths}, nil
+}
+
+func streamToMatrix(ex Exec, t Mat, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
+	return scanToMatrix(ex, t, outCols, func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
+		out, err := f(ci, lo, c)
+		return out, nil, err
+	}, nil)
+}
+
+// reduceExec sums a registered op's rows×cols partials in chunk order.
+func reduceExec(ex Exec, t Mat, op Op, rows, cols int) (*la.Dense, error) {
+	acc := la.NewDense(rows, cols)
+	err := t.StreamOp(ex, op, func(ci int, v any) error {
+		acc.AddInPlace(v.(*la.Dense))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return acc, nil
+}
+
+func sumExec(ex Exec, t Mat) (float64, error) {
+	total := 0.0
+	err := t.StreamOp(ex, OpSum(), func(ci int, v any) error {
+		total += v.(float64)
+		return nil
+	})
+	return total, err
 }
 
 // AutoRows picks a chunk height from a memory budget: the pipeline keeps at

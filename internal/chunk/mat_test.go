@@ -24,11 +24,11 @@ func TestSparseChunkedGLMMatchesInMemoryCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := LogRegMaterializedExec(Serial, sm, y, iters, alpha)
+	serial, err := logRegM(Serial, sm, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := LogRegMaterializedExec(parExec, sm, y, iters, alpha)
+	parallel, err := logRegM(parExec, sm, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSparseChunkedGLMMatchesInMemoryCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := LogRegMaterializedExec(parExec, dm, y, iters, alpha)
+	dense, err := logRegM(parExec, dm, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,19 +229,5 @@ func TestAutoRows(t *testing.T) {
 	many := AutoRows(1<<24, 16, 16, 16)
 	if many >= few {
 		t.Fatalf("more workers should get shorter chunks: few=%d many=%d", few, many)
-	}
-}
-
-// TestEncodedBytes pins the per-chunk I/O accounting to the file formats.
-func TestEncodedBytes(t *testing.T) {
-	d := la.NewDense(10, 4)
-	if got := EncodedBytes(d); got != 10*4*8 {
-		t.Fatalf("dense EncodedBytes = %d, want %d", got, 10*4*8)
-	}
-	rng := rand.New(rand.NewSource(34))
-	c := oneHotCSR(rng, 10, 2, 3)
-	want := int64(8*(3+10+1) + 12*c.NNZ())
-	if got := EncodedBytes(c); got != want {
-		t.Fatalf("CSR EncodedBytes = %d, want %d", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 // Op names a per-chunk map whose partials reduce associatively on the
@@ -75,7 +76,13 @@ var opRegistry = map[string]func(params []byte) (opState, error){
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("chunk: op kmeans-assign params: %d trailing bytes", len(rest))
 		}
-		return kmeansAssignOp{cent: cent, cNorm: cent.PowDense(2).ColSumsVec()}, nil
+		// The step ml.KMeansScan runs locally, prepared over a bare chunk.
+		o := &Operand{feat: true, offs: []int{cent.Rows()}}
+		do, err := o.prepare(ml.KMeansAssign(cent))
+		if err != nil {
+			return nil, err
+		}
+		return assignOp{do}, nil
 	},
 }
 
@@ -88,14 +95,6 @@ func OpColSums() Op { return Op{Name: "colsums"} }
 
 // OpSum names the scalar-sum partial.
 func OpSum() Op { return Op{Name: "sum"} }
-
-// OpKMeansAssign names one k-means assignment pass against the given d×k
-// centroids: each chunk contributes its centroid numerators chunkᵀ·A and
-// cluster counts (A the one-hot argmin matrix, ties toward the lowest
-// cluster index).
-func OpKMeansAssign(centroids *la.Dense) Op {
-	return Op{Name: "kmeans-assign", Params: appendDenseBlob(nil, centroids)}
-}
 
 // prepareOp resolves an Op against the registry.
 func prepareOp(op Op) (opState, error) {
@@ -172,48 +171,38 @@ func (sumOp) decodePartial(raw []byte) (any, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(raw)), nil
 }
 
-// kmeansAssignOp maps a chunk to its kmPart for fixed centroids.
-type kmeansAssignOp struct {
-	cent  *la.Dense
-	cNorm []float64
+// assignOp maps a chunk to its scanPart under ml.KMeansAssign for fixed
+// centroids — the chunk's share of Tᵀ·A and its cluster counts: the same
+// function whether the chunk is mapped by the driver's workers or by the
+// chunkd worker holding it.
+type assignOp struct {
+	do func(*block) (*la.Dense, any, error)
 }
 
-func (o kmeansAssignOp) apply(c la.Mat) (any, error) {
-	return kmeansAssignPartial(c, o.cent, o.cNorm), nil
+func (o assignOp) apply(c la.Mat) (any, error) {
+	_, part, err := o.do(&block{c: c})
+	return part, err
 }
 
-func (o kmeansAssignOp) encodePartial(v any) ([]byte, error) {
-	pt, ok := v.(kmPart)
+func (assignOp) encodePartial(v any) ([]byte, error) {
+	sp, ok := v.(scanPart)
 	if !ok {
-		return nil, fmt.Errorf("chunk: kmeans-assign partial is %T, want kmPart", v)
+		return nil, fmt.Errorf("chunk: kmeans-assign partial is %T, want scanPart", v)
 	}
-	raw := appendDenseBlob(nil, pt.sums)
-	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(pt.counts)))
-	for _, cv := range pt.counts {
-		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(cv))
-	}
-	return binary.LittleEndian.AppendUint64(raw, uint64(pt.bytes)), nil
+	raw := appendDenseBlob(nil, sp.top)
+	return appendDenseBlob(raw, la.RowVector(sp.part.([]float64))), nil
 }
 
-func (o kmeansAssignOp) decodePartial(raw []byte) (any, error) {
+func (assignOp) decodePartial(raw []byte) (any, error) {
 	sums, rest, err := readDenseBlob(raw)
 	if err != nil {
 		return nil, fmt.Errorf("chunk: kmeans-assign partial: %w", err)
 	}
-	if len(rest) < 8 {
-		return nil, fmt.Errorf("chunk: kmeans-assign partial: truncated counts")
+	counts, rest, err := readDenseBlob(rest)
+	if err != nil || len(rest) != 0 {
+		return nil, fmt.Errorf("chunk: kmeans-assign partial: bad counts (%d trailing bytes): %v", len(rest), err)
 	}
-	k := binary.LittleEndian.Uint64(rest)
-	rest = rest[8:]
-	if k > uint64(1)<<24 || uint64(len(rest)) != (k+1)*8 {
-		return nil, fmt.Errorf("chunk: kmeans-assign partial: bad counts length %d", k)
-	}
-	counts := make([]float64, k)
-	for j := range counts {
-		counts[j] = math.Float64frombits(binary.LittleEndian.Uint64(rest[j*8:]))
-	}
-	bytes := binary.LittleEndian.Uint64(rest[k*8:])
-	return kmPart{sums: sums, counts: counts, bytes: int64(bytes)}, nil
+	return scanPart{top: sums, part: counts.Data()}, nil
 }
 
 // appendDenseBlob serializes a dense matrix as uint64 rows, uint64 cols,

@@ -169,9 +169,9 @@ func TestParallelGLMMatchesSerialAndInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func(Exec) (*LogRegResult, error){
-		"materialized": func(ex Exec) (*LogRegResult, error) { return LogRegMaterializedExec(ex, tm, y, iters, alpha) },
-		"factorized":   func(ex Exec) (*LogRegResult, error) { return LogRegFactorizedExec(ex, nt, y, iters, alpha) },
+	for name, run := range map[string]func(Exec) (*glmFit, error){
+		"materialized": func(ex Exec) (*glmFit, error) { return logRegM(ex, tm, y, iters, alpha) },
+		"factorized":   func(ex Exec) (*glmFit, error) { return logRegF(ex, nt, y, iters, alpha) },
 	} {
 		serial, err := run(Serial)
 		if err != nil {
@@ -198,11 +198,11 @@ func TestParallelGLMMatchesSerialMN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	mn, td, y := buildMN(t, rng, 30, 25, 3, 4, 6, 8)
 	const iters, alpha = 4, 1e-3
-	serial, err := LogRegFactorizedMNExec(Serial, mn, y, iters, alpha)
+	serial, err := logRegMN(Serial, mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := LogRegFactorizedMNExec(parExec, mn, y, iters, alpha)
+	parallel, err := logRegMN(parExec, mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

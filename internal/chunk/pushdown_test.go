@@ -133,19 +133,21 @@ func TestPushdownDifferential(t *testing.T) {
 			}
 		}
 
-		kmL, err := KMeansExec(exLocal, dM, 4, 3, 9)
+		kmL, err := kMeans(exLocal, dM, 4, 3, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kmP, err := KMeansExec(ex, dM, 4, 3, 9)
+		kmP, err := kMeans(ex, dM, 4, 3, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if la.MaxAbsDiff(kmL.Centroids, kmP.Centroids) != 0 || kmL.Objective != kmP.Objective {
 			t.Fatalf("k-means under %+v diverged from all-local", ex)
 		}
-		if kmL.BytesRead != kmP.BytesRead {
-			t.Fatalf("k-means BytesRead under %+v = %d, all-local %d", ex, kmP.BytesRead, kmL.BytesRead)
+		// The store tallies what the driver fetched: the assignment
+		// passes' remote chunks were mapped in place, so it reads less.
+		if kmP.BytesRead >= kmL.BytesRead {
+			t.Fatalf("k-means under %+v fetched %d bytes, all-local %d — pushdown moved no I/O to the shards", ex, kmP.BytesRead, kmL.BytesRead)
 		}
 		aL, err := kmL.Assign.Dense()
 		if err != nil {

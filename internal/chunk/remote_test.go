@@ -195,11 +195,11 @@ func TestRemoteDifferentialDrivers(t *testing.T) {
 	const iters = 3
 	ex := Parallel()
 
-	rd1, err := LogRegMaterializedExec(ex, d1, y, iters, 1e-3)
+	rd1, err := logRegM(ex, d1, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd2, err := LogRegMaterializedExec(ex, d2, y, iters, 1e-3)
+	rd2, err := logRegM(ex, d2, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestRemoteDifferentialDrivers(t *testing.T) {
 		t.Fatal("dense GLM weights differ between local and remote-shard store")
 	}
 
-	rs1, err := LogRegMaterializedExec(ex, s1, y, iters, 1e-3)
+	rs1, err := logRegM(ex, s1, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, err := LogRegMaterializedExec(ex, s2, y, iters, 1e-3)
+	rs2, err := logRegM(ex, s2, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestRemoteDifferentialDrivers(t *testing.T) {
 		t.Fatal("sparse GLM weights differ between local and remote-shard store")
 	}
 
-	rf1, err := LogRegFactorizedExec(ex, nt1, y, iters, 1e-3)
+	rf1, err := logRegF(ex, nt1, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf2, err := LogRegFactorizedExec(ex, nt2, y, iters, 1e-3)
+	rf2, err := logRegF(ex, nt2, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +231,11 @@ func TestRemoteDifferentialDrivers(t *testing.T) {
 		t.Fatal("star GLM weights differ between local and remote-shard store")
 	}
 
-	km1, err := KMeansExec(ex, d1, 4, 3, 9)
+	km1, err := kMeans(ex, d1, 4, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	km2, err := KMeansExec(ex, d2, 4, 3, 9)
+	km2, err := kMeans(ex, d2, 4, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +254,11 @@ func TestRemoteDifferentialDrivers(t *testing.T) {
 		t.Fatal("k-means assignments differ between local and remote-shard store")
 	}
 
-	g1, err := GNMFExec(ex, s1, 3, 3, 11)
+	g1, err := gnmf(ex, s1, 3, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := GNMFExec(ex, s2, 3, 3, 11)
+	g2, err := gnmf(ex, s2, 3, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,13 +401,13 @@ func TestRemoteMidStreamFailureNoLeakedAccounting(t *testing.T) {
 
 	// Mid-stream read failure: a GET dies halfway through the body.
 	fault.arm("read")
-	if _, err := LogRegMaterializedExec(ex, d, y, 2, 1e-3); err == nil {
+	if _, err := logRegM(ex, d, y, 2, 1e-3); err == nil {
 		t.Fatal("dense GLM succeeded despite mid-stream read failures")
 	}
-	if _, err := LogRegMaterializedExec(ex, sp, y, 2, 1e-3); err == nil {
+	if _, err := logRegM(ex, sp, y, 2, 1e-3); err == nil {
 		t.Fatal("sparse GLM succeeded despite mid-stream read failures")
 	}
-	if _, err := LogRegFactorizedExec(ex, nt, y, 2, 1e-3); err == nil {
+	if _, err := logRegF(ex, nt, y, 2, 1e-3); err == nil {
 		t.Fatal("star GLM succeeded despite mid-stream read failures")
 	}
 	fault.arm("")

@@ -149,11 +149,11 @@ func TestShardedDifferentialDrivers(t *testing.T) {
 	const iters = 3
 	ex := Parallel()
 
-	rd1, err := LogRegMaterializedExec(ex, d1, y, iters, 1e-3)
+	rd1, err := logRegM(ex, d1, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd2, err := LogRegMaterializedExec(ex, d2, y, iters, 1e-3)
+	rd2, err := logRegM(ex, d2, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,11 @@ func TestShardedDifferentialDrivers(t *testing.T) {
 		t.Fatal("dense GLM weights differ between sharded and single-directory store")
 	}
 
-	rs1, err := LogRegMaterializedExec(ex, s1, y, iters, 1e-3)
+	rs1, err := logRegM(ex, s1, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, err := LogRegMaterializedExec(ex, s2, y, iters, 1e-3)
+	rs2, err := logRegM(ex, s2, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestShardedDifferentialDrivers(t *testing.T) {
 		t.Fatal("sparse GLM weights differ between sharded and single-directory store")
 	}
 
-	rf1, err := LogRegFactorizedExec(ex, nt1, y, iters, 1e-3)
+	rf1, err := logRegF(ex, nt1, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf2, err := LogRegFactorizedExec(ex, nt2, y, iters, 1e-3)
+	rf2, err := logRegF(ex, nt2, y, iters, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestShardedDifferentialDrivers(t *testing.T) {
 		t.Fatal("star GLM weights differ between sharded and single-directory store")
 	}
 
-	km1, err := KMeansExec(ex, d1, 4, 3, 9)
+	km1, err := kMeans(ex, d1, 4, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	km2, err := KMeansExec(ex, d2, 4, 3, 9)
+	km2, err := kMeans(ex, d2, 4, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +208,11 @@ func TestShardedDifferentialDrivers(t *testing.T) {
 		t.Fatal("k-means assignment columns differ between sharded and single-directory store")
 	}
 
-	g1, err := GNMFExec(ex, s1, 3, 3, 11)
+	g1, err := gnmf(ex, s1, 3, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := GNMFExec(ex, s2, 3, 3, 11)
+	g2, err := gnmf(ex, s2, 3, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,33 +280,10 @@ func (m *SparseMatrix) StreamOp(ex Exec, op Op, commit func(ci int, v any) error
 }
 
 // StreamToMatrix implements Mat: it maps every CSR chunk to a dense output
-// chunk and spills the results (through the write-behind stage under a
-// pipelined execution) as a new chunked dense matrix aligned with the
-// input's chunking. On failure every output chunk written so far is
-// removed.
+// chunk and spills the results as a new chunked dense matrix aligned with
+// the input's chunking, exactly as Matrix.StreamToMatrix does.
 func (m *SparseMatrix) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
-	if m.freed {
-		return nil, ErrFreed
-	}
-	sp, err := newOutputSpiller(m.store, len(m.paths), ex)
-	if err != nil {
-		return nil, err
-	}
-	err = m.pipeline(ex, func(ci, lo int, c *la.CSR) (any, error) {
-		out, err := f(ci, lo, c)
-		if err != nil {
-			return nil, err
-		}
-		if out.Rows() != c.Rows() || out.Cols() != outCols {
-			return nil, fmt.Errorf("chunk: mapped chunk is %dx%d, want %dx%d", out.Rows(), out.Cols(), c.Rows(), outCols)
-		}
-		return nil, sp.emit(ci, out)
-	}, nil)
-	paths, err := sp.finish(err)
-	if err != nil {
-		return nil, err
-	}
-	return &Matrix{store: m.store, rows: m.rows, cols: outCols, chunkRows: m.chunkRows, paths: paths}, nil
+	return streamToMatrix(ex, m, outCols, f)
 }
 
 // Mul computes m·x into a new chunked dense matrix with one parallel
@@ -316,12 +293,7 @@ func (m *SparseMatrix) Mul(x *la.Dense) (*Matrix, error) { return m.MulExec(Para
 // MulExec computes m·x under the given execution. On failure every output
 // chunk written so far is removed.
 func (m *SparseMatrix) MulExec(ex Exec, x *la.Dense) (*Matrix, error) {
-	if x.Rows() != m.cols {
-		return nil, fmt.Errorf("chunk: sparse Mul %dx%d · %dx%d", m.rows, m.cols, x.Rows(), x.Cols())
-	}
-	return m.StreamToMatrix(ex, x.Cols(), func(ci, lo int, c la.Mat) (*la.Dense, error) {
-		return c.Mul(x), nil
-	})
+	return MatOperand(ex, m).mul(x)
 }
 
 // TMul computes mᵀ·x, accumulating the cols×xCols output in memory.
@@ -329,20 +301,7 @@ func (m *SparseMatrix) TMul(x *la.Dense) (*la.Dense, error) { return m.TMulExec(
 
 // TMulExec computes mᵀ·x under the given execution.
 func (m *SparseMatrix) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
-	if x.Rows() != m.rows {
-		return nil, fmt.Errorf("chunk: sparse TMul %dx%dᵀ · %dx%d", m.rows, m.cols, x.Rows(), x.Cols())
-	}
-	acc := la.NewDense(m.cols, x.Cols())
-	err := m.pipeline(ex, func(ci, lo int, c *la.CSR) (any, error) {
-		return c.TMul(x.SliceRowsDense(lo, lo+c.Rows())), nil
-	}, func(ci int, v any) error {
-		acc.AddInPlace(v.(*la.Dense))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
+	return MatOperand(ex, m).tmul(x)
 }
 
 // CrossProd computes mᵀ·m by accumulating per-chunk cross-products.
@@ -351,15 +310,7 @@ func (m *SparseMatrix) CrossProd() (*la.Dense, error) { return m.CrossProdExec(P
 // CrossProdExec computes mᵀ·m under the given execution, via the
 // registered op (pushdown-capable).
 func (m *SparseMatrix) CrossProdExec(ex Exec) (*la.Dense, error) {
-	acc := la.NewDense(m.cols, m.cols)
-	err := m.StreamOp(ex, OpCrossProd(), func(ci int, v any) error {
-		acc.AddInPlace(v.(*la.Dense))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
+	return reduceExec(ex, m, OpCrossProd(), m.cols, m.cols)
 }
 
 // ColSums aggregates column sums in one pass.
@@ -368,15 +319,7 @@ func (m *SparseMatrix) ColSums() (*la.Dense, error) { return m.ColSumsExec(Paral
 // ColSumsExec aggregates column sums under the given execution, via the
 // registered op (pushdown-capable).
 func (m *SparseMatrix) ColSumsExec(ex Exec) (*la.Dense, error) {
-	acc := la.NewDense(1, m.cols)
-	err := m.StreamOp(ex, OpColSums(), func(ci int, v any) error {
-		acc.AddInPlace(v.(*la.Dense))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
+	return reduceExec(ex, m, OpColSums(), 1, m.cols)
 }
 
 // Sum aggregates the grand total in one pass.
@@ -384,11 +327,4 @@ func (m *SparseMatrix) Sum() (float64, error) { return m.SumExec(Parallel()) }
 
 // SumExec aggregates the grand total under the given execution, via the
 // registered op (pushdown-capable).
-func (m *SparseMatrix) SumExec(ex Exec) (float64, error) {
-	total := 0.0
-	err := m.StreamOp(ex, OpSum(), func(ci int, v any) error {
-		total += v.(float64)
-		return nil
-	})
-	return total, err
-}
+func (m *SparseMatrix) SumExec(ex Exec) (float64, error) { return sumExec(ex, m) }

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/la"
 )
@@ -46,16 +47,21 @@ func (v *IntVector) Rows() int { return v.m.rows }
 // which lets parallel pipelines over an aligned Matrix fetch the matching
 // key chunk from inside their workers.
 func (v *IntVector) Keys(ci int) (lo int, keys []int32, err error) {
-	lo, hi := v.m.chunkBounds(ci)
+	lo, _ = v.m.chunkBounds(ci)
 	c, err := v.m.readAt(ci)
 	if err != nil {
 		return 0, nil, err
 	}
-	keys = make([]int32, hi-lo)
+	return lo, keysOf(c), nil
+}
+
+// keysOf decodes one stored key chunk.
+func keysOf(c *la.Dense) []int32 {
+	keys := make([]int32, c.Rows())
 	for i, f := range c.Data() {
 		keys[i] = int32(f)
 	}
-	return lo, keys, nil
+	return keys
 }
 
 // Free releases the vector's chunk files.
@@ -129,30 +135,120 @@ func (nt *NormalizedTable) Cols() int {
 // NumTables reports the number of attribute tables q.
 func (nt *NormalizedTable) NumTables() int { return len(nt.Attrs) }
 
-// ColOffsets returns the starting logical column of each attribute part
-// plus the total width: offsets[0] = dS, offsets[t] the start of R_t's
-// block, offsets[q] = Cols().
-func (nt *NormalizedTable) ColOffsets() []int {
-	offs := make([]int, len(nt.Attrs)+1)
-	offs[0] = nt.S.Cols()
-	for t, a := range nt.Attrs {
-		offs[t+1] = offs[t] + a.R.Cols()
-	}
-	return offs
+// MulExec computes T·x (LMM, §3.3.3) for an in-memory x into a chunked
+// result aligned with S: only the base table and key columns are read,
+// never the joined nS×d output. For a DMM against an in-memory normalized
+// B (appendix C), pass B.Dense(): it is the small side of the product.
+func (nt *NormalizedTable) MulExec(ex Exec, x *la.Dense) (*Matrix, error) {
+	return nt.Operand(ex).mul(x)
 }
 
-// ChunkKeys reads the aligned key chunk ci of every attribute table. Like
-// IntVector.Keys it is safe to call from concurrent pipeline workers.
-func (nt *NormalizedTable) ChunkKeys(ci int) ([][]int32, error) {
-	keys := make([][]int32, len(nt.Attrs))
+// TMulExec computes Tᵀ·x (RMM on the transpose) for an in-memory x: the S
+// block streams Sᵀ·x chunk by chunk, each R block scatter-adds x's rows
+// per join key in chunk order and multiplies by R_tᵀ once at the end.
+func (nt *NormalizedTable) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
+	return nt.Operand(ex).tmul(x)
+}
+
+// CrossProdExec computes TᵀT with the paper's efficient rewrite
+// (Algorithm 2, with the §3.5 star-schema generalization) in a single pass
+// over the chunked S and key columns. Per attribute table the pass
+// scatter-adds K_tᵀS and the key counts; for every pair of attribute
+// tables it scatter-adds the cross gather K_aᵀ(K_b·R_b), so the
+// off-diagonal R_aᵀK_aᵀK_bR_b blocks never materialize an indicator
+// product. The R-side blocks are assembled in memory afterwards.
+func (nt *NormalizedTable) CrossProdExec(ex Exec) (*la.Dense, error) {
+	o := nt.Operand(ex)
+	dS, q, offs := nt.S.Cols(), nt.NumTables(), o.offs
+
+	sts := la.NewDense(dS, dS)
+	kts := make([]*la.Dense, q)    // K_tᵀS scatter-adds, nRt×dS
+	counts := make([][]float64, q) // per-table key multiplicities
 	for t, a := range nt.Attrs {
-		_, ks, err := a.FK.Keys(ci)
+		kts[t] = la.NewDense(a.R.Rows(), dS)
+		counts[t] = make([]float64, a.R.Rows())
+	}
+	// gab[a][b] (a<b) accumulates K_aᵀ(K_b·R_b): row ka_i gains R_b's row
+	// kb_i for every joined tuple i.
+	gab := make([][]*la.Dense, q)
+	for a := 0; a < q; a++ {
+		gab[a] = make([]*la.Dense, q)
+		for b := a + 1; b < q; b++ {
+			gab[a][b] = la.NewDense(nt.Attrs[a].R.Rows(), nt.Attrs[b].R.Cols())
+		}
+	}
+
+	type part struct {
+		cp *la.Dense
+		*block
+	}
+	err := nt.S.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
+		b, err := o.load(ci, lo, c)
 		if err != nil {
 			return nil, err
 		}
-		keys[t] = ks
+		return part{c.CrossProd(), b}, nil
+	}, func(ci int, v any) error {
+		p := v.(part)
+		sts.AddInPlace(p.cp)
+		for i := 0; i < p.c.Rows(); i++ {
+			for t := range p.keys {
+				rid := int(p.keys[t][i])
+				counts[t][rid]++
+				scatterRowInto(kts[t].Row(rid), p.c, i)
+			}
+			for a := 0; a < q; a++ {
+				for b := a + 1; b < q; b++ {
+					scatterRowInto(gab[a][b].Row(int(p.keys[a][i])), nt.Attrs[b].R, int(p.keys[b][i]))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return keys, nil
+
+	out := la.NewDense(nt.Cols(), nt.Cols())
+	out.SetBlock(0, 0, sts)
+	for t, a := range nt.Attrs {
+		// Off-diagonal S block SᵀK_t·R_t = (R_tᵀ·(K_tᵀS))ᵀ.
+		skr := a.R.TMul(kts[t]).TDense()
+		out.SetBlock(0, offs[t], skr)
+		out.SetBlock(offs[t], 0, skr.TDense())
+		// Diagonal block crossprod(diag(counts)^½ · R_t).
+		sq := make([]float64, len(counts[t]))
+		for i, v := range counts[t] {
+			sq[i] = math.Sqrt(v)
+		}
+		out.SetBlock(offs[t], offs[t], a.R.ScaleRows(sq).CrossProd())
+		// Cross-attribute blocks R_aᵀ·(K_aᵀK_b·R_b).
+		for b := t + 1; b < q; b++ {
+			blk := a.R.TMul(gab[t][b])
+			out.SetBlock(offs[t], offs[b], blk)
+			out.SetBlock(offs[b], offs[t], blk.TDense())
+		}
+	}
+	return out, nil
+}
+
+// scatterRowInto adds row i of src into dst, honoring sparsity.
+func scatterRowInto(dst []float64, src la.Mat, i int) {
+	switch t := src.(type) {
+	case *la.Dense:
+		for j, v := range t.Row(i) {
+			dst[j] += v
+		}
+	case *la.CSR:
+		idx, vals := t.RowNNZ(i)
+		for k, j := range idx {
+			dst[j] += vals[k]
+		}
+	default:
+		for j := 0; j < src.Cols(); j++ {
+			dst[j] += src.At(i, j)
+		}
+	}
 }
 
 // Free releases the on-disk base table and key columns.

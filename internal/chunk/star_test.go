@@ -85,11 +85,11 @@ func TestStarChunkedGLMMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resM, err := LogRegMaterializedExec(Parallel(), tm, y, iters, alpha)
+	resM, err := logRegM(Parallel(), tm, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resF, err := LogRegFactorizedExec(Parallel(), nt, y, iters, alpha)
+	resF, err := logRegF(Parallel(), nt, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestStarChunkedGLMSerialParallelIdentical(t *testing.T) {
 	const nS, dS, chunkRows = 210, 3, 16
 	nt, _ := buildStar(t, rng, store, nS, dS, chunkRows)
 	y := pmLabels(rng, nS)
-	serial, err := LogRegFactorizedExec(Serial, nt, y, 5, 1e-3)
+	serial, err := logRegF(Serial, nt, y, 5, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := LogRegFactorizedExec(parExec, nt, y, 5, 1e-3)
+	parallel, err := logRegF(parExec, nt, y, 5, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestSparseEntityStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	const iters, alpha = 5, 1e-3
-	wDense, err := LogRegFactorizedExec(parExec, nt, y, iters, alpha)
+	wDense, err := logRegF(parExec, nt, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wSparse, err := LogRegFactorizedExec(parExec, ntSparse, y, iters, alpha)
+	wSparse, err := logRegF(parExec, ntSparse, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

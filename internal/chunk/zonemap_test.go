@@ -290,11 +290,11 @@ func TestZoneSkipAccounting(t *testing.T) {
 	// The k-means assignment pass has no shape-only partial: its zero
 	// chunks are synthesized by the read path (never decoded from disk) and
 	// assigned for real, bit-identically.
-	kmP, err := KMeansExec(Parallel(), mp, 3, 2, 7)
+	kmP, err := kMeans(Parallel(), mp, 3, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kmZ, err := KMeansExec(Parallel(), mz, 3, 2, 7)
+	kmZ, err := kMeans(Parallel(), mz, 3, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,11 +466,11 @@ func TestZoneSkipPushdown(t *testing.T) {
 		if sP != sM {
 			t.Fatalf("pushdown=%v: sum differs from the plain store", pd)
 		}
-		kmP, err := KMeansExec(ex, mp, 3, 2, 7)
+		kmP, err := kMeans(ex, mp, 3, 2, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kmM, err := KMeansExec(ex, mm, 3, 2, 7)
+		kmM, err := kMeans(ex, mm, 3, 2, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,11 +529,11 @@ func TestWrappedDifferentialDrivers(t *testing.T) {
 		ex := Parallel()
 		ex.Pushdown = pd
 
-		rd1, err := LogRegMaterializedExec(ex, d1, y, iters, 1e-3)
+		rd1, err := logRegM(ex, d1, y, iters, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd2, err := LogRegMaterializedExec(ex, d2, y, iters, 1e-3)
+		rd2, err := logRegM(ex, d2, y, iters, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,11 +541,11 @@ func TestWrappedDifferentialDrivers(t *testing.T) {
 			t.Fatalf("pushdown=%v: dense GLM weights differ under wrapped backends", pd)
 		}
 
-		rs1, err := LogRegMaterializedExec(ex, s1, y, iters, 1e-3)
+		rs1, err := logRegM(ex, s1, y, iters, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs2, err := LogRegMaterializedExec(ex, s2, y, iters, 1e-3)
+		rs2, err := logRegM(ex, s2, y, iters, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -553,11 +553,11 @@ func TestWrappedDifferentialDrivers(t *testing.T) {
 			t.Fatalf("pushdown=%v: sparse GLM weights differ under wrapped backends", pd)
 		}
 
-		rf1, err := LogRegFactorizedExec(ex, nt1, y, iters, 1e-3)
+		rf1, err := logRegF(ex, nt1, y, iters, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf2, err := LogRegFactorizedExec(ex, nt2, y, iters, 1e-3)
+		rf2, err := logRegF(ex, nt2, y, iters, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,11 +565,11 @@ func TestWrappedDifferentialDrivers(t *testing.T) {
 			t.Fatalf("pushdown=%v: star GLM weights differ under wrapped backends", pd)
 		}
 
-		km1, err := KMeansExec(ex, d1, 4, 3, 9)
+		km1, err := kMeans(ex, d1, 4, 3, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		km2, err := KMeansExec(ex, d2, 4, 3, 9)
+		km2, err := kMeans(ex, d2, 4, 3, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,11 +588,11 @@ func TestWrappedDifferentialDrivers(t *testing.T) {
 			t.Fatalf("pushdown=%v: k-means assignments differ under wrapped backends", pd)
 		}
 
-		g1, err := GNMFExec(ex, s1, 3, 3, 11)
+		g1, err := gnmf(ex, s1, 3, 3, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := GNMFExec(ex, s2, 3, 3, 11)
+		g2, err := gnmf(ex, s2, 3, 3, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -667,7 +667,7 @@ func TestWrappedMidStreamFailureAccounting(t *testing.T) {
 	ex := Exec{Workers: 2, Prefetch: 2}
 
 	fault.arm("read")
-	if _, err := LogRegMaterializedExec(ex, d, y, 2, 1e-3); err == nil {
+	if _, err := logRegM(ex, d, y, 2, 1e-3); err == nil {
 		t.Fatal("dense GLM succeeded despite mid-stream read failures")
 	}
 	fault.arm("")

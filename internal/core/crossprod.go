@@ -76,11 +76,11 @@ func (m *NormalizedMatrix) crossProdBlocks(efficient bool) *la.Dense {
 			kk := pi.sel.TMulIndicator(pi.sel)
 			diag = pi.feat.TMul(kk.MulMat(pi.feat))
 		}
-		placeBlock(out, diag, pi.off, pi.off)
+		out.SetBlock(pi.off, pi.off, diag)
 		for j := i + 1; j < len(ps); j++ {
 			blk := crossBlock(ps[i], ps[j])
-			placeBlock(out, blk, pi.off, ps[j].off)
-			placeBlock(out, blk.TDense(), ps[j].off, pi.off)
+			out.SetBlock(pi.off, ps[j].off, blk)
+			out.SetBlock(ps[j].off, pi.off, blk.TDense())
 		}
 	}
 	return out
@@ -143,12 +143,6 @@ func matTMulMat(a, b la.Mat) *la.Dense {
 		}
 	}
 	return a.TMul(b.Dense())
-}
-
-func placeBlock(out, blk *la.Dense, r0, c0 int) {
-	for i := 0; i < blk.Rows(); i++ {
-		copy(out.Row(r0 + i)[c0:c0+blk.Cols()], blk.Row(i))
-	}
 }
 
 // gramRaw computes crossprod(Tᵀ) = T·Tᵀ via the appendix A/D rewrite:

@@ -1,17 +1,21 @@
-package core
+// The differential between the in-memory rewrites and their out-of-core
+// twins in internal/chunk: an external test package, so core itself stays
+// free of the storage layer.
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/chunk"
+	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/ml"
 )
 
 // buildStreamed creates matching in-memory and out-of-core views of the
 // same PK-FK normalized matrix.
-func buildStreamed(t *testing.T, rng *rand.Rand, nS, dS, nR, dR, chunkRows int) (*NormalizedMatrix, *chunk.NormalizedTable, *chunk.Store) {
+func buildStreamed(t *testing.T, rng *rand.Rand, nS, dS, nR, dR, chunkRows int) (*core.NormalizedMatrix, *chunk.NormalizedTable, *chunk.Store) {
 	t.Helper()
 	s := la.NewDense(nS, dS)
 	r := la.NewDense(nR, dR)
@@ -28,7 +32,7 @@ func buildStreamed(t *testing.T, rng *rand.Rand, nS, dS, nR, dR, chunkRows int) 
 		fk32[i] = int32(fk[i])
 	}
 	k := la.NewIndicator(fk, nR)
-	nm, err := NewPKFK(s, k, r)
+	nm, err := core.NewPKFK(s, k, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +59,7 @@ var streamExecs = []chunk.Exec{chunk.Serial, {Workers: 4, Prefetch: 3}}
 
 // buildStreamedStar creates matching in-memory and out-of-core views of a
 // two-attribute-table star schema, with a dense R1 and a sparse CSR R2.
-func buildStreamedStar(t *testing.T, rng *rand.Rand, nS, dS, chunkRows int) (*NormalizedMatrix, *chunk.NormalizedTable, *chunk.Store) {
+func buildStreamedStar(t *testing.T, rng *rand.Rand, nS, dS, chunkRows int) (*core.NormalizedMatrix, *chunk.NormalizedTable, *chunk.Store) {
 	t.Helper()
 	nR1, dR1 := 8, 5
 	nR2, dR2 := 6, 7
@@ -83,7 +87,7 @@ func buildStreamedStar(t *testing.T, rng *rand.Rand, nS, dS, chunkRows int) (*No
 		fk1_32[i] = int32(fk1[i])
 		fk2_32[i] = int32(fk2[i])
 	}
-	nm, err := NewStar(s, []*la.Indicator{la.NewIndicator(fk1, nR1), la.NewIndicator(fk2, nR2)}, []la.Mat{r1, r2})
+	nm, err := core.NewStar(s, []*la.Indicator{la.NewIndicator(fk1, nR1), la.NewIndicator(fk2, nR2)}, []la.Mat{r1, r2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestStreamedStarCrossProdMatchesInMemory(t *testing.T) {
 	want := nm.CrossProd()
 	mat := nm.Dense().CrossProd()
 	for _, ex := range streamExecs {
-		got, err := StreamedCrossProd(ex, nt)
+		got, err := nt.CrossProdExec(ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +152,7 @@ func TestStreamedStarMulTMulMatchesInMemory(t *testing.T) {
 	}
 	wantTMul := nm.Transpose().Mul(xt)
 	for _, ex := range streamExecs {
-		got, err := StreamedMul(ex, nt, x)
+		got, err := nt.MulExec(ex, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +166,7 @@ func TestStreamedStarMulTMulMatchesInMemory(t *testing.T) {
 		if err := got.Free(); err != nil {
 			t.Fatal(err)
 		}
-		gotT, err := StreamedTMul(ex, nt, xt)
+		gotT, err := nt.TMulExec(ex, xt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +194,11 @@ func TestStarChunkedGLMMatchesNormalizedMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ex := range streamExecs {
-		res, err := chunk.LogRegFactorizedExec(ex, nt, y, iters, alpha)
+		w, err := ml.LogRegScan(nt.Operand(ex), y, nil, ml.Options{Iters: iters, StepSize: alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := la.MaxAbsDiff(res.W, wRef); diff > 1e-12 {
+		if diff := la.MaxAbsDiff(w, wRef); diff > 1e-12 {
 			t.Fatalf("workers=%d: star chunked GLM deviates from in-memory factorized by %g", ex.Workers, diff)
 		}
 	}
@@ -208,7 +212,7 @@ func TestStreamedCrossProdMatchesInMemory(t *testing.T) {
 	want := nm.CrossProd()
 	mat := nm.Dense().CrossProd()
 	for _, ex := range streamExecs {
-		got, err := StreamedCrossProd(ex, nt)
+		got, err := nt.CrossProdExec(ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +236,7 @@ func TestStreamedMulMatchesInMemory(t *testing.T) {
 	}
 	want := nm.Mul(x)
 	for _, ex := range streamExecs {
-		got, err := StreamedMul(ex, nt, x)
+		got, err := nt.MulExec(ex, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +251,7 @@ func TestStreamedMulMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := StreamedMul(chunk.Serial, nt, la.NewDense(nm.Cols()+1, 2)); err == nil {
+	if _, err := nt.MulExec(chunk.Serial, la.NewDense(nm.Cols()+1, 2)); err == nil {
 		t.Fatal("accepted shape mismatch")
 	}
 }
@@ -263,7 +267,7 @@ func TestStreamedTMulMatchesInMemory(t *testing.T) {
 	}
 	want := nm.Transpose().Mul(x)
 	for _, ex := range streamExecs {
-		got, err := StreamedTMul(ex, nt, x)
+		got, err := nt.TMulExec(ex, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +275,7 @@ func TestStreamedTMulMatchesInMemory(t *testing.T) {
 			t.Fatalf("workers=%d: streamed TMul deviates by %g", ex.Workers, la.MaxAbsDiff(got, want))
 		}
 	}
-	if _, err := StreamedTMul(chunk.Serial, nt, la.NewDense(nm.Rows()+1, 2)); err == nil {
+	if _, err := nt.TMulExec(chunk.Serial, la.NewDense(nm.Rows()+1, 2)); err == nil {
 		t.Fatal("accepted shape mismatch")
 	}
 }
@@ -296,13 +300,13 @@ func TestStreamedMulNormMatchesDMM(t *testing.T) {
 	for i := range fkB {
 		fkB[i] = rng.Intn(4)
 	}
-	b, err := NewPKFK(sB, la.NewIndicator(fkB, 4), rB)
+	b, err := core.NewPKFK(sB, la.NewIndicator(fkB, 4), rB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := la.MatMul(nm.Dense(), b.Dense())
 	for _, ex := range streamExecs {
-		got, err := StreamedMulNorm(ex, nt, b)
+		got, err := nt.MulExec(ex, b.Dense()) // B is the small side: materialize it
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func TestBuildChunkedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := chunk.LogRegFactorizedExec(chunk.Parallel(), nt, y, 5, 1e-3)
+		got, err := ml.LogRegScan(nt.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 5, StepSize: 1e-3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +95,11 @@ func TestBuildChunkedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := chunk.LogRegFactorizedExec(chunk.Parallel(), ref, y, 5, 1e-3)
+		want, err := ml.LogRegScan(ref.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 5, StepSize: 1e-3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if la.MaxAbsDiff(got.W, want.W) != 0 {
+		if la.MaxAbsDiff(got, want) != 0 {
 			t.Fatalf("sparse=%v: chunked training over snapshot differs from frozen copy", sparse)
 		}
 
@@ -225,7 +225,7 @@ func TestPinnedTrainingUnderConcurrentCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := chunk.LogRegFactorizedExec(chunk.Parallel(), nt, y, 4, 1e-3)
+	got, err := ml.LogRegScan(nt.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 4, StepSize: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,11 @@ func TestPinnedTrainingUnderConcurrentCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := chunk.LogRegFactorizedExec(chunk.Parallel(), ref, y, 4, 1e-3)
+	want, err := ml.LogRegScan(ref.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 4, StepSize: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.MaxAbsDiff(got.W, want.W) != 0 {
+	if la.MaxAbsDiff(got, want) != 0 {
 		t.Fatal("chunked training over pinned snapshot drifted from frozen copy under concurrent commits")
 	}
 

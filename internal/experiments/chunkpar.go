@@ -7,6 +7,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/datagen"
 	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 // chunkpar measures the parallel out-of-core engine against the strictly
@@ -84,31 +85,16 @@ func chunkpar(cfg Config) (Result, error) {
 		return nil
 	}
 
-	var wM, wF *la.Dense
+	opt := ml.Options{Iters: iters, StepSize: 1e-6}
 	if err := row(fmt.Sprintf("glm-materialized (%d iters)", iters), func(ex chunk.Exec) (*la.Dense, error) {
-		r, err := chunk.LogRegMaterializedExec(ex, tM, y, iters, 1e-6)
-		if err != nil {
-			return nil, err
-		}
-		wM = r.W
-		return r.W, nil
+		return ml.LogRegScan(chunk.MatOperand(ex, tM), y, nil, opt)
 	}); err != nil {
 		return Result{}, err
 	}
 	if err := row(fmt.Sprintf("glm-factorized (%d iters)", iters), func(ex chunk.Exec) (*la.Dense, error) {
-		r, err := chunk.LogRegFactorizedExec(ex, nt, y, iters, 1e-6)
-		if err != nil {
-			return nil, err
-		}
-		wF = r.W
-		return r.W, nil
+		return ml.LogRegScan(nt.Operand(ex), y, nil, opt)
 	}); err != nil {
 		return Result{}, err
-	}
-	if cfg.Plan {
-		if err := plannedGLM(&res, "chunkpar/glm", planEnv(cfg, st), tM, nt, y, iters, 1e-6, wM, wF); err != nil {
-			return Result{}, err
-		}
 	}
 	if err := row("crossprod(T)", tM.CrossProdExec); err != nil {
 		return Result{}, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/datagen"
 	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 // chunkshard measures the sharded chunk store against the single-directory
@@ -76,8 +77,8 @@ func chunkshard(cfg Config) (Result, error) {
 	// synchronously, so it would not exercise the concurrency under test).
 	spill := func(t *chunk.Matrix) func() {
 		return func() {
-			cp, err := t.MapChunksToMatrix(ex, t.Cols(), func(ci, lo int, c *la.Dense) (*la.Dense, error) {
-				return c, nil
+			cp, err := t.StreamToMatrix(ex, t.Cols(), func(ci, lo int, c la.Mat) (*la.Dense, error) {
+				return c.(*la.Dense), nil
 			})
 			if err != nil {
 				panic(err)
@@ -129,11 +130,7 @@ func chunkshard(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	if err := row(fmt.Sprintf("glm-materialized (%d iters)", iters), func(t chunk.Mat) (*la.Dense, error) {
-		r, err := chunk.LogRegMaterializedExec(ex, t, y, iters, 1e-6)
-		if err != nil {
-			return nil, err
-		}
-		return r.W, nil
+		return ml.LogRegScan(chunk.MatOperand(ex, t), y, nil, ml.Options{Iters: iters, StepSize: 1e-6})
 	}); err != nil {
 		return Result{}, err
 	}
@@ -152,7 +149,7 @@ func chunkshard(cfg Config) (Result, error) {
 			return nil, err
 		}
 		defer pos.Free()
-		r, err := chunk.GNMFExec(ex, pos, 5, iters, cfg.Seed)
+		r, err := ml.GNMFScan(chunk.MatOperand(ex, pos), 5, ml.Options{Iters: iters, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -161,24 +158,6 @@ func chunkshard(cfg Config) (Result, error) {
 	}); err != nil {
 		return Result{}, err
 	}
-	if cfg.Plan {
-		pos, err := tSharded.StreamToMatrix(ex, tSharded.Cols(), absChunk)
-		if err != nil {
-			return Result{}, err
-		}
-		twin, err := chunk.GNMFExec(ex, pos, 5, iters, cfg.Seed)
-		if err != nil {
-			pos.Free()
-			return Result{}, err
-		}
-		err = plannedGNMF(&res, "chunkshard/gnmf", planEnv(cfg, sharded), pos, 5, iters, cfg.Seed, twin.H)
-		twin.W.Free()
-		pos.Free()
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
 	stats := sharded.ShardStats()
 	var minB, maxB int64 = -1, 0
 	for _, st := range stats {

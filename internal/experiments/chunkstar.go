@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/chunk"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 // chunkstar exercises the unified chunked-operand interface end to end:
@@ -55,16 +55,11 @@ func chunkstar(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		mT, fT, resM, resF, err := runGLMPair(ex, tM, nt, y, iters, alpha)
+		mT, fT, _, _, err := runGLMPair(st, chunk.MatOperand(ex, tM), nt.Operand(ex), y, iters, alpha)
 		if err != nil {
 			return Result{}, fmt.Errorf("chunkstar: star: %w", err)
 		}
 		res.Rows = append(res.Rows, []string{fmt.Sprintf("glm star q=2 (%d iters)", iters), secs(mT), secs(fT), ratio(mT, fT)})
-		if cfg.Plan {
-			if err := plannedGLM(&res, "chunkstar/star", planEnv(cfg, st), tM, nt, y, iters, alpha, resM.W, resF.W); err != nil {
-				return Result{}, err
-			}
-		}
 
 		var cpMat, cpStr *la.Dense
 		cpM := timeIt(func() {
@@ -76,7 +71,7 @@ func chunkstar(cfg Config) (Result, error) {
 		})
 		cpF := timeIt(func() {
 			var err error
-			cpStr, err = core.StreamedCrossProd(ex, nt)
+			cpStr, err = nt.CrossProdExec(ex)
 			if err != nil {
 				panic(err)
 			}
@@ -92,17 +87,18 @@ func chunkstar(cfg Config) (Result, error) {
 		// serial vs parallel, results asserted bit-identical. Spill-file
 		// releases stay outside the timed sections (earlier repetitions'
 		// assignment columns are reclaimed by the store cleanup).
-		var kmSer, kmPar *chunk.KMeansResult
+		var kmSer, kmPar *ml.KMeansFit
+		kmOpt := ml.Options{Iters: iters, Seed: cfg.Seed}
 		kT := timeIt(func() {
 			var err error
-			kmSer, err = chunk.KMeansExec(chunk.Serial, tM, 8, iters, cfg.Seed)
+			kmSer, err = ml.KMeansScan(chunk.MatOperand(chunk.Serial, tM), 8, kmOpt)
 			if err != nil {
 				panic(err)
 			}
 		})
 		kP := timeIt(func() {
 			var err error
-			kmPar, err = chunk.KMeansExec(ex, tM, 8, iters, cfg.Seed)
+			kmPar, err = ml.KMeansScan(chunk.MatOperand(ex, tM), 8, kmOpt)
 			if err != nil {
 				panic(err)
 			}
@@ -111,11 +107,6 @@ func chunkstar(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("chunkstar: kmeans serial and parallel centroids diverged")
 		}
 		res.Rows = append(res.Rows, []string{fmt.Sprintf("kmeans k=8 (%d iters)", iters), secs(kT), secs(kP), ratio(kT, kP)})
-		if cfg.Plan {
-			if err := plannedKMeans(&res, "chunkstar/kmeans", planEnv(cfg, st), tM, 8, iters, cfg.Seed, kmPar); err != nil {
-				return Result{}, err
-			}
-		}
 
 		if err := kmSer.Assign.Free(); err != nil {
 			return Result{}, err
@@ -149,16 +140,11 @@ func chunkstar(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		mT, fT, resM, resF, err := runGLMPair(ex, tM, nt, y, iters, alpha)
+		mT, fT, _, _, err := runGLMPair(st, chunk.MatOperand(ex, tM), nt.Operand(ex), y, iters, alpha)
 		if err != nil {
 			return Result{}, fmt.Errorf("chunkstar: sparse: %w", err)
 		}
 		res.Rows = append(res.Rows, []string{fmt.Sprintf("glm one-hot CSR (%d iters)", iters), secs(mT), secs(fT), ratio(mT, fT)})
-		if cfg.Plan {
-			if err := plannedGLM(&res, "chunkstar/sparse", planEnv(cfg, st), tM, nt, y, iters, alpha, resM.W, resF.W); err != nil {
-				return Result{}, err
-			}
-		}
 		if err := tM.Free(); err != nil {
 			return Result{}, err
 		}

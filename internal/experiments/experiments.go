@@ -14,8 +14,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/plan"
 )
 
 // Result is one regenerated table or figure. The JSON field names are the
@@ -27,10 +25,6 @@ type Result struct {
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
 	Notes  string     `json:"notes,omitempty"`
-	// Decisions is the planner trace recorded when Config.Plan is set: one
-	// explained plan.Decision per planner-driven workload, each verified
-	// bit-identical to the explicit run it selected before being recorded.
-	Decisions []plan.Decision `json:"decisions,omitempty"`
 	// I/O accounting, filled by the out-of-core experiments from the chunk
 	// store's IOStats at the end of the run: bytes actually read from spill
 	// backends, bytes that traveled a remote shard's wire, chunks (and their
@@ -82,9 +76,6 @@ func (r Result) Format() string {
 	if r.Notes != "" {
 		fmt.Fprintf(&sb, "note: %s\n", r.Notes)
 	}
-	for _, d := range r.Decisions {
-		fmt.Fprintf(&sb, "plan[%s] %s\n", d.Label, d.String())
-	}
 	return sb.String()
 }
 
@@ -116,11 +107,6 @@ type Config struct {
 	// chunk heights are derived from it via chunk.AutoRows instead of
 	// being hard-coded (0 = 256 MB).
 	MemBudgetMB int
-	// Plan additionally runs each training workload through the
-	// plan.Plan(op, operands, env) seam, verifies the planner-chosen path
-	// is bit-identical to the explicit run it selected (a divergence is an
-	// error), and records the explained Decisions on the Result.
-	Plan bool
 	// Codec names a registered chunk codec (chunk.CodecByName); every spill
 	// backend is wrapped so chunks are compressed at rest and on the wire.
 	// Empty means raw chunks.

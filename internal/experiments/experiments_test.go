@@ -60,33 +60,6 @@ func TestTable9Runs(t *testing.T) {
 	}
 }
 
-// TestTable9PlanTrace runs table9 with the planner seam enabled: every
-// sweep point must record an explained Decision, row counts are
-// unchanged (decisions travel in their own field), and the bit-identity
-// guard inside plannedGLM must hold for the run to return at all.
-func TestTable9PlanTrace(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Plan = true
-	res, err := Run("table9", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("table9 rows = %d with Plan set, want 6", len(res.Rows))
-	}
-	if len(res.Decisions) != 6 {
-		t.Fatalf("table9 decisions = %d, want one per sweep point", len(res.Decisions))
-	}
-	for _, d := range res.Decisions {
-		if d.Label == "" || d.Rule == "" || len(d.Rules) == 0 {
-			t.Fatalf("unexplained decision: %+v", d)
-		}
-	}
-	if !strings.Contains(res.Format(), "plan[table9/FR=") {
-		t.Fatal("Format output missing the plan trace")
-	}
-}
-
 func TestChunkstarRuns(t *testing.T) {
 	res, err := Run("chunkstar", tinyCfg())
 	if err != nil {

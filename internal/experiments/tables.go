@@ -239,28 +239,31 @@ func autoChunkRows(cfg Config, cols int) int {
 	return chunk.AutoRows(int64(memBudgetMB(cfg))<<20, cols, ex.Workers, ex.Prefetch)
 }
 
-// runGLMPair times a chunked materialized GLM run against the factorized
-// run over the same logical table and verifies the fitted weights agree —
-// a divergence is an error, never a silently wrong table row.
-func runGLMPair(ex chunk.Exec, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (mT, fT time.Duration, resM, resF *chunk.LogRegResult, err error) {
-	mT = timeIt(func() {
+// timeGLM times ml.LogRegScan over a chunked operand held in st and
+// reports the bytes its scans read from the store.
+func timeGLM(st *chunk.Store, t la.Operand, y *la.Dense, iters int, alpha float64) (d time.Duration, w *la.Dense, bytesRead int64) {
+	d = timeIt(func() { // may repeat: every run reads the same bytes
+		before := st.IOStats().BytesRead
 		var err error
-		resM, err = chunk.LogRegMaterializedExec(ex, tM, y, iters, alpha)
-		if err != nil {
+		if w, err = ml.LogRegScan(t, y, nil, ml.Options{Iters: iters, StepSize: alpha}); err != nil {
 			panic(err)
 		}
+		bytesRead = st.IOStats().BytesRead - before
 	})
-	fT = timeIt(func() {
-		var err error
-		resF, err = chunk.LogRegFactorizedExec(ex, nt, y, iters, alpha)
-		if err != nil {
-			panic(err)
-		}
-	})
-	if la.MaxAbsDiff(resM.W, resF.W) > 1e-8 {
-		return 0, 0, nil, nil, fmt.Errorf("experiments: M and F weights diverged")
+	return d, w, bytesRead
+}
+
+// runGLMPair times the GLM over a chunked materialized table against the
+// factorized operand of the same logical table (with the bytes each read)
+// and verifies the fitted weights agree — a divergence is an error, never
+// a silently wrong table row.
+func runGLMPair(st *chunk.Store, tM, tF la.Operand, y *la.Dense, iters int, alpha float64) (mT, fT time.Duration, mBytes, fBytes int64, err error) {
+	mT, wM, mBytes := timeGLM(st, tM, y, iters, alpha)
+	fT, wF, fBytes := timeGLM(st, tF, y, iters, alpha)
+	if la.MaxAbsDiff(wM, wF) > 1e-8 {
+		return 0, 0, 0, 0, fmt.Errorf("experiments: M and F weights diverged")
 	}
-	return mT, fT, resM, resF, nil
+	return mT, fT, mBytes, fBytes, nil
 }
 
 // table9 regenerates Table 9: per-iteration logistic regression time on the
@@ -286,7 +289,7 @@ func table9(cfg Config) (Result, error) {
 
 	// sweep times one sweep point and appends its per-iteration row.
 	sweep := func(label string, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense) error {
-		mT, fT, resM, resF, err := runGLMPair(ex, tM, nt, y, iters, 1e-6)
+		mT, fT, mBytes, fBytes, err := runGLMPair(st, chunk.MatOperand(ex, tM), nt.Operand(ex), y, iters, 1e-6)
 		if err != nil {
 			return fmt.Errorf("table9: %s: %w", label, err)
 		}
@@ -294,12 +297,7 @@ func table9(cfg Config) (Result, error) {
 			label,
 			secs(time.Duration(int64(mT) / iters)), secs(time.Duration(int64(fT) / iters)),
 			ratio(mT, fT),
-			fmt.Sprint(resM.BytesRead), fmt.Sprint(resF.BytesRead)})
-		if cfg.Plan {
-			if err := plannedGLM(&res, "table9/FR="+label, planEnv(cfg, st), tM, nt, y, iters, 1e-6, resM.W, resF.W); err != nil {
-				return err
-			}
-		}
+			fmt.Sprint(mBytes), fmt.Sprint(fBytes)})
 		// Release this sweep point's spill files before the next one.
 		if err := tM.Free(); err != nil {
 			return err
@@ -469,33 +467,14 @@ func table10(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		ex := chunkExec(cfg)
-		var resM, resF *chunk.LogRegResult
-		mT := timeIt(func() {
-			var err error
-			resM, err = chunk.LogRegMaterializedExec(ex, tM, y, iters, 1e-7)
-			if err != nil {
-				panic(err)
-			}
-		})
-		fT := timeIt(func() {
-			var err error
-			resF, err = chunk.LogRegFactorizedMNExec(ex, mn, y, iters, 1e-7)
-			if err != nil {
-				panic(err)
-			}
-		})
-		if la.MaxAbsDiff(resM.W, resF.W) > 1e-8 {
-			return Result{}, fmt.Errorf("table10: M and F weights diverged")
+		mT, fT, _, _, err := runGLMPair(st, chunk.MatOperand(ex, tM), mn.Operand(ex), y, iters, 1e-7)
+		if err != nil {
+			return Result{}, fmt.Errorf("table10: %w", err)
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(nU), fmt.Sprint(nm.Rows()),
 			secs(time.Duration(int64(mT) / iters)), secs(time.Duration(int64(fT) / iters)),
 			ratio(mT, fT)})
-		if cfg.Plan {
-			if err := plannedGLMMN(&res, fmt.Sprintf("table10/nU=%d", nU), planEnv(cfg, st), tM, mn, y, iters, 1e-7, resM.W, resF.W); err != nil {
-				return Result{}, err
-			}
-		}
 		// Release this sweep point's spill files before the next one.
 		tM.Free()
 		mn.Free()

@@ -246,6 +246,13 @@ func (m *Dense) SliceRowsDense(i0, i1 int) *Dense {
 	return out
 }
 
+// SetBlock copies blk into m with its top-left corner at (r0, c0).
+func (m *Dense) SetBlock(r0, c0 int, blk *Dense) {
+	for i := 0; i < blk.rows; i++ {
+		copy(m.Row(r0 + i)[c0:c0+blk.cols], blk.Row(i))
+	}
+}
+
 // SliceColsDense returns a copy of columns [j0,j1).
 func (m *Dense) SliceColsDense(j0, j1 int) *Dense {
 	if j0 < 0 || j1 > m.cols || j0 > j1 {

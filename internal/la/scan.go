@@ -1,0 +1,118 @@
+package la
+
+import "fmt"
+
+// Operand is the only way an iterative algorithm touches T: one ordered
+// scan over row blocks per pass, with the factorized products split so
+// that the small side is computed once per scan, not once per block —
+//
+//	prepare  the small side of T·X (Step.X), the row norms   once, before the blocks
+//	apply    Step.Do on T_b·X, and T_bᵀ·P_b on what it makes   per block, concurrently
+//	finish   the small side of Tᵀ·P                           once, after the blocks
+//
+// InMemory adapts any Matrix as a single block, so an in-memory run is the
+// operator calls of the textbook algorithm; internal/chunk adapts its
+// dense, CSR, star and M:N tables with one block per chunk. internal/ml
+// writes each algorithm once against this contract.
+type Operand interface {
+	Rows() int
+	Cols() int
+	// Scan visits every row block once. step.Do may run on several blocks
+	// concurrently; merge receives each Result.Part strictly in block
+	// order on the calling goroutine (nil when there is nothing to merge).
+	// It returns what the step declared: the new n-tall Tall made of the
+	// blocks' Out (the caller owns it) and the product Tᵀ·P of their P.
+	Scan(step Step, merge func(part any) error) (Tall, *Dense, error)
+	// NewTall allocates n-tall state aligned with T's blocks; fill sees
+	// the blocks in order.
+	NewTall(cols int, fill func(dst *Dense)) (Tall, error)
+}
+
+// Block is one row block of an operand, rows [Lo, Lo+Rows) of T.
+type Block interface {
+	Index() int
+	Lo() int
+	Rows() int
+}
+
+// Step is a scan's per-block work and the products around it. Do receives
+// the block, T_b·X when X is set, and the rows' ‖t_i‖² when Norms is. A
+// step that is also registered by name (Op, rebuilt from Params) may be
+// run by the operand where the block is stored: the same function either
+// way.
+type Step struct {
+	X       *Dense
+	Norms   bool
+	Do      func(b Block, tx *Dense, norms []float64) (Result, error)
+	OutCols int // > 0: Result.Out is block b, b.Rows()×OutCols, of a new Tall
+	PCols   int // > 0: Result.P is b.Rows()×PCols, block b of P in Tᵀ·P
+	Op      string
+	Params  *Dense
+}
+
+// Result is what a step makes of one block.
+type Result struct {
+	Out, P *Dense
+	Part   any
+}
+
+// Tall is n-tall state (k-means' assignment column, GNMF's W) held block
+// by block wherever the operand's rows live.
+type Tall interface {
+	// Chunk returns block i's rows and their first-row offset.
+	Chunk(i int) (lo int, rows *Dense, err error)
+	Free() error
+}
+
+// whole is an in-memory Matrix seen as one block that is its own scan.
+type whole struct {
+	t, tt Matrix // tt = Tᵀ, transposed once
+	norms []float64
+}
+
+// InMemory adapts an in-memory matrix — dense, sparse, normalized, or any
+// other Matrix — to the scan contract as a single block.
+func InMemory(t Matrix) Operand { return &whole{t: t, tt: t.T()} }
+
+func (w *whole) Rows() int  { return w.t.Rows() }
+func (w *whole) Cols() int  { return w.t.Cols() }
+func (w *whole) Index() int { return 0 }
+func (w *whole) Lo() int    { return 0 }
+
+func (w *whole) Scan(step Step, merge func(any) error) (tall Tall, tp *Dense, err error) {
+	var tx *Dense
+	if step.X != nil {
+		if step.X.Rows() != w.Cols() {
+			return nil, nil, fmt.Errorf("la: scan Mul %dx%d · %dx%d", w.Rows(), w.Cols(), step.X.Rows(), step.X.Cols())
+		}
+		tx = w.t.Mul(step.X)
+	}
+	if step.Norms && w.norms == nil {
+		w.norms = w.t.Pow(2).RowSums().Data() // the row norms never change
+	}
+	r, err := step.Do(w, tx, w.norms)
+	if err == nil && merge != nil {
+		err = merge(r.Part)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if step.OutCols > 0 {
+		tall = denseTall{r.Out}
+	}
+	if step.PCols > 0 {
+		tp = w.tt.Mul(r.P)
+	}
+	return tall, tp, nil
+}
+
+func (w *whole) NewTall(cols int, fill func(*Dense)) (Tall, error) {
+	d := NewDense(w.Rows(), cols)
+	fill(d)
+	return denseTall{d}, nil
+}
+
+type denseTall struct{ d *Dense }
+
+func (t denseTall) Chunk(int) (int, *Dense, error) { return 0, t.d, nil }
+func (denseTall) Free() error                      { return nil }

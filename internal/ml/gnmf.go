@@ -13,6 +13,13 @@ type GNMFResult struct {
 	H *la.Dense // d×r
 }
 
+// GNMFFit is GNMFScan's result: the tall factor W is n-tall state beside
+// the operand's rows, the short factor H is in memory.
+type GNMFFit struct {
+	W la.Tall   // n×r
+	H *la.Dense // d×r
+}
+
 // GNMF runs Gaussian non-negative matrix factorization with multiplicative
 // updates (Algorithm 16; factorized as Algorithm 8):
 //
@@ -22,28 +29,105 @@ type GNMFResult struct {
 // The data-intensive products Tᵀ·W (transposed LMM / RMM) and T·H (LMM)
 // are the factorized operators; everything else is r-dimensional.
 func GNMF(t la.Matrix, rank int, opt Options) (*GNMFResult, error) {
+	fit, err := GNMFScan(la.InMemory(t), rank, opt)
+	if err != nil {
+		return nil, err
+	}
+	_, w, _ := fit.W.Chunk(0)
+	return &GNMFResult{W: w, H: fit.H}, nil
+}
+
+// GNMFScan is GNMF over any operand. Each iteration is two scans of T
+// beside the aligned blocks of W: the H scan reduces Tᵀ·W and WᵀW in block
+// order, the W scan writes the next W generation block by block and the
+// previous one is freed. The caller owns the returned W.
+func GNMFScan(t la.Operand, rank int, opt Options) (fit *GNMFFit, err error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if rank <= 0 {
 		return nil, fmt.Errorf("ml: rank must be positive, got %d", rank)
 	}
-	n, d := t.Rows(), t.Cols()
 	rng := rand.New(rand.NewSource(opt.Seed))
-	w := positiveRandom(rng, n, rank)
-	h := positiveRandom(rng, d, rank)
-	tt := t.T()
+	positive := func(m *la.Dense) {
+		for i := range m.Data() {
+			m.Data()[i] = rng.Float64() + 0.1
+		}
+	}
+	w, err := t.NewTall(rank, positive)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			w.Free()
+		}
+	}()
+	h := la.NewDense(t.Cols(), rank)
+	positive(h)
 	const eps = 1e-12
 	for it := 0; it < opt.Iters; it++ {
-		// H update.
-		tw := tt.Mul(w)                     // d×r
-		hww := la.MatMul(h, w.CrossProd())  // d×r
-		h = multiplicative(h, tw, hww, eps) // H ∗ TᵀW / (H WᵀW)
-		th := t.Mul(h)                      // n×r
-		whh := la.MatMul(w, h.CrossProd())  // n×r
-		w = multiplicative(w, th, whh, eps) // W ∗ TH / (W HᵀH)
+		// H update: H ∗ TᵀW / (H WᵀW); TᵀW is a transposed LMM.
+		wtw := la.NewDense(rank, rank)
+		_, tw, err := t.Scan(la.Step{PCols: rank, Do: func(b la.Block, _ *la.Dense, _ []float64) (la.Result, error) {
+			_, wb, err := w.Chunk(b.Index())
+			if err != nil {
+				return la.Result{}, err
+			}
+			return la.Result{P: wb, Part: wb.CrossProd()}, nil
+		}}, func(part any) error { wtw.AddInPlace(part.(*la.Dense)); return nil })
+		if err != nil {
+			return nil, err
+		}
+		h = multiplicative(h, tw, la.MatMul(h, wtw), eps)
+
+		// W update: W ∗ TH / (W HᵀH), written as the next generation.
+		hth := h.CrossProd()
+		next, _, err := t.Scan(la.Step{X: h, OutCols: rank, Do: func(b la.Block, th *la.Dense, _ []float64) (la.Result, error) { // LMM
+			_, wb, err := w.Chunk(b.Index())
+			if err != nil {
+				return la.Result{}, err
+			}
+			return la.Result{Out: multiplicative(wb, th, la.MatMul(wb, hth), eps)}, nil
+		}}, nil)
+		if err != nil {
+			return nil, err
+		}
+		err = w.Free()
+		w = next
+		if err != nil {
+			return nil, err
+		}
 	}
-	return &GNMFResult{W: w, H: h}, nil
+	return &GNMFFit{W: w, H: h}, nil
+}
+
+// ReconstructionError returns ‖T − W·Hᵀ‖²_F in one scan of T beside the
+// aligned blocks of W, expanded per block as
+//
+//	‖T_b‖² − 2·Σ W_b ∗ (T_b·H) + tr((W_bᵀW_b)·(HᵀH))
+//
+// so the cross term is an LMM and the reconstruction never materializes.
+func (f *GNMFFit) ReconstructionError(t la.Operand) (float64, error) {
+	hth, total := f.H.CrossProd(), 0.0
+	_, _, err := t.Scan(la.Step{X: f.H, Norms: true, Do: func(b la.Block, th *la.Dense, norms []float64) (la.Result, error) {
+		_, wb, err := f.W.Chunk(b.Index())
+		if err != nil {
+			return la.Result{}, err
+		}
+		s := 0.0
+		for _, v := range norms {
+			s += v
+		}
+		for i, v := range wb.Data() {
+			s -= 2 * v * th.Data()[i]
+		}
+		for i, v := range wb.CrossProd().Data() { // both symmetric: the trace is their dot
+			s += v * hth.Data()[i]
+		}
+		return la.Result{Part: s}, nil
+	}}, func(part any) error { total += part.(float64); return nil })
+	return total, err
 }
 
 // ReconstructionError returns ‖T − W·Hᵀ‖²_F computed against the
@@ -53,14 +137,6 @@ func (r *GNMFResult) ReconstructionError(t la.Matrix) float64 {
 	rec := la.MatMulT(r.W, r.H)
 	diff := td.Sub(rec)
 	return diff.PowDense(2).Sum()
-}
-
-func positiveRandom(rng *rand.Rand, rows, cols int) *la.Dense {
-	m := la.NewDense(rows, cols)
-	for i := range m.Data() {
-		m.Data()[i] = rng.Float64() + 0.1
-	}
-	return m
 }
 
 // multiplicative computes base ∗ num / den element-wise with a stabilizer.

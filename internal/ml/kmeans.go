@@ -17,6 +17,14 @@ type KMeansResult struct {
 	Objective float64
 }
 
+// KMeansFit is KMeansScan's result: the assignments are n-tall state
+// beside the operand's rows, one n×1 column of cluster ids.
+type KMeansFit struct {
+	Centroids *la.Dense
+	Assign    la.Tall
+	Objective float64
+}
+
 // KMeans clusters the rows of T (Algorithm 15; factorized as Algorithm 7).
 // All data-intensive steps are the vectorized bulk operators of Table 1:
 //
@@ -25,70 +33,114 @@ type KMeansResult struct {
 //	A  = (D == rowMin(D)·1(1×k))                 — dense boolean assignment
 //	C  = (Tᵀ·A) / (1(d×1)·colSums(A))            — transposed LMM
 func KMeans(t la.Matrix, k int, opt Options) (*KMeansResult, error) {
+	fit, err := KMeansScan(la.InMemory(t), k, opt)
+	if err != nil {
+		return nil, err
+	}
+	_, ids, _ := fit.Assign.Chunk(0)
+	res := &KMeansResult{Centroids: fit.Centroids, Assign: make([]int, t.Rows()), Objective: fit.Objective}
+	for i, v := range ids.Data() {
+		res.Assign[i] = int(v)
+	}
+	return res, nil
+}
+
+// KMeansScan is KMeans over any operand: one scan of T per iteration, in
+// which each block is assigned and contributes its share of Tᵀ·A, and a
+// final scan that writes the assignment column and sums the objective.
+// Empty clusters keep their previous centroid.
+func KMeansScan(t la.Operand, k int, opt Options) (*KMeansFit, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("ml: k must be positive, got %d", k)
 	}
-	n, d := t.Rows(), t.Cols()
-	if k > n {
-		return nil, fmt.Errorf("ml: k=%d exceeds %d points", k, n)
+	if k > t.Rows() {
+		return nil, fmt.Errorf("ml: k=%d exceeds %d points", k, t.Rows())
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	c := la.NewDense(d, k)
+	c := la.NewDense(t.Cols(), k)
 	for i := range c.Data() {
 		c.Data()[i] = rng.NormFloat64()
 	}
-
-	// Pre-compute the point norms once (they never change).
-	dt := t.Pow(2).RowSums().Data() // length n
-	t2 := t.Scale(2)                // stays normalized for a normalized input
-	t2T := t2.T()
-	res := &KMeansResult{Centroids: c, Assign: make([]int, n)}
-	bestD := make([]float64, n)
 	for it := 0; it < opt.Iters; it++ {
-		nearest(dt, c, t2.Mul(c), res.Assign, bestD) // LMM inside
-		// Boolean assignment matrix A and its column sums.
-		a := la.NewDense(n, k)
 		counts := make([]float64, k)
-		for i, j := range res.Assign {
+		_, sums, err := t.Scan(KMeansAssign(c), func(part any) error {
+			for j, v := range part.([]float64) {
+				counts[j] += v
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range sums.Data() {
+			if cnt := counts[i%k]; cnt != 0 {
+				c.Data()[i] = v / cnt
+			}
+		}
+	}
+	fit := &KMeansFit{Centroids: c}
+	final := nearest(c, func(assign []int, bestD []float64) la.Result {
+		ids, obj := la.NewDense(len(assign), 1), 0.0
+		for i, j := range assign {
+			ids.Data()[i] = float64(j)
+			obj += bestD[i]
+		}
+		return la.Result{Out: ids, Part: obj}
+	})
+	final.OutCols = 1
+	var err error
+	fit.Assign, _, err = t.Scan(final, func(part any) error { fit.Objective += part.(float64); return nil })
+	if err != nil {
+		return nil, err
+	}
+	return fit, nil
+}
+
+// KMeansAssign is one assignment pass against the d×k centroids c: the
+// step assigns a block's rows, its P is their boolean assignment matrix
+// A_b (so the scan returns Tᵀ·A, d×k) and its Part the cluster counts
+// colSums(A_b). It carries its registered name, so an operand that stores
+// blocks remotely may run this same function there.
+func KMeansAssign(c *la.Dense) la.Step {
+	k := c.Cols()
+	step := nearest(c, func(assign []int, _ []float64) la.Result {
+		a := la.NewDense(len(assign), k)
+		counts := make([]float64, k)
+		for i, j := range assign {
 			a.Data()[i*k+j] = 1
 			counts[j]++
 		}
-		// New centroids; empty clusters keep their previous centroid.
-		ta := t2T.Mul(a).Data() // d×k = 2·Tᵀ·A (transposed LMM on the scaled matrix)
-		for i, v := range ta {
-			if cnt := counts[i%k]; cnt != 0 {
-				c.Data()[i] = v / (2 * cnt)
-			}
-		}
-	}
-	nearest(dt, c, t2.Mul(c), res.Assign, bestD)
-	for _, v := range bestD {
-		res.Objective += v
-	}
-	return res, nil
+		return la.Result{P: a, Part: counts}
+	})
+	step.PCols, step.Op, step.Params = k, "kmeans-assign", c
+	return step
 }
 
-// nearest assigns every point its closest centroid from the squared
-// distances D = dt·1 + 1·colSums(C²) − 2TC, given dt and tc = 2TC: the
-// rows of D are formed, scanned for their minimum (ties to the lowest
-// cluster index) and dropped one at a time, in parallel over the points.
-func nearest(dt []float64, c, tc *la.Dense, assign []int, bestD []float64) {
+// nearest is the distance+argmin step for centroids c: a block's squared
+// distances D = dt·1 + 1·colSums(C²) − T_b·(2C) (an LMM; the doubling is
+// exact) are formed, scanned for their minimum (ties to the lowest cluster
+// index) and dropped one row at a time; then gets each row's result.
+func nearest(c *la.Dense, then func(assign []int, bestD []float64) la.Result) la.Step {
 	k := c.Cols()
 	cNorm := c.PowDense(2).ColSumsVec() // length k
-	tcd := tc.Data()
-	la.ParallelRows(len(dt), 2*len(tcd), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := tcd[i*k : (i+1)*k]
-			best, bd := 0, dt[i]+cNorm[0]-row[0]
-			for j := 1; j < k; j++ {
-				if dd := dt[i] + cNorm[j] - row[j]; dd < bd {
-					best, bd = j, dd
+	return la.Step{X: c.ScaleDense(2), Norms: true, Do: func(_ la.Block, tc *la.Dense, dt []float64) (la.Result, error) {
+		tcd := tc.Data()
+		assign, bestD := make([]int, len(dt)), make([]float64, len(dt))
+		la.ParallelRows(len(dt), 2*len(tcd), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				row := tcd[i*k : (i+1)*k]
+				best, bd := 0, dt[i]+cNorm[0]-row[0]
+				for j := 1; j < k; j++ {
+					if dd := dt[i] + cNorm[j] - row[j]; dd < bd {
+						best, bd = j, dd
+					}
 				}
+				assign[i], bestD[i] = best, bd
 			}
-			assign[i], bestD[i] = best, bd
-		}
-	})
+		})
+		return then(assign, bestD), nil
+	}}
 }

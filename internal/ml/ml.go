@@ -3,10 +3,15 @@
 // gradient descent, and the Schleich et al. co-factor variant), K-Means
 // clustering, and Gaussian non-negative matrix factorization.
 //
-// Every algorithm is written once against la.Matrix. Passing a regular
-// dense/sparse matrix runs the paper's "materialized" version; passing a
-// core.NormalizedMatrix runs the automatically factorized version — no
-// per-algorithm rewriting, which is the point of Morpheus.
+// Every algorithm is written once. The one-shot solvers call la.Matrix
+// operators; the iterative ones (LogRegScan, KMeansScan, GNMFScan) are
+// written against la.Operand, the row-block scan contract: a pass prepares
+// its products' small side once, runs a short step per block, merges the
+// results strictly in block order and finishes once, so an algorithm owns
+// only its update rule. Their la.Matrix forms run the same code over
+// la.InMemory: a dense or sparse matrix gives the paper's "materialized"
+// version, a core.NormalizedMatrix the factorized one, internal/chunk's
+// operands the out-of-core ones — no per-representation rewriting.
 package ml
 
 import (
@@ -40,26 +45,46 @@ func (o Options) validate() error {
 //
 // y must be an n×1 ±1 label vector. Returns the d×1 weight vector.
 func LogisticRegressionGD(t la.Matrix, y *la.Dense, w0 *la.Dense, opt Options) (*la.Dense, error) {
+	return LogRegScan(la.InMemory(t), y, w0, opt)
+}
+
+// LogRegScan is LogisticRegressionGD over any operand, one scan a step.
+func LogRegScan(t la.Operand, y, w0 *la.Dense, opt Options) (*la.Dense, error) {
+	yd := y.Data()
+	return descend(t, y, w0, opt, opt.StepSize, func(lo int, tw, p []float64) {
+		la.ParallelRows(len(p), 16*len(p), func(a, b int) { // an exp is worth ~16 flops
+			for i := a; i < b; i++ {
+				p[i] = yd[lo+i] / (1 + math.Exp(tw[i]))
+			}
+		})
+	})
+}
+
+// descend runs gradient descent w ← w + step·Tᵀ·link(T·w). Each iteration
+// is one scan: the LMM T_b·w, the link on the block's rows (first row lo),
+// and the transposed-LMM partial, merged in block order.
+func descend(t la.Operand, y, w0 *la.Dense, opt Options, step float64, link func(lo int, tw, p []float64)) (*la.Dense, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	n, d := t.Rows(), t.Cols()
-	if y.Rows() != n || y.Cols() != 1 {
-		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), n)
+	if y.Rows() != t.Rows() || y.Cols() != 1 {
+		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
 	}
-	w := initWeights(w0, d)
-	tt := t.T() // transpose once; normalized matrices just flip a flag
+	w, err := initWeights(w0, t.Cols())
+	if err != nil {
+		return nil, err
+	}
 	for it := 0; it < opt.Iters; it++ {
-		tw := t.Mul(w) // LMM
-		p := la.NewDense(n, 1)
-		pd, yd, twd := p.Data(), y.Data(), tw.Data()
-		la.ParallelRows(n, 16*n, func(lo, hi int) { // an exp is worth ~16 flops
-			for i := lo; i < hi; i++ {
-				pd[i] = yd[i] / (1 + math.Exp(twd[i]))
-			}
-		})
-		grad := tt.Mul(p) // transposed LMM
-		w.AXPYInPlace(opt.StepSize, grad)
+		// LMM in, transposed LMM of the link's output out.
+		_, grad, err := t.Scan(la.Step{X: w, PCols: 1, Do: func(b la.Block, tw *la.Dense, _ []float64) (la.Result, error) {
+			p := la.NewDense(b.Rows(), 1)
+			link(b.Lo(), tw.Data(), p.Data())
+			return la.Result{P: p}, nil
+		}}, nil)
+		if err != nil {
+			return nil, err
+		}
+		w.AXPYInPlace(step, grad)
 	}
 	return w, nil
 }
@@ -99,20 +124,12 @@ func LinearRegressionNE(t la.Matrix, y *la.Dense) (*la.Dense, error) {
 //
 //	w = w − α·Tᵀ(T·w − Y)
 func LinearRegressionGD(t la.Matrix, y, w0 *la.Dense, opt Options) (*la.Dense, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if y.Rows() != t.Rows() || y.Cols() != 1 {
-		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
-	}
-	w := initWeights(w0, t.Cols())
-	tt := t.T()
-	for it := 0; it < opt.Iters; it++ {
-		resid := t.Mul(w).Sub(y)
-		grad := tt.Mul(resid)
-		w.AXPYInPlace(-opt.StepSize, grad)
-	}
-	return w, nil
+	yd := y.Data()
+	return descend(la.InMemory(t), y, w0, opt, -opt.StepSize, func(lo int, tw, p []float64) {
+		for i := range p {
+			p[i] = tw[i] - yd[lo+i]
+		}
+	})
 }
 
 // LinearRegressionCofactor implements the hybrid algorithm of Schleich et
@@ -128,10 +145,13 @@ func LinearRegressionCofactor(t la.Matrix, y, w0 *la.Dense, opt Options) (*la.De
 		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
 	}
 	d := t.Cols()
+	w, err := initWeights(w0, d)
+	if err != nil {
+		return nil, err
+	}
 	ytT := t.LeftMul(y.TDense()) // RMM: 1×d
 	cp := t.CrossProd()
-	c := la.VCat(ytT, cp) // (d+1)×d co-factor
-	w := initWeights(w0, d)
+	c := la.VCat(ytT, cp)       // (d+1)×d co-factor
 	accum := make([]float64, d) // AdaGrad accumulator
 	const eps = 1e-8
 	for it := 0; it < opt.Iters; it++ {
@@ -151,12 +171,12 @@ func LinearRegressionCofactor(t la.Matrix, y, w0 *la.Dense, opt Options) (*la.De
 	return w, nil
 }
 
-func initWeights(w0 *la.Dense, d int) *la.Dense {
+func initWeights(w0 *la.Dense, d int) (*la.Dense, error) {
 	if w0 == nil {
-		return la.NewDense(d, 1)
+		return la.NewDense(d, 1), nil
 	}
 	if w0.Rows() != d || w0.Cols() != 1 {
-		panic(fmt.Sprintf("ml: w0 is %dx%d, want %dx1", w0.Rows(), w0.Cols(), d))
+		return nil, fmt.Errorf("ml: w0 is %dx%d, want %dx1", w0.Rows(), w0.Cols(), d)
 	}
-	return w0.Clone()
+	return w0.Clone(), nil
 }

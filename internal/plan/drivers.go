@@ -6,12 +6,16 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 // MaterializedOperands describes a chunked materialized table with no
 // join structure on hand: the planner can only pick the residency,
 // execution, and placement axes.
 func MaterializedOperands(t chunk.Mat) Operands {
+	if t == nil {
+		return Operands{} // nothing held: the plan falls back conservatively
+	}
 	o := Operands{
 		Rows:              t.Rows(),
 		Cols:              t.Cols(),
@@ -116,76 +120,67 @@ func InMemoryOperands(nm *core.NormalizedMatrix) Operands {
 	}
 }
 
+// LogRegResult is a planned GLM fit.
+type LogRegResult struct {
+	W *la.Dense
+}
+
 // LogReg is the planner-driven GLM entry point for PK-FK/star tables: it
-// plans OpGLM over the representations the caller holds and dispatches to
-// LogRegMaterializedExec or LogRegFactorizedExec accordingly. Either of
-// tM/nt may be nil; the planner never selects an absent representation.
-func LogReg(env Env, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (*chunk.LogRegResult, Decision, error) {
-	var o Operands
-	if nt != nil {
-		o = StarOperands(tM, nt)
-	} else if tM != nil {
-		o = MaterializedOperands(tM)
+// plans OpGLM over the representations the caller holds and runs
+// ml.LogRegScan over the chosen one. Either of tM/nt may be nil; the
+// planner never selects an absent representation.
+func LogReg(env Env, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (*LogRegResult, Decision, error) {
+	if nt == nil {
+		return logReg(env, MaterializedOperands(tM), tM, nil, y, iters, alpha)
 	}
-	d := Plan(OpGLM, o, env)
-	var (
-		res *chunk.LogRegResult
-		err error
-	)
-	switch {
-	case d.Strategy.Factorized:
-		res, err = chunk.LogRegFactorizedExec(d.Strategy.Exec(), nt, y, iters, alpha)
-	case tM != nil:
-		res, err = chunk.LogRegMaterializedExec(d.Strategy.Exec(), tM, y, iters, alpha)
-	default:
-		err = fmt.Errorf("plan: no operands for %s (tM and nt both nil)", OpGLM)
-	}
-	return res, d, err
+	return logReg(env, StarOperands(tM, nt), tM, nt.Operand, y, iters, alpha)
 }
 
-// LogRegMN is the planner-driven GLM entry point for M:N joins: it plans
-// OpGLM over the MNTable (and the materialized join output, when held)
-// and dispatches to LogRegFactorizedMNExec or LogRegMaterializedExec.
-func LogRegMN(env Env, tM chunk.Mat, mn *chunk.MNTable, y *la.Dense, iters int, alpha float64) (*chunk.LogRegResult, Decision, error) {
-	var o Operands
-	if mn != nil {
-		o = MNOperands(tM, mn)
-	} else if tM != nil {
-		o = MaterializedOperands(tM)
+// LogRegMN is LogReg for M:N joins: the factorized operand is the MNTable.
+func LogRegMN(env Env, tM chunk.Mat, mn *chunk.MNTable, y *la.Dense, iters int, alpha float64) (*LogRegResult, Decision, error) {
+	if mn == nil {
+		return logReg(env, MaterializedOperands(tM), tM, nil, y, iters, alpha)
 	}
-	d := Plan(OpGLM, o, env)
-	var (
-		res *chunk.LogRegResult
-		err error
-	)
-	switch {
-	case d.Strategy.Factorized:
-		res, err = chunk.LogRegFactorizedMNExec(d.Strategy.Exec(), mn, y, iters, alpha)
-	case tM != nil:
-		res, err = chunk.LogRegMaterializedExec(d.Strategy.Exec(), tM, y, iters, alpha)
-	default:
-		err = fmt.Errorf("plan: no operands for %s (tM and mn both nil)", OpGLM)
-	}
-	return res, d, err
+	return logReg(env, MNOperands(tM, mn), tM, mn.Operand, y, iters, alpha)
 }
 
-// KMeans is the planner-driven k-means entry point. The chunked driver
-// has no factorized form (the assignment pass needs materialized rows),
-// so the plan decides execution and placement — including pushdown, since
-// the assignment pass is a registered op.
-func KMeans(env Env, t chunk.Mat, k, iters int, seed int64) (*chunk.KMeansResult, Decision, error) {
+// logReg plans OpGLM over o, views the representation the plan names as a
+// scan operand under the plan's Exec, and hands it to ml.
+func logReg(env Env, o Operands, tM chunk.Mat, factorized func(chunk.Exec) *chunk.Operand, y *la.Dense, iters int, alpha float64) (*LogRegResult, Decision, error) {
+	d := Plan(OpGLM, o, env)
+	var t la.Operand
+	switch {
+	case d.Strategy.Factorized:
+		t = factorized(d.Strategy.Exec())
+	case tM != nil:
+		t = chunk.MatOperand(d.Strategy.Exec(), tM)
+	default:
+		return nil, d, fmt.Errorf("plan: no operands for %s (materialized and factorized both nil)", OpGLM)
+	}
+	w, err := ml.LogRegScan(t, y, nil, ml.Options{Iters: iters, StepSize: alpha})
+	if err != nil {
+		return nil, d, err
+	}
+	return &LogRegResult{W: w}, d, nil
+}
+
+// KMeans is the planner-driven k-means entry point: ml.KMeansScan over
+// the materialized chunked table. The plan decides execution and
+// placement — including pushdown, since the assignment step is a
+// registered op. The caller frees the returned assignment column.
+func KMeans(env Env, t chunk.Mat, k, iters int, seed int64) (*ml.KMeansFit, Decision, error) {
 	d := Plan(OpKMeans, MaterializedOperands(t), env)
-	res, err := chunk.KMeansExec(d.Strategy.Exec(), t, k, iters, seed)
+	res, err := ml.KMeansScan(chunk.MatOperand(d.Strategy.Exec(), t), k, ml.Options{Iters: iters, Seed: seed})
 	return res, d, err
 }
 
-// GNMF is the planner-driven GNMF entry point. Like k-means it runs over
-// the materialized chunked table; the plan decides execution and
-// placement (never pushdown: the passes are closures, not registered
-// ops).
-func GNMF(env Env, t chunk.Mat, rank, iters int, seed int64) (*chunk.GNMFResult, Decision, error) {
+// GNMF is the planner-driven GNMF entry point: ml.GNMFScan over the
+// materialized chunked table; the plan decides execution and placement
+// (never pushdown: the steps are closures, not registered ops). The
+// caller frees the returned W.
+func GNMF(env Env, t chunk.Mat, rank, iters int, seed int64) (*ml.GNMFFit, Decision, error) {
 	d := Plan(OpGNMF, MaterializedOperands(t), env)
-	res, err := chunk.GNMFExec(d.Strategy.Exec(), t, rank, iters, seed)
+	res, err := ml.GNMFScan(chunk.MatOperand(d.Strategy.Exec(), t), rank, ml.Options{Iters: iters, Seed: seed})
 	return res, d, err
 }
 

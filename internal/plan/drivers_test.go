@@ -2,11 +2,13 @@ package plan
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 func testStore(t *testing.T) *chunk.Store {
@@ -88,11 +90,12 @@ func TestPlannedLogRegStar(t *testing.T) {
 	if !d.Strategy.Factorized {
 		t.Fatalf("high-TR star not factorized (%s)", d.Rule)
 	}
-	twin, err := chunk.LogRegFactorizedExec(chunk.Parallel(), nt, y, iters, alpha)
+	opt := ml.Options{Iters: iters, StepSize: alpha}
+	twin, err := ml.LogRegScan(nt.Operand(chunk.Parallel()), y, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.MaxAbsDiff(res.W, twin.W) != 0 {
+	if la.MaxAbsDiff(res.W, twin) != 0 {
 		t.Fatal("planned factorized GLM not bit-identical to explicit twin")
 	}
 
@@ -105,11 +108,11 @@ func TestPlannedLogRegStar(t *testing.T) {
 	if dM.Strategy.Factorized {
 		t.Fatalf("low-TR star factorized (%s)", dM.Rule)
 	}
-	twinM, err := chunk.LogRegMaterializedExec(chunk.Parallel(), tmM, y, iters, alpha)
+	twinM, err := ml.LogRegScan(chunk.MatOperand(chunk.Parallel(), tmM), y, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.MaxAbsDiff(resM.W, twinM.W) != 0 {
+	if la.MaxAbsDiff(resM.W, twinM) != 0 {
 		t.Fatal("planned materialized GLM not bit-identical to explicit twin")
 	}
 }
@@ -169,11 +172,12 @@ func TestPlannedLogRegMN(t *testing.T) {
 	if !d.Strategy.Factorized {
 		t.Fatalf("redundancy 6 not factorized (%s)", d.Rule)
 	}
-	twin, err := chunk.LogRegFactorizedMNExec(chunk.Parallel(), mn, y, iters, alpha)
+	opt := ml.Options{Iters: iters, StepSize: alpha}
+	twin, err := ml.LogRegScan(mn.Operand(chunk.Parallel()), y, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.MaxAbsDiff(res.W, twin.W) != 0 {
+	if la.MaxAbsDiff(res.W, twin) != 0 {
 		t.Fatal("planned MN factorized GLM not bit-identical to explicit twin")
 	}
 
@@ -187,11 +191,11 @@ func TestPlannedLogRegMN(t *testing.T) {
 	if dM.Strategy.Factorized {
 		t.Fatalf("redundancy 0.75 factorized (%s)", dM.Rule)
 	}
-	twinM, err := chunk.LogRegMaterializedExec(chunk.Parallel(), tmM, yM, iters, alpha)
+	twinM, err := ml.LogRegScan(chunk.MatOperand(chunk.Parallel(), tmM), yM, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.MaxAbsDiff(resM.W, twinM.W) != 0 {
+	if la.MaxAbsDiff(resM.W, twinM) != 0 {
 		t.Fatal("planned MN materialized GLM not bit-identical to explicit twin")
 	}
 }
@@ -214,7 +218,7 @@ func TestPlannedKMeansGNMF(t *testing.T) {
 	if d.Strategy.Factorized {
 		t.Fatalf("k-means planned factorized (%s)", d.Rule)
 	}
-	kmTwin, err := chunk.KMeansExec(chunk.Parallel(), m, 3, 3, 7)
+	kmTwin, err := ml.KMeansScan(chunk.MatOperand(chunk.Parallel(), m), 3, ml.Options{Iters: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestPlannedKMeansGNMF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gTwin, err := chunk.GNMFExec(chunk.Parallel(), m, 2, 2, 7)
+	gTwin, err := ml.GNMFScan(chunk.MatOperand(chunk.Parallel(), m), 2, ml.Options{Iters: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,5 +297,54 @@ func laDense(t *testing.T, m la.Matrix) *la.Dense {
 	default:
 		t.Fatalf("unexpected operand type %T", m)
 		return nil
+	}
+}
+
+// TestWidthDeterminismPlanned: the planner sizes the worker pool from
+// GOMAXPROCS (Env{Workers: 0}), so the plans differ across core counts —
+// the planned fits must not. LogReg on both sides of the crossover (F and
+// M), k-means and GNMF are bit-identical at widths 1, 2 and 7.
+func TestWidthDeterminismPlanned(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	st := testStore(t)
+	ntF, tmF := buildStar(t, rng, st, 120, 8, 4, 6, 16)   // TR 15: factorized
+	ntM, tmM := buildStar(t, rng, st, 120, 100, 4, 6, 16) // TR 1.2: materialized
+	y := pmLabels(rng, 120)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref []*la.Dense
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		env := EnvFor(st, 0, 0)
+		f, dF, err := LogReg(env, tmF, ntF, y, 3, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, dM, err := LogReg(env, tmM, ntM, y, 3, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dF.Strategy.Factorized || dM.Strategy.Factorized || dF.Strategy.Workers != procs {
+			t.Fatalf("GOMAXPROCS=%d: plans %v / %v", procs, dF, dM)
+		}
+		km, _, err := KMeans(env, tmF, 3, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := GNMF(env, tmM, 2, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []*la.Dense{f.W, m.W, km.Centroids, la.ColVector([]float64{km.Objective}), g.H}
+		km.Assign.Free()
+		g.W.Free()
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range ref {
+			if la.MaxAbsDiff(got[i], ref[i]) != 0 {
+				t.Fatalf("planned result %d differs between GOMAXPROCS 1 and %d", i, procs)
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package plan is the statistics-free cost-based planner: one
-// Plan(op, operands, env) seam every driver runs through, choosing the
-// four execution axes the repo grew across PRs 1–6 —
+// Plan(op, operands, env) seam every training run goes through, choosing
+// the four execution axes the repo grew across PRs 1–6 —
 //
 //	representation: factorized vs materialized (the paper's §3.7/§5.1 rule)
 //	residency:      in-memory vs chunked, with the chunk height
@@ -18,10 +18,11 @@
 // which facts, so a plan is always explainable and testable against the
 // paper's Table 9/10 crossover sweeps.
 //
-// The explicit-Exec driver forms in internal/chunk remain as overrides;
-// the planner-driven entry points (LogReg, LogRegMN, KMeans, GNMF,
-// Choose) are the default path and are pinned bit-identical to the
-// explicit strategy they select.
+// The planner-driven entry points (LogReg, LogRegMN, KMeans, GNMF,
+// Choose) only pick: plan, view the chosen representation as a scan
+// operand under the plan's Exec, call internal/ml. Building the operand
+// with an explicit Exec is the override, and the two are pinned
+// bit-identical.
 package plan
 
 import (
@@ -50,7 +51,7 @@ const (
 )
 
 // pushdownCapable reports whether the op's per-chunk map is in the named
-// op registry a chunkd worker can execute (chunk.Op). GLM and GNMF passes
+// op registry a chunkd worker can execute (chunk.Op). GLM and GNMF steps
 // are Go closures, not registry ops, so they cannot ship to shards yet.
 func pushdownCapable(op Op) bool {
 	switch op {
@@ -148,8 +149,8 @@ func (e Env) workers() int {
 }
 
 // Strategy is the plan: one value per execution axis. Exec() converts the
-// chunked-execution axes into the chunk.Exec the explicit driver forms
-// take, so a Strategy can always be replayed through the override seam.
+// chunked-execution axes into the chunk.Exec a scan operand is built
+// under, so a Strategy can always be replayed through the override seam.
 type Strategy struct {
 	Factorized bool `json:"factorized"`
 	Chunked    bool `json:"chunked"`

@@ -200,3 +200,35 @@ func TestDecisionExplainable(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryDecisionIsExplained: whatever the operands and environment —
+// the Table 9 and Table 10 sweeps on both sides of their crossovers,
+// in-memory and chunked, absent representations, degenerate stats — a
+// Decision names the headline rule and records one rule per axis. (The
+// assertion the retired `morpheus-bench -plan` smoke carried.)
+func TestEveryDecisionIsExplained(t *testing.T) {
+	var sweep []Operands
+	for _, dR := range []int{30, 60, 120, 240} {
+		sweep = append(sweep, starOps(20000, 1000, 60, dR))
+	}
+	for _, nOut := range []int{30, 240, 4000} {
+		sweep = append(sweep, mnOps(nOut, 40, 40, 4, 4))
+	}
+	sweep = append(sweep, Operands{}, Operands{Rows: 10, Cols: 2, HasMaterialized: true}, starOps(100, 0, 3, 3))
+	envs := []Env{{}, {Workers: 1}, {Workers: 4, Shards: 2, ExecShards: 1, ZoneMapShards: 1}, {MemBudgetBytes: 1 << 10}}
+	for _, op := range []Op{OpGLM, OpKMeans, OpGNMF, OpCrossProd, OpColSums, OpSum} {
+		for _, o := range sweep {
+			for _, chunked := range []bool{false, true} {
+				if chunked {
+					o.Chunked, o.NumChunks, o.ChunkRows = true, 8, (o.Rows+7)/8
+				}
+				for _, env := range envs {
+					d := Plan(op, o, env)
+					if d.Rule == "" || len(d.Rules) < 3 || d.Op != op {
+						t.Fatalf("unexplained decision for %s over %+v in %+v: %+v", op, o, env, d)
+					}
+				}
+			}
+		}
+	}
+}

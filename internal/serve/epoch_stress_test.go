@@ -129,7 +129,7 @@ func TestConcurrentWriterScorerTrainerStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := chunk.LogRegFactorizedExec(chunk.Parallel(), nt, y, 3, 1e-3)
+	got, err := ml.LogRegScan(nt.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 3, StepSize: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestConcurrentWriterScorerTrainerStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := chunk.LogRegFactorizedExec(chunk.Parallel(), ref, y, 3, 1e-3)
+	want, err := ml.LogRegScan(ref.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 3, StepSize: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.MaxAbsDiff(got.W, want.W) != 0 {
+	if la.MaxAbsDiff(got, want) != 0 {
 		t.Fatal("pinned chunked training drifted from frozen copy under storm")
 	}
 	snap.Release()
