@@ -344,6 +344,21 @@ func TestZoneSkipSparse(t *testing.T) {
 	if io := zoned.IOStats(); io.ChunksSkipped != 2 {
 		t.Fatalf("ChunksSkipped = %d, want 2", io.ChunksSkipped)
 	}
+	// Skipped chunks commit in chunk order like read ones: the zero-band
+	// reductions are bit-identical serial and parallel.
+	for name, run := range map[string]func(Exec) (*la.Dense, error){"crossprod": mz.CrossProdExec, "colsums": mz.ColSumsExec} {
+		ser, err := run(Serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := run(parExec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if la.MaxAbsDiff(ser, par) != 0 {
+			t.Fatalf("zero-band %s: parallel not bit-identical to serial", name)
+		}
+	}
 	// Full round trip: the synthesized empty chunks decode into the
 	// original matrix bit-exactly.
 	got, err := mz.CSR()

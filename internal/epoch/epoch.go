@@ -314,8 +314,8 @@ func (c *Commit) RowsChanged() int {
 // between is observable. Subscribed listeners run synchronously on the
 // committing goroutine, under the write lock, before Commit returns —
 // so when Commit returns, a subscribed scorer already serves the new
-// epoch, and Commit's latency includes the incremental patch (the
-// number morpheus-bench -exp serve-mutate reports).
+// epoch, and Commit's latency includes the incremental patch (bench/'s
+// epoch.commit_p50_us / epoch.commit_p99_us on serve-storm).
 func (st *Store) Commit() (*Commit, error) {
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()

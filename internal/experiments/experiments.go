@@ -11,38 +11,22 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/la"
 )
 
 // Result is one regenerated table or figure. The JSON field names are the
-// machine-readable benchmark format `morpheus-bench -json` emits (and CI
-// archives as bench.json), so keep them stable.
+// machine-readable format `morpheus-bench -json` emits, so keep them stable.
 type Result struct {
 	ID     string     `json:"id"` // e.g. "fig3", "table7"
 	Title  string     `json:"title"`
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
 	Notes  string     `json:"notes,omitempty"`
-	// I/O accounting, filled by the out-of-core experiments from the chunk
-	// store's IOStats at the end of the run: bytes actually read from spill
-	// backends, bytes that traveled a remote shard's wire, chunks (and their
-	// stored bytes) the zone-map shortcut skipped without reading, and the
-	// spill codec in effect (empty = raw chunks).
-	BytesRead     int64  `json:"bytes_read,omitempty"`
-	BytesOnWire   int64  `json:"bytes_on_wire,omitempty"`
-	ChunksSkipped int    `json:"chunks_skipped,omitempty"`
-	BytesSkipped  int64  `json:"bytes_skipped,omitempty"`
-	Codec         string `json:"codec,omitempty"`
-	// Serving-latency summary, filled by the serve-slo experiment from its
-	// primary closed-loop run: request latency percentiles in microseconds
-	// and the number of requests the admission queue rejected across the
-	// overload segments. Zero/absent for experiments without a latency SLO.
-	P50us    float64 `json:"p50_us,omitempty"`
-	P99us    float64 `json:"p99_us,omitempty"`
-	P999us   float64 `json:"p999_us,omitempty"`
-	Rejected uint64  `json:"rejected,omitempty"`
 }
 
 // Format renders the result as an aligned text table.
@@ -98,11 +82,6 @@ type Config struct {
 	// Workers bounds the out-of-core engine's chunk parallelism
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Pushdown ships op-based per-chunk maps to exec-capable remote
-	// shards (RemoteShards pointing at morpheus-chunkd workers) instead
-	// of streaming their chunks back; results are asserted identical
-	// either way.
-	Pushdown bool
 	// MemBudgetMB bounds the out-of-core engine's decoded-chunk memory;
 	// chunk heights are derived from it via chunk.AutoRows instead of
 	// being hard-coded (0 = 256 MB).
@@ -111,26 +90,6 @@ type Config struct {
 	// backend is wrapped so chunks are compressed at rest and on the wire.
 	// Empty means raw chunks.
 	Codec string
-	// ZoneMap wraps every spill backend with the zone-map annotator, so
-	// streaming reductions skip chunks proven all-zero at spill time.
-	// Composition order is fixed: compression inside, zone maps outside.
-	ZoneMap bool
-	// MutateRows sets how many rows each commit of the serve-mutate
-	// experiment upserts between scoring windows (0 = a scale-derived
-	// default).
-	MutateRows int
-	// Replicas sets the serving-fleet width for the serve-slo experiment
-	// (0 = 4).
-	Replicas int
-	// SLORate targets an open-loop arrival rate in requests/sec for the
-	// serve-slo experiment (0 = derived from the measured closed-loop
-	// throughput, capped to keep the generator itself cheap).
-	SLORate float64
-	// SLOConc is the closed-loop concurrency of the serve-slo load
-	// generator (0 = 8).
-	SLOConc int
-	// SLODur is the measurement window per serve-slo segment (0 = 250ms).
-	SLODur time.Duration
 }
 
 // DefaultConfig returns Scale=1, Seed=1.
@@ -161,23 +120,30 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID. Scale must be a positive finite
+// number: the real-data runners divide by it.
 func Run(id string, cfg Config) (Result, error) {
 	r, ok := registry[id]
 	if !ok {
 		return Result{}, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
+	if !(cfg.Scale > 0) || math.IsInf(cfg.Scale, 1) {
+		return Result{}, fmt.Errorf("experiments: scale must be a positive finite number, got %v", cfg.Scale)
+	}
 	return r(cfg)
 }
 
 // timeIt measures fn, repeating short runs and keeping the minimum so that
-// sub-20ms operator timings are not dominated by scheduler/GC noise.
-func timeIt(fn func()) time.Duration {
+// sub-20ms operator timings are not dominated by scheduler/GC noise. The
+// first error fn returns ends the measurement and is returned.
+func timeIt(fn func() error) (time.Duration, error) {
 	start := time.Now()
-	fn()
+	if err := fn(); err != nil {
+		return 0, err
+	}
 	best := time.Since(start)
 	if best >= 20*time.Millisecond {
-		return best
+		return best, nil
 	}
 	reps := int(20*time.Millisecond/(best+time.Microsecond)) + 1
 	if reps > 15 {
@@ -185,12 +151,30 @@ func timeIt(fn func()) time.Duration {
 	}
 	for i := 0; i < reps; i++ {
 		s := time.Now()
-		fn()
+		if err := fn(); err != nil {
+			return 0, err
+		}
 		if d := time.Since(s); d < best {
 			best = d
 		}
 	}
-	return best
+	return best, nil
+}
+
+// timeOp is timeIt for an operator that cannot fail.
+func timeOp(fn func()) time.Duration {
+	d, _ := timeIt(func() error { fn(); return nil })
+	return d
+}
+
+// timePair times run over the materialized and then the factorized form of
+// one table — the M and F columns of every paper row.
+func timePair(m, f la.Matrix, run func(la.Matrix) error) (mT, fT time.Duration, err error) {
+	if mT, err = timeIt(func() error { return run(m) }); err != nil {
+		return 0, 0, err
+	}
+	fT, err = timeIt(func() error { return run(f) })
+	return mT, fT, err
 }
 
 func secs(d time.Duration) string { return fmt.Sprintf("%.4f", d.Seconds()) }

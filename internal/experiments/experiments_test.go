@@ -1,32 +1,61 @@
 package experiments
 
 import (
+	"errors"
+	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/chunk"
+	"repro/internal/la"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every table/figure of the paper's evaluation must be registered.
+	// The registry is exactly the paper's evaluation: every table/figure is
+	// registered, and nothing else is — system measurements belong to
+	// bench/, so an extra ID fails here.
 	want := []string{
-		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "table7", "table8", "table9", "table10",
-		"table12", "cpablate", "rule", "mnml",
+		"cpablate", "fig10", "fig11", "fig12", "fig3", "fig4", "fig5", "fig6",
+		"fig7", "fig8", "fig9", "mnml", "rule", "table10", "table12",
+		"table7", "table8", "table9",
 	}
-	ids := IDs()
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
-	}
-	for _, w := range want {
-		if !have[w] {
-			t.Fatalf("experiment %q not registered", w)
-		}
+	if got := IDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registered experiments = %v, want exactly %v", got, want)
 	}
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope", DefaultConfig()); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, id := range []string{"nope", "chunkpar", "serve-slo"} {
+		if _, err := Run(id, DefaultConfig()); err == nil {
+			t.Fatalf("unknown experiment %q accepted", id)
+		}
+	}
+}
+
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := Run("table7", Config{Scale: scale, Seed: 1}); err == nil {
+			t.Fatalf("scale %v accepted", scale)
+		}
+	}
+}
+
+// TestTimeItStopsOnError: a failing measurement is returned, not repeated.
+func TestTimeItStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, failAt := range []int{1, 3} { // first run, then a repetition
+		calls := 0
+		_, err := timeIt(func() error {
+			if calls++; calls == failAt {
+				return boom
+			}
+			return nil
+		})
+		if err != boom || calls != failAt {
+			t.Fatalf("failAt %d: err = %v after %d calls, want boom after %d", failAt, err, calls, failAt)
+		}
 	}
 }
 
@@ -60,39 +89,36 @@ func TestTable9Runs(t *testing.T) {
 	}
 }
 
-func TestChunkstarRuns(t *testing.T) {
-	res, err := Run("chunkstar", tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("chunkstar rows = %d, want star GLM + crossprod + kmeans + sparse GLM", len(res.Rows))
-	}
-}
-
-func TestChunkshardRuns(t *testing.T) {
-	res, err := Run("chunkshard", tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("chunkshard rows = %d, want spill + T·x + glm + gnmf", len(res.Rows))
-	}
-	if !strings.Contains(res.Notes, "shards=2") {
-		t.Fatalf("chunkshard notes missing shard count: %q", res.Notes)
-	}
-}
-
-func TestChunkshardHonorsShardDirs(t *testing.T) {
+// TestTable9HonorsShardDirs: every listed shard directory is created, holds
+// chunks during the run, and is empty again after it.
+func TestTable9HonorsShardDirs(t *testing.T) {
 	cfg := tinyCfg()
 	root := t.TempDir()
 	cfg.ShardDirs = []string{root + "/a", root + "/b", root + "/c"}
-	res, err := Run("chunkshard", cfg)
+	st, cleanup, err := chunkStore(cfg, "probe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Notes, "shards=3") {
-		t.Fatalf("chunkshard ignored ShardDirs: %q", res.Notes)
+	if _, err := chunk.FromDense(st, la.Ones(64, 4), 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, ss := range st.ShardStats() {
+		if ss.Chunks == 0 {
+			t.Fatalf("a listed shard directory holds no chunks: %+v", st.ShardStats())
+		}
+	}
+	cleanup()
+	if _, err := Run("table9", cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range cfg.ShardDirs {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatalf("shard directory not created: %v", err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("%s holds %d files after the run, want none", d, len(entries))
+		}
 	}
 }
 

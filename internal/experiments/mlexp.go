@@ -16,31 +16,27 @@ const mlIters = 20 // the paper fixes 20 iterations for all ML experiments
 // mlAlgo wraps one of the four §4 algorithms for the M-vs-F sweeps.
 type mlAlgo struct {
 	name string
-	run  func(t la.Matrix, y *la.Dense)
+	run  func(t la.Matrix, y *la.Dense) error
 }
 
 func mlAlgos(k, topics int) []mlAlgo {
 	opt := ml.Options{Iters: mlIters, StepSize: 1e-6}
 	return []mlAlgo{
-		{"logreg", func(t la.Matrix, y *la.Dense) {
-			if _, err := ml.LogisticRegressionGD(t, y, nil, opt); err != nil {
-				panic(err)
-			}
+		{"logreg", func(t la.Matrix, y *la.Dense) error {
+			_, err := ml.LogisticRegressionGD(t, y, nil, opt)
+			return err
 		}},
-		{"linreg-ne", func(t la.Matrix, y *la.Dense) {
-			if _, err := ml.LinearRegressionNE(t, y); err != nil {
-				panic(err)
-			}
+		{"linreg-ne", func(t la.Matrix, y *la.Dense) error {
+			_, err := ml.LinearRegressionNE(t, y)
+			return err
 		}},
-		{"kmeans", func(t la.Matrix, y *la.Dense) {
-			if _, err := ml.KMeans(t, k, ml.Options{Iters: mlIters, Seed: 7}); err != nil {
-				panic(err)
-			}
+		{"kmeans", func(t la.Matrix, y *la.Dense) error {
+			_, err := ml.KMeans(t, k, ml.Options{Iters: mlIters, Seed: 7})
+			return err
 		}},
-		{"gnmf", func(t la.Matrix, y *la.Dense) {
-			if _, err := ml.GNMF(t, topics, ml.Options{Iters: mlIters, Seed: 7}); err != nil {
-				panic(err)
-			}
+		{"gnmf", func(t la.Matrix, y *la.Dense) error {
+			_, err := ml.GNMF(t, topics, ml.Options{Iters: mlIters, Seed: 7})
+			return err
 		}},
 	}
 }
@@ -52,20 +48,11 @@ func posNorm(nm *core.NormalizedMatrix) *core.NormalizedMatrix {
 
 // runAlgo times one ML algorithm materialized and factorized; GNMF runs on
 // the absolute-value matrices so multiplicative updates stay valid.
-func runAlgo(a mlAlgo, nm *core.NormalizedMatrix, y *la.Dense) (m, f time.Duration) {
-	var tdM la.Matrix
-	var tnF la.Matrix
+func runAlgo(a mlAlgo, nm *core.NormalizedMatrix, y *la.Dense) (m, f time.Duration, err error) {
 	if a.name == "gnmf" {
-		p := posNorm(nm)
-		tnF = p
-		tdM = p.Dense()
-	} else {
-		tnF = nm
-		tdM = nm.Dense()
+		nm = posNorm(nm)
 	}
-	m = timeIt(func() { a.run(tdM, y) })
-	f = timeIt(func() { a.run(tnF, y) })
-	return m, f
+	return timePair(nm.Dense(), nm, func(t la.Matrix) error { return a.run(t, y) })
 }
 
 // fig5 regenerates Figure 5: the four ML algorithms across tuple-ratio and
@@ -87,7 +74,10 @@ func fig5(cfg Config) (Result, error) {
 					return Result{}, err
 				}
 				y := datagen.Labels(nm, 0, true, cfg.Seed)
-				mT, fT := runAlgo(a, nm, y)
+				mT, fT, err := runAlgo(a, nm, y)
+				if err != nil {
+					return Result{}, err
+				}
 				res.Rows = append(res.Rows, []string{
 					a.name, "TR", fmt.Sprint(tr), fmt.Sprint(fr), secs(mT), secs(fT), ratio(mT, fT)})
 			}
@@ -99,7 +89,10 @@ func fig5(cfg Config) (Result, error) {
 					return Result{}, err
 				}
 				y := datagen.Labels(nm, 0, true, cfg.Seed)
-				mT, fT := runAlgo(a, nm, y)
+				mT, fT, err := runAlgo(a, nm, y)
+				if err != nil {
+					return Result{}, err
+				}
 				res.Rows = append(res.Rows, []string{
 					a.name, "FR", fmt.Sprint(tr), fmt.Sprint(fr), secs(mT), secs(fT), ratio(mT, fT)})
 			}
@@ -116,39 +109,38 @@ func fig8(cfg Config) (Result, error) {
 		Title:  "Linear regression with gradient descent (appendix Figure 8)",
 		Header: []string{"axis", "TR", "FR", "iters", "M(s)", "F(s)", "speedup"},
 	}
-	run := func(nm *core.NormalizedMatrix, y *la.Dense, iters int) (time.Duration, time.Duration) {
+	// add times one sweep point and appends its row.
+	add := func(axis string, tr int, fr float64, iters int) error {
+		nm, err := datagen.PKFK(pkfkSpec(cfg, tr, fr))
+		if err != nil {
+			return err
+		}
+		y := datagen.Labels(nm, 0, false, cfg.Seed)
 		opt := ml.Options{Iters: iters, StepSize: 1e-7}
-		td := nm.Dense()
-		mT := timeIt(func() { ml.LinearRegressionGD(td, y, nil, opt) })
-		fT := timeIt(func() { ml.LinearRegressionGD(nm, y, nil, opt) })
-		return mT, fT
+		mT, fT, err := timePair(nm.Dense(), nm, func(t la.Matrix) error {
+			_, err := ml.LinearRegressionGD(t, y, nil, opt)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		res.Rows = append(res.Rows, []string{axis, fmt.Sprint(tr), fmt.Sprint(fr), fmt.Sprint(iters), secs(mT), secs(fT), ratio(mT, fT)})
+		return nil
 	}
 	for _, tr := range []int{5, 10, 15, 20} {
-		nm, err := datagen.PKFK(pkfkSpec(cfg, tr, 2))
-		if err != nil {
+		if err := add("TR", tr, 2, mlIters); err != nil {
 			return Result{}, err
 		}
-		y := datagen.Labels(nm, 0, false, cfg.Seed)
-		mT, fT := run(nm, y, mlIters)
-		res.Rows = append(res.Rows, []string{"TR", fmt.Sprint(tr), "2", fmt.Sprint(mlIters), secs(mT), secs(fT), ratio(mT, fT)})
 	}
 	for _, fr := range []float64{1, 2, 3, 4} {
-		nm, err := datagen.PKFK(pkfkSpec(cfg, 20, fr))
-		if err != nil {
+		if err := add("FR", 20, fr, mlIters); err != nil {
 			return Result{}, err
 		}
-		y := datagen.Labels(nm, 0, false, cfg.Seed)
-		mT, fT := run(nm, y, mlIters)
-		res.Rows = append(res.Rows, []string{"FR", "20", fmt.Sprint(fr), fmt.Sprint(mlIters), secs(mT), secs(fT), ratio(mT, fT)})
 	}
 	for _, iters := range []int{5, 10, 15, 20} {
-		nm, err := datagen.PKFK(pkfkSpec(cfg, 20, 2))
-		if err != nil {
+		if err := add("iters", 20, 2, iters); err != nil {
 			return Result{}, err
 		}
-		y := datagen.Labels(nm, 0, false, cfg.Seed)
-		mT, fT := run(nm, y, iters)
-		res.Rows = append(res.Rows, []string{"iters", "20", "2", fmt.Sprint(iters), secs(mT), secs(fT), ratio(mT, fT)})
 	}
 	return res, nil
 }
@@ -171,8 +163,13 @@ func fig9(cfg Config) (Result, error) {
 		td := nm.Dense()
 		for _, iters := range []int{5, 10, 15, 20} {
 			opt := ml.Options{Iters: iters, StepSize: 1e-6}
-			mT := timeIt(func() { ml.LogisticRegressionGD(td, y, nil, opt) })
-			fT := timeIt(func() { ml.LogisticRegressionGD(nm, y, nil, opt) })
+			mT, fT, err := timePair(td, nm, func(t la.Matrix) error {
+				_, err := ml.LogisticRegressionGD(t, y, nil, opt)
+				return err
+			})
+			if err != nil {
+				return Result{}, err
+			}
 			res.Rows = append(res.Rows, []string{fmt.Sprint(iters), fmt.Sprint(fr), secs(mT), secs(fT), ratio(mT, fT)})
 		}
 	}
@@ -196,16 +193,26 @@ func fig10(cfg Config) (Result, error) {
 		td := nm.Dense()
 		for _, k := range []int{5, 10, 15, 20} {
 			opt := ml.Options{Iters: mlIters, Seed: 7}
-			mT := timeIt(func() { ml.KMeans(td, k, opt) })
-			fT := timeIt(func() { ml.KMeans(nm, k, opt) })
+			mT, fT, err := timePair(td, nm, func(t la.Matrix) error {
+				_, err := ml.KMeans(t, k, opt)
+				return err
+			})
+			if err != nil {
+				return Result{}, err
+			}
 			res.Rows = append(res.Rows, []string{"kmeans", fmt.Sprint(k), fmt.Sprint(fr), secs(mT), secs(fT), ratio(mT, fT)})
 		}
 		pos := posNorm(nm)
 		posD := pos.Dense()
 		for _, topics := range []int{2, 4, 6, 8, 10} {
 			opt := ml.Options{Iters: mlIters, Seed: 7}
-			mT := timeIt(func() { ml.GNMF(posD, topics, opt) })
-			fT := timeIt(func() { ml.GNMF(pos, topics, opt) })
+			mT, fT, err := timePair(posD, pos, func(t la.Matrix) error {
+				_, err := ml.GNMF(t, topics, opt)
+				return err
+			})
+			if err != nil {
+				return Result{}, err
+			}
 			res.Rows = append(res.Rows, []string{"gnmf", fmt.Sprint(topics), fmt.Sprint(fr), secs(mT), secs(fT), ratio(mT, fT)})
 		}
 	}

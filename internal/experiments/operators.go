@@ -57,8 +57,8 @@ func pkfkSpec(cfg Config, tr int, fr float64) datagen.PKFKSpec {
 
 // runOp times one operator on the factorized and materialized forms.
 func runOp(nm *core.NormalizedMatrix, td *la.Dense, op opCase) (m, f time.Duration) {
-	m = timeIt(func() { op.run(td) })
-	f = timeIt(func() { op.run(nm) })
+	m = timeOp(func() { op.run(td) })
+	f = timeOp(func() { op.run(nm) })
 	return m, f
 }
 
@@ -255,9 +255,9 @@ func cpAblate(cfg Config) (Result, error) {
 				return Result{}, err
 			}
 			td := nm.Dense()
-			mT := timeIt(func() { td.CrossProd() })
-			naiveT := timeIt(func() { nm.CrossProdNaive() })
-			effT := timeIt(func() { nm.CrossProd() })
+			mT := timeOp(func() { td.CrossProd() })
+			naiveT := timeOp(func() { nm.CrossProdNaive() })
+			effT := timeOp(func() { nm.CrossProd() })
 			res.Rows = append(res.Rows, []string{
 				fmt.Sprint(tr), fmt.Sprint(fr), secs(mT), secs(naiveT), secs(effT), ratio(naiveT, effT)})
 		}
@@ -284,8 +284,8 @@ func rule(cfg Config) (Result, error) {
 			}
 			td := nm.Dense()
 			x := la.Ones(td.Cols(), 2)
-			mT := timeIt(func() { td.Mul(x) })
-			fT := timeIt(func() { nm.Mul(x) })
+			mT := timeOp(func() { td.Mul(x) })
+			fT := timeOp(func() { nm.Mul(x) })
 			sp := float64(mT) / float64(fT)
 			decide := adv.Decide(nm)
 			verdict := "ok"

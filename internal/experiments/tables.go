@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/chunk"
@@ -51,35 +50,33 @@ func table7(cfg Config) (Result, error) {
 		}
 		cases := []struct {
 			name string
-			run  func(t la.Matrix)
+			run  func(t la.Matrix) error
 		}{
 			// Linear regression uses GD, the paper's own fallback when d
 			// is large (§4): the one-hot real datasets have d in the tens
 			// of thousands, where a d×d inversion is off the table.
-			{"linreg", func(t la.Matrix) {
-				if _, err := ml.LinearRegressionGD(t, yn, nil, ml.Options{Iters: mlIters, StepSize: 1e-7}); err != nil {
-					panic(err)
-				}
+			{"linreg", func(t la.Matrix) error {
+				_, err := ml.LinearRegressionGD(t, yn, nil, ml.Options{Iters: mlIters, StepSize: 1e-7})
+				return err
 			}},
-			{"logreg", func(t la.Matrix) {
-				if _, err := ml.LogisticRegressionGD(t, yb, nil, ml.Options{Iters: mlIters, StepSize: 1e-6}); err != nil {
-					panic(err)
-				}
+			{"logreg", func(t la.Matrix) error {
+				_, err := ml.LogisticRegressionGD(t, yb, nil, ml.Options{Iters: mlIters, StepSize: 1e-6})
+				return err
 			}},
-			{"kmeans", func(t la.Matrix) {
-				if _, err := ml.KMeans(t, k, ml.Options{Iters: mlIters, Seed: 7}); err != nil {
-					panic(err)
-				}
+			{"kmeans", func(t la.Matrix) error {
+				_, err := ml.KMeans(t, k, ml.Options{Iters: mlIters, Seed: 7})
+				return err
 			}},
-			{"gnmf", func(t la.Matrix) {
-				if _, err := ml.GNMF(t, 5, ml.Options{Iters: mlIters, Seed: 7}); err != nil {
-					panic(err)
-				}
+			{"gnmf", func(t la.Matrix) error {
+				_, err := ml.GNMF(t, 5, ml.Options{Iters: mlIters, Seed: 7})
+				return err
 			}},
 		}
 		for _, c := range cases {
-			mT := timeIt(func() { c.run(sp) })
-			fT := timeIt(func() { c.run(nm) })
+			mT, fT, err := timePair(sp, nm, c.run)
+			if err != nil {
+				return Result{}, fmt.Errorf("%s %s: %w", spec.Name, c.name, err)
+			}
 			res.Rows = append(res.Rows, []string{spec.Name, c.name, secs(mT), secs(fT), ratio(mT, fT)})
 		}
 	}
@@ -120,9 +117,14 @@ func table8(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		opt := ml.Options{Iters: iters, StepSize: alpha}
-		mT := timeIt(func() { ml.LogisticRegressionGD(td, y, nil, opt) })
-		oT := timeIt(func() { glm.LogisticGD(y, iters, alpha) })
-		fT := timeIt(func() { ml.LogisticRegressionGD(nm, y, nil, opt) })
+		mT, fT, err := timePair(td, nm, func(t la.Matrix) error {
+			_, err := ml.LogisticRegressionGD(t, y, nil, opt)
+			return err
+		})
+		if err != nil {
+			return Result{}, err
+		}
+		oT := timeOp(func() { glm.LogisticGD(y, iters, alpha) })
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(frInt), secs(mT), secs(oT), secs(fT), ratio(mT, oT), ratio(mT, fT)})
 	}
@@ -131,12 +133,7 @@ func table8(cfg Config) (Result, error) {
 
 func chunkStore(cfg Config, name string) (*chunk.Store, func(), error) {
 	var backends []chunk.Backend
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
+	cleanup := func() {} // removes the temp directory, when the run made one
 	fail := func(err error) (*chunk.Store, func(), error) {
 		cleanup()
 		return nil, nil, err
@@ -170,7 +167,7 @@ func chunkStore(cfg Config, name string) (*chunk.Store, func(), error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			cleanups = append(cleanups, func() { os.RemoveAll(d) })
+			cleanup = func() { os.RemoveAll(d) }
 			dir = d
 		}
 		b, err := chunk.NewDirBackend(dir)
@@ -179,26 +176,9 @@ func chunkStore(cfg Config, name string) (*chunk.Store, func(), error) {
 		}
 		backends = append(backends, b)
 	}
-	// Wrapper composition is fixed: compression innermost (bytes at rest
-	// and on the wire are framed), zone maps outermost (annotations
-	// describe the decoded chunk values).
 	if cfg.Codec != "" {
 		for i, b := range backends {
 			wb, err := chunk.NewCompressingBackend(b, cfg.Codec)
-			if err != nil {
-				return fail(err)
-			}
-			backends[i] = wb
-		}
-	}
-	if cfg.ZoneMap {
-		zdir, err := os.MkdirTemp("", "morpheus-"+name+"-zm-*")
-		if err != nil {
-			return fail(err)
-		}
-		cleanups = append(cleanups, func() { os.RemoveAll(zdir) })
-		for i, b := range backends {
-			wb, err := chunk.NewZoneMapBackend(b, filepath.Join(zdir, fmt.Sprintf("shard%d", i)))
 			if err != nil {
 				return fail(err)
 			}
@@ -219,7 +199,6 @@ func chunkExec(cfg Config) chunk.Exec {
 	if cfg.Workers > 0 {
 		ex = chunk.Exec{Workers: cfg.Workers, Prefetch: 2 * cfg.Workers}
 	}
-	ex.Pushdown = cfg.Pushdown
 	return ex
 }
 
@@ -241,16 +220,14 @@ func autoChunkRows(cfg Config, cols int) int {
 
 // timeGLM times ml.LogRegScan over a chunked operand held in st and
 // reports the bytes its scans read from the store.
-func timeGLM(st *chunk.Store, t la.Operand, y *la.Dense, iters int, alpha float64) (d time.Duration, w *la.Dense, bytesRead int64) {
-	d = timeIt(func() { // may repeat: every run reads the same bytes
+func timeGLM(st *chunk.Store, t la.Operand, y *la.Dense, iters int, alpha float64) (d time.Duration, w *la.Dense, bytesRead int64, err error) {
+	d, err = timeIt(func() (err error) { // may repeat: every run reads the same bytes
 		before := st.IOStats().BytesRead
-		var err error
-		if w, err = ml.LogRegScan(t, y, nil, ml.Options{Iters: iters, StepSize: alpha}); err != nil {
-			panic(err)
-		}
+		w, err = ml.LogRegScan(t, y, nil, ml.Options{Iters: iters, StepSize: alpha})
 		bytesRead = st.IOStats().BytesRead - before
+		return err
 	})
-	return d, w, bytesRead
+	return d, w, bytesRead, err
 }
 
 // runGLMPair times the GLM over a chunked materialized table against the
@@ -258,8 +235,14 @@ func timeGLM(st *chunk.Store, t la.Operand, y *la.Dense, iters int, alpha float6
 // and verifies the fitted weights agree — a divergence is an error, never
 // a silently wrong table row.
 func runGLMPair(st *chunk.Store, tM, tF la.Operand, y *la.Dense, iters int, alpha float64) (mT, fT time.Duration, mBytes, fBytes int64, err error) {
-	mT, wM, mBytes := timeGLM(st, tM, y, iters, alpha)
-	fT, wF, fBytes := timeGLM(st, tF, y, iters, alpha)
+	mT, wM, mBytes, err := timeGLM(st, tM, y, iters, alpha)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	fT, wF, fBytes, err := timeGLM(st, tF, y, iters, alpha)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
 	if la.MaxAbsDiff(wM, wF) > 1e-8 {
 		return 0, 0, 0, 0, fmt.Errorf("experiments: M and F weights diverged")
 	}
@@ -504,8 +487,8 @@ func table12(cfg Config) (Result, error) {
 		nm := ds.Norm
 		yb := ds.BinaryY()
 		var sp *la.CSR
-		prepM := timeIt(func() { sp = nm.Sparse() })
-		prepF := timeIt(func() {
+		prepM := timeOp(func() { sp = nm.Sparse() })
+		prepF := timeOp(func() {
 			// Rebuild each indicator from its raw key column — the F-side
 			// preparation the paper measures (sparseMatrix(...) in §3.2).
 			for _, k := range nm.Ks() {
@@ -518,8 +501,13 @@ func table12(cfg Config) (Result, error) {
 			}
 		})
 		opt := ml.Options{Iters: mlIters, StepSize: 1e-6}
-		mT := timeIt(func() { ml.LogisticRegressionGD(sp, yb, nil, opt) })
-		fT := timeIt(func() { ml.LogisticRegressionGD(nm, yb, nil, opt) })
+		mT, fT, err := timePair(sp, nm, func(t la.Matrix) error {
+			_, err := ml.LogisticRegressionGD(t, yb, nil, opt)
+			return err
+		})
+		if err != nil {
+			return Result{}, err
+		}
 		res.Rows = append(res.Rows, []string{
 			spec.Name, secs(prepM), secs(prepF), secs(mT), secs(fT),
 			fmt.Sprintf("%.3f", prepM.Seconds()/math.Max(mT.Seconds(), 1e-9)),
@@ -548,7 +536,10 @@ func mnml(cfg Config) (Result, error) {
 		}
 		y := datagen.Labels(nm, 0, true, cfg.Seed)
 		for _, a := range mlAlgos(10, 5) {
-			mT, fT := runAlgo(a, nm, y)
+			mT, fT, err := runAlgo(a, nm, y)
+			if err != nil {
+				return Result{}, err
+			}
 			res.Rows = append(res.Rows, []string{a.name, fmt.Sprint(deg), secs(mT), secs(fT), ratio(mT, fT)})
 		}
 	}
