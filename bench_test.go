@@ -424,27 +424,11 @@ func BenchmarkTable10OutOfCoreMN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sM, err := chunk.FromDense(store, nm.S().Dense(), 2048)
+	mn, err := chunk.FromNormalized(store, nm.S(), nm.IS(), nm.Ks(), nm.Rs(), 2048)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rM, err := chunk.FromDense(store, nm.Rs()[0].Dense(), 2048)
-	if err != nil {
-		b.Fatal(err)
-	}
-	isV, err := chunk.BuildIntVector(store, nm.IS().Assignments(), 2048)
-	if err != nil {
-		b.Fatal(err)
-	}
-	irV, err := chunk.BuildIntVector(store, nm.Ks()[0].Assignments(), 2048)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mn, err := chunk.NewMNTable(sM, rM, isV, irV)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tM, err := chunk.MaterializeMN(store, mn)
+	tM, err := mn.Materialize(chunk.Parallel())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func main() {
 		log.Fatal(err)
 	}
 	during := store.LiveChunks()
-	sums, err := prod.ColSums()
+	sums, err := prod.ColSumsExec(ex)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -535,40 +535,13 @@ func (s *Store) Close() error {
 
 // Matrix is a dense matrix partitioned into fixed-height row chunks, each
 // persisted as a raw little-endian float64 file. Reads always go to disk:
-// the matrix is genuinely out-of-core.
-type Matrix struct {
-	store      *Store
-	rows, cols int
-	chunkRows  int
-	paths      []string
-	freed      bool
-}
+// the matrix is genuinely out-of-core. Everything that does not depend on
+// the chunk encoding is the embedded chunked base (mat.go).
+type Matrix struct{ chunked[*la.Dense] }
 
-// Rows reports the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols reports the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
-// NumChunks reports the chunk count.
-func (m *Matrix) NumChunks() int { return len(m.paths) }
-
-// ChunkRows reports the chunk height.
-func (m *Matrix) ChunkRows() int { return m.chunkRows }
-
-// Store returns the chunk store backing this matrix.
-func (m *Matrix) Store() *Store { return m.store }
-
-// Free releases the matrix's chunk files (deleting each once no other
-// Retain-ed handle references it). Freeing is idempotent; streaming a
-// freed matrix fails with ErrFreed. Free is not safe to race with an
-// in-flight pipeline over the same matrix.
-func (m *Matrix) Free() error {
-	if m == nil || m.freed {
-		return nil
-	}
-	m.freed = true
-	return m.store.release(m.paths)
+func newMatrix(store *Store, rows, cols, chunkRows int, paths []string) *Matrix {
+	return &Matrix{chunked[*la.Dense]{store: store, rows: rows, cols: cols, chunkRows: chunkRows, paths: paths,
+		kind: chunkKindDense, decode: (*Store).readDenseChunk}}
 }
 
 // Retain returns a new handle sharing this matrix's chunk files. The
@@ -582,7 +555,7 @@ func (m *Matrix) Retain() *Matrix {
 	if !m.freed {
 		m.store.retain(m.paths)
 	}
-	return &Matrix{store: m.store, rows: m.rows, cols: m.cols, chunkRows: m.chunkRows, paths: m.paths, freed: m.freed}
+	return &Matrix{m.chunked}
 }
 
 func numChunks(rows, chunkRows int) int {
@@ -637,7 +610,7 @@ func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la
 	if err != nil {
 		return nil, err
 	}
-	m := &Matrix{store: store, rows: rows, cols: cols, chunkRows: chunkRows, paths: paths}
+	m := newMatrix(store, rows, cols, chunkRows, paths)
 	buf := la.NewDense(min(chunkRows, rows), cols)
 	for ci := range paths {
 		lo, hi := m.chunkBounds(ci)
@@ -783,20 +756,6 @@ func decodeDenseChunk(key string, raw []byte, rows, cols int) (*la.Dense, error)
 	return la.NewDenseData(rows, cols, data), nil
 }
 
-func (m *Matrix) chunkBounds(i int) (lo, hi int) {
-	lo = i * m.chunkRows
-	hi = lo + m.chunkRows
-	if hi > m.rows {
-		hi = m.rows
-	}
-	return lo, hi
-}
-
-func (m *Matrix) readAt(ci int) (*la.Dense, error) {
-	lo, hi := m.chunkBounds(ci)
-	return m.store.readDenseChunk(m.paths[ci], hi-lo, m.cols)
-}
-
 // Chunk decodes chunk ci and returns it with its first-row offset. It is
 // safe to call concurrently (each call reads its own chunk), which lets a
 // pipeline over one matrix fetch the aligned chunk of another — the
@@ -809,87 +768,6 @@ func (m *Matrix) Chunk(ci int) (lo int, c *la.Dense, err error) {
 	lo, _ = m.chunkBounds(ci)
 	c, err = m.readAt(ci)
 	return lo, c, err
-}
-
-// pipeline runs the chunk pipeline over this matrix; on a multi-shard
-// store the reads are interleaved across shards (Store.readOrder).
-func (m *Matrix) pipeline(ex Exec, mapFn func(ci, lo int, c *la.Dense) (any, error), commit func(ci int, v any) error) error {
-	if m.freed {
-		return ErrFreed
-	}
-	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
-		m.readAt,
-		func(ci int, c *la.Dense) (any, error) {
-			lo, _ := m.chunkBounds(ci)
-			return mapFn(ci, lo, c)
-		},
-		commit)
-}
-
-// ForEach streams every chunk through fn in row order (the ore.rowapply
-// analogue). The next chunk is prefetched from disk while fn runs on the
-// current one, but fn itself is never called concurrently.
-func (m *Matrix) ForEach(fn func(lo int, chunk *la.Dense) error) error {
-	return m.ForEachExec(Exec{Workers: 1, Prefetch: 2}, fn)
-}
-
-// ForEachExec streams every chunk through fn under the given execution.
-// With ex.Workers > 1, fn is called concurrently from multiple goroutines
-// and chunk order is unspecified; fn must be safe for concurrent use.
-// Use MapChunks when per-chunk results must be combined in chunk order.
-func (m *Matrix) ForEachExec(ex Exec, fn func(lo int, chunk *la.Dense) error) error {
-	return m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		return nil, fn(lo, c)
-	}, nil)
-}
-
-// MapChunks streams every chunk through mapFn on ex.Workers goroutines and
-// hands the results to commit strictly in chunk order on the calling
-// goroutine. Reductions accumulated in commit are therefore bit-identical
-// to a serial pass, independent of worker scheduling. mapFn receives the
-// chunk index and the first-row offset.
-func (m *Matrix) MapChunks(ex Exec, mapFn func(ci, lo int, c *la.Dense) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, mapFn, commit)
-}
-
-// Stream implements Mat: the chunk pipeline with each decoded chunk
-// delivered as an la.Mat.
-func (m *Matrix) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		return mapFn(ci, lo, c)
-	}, commit)
-}
-
-// StreamOp implements Mat: it runs a registered op over every chunk and
-// commits the partials in chunk order. With ex.Pushdown, chunks held by
-// exec-capable remote shards are mapped in place by the shard's worker
-// and only the partials travel back; results are bit-identical with the
-// all-local run either way.
-func (m *Matrix) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error {
-	if m.freed {
-		return ErrFreed
-	}
-	src := opSource{
-		store: m.store,
-		keys:  m.paths,
-		kind:  chunkKindDense,
-		cols:  m.cols,
-		rowsAt: func(ci int) int {
-			lo, hi := m.chunkBounds(ci)
-			return hi - lo
-		},
-		read: func(ci int) (la.Mat, error) { return m.readAt(ci) },
-	}
-	return src.runOp(ex, op, commit)
-}
-
-// StreamToMatrix implements Mat. Under a pipelined execution the spills go
-// through the dedicated write-behind stage, so output I/O overlaps compute;
-// output chunk files keep the input's chunk order and are byte-identical to
-// a serial pass. On failure every output chunk written so far is removed
-// and no matrix is registered.
-func (m *Matrix) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
-	return streamToMatrix(ex, m, outCols, f)
 }
 
 // Dense loads the whole matrix into memory (tests and small data only).
@@ -905,35 +783,6 @@ func (m *Matrix) Dense() (*la.Dense, error) {
 	return out, nil
 }
 
-// Mul computes m·x, producing a new chunked matrix with one parallel
-// streaming pass.
-func (m *Matrix) Mul(x *la.Dense) (*Matrix, error) { return m.MulExec(Parallel(), x) }
-
-// MulExec computes m·x under the given execution.
-func (m *Matrix) MulExec(ex Exec, x *la.Dense) (*Matrix, error) { return MatOperand(ex, m).mul(x) }
-
-// TMul computes mᵀ·x for an in-memory x with one parallel streaming pass,
-// accumulating the (small) cols×xCols output in memory.
-func (m *Matrix) TMul(x *la.Dense) (*la.Dense, error) { return m.TMulExec(Parallel(), x) }
-
-// TMulExec computes mᵀ·x under the given execution.
-func (m *Matrix) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
-	return MatOperand(ex, m).tmul(x)
-}
-
-// CrossProd computes mᵀ·m by accumulating per-chunk cross-products.
-func (m *Matrix) CrossProd() (*la.Dense, error) { return m.CrossProdExec(Parallel()) }
-
-// CrossProdExec computes mᵀ·m under the given execution. The per-chunk
-// cross-products run through the registered op, so with ex.Pushdown they
-// execute on the shard holding each chunk.
-func (m *Matrix) CrossProdExec(ex Exec) (*la.Dense, error) {
-	return reduceExec(ex, m, OpCrossProd(), m.cols, m.cols)
-}
-
-// Scale computes m·x element-wise into a new chunked matrix.
-func (m *Matrix) Scale(x float64) (*Matrix, error) { return m.ScaleExec(Parallel(), x) }
-
 // ScaleExec computes m·x element-wise under the given execution.
 func (m *Matrix) ScaleExec(ex Exec, x float64) (*Matrix, error) {
 	return m.StreamToMatrix(ex, m.cols, func(ci, lo int, c la.Mat) (*la.Dense, error) {
@@ -941,37 +790,13 @@ func (m *Matrix) ScaleExec(ex Exec, x float64) (*Matrix, error) {
 	})
 }
 
-// ColSums aggregates column sums in one pass.
-func (m *Matrix) ColSums() (*la.Dense, error) { return m.ColSumsExec(Parallel()) }
-
-// ColSumsExec aggregates column sums under the given execution, via the
-// registered op (pushdown-capable).
-func (m *Matrix) ColSumsExec(ex Exec) (*la.Dense, error) {
-	return reduceExec(ex, m, OpColSums(), 1, m.cols)
-}
-
-// RowSums computes row sums into a chunked n×1 matrix.
-func (m *Matrix) RowSums() (*Matrix, error) { return m.RowSumsExec(Parallel()) }
-
-// RowSumsExec computes row sums under the given execution.
+// RowSumsExec computes row sums into a chunked n×1 matrix under the given
+// execution.
 func (m *Matrix) RowSumsExec(ex Exec) (*Matrix, error) {
 	return m.StreamToMatrix(ex, 1, func(ci, lo int, c la.Mat) (*la.Dense, error) {
 		return c.RowSums(), nil
 	})
 }
-
-// Sum aggregates the grand total in one pass.
-func (m *Matrix) Sum() (float64, error) { return m.SumExec(Parallel()) }
-
-// SumExec aggregates the grand total under the given execution, via the
-// registered op (pushdown-capable).
-func (m *Matrix) SumExec(ex Exec) (float64, error) { return sumExec(ex, m) }
-
-// BytesOnDisk reports the matrix's storage footprint as the store tracks
-// it: the bytes actually written for its chunks — the compressed size when
-// a codec wrapper is in the shard's chain — not a shape-derived estimate.
-// Zero once the matrix has been freed (its files are gone).
-func (m *Matrix) BytesOnDisk() int64 { return m.store.trackedBytes(m.paths) }
 
 // trackedBytes sums the recorded written sizes of the given chunk keys;
 // untracked (freed) or not-yet-written keys contribute nothing.

@@ -75,7 +75,7 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randDense(rng, 6, 3)
-	mul, err := m.Mul(x)
+	mul, err := m.MulExec(Parallel(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,21 +84,21 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 		t.Fatal("chunked Mul mismatch")
 	}
 	xt := randDense(rng, 40, 2)
-	tm, err := m.TMul(xt)
+	tm, err := m.TMulExec(Parallel(), xt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !la.EqualApprox(tm, la.TMatMul(d, xt), 1e-10) {
 		t.Fatal("chunked TMul mismatch")
 	}
-	cp, err := m.CrossProd()
+	cp, err := m.CrossProdExec(Parallel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !la.EqualApprox(cp, d.CrossProd(), 1e-10) {
 		t.Fatal("chunked CrossProd mismatch")
 	}
-	sc, err := m.Scale(2.5)
+	sc, err := m.ScaleExec(Parallel(), 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 	if !la.EqualApprox(scD, d.ScaleDense(2.5), 1e-12) {
 		t.Fatal("chunked Scale mismatch")
 	}
-	cs, err := m.ColSums()
+	cs, err := m.ColSumsExec(Parallel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !la.EqualApprox(cs, d.ColSums(), 1e-10) {
 		t.Fatal("chunked ColSums mismatch")
 	}
-	rs, err := m.RowSums()
+	rs, err := m.RowSumsExec(Parallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 	if !la.EqualApprox(rsD, d.RowSums(), 1e-12) {
 		t.Fatal("chunked RowSums mismatch")
 	}
-	sum, err := m.Sum()
+	sum, err := m.SumExec(Parallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestMulShapeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := testStore(t)
 	m, _ := FromDense(s, randDense(rng, 10, 4), 5)
-	if _, err := m.Mul(randDense(rng, 5, 2)); err == nil {
+	if _, err := m.MulExec(Parallel(), randDense(rng, 5, 2)); err == nil {
 		t.Fatal("accepted shape mismatch")
 	}
 }

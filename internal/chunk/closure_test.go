@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -50,11 +51,7 @@ func logRegM(ex Exec, t Mat, y *la.Dense, iters int, alpha float64) (*glmFit, er
 }
 
 func logRegF(ex Exec, nt *NormalizedTable, y *la.Dense, iters int, alpha float64) (*glmFit, error) {
-	return logRegOver(nt.S.Store(), nt.Operand(ex), y, iters, alpha)
-}
-
-func logRegMN(ex Exec, mn *MNTable, y *la.Dense, iters int, alpha float64) (*glmFit, error) {
-	return logRegOver(mn.S.Store(), mn.Operand(ex), y, iters, alpha)
+	return logRegOver(nt.scanned().Store(), nt.Operand(ex), y, iters, alpha)
 }
 
 func kMeans(ex Exec, t Mat, k, iters int, seed int64) (*kmFit, error) {
@@ -155,7 +152,9 @@ func closureOperands(t *testing.T, st *Store) []closureOperand {
 	must(err)
 	ops = append(ops, closureOperand{"pkfk", pkfk.Operand, join(s1, [][]int32{k1}, []*la.Dense{r1}), pmLabels(rng, n), false})
 
-	s2, ra, rb := positiveDense(rng, n, 2), positiveDense(rng, 9, 4), oneHotCSR(rng, 7, 2, 3)
+	// One one-hot group: a second would make TᵀT singular, and the normal
+	// equations of a singular system are not a function of T to 1e-12.
+	s2, ra, rb := positiveDense(rng, n, 2), positiveDense(rng, 9, 4), oneHotCSR(rng, 7, 1, 3)
 	ka, kb := keys(n, 9), keys(n, 7)
 	s2m, err := FromDense(st, s2, cr)
 	must(err)
@@ -177,7 +176,7 @@ func closureOperands(t *testing.T, st *Store) []closureOperand {
 	must(err)
 	irv, err := BuildIntVector(st, ir, cr)
 	must(err)
-	mn, err := NewMNTable(bsm, brm, isv, irv)
+	mn, err := NewStarTable(nil, []AttrTable{{FK: isv, Disk: bsm}, {FK: irv, Disk: brm}})
 	must(err)
 	ops = append(ops, closureOperand{"mn", mn.Operand, join(nil, [][]int32{is, ir}, []*la.Dense{bs, br}), pmLabels(rng, n), false})
 	return ops
@@ -190,15 +189,16 @@ type closureFit struct {
 	free  func() error
 }
 
-var closureAlgos = []struct {
+type closureAlgo struct {
 	name    string
 	chunked func(t la.Operand, y *la.Dense) (closureFit, error)
 	memory  func(t la.Matrix, y *la.Dense) []*la.Dense
-}{
-	{"logreg", func(t la.Operand, y *la.Dense) (closureFit, error) {
-		w, err := ml.LogRegScan(t, y, nil, ml.Options{Iters: 4, StepSize: 1e-3})
-		return closureFit{[]*la.Dense{w}, func() error { return nil }}, err
-	}, func(t la.Matrix, y *la.Dense) []*la.Dense {
+}
+
+var closureAlgos = []closureAlgo{
+	{"logreg", oneShot(func(t la.Operand, y *la.Dense) (*la.Dense, error) {
+		return ml.LogRegScan(t, y, nil, ml.Options{Iters: 4, StepSize: 1e-3})
+	}), func(t la.Matrix, y *la.Dense) []*la.Dense {
 		w, _ := ml.LogisticRegressionGD(t, y, nil, ml.Options{Iters: 4, StepSize: 1e-3})
 		return []*la.Dense{w}
 	}},
@@ -228,25 +228,69 @@ var closureAlgos = []struct {
 		res, _ := ml.GNMF(t, 3, ml.Options{Iters: 3, Seed: 11})
 		return []*la.Dense{res.H, res.W}
 	}},
+	// The one-shot solvers: Operand.Gram, then one scan for Tᵀ·y.
+	{"ne", oneShot(func(t la.Operand, y *la.Dense) (*la.Dense, error) { return ml.LinRegNEScan(t, y) }),
+		func(t la.Matrix, y *la.Dense) []*la.Dense {
+			w, _ := ml.LinearRegressionNE(t, y)
+			return []*la.Dense{w}
+		}},
+	{"ridge", oneShot(func(t la.Operand, y *la.Dense) (*la.Dense, error) { return ml.RidgeScan(t, y, 0.5) }),
+		func(t la.Matrix, y *la.Dense) []*la.Dense {
+			w, _ := ml.RidgeRegression(t, y, 0.5)
+			return []*la.Dense{w}
+		}},
+	{"cofactor", oneShot(func(t la.Operand, y *la.Dense) (*la.Dense, error) {
+		return ml.CofactorScan(t, y, nil, ml.Options{Iters: 5, StepSize: 0.1})
+	}), func(t la.Matrix, y *la.Dense) []*la.Dense {
+		w, _ := ml.LinearRegressionCofactor(t, y, nil, ml.Options{Iters: 5, StepSize: 0.1})
+		return []*la.Dense{w}
+	}},
+	{"pca", func(t la.Operand, _ *la.Dense) (closureFit, error) {
+		fit, err := ml.PCAScan(t, 2)
+		if err != nil {
+			return closureFit{}, err
+		}
+		return closureFit{[]*la.Dense{fit.Components, la.ColVector(fit.Variances)}, func() error { return nil }}, nil
+	}, func(t la.Matrix, _ *la.Dense) []*la.Dense {
+		fit, _ := ml.PCA(t, 2)
+		return []*la.Dense{fit.Components, la.ColVector(fit.Variances)}
+	}},
 }
 
+// oneShot adapts a solver that returns one weight vector and spills nothing.
+func oneShot(fit func(la.Operand, *la.Dense) (*la.Dense, error)) func(la.Operand, *la.Dense) (closureFit, error) {
+	return func(t la.Operand, y *la.Dense) (closureFit, error) {
+		w, err := fit(t, y)
+		return closureFit{[]*la.Dense{w}, func() error { return nil }}, err
+	}
+}
+
+// usesGram lists the algorithms whose first pass is Operand.Gram: on a
+// materialized operand that is the registered crossprod op.
+var usesGram = map[string]bool{"ne": true, "ridge": true, "cofactor": true, "pca": true}
+
 // failingBackend fails every ReadChunk once its countdown of allowed reads
-// is used up (armed with a non-negative count; negative = never).
+// is used up, and keeps failing until it is re-armed: a read a cancelled
+// pipeline's reader still had in flight can use up an allowed read, but
+// never the failure itself.
 type failingBackend struct {
 	Backend
 	left atomic.Int64
 }
 
+const neverFail = math.MaxInt64
+
 var errInjectedRead = errors.New("injected read failure")
 
 func (b *failingBackend) ReadChunk(key string) ([]byte, error) {
-	if b.left.Load() >= 0 && b.left.Add(-1) < 0 {
+	if b.left.Add(-1) < 0 {
 		return nil, errInjectedRead
 	}
 	return b.Backend.ReadChunk(key)
 }
 
-// TestClosureMatrix: {LogReg, k-means, GNMF} × {chunked dense, CSR, PK-FK,
+// TestClosureMatrix: {LogReg, k-means, GNMF, normal equations, ridge,
+// co-factor, PCA} × {chunked dense, CSR, PK-FK,
 // 2-arm star with a CSR arm, M:N} × {Serial, Parallel, a 2-shard store,
 // pushdown through in-process chunkd workers}. Every cell agrees with the
 // in-memory ml run on the equivalent matrix to 1e-12, every execution is
@@ -254,7 +298,7 @@ func (b *failingBackend) ReadChunk(key string) ([]byte, error) {
 // also after a backend failure injected in the middle of a scan.
 func TestClosureMatrix(t *testing.T) {
 	failing := &failingBackend{}
-	failing.left.Store(-1)
+	failing.left.Store(neverFail)
 	noExecs := func() int64 { return 0 }
 	// Each configuration opens its store and reports the /exec requests
 	// its shards have served so far.
@@ -320,8 +364,8 @@ func TestClosureMatrix(t *testing.T) {
 							}
 						}
 					}
-					if cfg.ex.Pushdown && algo.name == "kmeans" && op.registered && execs() == before {
-						t.Fatalf("%s: the registered assignment step never reached /exec", cell)
+					if cfg.ex.Pushdown && (algo.name == "kmeans" || usesGram[algo.name]) && op.registered && execs() == before {
+						t.Fatalf("%s: the registered step (k-means assignment, Gram's crossprod) never reached /exec", cell)
 					}
 					if err := fit.free(); err != nil {
 						t.Fatal(err)
@@ -341,7 +385,7 @@ func TestClosureMatrix(t *testing.T) {
 					for _, ex := range []Exec{Serial, {Workers: 3, Prefetch: 2}} {
 						failing.left.Store(9)
 						_, err := algo.chunked(op.op(ex), op.y)
-						failing.left.Store(-1)
+						failing.left.Store(neverFail)
 						if !errors.Is(err, errInjectedRead) {
 							t.Fatalf("%s/%s under %+v: err = %v, want the injected read failure", algo.name, op.name, ex, err)
 						}
@@ -360,7 +404,11 @@ func TestClosureMatrix(t *testing.T) {
 // reads it iters+1 times (the final assignment pass), GNMF twice per
 // iteration plus the aligned W generation each time, and an M:N scan adds
 // one pass over the base tables to prepare a product and one to finish a
-// reduction.
+// reduction. The normal equations read T twice — the Gram pass, then the
+// scan for Tᵀ·y (Gram is a method, not a step that could carry both: see
+// la.Operand) — which on a star is S and the key columns only, and on an
+// M:N join the base tables once per pass (loaded whole for Gram, streamed
+// to finish Tᵀ·y).
 func TestScanReadsPerIteration(t *testing.T) {
 	st := testStore(t)
 	ops := closureOperands(t, st)
@@ -373,12 +421,20 @@ func TestScanReadsPerIteration(t *testing.T) {
 	const baseChunks = 5 // ⌈37/16⌉ + ⌈29/16⌉ chunks of the M:N base tables
 	perScan := map[string]int{"dense": chunks, "csr": chunks, "pkfk": 2 * chunks, "star": 3 * chunks, "mn": 2 * chunks}
 	for _, op := range ops {
-		for _, iters := range []int{1, 3} {
-			scan, arms := perScan[op.name], 0
-			if op.name == "mn" {
-				arms = baseChunks
+		scan, arms := perScan[op.name], 0
+		if op.name == "mn" {
+			arms = baseChunks
+		}
+		got := reads(func() {
+			if _, err := ml.LinRegNEScan(op.op(Parallel()), op.y); err != nil {
+				t.Fatal(err)
 			}
-			got := reads(func() {
+		})
+		if want := 2 * (scan + arms); got != want {
+			t.Fatalf("ne/%s read %d chunks, want %d", op.name, got, want)
+		}
+		for _, iters := range []int{1, 3} {
+			got = reads(func() {
 				if _, err := ml.LogRegScan(op.op(Parallel()), op.y, nil, ml.Options{Iters: iters, StepSize: 1e-3}); err != nil {
 					t.Fatal(err)
 				}
@@ -414,17 +470,21 @@ func TestScanReadsPerIteration(t *testing.T) {
 
 // TestWidthDeterminismChunked: no chunked result may depend on the
 // machine's core count. Exec{Workers: 0} sizes its worker pool (and
-// Parallel() its prefetch) from GOMAXPROCS; LogReg M and F, k-means and
-// GNMF must be bit-identical at widths 1, 2 and 7.
+// Parallel() its prefetch) from GOMAXPROCS; every algorithm of the closure
+// matrix, and Gram by itself, must be bit-identical at widths 1, 2 and 7
+// on every operand.
 func TestWidthDeterminismChunked(t *testing.T) {
 	st := testStore(t)
 	ops := closureOperands(t, st)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	algos := append(slices.Clip(closureAlgos), closureAlgo{name: "gram", chunked: oneShot(func(t la.Operand, _ *la.Dense) (*la.Dense, error) {
+		return t.Gram()
+	})})
 	ref := map[string][]*la.Dense{}
 	for _, procs := range []int{1, 2, 7} {
 		runtime.GOMAXPROCS(procs)
 		for _, op := range ops {
-			for _, algo := range closureAlgos {
+			for _, algo := range algos {
 				fit, err := algo.chunked(op.op(Exec{Workers: 0}), op.y)
 				if err != nil {
 					t.Fatal(err)

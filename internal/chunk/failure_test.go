@@ -1,11 +1,15 @@
 package chunk
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/la"
+	"repro/internal/ml"
 )
 
 // corruptOneChunk truncates the first chunk file in the store directory.
@@ -42,13 +46,13 @@ func TestTruncatedChunkSurfacesError(t *testing.T) {
 	if _, err := m.Dense(); err == nil {
 		t.Fatal("Dense succeeded on truncated chunk")
 	}
-	if _, err := m.CrossProd(); err == nil {
+	if _, err := m.CrossProdExec(Parallel()); err == nil {
 		t.Fatal("CrossProd succeeded on truncated chunk")
 	}
-	if _, err := m.Mul(randDense(rng, 4, 2)); err == nil {
+	if _, err := m.MulExec(Parallel(), randDense(rng, 4, 2)); err == nil {
 		t.Fatal("Mul succeeded on truncated chunk")
 	}
-	if _, err := m.Sum(); err == nil {
+	if _, err := m.SumExec(Parallel()); err == nil {
 		t.Fatal("Sum succeeded on truncated chunk")
 	}
 }
@@ -68,7 +72,7 @@ func TestMissingChunkSurfacesError(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, entries[0].Name())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ColSums(); err == nil {
+	if _, err := m.ColSumsExec(Parallel()); err == nil {
 		t.Fatal("ColSums succeeded on missing chunk")
 	}
 }
@@ -159,5 +163,99 @@ func TestNewStoreBadPath(t *testing.T) {
 	}
 	if _, err := NewStore(filepath.Join(f, "sub")); err == nil {
 		t.Fatal("NewStore under a file succeeded")
+	}
+}
+
+// TestDamagedKeyChunkSurfacesError: a key chunk of the right length whose
+// contents no longer fit the range recorded at build time — a shard file
+// edited on disk, a remote shard answering with another store's bytes —
+// is an error naming the chunk, never an index panic on a pipeline
+// worker. Both decode sites are hit: a star's key column read beside S,
+// and an M:N table's first selector, which is the scan itself.
+func TestDamagedKeyChunkSurfacesError(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, cr = 40, 16
+	keys := func(domain int) []int32 {
+		ks := make([]int32, n)
+		for i := range ks {
+			ks[i] = int32(rng.Intn(domain))
+		}
+		return ks
+	}
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := FromDense(st, randDense(rng, n, 2), cr)
+	must(err)
+	fk, err := BuildIntVector(st, keys(3), cr)
+	must(err)
+	star, err := NewNormalizedTable(s, fk, randDense(rng, 3, 2))
+	must(err)
+	bs, err := FromDense(st, randDense(rng, 5, 2), cr)
+	must(err)
+	br, err := FromDense(st, randDense(rng, 4, 2), cr)
+	must(err)
+	is, err := BuildIntVector(st, keys(5), cr)
+	must(err)
+	ir, err := BuildIntVector(st, keys(4), cr)
+	must(err)
+	mn, err := NewStarTable(nil, []AttrTable{{FK: is, Disk: bs}, {FK: ir, Disk: br}})
+	must(err)
+	base := st.LiveChunks()
+
+	y := pmLabels(rng, n)
+	passes := map[string]func(*NormalizedTable, Exec) error{
+		"MulExec": func(nt *NormalizedTable, ex Exec) error {
+			m, err := nt.MulExec(ex, la.Ones(nt.Cols(), 1))
+			if err == nil {
+				m.Free()
+			}
+			return err
+		},
+		"TMulExec": func(nt *NormalizedTable, ex Exec) error { _, err := nt.TMulExec(ex, y); return err },
+		"Gram":     func(nt *NormalizedTable, ex Exec) error { _, err := nt.Operand(ex).Gram(); return err },
+		"LogRegScan": func(nt *NormalizedTable, ex Exec) error {
+			_, err := ml.LogRegScan(nt.Operand(ex), y, nil, ml.Options{Iters: 1, StepSize: 1e-3})
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		nt   *NormalizedTable
+		col  *IntVector
+	}{{"star", star, fk}, {"mn-scan", mn, is}, {"mn-side", mn, ir}} {
+		file := filepath.Join(dir, tc.col.m.paths[0])
+		good, err := os.ReadFile(file)
+		must(err)
+		for _, bad := range []float64{1e6, math.NaN(), -1, 0.5} {
+			col := la.NewDense(cr, 1)
+			col.Set(1, 0, bad)
+			must(os.WriteFile(file, encodeDenseChunk(col), 0o644))
+			for name, pass := range passes {
+				for _, ex := range []Exec{Serial, {Workers: 3, Prefetch: 2}} {
+					err := pass(tc.nt, ex)
+					if err == nil || !strings.Contains(err.Error(), tc.col.m.paths[0]) {
+						t.Fatalf("%s/%s under %+v with key %v: err = %v, want one naming %s", tc.name, name, ex, bad, err, tc.col.m.paths[0])
+					}
+					if got := st.LiveChunks(); got != base {
+						t.Fatalf("%s/%s with key %v left %d live chunks, want %d", tc.name, name, bad, got, base)
+					}
+				}
+			}
+		}
+		must(os.WriteFile(file, good, 0o644))
+		for name, pass := range passes {
+			if err := pass(tc.nt, Parallel()); err != nil {
+				t.Fatalf("%s/%s after repair: %v", tc.name, name, err)
+			}
+		}
 	}
 }

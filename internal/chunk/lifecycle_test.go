@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -40,14 +41,14 @@ func TestFreeRemovesIntermediateChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := chunkFileCount(t, dir)
-	inter, err := m.Mul(randDense(rng, 4, 4))
+	inter, err := m.MulExec(Parallel(), randDense(rng, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := chunkFileCount(t, dir); got != base+inter.NumChunks() {
 		t.Fatalf("after Mul: %d files, want %d", got, base+inter.NumChunks())
 	}
-	final, err := inter.RowSums()
+	final, err := inter.RowSumsExec(Parallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestFreeRemovesIntermediateChunks(t *testing.T) {
 		t.Fatalf("after Free: %d files, want %d", got, base+final.NumChunks())
 	}
 	// The freed matrix refuses further streaming.
-	if _, err := inter.Sum(); !errors.Is(err, ErrFreed) {
+	if _, err := inter.SumExec(Parallel()); !errors.Is(err, ErrFreed) {
 		t.Fatalf("Sum on freed matrix: %v, want ErrFreed", err)
 	}
-	if _, err := inter.Mul(randDense(rng, 4, 1)); !errors.Is(err, ErrFreed) {
+	if _, err := inter.MulExec(Parallel(), randDense(rng, 4, 1)); !errors.Is(err, ErrFreed) {
 		t.Fatalf("Mul on freed matrix: %v, want ErrFreed", err)
 	}
 	// The surviving result is still readable.
@@ -93,7 +94,7 @@ func TestRetainSharesChunkFiles(t *testing.T) {
 	if got := chunkFileCount(t, dir); got != h.NumChunks() {
 		t.Fatalf("after freeing one handle: %d files, want %d", got, h.NumChunks())
 	}
-	if _, err := h.Sum(); err != nil {
+	if _, err := h.SumExec(Parallel()); err != nil {
 		t.Fatalf("retained handle unusable: %v", err)
 	}
 	if err := h.Free(); err != nil {
@@ -117,7 +118,7 @@ func TestRetainAfterFreeIsFreed(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := m.Retain()
-	if _, err := h.Sum(); !errors.Is(err, ErrFreed) {
+	if _, err := h.SumExec(Parallel()); !errors.Is(err, ErrFreed) {
 		t.Fatalf("Sum on retain-after-free handle: %v, want ErrFreed", err)
 	}
 	if err := h.Free(); err != nil { // no double release
@@ -141,7 +142,7 @@ func TestStoreCloseRemovesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Scale(2); err != nil {
+	if _, err := m.ScaleExec(Parallel(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if s.LiveChunks() == 0 {
@@ -181,15 +182,15 @@ func TestPipelineLeavesNoDeadChunks(t *testing.T) {
 	}
 	base := chunkFileCount(t, dir)
 
-	scaled, err := m.Scale(0.5)
+	scaled, err := m.ScaleExec(Parallel(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := scaled.Mul(randDense(rng, 6, 2))
+	prod, err := scaled.MulExec(Parallel(), randDense(rng, 6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prod.ColSums(); err != nil {
+	if _, err := prod.ColSumsExec(Parallel()); err != nil {
 		t.Fatal(err)
 	}
 	if err := scaled.Free(); err != nil {
@@ -232,5 +233,63 @@ func TestBuildCleansUpOnWriteFailure(t *testing.T) {
 	}
 	if s2.LiveChunks() != 0 {
 		t.Fatalf("failed Build left %d chunks registered", s2.LiveChunks())
+	}
+}
+
+// TestFromNormalizedFreesOnFailure: the one spill constructor leaves
+// nothing behind when any of its chunk writes fails — the k-th, for every
+// k, over a 2-arm star (S and two key columns on disk) and an M:N join
+// (two base tables and two selector columns).
+func TestFromNormalizedFreesOnFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const n, cr = 50, 8
+	ind := func(domain int) *la.Indicator {
+		ks := make([]int, n)
+		for i := range ks {
+			ks[i] = rng.Intn(domain)
+		}
+		return la.NewIndicator(ks, domain)
+	}
+	shapes := []struct {
+		name string
+		s    la.Mat
+		is   *la.Indicator
+		ks   []*la.Indicator
+		rs   []la.Mat
+	}{
+		{"star", randDense(rng, n, 3), nil, []*la.Indicator{ind(7), ind(5)}, []la.Mat{randDense(rng, 7, 2), oneHotCSR(rng, 5, 1, 3)}},
+		{"mn", randDense(rng, 20, 3), ind(20), []*la.Indicator{ind(9)}, []la.Mat{randDense(rng, 9, 2)}},
+	}
+	for _, sh := range shapes {
+		inner, err := NewDirBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		flaky := &failWriteBackend{Backend: inner}
+		st, err := NewShardedStoreBackends([]Backend{flaky}, RoundRobin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flaky.ok.Store(math.MaxInt32)
+		nt, err := FromNormalized(st, sh.s, sh.is, sh.ks, sh.rs, cr)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		writes := st.LiveChunks()
+		if (nt.S == nil) != (sh.is != nil) || nt.Rows() != n || writes < 2*numChunks(n, cr) {
+			t.Fatalf("%s: built S=%v, %d rows, %d chunks", sh.name, nt.S, nt.Rows(), writes)
+		}
+		if err := nt.Free(); err != nil || st.LiveChunks() != 0 {
+			t.Fatalf("%s: Free: %v, %d chunks live", sh.name, err, st.LiveChunks())
+		}
+		for k := 0; k < writes; k++ {
+			flaky.ok.Store(int64(k))
+			if _, err := FromNormalized(st, sh.s, sh.is, sh.ks, sh.rs, cr); !errors.Is(err, errInjectedWrite) {
+				t.Fatalf("%s: write %d failed but FromNormalized returned %v", sh.name, k, err)
+			}
+			if got := st.LiveChunks(); got != 0 {
+				t.Fatalf("%s: write %d failed and %d chunks leaked", sh.name, k, got)
+			}
+		}
 	}
 }

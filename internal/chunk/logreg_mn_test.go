@@ -4,12 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/ml"
 )
 
 // buildMN creates a small M:N join with chunked base tables and selectors.
-func buildMN(t *testing.T, rng *rand.Rand, nS, nR, dS, dR, nU, chunkRows int) (*MNTable, *la.Dense, *la.Dense) {
+func buildMN(t *testing.T, rng *rand.Rand, nS, nR, dS, dR, nU, chunkRows int) (*NormalizedTable, *la.Dense, *la.Dense) {
 	t.Helper()
 	store := testStore(t)
 	sD := randDense(rng, nS, dS)
@@ -50,7 +51,7 @@ func buildMN(t *testing.T, rng *rand.Rand, nS, nR, dS, dR, nU, chunkRows int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn, err := NewMNTable(sM, rM, isV, irV)
+	mn, err := NewStarTable(nil, []AttrTable{{FK: isV, Disk: sM}, {FK: irV, Disk: rM}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestLogRegFactorizedMNMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mn, td, y := buildMN(t, rng, 30, 25, 3, 4, 6, 16)
 	const iters, alpha = 6, 1e-3
-	resF, err := logRegMN(Parallel(), mn, y, iters, alpha)
+	resF, err := logRegF(Parallel(), mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +93,7 @@ func TestMaterializeMNAndIOAdvantage(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// Small nU → each base tuple repeated many times in the output.
 	mn, td, y := buildMN(t, rng, 40, 40, 3, 3, 4, 32)
-	store := testStore(t)
-	tm, err := MaterializeMN(store, mn)
+	tm, err := mn.Materialize(Parallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ func TestMaterializeMNAndIOAdvantage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !la.EqualApprox(tmD, td, 0) {
-		t.Fatal("MaterializeMN content mismatch")
+		t.Fatal("Materialize content mismatch")
 	}
 	const iters, alpha = 4, 1e-3
 	resM, err := logRegM(Parallel(), tm, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resF, err := logRegMN(Parallel(), mn, y, iters, alpha)
+	resF, err := logRegF(Parallel(), mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,65 @@ func TestMNTableValidation(t *testing.T) {
 	r, _ := FromDense(store, randDense(rng, 5, 2), 4)
 	a, _ := BuildIntVector(store, []int32{0, 1, 2}, 4)
 	b, _ := BuildIntVector(store, []int32{0, 1}, 4)
-	if _, err := NewMNTable(s, r, a, b); err == nil {
+	if _, err := NewStarTable(nil, []AttrTable{{FK: a, Disk: s}, {FK: b, Disk: r}}); err == nil {
 		t.Fatal("accepted misaligned selectors")
+	}
+	if _, err := NewStarTable(nil, []AttrTable{{FK: a, Disk: s, R: randDense(rng, 5, 2)}, {FK: a, Disk: r}}); err == nil {
+		t.Fatal("accepted an arm held both in memory and on disk")
+	}
+}
+
+// TestMNGramMatchesCore: the factorized cross-product of an M:N join out
+// of core — a result with no chunked form before Operand.Gram — agrees
+// with core's in-memory rewrite and with the materialized table, and
+// FromNormalized spills exactly core.New's parts.
+func TestMNGramMatchesCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const nOut = 120
+	sel := func(domain int) *la.Indicator {
+		ks := make([]int, nOut)
+		for i := range ks {
+			ks[i] = rng.Intn(domain)
+		}
+		return la.NewIndicator(ks, domain)
+	}
+	s, r, is, ir := randDense(rng, 30, 3), randDense(rng, 25, 4), sel(30), sel(25)
+	nm, err := core.NewMN(s, is, ir, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := testStore(t)
+	nt, err := FromNormalized(st, s, is, []*la.Indicator{ir}, []la.Mat{r}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nt.S != nil || nt.Rows() != nOut || nt.Cols() != 7 || nt.Attrs[0].Disk == nil || nt.Attrs[1].R != nil {
+		t.Fatalf("M:N spill is not an arm-only table with chunked arms: %+v", nt)
+	}
+	want := nm.CrossProd()
+	tM, err := nt.Materialize(Parallel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []Exec{Serial, Parallel()} {
+		got, err := nt.CrossProdExec(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := la.MaxAbsDiff(got, want); diff > 1e-10 {
+			t.Fatalf("chunked M:N Gram deviates from core.CrossProd by %g", diff)
+		}
+		mat, err := tM.CrossProdExec(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := la.MaxAbsDiff(got, mat); diff > 1e-10 {
+			t.Fatalf("chunked M:N Gram deviates from the materialized table's by %g", diff)
+		}
+	}
+	tM.Free()
+	nt.Free()
+	if got := st.LiveChunks(); got != 0 {
+		t.Fatalf("%d chunks live after freeing the table and its materialization", got)
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"repro/internal/la"
 )
 
-// Mat is the chunked-operand interface: the out-of-core mirror of la.Mat.
-// Both chunked storage backends — dense (*Matrix) and CSR (*SparseMatrix)
-// — implement it, so every consumer (the scan operands internal/ml runs
-// over, the star's streamed factorized operators) is written once and
-// runs over either representation, exactly as the in-memory rewrites are
-// written once against la.Mat.
+// Mat is the chunked-operand interface: the out-of-core mirror of la.Mat,
+// so every consumer (the scan operands internal/ml runs over, the star's
+// streamed factorized operators) is written once against it, exactly as
+// the in-memory rewrites are written once against la.Mat. Its one
+// implementation is the chunked base below, under two codecs: dense
+// (*Matrix) and CSR (*SparseMatrix).
 //
 // Stream is the fused-pass primitive: it delivers each decoded chunk as an
 // la.Mat (concretely *la.Dense or *la.CSR), which carries the full Table 1
@@ -57,8 +57,169 @@ var (
 	_ Mat = (*SparseMatrix)(nil)
 )
 
-// The whole-matrix operators are written once over Mat; the dense and CSR
-// backends' methods are these.
+// chunked is a chunked matrix up to its codec: shape, chunking, the
+// refcounted chunk files, the pipeline over them and the whole-matrix
+// operators. C is the decoded chunk type; kind names the codec on the
+// /exec wire and decode is its reader.
+type chunked[C la.Mat] struct {
+	store      *Store
+	rows, cols int
+	chunkRows  int
+	paths      []string
+	freed      bool
+	kind       string
+	decode     func(s *Store, key string, rows, cols int) (C, error)
+}
+
+// Rows reports the number of rows.
+func (m *chunked[C]) Rows() int { return m.rows }
+
+// Cols reports the number of columns.
+func (m *chunked[C]) Cols() int { return m.cols }
+
+// NumChunks reports the chunk count.
+func (m *chunked[C]) NumChunks() int { return len(m.paths) }
+
+// ChunkRows reports the chunk height.
+func (m *chunked[C]) ChunkRows() int { return m.chunkRows }
+
+// Store returns the chunk store backing this matrix.
+func (m *chunked[C]) Store() *Store { return m.store }
+
+// BytesOnDisk reports the matrix's storage footprint as the store tracks
+// it: the bytes actually written for its chunks — the compressed size when
+// a codec wrapper is in the shard's chain — not a shape-derived estimate.
+// Zero once the matrix has been freed (its files are gone).
+func (m *chunked[C]) BytesOnDisk() int64 { return m.store.trackedBytes(m.paths) }
+
+// Free releases the matrix's chunk files (deleting each once no other
+// Retain-ed handle references it). Freeing is idempotent; streaming a
+// freed matrix fails with ErrFreed. Free is not safe to race with an
+// in-flight pipeline over the same matrix.
+func (m *chunked[C]) Free() error {
+	if m.freed {
+		return nil
+	}
+	m.freed = true
+	return m.store.release(m.paths)
+}
+
+func (m *chunked[C]) chunkBounds(i int) (lo, hi int) {
+	lo = i * m.chunkRows
+	return lo, min(lo+m.chunkRows, m.rows)
+}
+
+func (m *chunked[C]) readAt(ci int) (C, error) {
+	lo, hi := m.chunkBounds(ci)
+	return m.decode(m.store, m.paths[ci], hi-lo, m.cols)
+}
+
+// pipeline runs the chunk pipeline over this matrix; on a multi-shard
+// store the reads are interleaved across shards (Store.readOrder).
+func (m *chunked[C]) pipeline(ex Exec, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
+	if m.freed {
+		return ErrFreed
+	}
+	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
+		m.readAt,
+		func(ci int, c C) (any, error) {
+			lo, _ := m.chunkBounds(ci)
+			return mapFn(ci, lo, c)
+		},
+		commit)
+}
+
+// ForEach streams every chunk through fn in row order (the ore.rowapply
+// analogue). The next chunk is prefetched from disk while fn runs on the
+// current one, but fn itself is never called concurrently.
+func (m *chunked[C]) ForEach(fn func(lo int, chunk C) error) error {
+	return m.ForEachExec(Exec{Workers: 1, Prefetch: 2}, fn)
+}
+
+// ForEachExec streams every chunk through fn under the given execution.
+// With ex.Workers > 1, fn is called concurrently from multiple goroutines
+// and chunk order is unspecified; fn must be safe for concurrent use.
+// Use Stream when per-chunk results must be combined in chunk order.
+func (m *chunked[C]) ForEachExec(ex Exec, fn func(lo int, chunk C) error) error {
+	return m.pipeline(ex, func(ci, lo int, c C) (any, error) {
+		return nil, fn(lo, c)
+	}, nil)
+}
+
+// Stream implements Mat: the chunk pipeline with each decoded chunk
+// delivered as an la.Mat.
+func (m *chunked[C]) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
+	return m.pipeline(ex, func(ci, lo int, c C) (any, error) {
+		return mapFn(ci, lo, c)
+	}, commit)
+}
+
+// StreamOp implements Mat: it runs a registered op over every chunk and
+// commits the partials in chunk order. With ex.Pushdown, chunks held by
+// exec-capable remote shards are mapped in place by the shard's worker
+// and only the partials travel back; results are bit-identical with the
+// all-local run either way.
+func (m *chunked[C]) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error {
+	if m.freed {
+		return ErrFreed
+	}
+	src := opSource{
+		store: m.store,
+		keys:  m.paths,
+		kind:  m.kind,
+		cols:  m.cols,
+		rowsAt: func(ci int) int {
+			lo, hi := m.chunkBounds(ci)
+			return hi - lo
+		},
+		read: func(ci int) (la.Mat, error) { return m.readAt(ci) },
+	}
+	return src.runOp(ex, op, commit)
+}
+
+// StreamToMatrix implements Mat. Under a pipelined execution the spills go
+// through the dedicated write-behind stage, so output I/O overlaps compute;
+// output chunk files keep the input's chunk order and are byte-identical to
+// a serial pass. On failure every output chunk written so far is removed
+// and no matrix is registered.
+func (m *chunked[C]) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
+	return scanToMatrix(ex, m, outCols, func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
+		out, err := f(ci, lo, c)
+		return out, nil, err
+	}, nil)
+}
+
+// MulExec computes m·x into a new chunked dense matrix under the given
+// execution. On failure every output chunk written so far is removed.
+func (m *chunked[C]) MulExec(ex Exec, x *la.Dense) (*Matrix, error) { return MatOperand(ex, m).mul(x) }
+
+// TMulExec computes mᵀ·x for an in-memory x, accumulating the (small)
+// cols×xCols output in memory.
+func (m *chunked[C]) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
+	return la.ScanTMul(MatOperand(ex, m), x)
+}
+
+// CrossProdExec computes mᵀ·m under the given execution. The per-chunk
+// cross-products run through the registered op, so with ex.Pushdown they
+// execute on the shard holding each chunk.
+func (m *chunked[C]) CrossProdExec(ex Exec) (*la.Dense, error) { return MatOperand(ex, m).Gram() }
+
+// ColSumsExec aggregates column sums under the given execution, via the
+// registered op (pushdown-capable).
+func (m *chunked[C]) ColSumsExec(ex Exec) (*la.Dense, error) {
+	return reduceExec(ex, m, OpColSums(), 1, m.cols)
+}
+
+// SumExec aggregates the grand total under the given execution, via the
+// registered op (pushdown-capable).
+func (m *chunked[C]) SumExec(ex Exec) (float64, error) {
+	total := 0.0
+	err := m.StreamOp(ex, OpSum(), func(ci int, v any) error {
+		total += v.(float64)
+		return nil
+	})
+	return total, err
+}
 
 // scanToMatrix streams t, spilling each chunk's mapped rows×outCols output
 // as the aligned chunk of a new matrix (through the write-behind stage
@@ -83,14 +244,7 @@ func scanToMatrix(ex Exec, t Mat, outCols int, mapFn func(ci, lo int, c la.Mat) 
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix{store: t.Store(), rows: t.Rows(), cols: outCols, chunkRows: t.ChunkRows(), paths: paths}, nil
-}
-
-func streamToMatrix(ex Exec, t Mat, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
-	return scanToMatrix(ex, t, outCols, func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
-		out, err := f(ci, lo, c)
-		return out, nil, err
-	}, nil)
+	return newMatrix(t.Store(), t.Rows(), outCols, t.ChunkRows(), paths), nil
 }
 
 // reduceExec sums a registered op's rows×cols partials in chunk order.
@@ -104,15 +258,6 @@ func reduceExec(ex Exec, t Mat, op Op, rows, cols int) (*la.Dense, error) {
 		return nil, err
 	}
 	return acc, nil
-}
-
-func sumExec(ex Exec, t Mat) (float64, error) {
-	total := 0.0
-	err := t.StreamOp(ex, OpSum(), func(ci int, v any) error {
-		total += v.(float64)
-		return nil
-	})
-	return total, err
 }
 
 // AutoRows picks a chunk height from a memory budget: the pipeline keeps at

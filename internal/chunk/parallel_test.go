@@ -198,11 +198,11 @@ func TestParallelGLMMatchesSerialMN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	mn, td, y := buildMN(t, rng, 30, 25, 3, 4, 6, 8)
 	const iters, alpha = 4, 1e-3
-	serial, err := logRegMN(Serial, mn, y, iters, alpha)
+	serial, err := logRegF(Serial, mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := logRegMN(parExec, mn, y, iters, alpha)
+	parallel, err := logRegF(parExec, mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

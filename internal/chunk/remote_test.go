@@ -308,7 +308,7 @@ func BenchmarkRemoteSpill(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := m.Mul(x)
+		p, err := m.MulExec(Parallel(), x)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/la"
 )
@@ -21,88 +22,32 @@ import (
 // order and multiplies by R_tᵀ once at the end.
 type Operand struct {
 	ex   Exec
-	rows Mat          // what the scan streams: S, or the first key column
-	feat bool         // rows' chunks are S (else they are arm 0's keys)
-	keys []*IntVector // the remaining key columns, read beside each block
-	arms []arm
+	rows Mat  // what the scan streams: S, or without one arm 0's key column
+	feat bool // rows' chunks are S
+	arms []AttrTable
 	offs []int // offs[0] = dS, offs[t] the first column of arm t, offs[q] = d
 
 	armNorms [][]float64 // per-arm ‖r_i‖², prepared on first use
 }
 
-// arm is one joined table: in memory (a star's R_t) or itself chunked (an
-// M:N base table, whose products are passes of their own over its chunks).
-type arm struct {
-	mem  la.Mat
-	disk *Matrix
-}
-
-func (a arm) dims() (rows, cols int) {
-	if a.mem != nil {
-		return a.mem.Rows(), a.mem.Cols()
-	}
-	return a.disk.rows, a.disk.cols
-}
-
-// mul computes R·x in memory.
-func (a arm) mul(ex Exec, x *la.Dense) (*la.Dense, error) {
-	if a.mem != nil {
-		return a.mem.Mul(x), nil
-	}
-	out := la.NewDense(a.disk.rows, x.Cols())
-	return out, a.disk.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		copy(out.Data()[lo*x.Cols():], la.MatMul(c, x).Data())
-		return nil, nil
-	}, nil)
-}
-
-// tmul computes Rᵀ·p.
-func (a arm) tmul(ex Exec, p *la.Dense) (*la.Dense, error) {
-	if a.mem != nil {
-		return a.mem.TMul(p), nil
-	}
-	return a.disk.TMulExec(ex, p)
-}
-
-func (a arm) norms(ex Exec) ([]float64, error) {
-	if a.mem != nil {
-		return rowSquaredNorms(a.mem), nil
-	}
-	out := make([]float64, a.disk.rows)
-	return out, a.disk.pipeline(ex, func(ci, lo int, c *la.Dense) (any, error) {
-		copy(out[lo:], rowSquaredNorms(c))
-		return nil, nil
-	}, nil)
-}
-
 // MatOperand views a chunked materialized table — dense or CSR — as a
 // scan operand under ex: the way ml's algorithms run out of core.
-func MatOperand(ex Exec, t Mat) *Operand { return newOperand(ex, t, true, nil, nil) }
+func MatOperand(ex Exec, t Mat) *Operand { return newOperand(ex, t, true, nil) }
 
-// Operand views the star as a scan operand under ex: ml's algorithms run
-// factorized over it, reading only S and the key columns each pass.
+// Operand views the table as a scan operand under ex: ml's algorithms run
+// factorized over it, reading only S and the key columns each pass, plus
+// any chunked arm once per product or reduction.
 func (nt *NormalizedTable) Operand(ex Exec) *Operand {
-	keys := make([]*IntVector, len(nt.Attrs))
-	arms := make([]arm, len(nt.Attrs))
-	for t, a := range nt.Attrs {
-		keys[t], arms[t] = a.FK, arm{mem: a.R}
-	}
-	return newOperand(ex, nt.S, true, keys, arms)
+	return newOperand(ex, nt.scanned(), nt.S != nil, nt.Attrs)
 }
 
-// Operand views the M:N join as a scan operand under ex: a pass streams
-// the selector columns; a product or reduction reads the base tables once.
-func (t *MNTable) Operand(ex Exec) *Operand {
-	return newOperand(ex, t.IS.m, false, []*IntVector{t.IR}, []arm{{disk: t.S}, {disk: t.R}})
-}
-
-func newOperand(ex Exec, rows Mat, feat bool, keys []*IntVector, arms []arm) *Operand {
-	o := &Operand{ex: ex, rows: rows, feat: feat, keys: keys, arms: arms, offs: make([]int, len(arms)+1)}
+func newOperand(ex Exec, rows Mat, feat bool, arms []AttrTable) *Operand {
+	o := &Operand{ex: ex, rows: rows, feat: feat, arms: arms, offs: make([]int, len(arms)+1)}
 	if feat {
 		o.offs[0] = rows.Cols()
 	}
 	for t, a := range arms {
-		_, cols := a.dims()
+		_, cols := a.Dims()
 		o.offs[t+1] = o.offs[t] + cols
 	}
 	return o
@@ -129,11 +74,15 @@ func (b *block) Rows() int  { return b.c.Rows() }
 // of each key column, read on the worker that will use it.
 func (o *Operand) load(ci, lo int, c la.Mat) (*block, error) {
 	b := &block{ci: ci, lo: lo, c: c}
-	if !o.feat {
-		b.c, b.keys = la.NewDense(c.Rows(), 0), append(b.keys, keysOf(c.(*la.Dense)))
+	if !o.feat { // the streamed chunk is arm 0's keys
+		ks, err := o.arms[0].FK.decode(ci, c.(*la.Dense))
+		if err != nil {
+			return nil, err
+		}
+		b.c, b.keys = la.NewDense(c.Rows(), 0), append(b.keys, ks)
 	}
-	for _, kv := range o.keys {
-		_, ks, err := kv.Keys(ci)
+	for _, a := range o.arms[len(b.keys):] {
+		_, ks, err := a.FK.Keys(ci)
 		if err != nil {
 			return nil, err
 		}
@@ -294,18 +243,106 @@ func (o *Operand) mul(x *la.Dense) (*Matrix, error) {
 	return out, err
 }
 
-// tmul computes Tᵀ·x for an in-memory x: the whole-matrix transposed LMM.
-func (o *Operand) tmul(x *la.Dense) (*la.Dense, error) {
-	if x.Rows() != o.Rows() {
-		return nil, fmt.Errorf("chunk: TMul %dx%dᵀ · %dx%d", o.Rows(), o.Cols(), x.Rows(), x.Cols())
+// Gram implements la.Operand: TᵀT. A materialized table reduces the
+// registered crossprod op over its chunks, so pushdown and zone-map skips
+// apply. A normalized one runs the paper's efficient rewrite (Algorithm 2,
+// with the §3.5 star generalization) in a single pass over the scan: per
+// arm it scatter-adds K_tᵀS and the key counts, and for every pair of arms
+// the cross gather K_aᵀ(K_b·R_b), so the off-diagonal R_aᵀK_aᵀK_bR_b blocks
+// never materialize an indicator product; the arm-side blocks are
+// assembled in memory afterwards. The cross gather needs random access to
+// R_b's rows, so a chunked arm (M:N) is loaded whole for the pass.
+func (o *Operand) Gram() (*la.Dense, error) {
+	if len(o.arms) == 0 {
+		return reduceExec(o.ex, o.rows, OpCrossProd(), o.Cols(), o.Cols())
 	}
-	if x.Cols() == 0 {
-		return la.NewDense(o.Cols(), 0), nil
+	rs, err := o.armMats()
+	if err != nil {
+		return nil, err
 	}
-	_, tp, err := o.scan(la.Step{PCols: x.Cols(), Do: func(b la.Block, _ *la.Dense, _ []float64) (la.Result, error) {
-		return la.Result{P: x.SliceRowsDense(b.Lo(), b.Lo()+b.Rows())}, nil
-	}}, nil)
-	return tp, err
+	dS, q, offs := o.offs[0], len(o.arms), o.offs
+
+	sts := la.NewDense(dS, dS)
+	kts := make([]*la.Dense, q)    // K_tᵀS scatter-adds, nRt×dS
+	counts := make([][]float64, q) // per-arm key multiplicities
+	for t, r := range rs {
+		kts[t] = la.NewDense(r.Rows(), dS)
+		counts[t] = make([]float64, r.Rows())
+	}
+	// gab[a][b] (a<b) accumulates K_aᵀ(K_b·R_b): row ka_i gains R_b's row
+	// kb_i for every joined tuple i.
+	gab := make([][]*la.Dense, q)
+	for a := 0; a < q; a++ {
+		gab[a] = make([]*la.Dense, q)
+		for b := a + 1; b < q; b++ {
+			gab[a][b] = la.NewDense(rs[a].Rows(), rs[b].Cols())
+		}
+	}
+
+	type part struct {
+		cp *la.Dense
+		*block
+	}
+	err = o.rows.Stream(o.ex, func(ci, lo int, c la.Mat) (any, error) {
+		b, err := o.load(ci, lo, c)
+		if err != nil {
+			return nil, err
+		}
+		return part{b.c.CrossProd(), b}, nil
+	}, func(ci int, v any) error {
+		p := v.(part)
+		sts.AddInPlace(p.cp)
+		for i := 0; i < p.c.Rows(); i++ {
+			for t := range p.keys {
+				rid := int(p.keys[t][i])
+				counts[t][rid]++
+				scatterRowInto(kts[t].Row(rid), p.c, i)
+			}
+			for a := 0; a < q; a++ {
+				for b := a + 1; b < q; b++ {
+					scatterRowInto(gab[a][b].Row(int(p.keys[a][i])), rs[b], int(p.keys[b][i]))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	out := la.NewDense(o.Cols(), o.Cols())
+	out.SetBlock(0, 0, sts)
+	for t, r := range rs {
+		// Off-diagonal S block SᵀK_t·R_t = (R_tᵀ·(K_tᵀS))ᵀ.
+		skr := r.TMul(kts[t]).TDense()
+		out.SetBlock(0, offs[t], skr)
+		out.SetBlock(offs[t], 0, skr.TDense())
+		// Diagonal block crossprod(diag(counts)^½ · R_t).
+		sq := make([]float64, len(counts[t]))
+		for i, v := range counts[t] {
+			sq[i] = math.Sqrt(v)
+		}
+		out.SetBlock(offs[t], offs[t], r.ScaleRows(sq).CrossProd())
+		// Cross-arm blocks R_aᵀ·(K_aᵀK_b·R_b).
+		for b := t + 1; b < q; b++ {
+			blk := r.TMul(gab[t][b])
+			out.SetBlock(offs[t], offs[b], blk)
+			out.SetBlock(offs[b], offs[t], blk.TDense())
+		}
+	}
+	return out, nil
+}
+
+// armMats holds every arm's feature matrix in memory (AttrTable.mat).
+func (o *Operand) armMats() ([]la.Mat, error) {
+	rs := make([]la.Mat, len(o.arms))
+	for t, a := range o.arms {
+		var err error
+		if rs[t], err = a.mat(); err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
 }
 
 // NewTall implements la.Operand: an n×cols matrix chunked like the scan.
@@ -329,7 +366,7 @@ type tmulReducer struct {
 func (o *Operand) newReducer(cols int) *tmulReducer {
 	r := &tmulReducer{o: o, top: la.NewDense(o.offs[0], cols), ktx: make([]*la.Dense, len(o.arms))}
 	for t, a := range o.arms {
-		rows, _ := a.dims()
+		rows, _ := a.Dims()
 		r.ktx[t] = la.NewDense(rows, cols)
 	}
 	return r

@@ -98,7 +98,7 @@ func TestSparseOpsMatchInMemory(t *testing.T) {
 			t.Fatal("chunked sparse ColSums mismatch")
 		}
 
-		sum, err := m.Sum()
+		sum, err := m.SumExec(Parallel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestSparseCorruptChunkSurfacesError(t *testing.T) {
 	if _, err := m.CSR(); err == nil {
 		t.Fatal("CSR() succeeded on truncated chunk")
 	}
-	if _, err := m.CrossProd(); err == nil {
+	if _, err := m.CrossProdExec(Parallel()); err == nil {
 		t.Fatal("CrossProd succeeded on truncated chunk")
 	}
 	// Structural corruption: right size, garbage content.
@@ -148,7 +148,7 @@ func TestSparseCorruptChunkSurfacesError(t *testing.T) {
 	if err := os.WriteFile(first, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Sum(); err == nil {
+	if _, err := m.SumExec(Parallel()); err == nil {
 		t.Fatal("Sum succeeded on corrupt chunk")
 	}
 }

@@ -2,7 +2,6 @@ package chunk
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/la"
 )
@@ -52,38 +51,109 @@ func (v *IntVector) Keys(ci int) (lo int, keys []int32, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return lo, keysOf(c), nil
+	keys, err = v.decode(ci, c)
+	return lo, keys, err
 }
 
-// keysOf decodes one stored key chunk.
-func keysOf(c *la.Dense) []int32 {
+// decode validates and converts stored key chunk ci. The table
+// constructors checked the build-time range [minKey, maxKey] against the
+// arm once; a chunk that no longer fits it — a shard file edited on disk,
+// a remote shard answering with another store's bytes — is an error
+// naming the chunk here, not an index panic on a pipeline worker.
+func (v *IntVector) decode(ci int, c *la.Dense) ([]int32, error) {
 	keys := make([]int32, c.Rows())
 	for i, f := range c.Data() {
-		keys[i] = int32(f)
+		k := int32(f)
+		if float64(k) != f || k < v.minKey || k > v.maxKey {
+			return nil, fmt.Errorf("chunk: key chunk %s row %d holds %v, want an integer in [%d,%d]", v.m.paths[ci], i, f, v.minKey, v.maxKey)
+		}
+		keys[i] = k
 	}
-	return keys
+	return keys, nil
 }
 
 // Free releases the vector's chunk files.
-func (v *IntVector) Free() error { return v.m.Free() }
-
-// AttrTable is one arm of an out-of-core star schema: the foreign-key
-// column lives in chunked storage aligned with the entity table, while the
-// (much smaller) attribute feature matrix R stays in memory — dense or CSR,
-// anything implementing la.Mat.
-type AttrTable struct {
-	FK *IntVector
-	R  la.Mat
+func (v *IntVector) Free() error {
+	if v == nil {
+		return nil
+	}
+	return v.m.Free()
 }
 
-// NormalizedTable is the out-of-core normalized matrix for a star-schema
-// PK-FK join at ORE scale, T = [S, K_1·R_1, ..., K_q·R_q]: the entity
-// table S (dense or sparse, chunked) and each foreign-key column live on
-// disk, the attribute tables stay in memory. A single attribute table
-// (q = 1) is the paper's plain PK-FK join; for M:N joins (Table 10) see
-// MNTable.
+// AttrTable is one arm K·R of an out-of-core normalized matrix: the key
+// column lives in chunked storage aligned with the scan, and the feature
+// matrix is held either in memory (R: a star's attribute table, dense or
+// CSR, much smaller than the join) or chunked on disk (Disk: an M:N base
+// table, whose products are passes of their own over its chunks) —
+// exactly one of the two.
+type AttrTable struct {
+	FK   *IntVector
+	R    la.Mat
+	Disk *Matrix
+}
+
+// Dims reports the arm's feature matrix shape.
+func (a AttrTable) Dims() (rows, cols int) {
+	if a.R != nil {
+		return a.R.Rows(), a.R.Cols()
+	}
+	return a.Disk.rows, a.Disk.cols
+}
+
+// mul computes R·x in memory.
+func (a AttrTable) mul(ex Exec, x *la.Dense) (*la.Dense, error) {
+	if a.R != nil {
+		return a.R.Mul(x), nil
+	}
+	out := la.NewDense(a.Disk.rows, x.Cols())
+	return out, a.Disk.ForEachExec(ex, func(lo int, c *la.Dense) error {
+		copy(out.Data()[lo*x.Cols():], la.MatMul(c, x).Data())
+		return nil
+	})
+}
+
+// tmul computes Rᵀ·p.
+func (a AttrTable) tmul(ex Exec, p *la.Dense) (*la.Dense, error) {
+	if a.R != nil {
+		return a.R.TMul(p), nil
+	}
+	return a.Disk.TMulExec(ex, p)
+}
+
+// norms computes the per-row ‖r_i‖².
+func (a AttrTable) norms(ex Exec) ([]float64, error) {
+	if a.R != nil {
+		return rowSquaredNorms(a.R), nil
+	}
+	out := make([]float64, a.Disk.rows)
+	return out, a.Disk.ForEachExec(ex, func(lo int, c *la.Dense) error {
+		copy(out[lo:], rowSquaredNorms(c))
+		return nil
+	})
+}
+
+// mat returns the feature matrix in memory, loading a chunked one whole:
+// what a pass that needs random access to R's rows (Gram's cross gather,
+// Materialize) holds for its duration.
+func (a AttrTable) mat() (la.Mat, error) {
+	if a.R != nil {
+		return a.R, nil
+	}
+	d, err := a.Disk.Dense()
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// NormalizedTable is the out-of-core normalized matrix
+// T = [S, K_1·R_1, ..., K_q·R_q]: the entity table S (dense or sparse,
+// chunked) and every key column live on disk. A PK-FK join (q = 1) or a
+// star keeps its attribute tables in memory; an M:N join (§3.6, Table 10)
+// is the same matrix with no S and its base tables as chunked arms, each
+// behind its row-selector column — T = [IS·S, IR·R] with |T'| rows.
 type NormalizedTable struct {
-	S     Mat // nS×dS on disk, dense or CSR chunks
+	S     Mat // nS×dS on disk, dense or CSR chunks; nil when every column comes from an arm
 	Attrs []AttrTable
 }
 
@@ -92,144 +162,188 @@ func NewNormalizedTable(s *Matrix, fk *IntVector, r *la.Dense) (*NormalizedTable
 	return NewStarTable(s, []AttrTable{{FK: fk, R: r}})
 }
 
-// NewStarTable validates chunk alignment between S and every foreign-key
-// column.
+// NewStarTable validates every arm, the chunk alignment between S (when
+// there is one) and every key column, and the key ranges.
 func NewStarTable(s Mat, attrs []AttrTable) (*NormalizedTable, error) {
-	if s == nil {
-		return nil, fmt.Errorf("chunk: star table needs an entity table")
-	}
 	if len(attrs) == 0 {
-		return nil, fmt.Errorf("chunk: star table needs at least one attribute table")
+		return nil, fmt.Errorf("chunk: normalized table needs at least one attribute table")
 	}
 	for i, a := range attrs {
-		if a.FK == nil || a.R == nil {
-			return nil, fmt.Errorf("chunk: attribute table %d is missing FK or R", i+1)
-		}
-		if a.FK.m.rows != s.Rows() {
-			return nil, fmt.Errorf("chunk: S has %d rows but FK%d has %d", s.Rows(), i+1, a.FK.m.rows)
-		}
-		if a.FK.m.chunkRows != s.ChunkRows() {
-			return nil, fmt.Errorf("chunk: S chunked by %d rows but FK%d by %d", s.ChunkRows(), i+1, a.FK.m.chunkRows)
-		}
-		// Reject out-of-range references here instead of index-panicking
-		// on a pipeline worker mid-pass.
-		if a.FK.m.rows > 0 && (a.FK.minKey < 0 || int(a.FK.maxKey) >= a.R.Rows()) {
-			return nil, fmt.Errorf("chunk: FK%d keys span [%d,%d] but R%d has %d rows", i+1, a.FK.minKey, a.FK.maxKey, i+1, a.R.Rows())
+		if a.FK == nil || (a.R == nil) == (a.Disk == nil) {
+			return nil, fmt.Errorf("chunk: attribute table %d needs FK and exactly one of R and Disk", i+1)
 		}
 	}
-	return &NormalizedTable{S: s, Attrs: attrs}, nil
+	nt := &NormalizedTable{S: s, Attrs: attrs}
+	for i, a := range attrs {
+		if a.FK.m.rows != nt.Rows() {
+			return nil, fmt.Errorf("chunk: table has %d rows but FK%d has %d", nt.Rows(), i+1, a.FK.m.rows)
+		}
+		if a.FK.m.chunkRows != nt.ChunkRows() {
+			return nil, fmt.Errorf("chunk: table chunked by %d rows but FK%d by %d", nt.ChunkRows(), i+1, a.FK.m.chunkRows)
+		}
+		// Reject out-of-range references here; IntVector.decode holds every
+		// later read to the same range.
+		if nR, _ := a.Dims(); a.FK.m.rows > 0 && (a.FK.minKey < 0 || int(a.FK.maxKey) >= nR) {
+			return nil, fmt.Errorf("chunk: FK%d keys span [%d,%d] but R%d has %d rows", i+1, a.FK.minKey, a.FK.maxKey, i+1, nR)
+		}
+	}
+	return nt, nil
 }
 
-// Rows reports the join output row count (= nS for a PK-FK join).
-func (nt *NormalizedTable) Rows() int { return nt.S.Rows() }
+// FromNormalized spills an in-memory normalized matrix given as
+// core.New's parts, T = [IS·S, K_1·R_1, ..., K_q·R_q]. With is nil
+// (PK-FK/star) S and the key columns go to disk and the attribute tables
+// stay in memory as they are; with is set (M:N) S becomes the first arm
+// behind is and every base table is chunked. Tables are spilled as dense
+// chunks, row by row when they are a RowSource (an epoch view). On any
+// error everything spilled so far is freed.
+func FromNormalized(store *Store, s la.Mat, is *la.Indicator, ks []*la.Indicator, rs []la.Mat, chunkRows int) (*NormalizedTable, error) {
+	if len(ks) != len(rs) {
+		return nil, fmt.Errorf("chunk: %d key columns for %d attribute tables", len(ks), len(rs))
+	}
+	if is != nil && s == nil {
+		return nil, fmt.Errorf("chunk: IS given without the S it selects rows of")
+	}
+	nt := &NormalizedTable{}
+	fail := func(err error) (*NormalizedTable, error) {
+		nt.Free()
+		return nil, err
+	}
+	if is != nil { // M:N: the entity table is one more arm, behind its selector
+		ks, rs = append([]*la.Indicator{is}, ks...), append([]la.Mat{s}, rs...)
+	} else if s != nil {
+		sm, err := spill(store, s, chunkRows)
+		if err != nil {
+			return nil, err
+		}
+		nt.S = sm
+	}
+	for t, k := range ks {
+		var a AttrTable
+		var err error
+		if is == nil {
+			a.R = rs[t]
+		} else {
+			a.Disk, err = spill(store, rs[t], chunkRows)
+		}
+		if err == nil {
+			a.FK, err = BuildIntVector(store, k.Assignments(), chunkRows)
+		}
+		nt.Attrs = append(nt.Attrs, a) // before the check, so fail frees what a holds
+		if err != nil {
+			return fail(err)
+		}
+	}
+	if _, err := NewStarTable(nt.S, nt.Attrs); err != nil {
+		return fail(err)
+	}
+	return nt, nil
+}
+
+func spill(store *Store, m la.Mat, chunkRows int) (*Matrix, error) {
+	if src, ok := m.(RowSource); ok {
+		return FromRowSource(store, src, chunkRows)
+	}
+	return FromDense(store, m.Dense(), chunkRows)
+}
+
+// Rows reports the join output row count: nS for a PK-FK join, |T'| for
+// an M:N one.
+func (nt *NormalizedTable) Rows() int { return nt.scanned().Rows() }
+
+// ChunkRows reports the chunk height of the scan: S and every key column
+// are chunked alike.
+func (nt *NormalizedTable) ChunkRows() int { return nt.scanned().ChunkRows() }
+
+// scanned is what a pass over the table streams: S, or without one the
+// first key column.
+func (nt *NormalizedTable) scanned() Mat {
+	if nt.S != nil {
+		return nt.S
+	}
+	return nt.Attrs[0].FK.m
+}
 
 // Cols reports the logical column count dS + Σ dRi of the joined table.
 func (nt *NormalizedTable) Cols() int {
-	d := nt.S.Cols()
+	d := 0
+	if nt.S != nil {
+		d = nt.S.Cols()
+	}
 	for _, a := range nt.Attrs {
-		d += a.R.Cols()
+		_, cols := a.Dims()
+		d += cols
 	}
 	return d
 }
 
-// NumTables reports the number of attribute tables q.
+// NumTables reports the number of arms q.
 func (nt *NormalizedTable) NumTables() int { return len(nt.Attrs) }
 
 // MulExec computes T·x (LMM, §3.3.3) for an in-memory x into a chunked
-// result aligned with S: only the base table and key columns are read,
-// never the joined nS×d output. For a DMM against an in-memory normalized
-// B (appendix C), pass B.Dense(): it is the small side of the product.
+// result aligned with the scan: only the base tables and key columns are
+// read, never the joined n×d output. For a DMM against an in-memory
+// normalized B (appendix C), pass B.Dense(): it is the small side of the
+// product.
 func (nt *NormalizedTable) MulExec(ex Exec, x *la.Dense) (*Matrix, error) {
 	return nt.Operand(ex).mul(x)
 }
 
 // TMulExec computes Tᵀ·x (RMM on the transpose) for an in-memory x: the S
-// block streams Sᵀ·x chunk by chunk, each R block scatter-adds x's rows
-// per join key in chunk order and multiplies by R_tᵀ once at the end.
+// block streams Sᵀ·x chunk by chunk, each arm scatter-adds x's rows per
+// join key in chunk order and multiplies by R_tᵀ once at the end.
 func (nt *NormalizedTable) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
-	return nt.Operand(ex).tmul(x)
+	return la.ScanTMul(nt.Operand(ex), x)
 }
 
-// CrossProdExec computes TᵀT with the paper's efficient rewrite
-// (Algorithm 2, with the §3.5 star-schema generalization) in a single pass
-// over the chunked S and key columns. Per attribute table the pass
-// scatter-adds K_tᵀS and the key counts; for every pair of attribute
-// tables it scatter-adds the cross gather K_aᵀ(K_b·R_b), so the
-// off-diagonal R_aᵀK_aᵀK_bR_b blocks never materialize an indicator
-// product. The R-side blocks are assembled in memory afterwards.
-func (nt *NormalizedTable) CrossProdExec(ex Exec) (*la.Dense, error) {
+// CrossProdExec computes TᵀT factorized: Operand.Gram.
+func (nt *NormalizedTable) CrossProdExec(ex Exec) (*la.Dense, error) { return nt.Operand(ex).Gram() }
+
+// Materialize spills the joined table [S, K_1·R_1, ...] into the table's
+// store, chunked like the scan — the baseline input for Tables 9 and 10.
+// It streams the scan and gathers arm rows (chunked arms are loaded whole
+// for the pass), so building it costs the full n·d write.
+func (nt *NormalizedTable) Materialize(ex Exec) (*Matrix, error) {
 	o := nt.Operand(ex)
-	dS, q, offs := nt.S.Cols(), nt.NumTables(), o.offs
-
-	sts := la.NewDense(dS, dS)
-	kts := make([]*la.Dense, q)    // K_tᵀS scatter-adds, nRt×dS
-	counts := make([][]float64, q) // per-table key multiplicities
-	for t, a := range nt.Attrs {
-		kts[t] = la.NewDense(a.R.Rows(), dS)
-		counts[t] = make([]float64, a.R.Rows())
-	}
-	// gab[a][b] (a<b) accumulates K_aᵀ(K_b·R_b): row ka_i gains R_b's row
-	// kb_i for every joined tuple i.
-	gab := make([][]*la.Dense, q)
-	for a := 0; a < q; a++ {
-		gab[a] = make([]*la.Dense, q)
-		for b := a + 1; b < q; b++ {
-			gab[a][b] = la.NewDense(nt.Attrs[a].R.Rows(), nt.Attrs[b].R.Cols())
-		}
-	}
-
-	type part struct {
-		cp *la.Dense
-		*block
-	}
-	err := nt.S.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
-		b, err := o.load(ci, lo, c)
-		if err != nil {
-			return nil, err
-		}
-		return part{c.CrossProd(), b}, nil
-	}, func(ci int, v any) error {
-		p := v.(part)
-		sts.AddInPlace(p.cp)
-		for i := 0; i < p.c.Rows(); i++ {
-			for t := range p.keys {
-				rid := int(p.keys[t][i])
-				counts[t][rid]++
-				scatterRowInto(kts[t].Row(rid), p.c, i)
-			}
-			for a := 0; a < q; a++ {
-				for b := a + 1; b < q; b++ {
-					scatterRowInto(gab[a][b].Row(int(p.keys[a][i])), nt.Attrs[b].R, int(p.keys[b][i]))
-				}
-			}
-		}
-		return nil
-	})
+	rs, err := o.armMats()
 	if err != nil {
 		return nil, err
 	}
-
-	out := la.NewDense(nt.Cols(), nt.Cols())
-	out.SetBlock(0, 0, sts)
-	for t, a := range nt.Attrs {
-		// Off-diagonal S block SᵀK_t·R_t = (R_tᵀ·(K_tᵀS))ᵀ.
-		skr := a.R.TMul(kts[t]).TDense()
-		out.SetBlock(0, offs[t], skr)
-		out.SetBlock(offs[t], 0, skr.TDense())
-		// Diagonal block crossprod(diag(counts)^½ · R_t).
-		sq := make([]float64, len(counts[t]))
-		for i, v := range counts[t] {
-			sq[i] = math.Sqrt(v)
+	return scanToMatrix(ex, o.rows, o.Cols(), func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
+		b, err := o.load(ci, lo, c)
+		if err != nil {
+			return nil, nil, err
 		}
-		out.SetBlock(offs[t], offs[t], a.R.ScaleRows(sq).CrossProd())
-		// Cross-attribute blocks R_aᵀ·(K_aᵀK_b·R_b).
-		for b := t + 1; b < q; b++ {
-			blk := a.R.TMul(gab[t][b])
-			out.SetBlock(offs[t], offs[b], blk)
-			out.SetBlock(offs[b], offs[t], blk.TDense())
+		out := la.NewDense(b.Rows(), o.Cols())
+		for i := 0; i < b.Rows(); i++ {
+			row := out.Row(i)
+			scatterRowInto(row[:o.offs[0]], b.c, i)
+			for t, ks := range b.keys {
+				scatterRowInto(row[o.offs[t]:o.offs[t+1]], rs[t], int(ks[i]))
+			}
+		}
+		return out, nil, nil
+	}, nil)
+}
+
+// Free releases everything the table holds on disk: S, the key columns
+// and any chunked arm.
+func (nt *NormalizedTable) Free() error {
+	var err error
+	if nt.S != nil {
+		err = nt.S.Free()
+	}
+	for _, a := range nt.Attrs {
+		if e := a.FK.Free(); err == nil {
+			err = e
+		}
+		if a.Disk != nil {
+			if e := a.Disk.Free(); err == nil {
+				err = e
+			}
 		}
 	}
-	return out, nil
+	return err
 }
 
 // scatterRowInto adds row i of src into dst, honoring sparsity.
@@ -249,15 +363,4 @@ func scatterRowInto(dst []float64, src la.Mat, i int) {
 			dst[j] += src.At(i, j)
 		}
 	}
-}
-
-// Free releases the on-disk base table and key columns.
-func (nt *NormalizedTable) Free() error {
-	err := nt.S.Free()
-	for _, a := range nt.Attrs {
-		if e := a.FK.Free(); err == nil {
-			err = e
-		}
-	}
-	return err
 }

@@ -175,8 +175,13 @@ func TestStarTableValidation(t *testing.T) {
 	s, _ := FromDense(store, randDense(rng, 20, 2), 8)
 	fk, _ := BuildIntVector(store, make([]int32, 20), 8)
 	r := randDense(rng, 3, 2)
-	if _, err := NewStarTable(nil, []AttrTable{{FK: fk, R: r}}); err == nil {
-		t.Fatal("accepted nil entity table")
+	// No entity table is a table whose every column comes from an arm (the
+	// M:N shape); the scan then streams the first key column.
+	if nt, err := NewStarTable(nil, []AttrTable{{FK: fk, R: r}}); err != nil || nt.Rows() != 20 || nt.Cols() != 2 || nt.ChunkRows() != 8 {
+		t.Fatalf("arm-only table: %v, %+v", err, nt)
+	}
+	if _, err := NewStarTable(s, []AttrTable{{FK: fk, R: r, Disk: s}}); err == nil {
+		t.Fatal("accepted an arm held both in memory and on disk")
 	}
 	if _, err := NewStarTable(s, nil); err == nil {
 		t.Fatal("accepted empty star")

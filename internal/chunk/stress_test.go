@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -116,15 +117,22 @@ func TestStoreAccountingConcurrentStress(t *testing.T) {
 	}
 }
 
-// failWriteBackend wraps a Backend and fails every WriteChunk, for
-// exercising the write-behind error paths.
+// failWriteBackend wraps a Backend and fails every WriteChunk after the
+// first ok of them (the zero value fails them all), for exercising the
+// write-side error paths.
 type failWriteBackend struct {
 	Backend
+	ok atomic.Int64
 }
 
 var errInjectedWrite = errors.New("injected write failure")
 
-func (b *failWriteBackend) WriteChunk(key string, data []byte) error { return errInjectedWrite }
+func (b *failWriteBackend) WriteChunk(key string, data []byte) error {
+	if b.ok.Add(-1) < 0 {
+		return errInjectedWrite
+	}
+	return b.Backend.WriteChunk(key, data)
+}
 
 // TestSpillWriterEnqueueVsErrorRace races concurrent enqueues against the
 // writer goroutine recording its first error: whatever interleaving the

@@ -54,11 +54,16 @@ func (s *Snapshot) NormalizedMatrix() (*core.NormalizedMatrix, error) {
 	if s.views[0] != nil {
 		sm = s.views[0]
 	}
+	return core.New(sm, s.store.is, s.store.ks, s.rs())
+}
+
+// rs lists the attribute tables at this epoch.
+func (s *Snapshot) rs() []la.Mat {
 	rs := make([]la.Mat, s.store.NumTables())
 	for t := range rs {
 		rs[t] = s.views[1+t]
 	}
-	return core.New(sm, s.store.is, s.store.ks, rs)
+	return rs
 }
 
 // BuildChunked streams the snapshot into cs as an out-of-core
@@ -78,36 +83,7 @@ func (s *Snapshot) BuildChunked(cs *chunk.Store, chunkRows int) (*chunk.Normaliz
 	if s.views[0] == nil {
 		return nil, errors.New("epoch: chunked snapshot requires an entity feature table")
 	}
-	sm, err := chunk.FromRowSource(cs, s.views[0], chunkRows)
-	if err != nil {
-		return nil, err
-	}
-	attrs := make([]chunk.AttrTable, s.store.NumTables())
-	for t := range attrs {
-		fk, err := chunk.BuildIntVector(cs, s.store.ks[t].Assignments(), chunkRows)
-		if err != nil {
-			freeAttrs(sm, attrs[:t])
-			return nil, err
-		}
-		attrs[t] = chunk.AttrTable{FK: fk, R: s.views[1+t]}
-	}
-	nt, err := chunk.NewStarTable(sm, attrs)
-	if err != nil {
-		freeAttrs(sm, attrs)
-		return nil, err
-	}
-	return nt, nil
-}
-
-// freeAttrs releases partially built chunked state on a failed
-// BuildChunked so store accounting returns to baseline.
-func freeAttrs(sm *chunk.Matrix, attrs []chunk.AttrTable) {
-	sm.Free()
-	for _, a := range attrs {
-		if a.FK != nil {
-			a.FK.Free()
-		}
-	}
+	return chunk.FromNormalized(cs, s.views[0], nil, s.store.ks, s.rs(), chunkRows)
 }
 
 // Release unpins the snapshot's epoch; once every pin on a superseded

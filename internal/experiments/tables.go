@@ -300,7 +300,7 @@ func table9(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		nt, err := chunkStar(st, nm, chunkRows)
+		nt, err := spill(st, nm, chunkRows)
 		if err != nil {
 			return Result{}, err
 		}
@@ -324,7 +324,7 @@ func table9(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		nt, err := chunkStar(st, nm, chunkRows)
+		nt, err := spill(st, nm, chunkRows)
 		if err != nil {
 			return Result{}, err
 		}
@@ -346,7 +346,7 @@ func table9(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		nt, err := chunkStar(st, nm, chunkRows)
+		nt, err := spill(st, nm, chunkRows)
 		if err != nil {
 			return Result{}, err
 		}
@@ -357,24 +357,9 @@ func table9(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// chunkStar spills the base tables of an in-memory star-schema normalized
-// matrix into out-of-core form: chunked S plus one chunk-aligned key
-// column per attribute table, attribute tables staying in memory (dense or
-// CSR, whatever the normalized matrix holds).
-func chunkStar(st *chunk.Store, nm *core.NormalizedMatrix, chunkRows int) (*chunk.NormalizedTable, error) {
-	sM, err := chunk.FromDense(st, nm.S().Dense(), chunkRows)
-	if err != nil {
-		return nil, err
-	}
-	attrs := make([]chunk.AttrTable, nm.NumTables())
-	for t, k := range nm.Ks() {
-		fkv, err := chunk.BuildIntVector(st, k.Assignments(), chunkRows)
-		if err != nil {
-			return nil, err
-		}
-		attrs[t] = chunk.AttrTable{FK: fkv, R: nm.Rs()[t]}
-	}
-	return chunk.NewStarTable(sM, attrs)
+// spill puts an in-memory normalized matrix out of core, factorized.
+func spill(st *chunk.Store, nm *core.NormalizedMatrix, chunkRows int) (*chunk.NormalizedTable, error) {
+	return chunk.FromNormalized(st, nm.S(), nm.IS(), nm.Ks(), nm.Rs(), chunkRows)
 }
 
 // oneHotPKFK builds a PK-FK normalized matrix whose attribute table is a
@@ -425,31 +410,15 @@ func table10(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		y := datagen.Labels(nm, 0, true, cfg.Seed)
-		sM, err := chunk.FromDense(st, nm.S().Dense(), chunkRows)
-		if err != nil {
-			return Result{}, err
-		}
-		rM, err := chunk.FromDense(st, nm.Rs()[0].Dense(), chunkRows)
-		if err != nil {
-			return Result{}, err
-		}
-		isV, err := chunk.BuildIntVector(st, nm.IS().Assignments(), chunkRows)
-		if err != nil {
-			return Result{}, err
-		}
-		irV, err := chunk.BuildIntVector(st, nm.Ks()[0].Assignments(), chunkRows)
-		if err != nil {
-			return Result{}, err
-		}
-		mn, err := chunk.NewMNTable(sM, rM, isV, irV)
-		if err != nil {
-			return Result{}, err
-		}
-		tM, err := chunk.MaterializeMN(st, mn)
+		mn, err := spill(st, nm, chunkRows)
 		if err != nil {
 			return Result{}, err
 		}
 		ex := chunkExec(cfg)
+		tM, err := mn.Materialize(ex)
+		if err != nil {
+			return Result{}, err
+		}
 		mT, fT, _, _, err := runGLMPair(st, chunk.MatOperand(ex, tM), mn.Operand(ex), y, iters, 1e-7)
 		if err != nil {
 			return Result{}, fmt.Errorf("table10: %w", err)

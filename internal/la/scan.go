@@ -23,6 +23,9 @@ type Operand interface {
 	// It returns what the step declared: the new n-tall Tall made of the
 	// blocks' Out (the caller owns it) and the product Tᵀ·P of their P.
 	Scan(step Step, merge func(part any) error) (Tall, *Dense, error)
+	// Gram returns TᵀT (Matrix.CrossProd; §3.3.5 for a normalized T). It is
+	// a method, not a Step: it has no Do, X, P or Out to declare.
+	Gram() (*Dense, error)
 	// NewTall allocates n-tall state aligned with T's blocks; fill sees
 	// the blocks in order.
 	NewTall(cols int, fill func(dst *Dense)) (Tall, error)
@@ -64,20 +67,40 @@ type Tall interface {
 	Free() error
 }
 
+// ScanTMul computes Tᵀ·P for an in-memory n-tall P with one scan: the
+// whole-matrix transposed LMM of any operand.
+func ScanTMul(t Operand, p *Dense) (*Dense, error) {
+	if p.Rows() != t.Rows() {
+		return nil, fmt.Errorf("la: scan TMul %dx%dᵀ · %dx%d", t.Rows(), t.Cols(), p.Rows(), p.Cols())
+	}
+	if p.Cols() == 0 { // the product is d×0: nothing to scan for
+		return NewDense(t.Cols(), 0), nil
+	}
+	_, tp, err := t.Scan(Step{PCols: p.Cols(), Do: func(b Block, _ *Dense, _ []float64) (Result, error) {
+		if b.Rows() == p.Rows() { // one block: P itself, not a copy
+			return Result{P: p}, nil
+		}
+		return Result{P: p.SliceRowsDense(b.Lo(), b.Lo()+b.Rows())}, nil
+	}}, nil)
+	return tp, err
+}
+
 // whole is an in-memory Matrix seen as one block that is its own scan.
 type whole struct {
-	t, tt Matrix // tt = Tᵀ, transposed once
+	t, tt Matrix // tt = Tᵀ, transposed on the first Tᵀ·P (a Gram-only caller never pays the copy)
 	norms []float64
 }
 
 // InMemory adapts an in-memory matrix — dense, sparse, normalized, or any
 // other Matrix — to the scan contract as a single block.
-func InMemory(t Matrix) Operand { return &whole{t: t, tt: t.T()} }
+func InMemory(t Matrix) Operand { return &whole{t: t} }
 
 func (w *whole) Rows() int  { return w.t.Rows() }
 func (w *whole) Cols() int  { return w.t.Cols() }
 func (w *whole) Index() int { return 0 }
 func (w *whole) Lo() int    { return 0 }
+
+func (w *whole) Gram() (*Dense, error) { return w.t.CrossProd(), nil }
 
 func (w *whole) Scan(step Step, merge func(any) error) (tall Tall, tp *Dense, err error) {
 	var tx *Dense
@@ -101,6 +124,9 @@ func (w *whole) Scan(step Step, merge func(any) error) (tall Tall, tp *Dense, er
 		tall = denseTall{r.Out}
 	}
 	if step.PCols > 0 {
+		if w.tt == nil {
+			w.tt = w.t.T()
+		}
 		tp = w.tt.Mul(r.P)
 	}
 	return tall, tp, nil

@@ -16,18 +16,24 @@ import (
 // operators — crossprod and the transposed LMM — are exactly the ones the
 // normalized matrix factorizes; the λI shift is d×d.
 func RidgeRegression(t la.Matrix, y *la.Dense, lambda float64) (*la.Dense, error) {
-	if y.Rows() != t.Rows() || y.Cols() != 1 {
-		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
+	return RidgeScan(la.InMemory(t), y, lambda)
+}
+
+// RidgeScan is RidgeRegression over any operand.
+func RidgeScan(t la.Operand, y *la.Dense, lambda float64) (*la.Dense, error) {
+	if err := checkLabels(t, y); err != nil {
+		return nil, err
 	}
 	if lambda < 0 {
 		return nil, fmt.Errorf("ml: lambda must be non-negative, got %g", lambda)
 	}
-	d := t.Cols()
-	a := t.CrossProd()
-	for i := 0; i < d; i++ {
+	a, tty, err := normalEquations(t, y)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < t.Cols(); i++ {
 		a.Set(i, i, a.At(i, i)+lambda)
 	}
-	tty := t.T().Mul(y)
 	if w, err := la.SolveSPD(a, tty); err == nil {
 		return w, nil
 	}
@@ -50,7 +56,11 @@ type PCAResult struct {
 //
 // crossprod and colSums are factorized operators, so PCA over a normalized
 // matrix never materializes the join.
-func PCA(t la.Matrix, k int) (*PCAResult, error) {
+func PCA(t la.Matrix, k int) (*PCAResult, error) { return PCAScan(la.InMemory(t), k) }
+
+// PCAScan is PCA over any operand: the Gram pass, and the column sums as
+// the scan product Tᵀ·1.
+func PCAScan(t la.Operand, k int) (*PCAResult, error) {
 	n, d := t.Rows(), t.Cols()
 	if k <= 0 || k > d {
 		return nil, fmt.Errorf("ml: k=%d out of range (1..%d)", k, d)
@@ -58,12 +68,15 @@ func PCA(t la.Matrix, k int) (*PCAResult, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("ml: PCA needs at least 2 rows, got %d", n)
 	}
-	cp := t.CrossProd()
-	mean := t.ColSums().ScaleDense(1 / float64(n)) // 1×d
+	cp, sums, err := normalEquations(t, la.Ones(n, 1))
+	if err != nil {
+		return nil, err
+	}
+	mean := sums.ScaleDense(1 / float64(n)) // d×1
 	cov := la.NewDense(d, d)
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
-			cov.Set(i, j, (cp.At(i, j)-float64(n)*mean.At(0, i)*mean.At(0, j))/float64(n-1))
+			cov.Set(i, j, (cp.At(i, j)-float64(n)*mean.At(i, 0)*mean.At(j, 0))/float64(n-1))
 		}
 	}
 	vals, vecs := la.SymEigen(cov)

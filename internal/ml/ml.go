@@ -3,15 +3,17 @@
 // gradient descent, and the Schleich et al. co-factor variant), K-Means
 // clustering, and Gaussian non-negative matrix factorization.
 //
-// Every algorithm is written once. The one-shot solvers call la.Matrix
-// operators; the iterative ones (LogRegScan, KMeansScan, GNMFScan) are
-// written against la.Operand, the row-block scan contract: a pass prepares
-// its products' small side once, runs a short step per block, merges the
-// results strictly in block order and finishes once, so an algorithm owns
-// only its update rule. Their la.Matrix forms run the same code over
-// la.InMemory: a dense or sparse matrix gives the paper's "materialized"
-// version, a core.NormalizedMatrix the factorized one, internal/chunk's
-// operands the out-of-core ones — no per-representation rewriting.
+// Every algorithm is written once, against la.Operand. The iterative ones
+// (LogRegScan, KMeansScan, GNMFScan) use the row-block scan contract: a
+// pass prepares its products' small side once, runs a short step per
+// block, merges the results strictly in block order and finishes once, so
+// an algorithm owns only its update rule. The one-shot solvers
+// (LinRegNEScan, RidgeScan, CofactorScan, PCAScan) take TᵀT from
+// Operand.Gram and Tᵀ·y from one more scan (la.ScanTMul), then work on
+// d×d state. The la.Matrix forms run the same code over la.InMemory: a
+// dense or sparse matrix gives the paper's "materialized" version, a
+// core.NormalizedMatrix the factorized one, internal/chunk's operands the
+// out-of-core ones — no per-representation rewriting.
 package ml
 
 import (
@@ -64,13 +66,7 @@ func LogRegScan(t la.Operand, y, w0 *la.Dense, opt Options) (*la.Dense, error) {
 // is one scan: the LMM T_b·w, the link on the block's rows (first row lo),
 // and the transposed-LMM partial, merged in block order.
 func descend(t la.Operand, y, w0 *la.Dense, opt Options, step float64, link func(lo int, tw, p []float64)) (*la.Dense, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if y.Rows() != t.Rows() || y.Cols() != 1 {
-		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
-	}
-	w, err := initWeights(w0, t.Cols())
+	w, err := start(t, y, w0, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -108,16 +104,12 @@ func LogisticLoss(t la.Matrix, y, w *la.Dense) float64 {
 // As the paper notes for `solve` (§3.3.6), a Cholesky solve is attempted
 // first; the pseudo-inverse is the fallback when crossprod(T) is singular.
 func LinearRegressionNE(t la.Matrix, y *la.Dense) (*la.Dense, error) {
-	if y.Rows() != t.Rows() || y.Cols() != 1 {
-		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
-	}
-	cp := t.CrossProd()
-	tty := t.T().Mul(y)
-	if w, err := la.SolveSPD(cp, tty); err == nil {
-		return w, nil
-	}
-	return la.MatMul(la.SymGinv(cp), tty), nil
+	return LinRegNEScan(la.InMemory(t), y)
 }
+
+// LinRegNEScan is LinearRegressionNE over any operand — ridge regression
+// at λ = 0: the Gram pass, then one scan for Tᵀ·Y.
+func LinRegNEScan(t la.Operand, y *la.Dense) (*la.Dense, error) { return RidgeScan(t, y, 0) }
 
 // LinearRegressionGD solves least squares by gradient descent
 // (Algorithm 11; factorized as Algorithm 12):
@@ -138,21 +130,23 @@ func LinearRegressionGD(t la.Matrix, y, w0 *la.Dense, opt Options) (*la.Dense, e
 // against it. The expensive data-dependent work (RMM + cross-product) is
 // factorized; the iterations touch only (d+1)×d state.
 func LinearRegressionCofactor(t la.Matrix, y, w0 *la.Dense, opt Options) (*la.Dense, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if y.Rows() != t.Rows() || y.Cols() != 1 {
-		return nil, fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
-	}
-	d := t.Cols()
-	w, err := initWeights(w0, d)
+	return CofactorScan(la.InMemory(t), y, w0, opt)
+}
+
+// CofactorScan is LinearRegressionCofactor over any operand: YᵀT is the
+// transpose of the scan product Tᵀ·Y.
+func CofactorScan(t la.Operand, y, w0 *la.Dense, opt Options) (*la.Dense, error) {
+	w, err := start(t, y, w0, opt)
 	if err != nil {
 		return nil, err
 	}
-	ytT := t.LeftMul(y.TDense()) // RMM: 1×d
-	cp := t.CrossProd()
-	c := la.VCat(ytT, cp)       // (d+1)×d co-factor
-	accum := make([]float64, d) // AdaGrad accumulator
+	cp, tty, err := normalEquations(t, y)
+	if err != nil {
+		return nil, err
+	}
+	d := t.Cols()
+	c := la.VCat(tty.TDense(), cp) // (d+1)×d co-factor
+	accum := make([]float64, d)    // AdaGrad accumulator
 	const eps = 1e-8
 	for it := 0; it < opt.Iters; it++ {
 		// grad = Cᵀ·[−1; w] = crossprod(T)·w − (YᵀT)ᵀ.
@@ -169,6 +163,33 @@ func LinearRegressionCofactor(t la.Matrix, y, w0 *la.Dense, opt Options) (*la.De
 		}
 	}
 	return w, nil
+}
+
+// normalEquations reads T twice: the Gram pass for TᵀT, one scan for Tᵀ·Y.
+func normalEquations(t la.Operand, y *la.Dense) (cp, tty *la.Dense, err error) {
+	if cp, err = t.Gram(); err != nil {
+		return nil, nil, err
+	}
+	tty, err = la.ScanTMul(t, y)
+	return cp, tty, err
+}
+
+// start validates a supervised fit's inputs and returns its first iterate.
+func start(t la.Operand, y, w0 *la.Dense, opt Options) (*la.Dense, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	if err := checkLabels(t, y); err != nil {
+		return nil, err
+	}
+	return initWeights(w0, t.Cols())
+}
+
+func checkLabels(t la.Operand, y *la.Dense) error {
+	if y.Rows() != t.Rows() || y.Cols() != 1 {
+		return fmt.Errorf("ml: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), t.Rows())
+	}
+	return nil
 }
 
 func initWeights(w0 *la.Dense, d int) (*la.Dense, error) {

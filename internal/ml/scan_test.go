@@ -74,7 +74,12 @@ func TestOpaqueMatrixRunsEveryAlgorithm(t *testing.T) {
 			gd, _ := LinearRegressionGD(t, y, nil, opt)
 			ne, _ := LinearRegressionNE(t, y)
 			co, _ := LinearRegressionCofactor(t, y, nil, opt)
-			return []*la.Dense{gd, ne, co}
+			ri, _ := RidgeRegression(t, y, 0.3)
+			return []*la.Dense{gd, ne, co, ri}
+		},
+		"pca": func(t la.Matrix) []*la.Dense {
+			r, _ := PCA(t, 2)
+			return []*la.Dense{r.Components, la.ColVector(r.Variances)}
 		},
 		"kmeans": func(t la.Matrix) []*la.Dense {
 			r, _ := KMeans(t, 3, opt)

@@ -32,60 +32,45 @@ func MaterializedOperands(t chunk.Mat) Operands {
 	return o
 }
 
-// StarOperands describes a PK-FK/star join: the factorized normalized
+// StarOperands describes a chunked normalized table: the factorized
 // table (required) and, when the caller also holds it, the materialized
-// join output. The §3.7 stats come from the table dimensions alone.
+// join output. The §3.7 stats come from the table dimensions alone. A
+// table without S is an M:N join (Table 10) whose entity table is its
+// first arm: Redundancy from StatsFromDims(|T'|, d, dims(S), dims(R…)) is
+// then exactly the paper's storage ratio, so the representation axis
+// reduces to Redundancy > 1.
 func StarOperands(tM chunk.Mat, nt *chunk.NormalizedTable) Operands {
-	var attrBytes int64
+	// The chunked key columns: one stored float64 per output row per arm.
+	bytes := int64(nt.NumTables()) * int64(nt.Rows()) * 8
+	var s core.TableDim
+	if nt.S != nil {
+		s = core.TableDim{Rows: nt.S.Rows(), Cols: nt.S.Cols()}
+		bytes += nt.S.BytesOnDisk()
+	}
 	rs := make([]core.TableDim, len(nt.Attrs))
 	for i, a := range nt.Attrs {
-		rs[i] = core.TableDim{Rows: a.R.Rows(), Cols: a.R.Cols()}
-		attrBytes += int64(a.R.Rows()) * int64(a.R.Cols()) * 8
+		rows, cols := a.Dims()
+		rs[i] = core.TableDim{Rows: rows, Cols: cols}
+		if a.Disk != nil {
+			bytes += a.Disk.BytesOnDisk()
+		} else {
+			bytes += int64(rows) * int64(cols) * 8
+		}
 	}
-	s := core.TableDim{Rows: nt.S.Rows(), Cols: nt.S.Cols()}
+	if nt.S == nil {
+		s, rs = rs[0], rs[1:]
+	}
 	o := Operands{
-		Rows:       nt.Rows(),
-		Cols:       nt.Cols(),
-		AttrTables: nt.NumTables(),
-		Stats:      core.StatsFromDims(nt.Rows(), nt.Cols(), s, rs),
-		Chunked:    true,
-		NumChunks:  nt.S.NumChunks(),
-		ChunkRows:  nt.S.ChunkRows(),
-		// S chunks + in-memory attribute tables + the chunked key columns
-		// (one stored float64 per base row per table).
+		Rows:            nt.Rows(),
+		Cols:            nt.Cols(),
+		AttrTables:      len(rs),
+		MNJoin:          nt.S == nil,
+		Stats:           core.StatsFromDims(nt.Rows(), nt.Cols(), s, rs),
+		Chunked:         true,
+		NumChunks:       (nt.Rows() + nt.ChunkRows() - 1) / nt.ChunkRows(),
+		ChunkRows:       nt.ChunkRows(),
 		HasFactorized:   true,
-		BytesFactorized: nt.S.BytesOnDisk() + attrBytes + int64(nt.NumTables())*int64(nt.S.Rows())*8,
-	}
-	if tM != nil {
-		o.HasMaterialized = true
-		o.BytesMaterialized = tM.BytesOnDisk()
-	}
-	return o
-}
-
-// MNOperands describes an M:N join (Table 10): the factorized MNTable
-// (required) and, when the caller also holds it, the materialized join
-// output. Redundancy from StatsFromDims(|T'|, dS+dR, dims(S), [dims(R)])
-// is exactly the paper's storage ratio, so the representation axis
-// reduces to Redundancy > 1.
-func MNOperands(tM chunk.Mat, mn *chunk.MNTable) Operands {
-	nOut := mn.OutputRows()
-	dS, dR := mn.S.Cols(), mn.R.Cols()
-	s := core.TableDim{Rows: mn.S.Rows(), Cols: dS}
-	r := core.TableDim{Rows: mn.R.Rows(), Cols: dR}
-	chunkRows := mn.S.ChunkRows()
-	o := Operands{
-		Rows:       nOut,
-		Cols:       dS + dR,
-		AttrTables: 1,
-		MNJoin:     true,
-		Stats:      core.StatsFromDims(nOut, dS+dR, s, []core.TableDim{r}),
-		Chunked:    true,
-		NumChunks:  (nOut + chunkRows - 1) / chunkRows,
-		ChunkRows:  chunkRows,
-		// Base tables plus the two chunked selector columns.
-		HasFactorized:   true,
-		BytesFactorized: mn.S.BytesOnDisk() + mn.R.BytesOnDisk() + 2*int64(nOut)*8,
+		BytesFactorized: bytes,
 	}
 	if tM != nil {
 		o.HasMaterialized = true
@@ -125,33 +110,21 @@ type LogRegResult struct {
 	W *la.Dense
 }
 
-// LogReg is the planner-driven GLM entry point for PK-FK/star tables: it
-// plans OpGLM over the representations the caller holds and runs
-// ml.LogRegScan over the chosen one. Either of tM/nt may be nil; the
-// planner never selects an absent representation.
+// LogReg is the planner-driven GLM entry point: it plans OpGLM over the
+// representations the caller holds, views the one the plan names as a
+// scan operand under the plan's Exec, and hands it to ml.LogRegScan.
+// Either of tM/nt may be nil; the planner never selects an absent
+// representation.
 func LogReg(env Env, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters int, alpha float64) (*LogRegResult, Decision, error) {
-	if nt == nil {
-		return logReg(env, MaterializedOperands(tM), tM, nil, y, iters, alpha)
+	o := MaterializedOperands(tM)
+	if nt != nil {
+		o = StarOperands(tM, nt)
 	}
-	return logReg(env, StarOperands(tM, nt), tM, nt.Operand, y, iters, alpha)
-}
-
-// LogRegMN is LogReg for M:N joins: the factorized operand is the MNTable.
-func LogRegMN(env Env, tM chunk.Mat, mn *chunk.MNTable, y *la.Dense, iters int, alpha float64) (*LogRegResult, Decision, error) {
-	if mn == nil {
-		return logReg(env, MaterializedOperands(tM), tM, nil, y, iters, alpha)
-	}
-	return logReg(env, MNOperands(tM, mn), tM, mn.Operand, y, iters, alpha)
-}
-
-// logReg plans OpGLM over o, views the representation the plan names as a
-// scan operand under the plan's Exec, and hands it to ml.
-func logReg(env Env, o Operands, tM chunk.Mat, factorized func(chunk.Exec) *chunk.Operand, y *la.Dense, iters int, alpha float64) (*LogRegResult, Decision, error) {
 	d := Plan(OpGLM, o, env)
 	var t la.Operand
 	switch {
 	case d.Strategy.Factorized:
-		t = factorized(d.Strategy.Exec())
+		t = nt.Operand(d.Strategy.Exec())
 	case tM != nil:
 		t = chunk.MatOperand(d.Strategy.Exec(), tM)
 	default:

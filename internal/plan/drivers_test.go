@@ -119,7 +119,7 @@ func TestPlannedLogRegStar(t *testing.T) {
 
 // buildMN assembles a chunked M:N table with nOut output tuples over base
 // tables nS×dS and nR×dR, plus the materialized join output.
-func buildMN(t *testing.T, rng *rand.Rand, st *chunk.Store, nOut, nS, nR, dS, dR, chunkRows int) (*chunk.MNTable, *chunk.Matrix) {
+func buildMN(t *testing.T, rng *rand.Rand, st *chunk.Store, nOut, nS, nR, dS, dR, chunkRows int) (*chunk.NormalizedTable, *chunk.Matrix) {
 	t.Helper()
 	sm, err := chunk.FromDense(st, randDense(rng, nS, dS), chunkRows)
 	if err != nil {
@@ -143,11 +143,11 @@ func buildMN(t *testing.T, rng *rand.Rand, st *chunk.Store, nOut, nS, nR, dS, dR
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn, err := chunk.NewMNTable(sm, rm, isV, irV)
+	mn, err := chunk.NewStarTable(nil, []chunk.AttrTable{{FK: isV, Disk: sm}, {FK: irV, Disk: rm}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := chunk.MaterializeMN(st, mn)
+	tm, err := mn.Materialize(chunk.Parallel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPlannedLogRegMN(t *testing.T) {
 	// Redundancy = 240·8/(40·4+40·4) = 6 > 1: factorize.
 	mn, tm := buildMN(t, rng, st, 240, 40, 40, 4, 4, 32)
 	y := pmLabels(rng, 240)
-	res, d, err := LogRegMN(env, tm, mn, y, iters, alpha)
+	res, d, err := LogReg(env, tm, mn, y, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPlannedLogRegMN(t *testing.T) {
 	// Redundancy = 30·8/(40·4+40·4) = 0.75 ≤ 1: materialize.
 	mnM, tmM := buildMN(t, rng, st, 30, 40, 40, 4, 4, 32)
 	yM := pmLabels(rng, 30)
-	resM, dM, err := LogRegMN(env, tmM, mnM, yM, iters, alpha)
+	resM, dM, err := LogReg(env, tmM, mnM, yM, iters, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}

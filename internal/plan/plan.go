@@ -1,6 +1,6 @@
 // Package plan is the statistics-free cost-based planner: one
 // Plan(op, operands, env) seam every training run goes through, choosing
-// the four execution axes the repo grew across PRs 1–6 —
+// four execution axes —
 //
 //	representation: factorized vs materialized (the paper's §3.7/§5.1 rule)
 //	residency:      in-memory vs chunked, with the chunk height
@@ -18,11 +18,10 @@
 // which facts, so a plan is always explainable and testable against the
 // paper's Table 9/10 crossover sweeps.
 //
-// The planner-driven entry points (LogReg, LogRegMN, KMeans, GNMF,
-// Choose) only pick: plan, view the chosen representation as a scan
-// operand under the plan's Exec, call internal/ml. Building the operand
-// with an explicit Exec is the override, and the two are pinned
-// bit-identical.
+// The planner-driven entry points (LogReg, KMeans, GNMF, Choose) only
+// pick: plan, view the chosen representation as a scan operand under the
+// plan's Exec, call internal/ml. Building the operand with an explicit
+// Exec is the override, and the two are pinned bit-identical.
 package plan
 
 import (
@@ -176,9 +175,8 @@ func (s Strategy) Exec() chunk.Exec {
 }
 
 // Decision is an explainable plan: the chosen strategy plus the facts
-// consulted and the rule that fired on each axis. It marshals into the
-// morpheus-bench -json results, so plan flips show up in the benchmark
-// trajectory.
+// consulted and the rule that fired on each axis, so a plan is explainable
+// and a test can assert which rule produced it.
 type Decision struct {
 	// Label tags the decision with the workload it planned (set by
 	// callers; empty from Plan itself).
