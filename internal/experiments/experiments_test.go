@@ -42,6 +42,22 @@ func TestRunRejectsBadScale(t *testing.T) {
 	}
 }
 
+// TestRealDataShrinkClamps: a Scale so small that realDataScale/Scale
+// overflows int still shrinks the datasets (to one row) instead of
+// wrapping round to the full Table 6 sizes.
+func TestRealDataShrinkClamps(t *testing.T) {
+	for scale, want := range map[float64]int{1e-18: math.MaxInt32, 5e-324: math.MaxInt32, 0.02: 5000, 100: 1, 1e300: 1} {
+		if got := realDataShrink(Config{Scale: scale}); got != want {
+			t.Errorf("Scale %g shrinks %dx, want %dx", scale, got, want)
+		}
+	}
+	for _, id := range []string{"table7", "table12"} {
+		if _, err := Run(id, Config{Scale: 1e-18, Seed: 1}); err != nil {
+			t.Errorf("%s at Scale 1e-18: %v", id, err)
+		}
+	}
+}
+
 // TestTimeItStopsOnError: a failing measurement is returned, not repeated.
 func TestTimeItStopsOnError(t *testing.T) {
 	boom := errors.New("boom")

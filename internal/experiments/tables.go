@@ -20,20 +20,24 @@ import (
 // materialized form in memory while preserving its TR/FR profile.
 const realDataScale = 100
 
+// realDataShrink is the factor table7 and table12 divide the Table 6
+// statistics by, clamped before the conversion: a Scale near 1e-17 would
+// overflow int and come back as "no shrinking".
+func realDataShrink(cfg Config) int {
+	return int(math.Min(math.Max(realDataScale/cfg.Scale, 1), math.MaxInt32))
+}
+
 // table7 regenerates Table 7: materialized runtimes and Morpheus speed-ups
 // for the four ML algorithms on the seven real-data clones. The
 // materialized baseline runs over the sparse CSR join output, matching the
 // paper's sparse real-data representation.
 func table7(cfg Config) (Result, error) {
+	scale := realDataShrink(cfg)
 	res := Result{
 		ID:     "table7",
 		Title:  "Real-data clones: materialized runtime and Morpheus speed-up (Table 7)",
 		Header: []string{"dataset", "algo", "M(s)", "F(s)", "speedup"},
-		Notes:  fmt.Sprintf("Table 6 statistics scaled down %dx; 20 iters, 10 centroids, 5 topics as in the paper", int(float64(realDataScale)/cfg.Scale)),
-	}
-	scale := int(float64(realDataScale) / cfg.Scale)
-	if scale < 1 {
-		scale = 1
+		Notes:  fmt.Sprintf("Table 6 statistics scaled down %dx; 20 iters, 10 centroids, 5 topics as in the paper", scale),
 	}
 	for _, spec := range realdata.Specs() {
 		ds, err := realdata.Generate(spec.Scaled(scale), cfg.Seed)
@@ -444,10 +448,7 @@ func table12(cfg Config) (Result, error) {
 		Header: []string{"dataset", "prep M(s)", "prep F(s)", "logreg M(s)", "logreg F(s)", "ratio M", "ratio F"},
 		Notes:  "prep M = materializing the sparse join output; prep F = rebuilding the indicator matrices; both are minor vs 20 training iterations",
 	}
-	scale := int(float64(realDataScale) / cfg.Scale)
-	if scale < 1 {
-		scale = 1
-	}
+	scale := realDataShrink(cfg)
 	for _, spec := range realdata.Specs() {
 		ds, err := realdata.Generate(spec.Scaled(scale), cfg.Seed)
 		if err != nil {

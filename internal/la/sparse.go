@@ -80,41 +80,48 @@ func (b *CSRBuilder) Add(i, j int, v float64) {
 	b.vs = append(b.vs, v)
 }
 
-// Build assembles the CSR matrix, sorting and summing duplicates.
+// Build assembles the CSR matrix: a stable counting sort of the triplets by
+// row, then per row an insertion sort by column (rows are short or, from
+// CSRFromDense and SliceCols, already in order) that keeps duplicates in the
+// order they were added, which is the order they are summed in.
 func (b *CSRBuilder) Build() *CSR {
-	type trip struct {
-		i, j int32
-		v    float64
-	}
-	ts := make([]trip, len(b.is))
-	for k := range b.is {
-		ts[k] = trip{b.is[k], b.js[k], b.vs[k]}
-	}
-	sort.Slice(ts, func(a, c int) bool {
-		if ts[a].i != ts[c].i {
-			return ts[a].i < ts[c].i
-		}
-		return ts[a].j < ts[c].j
-	})
 	indptr := make([]int, b.rows+1)
-	indices := make([]int32, 0, len(ts))
-	vals := make([]float64, 0, len(ts))
-	for k := 0; k < len(ts); {
-		i, j := ts[k].i, ts[k].j
-		v := 0.0
-		for ; k < len(ts) && ts[k].i == i && ts[k].j == j; k++ {
-			v += ts[k].v
-		}
-		if v != 0 {
-			indices = append(indices, j)
-			vals = append(vals, v)
-			indptr[i+1]++
-		}
+	for _, i := range b.is {
+		indptr[i+1]++
 	}
 	for i := 0; i < b.rows; i++ {
 		indptr[i+1] += indptr[i]
 	}
-	return &CSR{rows: b.rows, cols: b.cols, indptr: indptr, indices: indices, vals: vals}
+	indices := make([]int32, len(b.is))
+	vals := make([]float64, len(b.is))
+	next := append([]int(nil), indptr...)
+	for k, i := range b.is {
+		indices[next[i]], vals[next[i]] = b.js[k], b.vs[k]
+		next[i]++
+	}
+	n := 0 // entries kept so far
+	for i := 0; i < b.rows; i++ {
+		lo, hi := indptr[i], indptr[i+1]
+		for p := lo + 1; p < hi; p++ {
+			for q := p; q > lo && indices[q-1] > indices[q]; q-- {
+				indices[q-1], indices[q] = indices[q], indices[q-1]
+				vals[q-1], vals[q] = vals[q], vals[q-1]
+			}
+		}
+		indptr[i] = n
+		for p := lo; p < hi; {
+			j, v := indices[p], 0.0
+			for ; p < hi && indices[p] == j; p++ {
+				v += vals[p]
+			}
+			if v != 0 {
+				indices[n], vals[n] = j, v
+				n++
+			}
+		}
+	}
+	indptr[b.rows] = n
+	return &CSR{rows: b.rows, cols: b.cols, indptr: indptr, indices: indices[:n], vals: vals[:n]}
 }
 
 // CSRFromDense converts a dense matrix, dropping exact zeros.

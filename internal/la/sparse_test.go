@@ -3,6 +3,8 @@ package la
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -46,6 +48,54 @@ func TestCSRBuilderDropsZeros(t *testing.T) {
 	c := b.Build()
 	if c.NNZ() != 0 {
 		t.Fatalf("NNZ = %d, want 0 (cancellation)", c.NNZ())
+	}
+}
+
+// TestCSRBuilderMatchesSortedTriplets holds Build to what it replaced: the
+// triplets sorted by (row, column), duplicates summed, zero sums dropped.
+func TestCSRBuilderMatchesSortedTriplets(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
+		type trip struct {
+			i, j int
+			v    float64
+		}
+		ts := make([]trip, rng.Intn(4*rows*cols))
+		b := NewCSRBuilder(rows, cols)
+		for k := range ts {
+			// Few distinct values, so that duplicates often cancel.
+			ts[k] = trip{rng.Intn(rows), rng.Intn(cols), float64(rng.Intn(5) - 2)}
+			if rng.Intn(4) == 0 {
+				ts[k].v = rng.NormFloat64()
+			}
+			b.Add(ts[k].i, ts[k].j, ts[k].v)
+		}
+		sort.SliceStable(ts, func(a, c int) bool {
+			if ts[a].i != ts[c].i {
+				return ts[a].i < ts[c].i
+			}
+			return ts[a].j < ts[c].j
+		})
+		indptr, indices, vals := make([]int, rows+1), []int32{}, []float64{}
+		for k := 0; k < len(ts); {
+			i, j, v := ts[k].i, ts[k].j, 0.0
+			for ; k < len(ts) && ts[k].i == i && ts[k].j == j; k++ {
+				v += ts[k].v
+			}
+			if v != 0 {
+				indices, vals = append(indices, int32(j)), append(vals, v)
+				indptr[i+1]++
+			}
+		}
+		for i := 0; i < rows; i++ {
+			indptr[i+1] += indptr[i]
+		}
+		got := b.Build()
+		if !reflect.DeepEqual(got.indptr, indptr) || !reflect.DeepEqual(got.indices, indices) || !reflect.DeepEqual(got.vals, vals) {
+			t.Fatalf("trial %d: Build gave\n%v %v %v, sorted triplets give\n%v %v %v", trial, got.indptr, got.indices, got.vals, indptr, indices, vals)
+		}
+		NewCSR(rows, cols, got.indptr, got.indices, got.vals) // panics unless the arrays are well-formed
 	}
 }
 

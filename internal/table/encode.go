@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/la"
@@ -15,36 +16,43 @@ type Encoder struct {
 	// Features names each output matrix column, e.g. "Age" or
 	// "Country=US".
 	Features []string
-	vocabs   map[string]map[string]int
 	columns  []*Column
-	sparse   bool
+	// feature[i] holds the output columns of columns[i]: one for a numeric
+	// column, feature[i][code] for the value Dict[code] of a categorical one
+	// (its block is in sorted order).
+	feature [][]int32
+	sparse  bool
 }
 
 // NewEncoder plans the encoding for the given feature columns of t
 // (Key columns are rejected — they are structure, not features).
 func NewEncoder(t *Table, featureCols []string) (*Encoder, error) {
-	e := &Encoder{vocabs: make(map[string]map[string]int)}
+	e := &Encoder{}
 	for _, name := range featureCols {
 		c, err := t.Column(name)
 		if err != nil {
 			return nil, err
 		}
+		if slices.Contains(e.columns, c) {
+			return nil, fmt.Errorf("table: feature column %s.%s is listed twice", t.Name, name)
+		}
+		var feature []int32
 		switch c.Kind {
 		case Numeric:
+			feature = []int32{int32(len(e.Features))}
 			e.Features = append(e.Features, c.Name)
 		case Categorical:
-			vocab := c.Vocabulary()
-			m := make(map[string]int, len(vocab))
-			for _, v := range vocab {
-				m[v] = len(e.Features)
+			feature = make([]int32, len(c.Dict))
+			for _, v := range c.Vocabulary() {
+				feature[c.index[v]] = int32(len(e.Features))
 				e.Features = append(e.Features, c.Name+"="+v)
-				e.sparse = true
 			}
-			e.vocabs[c.Name] = m
+			e.sparse = true
 		default:
 			return nil, fmt.Errorf("table: %s.%s is a %s column, not a feature", t.Name, c.Name, c.Kind)
 		}
 		e.columns = append(e.columns, c)
+		e.feature = append(e.feature, feature)
 	}
 	if len(e.Features) == 0 {
 		return nil, fmt.Errorf("table: no feature columns selected from %s", t.Name)
@@ -56,36 +64,35 @@ func NewEncoder(t *Table, featureCols []string) (*Encoder, error) {
 func (e *Encoder) Width() int { return len(e.Features) }
 
 // Encode produces the feature matrix: CSR when any categorical column is
-// present (one-hot dominated), dense otherwise.
+// present (one-hot dominated), dense otherwise. The CSR arrays are written
+// row by row in feature order, so they are final as emitted; numeric zeros
+// are not stored.
 func (e *Encoder) Encode(rows int) la.Mat {
 	if !e.sparse {
 		out := la.NewDense(rows, len(e.Features))
-		off := 0
-		for _, c := range e.columns {
+		for off, c := range e.columns {
 			for r := 0; r < rows; r++ {
 				out.Set(r, off, c.Nums[r])
 			}
-			off++
 		}
 		return out
 	}
-	b := la.NewCSRBuilder(rows, len(e.Features))
-	off := 0
-	for _, c := range e.columns {
-		if c.Kind == Numeric {
-			for r := 0; r < rows; r++ {
-				b.Add(r, off, c.Nums[r])
+	indptr := make([]int, rows+1)
+	indices := make([]int32, 0, rows*len(e.columns))
+	vals := make([]float64, 0, rows*len(e.columns))
+	for r := 0; r < rows; r++ {
+		for i, c := range e.columns {
+			if c.Kind == Categorical {
+				indices = append(indices, e.feature[i][c.Codes[r]])
+				vals = append(vals, 1)
+			} else if v := c.Nums[r]; v != 0 {
+				indices = append(indices, e.feature[i][0])
+				vals = append(vals, v)
 			}
-			off++
-			continue
 		}
-		vocab := e.vocabs[c.Name]
-		for r := 0; r < rows; r++ {
-			b.Add(r, vocab[c.Cats[r]], 1)
-		}
-		off += len(vocab)
+		indptr[r+1] = len(indices)
 	}
-	return b.Build()
+	return la.NewCSR(rows, len(e.Features), indptr, indices, vals)
 }
 
 // AttributeRef wires one attribute table into a star schema join.
@@ -134,11 +141,7 @@ func Build(spec JoinSpec) (*core.NormalizedMatrix, *la.Dense, []string, error) {
 	ks := make([]*la.Indicator, 0, len(spec.Attributes))
 	rs := make([]la.Mat, 0, len(spec.Attributes))
 	for _, ref := range spec.Attributes {
-		pk, err := BuildKeyIndex(ref.Table, ref.PrimaryKey)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		assign, err := ResolveForeignKey(spec.Entity, ref.ForeignKey, pk)
+		assign, err := ResolveForeignKey(spec.Entity, ref)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -146,7 +149,7 @@ func Build(spec JoinSpec) (*core.NormalizedMatrix, *la.Dense, []string, error) {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		ks = append(ks, la.NewIndicator(assign, pk.Len()))
+		ks = append(ks, la.NewIndicatorInt32(assign, ref.Table.NumRows()))
 		rs = append(rs, enc.Encode(ref.Table.NumRows()))
 		for _, f := range enc.Features {
 			features = append(features, ref.Table.Name+"."+f)

@@ -11,9 +11,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // ColumnKind classifies a column's role and type.
@@ -48,16 +47,12 @@ type Column struct {
 	Kind ColumnKind
 	// Nums holds values for Numeric columns.
 	Nums []float64
-	// Cats holds values for Categorical and Key columns.
-	Cats []string
-}
-
-// Len reports the column's row count.
-func (c *Column) Len() int {
-	if c.Kind == Numeric {
-		return len(c.Nums)
-	}
-	return len(c.Cats)
+	// Codes and Dict hold Categorical and Key columns: row r's value is
+	// Dict[Codes[r]], and Dict lists the distinct values in the order they
+	// first appear.
+	Codes []uint32
+	Dict  []string
+	index map[string]uint32 // Dict value → code
 }
 
 // Table is a named columnar table.
@@ -65,16 +60,6 @@ type Table struct {
 	Name string
 	Cols []*Column
 	rows int
-}
-
-// New creates an empty table with the given schema. Kinds maps column
-// names to their kinds; unspecified columns default to Numeric.
-func New(name string, colNames []string, kinds map[string]ColumnKind) *Table {
-	t := &Table{Name: name}
-	for _, cn := range colNames {
-		t.Cols = append(t.Cols, &Column{Name: cn, Kind: kinds[cn]})
-	}
-	return t
 }
 
 // NumRows reports the number of rows.
@@ -88,54 +73,6 @@ func (t *Table) Column(name string) (*Column, error) {
 		}
 	}
 	return nil, fmt.Errorf("table: %s has no column %q", t.Name, name)
-}
-
-// AppendRow adds one row given as strings (CSV-shaped); numeric columns
-// are parsed, the rest stored verbatim.
-func (t *Table) AppendRow(cells []string) error {
-	if len(cells) != len(t.Cols) {
-		return fmt.Errorf("table: %s row has %d cells, want %d", t.Name, len(cells), len(t.Cols))
-	}
-	for i, c := range t.Cols {
-		if c.Kind == Numeric {
-			v, err := strconv.ParseFloat(strings.TrimSpace(cells[i]), 64)
-			if err != nil {
-				return fmt.Errorf("table: %s.%s row %d: %w", t.Name, c.Name, t.rows, err)
-			}
-			c.Nums = append(c.Nums, v)
-		} else {
-			c.Cats = append(c.Cats, strings.TrimSpace(cells[i]))
-		}
-	}
-	t.rows++
-	return nil
-}
-
-// ReadCSV parses a CSV stream with a header row into a table. kinds maps
-// column names to kinds (default Numeric).
-func ReadCSV(name string, r io.Reader, kinds map[string]ColumnKind) (*Table, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("table: reading %s header: %w", name, err)
-	}
-	for i := range header {
-		header[i] = strings.TrimSpace(header[i])
-	}
-	t := New(name, header, kinds)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("table: reading %s: %w", name, err)
-		}
-		if err := t.AppendRow(rec); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }
 
 // WriteCSV emits the table with a header row.
@@ -154,7 +91,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 			if c.Kind == Numeric {
 				row[i] = strconv.FormatFloat(c.Nums[r], 'g', -1, 64)
 			} else {
-				row[i] = c.Cats[r]
+				row[i] = c.Dict[c.Codes[r]]
 			}
 		}
 		if err := cw.Write(row); err != nil {
@@ -165,77 +102,46 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// KeyIndex maps the distinct values of a key column to sequential row
-// numbers, in first-appearance order — the RID → matrix-row mapping of
-// §3.1.
-type KeyIndex struct {
-	byValue map[string]int
-	values  []string
-}
-
-// BuildKeyIndex indexes the named key column, requiring uniqueness (it is
-// a primary key).
-func BuildKeyIndex(t *Table, column string) (*KeyIndex, error) {
-	c, err := t.Column(column)
+// ResolveForeignKey maps the entity's foreign-key column to row numbers of
+// ref's table: the assignment vector of the indicator matrix (§3.2). The
+// primary key must be unique — then a value's code, its rank by first
+// appearance, is its row (§3.1) — and every foreign key must resolve: one
+// lookup per distinct value, one array read per row.
+func ResolveForeignKey(entity *Table, ref AttributeRef) ([]int32, error) {
+	pk, err := ref.Table.Column(ref.PrimaryKey)
 	if err != nil {
 		return nil, err
 	}
-	if c.Kind == Numeric {
-		return nil, fmt.Errorf("table: key column %s.%s must not be numeric", t.Name, column)
-	}
-	idx := &KeyIndex{byValue: make(map[string]int, c.Len())}
-	for r, v := range c.Cats {
-		if _, dup := idx.byValue[v]; dup {
-			return nil, fmt.Errorf("table: duplicate primary key %q at %s.%s row %d", v, t.Name, column, r)
-		}
-		idx.byValue[v] = len(idx.values)
-		idx.values = append(idx.values, v)
-	}
-	return idx, nil
-}
-
-// Len reports the number of distinct keys.
-func (ki *KeyIndex) Len() int { return len(ki.values) }
-
-// Lookup resolves a key value to its row number.
-func (ki *KeyIndex) Lookup(v string) (int, bool) {
-	r, ok := ki.byValue[v]
-	return r, ok
-}
-
-// ResolveForeignKey maps the named foreign-key column of t through the
-// primary-key index, yielding the assignment vector for the indicator
-// matrix. Unresolvable keys are an error (referential integrity).
-func ResolveForeignKey(t *Table, column string, pk *KeyIndex) ([]int, error) {
-	c, err := t.Column(column)
+	fk, err := entity.Column(ref.ForeignKey)
 	if err != nil {
 		return nil, err
 	}
-	if c.Kind == Numeric {
-		return nil, fmt.Errorf("table: foreign key column %s.%s must not be numeric", t.Name, column)
+	if pk.Kind == Numeric {
+		return nil, fmt.Errorf("table: key column %s.%s must not be numeric", ref.Table.Name, pk.Name)
+	} else if fk.Kind == Numeric {
+		return nil, fmt.Errorf("table: foreign key column %s.%s must not be numeric", entity.Name, fk.Name)
 	}
-	out := make([]int, c.Len())
-	for r, v := range c.Cats {
-		row, ok := pk.Lookup(v)
-		if !ok {
-			return nil, fmt.Errorf("table: dangling foreign key %q at %s.%s row %d", v, t.Name, column, r)
+	for r, code := range pk.Codes {
+		if int(code) != r {
+			return nil, fmt.Errorf("table: duplicate primary key %q at %s.%s row %d", pk.Dict[code], ref.Table.Name, pk.Name, r)
 		}
-		out[r] = row
+	}
+	target := make([]int32, len(fk.Dict))
+	for code, v := range fk.Dict {
+		row, ok := pk.index[v]
+		if target[code] = int32(row); !ok {
+			target[code] = -1
+		}
+	}
+	out := make([]int32, len(fk.Codes))
+	for r, code := range fk.Codes {
+		if out[r] = target[code]; out[r] < 0 {
+			return nil, fmt.Errorf("table: dangling foreign key %q at %s.%s row %d", fk.Dict[code], entity.Name, fk.Name, r)
+		}
 	}
 	return out, nil
 }
 
 // Vocabulary is the sorted distinct values of a categorical column; the
 // one-hot feature space.
-func (c *Column) Vocabulary() []string {
-	seen := make(map[string]bool, len(c.Cats))
-	for _, v := range c.Cats {
-		seen[v] = true
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
+func (c *Column) Vocabulary() []string { return slices.Sorted(slices.Values(c.Dict)) }

@@ -100,20 +100,17 @@ func TestBadCSV(t *testing.T) {
 	}
 }
 
+func employerRef(r *Table, pk string) AttributeRef {
+	return AttributeRef{Table: r, PrimaryKey: pk, ForeignKey: "EmployerID"}
+}
+
 func TestKeyResolution(t *testing.T) {
 	s, r := loadTables(t)
-	pk, err := BuildKeyIndex(r, "EmployerID")
+	assign, err := ResolveForeignKey(s, employerRef(r, "EmployerID"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pk.Len() != 3 {
-		t.Fatal("pk size")
-	}
-	assign, err := ResolveForeignKey(s, "EmployerID", pk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 0, 1, 2, 0, 1} // e2,e1,e2,e3,e1,e2 in first-appearance order
+	want := []int32{1, 0, 1, 2, 0, 1} // e2,e1,e2,e3,e1,e2 in first-appearance order
 	for i := range want {
 		if assign[i] != want[i] {
 			t.Fatalf("assign %v", assign)
@@ -124,21 +121,19 @@ func TestKeyResolution(t *testing.T) {
 func TestKeyErrors(t *testing.T) {
 	s, r := loadTables(t)
 	// Duplicate primary key.
-	dup, _ := ReadCSV("D", strings.NewReader("K,V\na,1\na,2\n"), map[string]ColumnKind{"K": Key})
-	if _, err := BuildKeyIndex(dup, "K"); err == nil {
-		t.Fatal("duplicate PK accepted")
+	dup, _ := ReadCSV("D", strings.NewReader("K,V\ne1,1\ne1,2\n"), map[string]ColumnKind{"K": Key})
+	if _, err := ResolveForeignKey(s, employerRef(dup, "K")); err == nil || !strings.Contains(err.Error(), "duplicate primary key") {
+		t.Fatalf("duplicate PK: %v", err)
 	}
 	// Numeric key column rejected.
-	if _, err := BuildKeyIndex(r, "Revenue"); err == nil {
-		t.Fatal("numeric PK accepted")
+	if _, err := ResolveForeignKey(s, employerRef(r, "Revenue")); err == nil || !strings.Contains(err.Error(), "must not be numeric") {
+		t.Fatalf("numeric PK: %v", err)
 	}
 	// Dangling foreign key.
 	bad, _ := ReadCSV("B", strings.NewReader("EmployerID\ne9\n"), map[string]ColumnKind{"EmployerID": Key})
-	pk, _ := BuildKeyIndex(r, "EmployerID")
-	if _, err := ResolveForeignKey(bad, "EmployerID", pk); err == nil {
-		t.Fatal("dangling FK accepted")
+	if _, err := ResolveForeignKey(bad, employerRef(r, "EmployerID")); err == nil || !strings.Contains(err.Error(), "dangling foreign key") {
+		t.Fatalf("dangling FK: %v", err)
 	}
-	_ = s
 }
 
 func TestEncoderOneHot(t *testing.T) {
