@@ -33,7 +33,10 @@ type Backend interface {
 	// temporary debris (removed by Reap) but never a readable partial
 	// blob under the final key.
 	WriteChunk(key string, data []byte) error
-	// ReadChunk returns the blob stored under key.
+	// ReadChunk returns the blob stored under key. The slice belongs to
+	// the caller from then on: the backend must never retain, reuse or
+	// write it again (a dense chunk is decoded in place, so the blob
+	// becomes the chunk's storage).
 	ReadChunk(key string) ([]byte, error)
 	// Remove deletes the blob under key. Removing a key that was never
 	// written (e.g. after a failed spill) is not an error.

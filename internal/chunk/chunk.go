@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"repro/internal/la"
 )
@@ -742,14 +743,26 @@ func encodeDenseChunk(d *la.Dense) []byte {
 	return raw
 }
 
+// littleEndian reports whether the host stores a float64 the way a dense
+// chunk blob does.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // decodeDenseChunk validates the blob length against the expected shape (a
 // truncated or foreign blob surfaces as an error, never garbage values) and
-// decodes it.
+// decodes it. On a little-endian host an 8-byte-aligned blob already is the
+// chunk's row-major float64s, so it becomes the chunk's storage in place: no
+// second buffer, no copy. That is sound because the blob is the caller's
+// for good (Backend.ReadChunk). A misaligned blob, or a big-endian host,
+// takes the copy loop.
 func decodeDenseChunk(key string, raw []byte, rows, cols int) (*la.Dense, error) {
-	if len(raw) != rows*cols*8 {
-		return nil, fmt.Errorf("chunk: %s has %d bytes, want %d", key, len(raw), rows*cols*8)
+	n := len(raw) / 8
+	if rows < 0 || cols < 0 || len(raw)%8 != 0 || n != rows*cols || (cols > 0 && n/cols != rows) {
+		return nil, fmt.Errorf("chunk: %s has %d bytes, want %d×%d×8", key, len(raw), rows, cols)
 	}
-	data := make([]float64, rows*cols)
+	if n > 0 && littleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
+		return la.NewDenseData(rows, cols, unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), n)), nil
+	}
+	data := make([]float64, n)
 	for i := range data {
 		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 	}

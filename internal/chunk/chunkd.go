@@ -200,7 +200,8 @@ func (s *ChunkServer) put(w http.ResponseWriter, r *http.Request, key string) {
 // half of pushdown. Partial frames stream back in request order, flushed
 // as they complete, through the same ordered-commit pipeline the driver
 // uses locally; a per-chunk failure after streaming has begun is reported
-// in-band as an error frame (the HTTP status is already committed).
+// in-band as an error frame (the HTTP status is already committed) — a
+// panic in apply too, which net/http would not recover on a pipeline worker.
 func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
@@ -222,7 +223,7 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("decoding exec request: %v", err), http.StatusBadRequest)
 		return
 	}
-	st, err := prepareOp(Op{Name: req.Op, Params: req.Params})
+	st, err := prepareOp(Op{Name: req.Op, Params: req.Params}, req.Cols)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, ErrUnknownOp) {
@@ -292,7 +293,12 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 		return decodeDenseChunk(c.Key, raw, c.Rows, req.Cols)
 	}
 	err = runPipeline(len(req.Chunks), Parallel(), read,
-		func(ci int, c la.Mat) (any, error) {
+		func(ci int, c la.Mat) (raw any, err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					raw, err = nil, fmt.Errorf("chunk: op %s on %s: %v", req.Op, req.Chunks[ci].Key, p)
+				}
+			}()
 			v, err := st.apply(c)
 			if err != nil {
 				return nil, err

@@ -442,7 +442,7 @@ func TestExecDecodesCodecShardSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := prepareOp(OpCrossProd())
+	st, err := prepareOp(OpCrossProd(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

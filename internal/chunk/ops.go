@@ -19,7 +19,8 @@ import (
 //
 // Params carries the op's closure state (e.g. the k-means centroids) as an
 // opaque blob produced by the Op constructors below; both sides decode it
-// with the same registry entry.
+// with the same registry entry, and check it against the width of the
+// chunks it will be applied to before any chunk is read.
 type Op struct {
 	Name   string
 	Params []byte
@@ -43,8 +44,8 @@ type opState interface {
 	decodePartial(raw []byte) (any, error)
 }
 
-var opRegistry = map[string]func(params []byte) (opState, error){
-	"crossprod": func(params []byte) (opState, error) {
+var opRegistry = map[string]func(params []byte, cols int) (opState, error){
+	"crossprod": func(params []byte, _ int) (opState, error) {
 		if len(params) != 0 {
 			return nil, fmt.Errorf("chunk: op crossprod takes no params")
 		}
@@ -53,7 +54,7 @@ var opRegistry = map[string]func(params []byte) (opState, error){
 			zero: func(rows, cols int) *la.Dense { return la.NewDense(cols, cols) },
 		}, nil
 	},
-	"colsums": func(params []byte) (opState, error) {
+	"colsums": func(params []byte, _ int) (opState, error) {
 		if len(params) != 0 {
 			return nil, fmt.Errorf("chunk: op colsums takes no params")
 		}
@@ -62,19 +63,26 @@ var opRegistry = map[string]func(params []byte) (opState, error){
 			zero: func(rows, cols int) *la.Dense { return la.NewDense(1, cols) },
 		}, nil
 	},
-	"sum": func(params []byte) (opState, error) {
+	"sum": func(params []byte, _ int) (opState, error) {
 		if len(params) != 0 {
 			return nil, fmt.Errorf("chunk: op sum takes no params")
 		}
 		return sumOp{}, nil
 	},
-	"kmeans-assign": func(params []byte) (opState, error) {
+	// The name carries a version: this partial sums S_bᵀ·A by groups, and a
+	// chunkd that still answers the first name forms the dense product, so
+	// a driver must not merge its partials with these (it gets 501 instead
+	// and reads passively).
+	"kmeans-assign-v2": func(params []byte, cols int) (opState, error) {
 		cent, rest, err := readDenseBlob(params)
 		if err != nil {
-			return nil, fmt.Errorf("chunk: op kmeans-assign params: %w", err)
+			return nil, fmt.Errorf("chunk: op kmeans-assign-v2 params: %w", err)
 		}
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("chunk: op kmeans-assign params: %d trailing bytes", len(rest))
+			return nil, fmt.Errorf("chunk: op kmeans-assign-v2 params: %d trailing bytes", len(rest))
+		}
+		if cent.Rows() != cols || cent.Cols() == 0 {
+			return nil, fmt.Errorf("chunk: op kmeans-assign-v2 params: %dx%d centroids for %d-column chunks, want %d×k with k ≥ 1", cent.Rows(), cent.Cols(), cols, cols)
 		}
 		// The step ml.KMeansScan runs locally, prepared over a bare chunk.
 		o := &Operand{feat: true, offs: []int{cent.Rows()}}
@@ -96,13 +104,13 @@ func OpColSums() Op { return Op{Name: "colsums"} }
 // OpSum names the scalar-sum partial.
 func OpSum() Op { return Op{Name: "sum"} }
 
-// prepareOp resolves an Op against the registry.
-func prepareOp(op Op) (opState, error) {
+// prepareOp resolves an Op against the registry for chunks cols wide.
+func prepareOp(op Op, cols int) (opState, error) {
 	mk, ok := opRegistry[op.Name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownOp, op.Name)
 	}
-	return mk(op.Params)
+	return mk(op.Params, cols)
 }
 
 // zeroPartialer is the skip-eligibility capability: ops whose partial for
@@ -110,7 +118,7 @@ func prepareOp(op Op) (opState, error) {
 // it without reading, decoding, or even synthesizing the chunk. The value
 // MUST be bit-identical to apply on the zero chunk — true for the additive
 // reductions, because an AllZero zone map admits only +0.0 bit patterns
-// and IEEE-754 sums and products of +0.0 are exactly +0.0. kmeans-assign
+// and IEEE-754 sums and products of +0.0 are exactly +0.0. kmeans-assign-v2
 // is deliberately absent: its partial encodes real cluster assignments
 // even for a zero chunk, so skipped chunks are synthesized by the read
 // path (Store.readChunkBlob) and assigned for real instead.
@@ -187,7 +195,7 @@ func (o assignOp) apply(c la.Mat) (any, error) {
 func (assignOp) encodePartial(v any) ([]byte, error) {
 	sp, ok := v.(scanPart)
 	if !ok {
-		return nil, fmt.Errorf("chunk: kmeans-assign partial is %T, want scanPart", v)
+		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial is %T, want scanPart", v)
 	}
 	raw := appendDenseBlob(nil, sp.top)
 	return appendDenseBlob(raw, la.RowVector(sp.part.([]float64))), nil
@@ -196,11 +204,11 @@ func (assignOp) encodePartial(v any) ([]byte, error) {
 func (assignOp) decodePartial(raw []byte) (any, error) {
 	sums, rest, err := readDenseBlob(raw)
 	if err != nil {
-		return nil, fmt.Errorf("chunk: kmeans-assign partial: %w", err)
+		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial: %w", err)
 	}
 	counts, rest, err := readDenseBlob(rest)
 	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("chunk: kmeans-assign partial: bad counts (%d trailing bytes): %v", len(rest), err)
+		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial: bad counts (%d trailing bytes): %v", len(rest), err)
 	}
 	return scanPart{top: sums, part: counts.Data()}, nil
 }

@@ -45,7 +45,7 @@ type pushRes struct {
 // to the passive ReadChunk + local-map path; a partial is dropped only by
 // erroring the whole pass, never silently.
 func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) error {
-	st, err := prepareOp(op)
+	st, err := prepareOp(op, src.cols)
 	if err != nil {
 		return err
 	}

@@ -406,7 +406,7 @@ func TestExecOpRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	st, err := prepareOp(OpSum())
+	st, err := prepareOp(OpSum(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestServeExecProtocolErrors(t *testing.T) {
 		"bad rows":    `{"op":"sum","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":0}]}`,
 		"no chunks":   `{"op":"sum","kind":"dense","cols":3,"chunks":[]}`,
 		"bad params":  `{"op":"sum","params":"AAAA","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
-		"kmeans junk": `{"op":"kmeans-assign","params":"AAAA","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
+		"kmeans junk": `{"op":"kmeans-assign-v2","params":"AAAA","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
 	} {
 		if rr := post(body); rr.Code != http.StatusBadRequest {
 			t.Fatalf("%s = %d, want 400", name, rr.Code)

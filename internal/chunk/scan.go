@@ -106,12 +106,13 @@ func (o *Operand) Scan(step la.Step, merge func(any) error) (la.Tall, *la.Dense,
 
 // scanPart is what one block sends to the ordered commit: the step's own
 // part and the block's share of Tᵀ·P — the S-side product, plus the keys
-// and rows of P the ordered scatter needs.
+// and rows of P (or its groups) the ordered scatter needs.
 type scanPart struct {
-	part any
-	top  *la.Dense
-	keys [][]int32
-	p    *la.Dense
+	part   any
+	top    *la.Dense
+	keys   [][]int32
+	p      *la.Dense
+	groups []int32
 }
 
 // scan is Scan with the n-tall output as the matrix it is.
@@ -171,7 +172,8 @@ func (o *Operand) stream(step la.Step, commit func(ci int, v any) error) (*Matri
 // prepare hoists the small side of the step's products out of the scan
 // (the LMM rewrite of §3.3.3: R_t·X_Rt and each arm's row norms, once) and
 // returns the per-block step: S_b·X_S plus the gathers, ‖s_i‖² plus each
-// arm's ‖r_key‖², step.Do, then the block's share S_bᵀ·P_b of Tᵀ·P.
+// arm's ‖r_key‖², step.Do, then the block's share S_bᵀ·P_b of Tᵀ·P (group
+// sums when the step returned Groups).
 func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), error) {
 	var xS *la.Dense
 	rx := make([]*la.Dense, len(o.arms)) // nRt×k partials
@@ -222,9 +224,13 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 		}
 		sp := scanPart{part: r.Part}
 		if step.PCols > 0 {
-			sp.top, sp.keys = b.c.TMul(r.P), b.keys
-			if len(b.keys) > 0 {
-				sp.p = r.P // only the scatter needs P's rows kept until the merge
+			if r.P == nil {
+				sp.top = b.c.GroupTMul(r.Groups, step.PCols)
+			} else {
+				sp.top = b.c.TMul(r.P)
+			}
+			if sp.keys = b.keys; len(b.keys) > 0 {
+				sp.p, sp.groups = r.P, r.Groups // only the scatter needs P's rows kept until the merge
 			}
 		}
 		return r.Out, sp, nil
@@ -356,7 +362,7 @@ func (o *Operand) NewTall(cols int, fill func(*la.Dense)) (la.Tall, error) {
 
 // tmulReducer accumulates the transposed LMM Tᵀ·P over a scan: S_bᵀ·P_b
 // from the workers, the K_tᵀP scatter-adds in block order on the
-// committer, R_tᵀ·(K_tᵀP) once in finish.
+// committer (for a one-hot P, join counts), R_tᵀ·(K_tᵀP) once in finish.
 type tmulReducer struct {
 	o   *Operand
 	top *la.Dense   // Σ S_bᵀ·P_b
@@ -377,6 +383,10 @@ func (r *tmulReducer) merge(pt scanPart) {
 	for t, ks := range pt.keys {
 		for i, rid := range ks {
 			dst := r.ktx[t].Row(int(rid))
+			if pt.p == nil {
+				dst[pt.groups[i]]++
+				continue
+			}
 			for j, v := range pt.p.Row(i) {
 				dst[j] += v
 			}

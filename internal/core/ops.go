@@ -244,6 +244,40 @@ func (m *NormalizedMatrix) tMulRaw(x *la.Dense) *la.Dense {
 	return la.VCat(parts...)
 }
 
+// GroupTMul computes Tᵀ·A for A = la.OneHot(groups, k) without forming A:
+// tMulRaw's rewrite with the indicator products taken on A's groups,
+//
+//	TᵀA → [ Sᵀ·(ISᵀ·A) ; R1ᵀ·(K1ᵀ·A) ; ... ],
+//
+// where Sᵀ·A without an IS is S's own group sums, and each KᵀA (ISᵀA) is
+// an nR×k matrix of join counts — small integers, exact in any order. A
+// transposed T takes the LMM rewrite over the materialized A.
+func (m *NormalizedMatrix) GroupTMul(groups []int32, k int) *la.Dense {
+	if m.trans {
+		return m.mulRaw(la.OneHot(groups, k))
+	}
+	counts := func(ind *la.Indicator) *la.Dense {
+		c := la.NewDense(ind.Cols(), k)
+		cd := c.Data()
+		for i, r := range ind.Assignments() {
+			cd[int(r)*k+int(groups[i])]++
+		}
+		return c
+	}
+	parts := make([]*la.Dense, 0, len(m.ks)+1)
+	if m.s != nil {
+		if m.is == nil {
+			parts = append(parts, m.s.GroupTMul(groups, k))
+		} else {
+			parts = append(parts, m.s.TMul(counts(m.is)))
+		}
+	}
+	for i, ki := range m.ks {
+		parts = append(parts, m.rs[i].TMul(counts(ki)))
+	}
+	return la.VCat(parts...)
+}
+
 // leftMulRaw computes the factorized RMM over the untransposed T:
 //
 //	XT → [ (X·IS)·S , (X·K1)·R1 , ... , (X·Kq)·Rq ]

@@ -103,6 +103,11 @@ func (v *viewMat) Mul(x *la.Dense) *la.Dense { return v.materialize().Mul(x) }
 // TMul computes Aᵀ·X.
 func (v *viewMat) TMul(x *la.Dense) *la.Dense { return v.materialize().TMul(x) }
 
+// GroupTMul computes Aᵀ·OneHot(groups, k).
+func (v *viewMat) GroupTMul(groups []int32, k int) *la.Dense {
+	return v.materialize().GroupTMul(groups, k)
+}
+
 // LeftMul computes X·A.
 func (v *viewMat) LeftMul(x *la.Dense) *la.Dense { return v.materialize().LeftMul(x) }
 

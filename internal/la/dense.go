@@ -69,6 +69,8 @@ type Mat interface {
 	Mul(x *Dense) *Dense
 	TMul(x *Dense) *Dense
 	LeftMul(x *Dense) *Dense
+	// GroupTMul computes Aᵀ·OneHot(groups, k) as group sums.
+	GroupTMul(groups []int32, k int) *Dense
 	// CrossProd computes AᵀA; Gram computes AAᵀ.
 	CrossProd() *Dense
 	Gram() *Dense

@@ -204,6 +204,41 @@ func TMatMul(a, b *Dense) *Dense {
 	}))
 }
 
+// GroupTMul computes mᵀ·OneHot(groups, k), the d×k sums of m's rows by
+// group, without the one-hot matrix: O(n·d) adds where the product is
+// O(n·d·k) multiply-adds, under blockReduce like TMatMul.
+func (m *Dense) GroupTMul(groups []int32, k int) *Dense {
+	d := m.cols
+	return groupSums(m.rows, d, k, groups, m.rows*d, func(acc []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst := acc[int(groups[i])*d:]
+			for j, v := range m.data[i*d : (i+1)*d] {
+				dst[j] += v
+			}
+		}
+	})
+}
+
+// groupSums checks a GroupTMul call and runs its kernel under blockReduce.
+// The kernel adds row i into row groups[i] of a k×d accumulator — for a
+// dense row one contiguous add — and the d×k result is its transpose.
+func groupSums(n, d, k int, groups []int32, work int, f func(acc []float64, lo, hi int)) *Dense {
+	if len(groups) != n {
+		panic(fmt.Sprintf("la: GroupTMul of %d rows with %d groups", n, len(groups)))
+	}
+	return NewDenseData(k, d, blockReduce(n, k*d, work, f)).TDense()
+}
+
+// OneHot returns the n×k 0/1 matrix with row i's single 1 in column
+// groups[i]: the P a GroupTMul stands for, for matrices without the kernel.
+func OneHot(groups []int32, k int) *Dense {
+	p := NewDense(len(groups), k)
+	for i, g := range groups {
+		p.data[i*k+int(g)] = 1
+	}
+	return p
+}
+
 // MatMulT computes a·bᵀ using dot products over rows of both operands.
 func MatMulT(a, b *Dense) *Dense {
 	if a.cols != b.cols {

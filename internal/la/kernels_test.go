@@ -59,6 +59,7 @@ func checkKernels(t *testing.T, rng *rand.Rand, rows, d, k int) {
 	c, spt := CSRFromDense(sp), sp.TDense()
 	ind := randIndicator(rng, rows, d)
 	indD := ind.Dense()
+	groups := randGroups(rng, rows, k)
 	for _, tc := range []struct {
 		name      string
 		got, want *Dense
@@ -69,6 +70,8 @@ func checkKernels(t *testing.T, rng *rand.Rand, rows, d, k int) {
 		{"CSR.TMul", c.TMul(xt), naiveMul(spt, xt)},
 		{"Indicator.Mul", ind.Mul(x), naiveMul(indD, x)},
 		{"Indicator.TMul", ind.TMul(xt), naiveMul(indD.TDense(), xt)},
+		{"Dense.GroupTMul", a.GroupTMul(groups, k), naiveMul(at, OneHot(groups, k))},
+		{"CSR.GroupTMul", c.GroupTMul(groups, k), naiveMul(spt, OneHot(groups, k))},
 	} {
 		if diff := closeTo(tc.got, tc.want); !(diff <= tol) {
 			t.Errorf("%s rows=%d d=%d k=%d: differs from the naive loop by %g", tc.name, rows, d, k, diff)
@@ -218,4 +221,27 @@ func TestIndicatorBucketsConcurrentFirstUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// randGroups assigns each of n rows to one of k groups.
+func randGroups(rng *rand.Rand, n, k int) []int32 {
+	g := make([]int32, n)
+	for i := range g {
+		g[i] = int32(rng.Intn(k))
+	}
+	return g
+}
+
+// TestWidthDeterminismGroupTMul pins the group-sum kernels bitwise across
+// worker counts, at a shape where every width above 1 fans out.
+func TestWidthDeterminismGroupTMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	const rows, d = 9000, 50
+	a := randDense(rng, rows, d)
+	c := CSRFromDense(sparsify(rng, a, 0.3))
+	for _, k := range []int{1, 10, 17} {
+		groups := randGroups(rng, rows, k)
+		atWidths(t, fmt.Sprintf("Dense.GroupTMul k=%d", k), func() *Dense { return a.GroupTMul(groups, k) })
+		atWidths(t, fmt.Sprintf("CSR.GroupTMul k=%d", k), func() *Dense { return c.GroupTMul(groups, k) })
+	}
 }

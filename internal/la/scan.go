@@ -48,14 +48,19 @@ type Step struct {
 	Norms   bool
 	Do      func(b Block, tx *Dense, norms []float64) (Result, error)
 	OutCols int // > 0: Result.Out is block b, b.Rows()×OutCols, of a new Tall
-	PCols   int // > 0: Result.P is b.Rows()×PCols, block b of P in Tᵀ·P
+	PCols   int // > 0: Result.P (or Groups) is block b of P in Tᵀ·P
 	Op      string
 	Params  *Dense
 }
 
-// Result is what a step makes of one block.
+// Result is what a step makes of one block. A step with PCols > 0 returns
+// P, b.Rows()×PCols, or — when P is one-hot, like k-means' assignment
+// matrix — Groups, the column of each row's single 1. The operand then
+// reduces Tᵀ·P as group sums (Mat.GroupTMul; the indicator rewrite on a
+// normalized T) and no n×PCols matrix is ever allocated.
 type Result struct {
 	Out, P *Dense
+	Groups []int32
 	Part   any
 }
 
@@ -124,12 +129,28 @@ func (w *whole) Scan(step Step, merge func(any) error) (tall Tall, tp *Dense, er
 		tall = denseTall{r.Out}
 	}
 	if step.PCols > 0 {
-		if w.tt == nil {
-			w.tt = w.t.T()
-		}
-		tp = w.tt.Mul(r.P)
+		tp = w.tmul(r, step.PCols)
 	}
 	return tall, tp, nil
+}
+
+// tmul reduces Tᵀ·P: group sums when the step returned Groups and T has
+// the kernel (Dense, CSR, core's normalized matrix); any other Matrix, such
+// as an opaque wrapper, multiplies the one-hot P through the transpose.
+func (w *whole) tmul(r Result, k int) *Dense {
+	p := r.P
+	if p == nil {
+		if g, ok := w.t.(interface {
+			GroupTMul(groups []int32, k int) *Dense
+		}); ok {
+			return g.GroupTMul(r.Groups, k)
+		}
+		p = OneHot(r.Groups, k)
+	}
+	if w.tt == nil {
+		w.tt = w.t.T()
+	}
+	return w.tt.Mul(p)
 }
 
 func (w *whole) NewTall(cols int, fill func(*Dense)) (Tall, error) {

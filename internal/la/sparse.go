@@ -364,6 +364,20 @@ func (c *CSR) TMul(x *Dense) *Dense {
 	}))
 }
 
+// GroupTMul computes cᵀ·OneHot(groups, k) as group sums, one add per
+// stored entry (Dense.GroupTMul).
+func (c *CSR) GroupTMul(groups []int32, k int) *Dense {
+	return groupSums(c.rows, c.cols, k, groups, c.NNZ(), func(acc []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst := acc[int(groups[i])*c.cols:]
+			idx, vs := c.RowNNZ(i)
+			for p, j := range idx {
+				dst[j] += vs[p]
+			}
+		}
+	})
+}
+
 // LeftMul computes X·c (dense × sparse → dense).
 func (c *CSR) LeftMul(x *Dense) *Dense {
 	if x.cols != c.rows {

@@ -30,8 +30,11 @@ type KMeansFit struct {
 //
 //	DT = rowSums(T²)·1(1×k)                      — scalar op + aggregation
 //	D  = DT + 1(n×1)·colSums(C²) − 2·T·C         — LMM
-//	A  = (D == rowMin(D)·1(1×k))                 — dense boolean assignment
+//	A  = (D == rowMin(D)·1(1×k))                 — one-hot assignment
 //	C  = (Tᵀ·A) / (1(d×1)·colSums(A))            — transposed LMM
+//
+// A is one-hot, so it is held as each row's column (la.Result.Groups), like
+// the paper's indicator K, and Tᵀ·A is a group sum, never an n×k product.
 func KMeans(t la.Matrix, k int, opt Options) (*KMeansResult, error) {
 	fit, err := KMeansScan(la.InMemory(t), k, opt)
 	if err != nil {
@@ -82,7 +85,7 @@ func KMeansScan(t la.Operand, k int, opt Options) (*KMeansFit, error) {
 		}
 	}
 	fit := &KMeansFit{Centroids: c}
-	final := nearest(c, func(assign []int, bestD []float64) la.Result {
+	final := nearest(c, func(assign []int32, bestD []float64) la.Result {
 		ids, obj := la.NewDense(len(assign), 1), 0.0
 		for i, j := range assign {
 			ids.Data()[i] = float64(j)
@@ -100,22 +103,20 @@ func KMeansScan(t la.Operand, k int, opt Options) (*KMeansFit, error) {
 }
 
 // KMeansAssign is one assignment pass against the d×k centroids c: the
-// step assigns a block's rows, its P is their boolean assignment matrix
-// A_b (so the scan returns Tᵀ·A, d×k) and its Part the cluster counts
-// colSums(A_b). It carries its registered name, so an operand that stores
-// blocks remotely may run this same function there.
+// step assigns a block's rows, its Groups are their clusters — the one-hot
+// assignment matrix A_b, so the scan returns Tᵀ·A, d×k — and its Part the
+// cluster counts colSums(A_b). It carries its registered name, so an
+// operand that stores blocks remotely may run this same function there.
 func KMeansAssign(c *la.Dense) la.Step {
 	k := c.Cols()
-	step := nearest(c, func(assign []int, _ []float64) la.Result {
-		a := la.NewDense(len(assign), k)
+	step := nearest(c, func(assign []int32, _ []float64) la.Result {
 		counts := make([]float64, k)
-		for i, j := range assign {
-			a.Data()[i*k+j] = 1
+		for _, j := range assign {
 			counts[j]++
 		}
-		return la.Result{P: a, Part: counts}
+		return la.Result{Groups: assign, Part: counts}
 	})
-	step.PCols, step.Op, step.Params = k, "kmeans-assign", c
+	step.PCols, step.Op, step.Params = k, "kmeans-assign-v2", c
 	return step
 }
 
@@ -123,12 +124,12 @@ func KMeansAssign(c *la.Dense) la.Step {
 // distances D = dt·1 + 1·colSums(C²) − T_b·(2C) (an LMM; the doubling is
 // exact) are formed, scanned for their minimum (ties to the lowest cluster
 // index) and dropped one row at a time; then gets each row's result.
-func nearest(c *la.Dense, then func(assign []int, bestD []float64) la.Result) la.Step {
+func nearest(c *la.Dense, then func(assign []int32, bestD []float64) la.Result) la.Step {
 	k := c.Cols()
 	cNorm := c.PowDense(2).ColSumsVec() // length k
 	return la.Step{X: c.ScaleDense(2), Norms: true, Do: func(_ la.Block, tc *la.Dense, dt []float64) (la.Result, error) {
 		tcd := tc.Data()
-		assign, bestD := make([]int, len(dt)), make([]float64, len(dt))
+		assign, bestD := make([]int32, len(dt)), make([]float64, len(dt))
 		la.ParallelRows(len(dt), 2*len(tcd), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				row := tcd[i*k : (i+1)*k]
@@ -138,7 +139,7 @@ func nearest(c *la.Dense, then func(assign []int, bestD []float64) la.Result) la
 						best, bd = j, dd
 					}
 				}
-				assign[i], bestD[i] = best, bd
+				assign[i], bestD[i] = int32(best), bd
 			}
 		})
 		return then(assign, bestD), nil
