@@ -175,7 +175,7 @@ func main() {
 	// chunked and aligned with the input; intermediate W generations are
 	// freed as the multiplicative updates advance.
 	posT, err := sM.StreamToMatrix(ex, dS, func(ci, lo int, c la.Mat) (*la.Dense, error) {
-		return c.ApplyM(math.Abs).(*la.Dense), nil
+		return c.Apply(math.Abs).(*la.Dense), nil
 	})
 	if err != nil {
 		log.Fatal(err)

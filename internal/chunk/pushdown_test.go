@@ -399,7 +399,7 @@ func TestExecOpRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		chunks[i] = ExecChunk{Key: keyFor(i), Rows: 4}
-		want[i] = d.SumAll()
+		want[i] = d.Sum()
 	}
 	ps, err := rb.ExecOp(OpSum(), chunkKindDense, 3, chunks)
 	if err != nil {

@@ -46,12 +46,7 @@ func FromCSR(store *Store, c *la.CSR, chunkRows int) (*SparseMatrix, error) {
 		kind: chunkKindCSR, decode: (*Store).readSparseChunk}, int64(c.NNZ())}
 	for ci := range paths {
 		lo, hi := m.chunkBounds(ci)
-		part, ok := c.SliceRows(lo, hi).(*la.CSR)
-		if !ok {
-			store.release(paths)
-			return nil, fmt.Errorf("chunk: CSR SliceRows returned %T", c.SliceRows(lo, hi))
-		}
-		if err := store.writeSparseChunkFile(paths[ci], part); err != nil {
+		if err := store.writeSparseChunkFile(paths[ci], c.SliceRows(lo, hi)); err != nil {
 			store.release(paths)
 			return nil, err
 		}

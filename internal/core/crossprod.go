@@ -170,20 +170,14 @@ func (m *NormalizedMatrix) gramRaw() *la.Dense {
 	return out
 }
 
+// Gram computes T·Tᵀ = crossprod(Tᵀ).
+func (m *NormalizedMatrix) Gram() *la.Dense { return m.Transpose().CrossProd() }
+
 // Ginv computes the Moore-Penrose pseudo-inverse with the §3.3.6 rewrite:
 //
-//	ginv(T) → ginv(crossprod(T))·Tᵀ   if d < n
+//	ginv(T) → ginv(crossprod(T))·Tᵀ   if d ≤ n
 //	ginv(T) → Tᵀ·ginv(crossprod(Tᵀ))  otherwise
 //
-// Both branches are expressed with already-factorized operators, so the
-// rewrite needs no new machinery; the transpose flag falls out of Mul.
-func (m *NormalizedMatrix) Ginv() *la.Dense {
-	if m.Rows() >= m.Cols() {
-		g := la.SymGinv(m.CrossProd())
-		// ginv = G·Tᵀ = (T·G)ᵀ since G is symmetric.
-		return m.Mul(g).TDense()
-	}
-	tm := m.Transpose()
-	g := la.SymGinv(tm.CrossProd())
-	return tm.Mul(g)
-}
+// Both branches are la.GinvOf over already-factorized operators (CrossProd,
+// Gram, Mul, TMul), so the rewrite needs no machinery of its own.
+func (m *NormalizedMatrix) Ginv() *la.Dense { return la.GinvOf(m) }

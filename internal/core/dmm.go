@@ -41,8 +41,9 @@ func (a *NormalizedMatrix) MulNorm(b *NormalizedMatrix) (*la.Dense, error) {
 		return nil, fmt.Errorf("core: DMM %dx%d · %dx%d", a.nRows, a.dCols, b.nRows, b.dCols)
 	}
 	dSA := sa.Cols()
-	sb1 := sb.SliceRows(0, dSA).Dense()
-	sb2 := sb.SliceRows(dSA, sb.Rows()).Dense()
+	sbDense := sb.Dense()
+	sb1 := sbDense.SliceRowsDense(0, dSA)
+	sb2 := sbDense.SliceRowsDense(dSA, sb.Rows())
 	kb1 := kb.SliceRows(0, dSA)
 	kb2 := kb.SliceRows(dSA, kb.Rows())
 
@@ -93,10 +94,11 @@ func (a *NormalizedMatrix) MulNormNT(b *NormalizedMatrix) (*la.Dense, error) {
 		out.AddInPlace(inner)
 		return out, nil
 	case dSA < dSB:
-		sb1 := sb.SliceCols(0, dSA)
-		sb2 := sb.SliceCols(dSA, dSB)
-		ra1 := ra.SliceCols(0, dSB-dSA)
-		ra2 := ra.SliceCols(dSB-dSA, ra.Cols())
+		sbDense, raDense := sb.Dense(), ra.Dense()
+		sb1 := sbDense.SliceColsDense(0, dSA)
+		sb2 := sbDense.SliceColsDense(dSA, dSB)
+		ra1 := raDense.SliceColsDense(0, dSB-dSA)
+		ra2 := raDense.SliceColsDense(dSB-dSA, ra.Cols())
 		out := matMulT(sa, sb1)
 		out.AddInPlace(ka.Mul(matMulT(ra1, sb2)))
 		out.AddInPlace(gatherBoth(ka, kb, matMulT(ra2, rb)))

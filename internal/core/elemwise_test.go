@@ -61,7 +61,7 @@ func TestAddNormRejectsDifferentStructure(t *testing.T) {
 func TestSameStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	m := randPKFK(rng)
-	if !m.SameStructure(m.ScaleNorm(2)) {
+	if !m.SameStructure(m.Scale(2).(*NormalizedMatrix)) {
 		t.Fatal("scaled copy should share structure")
 	}
 	if m.SameStructure(m.Transpose()) {

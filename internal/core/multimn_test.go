@@ -91,7 +91,7 @@ func TestPKFKDegeneratesToIdentityMN(t *testing.T) {
 	for i := range idAssign {
 		idAssign[i] = i
 	}
-	mn, err := NewMN(s.CloneMat(), la.NewIndicator(idAssign, nS), k, r.CloneMat())
+	mn, err := NewMN(s.Scale(1).(la.Mat), la.NewIndicator(idAssign, nS), k, r.Scale(1).(la.Mat))
 	if err != nil {
 		t.Fatal(err)
 	}

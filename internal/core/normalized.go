@@ -28,7 +28,9 @@ import (
 // NormalizedMatrix is the logical data type T ≡ (S, K1..Kq, R1..Rq) with an
 // optional entity-side row selector I_S for M:N joins. It implements
 // la.Matrix, so any LA script (and hence any ML algorithm written against
-// la.Matrix) is automatically factorized when given a NormalizedMatrix.
+// la.Matrix) is automatically factorized when given a NormalizedMatrix, and
+// la.Mat, so it can itself be S or an R_i of another one: a snowflake
+// schema is a normalized matrix whose attribute table is normalized.
 type NormalizedMatrix struct {
 	s     la.Mat          // entity feature matrix; nil when dS == 0
 	is    *la.Indicator   // row selector for S; nil means identity (PK-FK)
@@ -38,6 +40,8 @@ type NormalizedMatrix struct {
 	dCols int             // logical cols of T: dS + Σ dRi
 	trans bool            // transpose flag (appendix A)
 }
+
+var _ la.Mat = (*NormalizedMatrix)(nil)
 
 var (
 	// ErrShape is returned when base-table shapes are inconsistent.

@@ -10,44 +10,39 @@ import (
 //
 // T ∘ x → (S ∘ x, K1..Kq, R1 ∘ x, ..., Rq ∘ x); the indicators are shared
 // and the transpose flag is preserved, so the result stays normalized and
-// later operators keep exploiting the factorized form.
+// later operators keep exploiting the factorized form. A base table's
+// element-wise result is again a base table (la.Mat).
 
-func (m *NormalizedMatrix) mapParts(f func(la.Mat) la.Mat) *NormalizedMatrix {
+func (m *NormalizedMatrix) mapParts(f func(la.Mat) la.Matrix) *NormalizedMatrix {
 	var s la.Mat
 	if m.s != nil {
-		s = f(m.s)
+		s = f(m.s).(la.Mat)
 	}
 	rs := make([]la.Mat, len(m.rs))
 	for i, r := range m.rs {
-		rs[i] = f(r)
+		rs[i] = f(r).(la.Mat)
 	}
 	return m.withParts(s, rs)
 }
 
 // Scale implements T * x.
-func (m *NormalizedMatrix) Scale(x float64) la.Matrix { return m.ScaleNorm(x) }
-
-// ScaleNorm is Scale with a concrete return type.
-func (m *NormalizedMatrix) ScaleNorm(x float64) *NormalizedMatrix {
-	return m.mapParts(func(p la.Mat) la.Mat { return p.ScaleM(x) })
+func (m *NormalizedMatrix) Scale(x float64) la.Matrix {
+	return m.mapParts(func(p la.Mat) la.Matrix { return p.Scale(x) })
 }
 
 // AddScalar implements T + x.
 func (m *NormalizedMatrix) AddScalar(x float64) la.Matrix {
-	return m.mapParts(func(p la.Mat) la.Mat { return p.AddScalarM(x) })
+	return m.mapParts(func(p la.Mat) la.Matrix { return p.AddScalar(x) })
 }
 
 // Pow implements T ^ p element-wise.
-func (m *NormalizedMatrix) Pow(p float64) la.Matrix { return m.PowNorm(p) }
-
-// PowNorm is Pow with a concrete return type.
-func (m *NormalizedMatrix) PowNorm(p float64) *NormalizedMatrix {
-	return m.mapParts(func(q la.Mat) la.Mat { return q.PowM(p) })
+func (m *NormalizedMatrix) Pow(p float64) la.Matrix {
+	return m.mapParts(func(q la.Mat) la.Matrix { return q.Pow(p) })
 }
 
 // Apply implements f(T) for a scalar function f.
 func (m *NormalizedMatrix) Apply(f func(float64) float64) la.Matrix {
-	return m.mapParts(func(p la.Mat) la.Mat { return p.ApplyM(f) })
+	return m.mapParts(func(p la.Mat) la.Matrix { return p.Apply(f) })
 }
 
 // --- Aggregation operators (§3.3.2, §3.5, appendix A/D/E) ---
@@ -316,6 +311,13 @@ func (m *NormalizedMatrix) LeftMul(x *la.Dense) *la.Dense {
 	}
 	return m.leftMulRaw(x)
 }
+
+// TMul computes Tᵀ·X (la.Mat): Mul on the transpose.
+func (m *NormalizedMatrix) TMul(x *la.Dense) *la.Dense { return m.Transpose().Mul(x) }
+
+// ScaleRows returns diag(v)·T materialized (la.Mat): it has no normalized
+// form. Only a nested attribute table's diagonal Gram block asks for it.
+func (m *NormalizedMatrix) ScaleRows(v []float64) la.Mat { return m.Dense().ScaleRowsDense(v) }
 
 func panicShape(op string, rows, cols int, x *la.Dense) {
 	panic(fmt.Sprintf("core: %s shape mismatch: %dx%d with %dx%d", op, rows, cols, x.Rows(), x.Cols()))

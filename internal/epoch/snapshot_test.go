@@ -38,11 +38,11 @@ func labels(rng *rand.Rand, n int) *la.Dense {
 func frozenCopy(snap *Snapshot) (la.Mat, []la.Mat) {
 	var s la.Mat
 	if snap.S() != nil {
-		s = snap.S().CloneMat()
+		s = snap.S().Scale(1).(la.Mat)
 	}
 	rs := make([]la.Mat, snap.NumTables())
 	for t := range rs {
-		rs[t] = snap.R(t).CloneMat()
+		rs[t] = snap.R(t).Scale(1).(la.Mat)
 	}
 	return s, rs
 }

@@ -126,29 +126,26 @@ func (v *viewMat) ColSums() *la.Dense { return v.materialize().ColSums() }
 // Sum totals all elements.
 func (v *viewMat) Sum() float64 { return v.materialize().Sum() }
 
-// ScaleM returns v scaled by x.
-func (v *viewMat) ScaleM(x float64) la.Mat { return v.materialize().ScaleM(x) }
+// T returns the patched table's transpose.
+func (v *viewMat) T() la.Matrix { return v.materialize().T() }
 
-// AddScalarM returns v with x added to every element.
-func (v *viewMat) AddScalarM(x float64) la.Mat { return v.materialize().AddScalarM(x) }
+// Scale returns v scaled by x.
+func (v *viewMat) Scale(x float64) la.Matrix { return v.materialize().Scale(x) }
 
-// PowM returns v with every element raised to p.
-func (v *viewMat) PowM(p float64) la.Mat { return v.materialize().PowM(p) }
+// AddScalar returns v with x added to every element.
+func (v *viewMat) AddScalar(x float64) la.Matrix { return v.materialize().AddScalar(x) }
 
-// ApplyM returns v with f applied elementwise.
-func (v *viewMat) ApplyM(f func(float64) float64) la.Mat { return v.materialize().ApplyM(f) }
+// Pow returns v with every element raised to p.
+func (v *viewMat) Pow(p float64) la.Matrix { return v.materialize().Pow(p) }
+
+// Apply returns v with f applied elementwise.
+func (v *viewMat) Apply(f func(float64) float64) la.Matrix { return v.materialize().Apply(f) }
 
 // ScaleRows returns v with row i scaled by s[i].
 func (v *viewMat) ScaleRows(s []float64) la.Mat { return v.materialize().ScaleRows(s) }
 
-// SliceRows returns rows [i0, i1).
-func (v *viewMat) SliceRows(i0, i1 int) la.Mat { return v.materialize().SliceRows(i0, i1) }
-
-// SliceCols returns columns [j0, j1).
-func (v *viewMat) SliceCols(j0, j1 int) la.Mat { return v.materialize().SliceCols(j0, j1) }
-
-// CloneMat returns an independent copy of the patched table.
-func (v *viewMat) CloneMat() la.Mat { return v.materialize().CloneMat() }
+// Ginv computes the patched table's pseudo-inverse.
+func (v *viewMat) Ginv() *la.Dense { return v.materialize().Ginv() }
 
 // Dense materializes the patched table densely.
 func (v *viewMat) Dense() *la.Dense { return v.materialize().Dense() }

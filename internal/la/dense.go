@@ -4,13 +4,16 @@
 // backed Moore-Penrose pseudo-inverse.
 //
 // The package plays the role that R's matrix runtime and BLAS/LAPACK play in
-// the paper's prototype. Two interfaces organize the types:
+// the paper's prototype. One operand contract organizes the types:
 //
-//   - Matrix is the operand type ML algorithms are written against. Dense,
-//     CSR and core.NormalizedMatrix all implement it, which is what lets a
-//     single algorithm implementation run either materialized or factorized.
-//   - Mat is the base-table feature-matrix contract (entity table S and
-//     attribute tables R_i may each be dense or sparse).
+//   - Matrix is the operator set of the paper's Table 1, what ML algorithms
+//     are written against. Its method set is frozen: decorators outside
+//     this module (the benchmark's tracing wrapper) implement exactly it.
+//   - Mat is Matrix plus the few methods the normalized matrix's rewrites
+//     ask of a base table (S or an R_i). Dense, CSR and
+//     core.NormalizedMatrix all implement it, so one algorithm runs
+//     materialized or factorized, and a normalized matrix can itself be an
+//     attribute table (a snowflake schema).
 package la
 
 import (
@@ -56,46 +59,24 @@ type Matrix interface {
 	Dense() *Dense
 }
 
-// Mat is the base-table feature-matrix contract used by the normalized
-// matrix: the entity matrix S and each attribute matrix R_i may be dense or
-// sparse, and the rewrite rules only need this operation set.
+// Mat is a base table of the normalized matrix — the entity matrix S or an
+// attribute matrix R_i, dense, sparse or itself normalized: a Matrix plus
+// what the rewrite rules ask of a base table beyond Table 1. Its
+// element-wise operators keep the storage class where they can (a Mat's
+// Scale, AddScalar, Pow and Apply return a Mat).
 type Mat interface {
-	Rows() int
-	Cols() int
+	Matrix
 	At(i, j int) float64
 	NNZ() int
-
-	// Mul computes A·X; TMul computes Aᵀ·X; LeftMul computes X·A.
-	Mul(x *Dense) *Dense
+	// TMul computes Aᵀ·X.
 	TMul(x *Dense) *Dense
-	LeftMul(x *Dense) *Dense
 	// GroupTMul computes Aᵀ·OneHot(groups, k) as group sums.
 	GroupTMul(groups []int32, k int) *Dense
-	// CrossProd computes AᵀA; Gram computes AAᵀ.
-	CrossProd() *Dense
+	// Gram computes AAᵀ.
 	Gram() *Dense
-
-	RowSums() *Dense
-	ColSums() *Dense
-	Sum() float64
-
-	// Element-wise rewrites preserve the storage class where possible;
-	// AddScalarM on a sparse matrix necessarily densifies.
-	ScaleM(x float64) Mat
-	AddScalarM(x float64) Mat
-	PowM(p float64) Mat
-	ApplyM(f func(float64) float64) Mat
 	// ScaleRows multiplies row i by v[i] (used by the efficient
 	// cross-product rewrite, Algorithm 2).
 	ScaleRows(v []float64) Mat
-
-	// SliceRows and SliceCols return copies of the half-open row/column
-	// ranges [i0,i1) and [j0,j1); needed by the DMM rewrites (appendix C).
-	SliceRows(i0, i1 int) Mat
-	SliceCols(j0, j1 int) Mat
-
-	CloneMat() Mat
-	Dense() *Dense
 }
 
 // Dense is a row-major dense matrix of float64.

@@ -133,35 +133,34 @@ func (m *Dense) AXPYInPlace(alpha float64, b *Dense) {
 	})
 }
 
-// RowSumsVec returns the per-row sums as a plain slice.
-func (m *Dense) RowSumsVec() []float64 {
-	out := make([]float64, m.rows)
+// RowSums returns an n×1 column vector of row sums.
+func (m *Dense) RowSums() *Dense {
+	out := NewDense(m.rows, 1)
 	parallelFor(m.rows, len(m.data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := 0.0
 			for _, v := range m.Row(i) {
 				s += v
 			}
-			out[i] = s
+			out.data[i] = s
 		}
 	})
 	return out
 }
 
-// ColSumsVec returns the per-column sums as a plain slice.
-func (m *Dense) ColSumsVec() []float64 {
-	out := make([]float64, m.cols)
+// ColSums returns a 1×d row vector of column sums.
+func (m *Dense) ColSums() *Dense {
+	out := NewDense(1, m.cols)
 	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
+		for j, v := range m.Row(i) {
+			out.data[j] += v
 		}
 	}
 	return out
 }
 
-// SumAll returns the sum of all elements.
-func (m *Dense) SumAll() float64 {
+// Sum returns the sum of all elements.
+func (m *Dense) Sum() float64 {
 	s := 0.0
 	for _, v := range m.data {
 		s += v
@@ -205,15 +204,6 @@ func (m *Dense) Pow(p float64) Matrix { return m.PowDense(p) }
 // Apply implements Matrix.
 func (m *Dense) Apply(f func(float64) float64) Matrix { return m.ApplyDense(f) }
 
-// RowSums returns an n×1 column vector of row sums.
-func (m *Dense) RowSums() *Dense { return ColVector(m.RowSumsVec()) }
-
-// ColSums returns a 1×d row vector of column sums.
-func (m *Dense) ColSums() *Dense { return RowVector(m.ColSumsVec()) }
-
-// Sum returns the sum of all elements.
-func (m *Dense) Sum() float64 { return m.SumAll() }
-
 // Mul computes m·x.
 func (m *Dense) Mul(x *Dense) *Dense { return MatMul(m, x) }
 
@@ -228,26 +218,5 @@ func (m *Dense) Dense() *Dense { return m }
 // TMul computes mᵀ·x.
 func (m *Dense) TMul(x *Dense) *Dense { return TMatMul(m, x) }
 
-// ScaleM implements Mat.
-func (m *Dense) ScaleM(x float64) Mat { return m.ScaleDense(x) }
-
-// AddScalarM implements Mat.
-func (m *Dense) AddScalarM(x float64) Mat { return m.AddScalarDense(x) }
-
-// PowM implements Mat.
-func (m *Dense) PowM(p float64) Mat { return m.PowDense(p) }
-
-// ApplyM implements Mat.
-func (m *Dense) ApplyM(f func(float64) float64) Mat { return m.ApplyDense(f) }
-
 // ScaleRows implements Mat.
 func (m *Dense) ScaleRows(v []float64) Mat { return m.ScaleRowsDense(v) }
-
-// SliceRows implements Mat.
-func (m *Dense) SliceRows(i0, i1 int) Mat { return m.SliceRowsDense(i0, i1) }
-
-// SliceCols implements Mat.
-func (m *Dense) SliceCols(j0, j1 int) Mat { return m.SliceColsDense(j0, j1) }
-
-// CloneMat implements Mat.
-func (m *Dense) CloneMat() Mat { return m.Clone() }

@@ -120,9 +120,9 @@ func SymGinv(a *Dense) *Dense {
 // n ≥ d, and Tᵀ·ginv(crossprod(Tᵀ)) otherwise.
 func Ginv(m *Dense) *Dense { return GinvOf(m) }
 
-// GinvOf computes the pseudo-inverse of any base-table matrix through the
-// same crossprod reduction, keeping the large multiplications in the
-// operand's native (possibly sparse) format.
+// GinvOf computes the pseudo-inverse of any Mat through the same crossprod
+// reduction, keeping the large multiplications in the operand's native
+// form: a sparse one stays sparse, a normalized one factorized.
 func GinvOf(a Mat) *Dense {
 	if a.Rows() >= a.Cols() {
 		p := SymGinv(a.CrossProd())

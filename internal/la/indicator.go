@@ -188,30 +188,6 @@ func (k *Indicator) LeftMul(x *Dense) *Dense {
 	return out
 }
 
-// MulVec computes K·v for a plain vector.
-func (k *Indicator) MulVec(v []float64) []float64 {
-	if len(v) != k.nCols {
-		panic(fmt.Sprintf("la: indicator MulVec len %d != cols %d", len(v), k.nCols))
-	}
-	out := make([]float64, len(k.rows))
-	for i, c := range k.rows {
-		out[i] = v[c]
-	}
-	return out
-}
-
-// TMulVec computes Kᵀ·v for a plain vector.
-func (k *Indicator) TMulVec(v []float64) []float64 {
-	if len(v) != len(k.rows) {
-		panic(fmt.Sprintf("la: indicator TMulVec len %d != rows %d", len(v), len(k.rows)))
-	}
-	out := make([]float64, k.nCols)
-	for i, c := range k.rows {
-		out[c] += v[i]
-	}
-	return out
-}
-
 // ColCounts returns colSums(K) as per-column reference counts. The paper's
 // Algorithm 2 uses KᵀK = diag(ColCounts).
 func (k *Indicator) ColCounts() []float64 {

@@ -71,18 +71,6 @@ func TestIndicatorLeftMul(t *testing.T) {
 	}
 }
 
-func TestIndicatorVecOps(t *testing.T) {
-	k := NewIndicator([]int{2, 0, 2}, 3)
-	mv := k.MulVec([]float64{10, 20, 30})
-	if mv[0] != 30 || mv[1] != 10 || mv[2] != 30 {
-		t.Fatalf("MulVec: %v", mv)
-	}
-	tv := k.TMulVec([]float64{1, 2, 3})
-	if tv[0] != 2 || tv[1] != 0 || tv[2] != 4 {
-		t.Fatalf("TMulVec: %v", tv)
-	}
-}
-
 func TestIndicatorColCounts(t *testing.T) {
 	k := NewIndicator([]int{0, 1, 1, 0, 1, 1}, 3)
 	c := k.ColCounts()

@@ -17,6 +17,16 @@ import (
 //	magic   [4]byte  "MXD1" (dense) | "MXS1" (CSR) | "MXI1" (indicator)
 //	dims    2×int64  rows, cols
 //	payload          row-major float64s | indptr/indices/vals | assignments
+//
+// The readers trust no size in a header: every count derived from one is
+// checked for overflow, and every payload is read in bounded pieces, so a
+// header that lies fails at EOF before any large allocation.
+
+// maxDim bounds a header dimension; below math.MaxInt, so rows+1 fits.
+const maxDim = min(1<<40, math.MaxInt-1)
+
+// readChunk is how many values a payload read decodes at a time.
+const readChunk = 8192
 
 var (
 	magicDense     = [4]byte{'M', 'X', 'D', '1'}
@@ -45,11 +55,42 @@ func readHeader(r io.Reader) (magic [4]byte, rows, cols int, err error) {
 	if err = binary.Read(r, binary.LittleEndian, &c64); err != nil {
 		return magic, 0, 0, err
 	}
-	if r64 < 0 || c64 < 0 || r64 > 1<<40 || c64 > 1<<40 {
+	if r64 < 0 || c64 < 0 || r64 > maxDim || c64 > maxDim {
 		return magic, 0, 0, fmt.Errorf("la: implausible dimensions %dx%d", r64, c64)
 	}
 	return magic, int(r64), int(c64), nil
 }
+
+// elems returns rows·cols, capped at the most 8-byte values one slice can
+// hold; ok is false when the cap applied.
+func elems(rows, cols int) (n int, ok bool) {
+	const most = math.MaxInt / 8
+	if cols != 0 && rows > most/cols {
+		return most, false
+	}
+	return rows * cols, true
+}
+
+// readN decodes n little-endian values of size bytes each, readChunk at a
+// time: the result grows only as fast as the stream delivers.
+func readN[T any](r io.Reader, n, size int, dec func([]byte) T) ([]T, error) {
+	out := make([]T, 0, min(n, readChunk))
+	buf := make([]byte, min(n, readChunk)*size)
+	for len(out) < n {
+		b := buf[:min(n-len(out), readChunk)*size]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b = b[size:] {
+			out = append(out, dec(b))
+		}
+	}
+	return out, nil
+}
+
+func decF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+func decI64(b []byte) int     { return int(int64(binary.LittleEndian.Uint64(b))) }
+func decI32(b []byte) int32   { return int32(binary.LittleEndian.Uint32(b)) }
 
 func writeFloats(w io.Writer, vs []float64) error {
 	var b [8]byte
@@ -60,18 +101,6 @@ func writeFloats(w io.Writer, vs []float64) error {
 		}
 	}
 	return nil
-}
-
-func readFloats(r io.Reader, n int) ([]float64, error) {
-	buf := make([]byte, n*8)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return out, nil
 }
 
 // Encode serializes the dense matrix.
@@ -96,7 +125,11 @@ func ReadDense(r io.Reader) (*Dense, error) {
 	if magic != magicDense {
 		return nil, fmt.Errorf("la: bad dense magic %q", magic[:])
 	}
-	data, err := readFloats(br, rows*cols)
+	n, ok := elems(rows, cols)
+	if !ok {
+		return nil, fmt.Errorf("la: %dx%d dense matrix is too large", rows, cols)
+	}
+	data, err := readN(br, n, 8, decF64)
 	if err != nil {
 		return nil, fmt.Errorf("la: reading dense payload: %w", err)
 	}
@@ -140,32 +173,29 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nnz64); err != nil {
 		return nil, err
 	}
-	if nnz64 < 0 || nnz64 > int64(rows)*int64(cols) {
+	if most, _ := elems(rows, cols); nnz64 < 0 || nnz64 > int64(most) {
 		return nil, fmt.Errorf("la: implausible nnz %d for %dx%d", nnz64, rows, cols)
 	}
-	indptr := make([]int, rows+1)
-	for i := range indptr {
-		var v int64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return nil, err
-		}
-		indptr[i] = int(v)
-	}
-	if indptr[0] != 0 || indptr[rows] != int(nnz64) {
-		return nil, fmt.Errorf("la: corrupt CSR indptr")
-	}
-	indices := make([]int32, nnz64)
-	if err := binary.Read(br, binary.LittleEndian, indices); err != nil {
-		return nil, err
-	}
-	vals, err := readFloats(br, int(nnz64))
+	nnz := int(nnz64)
+	indptr, err := readN(br, rows+1, 8, decI64)
 	if err != nil {
 		return nil, err
+	}
+	if indptr[0] != 0 || indptr[rows] != nnz {
+		return nil, fmt.Errorf("la: corrupt CSR indptr")
 	}
 	for i := 1; i <= rows; i++ {
 		if indptr[i] < indptr[i-1] {
 			return nil, fmt.Errorf("la: corrupt CSR indptr at row %d", i)
 		}
+	}
+	indices, err := readN(br, nnz, 4, decI32)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := readN(br, nnz, 8, decF64)
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < rows; i++ {
 		prev := int32(-1)
@@ -204,8 +234,8 @@ func ReadIndicator(r io.Reader) (*Indicator, error) {
 	if magic != magicIndicator {
 		return nil, fmt.Errorf("la: bad indicator magic %q", magic[:])
 	}
-	assign := make([]int32, rows)
-	if err := binary.Read(br, binary.LittleEndian, assign); err != nil {
+	assign, err := readN(br, rows, 4, decI32)
+	if err != nil {
 		return nil, err
 	}
 	for i, a := range assign {

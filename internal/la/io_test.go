@@ -2,7 +2,10 @@ package la
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -110,6 +113,57 @@ func TestReadRejectsCorruptCSR(t *testing.T) {
 	raw[idxOffset+3] = 0x7F
 	if _, err := ReadCSR(bytes.NewReader(raw)); err == nil {
 		t.Fatal("accepted corrupt column index")
+	}
+}
+
+// header encodes a matrix header followed by raw int64 words (nnz, indptr).
+func header(magic string, words ...int64) []byte {
+	b := []byte(magic)
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, uint64(w))
+	}
+	return b
+}
+
+// lyingHeaders claim far more than they carry, or sizes that overflow.
+var lyingHeaders = []struct {
+	name string
+	raw  []byte
+}{
+	{"dense 2^32x2^32 (rows·cols overflows to 0)", header("MXD1", 1<<32, 1<<32)},
+	{"dense 2^31x2^31", header("MXD1", 1<<31, 1<<31)},
+	{"dense 2^20x2^20, no payload", header("MXD1", 1<<20, 1<<20)},
+	{"dense negative rows", header("MXD1", -1, 3)},
+	{"CSR rows 2^40", header("MXS1", 1<<40, 1, 0)},
+	{"CSR nnz 2^40", header("MXS1", 1, 1<<40, 1<<40, 0, 1<<40)},
+	{"CSR nnz beyond rows·cols", header("MXS1", 2, 2, 5)},
+	{"CSR decreasing indptr", append(header("MXS1", 2, 2, 1, 0, 2, 1), make([]byte, 12)...)},
+	{"indicator rows 2^40", header("MXI1", 1<<40, 1)},
+	{"dense truncated payload", append(header("MXD1", 2, 2), make([]byte, 24)...)},
+}
+
+// TestReadLyingHeaders: every reader turns every lying header into an
+// error — never a panic, never a matrix — and allocates little doing so.
+func TestReadLyingHeaders(t *testing.T) {
+	readers := map[string]func(io.Reader) error{
+		"MXD1": func(r io.Reader) error { _, err := ReadDense(r); return err },
+		"MXS1": func(r io.Reader) error { _, err := ReadCSR(r); return err },
+		"MXI1": func(r io.Reader) error { _, err := ReadIndicator(r); return err },
+	}
+	for _, h := range lyingHeaders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		if recoverPanic(func() { err = readers[string(h.raw[:4])](bytes.NewReader(h.raw)) }) {
+			t.Fatalf("%s: panicked", h.name)
+		}
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", h.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: allocated %d bytes before failing", h.name, grew)
+		}
 	}
 }
 

@@ -134,15 +134,13 @@ func (w *whole) Scan(step Step, merge func(any) error) (tall Tall, tp *Dense, er
 	return tall, tp, nil
 }
 
-// tmul reduces Tᵀ·P: group sums when the step returned Groups and T has
-// the kernel (Dense, CSR, core's normalized matrix); any other Matrix, such
-// as an opaque wrapper, multiplies the one-hot P through the transpose.
+// tmul reduces Tᵀ·P: group sums when the step returned Groups and T is a
+// Mat (Dense, CSR, core's normalized matrix); any other Matrix, such as an
+// opaque wrapper, multiplies the one-hot P through the transpose.
 func (w *whole) tmul(r Result, k int) *Dense {
 	p := r.P
 	if p == nil {
-		if g, ok := w.t.(interface {
-			GroupTMul(groups []int32, k int) *Dense
-		}); ok {
+		if g, ok := w.t.(Mat); ok {
 			return g.GroupTMul(r.Groups, k)
 		}
 		p = OneHot(r.Groups, k)

@@ -82,7 +82,7 @@ func (b *CSRBuilder) Add(i, j int, v float64) {
 
 // Build assembles the CSR matrix: a stable counting sort of the triplets by
 // row, then per row an insertion sort by column (rows are short or, from
-// CSRFromDense and SliceCols, already in order) that keeps duplicates in the
+// CSRFromDense, already in order) that keeps duplicates in the
 // order they were added, which is the order they are summed in.
 func (b *CSRBuilder) Build() *CSR {
 	indptr := make([]int, b.rows+1)
@@ -494,19 +494,19 @@ func (c *CSR) mapVals(f func(float64) float64) *CSR {
 	return out
 }
 
-// ScaleM implements Mat; scaling preserves sparsity.
-func (c *CSR) ScaleM(x float64) Mat { return c.mapVals(func(v float64) float64 { return v * x }) }
+// Scale implements Matrix; scaling preserves sparsity.
+func (c *CSR) Scale(x float64) Matrix { return c.mapVals(func(v float64) float64 { return v * x }) }
 
-// AddScalarM implements Mat. Adding a non-zero scalar densifies.
-func (c *CSR) AddScalarM(x float64) Mat {
+// AddScalar implements Matrix. Adding a non-zero scalar densifies.
+func (c *CSR) AddScalar(x float64) Matrix {
 	if x == 0 {
 		return c.Clone()
 	}
 	return c.Dense().AddScalarDense(x)
 }
 
-// PowM implements Mat; 0^p stays 0 for p>0, so sparsity is preserved.
-func (c *CSR) PowM(p float64) Mat {
+// Pow implements Matrix; 0^p stays 0 for p>0, so sparsity is preserved.
+func (c *CSR) Pow(p float64) Matrix {
 	if p <= 0 {
 		return c.Dense().PowDense(p)
 	}
@@ -516,9 +516,9 @@ func (c *CSR) PowM(p float64) Mat {
 	return c.mapVals(func(v float64) float64 { return math.Pow(v, p) })
 }
 
-// ApplyM implements Mat. If f(0)==0 the result stays sparse; otherwise it
+// Apply implements Matrix. If f(0)==0 the result stays sparse; otherwise it
 // densifies (e.g. exp).
-func (c *CSR) ApplyM(f func(float64) float64) Mat {
+func (c *CSR) Apply(f func(float64) float64) Matrix {
 	if f(0) == 0 {
 		return c.mapVals(f)
 	}
@@ -539,8 +539,8 @@ func (c *CSR) ScaleRows(v []float64) Mat {
 	return out
 }
 
-// SliceRows implements Mat.
-func (c *CSR) SliceRows(i0, i1 int) Mat {
+// SliceRows returns a copy of rows [i0,i1).
+func (c *CSR) SliceRows(i0, i1 int) *CSR {
 	if i0 < 0 || i1 > c.rows || i0 > i1 {
 		panic(fmt.Sprintf("la: row slice [%d,%d) out of bounds %d", i0, i1, c.rows))
 	}
@@ -556,45 +556,8 @@ func (c *CSR) SliceRows(i0, i1 int) Mat {
 	return &CSR{rows: i1 - i0, cols: c.cols, indptr: indptr, indices: indices, vals: vals}
 }
 
-// SliceCols implements Mat.
-func (c *CSR) SliceCols(j0, j1 int) Mat {
-	if j0 < 0 || j1 > c.cols || j0 > j1 {
-		panic(fmt.Sprintf("la: col slice [%d,%d) out of bounds %d", j0, j1, c.cols))
-	}
-	b := NewCSRBuilder(c.rows, j1-j0)
-	for i := 0; i < c.rows; i++ {
-		idx, vs := c.RowNNZ(i)
-		for k, j := range idx {
-			if int(j) >= j0 && int(j) < j1 {
-				b.Add(i, int(j)-j0, vs[k])
-			}
-		}
-	}
-	return b.Build()
-}
-
-// CloneMat implements Mat.
-func (c *CSR) CloneMat() Mat { return c.Clone() }
-
-// --- Matrix interface (CSR as a standalone operand, e.g. materialized T
-// over the sparse real datasets) ---
-
 // T implements Matrix.
 func (c *CSR) T() Matrix { return c.TCSR() }
-
-// Scale implements Matrix.
-func (c *CSR) Scale(x float64) Matrix { return c.ScaleM(x).(Matrix) }
-
-// AddScalar implements Matrix.
-func (c *CSR) AddScalar(x float64) Matrix { return c.AddScalarM(x).(Matrix) }
-
-// Pow implements Matrix.
-func (c *CSR) Pow(p float64) Matrix { return c.PowM(p).(Matrix) }
-
-// Apply implements Matrix.
-func (c *CSR) Apply(f func(float64) float64) Matrix { return c.ApplyM(f).(Matrix) }
-
-// LeftMulMatrix note: LeftMul already matches the Matrix signature.
 
 // Ginv computes the pseudo-inverse of the materialized operand.
 func (c *CSR) Ginv() *Dense { return GinvOf(c) }

@@ -202,31 +202,31 @@ func TestCSRAggregations(t *testing.T) {
 func TestCSRElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	c, d := randCSR(rng, 10, 10, 0.3)
-	if !EqualApprox(c.ScaleM(2.5).Dense(), d.ScaleDense(2.5), 1e-12) {
-		t.Fatal("ScaleM mismatch")
+	if !EqualApprox(c.Scale(2.5).Dense(), d.ScaleDense(2.5), 1e-12) {
+		t.Fatal("Scale mismatch")
 	}
-	if !EqualApprox(c.PowM(2).Dense(), d.PowDense(2), 1e-12) {
-		t.Fatal("PowM mismatch")
+	if !EqualApprox(c.Pow(2).Dense(), d.PowDense(2), 1e-12) {
+		t.Fatal("Pow mismatch")
 	}
 	// AddScalar densifies.
-	add := c.AddScalarM(3)
+	add := c.AddScalar(3)
 	if _, ok := add.(*Dense); !ok {
-		t.Fatal("AddScalarM(3) should densify")
+		t.Fatal("AddScalar(3) should densify")
 	}
 	if !EqualApprox(add.Dense(), d.AddScalarDense(3), 1e-12) {
-		t.Fatal("AddScalarM mismatch")
+		t.Fatal("AddScalar mismatch")
 	}
 	// Apply with f(0)==0 stays sparse; with f(0)!=0 densifies.
-	sq := c.ApplyM(func(v float64) float64 { return v * v })
+	sq := c.Apply(func(v float64) float64 { return v * v })
 	if _, ok := sq.(*CSR); !ok {
-		t.Fatal("zero-preserving ApplyM should stay sparse")
+		t.Fatal("zero-preserving Apply should stay sparse")
 	}
-	ex := c.ApplyM(math.Exp)
+	ex := c.Apply(math.Exp)
 	if _, ok := ex.(*Dense); !ok {
-		t.Fatal("exp ApplyM should densify")
+		t.Fatal("exp Apply should densify")
 	}
 	if !EqualApprox(ex.Dense(), d.ApplyDense(math.Exp), 1e-12) {
-		t.Fatal("exp ApplyM values mismatch")
+		t.Fatal("exp Apply values mismatch")
 	}
 }
 
@@ -244,9 +244,6 @@ func TestCSRSlices(t *testing.T) {
 	c, d := randCSR(rng, 9, 7, 0.4)
 	if !EqualApprox(c.SliceRows(2, 6).Dense(), d.SliceRowsDense(2, 6), 0) {
 		t.Fatal("SliceRows mismatch")
-	}
-	if !EqualApprox(c.SliceCols(1, 5).Dense(), d.SliceColsDense(1, 5), 0) {
-		t.Fatal("SliceCols mismatch")
 	}
 }
 

@@ -126,7 +126,7 @@ func KMeansAssign(c *la.Dense) la.Step {
 // index) and dropped one row at a time; then gets each row's result.
 func nearest(c *la.Dense, then func(assign []int32, bestD []float64) la.Result) la.Step {
 	k := c.Cols()
-	cNorm := c.PowDense(2).ColSumsVec() // length k
+	cNorm := c.PowDense(2).ColSums().Data() // length k
 	return la.Step{X: c.ScaleDense(2), Norms: true, Do: func(_ la.Block, tc *la.Dense, dt []float64) (la.Result, error) {
 		tcd := tc.Data()
 		assign, bestD := make([]int32, len(dt)), make([]float64, len(dt))

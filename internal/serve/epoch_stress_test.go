@@ -92,8 +92,8 @@ func TestConcurrentWriterScorerTrainerStress(t *testing.T) {
 	// Trainer: pin an epoch mid-storm, freeze a copy, train over both
 	// views in memory and out of core, and demand bitwise equality.
 	snap := st.Pin()
-	var frozenS la.Mat = snap.S().CloneMat()
-	frozenR := snap.R(0).CloneMat()
+	var frozenS la.Mat = snap.S().Scale(1).(la.Mat)
+	frozenR := snap.R(0).Scale(1).(la.Mat)
 	y := la.NewDense(nS, 1)
 	for i := range y.Data() {
 		y.Data()[i] = float64(1 - 2*(i%2))
