@@ -229,26 +229,14 @@ func (m *NormalizedMatrix) Dense() *la.Dense {
 
 // Sparse materializes T in CSR form, preserving the sparsity of sparse base
 // tables (used to give the materialized baseline a fair sparse format on
-// the real-data workloads). The transpose flag is honored.
+// the real-data workloads) in one pass over the output rows, each filled
+// from its base-table rows. The transpose flag is honored.
 func (m *NormalizedMatrix) Sparse() *la.CSR {
-	parts := make([]*la.CSR, 0, len(m.ks)+1)
-	toCSR := func(x la.Mat) *la.CSR {
-		if c, ok := x.(*la.CSR); ok {
-			return c
-		}
-		return la.CSRFromDense(x.Dense())
-	}
+	ks, parts := m.ks, m.rs
 	if m.s != nil {
-		sc := toCSR(m.s)
-		if m.is != nil {
-			sc = sc.GatherRows(m.is.Assignments())
-		}
-		parts = append(parts, sc)
+		ks, parts = append([]*la.Indicator{m.is}, ks...), append([]la.Mat{m.s}, parts...)
 	}
-	for i, k := range m.ks {
-		parts = append(parts, toCSR(m.rs[i]).GatherRows(k.Assignments()))
-	}
-	out := la.HCatCSR(parts...)
+	out := la.JoinCSR(ks, parts)
 	if m.trans {
 		return out.TCSR()
 	}

@@ -92,7 +92,7 @@ func ScanTMul(t Operand, p *Dense) (*Dense, error) {
 
 // whole is an in-memory Matrix seen as one block that is its own scan.
 type whole struct {
-	t, tt Matrix // tt = Tᵀ, transposed on the first Tᵀ·P (a Gram-only caller never pays the copy)
+	t, tt Matrix // tt = Tᵀ of a T that is not a Mat, transposed on its first Tᵀ·P
 	norms []float64
 }
 
@@ -134,16 +134,21 @@ func (w *whole) Scan(step Step, merge func(any) error) (tall Tall, tp *Dense, er
 	return tall, tp, nil
 }
 
-// tmul reduces Tᵀ·P: group sums when the step returned Groups and T is a
-// Mat (Dense, CSR, core's normalized matrix); any other Matrix, such as an
-// opaque wrapper, multiplies the one-hot P through the transpose.
+// tmul reduces Tᵀ·P through the operand's own kernels when T is a Mat
+// (Dense, CSR, core's normalized matrix): group sums when the step returned
+// Groups, else Mat.TMul, so no transposed copy is made. Any other Matrix,
+// such as an opaque wrapper, multiplies through its transpose, made once.
 func (w *whole) tmul(r Result, k int) *Dense {
+	g, isMat := w.t.(Mat)
 	p := r.P
 	if p == nil {
-		if g, ok := w.t.(Mat); ok {
+		if isMat {
 			return g.GroupTMul(r.Groups, k)
 		}
 		p = OneHot(r.Groups, k)
+	}
+	if isMat {
+		return g.TMul(p)
 	}
 	if w.tt == nil {
 		w.tt = w.t.T()

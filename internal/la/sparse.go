@@ -81,9 +81,9 @@ func (b *CSRBuilder) Add(i, j int, v float64) {
 }
 
 // Build assembles the CSR matrix: a stable counting sort of the triplets by
-// row, then per row an insertion sort by column (rows are short or, from
-// CSRFromDense, already in order) that keeps duplicates in the
-// order they were added, which is the order they are summed in.
+// row, then per row an insertion sort by column (rows are short or already
+// in order) that keeps duplicates in the order they were added, which is
+// the order they are summed in.
 func (b *CSRBuilder) Build() *CSR {
 	indptr := make([]int, b.rows+1)
 	for _, i := range b.is {
@@ -124,17 +124,35 @@ func (b *CSRBuilder) Build() *CSR {
 	return &CSR{rows: b.rows, cols: b.cols, indptr: indptr, indices: indices[:n], vals: vals[:n]}
 }
 
-// CSRFromDense converts a dense matrix, dropping exact zeros.
+// CSRFromDense converts a dense matrix, dropping exact zeros: one parallel
+// pass counts each row's non-zeros, a second writes them in place.
 func CSRFromDense(d *Dense) *CSR {
-	b := NewCSRBuilder(d.rows, d.cols)
-	for i := 0; i < d.rows; i++ {
-		for j, v := range d.Row(i) {
-			if v != 0 {
-				b.Add(i, j, v)
+	indptr := make([]int, d.rows+1)
+	parallelFor(d.rows, len(d.data), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for _, v := range d.Row(i) {
+				if v != 0 {
+					indptr[i+1]++
+				}
 			}
 		}
+	})
+	for i := 0; i < d.rows; i++ {
+		indptr[i+1] += indptr[i]
 	}
-	return b.Build()
+	indices, vals := make([]int32, indptr[d.rows]), make([]float64, indptr[d.rows])
+	parallelFor(d.rows, len(d.data), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			at := indptr[i]
+			for j, v := range d.Row(i) {
+				if v != 0 {
+					indices[at], vals[at] = int32(j), v
+					at++
+				}
+			}
+		}
+	})
+	return &CSR{rows: d.rows, cols: d.cols, indptr: indptr, indices: indices, vals: vals}
 }
 
 // Rows reports the number of rows.
@@ -233,36 +251,58 @@ func (c *CSR) GatherRows(assign []int32) *CSR {
 	return &CSR{rows: len(assign), cols: c.cols, indptr: indptr, indices: indices, vals: vals}
 }
 
-// HCatCSR concatenates sparse matrices side by side.
-func HCatCSR(ms ...*CSR) *CSR {
-	if len(ms) == 0 {
-		return NewCSR(0, 0, []int{0}, nil, nil)
-	}
-	rows := ms[0].rows
-	cols, nnz := 0, 0
-	for _, m := range ms {
-		if m.rows != rows {
-			panic(fmt.Sprintf("la: HCatCSR row mismatch %d != %d", m.rows, rows))
+// JoinCSR materializes [K_1·A_1, ..., K_q·A_q] in CSR form: row i is row
+// ks[p].ColOf(i) of each part A_p (row i itself when ks[p] is nil), side by
+// side. CSR parts keep what they store; any other part is converted once
+// by CSRFromDense, so its exact zeros drop. One parallel pass sizes every
+// row, a prefix sum places it, and a second parallel pass fills it from its
+// base-table rows.
+func JoinCSR(ks []*Indicator, parts []Mat) *CSR {
+	cs, sels, offs, n := make([]*CSR, len(parts)), make([][]int32, len(parts)), make([]int32, len(parts)+1), 0
+	for p, a := range parts {
+		c, ok := a.(*CSR)
+		if !ok {
+			c = CSRFromDense(a.Dense())
 		}
-		cols += m.cols
-		nnz += m.NNZ()
+		k := ks[p]
+		if k == nil {
+			k = IdentityIndicator(c.rows)
+		}
+		cs[p], sels[p], offs[p+1], n = c, k.rows, offs[p]+int32(c.cols), len(k.rows)
 	}
-	indptr := make([]int, rows+1)
-	indices := make([]int32, 0, nnz)
-	vals := make([]float64, 0, nnz)
-	for i := 0; i < rows; i++ {
-		off := 0
-		for _, m := range ms {
-			idx, vs := m.RowNNZ(i)
-			for k, j := range idx {
-				indices = append(indices, j+int32(off))
-				vals = append(vals, vs[k])
+	indptr := make([]int, n+1)
+	parallelFor(n, n*len(cs), func(lo, hi int) {
+		for p, c := range cs {
+			for i, r := range sels[p][lo:hi] {
+				indptr[lo+i+1] += c.indptr[r+1] - c.indptr[r]
 			}
-			off += m.cols
 		}
-		indptr[i+1] = len(indices)
+	})
+	for i := 0; i < n; i++ {
+		indptr[i+1] += indptr[i]
 	}
-	return &CSR{rows: rows, cols: cols, indptr: indptr, indices: indices, vals: vals}
+	indices, vals := make([]int32, indptr[n]), make([]float64, indptr[n])
+	parallelFor(n, indptr[n], func(lo, hi int) {
+		// A block of rows at a time, part by part: the block's output stays
+		// in cache while the tight per-part loop overlaps its random reads.
+		var next [256]int
+		for b := lo; b < hi; b += len(next) {
+			e := min(b+len(next), hi)
+			copy(next[:], indptr[b:e])
+			for p, c := range cs {
+				for i := b; i < e; i++ {
+					idx, vs := c.RowNNZ(int(sels[p][i]))
+					at := next[i-b]
+					di, dv := indices[at:at+len(idx)], vals[at:at+len(idx)]
+					for k, j := range idx {
+						di[k], dv[k] = j+offs[p], vs[k]
+					}
+					next[i-b] += len(idx)
+				}
+			}
+		}
+	})
+	return &CSR{rows: n, cols: int(offs[len(cs)]), indptr: indptr, indices: indices, vals: vals}
 }
 
 // VCatCSR stacks sparse matrices vertically: [a; b; ...].

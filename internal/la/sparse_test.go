@@ -265,12 +265,12 @@ func TestHCatCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a, da := randCSR(rng, 8, 3, 0.5)
 	b, db := randCSR(rng, 8, 5, 0.5)
-	got := HCatCSR(a, b)
+	got := JoinCSR([]*Indicator{nil, nil}, []Mat{a, b})
 	if !EqualApprox(got.Dense(), HCat(da, db), 0) {
-		t.Fatal("HCatCSR mismatch")
+		t.Fatal("JoinCSR side-by-side mismatch")
 	}
 	if got.NNZ() != a.NNZ()+b.NNZ() {
-		t.Fatal("HCatCSR NNZ mismatch")
+		t.Fatal("JoinCSR NNZ mismatch")
 	}
 }
 

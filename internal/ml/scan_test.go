@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/la"
@@ -56,6 +57,50 @@ func (o opaque) LeftMul(x *la.Dense) *la.Dense           { return o.m.LeftMul(x)
 func (o opaque) CrossProd() *la.Dense                    { return o.m.CrossProd() }
 func (o opaque) Ginv() *la.Dense                         { return o.m.Ginv() }
 func (o opaque) Dense() *la.Dense                        { return o.m.Dense() }
+
+// TestInMemoryCSRNoTranspose: on a CSR operand the in-memory scan reduces
+// Tᵀ·P with CSR.TMul instead of multiplying through a transposed copy. The
+// weights stay within 1e-12 of the transposed path (an opaque wrapper still
+// takes it), and a fit allocates less than the 12 bytes per stored entry
+// the copy alone would cost.
+func TestInMemoryCSRNoTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n, d = 20_000, 200
+	b := la.NewCSRBuilder(n, d)
+	y := la.NewDense(n, 1)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			if rng.Intn(10) == 0 {
+				b.Add(i, j, rng.NormFloat64())
+			}
+		}
+		y.Set(i, 0, float64(2*rng.Intn(2)-1))
+	}
+	c := b.Build()
+	opt := Options{Iters: 2, StepSize: 1e-3}
+	fit := func(m la.Matrix) (*la.Dense, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := LogisticRegressionGD(m, y, nil, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, after.TotalAlloc - before.TotalAlloc
+	}
+	want, viaCopy := fit(opaque{c})
+	got, bytes := fit(c)
+	scale := 0.0
+	for _, v := range want.Data() {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	if d := la.MaxAbsDiff(got, want) / scale; !(d <= 1e-12) {
+		t.Errorf("CSR.TMul weights differ from the transposed path's by %g relative", d)
+	}
+	if limit := uint64(12 * c.NNZ()); bytes >= limit || viaCopy < limit {
+		t.Errorf("a fit allocates %d B, %d B through the transpose; want < %d B, the copy's size, only without it", bytes, viaCopy, limit)
+	}
+}
 
 // TestOpaqueMatrixRunsEveryAlgorithm: the in-memory entry points use
 // nothing but the la.Matrix contract, so a wrapper with no concrete type

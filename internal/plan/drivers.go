@@ -81,7 +81,8 @@ func StarOperands(tM chunk.Mat, nt *chunk.NormalizedTable) Operands {
 
 // InMemoryOperands describes an in-memory normalized matrix: both
 // representations are reachable (the materialized one via nm.Dense or
-// nm.Sparse), and the stats come from ComputeStats.
+// nm.Sparse), and the stats come from ComputeStats. It reads shapes only,
+// never the data: NNZ stays unset.
 func InMemoryOperands(nm *core.NormalizedMatrix) Operands {
 	st := nm.ComputeStats()
 	var attrBytes int64
@@ -96,7 +97,6 @@ func InMemoryOperands(nm *core.NormalizedMatrix) Operands {
 		Rows:              nm.Rows(),
 		Cols:              nm.Cols(),
 		AttrTables:        nm.NumTables(),
-		NNZ:               int64(nm.NNZ()),
 		Stats:             st,
 		HasMaterialized:   true,
 		HasFactorized:     true,

@@ -71,7 +71,8 @@ type BatcherStats struct {
 	// Batches is the number of coalesced gather passes executed.
 	Batches uint64
 	// Scored is the number of admitted requests answered (equals Accepted
-	// once the batcher is idle or closed).
+	// once the batcher is idle or closed). A request is counted before its
+	// caller wakes, so a caller holding its answer always sees it here.
 	Scored uint64
 	// PeakQueue is the deepest the admission queue has been.
 	PeakQueue int
@@ -321,6 +322,9 @@ func (b *Batcher) runJob(job *batchJob) {
 	if err == nil && len(scores) != n {
 		err = fmt.Errorf("serve: ScoreBatch returned %d scores for %d ids", len(scores), n)
 	}
+	// Count before any caller wakes: one holding its answer sees it in Stats.
+	b.batches.Add(1)
+	b.scored.Add(uint64(n))
 	for i, r := range job.reqs {
 		if err != nil {
 			r.out <- batchResp{err: err}
@@ -328,8 +332,6 @@ func (b *Batcher) runJob(job *batchJob) {
 			r.out <- batchResp{score: scores[i]}
 		}
 	}
-	b.batches.Add(1)
-	b.scored.Add(uint64(n))
 	job.reqs = job.reqs[:0]
 	b.batch.Put(job)
 }

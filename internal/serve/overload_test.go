@@ -161,6 +161,28 @@ func TestBatcherSlowBackendSaturation(t *testing.T) {
 	}
 }
 
+// TestBatcherCountsBeforeAnswering: a caller holding its answer sees it
+// counted. The batcher once woke callers before counting their batch, so
+// a Stats read right after Score could find Scored < Accepted.
+func TestBatcherCountsBeforeAnswering(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	nm := randPKFK(rng, false)
+	sc, err := NewScorer(nm, randWeights(rng, nm.Cols()), Linear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatcher(sc, BatchOptions{MaxBatch: 4, MaxDelay: time.Microsecond, Workers: 2})
+	defer b.Close()
+	for i := 0; i < 2000; i++ {
+		if _, err := b.Score(i % nm.Rows()); err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Stats(); st.Scored != st.Accepted {
+			t.Fatalf("call %d: answered, but Stats has scored %d of %d accepted", i, st.Scored, st.Accepted)
+		}
+	}
+}
+
 // TestScoreAfterCloseNeverHangs is the regression test for the
 // unbuffered-send hang: Score on a closed batcher must return
 // ErrBatcherClosed immediately, never block.

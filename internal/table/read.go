@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -157,10 +158,12 @@ func (s *segment) parse(cols []*Column) {
 		for i, cell := range rd.cells {
 			c := cols[i]
 			if c.Kind == Numeric {
-				v, err := strconv.ParseFloat(string(cell), 64)
-				if err != nil {
-					s.errCol, s.err = i, err
-					return
+				v, ok := parseDecimal(cell)
+				if !ok {
+					if v, err = strconv.ParseFloat(string(cell), 64); err != nil {
+						s.errCol, s.err = i, err
+						return
+					}
 				}
 				c.Nums[row] = v
 				continue
@@ -173,6 +176,41 @@ func (s *segment) parse(cols []*Column) {
 		}
 		row++
 	}
+}
+
+// parseDecimal converts a cell of the form [+-]digits[.digits] with at
+// most 15 digits; ok is false for any other cell. The digits are an exact
+// integer below 2⁵³ and 10^frac ≤ 1e15 is exact (math.Pow10 reads it from
+// a table), so one correctly rounded division gives the nearest float64:
+// strconv's own exact path (Clinger), bit-identical to strconv.ParseFloat,
+// -0 included.
+func parseDecimal(cell []byte) (v float64, ok bool) {
+	i, neg := 0, false
+	if len(cell) > 0 && (cell[0] == '+' || cell[0] == '-') {
+		i, neg = 1, cell[0] == '-'
+	}
+	var m uint64
+	digits, frac, dot := 0, 0, false
+	for ; i < len(cell); i++ {
+		switch c := cell[i]; {
+		case '0' <= c && c <= '9' && digits < 15:
+			m, digits = m*10+uint64(c-'0'), digits+1
+			if dot {
+				frac++
+			}
+		case c == '.' && !dot:
+			dot = true
+		default:
+			return 0, false
+		}
+	}
+	if digits == 0 {
+		return 0, false
+	}
+	if v = float64(m); neg {
+		v = -v
+	}
+	return v / math.Pow10(frac), true
 }
 
 // minSegment keeps small inputs on one goroutine.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -145,6 +146,44 @@ func FuzzReadCSV(f *testing.F) {
 			if diff := sameAsRef(got, ref); diff != "" {
 				t.Fatalf("%d workers: %s", workers, diff)
 			}
+		}
+	})
+}
+
+// plainDecimal is the grammar parseDecimal takes, digit count aside.
+var plainDecimal = regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)$`)
+
+// FuzzParseDecimal holds the plain-decimal fast path to strconv.ParseFloat
+// bit for bit on every cell it accepts, and requires it to accept every
+// plain decimal of at most 15 digits.
+func FuzzParseDecimal(f *testing.F) {
+	for _, seed := range []string{
+		"-0", "0.0000", ".5", "5.", "+.5", "-.5", "0", "12.25", "-3.1400",
+		"123456789012345", "1234567890.12345", "1234567890123456", "0.1234567890123456",
+		"999999999999999", "9007199254740993", "1e5", "1.2.3", "-", "+", ".", "", "--1", "1_0", " 1", "0x1p-2", "NaN",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := parseDecimal([]byte(s))
+		digits := 0
+		for _, c := range s {
+			if '0' <= c && c <= '9' {
+				digits++
+			}
+		}
+		if plainDecimal.MatchString(s) && digits <= 15 && !ok {
+			t.Fatalf("parseDecimal(%q) refused a plain decimal of at most 15 digits", s)
+		}
+		if !ok {
+			return
+		}
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatalf("parseDecimal(%q) = %v, ParseFloat fails: %v", s, got, err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseDecimal(%q) = %v (%#x), ParseFloat %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }
