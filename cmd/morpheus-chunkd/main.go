@@ -1,8 +1,11 @@
 // Command morpheus-chunkd serves one chunk-store shard directory over HTTP
 // — and executes ops on the chunks it holds — so a sharded out-of-core
 // store on another machine can place spill chunks here
-// (chunk.NewRemoteBackend / morpheus-bench -remote-shards) and, with
-// pushdown, map them in place instead of streaming them back.
+// (chunk.NewRemoteBackend / morpheus-bench -remote-shards). Every
+// registered-op pass the store runs maps the chunks held here in place
+// instead of streaming them back: the shard's capability decides, no
+// client option does, and chunks a zone map proves all-zero are never
+// sent.
 //
 // Usage:
 //
@@ -16,8 +19,10 @@
 // the shard). POST /exec runs a registered per-chunk op (crossprod,
 // colsums, sum, kmeans-assign-v2) over listed local chunks and streams back
 // the encoded partials in request order, so only partials — not chunks —
-// cross the wire; the driver remains the reducer and results are
-// bit-identical with an all-local pass. An /exec request may name the
+// cross the wire; the driver remains the reducer, checks each partial's
+// shape against the op, and results are bit-identical with an all-local
+// pass. A chunk that fails to decode — a CSR header claiming more entries
+// than its blob holds, say — is an in-band error frame, never a crash. An /exec request may name the
 // codec its stored blobs are framed with (a store whose shards sit behind
 // the compressing wrapper ships them compressed); this worker decodes them
 // shard-side before the chunk decode, and answers 400 — a per-request

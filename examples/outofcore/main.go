@@ -296,42 +296,49 @@ func remoteShardDemo(rng *rand.Rand) {
 		fmt.Printf("  %-13s %-26s %2d chunks, %.1f MB\n", kind, sh.Dir, sh.Chunks, float64(sh.Bytes)/(1<<20))
 	}
 
-	// Pushdown: the same pass with Exec.Pushdown maps chunks held by the
-	// chunkd worker in place (POST /exec) — only the partials travel back —
-	// and the ordered reduction keeps the result bit-identical.
-	xpLocal, err := tM.CrossProdExec(ex)
+	// Where an op runs is the store's placement, not an option: the chunks
+	// of a registered op (crossprod, the k-means assignment) held by the
+	// chunkd worker are mapped there (POST /exec) and only the partials
+	// travel back. The same passes over the same data on a plain local
+	// store, at the same chunk height, give the same bits.
+	plain, err := chunk.NewStore(filepath.Join(dir, "plain"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	exPush := ex
-	exPush.Pushdown = true
+	defer plain.Close()
+	tL, err := chunk.FromDense(plain, t, tM.ChunkRows())
+	if err != nil {
+		log.Fatal(err)
+	}
+	passes := func(st *chunk.Store, m chunk.Mat) (*la.Dense, *ml.KMeansFit, chunk.IOStats) {
+		before := st.IOStats()
+		xp, err := m.CrossProdExec(ex)
+		if err != nil {
+			log.Fatal(err)
+		}
+		km, err := ml.KMeansScan(chunk.MatOperand(ex, m), 4, ml.Options{Iters: 2, Seed: 7})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := km.Assign.Free(); err != nil {
+			log.Fatal(err)
+		}
+		after := st.IOStats()
+		return xp, km, chunk.IOStats{BytesRead: after.BytesRead - before.BytesRead, ChunksExecuted: after.ChunksExecuted - before.ChunksExecuted}
+	}
 	t0 = time.Now()
-	xpPush, err := tM.CrossProdExec(exPush)
-	if err != nil {
+	xpPush, kmPush, ioPush := passes(store, tM)
+	pushT := time.Since(t0)
+	xpLocal, kmLocal, ioLocal := passes(plain, tL)
+	same := la.MaxAbsDiff(xpLocal, xpPush) == 0 && la.MaxAbsDiff(kmLocal.Centroids, kmPush.Centroids) == 0 && kmLocal.Objective == kmPush.Objective
+	if !same {
+		log.Fatal("crossprod + k-means on the chunkd-backed store diverged from the plain local store")
+	}
+	fmt.Printf("pushdown: crossprod + k-means in %v, bits identical to a plain local store: %v; driver fetched %.1f MB (plain store %.1f MB), %d chunks executed on the chunkd worker\n",
+		pushT.Round(time.Millisecond), same, float64(ioPush.BytesRead)/(1<<20), float64(ioLocal.BytesRead)/(1<<20), ioPush.ChunksExecuted)
+	if err := tL.Free(); err != nil {
 		log.Fatal(err)
 	}
-	if la.MaxAbsDiff(xpLocal, xpPush) != 0 {
-		log.Fatal("pushdown crossprod diverged from the all-local pass")
-	}
-	kmLocal, err := ml.KMeansScan(chunk.MatOperand(ex, tM), 4, ml.Options{Iters: 2, Seed: 7})
-	if err != nil {
-		log.Fatal(err)
-	}
-	kmPush, err := ml.KMeansScan(chunk.MatOperand(exPush, tM), 4, ml.Options{Iters: 2, Seed: 7})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if la.MaxAbsDiff(kmLocal.Centroids, kmPush.Centroids) != 0 {
-		log.Fatal("pushdown k-means diverged from the all-local pass")
-	}
-	if err := kmLocal.Assign.Free(); err != nil {
-		log.Fatal(err)
-	}
-	if err := kmPush.Assign.Free(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("pushdown: crossprod + k-means mapped on the chunkd worker in %v, bit-identical to local\n",
-		time.Since(t0).Round(time.Millisecond))
 
 	if err := tM.Free(); err != nil {
 		log.Fatal(err)

@@ -71,6 +71,8 @@ type ShardStat struct {
 	BytesRead     int64 // stored bytes of those fetches (compressed size under a codec)
 	ChunksSkipped int   // reads avoided because the shard's zone map proved the chunk all-zero
 	BytesSkipped  int64 // stored bytes those skipped reads would have fetched
+
+	ChunksExecuted int // chunks whose op partial came back from this shard's /exec and was accepted
 }
 
 // shard is one chunk backend (a spill directory or a remote chunk server)
@@ -81,10 +83,11 @@ type shard struct {
 	chunks  int   // tracked chunks (written or pending)
 	pending int   // allocated but not yet written
 
-	chunksRead    int   // blobs fetched by passes
-	bytesRead     int64 // stored bytes of those fetches
-	chunksSkipped int   // reads avoided via the zone map
-	bytesSkipped  int64 // stored bytes of the avoided reads
+	chunksRead     int   // blobs fetched by passes
+	bytesRead      int64 // stored bytes of those fetches
+	chunksSkipped  int   // reads avoided via the zone map
+	bytesSkipped   int64 // stored bytes of the avoided reads
+	chunksExecuted int   // chunks mapped in place by the shard's /exec
 }
 
 // chunkInfo is the store's bookkeeping for one chunk file.
@@ -252,20 +255,47 @@ func (s *Store) backendFor(key string) (Backend, error) {
 	return s.shards[info.shard].backend, nil
 }
 
-// execBackendFor resolves the shard index and worker capability of a
-// tracked chunk key; (-1, nil) when the key's shard is passive storage or
-// the key is untracked (the read path surfaces the tracking error).
-func (s *Store) execBackendFor(key string) (int, ExecBackend) {
+// execGroup is the chunks (indices into a pass's keys, ascending) that one
+// exec-capable shard maps in place.
+type execGroup struct {
+	shard int
+	eb    ExecBackend
+	cis   []int
+}
+
+// execPlacement partitions a pass's keys by where their op runs: one group
+// per exec-capable shard, holding its chunks the shard's zone map does not
+// prove all-zero, and local for the rest — chunks on passive shards,
+// zone-proven zero chunks (the read path synthesizes them without touching
+// the backend), and untracked keys, which surface their error on read.
+func (s *Store) execPlacement(keys []string) (groups []execGroup, local []int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.refs[key]
-	if !ok {
-		return -1, nil
+	byShard := make([]execGroup, len(s.shards))
+	for si := range s.shards {
+		byShard[si].shard = si
+		byShard[si].eb, _ = s.shards[si].backend.(ExecBackend)
 	}
-	if eb, ok := s.shards[info.shard].backend.(ExecBackend); ok {
-		return info.shard, eb
+	shardOf := make([]int, len(keys))
+	for i, k := range keys {
+		shardOf[i] = -1
+		if info, ok := s.refs[k]; ok && byShard[info.shard].eb != nil {
+			shardOf[i] = info.shard
+		}
 	}
-	return -1, nil
+	s.mu.Unlock()
+	for ci, si := range shardOf {
+		if si < 0 || provenZero(byShard[si].eb, keys[ci]) {
+			local = append(local, ci)
+			continue
+		}
+		byShard[si].cis = append(byShard[si].cis, ci)
+	}
+	for _, g := range byShard {
+		if len(g.cis) > 0 {
+			groups = append(groups, g)
+		}
+	}
+	return groups, local
 }
 
 // shardIndex reports which shard a chunk path was placed on (-1 when the
@@ -277,23 +307,6 @@ func (s *Store) shardIndex(path string) int {
 		return info.shard
 	}
 	return -1
-}
-
-// ExecShards reports how many shard backends advertise the worker
-// capability (ExecBackend) — the fact a planner consults before asking for
-// Exec{Pushdown: true}. A capable backend can still refuse at runtime
-// (older chunkd without /exec), in which case the pass degrades to the
-// passive read path chunk by chunk.
-func (s *Store) ExecShards() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for i := range s.shards {
-		if _, ok := s.shards[i].backend.(ExecBackend); ok {
-			n++
-		}
-	}
-	return n
 }
 
 // readOrder computes the placement-aware read order for a pipelined pass
@@ -452,6 +465,7 @@ func (s *Store) ShardStats() []ShardStat {
 			Dir: sh.backend.Name(), Chunks: sh.chunks, Bytes: sh.bytes,
 			ChunksRead: sh.chunksRead, BytesRead: sh.bytesRead,
 			ChunksSkipped: sh.chunksSkipped, BytesSkipped: sh.bytesSkipped,
+			ChunksExecuted: sh.chunksExecuted,
 		}
 	}
 	return out
@@ -464,13 +478,16 @@ type IOStats struct {
 	ChunksSkipped int   `json:"chunks_skipped,omitempty"` // reads avoided via zone maps
 	BytesSkipped  int64 `json:"bytes_skipped,omitempty"`  // stored bytes of the avoided reads
 	BytesOnWire   int64 `json:"bytes_on_wire,omitempty"`  // chunk payload bytes that crossed remote-shard connections
+
+	ChunksExecuted int `json:"chunks_executed,omitempty"` // chunks mapped in place by their shard's /exec
 }
 
 // IOStats reports what the store's passes actually moved: blobs fetched
 // (at their stored size, so compression shows up as fewer bytes), reads
-// avoided because a zone map proved the chunk all-zero, and — for stores
-// with remote shards anywhere in their wrapper chains — the chunk payload
-// bytes that crossed the network.
+// avoided because a zone map proved the chunk all-zero, chunks their shard
+// mapped in place (observed placement), and — for stores with remote
+// shards anywhere in their wrapper chains — the chunk payload bytes that
+// crossed the network.
 func (s *Store) IOStats() IOStats {
 	s.mu.Lock()
 	var out IOStats
@@ -481,6 +498,7 @@ func (s *Store) IOStats() IOStats {
 		out.BytesRead += sh.bytesRead
 		out.ChunksSkipped += sh.chunksSkipped
 		out.BytesSkipped += sh.bytesSkipped
+		out.ChunksExecuted += sh.chunksExecuted
 		backends[i] = sh.backend
 	}
 	s.mu.Unlock()
@@ -490,25 +508,6 @@ func (s *Store) IOStats() IOStats {
 		}
 	}
 	return out
-}
-
-// ZoneMapShards reports how many shard backends record zone maps — the
-// structural fact the planner's placement axis reads before advertising
-// skip-aware execution in its Decision.
-func (s *Store) ZoneMapShards() int {
-	s.mu.Lock()
-	backends := make([]Backend, len(s.shards))
-	for i := range s.shards {
-		backends[i] = s.shards[i].backend
-	}
-	s.mu.Unlock()
-	n := 0
-	for _, b := range backends {
-		if _, ok := zoneMapperOf(b); ok {
-			n++
-		}
-	}
-	return n
 }
 
 // Close deletes every chunk file the store still tracks — across all
@@ -665,14 +664,12 @@ func (s *Store) readChunkBlob(key string) (raw []byte, skipped bool, err error) 
 	stored := info.bytes
 	b := s.shards[si].backend
 	s.mu.Unlock()
-	if zb, ok := zoneMapperOf(b); ok {
-		if zm, ok := zb.ZoneMap(key); ok && zm.AllZero {
-			s.mu.Lock()
-			s.shards[si].chunksSkipped++
-			s.shards[si].bytesSkipped += stored
-			s.mu.Unlock()
-			return nil, true, nil
-		}
+	if provenZero(b, key) {
+		s.mu.Lock()
+		s.shards[si].chunksSkipped++
+		s.shards[si].bytesSkipped += stored
+		s.mu.Unlock()
+		return nil, true, nil
 	}
 	raw, err = b.ReadChunk(key)
 	if err != nil {
@@ -685,18 +682,10 @@ func (s *Store) readChunkBlob(key string) (raw []byte, skipped bool, err error) 
 	return raw, false, nil
 }
 
-// allZeroChunk reports whether key's shard zone map proves the chunk
-// all-zero — the fact runOp consults to commit an identity partial without
-// scheduling any read. Never touches chunk bytes.
-func (s *Store) allZeroChunk(key string) bool {
-	s.mu.Lock()
-	info, ok := s.refs[key]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	b := s.shards[info.shard].backend
-	s.mu.Unlock()
+// provenZero is the one skip proof: b's zone map records key as all-zero,
+// so decoding the chunk would yield exactly the zero chunk of its shape.
+// Never touches chunk bytes.
+func provenZero(b Backend, key string) bool {
 	zb, ok := zoneMapperOf(b)
 	if !ok {
 		return false
@@ -705,17 +694,12 @@ func (s *Store) allZeroChunk(key string) bool {
 	return ok && zm.AllZero
 }
 
-// noteSkip records a zone-map skip for a chunk whose read was elided above
-// the blob layer (runOp's identity-partial shortcut).
-func (s *Store) noteSkip(key string) {
+// noteExecuted counts one chunk whose partial shard si's /exec returned
+// and the pass accepted.
+func (s *Store) noteExecuted(si int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.refs[key]
-	if !ok {
-		return
-	}
-	s.shards[info.shard].chunksSkipped++
-	s.shards[info.shard].bytesSkipped += info.bytes
+	s.shards[si].chunksExecuted++
+	s.mu.Unlock()
 }
 
 // readDenseChunk fetches key from its shard backend and decodes it as a

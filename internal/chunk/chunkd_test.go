@@ -132,7 +132,7 @@ func TestServeExecRejectsBadCentroids(t *testing.T) {
 }
 
 // panicOp is an op whose apply panics, as a bug in a registered op would.
-type panicOp struct{ sumOp }
+type panicOp struct{ denseReduceOp }
 
 func (panicOp) apply(la.Mat) (any, error) { panic("apply bug") }
 

@@ -86,7 +86,7 @@ type closureOperand struct {
 	y    *la.Dense
 	// registered reports whether every block is a stored chunk, so the
 	// k-means assignment step runs as the registered op (and ships to
-	// exec-capable shards under Exec.Pushdown).
+	// exec-capable shards).
 	registered bool
 }
 
@@ -299,16 +299,13 @@ func (b *failingBackend) ReadChunk(key string) ([]byte, error) {
 func TestClosureMatrix(t *testing.T) {
 	failing := &failingBackend{}
 	failing.left.Store(neverFail)
-	noExecs := func() int64 { return 0 }
-	// Each configuration opens its store and reports the /exec requests
-	// its shards have served so far.
 	configs := []struct {
 		name  string
 		ex    Exec
-		store func(t *testing.T) (*Store, func() int64)
+		store func(t *testing.T) *Store
 	}{
 		// First: the bitwise reference, on the store failures are injected into.
-		{"serial", Serial, func(t *testing.T) (*Store, func() int64) {
+		{"serial", Serial, func(t *testing.T) *Store {
 			inner, err := NewDirBackend(filepath.Join(t.TempDir(), "flaky"))
 			if err != nil {
 				t.Fatal(err)
@@ -318,30 +315,32 @@ func TestClosureMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return st, noExecs
+			return st
 		}},
-		{"parallel", Exec{Workers: 4, Prefetch: 6}, func(t *testing.T) (*Store, func() int64) { return testStore(t), noExecs }},
-		{"sharded", Parallel(), func(t *testing.T) (*Store, func() int64) {
+		{"parallel", Exec{Workers: 4, Prefetch: 6}, testStore},
+		{"sharded", Parallel(), func(t *testing.T) *Store {
 			st, _ := testShardedStore(t, 2, RoundRobin)
-			return st, noExecs
+			return st
 		}},
-		{"pushdown", Exec{Workers: 3, Prefetch: 4, Pushdown: true}, func(t *testing.T) (*Store, func() int64) {
-			st, counters := pushdownStore(t, 2)
-			return st, func() int64 { return totalExecs(counters) }
+		// Two in-process chunkd workers beside a local shard: placement is
+		// the store's, so the same Exec runs registered steps on them.
+		{"pushdown", Exec{Workers: 3, Prefetch: 4}, func(t *testing.T) *Store {
+			st, _ := pushdownStore(t, 2)
+			return st
 		}},
 	}
 	const tol = 1e-12
 	serial := map[string][]*la.Dense{}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			st, execs := cfg.store(t)
+			st := cfg.store(t)
 			defer st.Close()
 			ops := closureOperands(t, st)
 			base := st.LiveChunks()
 			for _, op := range ops {
 				for _, algo := range closureAlgos {
 					cell := algo.name + "/" + op.name
-					before := execs()
+					before := st.IOStats().ChunksExecuted
 					fit, err := algo.chunked(op.op(cfg.ex), op.y)
 					if err != nil {
 						t.Fatalf("%s: %v", cell, err)
@@ -364,8 +363,14 @@ func TestClosureMatrix(t *testing.T) {
 							}
 						}
 					}
-					if cfg.ex.Pushdown && (algo.name == "kmeans" || usesGram[algo.name]) && op.registered && execs() == before {
-						t.Fatalf("%s: the registered step (k-means assignment, Gram's crossprod) never reached /exec", cell)
+					// Observed placement: registered steps over stored chunks
+					// ran on the workers; closure steps never do.
+					executed := st.IOStats().ChunksExecuted - before
+					if cfg.name == "pushdown" && (algo.name == "kmeans" || usesGram[algo.name]) && op.registered && executed == 0 {
+						t.Fatalf("%s: the registered step (k-means assignment, Gram's crossprod) was never executed on a shard", cell)
+					}
+					if (algo.name == "logreg" || algo.name == "gnmf") && executed != 0 {
+						t.Fatalf("%s: %d chunks executed on a shard, but its steps are closures", cell, executed)
 					}
 					if err := fit.free(); err != nil {
 						t.Fatal(err)

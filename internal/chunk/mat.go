@@ -37,10 +37,10 @@ type Mat interface {
 	// matrix aligned with the input's chunking.
 	StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error)
 	// StreamOp is Stream for registered ops: because the per-chunk map is
-	// named rather than a closure, an Exec with Pushdown ships it to the
-	// shard holding each chunk and only the partials travel back, with
-	// commit still running in ascending chunk order — results are
-	// bit-identical with the all-local run.
+	// named rather than a closure, it runs on the shard holding each chunk
+	// wherever that shard can execute ops, and only the partials travel
+	// back, with commit still running in ascending chunk order — results
+	// are bit-identical with an all-local run.
 	StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error
 
 	// Whole-matrix operators, mirroring la.Mat's Mul/TMul/CrossProd/
@@ -114,19 +114,32 @@ func (m *chunked[C]) readAt(ci int) (C, error) {
 	return m.decode(m.store, m.paths[ci], hi-lo, m.cols)
 }
 
-// pipeline runs the chunk pipeline over this matrix; on a multi-shard
-// store the reads are interleaved across shards (Store.readOrder).
-func (m *chunked[C]) pipeline(ex Exec, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
+// pipeline runs the chunk pipeline over the chunks cis of this matrix (nil:
+// all of them, in order), committing in the order cis lists them; on a
+// multi-shard store the reads are interleaved across shards
+// (Store.readOrder).
+func (m *chunked[C]) pipeline(ex Exec, cis []int, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
 	if m.freed {
 		return ErrFreed
 	}
-	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
-		m.readAt,
-		func(ci int, c C) (any, error) {
-			lo, _ := m.chunkBounds(ci)
-			return mapFn(ci, lo, c)
+	keys, at := m.paths, func(i int) int { return i }
+	if cis != nil {
+		keys, at = make([]string, len(cis)), func(i int) int { return cis[i] }
+		for i, ci := range cis {
+			keys[i] = m.paths[ci]
+		}
+	}
+	var commitAt func(i int, v any) error
+	if commit != nil {
+		commitAt = func(i int, v any) error { return commit(at(i), v) }
+	}
+	return runPipelineOrder(len(keys), ex, m.store.readOrder(keys, ex),
+		func(i int) (C, error) { return m.readAt(at(i)) },
+		func(i int, c C) (any, error) {
+			lo, _ := m.chunkBounds(at(i))
+			return mapFn(at(i), lo, c)
 		},
-		commit)
+		commitAt)
 }
 
 // ForEach streams every chunk through fn in row order (the ore.rowapply
@@ -141,7 +154,7 @@ func (m *chunked[C]) ForEach(fn func(lo int, chunk C) error) error {
 // and chunk order is unspecified; fn must be safe for concurrent use.
 // Use Stream when per-chunk results must be combined in chunk order.
 func (m *chunked[C]) ForEachExec(ex Exec, fn func(lo int, chunk C) error) error {
-	return m.pipeline(ex, func(ci, lo int, c C) (any, error) {
+	return m.pipeline(ex, nil, func(ci, lo int, c C) (any, error) {
 		return nil, fn(lo, c)
 	}, nil)
 }
@@ -149,32 +162,20 @@ func (m *chunked[C]) ForEachExec(ex Exec, fn func(lo int, chunk C) error) error 
 // Stream implements Mat: the chunk pipeline with each decoded chunk
 // delivered as an la.Mat.
 func (m *chunked[C]) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, func(ci, lo int, c C) (any, error) {
+	return m.pipeline(ex, nil, func(ci, lo int, c C) (any, error) {
 		return mapFn(ci, lo, c)
 	}, commit)
 }
 
 // StreamOp implements Mat: it runs a registered op over every chunk and
-// commits the partials in chunk order. With ex.Pushdown, chunks held by
-// exec-capable remote shards are mapped in place by the shard's worker
-// and only the partials travel back; results are bit-identical with the
-// all-local run either way.
+// commits the partials in chunk order. Chunks held by exec-capable shards
+// are mapped in place by the shard's worker and only the partials travel
+// back (runOp); results are bit-identical with an all-local run.
 func (m *chunked[C]) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error {
 	if m.freed {
 		return ErrFreed
 	}
-	src := opSource{
-		store: m.store,
-		keys:  m.paths,
-		kind:  m.kind,
-		cols:  m.cols,
-		rowsAt: func(ci int) int {
-			lo, hi := m.chunkBounds(ci)
-			return hi - lo
-		},
-		read: func(ci int) (la.Mat, error) { return m.readAt(ci) },
-	}
-	return src.runOp(ex, op, commit)
+	return m.runOp(ex, op, commit)
 }
 
 // StreamToMatrix implements Mat. Under a pipelined execution the spills go
@@ -200,25 +201,24 @@ func (m *chunked[C]) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
 }
 
 // CrossProdExec computes mᵀ·m under the given execution. The per-chunk
-// cross-products run through the registered op, so with ex.Pushdown they
-// execute on the shard holding each chunk.
+// cross-products run through the registered op, so they execute on the
+// shard holding each chunk wherever that shard can.
 func (m *chunked[C]) CrossProdExec(ex Exec) (*la.Dense, error) { return MatOperand(ex, m).Gram() }
 
 // ColSumsExec aggregates column sums under the given execution, via the
-// registered op (pushdown-capable).
+// registered op.
 func (m *chunked[C]) ColSumsExec(ex Exec) (*la.Dense, error) {
 	return reduceExec(ex, m, OpColSums(), 1, m.cols)
 }
 
 // SumExec aggregates the grand total under the given execution, via the
-// registered op (pushdown-capable).
+// registered op.
 func (m *chunked[C]) SumExec(ex Exec) (float64, error) {
-	total := 0.0
-	err := m.StreamOp(ex, OpSum(), func(ci int, v any) error {
-		total += v.(float64)
-		return nil
-	})
-	return total, err
+	total, err := reduceExec(ex, m, OpSum(), 1, 1)
+	if err != nil {
+		return 0, err
+	}
+	return total.At(0, 0), nil
 }
 
 // scanToMatrix streams t, spilling each chunk's mapped rows×outCols output

@@ -45,29 +45,16 @@ type opState interface {
 }
 
 var opRegistry = map[string]func(params []byte, cols int) (opState, error){
-	"crossprod": func(params []byte, _ int) (opState, error) {
-		if len(params) != 0 {
-			return nil, fmt.Errorf("chunk: op crossprod takes no params")
-		}
-		return denseReduceOp{
-			f:    func(c la.Mat) *la.Dense { return c.CrossProd() },
-			zero: func(rows, cols int) *la.Dense { return la.NewDense(cols, cols) },
-		}, nil
+	"crossprod": func(params []byte, cols int) (opState, error) {
+		return newReduceOp("crossprod", params, cols, cols, func(c la.Mat) *la.Dense { return c.CrossProd() })
 	},
-	"colsums": func(params []byte, _ int) (opState, error) {
-		if len(params) != 0 {
-			return nil, fmt.Errorf("chunk: op colsums takes no params")
-		}
-		return denseReduceOp{
-			f:    func(c la.Mat) *la.Dense { return c.ColSums() },
-			zero: func(rows, cols int) *la.Dense { return la.NewDense(1, cols) },
-		}, nil
+	"colsums": func(params []byte, cols int) (opState, error) {
+		return newReduceOp("colsums", params, 1, cols, func(c la.Mat) *la.Dense { return c.ColSums() })
 	},
+	// The partial is 1×1: a chunkd that still answers a bare float64 sends
+	// 8 bytes, which fail to decode, so its chunks are read passively.
 	"sum": func(params []byte, _ int) (opState, error) {
-		if len(params) != 0 {
-			return nil, fmt.Errorf("chunk: op sum takes no params")
-		}
-		return sumOp{}, nil
+		return newReduceOp("sum", params, 1, 1, func(c la.Mat) *la.Dense { return la.ColVector([]float64{c.Sum()}) })
 	},
 	// The name carries a version: this partial sums S_bᵀ·A by groups, and a
 	// chunkd that still answers the first name forms the dense product, so
@@ -90,7 +77,7 @@ var opRegistry = map[string]func(params []byte, cols int) (opState, error){
 		if err != nil {
 			return nil, err
 		}
-		return assignOp{do}, nil
+		return assignOp{do: do, cols: cols, k: cent.Cols()}, nil
 	},
 }
 
@@ -101,7 +88,7 @@ func OpCrossProd() Op { return Op{Name: "crossprod"} }
 // column sums.
 func OpColSums() Op { return Op{Name: "colsums"} }
 
-// OpSum names the scalar-sum partial.
+// OpSum names the grand-total partial: each chunk contributes its 1×1 sum.
 func OpSum() Op { return Op{Name: "sum"} }
 
 // prepareOp resolves an Op against the registry for chunks cols wide.
@@ -113,30 +100,22 @@ func prepareOp(op Op, cols int) (opState, error) {
 	return mk(op.Params, cols)
 }
 
-// zeroPartialer is the skip-eligibility capability: ops whose partial for
-// an all-zero chunk depends only on the chunk's shape, so runOp can commit
-// it without reading, decoding, or even synthesizing the chunk. The value
-// MUST be bit-identical to apply on the zero chunk — true for the additive
-// reductions, because an AllZero zone map admits only +0.0 bit patterns
-// and IEEE-754 sums and products of +0.0 are exactly +0.0. kmeans-assign-v2
-// is deliberately absent: its partial encodes real cluster assignments
-// even for a zero chunk, so skipped chunks are synthesized by the read
-// path (Store.readChunkBlob) and assigned for real instead.
-type zeroPartialer interface {
-	zeroPartial(rows, cols int) any
+// denseReduceOp covers ops whose partial is a single rows×cols dense matrix
+// reduced by element-wise addition (crossprod, colsums, sum).
+type denseReduceOp struct {
+	f          func(c la.Mat) *la.Dense
+	rows, cols int
 }
 
-// denseReduceOp covers ops whose partial is a single dense matrix reduced
-// by element-wise addition (crossprod, colsums). zero builds the identity
-// partial for an all-zero rows×cols chunk.
-type denseReduceOp struct {
-	f    func(c la.Mat) *la.Dense
-	zero func(rows, cols int) *la.Dense
+// newReduceOp prepares a params-free denseReduceOp.
+func newReduceOp(name string, params []byte, rows, cols int, f func(c la.Mat) *la.Dense) (opState, error) {
+	if len(params) != 0 {
+		return nil, fmt.Errorf("chunk: op %s takes no params", name)
+	}
+	return denseReduceOp{f: f, rows: rows, cols: cols}, nil
 }
 
 func (o denseReduceOp) apply(c la.Mat) (any, error) { return o.f(c), nil }
-
-func (o denseReduceOp) zeroPartial(rows, cols int) any { return o.zero(rows, cols) }
 
 func (o denseReduceOp) encodePartial(v any) ([]byte, error) {
 	d, ok := v.(*la.Dense)
@@ -146,6 +125,9 @@ func (o denseReduceOp) encodePartial(v any) ([]byte, error) {
 	return appendDenseBlob(nil, d), nil
 }
 
+// decodePartial checks the partial against the prepared op's shape, so a
+// shard answering the wrong shape is a decode error (and a fallback to the
+// passive path), never a shape panic in the reduction.
 func (o denseReduceOp) decodePartial(raw []byte) (any, error) {
 	d, rest, err := readDenseBlob(raw)
 	if err != nil {
@@ -154,37 +136,19 @@ func (o denseReduceOp) decodePartial(raw []byte) (any, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("chunk: dense partial: %d trailing bytes", len(rest))
 	}
+	if d.Rows() != o.rows || d.Cols() != o.cols {
+		return nil, fmt.Errorf("chunk: dense partial is %dx%d, want %dx%d", d.Rows(), d.Cols(), o.rows, o.cols)
+	}
 	return d, nil
 }
 
-// sumOp's partial is one float64.
-type sumOp struct{}
-
-func (sumOp) apply(c la.Mat) (any, error) { return c.Sum(), nil }
-
-func (sumOp) zeroPartial(rows, cols int) any { return 0.0 }
-
-func (sumOp) encodePartial(v any) ([]byte, error) {
-	f, ok := v.(float64)
-	if !ok {
-		return nil, fmt.Errorf("chunk: sum partial is %T, want float64", v)
-	}
-	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)), nil
-}
-
-func (sumOp) decodePartial(raw []byte) (any, error) {
-	if len(raw) != 8 {
-		return nil, fmt.Errorf("chunk: sum partial is %d bytes, want 8", len(raw))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw)), nil
-}
-
 // assignOp maps a chunk to its scanPart under ml.KMeansAssign for fixed
-// centroids — the chunk's share of Tᵀ·A and its cluster counts: the same
-// function whether the chunk is mapped by the driver's workers or by the
-// chunkd worker holding it.
+// centroids — the chunk's cols×k share of Tᵀ·A and its k cluster counts:
+// the same function whether the chunk is mapped by the driver's workers or
+// by the chunkd worker holding it.
 type assignOp struct {
-	do func(*block) (*la.Dense, any, error)
+	do      func(*block) (*la.Dense, any, error)
+	cols, k int
 }
 
 func (o assignOp) apply(c la.Mat) (any, error) {
@@ -201,7 +165,7 @@ func (assignOp) encodePartial(v any) ([]byte, error) {
 	return appendDenseBlob(raw, la.RowVector(sp.part.([]float64))), nil
 }
 
-func (assignOp) decodePartial(raw []byte) (any, error) {
+func (o assignOp) decodePartial(raw []byte) (any, error) {
 	sums, rest, err := readDenseBlob(raw)
 	if err != nil {
 		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial: %w", err)
@@ -209,6 +173,10 @@ func (assignOp) decodePartial(raw []byte) (any, error) {
 	counts, rest, err := readDenseBlob(rest)
 	if err != nil || len(rest) != 0 {
 		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial: bad counts (%d trailing bytes): %v", len(rest), err)
+	}
+	if sums.Rows() != o.cols || sums.Cols() != o.k || counts.Rows() != 1 || counts.Cols() != o.k {
+		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial is %dx%d sums and %dx%d counts, want %dx%d and 1x%d",
+			sums.Rows(), sums.Cols(), counts.Rows(), counts.Cols(), o.cols, o.k, o.k)
 	}
 	return scanPart{top: sums, part: counts.Data()}, nil
 }

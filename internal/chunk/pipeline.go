@@ -21,13 +21,6 @@ type Exec struct {
 	// Prefetch=1 is the classic double-buffered pipeline: the next chunk
 	// is read while the current one is computed.
 	Prefetch int
-	// Pushdown ships op-based passes (StreamOp and the operators built on
-	// it) to exec-capable remote shards: chunks held by a chunkd worker
-	// are mapped in place and only the partials travel back, while local
-	// chunks run through the usual worker pipeline. Results are
-	// bit-identical with the all-local run; shards that cannot execute
-	// (or fail mid-stream) fall back to the passive read path.
-	Pushdown bool
 }
 
 // Serial is the strictly sequential execution: one chunk is read,

@@ -41,11 +41,6 @@ func TestExecZeroValueIsParallel(t *testing.T) {
 	if nx := (Exec{Prefetch: -1}).normalized(); nx.Workers != runtime.GOMAXPROCS(0) || nx.Prefetch != 0 {
 		t.Fatalf("Exec{Prefetch: -1}.normalized() = %+v, want workers=GOMAXPROCS prefetch=0", nx)
 	}
-
-	// Pushdown survives normalization.
-	if nx := (Exec{Pushdown: true}).normalized(); !nx.Pushdown {
-		t.Fatal("normalized() dropped Pushdown")
-	}
 }
 
 // TestAdmissionTicketsBoundResidency pins the pipeline's residency bound:

@@ -4,25 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/la"
 )
 
 // errCanceled marks a pushdown producer stopped by the committer's
 // cancellation; it never surfaces to callers.
 var errCanceled = errors.New("chunk: pushdown pass canceled")
 
-// opSource is one chunked operand viewed as op input: its store, chunk
-// keys, wire kind, and the passive read path the pushdown runner falls
-// back to.
-type opSource struct {
-	store  *Store
-	keys   []string
-	kind   string
-	cols   int
-	rowsAt func(ci int) int
-	read   func(ci int) (la.Mat, error)
-}
+// streamSlack is how many results a producer may deliver ahead of the
+// committer, so it keeps working while the committer drains another
+// stream; more would only hold more partials in memory.
+const streamSlack = 4
 
 // pushRes is one chunk's op result traveling from a producer (local
 // pipeline or remote group relay) to the merging committer.
@@ -33,80 +24,27 @@ type pushRes struct {
 }
 
 // runOp streams every chunk through the op and commits the partials in
-// ascending chunk order. Without ex.Pushdown (or without any exec-capable
-// shard) this is exactly the local chunk pipeline. With it, chunks held by
-// exec-capable shards are mapped in place by the shard's worker — one
-// /exec stream per shard, partials relayed in that shard's ascending chunk
-// order — while local chunks run through the usual worker pipeline; the
-// committer merges the per-source streams in ascending global chunk order,
-// so the reduction visits partials in the same order as the all-local run
-// and the result is bit-identical. Any exec failure (no endpoint, unknown
-// op, cut stream, corrupt partial) degrades that shard's remaining chunks
-// to the passive ReadChunk + local-map path; a partial is dropped only by
+// ascending chunk order. Where each chunk is mapped is the store's
+// placement, not an option: chunks held by exec-capable shards and not
+// proven all-zero are mapped in place by the shard's worker — one /exec
+// stream per shard, partials relayed in that shard's ascending chunk order
+// — and every other chunk goes through the same pipeline Stream uses,
+// whose read path synthesizes the zone-proven zero chunks. The committer
+// merges the per-source streams in ascending global chunk order, so the
+// reduction visits partials in the same order as an all-local run and the
+// result is bit-identical. Any exec failure (no endpoint, unknown op, cut
+// stream, corrupt or mis-shaped partial) degrades that shard's remaining
+// chunks to the passive read + local-map path; a partial is dropped only by
 // erroring the whole pass, never silently.
-func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) error {
-	st, err := prepareOp(op, src.cols)
+func (m *chunked[C]) runOp(ex Exec, op Op, commit func(ci int, v any) error) error {
+	st, err := prepareOp(op, m.cols)
 	if err != nil {
 		return err
 	}
-	ex = ex.normalized()
-	n := len(src.keys)
-	apply := func(ci int, c la.Mat) (any, error) { return st.apply(c) }
-
-	// Zone-map shortcut: chunks proven all-zero whose op can build its
-	// partial from the chunk shape alone never enter any pipeline — no
-	// read, no decode, no synthesis. Their precomputed partials are merged
-	// into the ordered commit below at their global positions, so the
-	// reduction still visits every chunk's partial in ascending order and
-	// the result stays bit-identical (an AllZero zone map admits only +0.0
-	// bit patterns, for which the identity partial is exactly what apply
-	// would have produced).
-	var pre map[int]any
-	if zp, ok := st.(zeroPartialer); ok {
-		for ci := 0; ci < n; ci++ {
-			if src.store.allZeroChunk(src.keys[ci]) {
-				if pre == nil {
-					pre = make(map[int]any)
-				}
-				pre[ci] = zp.zeroPartial(src.rowsAt(ci), src.cols)
-				src.store.noteSkip(src.keys[ci])
-			}
-		}
-	}
-
-	if !ex.Pushdown {
-		if pre == nil {
-			return runPipelineOrder(n, ex, src.store.readOrder(src.keys, ex), src.read, apply, commit)
-		}
-		return src.runSkipping(ex, st, pre, commit)
-	}
-
-	// Partition the chunks by executing shard; chunks on passive shards
-	// (or untracked keys, which surface their error on read) stay local.
-	// Zone-proven all-zero chunks never ship: precomputed partials are
-	// excluded entirely, and ops without the shape-only shortcut route
-	// their all-zero chunks to the local group, where the read path
-	// synthesizes the zero chunk without touching the backend.
-	groups := make(map[int][]int)
-	execs := make(map[int]ExecBackend)
-	var local []int
-	for ci := 0; ci < n; ci++ {
-		if _, ok := pre[ci]; ok {
-			continue
-		}
-		si, eb := src.store.execBackendFor(src.keys[ci])
-		if eb == nil || src.store.allZeroChunk(src.keys[ci]) {
-			local = append(local, ci)
-			continue
-		}
-		groups[si] = append(groups[si], ci)
-		execs[si] = eb
-	}
+	apply := func(ci, lo int, c C) (any, error) { return st.apply(c) }
+	groups, local := m.store.execPlacement(m.paths)
 	if len(groups) == 0 {
-		if pre == nil {
-			return runPipelineOrder(n, ex, src.store.readOrder(src.keys, ex), src.read, apply, commit)
-		}
-		return src.runSkipping(ex, st, pre, commit)
+		return m.pipeline(ex, nil, apply, commit)
 	}
 
 	done := make(chan struct{})
@@ -118,43 +56,34 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 	// delivers its results in its own ascending chunk order, so the
 	// committer below — walking global chunk order and reading each chunk's
 	// owner — always finds the next result at the head of some stream.
-	owner := make([]chan pushRes, n)
-	for si, cis := range groups {
-		ch := make(chan pushRes, 4)
-		for _, ci := range cis {
+	owner := make([]chan pushRes, len(m.paths))
+	for _, g := range groups {
+		ch := make(chan pushRes, streamSlack)
+		for _, ci := range g.cis {
 			owner[ci] = ch
 		}
-		go src.runRemoteGroup(st, op, execs[si], cis, ch, done)
+		go m.runRemoteGroup(st, op, g, ch, done)
 	}
 	if len(local) > 0 {
-		ch := make(chan pushRes, 4)
+		ch := make(chan pushRes, streamSlack)
 		for _, ci := range local {
 			owner[ci] = ch
 		}
 		go func() {
-			err := runPipeline(len(local), ex,
-				func(i int) (la.Mat, error) { return src.read(local[i]) },
-				func(i int, c la.Mat) (any, error) { return st.apply(c) },
-				func(i int, v any) error {
-					if !sendRes(ch, done, pushRes{ci: local[i], v: v}) {
-						return errCanceled
-					}
-					return nil
-				})
+			err := m.pipeline(ex, local, apply, func(ci int, v any) error {
+				if !sendRes(ch, done, pushRes{ci: ci, v: v}) {
+					return errCanceled
+				}
+				return nil
+			})
 			if err != nil && !errors.Is(err, errCanceled) {
 				sendRes(ch, done, pushRes{ci: -1, err: err})
 			}
 		}()
 	}
 
-	for ci := 0; ci < n; ci++ {
-		if v, ok := pre[ci]; ok {
-			if err := commit(ci, v); err != nil {
-				return err
-			}
-			continue
-		}
-		r := <-owner[ci]
+	for ci, ch := range owner {
+		r := <-ch
 		if r.err != nil {
 			return r.err
 		}
@@ -168,47 +97,6 @@ func (src opSource) runOp(ex Exec, op Op, commit func(ci int, v any) error) erro
 	return nil
 }
 
-// runSkipping runs the local pipeline over only the chunks the zone-map
-// shortcut could not precompute, interleaving the precomputed identity
-// partials into the ordered commit at their global chunk positions: commit
-// still sees every chunk index exactly once, in ascending order.
-func (src opSource) runSkipping(ex Exec, st opState, pre map[int]any, commit func(ci int, v any) error) error {
-	n := len(src.keys)
-	pend := make([]int, 0, n-len(pre))
-	keys := make([]string, 0, n-len(pre))
-	for ci := 0; ci < n; ci++ {
-		if _, ok := pre[ci]; !ok {
-			pend = append(pend, ci)
-			keys = append(keys, src.keys[ci])
-		}
-	}
-	next := 0 // next global chunk index to commit
-	flush := func(upto int) error {
-		for ; next < upto; next++ {
-			if v, ok := pre[next]; ok {
-				if err := commit(next, v); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	err := runPipelineOrder(len(pend), ex, src.store.readOrder(keys, ex),
-		func(i int) (la.Mat, error) { return src.read(pend[i]) },
-		func(i int, c la.Mat) (any, error) { return st.apply(c) },
-		func(i int, v any) error {
-			if err := flush(pend[i]); err != nil {
-				return err
-			}
-			next = pend[i] + 1
-			return commit(pend[i], v)
-		})
-	if err != nil {
-		return err
-	}
-	return flush(n)
-}
-
 // sendRes delivers a result unless the pass was canceled.
 func sendRes(ch chan<- pushRes, done <-chan struct{}, r pushRes) bool {
 	select {
@@ -220,56 +108,51 @@ func sendRes(ch chan<- pushRes, done <-chan struct{}, r pushRes) bool {
 }
 
 // runRemoteGroup maps one shard's chunks in place via its /exec stream,
-// relaying decoded partials in the group's ascending chunk order. Any
-// failure — the endpoint missing, the stream cut mid-partial, a corrupt
-// frame — drops this chunk and the rest of the group to the passive
-// ReadChunk + local-map path; only a failure of that path too errors the
-// pass.
-func (src opSource) runRemoteGroup(st opState, op Op, eb ExecBackend, cis []int, out chan<- pushRes, done <-chan struct{}) {
-	fallback := func(ci int) bool {
-		c, err := src.read(ci)
-		if err == nil {
-			var v any
-			if v, err = st.apply(c); err == nil {
-				return sendRes(out, done, pushRes{ci: ci, v: v})
-			}
-		}
-		sendRes(out, done, pushRes{ci: ci, err: err})
-		return false
-	}
-	chunks := make([]ExecChunk, len(cis))
-	for i, ci := range cis {
-		chunks[i] = ExecChunk{Key: src.keys[ci], Rows: src.rowsAt(ci)}
-	}
-	ps, err := eb.ExecOp(op, src.kind, src.cols, chunks)
-	if err != nil {
+// relaying decoded partials in the group's ascending chunk order and
+// counting each accepted one as executed on that shard. Any failure — the
+// endpoint missing, the stream cut mid-partial, a corrupt or mis-shaped
+// partial — drops this chunk and the rest of the group to the passive
+// read + local-map path; only a failure of that path too errors the pass.
+func (m *chunked[C]) runRemoteGroup(st opState, op Op, g execGroup, out chan<- pushRes, done <-chan struct{}) {
+	fallback := func(cis []int) {
 		for _, ci := range cis {
-			if !fallback(ci) {
+			c, err := m.readAt(ci)
+			var v any
+			if err == nil {
+				v, err = st.apply(c)
+			}
+			if !sendRes(out, done, pushRes{ci: ci, v: v, err: err}) || err != nil {
 				return
 			}
 		}
+	}
+	chunks := make([]ExecChunk, len(g.cis))
+	for i, ci := range g.cis {
+		lo, hi := m.chunkBounds(ci)
+		chunks[i] = ExecChunk{Key: m.paths[ci], Rows: hi - lo}
+	}
+	ps, err := g.eb.ExecOp(op, m.kind, m.cols, chunks)
+	if err != nil {
+		fallback(g.cis)
 		return
 	}
 	defer ps.Close()
-	for i, ci := range cis {
+	for i, ci := range g.cis {
 		raw, err := ps.Next()
+		var v any
 		if err == nil {
-			var v any
-			if v, err = st.decodePartial(raw); err == nil {
-				if !sendRes(out, done, pushRes{ci: ci, v: v}) {
-					return
-				}
-				continue
-			}
+			v, err = st.decodePartial(raw)
 		}
-		// Stream dead or partial corrupt: the rest of the group falls
-		// back to the passive path.
-		ps.Close()
-		for _, rest := range cis[i:] {
-			if !fallback(rest) {
-				return
-			}
+		if err != nil {
+			// Stream dead or partial unusable: the rest of the group falls
+			// back to the passive path.
+			ps.Close()
+			fallback(g.cis[i:])
+			return
 		}
-		return
+		m.store.noteExecuted(g.shard)
+		if !sendRes(out, done, pushRes{ci: ci, v: v}) {
+			return
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package chunk
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -64,41 +66,38 @@ func pushdownStore(t testing.TB, nWorkers int) (*Store, []*execCountingServer) {
 	return s, counters
 }
 
-func totalExecs(counters []*execCountingServer) int64 {
-	var n int64
-	for _, c := range counters {
-		n += c.execs.Load()
-	}
-	return n
-}
-
 // TestPushdownDifferential pins the acceptance criterion: every pushed-down
 // op — CrossProd, ColSums, Sum over dense and CSR chunks, and the k-means
-// distance+argmin pass — is bitwise identical to the all-local parallel
-// run over the same mixed local+remote store, and the /exec endpoint
-// really was used.
+// distance+argmin pass — on a mixed local+remote store is bitwise identical
+// to the same data spilled to a local-only store with the same chunk
+// height, and the /exec endpoint really was used.
 func TestPushdownDifferential(t *testing.T) {
 	s, counters := pushdownStore(t, 2)
 	defer s.Close()
+	local := testStore(t)
 
 	rng := rand.New(rand.NewSource(42))
 	dd := randDense(rng, 103, 7) // ragged last chunk
-	dM, err := FromDense(s, dd, 8)
-	if err != nil {
-		t.Fatal(err)
+	sd := oneHotCSR(rng, 103, 3, 4)
+	spill := func(st *Store) []Mat {
+		dM, err := FromDense(st, dd, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sM, err := FromCSR(st, sd, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []Mat{dM, sM}
 	}
-	sM, err := FromCSR(s, oneHotCSR(rng, 103, 3, 4), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pushed, ref := spill(s), spill(local)
 
-	exLocal := Exec{Workers: 4, Prefetch: 3}
 	for _, ex := range []Exec{
-		{Workers: 4, Prefetch: 3, Pushdown: true},
-		{Workers: 1, Prefetch: 0, Pushdown: true}, // serial driver, remote workers
+		{Workers: 4, Prefetch: 3},
+		{Workers: 1, Prefetch: 0}, // serial driver, remote workers
 	} {
-		for _, m := range []Mat{dM, sM} {
-			xpL, err := m.CrossProdExec(exLocal)
+		for i, m := range pushed {
+			xpL, err := ref[i].CrossProdExec(ex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +108,7 @@ func TestPushdownDifferential(t *testing.T) {
 			if la.MaxAbsDiff(xpL, xpP) != 0 {
 				t.Fatalf("%T crossprod under %+v diverged from all-local", m, ex)
 			}
-			csL, err := m.ColSumsExec(exLocal)
+			csL, err := ref[i].ColSumsExec(ex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +119,7 @@ func TestPushdownDifferential(t *testing.T) {
 			if la.MaxAbsDiff(csL, csP) != 0 {
 				t.Fatalf("%T colsums under %+v diverged from all-local", m, ex)
 			}
-			sumL, err := m.SumExec(exLocal)
+			sumL, err := ref[i].SumExec(ex)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,16 +127,16 @@ func TestPushdownDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sumL != sumP {
+			if math.Float64bits(sumL) != math.Float64bits(sumP) {
 				t.Fatalf("%T sum under %+v = %v, all-local %v", m, ex, sumP, sumL)
 			}
 		}
 
-		kmL, err := kMeans(exLocal, dM, 4, 3, 9)
+		kmL, err := kMeans(ex, ref[0], 4, 3, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kmP, err := kMeans(ex, dM, 4, 3, 9)
+		kmP, err := kMeans(ex, pushed[0], 4, 3, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,20 +167,22 @@ func TestPushdownDifferential(t *testing.T) {
 		}
 	}
 
-	if n := totalExecs(counters); n == 0 {
-		t.Fatal("pushdown never reached a worker's /exec endpoint")
-	}
 	for i, c := range counters {
 		if c.execs.Load() == 0 {
 			t.Fatalf("worker %d never received an /exec request", i)
 		}
 	}
-
-	if err := dM.Free(); err != nil {
-		t.Fatal(err)
+	if io := s.IOStats(); io.ChunksExecuted == 0 {
+		t.Fatalf("IOStats.ChunksExecuted = 0 after pushed-down passes: %+v", io)
 	}
-	if err := sM.Free(); err != nil {
-		t.Fatal(err)
+	if io := local.IOStats(); io.ChunksExecuted != 0 {
+		t.Fatalf("a local-only store counted %d executed chunks", io.ChunksExecuted)
+	}
+
+	for _, m := range pushed {
+		if err := m.Free(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s.LiveChunks() != 0 || s.BytesOnDisk() != 0 {
 		t.Fatalf("after Free: %d chunks, %d bytes still accounted", s.LiveChunks(), s.BytesOnDisk())
@@ -204,10 +205,10 @@ func (s *noExecServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inner.ServeHTTP(w, r)
 }
 
-// TestPushdownFallsBackOnOldServer: against a shard without /exec, a
-// pushdown pass silently degrades to the passive read path — same results,
-// no error — and the client remembers the answer so later passes skip the
-// probe.
+// TestPushdownFallsBackOnOldServer: against a shard without /exec, a pass
+// silently degrades to the passive read path — the same results as a
+// local-only store, no error — and the client remembers the answer so
+// later passes skip the probe.
 func TestPushdownFallsBackOnOldServer(t *testing.T) {
 	inner, err := NewChunkServer(t.TempDir(), 0)
 	if err != nil {
@@ -227,16 +228,17 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 	defer s.Close()
 
 	rng := rand.New(rand.NewSource(3))
-	dM, err := FromDense(s, randDense(rng, 61, 5), 8)
+	d := randDense(rng, 61, 5)
+	dM, err := FromDense(s, d, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exPush := Exec{Workers: 2, Prefetch: 2, Pushdown: true}
-	want, err := dM.CrossProdExec(Exec{Workers: 2, Prefetch: 2})
+	ex := Exec{Workers: 2, Prefetch: 2}
+	want, err := localCrossProd(t, d, 8, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dM.CrossProdExec(exPush)
+	got, err := dM.CrossProdExec(ex)
 	if err != nil {
 		t.Fatalf("pushdown against a pre-/exec server: %v", err)
 	}
@@ -247,11 +249,14 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 		t.Fatalf("probed /exec %d times, want exactly 1", n)
 	}
 	// The unsupported answer is cached: another pass must not re-probe.
-	if _, err := dM.ColSumsExec(exPush); err != nil {
+	if _, err := dM.ColSumsExec(ex); err != nil {
 		t.Fatal(err)
 	}
 	if n := old.execs.Load(); n != 1 {
 		t.Fatalf("re-probed /exec after a definitive 404 (%d probes)", n)
+	}
+	if n := s.IOStats().ChunksExecuted; n != 0 {
+		t.Fatalf("ChunksExecuted = %d against a shard without /exec", n)
 	}
 	if _, err := rb.ExecOp(OpSum(), chunkKindDense, 5, []ExecChunk{{Key: "chunk-000001.bin", Rows: 8}}); !errors.Is(err, ErrExecUnsupported) {
 		t.Fatalf("ExecOp on a cached no-exec backend = %v, want ErrExecUnsupported", err)
@@ -337,17 +342,18 @@ func TestPushdownMidStreamCutFallsBack(t *testing.T) {
 	defer s.Close()
 
 	rng := rand.New(rand.NewSource(11))
-	dM, err := FromDense(s, randDense(rng, 103, 7), 8)
+	d := randDense(rng, 103, 7)
+	dM, err := FromDense(s, d, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dM.CrossProdExec(Exec{Workers: 4, Prefetch: 3})
+	exPush := Exec{Workers: 4, Prefetch: 3}
+	want, err := localCrossProd(t, d, 8, exPush)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baselineChunks, baselineBytes := s.LiveChunks(), s.BytesOnDisk()
 
-	exPush := Exec{Workers: 4, Prefetch: 3, Pushdown: true}
 	// Cut at every interesting offset: before any frame, mid-header,
 	// mid-payload, and after a whole first partial (7×7×8 B + blob header
 	// + frame header).
@@ -385,6 +391,98 @@ func TestPushdownMidStreamCutFallsBack(t *testing.T) {
 	}
 }
 
+// oneByOneServer answers every /exec with a 1×1 partial per chunk — a
+// worker of another version, or a broken one — and serves the disk
+// protocol normally.
+type oneByOneServer struct{ inner *ChunkServer }
+
+func (s oneByOneServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/exec" {
+		s.inner.ServeHTTP(w, r)
+		return
+	}
+	var req execRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	partial := appendDenseBlob(nil, la.NewDense(1, 1))
+	if req.Op == "kmeans-assign-v2" { // sums and counts, both 1×1
+		partial = appendDenseBlob(partial, la.NewDense(1, 1))
+	}
+	for range req.Chunks {
+		writePartialFrame(w, partial)
+	}
+	writeEndFrame(w)
+}
+
+// TestPushdownWrongShapeFallsBack: partials of the wrong shape cannot reach
+// the reduction (a shape panic there kills the driver): each is a decode
+// error, the shard's chunks are read passively, no chunk counts as
+// executed, and every pass is bitwise equal to a local-only store.
+func TestPushdownWrongShapeFallsBack(t *testing.T) {
+	inner, err := NewChunkServer(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(oneByOneServer{inner})
+	defer srv.Close()
+	rb, err := NewRemoteBackend(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := NewDirBackend(filepath.Join(t.TempDir(), "local"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewShardedStoreBackends([]Backend{local, rb}, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	d := randDense(rand.New(rand.NewSource(13)), 61, 3)
+	m, err := FromDense(s, d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := FromDense(testStore(t), d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := Exec{Workers: 2, Prefetch: 2}
+	for name, pass := range map[string]func(Mat) (*la.Dense, error){
+		"crossprod": func(m Mat) (*la.Dense, error) { return m.CrossProdExec(ex) },
+		"colsums":   func(m Mat) (*la.Dense, error) { return m.ColSumsExec(ex) },
+	} {
+		got, err := pass(m)
+		if err != nil {
+			t.Fatalf("%s over 1x1 partials: %v", name, err)
+		}
+		want, err := pass(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if la.MaxAbsDiff(got, want) != 0 {
+			t.Fatalf("%s over 1x1 partials diverged from the local store", name)
+		}
+	}
+	kmG, err := kMeans(ex, m, 3, 2, 5)
+	if err != nil {
+		t.Fatalf("k-means over 1x1 partials: %v", err)
+	}
+	kmW, err := kMeans(ex, ref, 3, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(kmG.Centroids, kmW.Centroids) != 0 || kmG.Objective != kmW.Objective {
+		t.Fatal("k-means over 1x1 partials diverged from the local store")
+	}
+	if n := s.IOStats().ChunksExecuted; n != 0 {
+		t.Fatalf("%d wrong-shaped partials accepted", n)
+	}
+}
+
 // TestExecOpRoundTrip drives the client-server /exec pair directly: the
 // stream yields one decodable partial per requested chunk, in request
 // order, then a clean EOF.
@@ -419,13 +517,23 @@ func TestExecOpRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partial %d: %v", i, err)
 		}
-		if v.(float64) != want[i] {
-			t.Fatalf("partial %d = %v, want %v", i, v, want[i])
+		if got := v.(*la.Dense); got.Rows() != 1 || got.Cols() != 1 || got.At(0, 0) != want[i] {
+			t.Fatalf("partial %d = %v, want the 1x1 %v", i, got, want[i])
 		}
 	}
 	if _, err := ps.Next(); err != io.EOF {
 		t.Fatalf("after end frame: %v, want io.EOF", err)
 	}
+}
+
+// localCrossProd is the all-local reference: d spilled to a local-only
+// store at the same chunk height, crossprod under ex.
+func localCrossProd(t *testing.T, d *la.Dense, chunkRows int, ex Exec) (*la.Dense, error) {
+	m, err := FromDense(testStore(t), d, chunkRows)
+	if err != nil {
+		return nil, err
+	}
+	return m.CrossProdExec(ex)
 }
 
 func keyFor(i int) string { return fmt.Sprintf("chunk-%06d.bin", i+1) }

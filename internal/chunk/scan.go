@@ -95,7 +95,7 @@ func (o *Operand) load(ci, lo int, c la.Mat) (*block, error) {
 // workers, merge and the Tᵀ·P scatter on the calling goroutine in chunk
 // order, so results are bit-identical for every Exec. A step registered
 // as a chunk op runs through StreamOp when every block is just a stored
-// chunk, so with ex.Pushdown it executes on the shard holding each one.
+// chunk, so on an exec-capable shard it executes where the chunk lives.
 func (o *Operand) Scan(step la.Step, merge func(any) error) (la.Tall, *la.Dense, error) {
 	m, tp, err := o.scan(step, merge)
 	if m == nil {

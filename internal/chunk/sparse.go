@@ -127,8 +127,13 @@ func decodeSparseChunk(path string, raw []byte, rows, cols int) (c *la.CSR, err 
 	if gotRows != rows || gotCols != cols || nnz < 0 {
 		return nil, fmt.Errorf("chunk: %s is %dx%d (nnz %d), want %dx%d", path, gotRows, gotCols, nnz, rows, cols)
 	}
-	want := int(sparseChunkBytes(rows, int64(nnz)))
-	if len(raw) != want {
+	// Bound the header's counts by the blob before any arithmetic that could
+	// overflow or any allocation they size: the header and rows+1 row
+	// pointers take 8·(rows+4) bytes, and each non-zero 12 more.
+	if rows < 0 || rows > len(raw)/8-4 || nnz > (len(raw)-8*(rows+4))/12 {
+		return nil, fmt.Errorf("chunk: %s claims %d rows and %d non-zeros, more than its %d bytes hold", path, rows, nnz, len(raw))
+	}
+	if want := int(sparseChunkBytes(rows, int64(nnz))); len(raw) != want {
 		return nil, fmt.Errorf("chunk: %s has %d bytes, want %d", path, len(raw), want)
 	}
 	indptr := make([]int, rows+1)
@@ -160,7 +165,7 @@ func decodeSparseChunk(path string, raw []byte, rows, cols int) (c *la.CSR, err 
 // CSR loads the whole matrix back into memory (tests and small data only).
 func (m *SparseMatrix) CSR() (*la.CSR, error) {
 	parts := make([]*la.CSR, len(m.paths))
-	err := m.pipeline(Parallel(), func(ci, lo int, c *la.CSR) (any, error) {
+	err := m.pipeline(Parallel(), nil, func(ci, lo int, c *la.CSR) (any, error) {
 		return c, nil
 	}, func(ci int, v any) error {
 		parts[ci] = v.(*la.CSR)

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/la"
 )
@@ -59,12 +60,14 @@ func (v *IntVector) Keys(ci int) (lo int, keys []int32, err error) {
 // constructors checked the build-time range [minKey, maxKey] against the
 // arm once; a chunk that no longer fits it — a shard file edited on disk,
 // a remote shard answering with another store's bytes — is an error
-// naming the chunk here, not an index panic on a pipeline worker.
+// naming the chunk here, not an index panic on a pipeline worker. A key
+// is accepted only as the exact bits BuildIntVector stores (so -0.0, which
+// compares equal to key 0, is refused too).
 func (v *IntVector) decode(ci int, c *la.Dense) ([]int32, error) {
 	keys := make([]int32, c.Rows())
 	for i, f := range c.Data() {
 		k := int32(f)
-		if float64(k) != f || k < v.minKey || k > v.maxKey {
+		if math.Float64bits(float64(k)) != math.Float64bits(f) || k < v.minKey || k > v.maxKey {
 			return nil, fmt.Errorf("chunk: key chunk %s row %d holds %v, want an integer in [%d,%d]", v.m.paths[ci], i, f, v.minKey, v.maxKey)
 		}
 		keys[i] = k

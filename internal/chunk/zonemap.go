@@ -133,14 +133,23 @@ func decodeZoneMap(raw []byte) (ZoneMap, error) {
 		return ZoneMap{}, fmt.Errorf("chunk: bad zone map magic %q", raw[:len(zoneMagic)])
 	}
 	flags := raw[len(zoneMagic)]
+	if flags&^1 != 0 {
+		return ZoneMap{}, fmt.Errorf("chunk: zone map sidecar has unknown flags %#x", flags)
+	}
 	p := len(zoneMagic) + 1
-	return ZoneMap{
+	zm := ZoneMap{
 		Min:       math.Float64frombits(binary.LittleEndian.Uint64(raw[p:])),
 		Max:       math.Float64frombits(binary.LittleEndian.Uint64(raw[p+8:])),
 		NNZ:       int64(binary.LittleEndian.Uint64(raw[p+16:])),
 		AllZero:   flags&1 != 0,
 		ColBlocks: binary.LittleEndian.Uint64(raw[p+24:]),
-	}, nil
+	}
+	// The skip proof must agree with the facts beside it: an all-zero chunk
+	// has no entries, no occupied column block and +0.0 bounds.
+	if zm.AllZero && (zm.NNZ != 0 || zm.ColBlocks != 0 || math.Float64bits(zm.Min)|math.Float64bits(zm.Max) != 0) {
+		return ZoneMap{}, fmt.Errorf("chunk: zone map sidecar claims an all-zero chunk with %d entries", zm.NNZ)
+	}
+	return zm, nil
 }
 
 // Capability interfaces the store probes on a chunk's backend. They are

@@ -121,6 +121,18 @@ func TestZoneMapSidecarEncoding(t *testing.T) {
 	if _, err := decodeZoneMap(bad); err == nil {
 		t.Fatal("decoding a sidecar with corrupt magic succeeded")
 	}
+	// A flag bit this version does not know, or a skip proof contradicted by
+	// the facts beside it, is no proof.
+	bad = encodeZoneMap(ZoneMap{AllZero: true})
+	bad[len(zoneMagic)] |= 2
+	if _, err := decodeZoneMap(bad); err == nil {
+		t.Fatal("decoding a sidecar with an unknown flag succeeded")
+	}
+	for _, lie := range []ZoneMap{{AllZero: true, NNZ: 1}, {AllZero: true, ColBlocks: 1}, {AllZero: true, Max: 2}} {
+		if _, err := decodeZoneMap(encodeZoneMap(lie)); err == nil {
+			t.Fatalf("decoding the self-contradicting sidecar %+v succeeded", lie)
+		}
+	}
 }
 
 // TestZoneMapSidecarLifecycle: sidecars appear next to chunks at spill
@@ -223,9 +235,6 @@ func TestZoneSkipAccounting(t *testing.T) {
 	mz, err := FromDense(zoned, d, chunkRows)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := zoned.ZoneMapShards(); got != 1 {
-		t.Fatalf("ZoneMapShards = %d, want 1", got)
 	}
 
 	for _, ex := range []Exec{Serial, Parallel()} {
@@ -409,12 +418,15 @@ func TestNegativeZeroNotSkipped(t *testing.T) {
 	}
 }
 
-// TestZoneSkipPushdown: the zero-partial shortcut merges correctly with the
-// pushdown committer — local, remote, and precomputed partials interleave
-// in ascending chunk order and the result matches the plain store exactly.
+// TestZoneSkipPushdown: zone-proven zero chunks on an exec-capable shard
+// stay local, where the read path synthesizes them, and merge with the
+// remote partials in ascending chunk order — the result matches the same
+// data on a local-only store exactly.
 func TestZoneSkipPushdown(t *testing.T) {
 	const rows, cols, chunkRows = 64, 16, 8
-	d := zeroBandDense(rows, cols, chunkRows)
+	// Bands two chunks tall, so round-robin places zero and nonzero
+	// chunks on both shards.
+	d := zeroBandDense(rows, cols, 2*chunkRows)
 
 	plain := testStore(t)
 	mp, err := FromDense(plain, d, chunkRows)
@@ -457,41 +469,44 @@ func TestZoneSkipPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, pd := range []bool{false, true} {
-		ex := Exec{Workers: 2, Prefetch: 2, Pushdown: pd}
-		cpP, err := mp.CrossProdExec(ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpM, err := mm.CrossProdExec(ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(cpP, cpM) != 0 {
-			t.Fatalf("pushdown=%v: crossprod differs from the plain store", pd)
-		}
-		sP, err := mp.SumExec(ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sM, err := mm.SumExec(ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sP != sM {
-			t.Fatalf("pushdown=%v: sum differs from the plain store", pd)
-		}
-		kmP, err := kMeans(ex, mp, 3, 2, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kmM, err := kMeans(ex, mm, 3, 2, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(kmP.Centroids, kmM.Centroids) != 0 || kmP.Objective != kmM.Objective {
-			t.Fatalf("pushdown=%v: k-means differs from the plain store", pd)
-		}
+	ex := Exec{Workers: 2, Prefetch: 2}
+	cpP, err := mp.CrossProdExec(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpM, err := mm.CrossProdExec(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(cpP, cpM) != 0 {
+		t.Fatal("crossprod differs from the plain store")
+	}
+	// The remote shard holds chunks 1, 3, 5 and 7: it maps the nonzero two
+	// in place, and the zero two never ship — the read path skips them.
+	if st := mixed.ShardStats()[1]; st.ChunksExecuted != 2 || st.ChunksSkipped != 2 || st.ChunksRead != 0 {
+		t.Fatalf("remote shard after one crossprod: %+v, want 2 executed, 2 skipped, 0 read", st)
+	}
+	sP, err := mp.SumExec(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sM, err := mm.SumExec(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(sP) != math.Float64bits(sM) {
+		t.Fatal("sum differs from the plain store")
+	}
+	kmP, err := kMeans(ex, mp, 3, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kmM, err := kMeans(ex, mm, 3, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(kmP.Centroids, kmM.Centroids) != 0 || kmP.Objective != kmM.Objective {
+		t.Fatal("k-means differs from the plain store")
 	}
 	if io := mixed.IOStats(); io.ChunksSkipped == 0 {
 		t.Fatalf("no chunks skipped across the mixed passes: %+v", io)
@@ -503,10 +518,10 @@ func TestZoneSkipPushdown(t *testing.T) {
 
 // TestWrappedDifferentialDrivers pins every driver — dense GLM, sparse GLM,
 // star-schema factorized GLM, streamed k-means, streamed GNMF — to
-// bitwise-identical results between a plain store and a store whose shards
-// (one local, one remote) sit behind zone-map-over-compressing wrappers,
-// with pushdown both off and on: compression and skip annotations change
-// bytes moved, never results.
+// bitwise-identical results between a plain local-only store and a store
+// whose shards (one local, one exec-capable remote) sit behind
+// zone-map-over-compressing wrappers: compression, skip annotations and
+// pushdown change bytes moved, never results.
 func TestWrappedDifferentialDrivers(t *testing.T) {
 	plain := testStore(t)
 
@@ -540,88 +555,85 @@ func TestWrappedDifferentialDrivers(t *testing.T) {
 	d2, s2, nt2, _ := buildPKFKInputs(t, wrapped, 55)
 
 	const iters = 3
-	for _, pd := range []bool{false, true} {
-		ex := Parallel()
-		ex.Pushdown = pd
+	ex := Parallel()
 
-		rd1, err := logRegM(ex, d1, y, iters, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd2, err := logRegM(ex, d2, y, iters, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(rd1.W, rd2.W) != 0 {
-			t.Fatalf("pushdown=%v: dense GLM weights differ under wrapped backends", pd)
-		}
+	rd1, err := logRegM(ex, d1, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd2, err := logRegM(ex, d2, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(rd1.W, rd2.W) != 0 {
+		t.Fatal("dense GLM weights differ under wrapped backends")
+	}
 
-		rs1, err := logRegM(ex, s1, y, iters, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs2, err := logRegM(ex, s2, y, iters, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(rs1.W, rs2.W) != 0 {
-			t.Fatalf("pushdown=%v: sparse GLM weights differ under wrapped backends", pd)
-		}
+	rs1, err := logRegM(ex, s1, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs2, err := logRegM(ex, s2, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(rs1.W, rs2.W) != 0 {
+		t.Fatal("sparse GLM weights differ under wrapped backends")
+	}
 
-		rf1, err := logRegF(ex, nt1, y, iters, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf2, err := logRegF(ex, nt2, y, iters, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(rf1.W, rf2.W) != 0 {
-			t.Fatalf("pushdown=%v: star GLM weights differ under wrapped backends", pd)
-		}
+	rf1, err := logRegF(ex, nt1, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf2, err := logRegF(ex, nt2, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(rf1.W, rf2.W) != 0 {
+		t.Fatal("star GLM weights differ under wrapped backends")
+	}
 
-		km1, err := kMeans(ex, d1, 4, 3, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		km2, err := kMeans(ex, d2, 4, 3, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(km1.Centroids, km2.Centroids) != 0 || km1.Objective != km2.Objective {
-			t.Fatalf("pushdown=%v: k-means results differ under wrapped backends", pd)
-		}
-		a1, err := km1.Assign.Dense()
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := km2.Assign.Dense()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(a1, a2) != 0 {
-			t.Fatalf("pushdown=%v: k-means assignments differ under wrapped backends", pd)
-		}
+	km1, err := kMeans(ex, d1, 4, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	km2, err := kMeans(ex, d2, 4, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(km1.Centroids, km2.Centroids) != 0 || km1.Objective != km2.Objective {
+		t.Fatal("k-means results differ under wrapped backends")
+	}
+	a1, err := km1.Assign.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := km2.Assign.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(a1, a2) != 0 {
+		t.Fatal("k-means assignments differ under wrapped backends")
+	}
 
-		g1, err := gnmf(ex, s1, 3, 3, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, err := gnmf(ex, s2, 3, 3, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w1, err := g1.W.Dense()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w2, err := g2.W.Dense()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(g1.H, g2.H) != 0 || la.MaxAbsDiff(w1, w2) != 0 {
-			t.Fatalf("pushdown=%v: GNMF factors differ under wrapped backends", pd)
-		}
+	g1, err := gnmf(ex, s1, 3, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := gnmf(ex, s2, 3, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, err := g1.W.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := g2.W.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(g1.H, g2.H) != 0 || la.MaxAbsDiff(w1, w2) != 0 {
+		t.Fatal("GNMF factors differ under wrapped backends")
 	}
 
 	// The wrapped store stores the same matrices in fewer tracked bytes

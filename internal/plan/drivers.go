@@ -10,8 +10,8 @@ import (
 )
 
 // MaterializedOperands describes a chunked materialized table with no
-// join structure on hand: the planner can only pick the residency,
-// execution, and placement axes.
+// join structure on hand: the planner can only pick the residency and
+// execution axes.
 func MaterializedOperands(t chunk.Mat) Operands {
 	if t == nil {
 		return Operands{} // nothing held: the plan falls back conservatively
@@ -138,9 +138,9 @@ func LogReg(env Env, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense, iters
 }
 
 // KMeans is the planner-driven k-means entry point: ml.KMeansScan over
-// the materialized chunked table. The plan decides execution and
-// placement — including pushdown, since the assignment step is a
-// registered op. The caller frees the returned assignment column.
+// the materialized chunked table. The plan decides execution; the
+// assignment step is a registered op, so the store maps it on every
+// exec-capable shard. The caller frees the returned assignment column.
 func KMeans(env Env, t chunk.Mat, k, iters int, seed int64) (*ml.KMeansFit, Decision, error) {
 	d := Plan(OpKMeans, MaterializedOperands(t), env)
 	res, err := ml.KMeansScan(chunk.MatOperand(d.Strategy.Exec(), t), k, ml.Options{Iters: iters, Seed: seed})
@@ -148,8 +148,8 @@ func KMeans(env Env, t chunk.Mat, k, iters int, seed int64) (*ml.KMeansFit, Deci
 }
 
 // GNMF is the planner-driven GNMF entry point: ml.GNMFScan over the
-// materialized chunked table; the plan decides execution and placement
-// (never pushdown: the steps are closures, not registered ops). The
+// materialized chunked table; the plan decides execution (its steps are
+// closures, not registered ops, so they always run on the driver). The
 // caller frees the returned W.
 func GNMF(env Env, t chunk.Mat, rank, iters int, seed int64) (*ml.GNMFFit, Decision, error) {
 	d := Plan(OpGNMF, MaterializedOperands(t), env)

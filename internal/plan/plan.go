@@ -1,19 +1,21 @@
 // Package plan is the statistics-free cost-based planner: one
 // Plan(op, operands, env) seam every training run goes through, choosing
-// four execution axes —
+// three execution axes —
 //
 //	representation: factorized vs materialized (the paper's §3.7/§5.1 rule)
 //	residency:      in-memory vs chunked, with the chunk height
 //	execution:      serial vs the parallel prefetching pipeline
-//	placement:      shard pushdown (Exec{Pushdown}) and multi-shard
-//	                read interleave
+//
+// Placement is not an axis: where a chunk is mapped (on an exec-capable
+// shard or locally), which chunks a zone map lets the read path skip, and
+// the multi-shard read interleave are the chunk store's own observations,
+// made per pass, so the planner neither decides nor records them.
 //
 // The planner reads only cheap structural facts already on hand — n, d,
-// q, nnz, core.StatsFromDims (tuple ratio / feature ratio / redundancy),
-// the memory budget via chunk.AutoRowsChecked, shard count, ShardStats,
-// and each backend's exec capability. No data is scanned, no histograms
-// are built, no statistics infrastructure exists: greedy rules over
-// structural facts (the janus-datalog "statistics-unnecessary" line)
+// q, nnz, core.StatsFromDims (tuple ratio / feature ratio / redundancy)
+// and the memory budget via chunk.AutoRowsChecked. No data is scanned, no
+// histograms are built, no statistics infrastructure exists: greedy rules
+// over structural facts (the janus-datalog "statistics-unnecessary" line)
 // decide in microseconds, and every Decision records which rule fired on
 // which facts, so a plan is always explainable and testable against the
 // paper's Table 9/10 crossover sweeps.
@@ -27,7 +29,6 @@ package plan
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/chunk"
@@ -37,7 +38,7 @@ import (
 // Op names a planned operation.
 type Op string
 
-// Planned operations. The training ops choose all four axes; the
+// Planned operations. The training ops choose all three axes; the
 // operator ops (crossprod/colsums/sum) exist so streaming passes can ask
 // the planner for an Exec too.
 const (
@@ -48,18 +49,6 @@ const (
 	OpColSums   Op = "colsums"
 	OpSum       Op = "sum"
 )
-
-// pushdownCapable reports whether the op's per-chunk map is in the named
-// op registry a chunkd worker can execute (chunk.Op). GLM and GNMF steps
-// are Go closures, not registry ops, so they cannot ship to shards yet.
-func pushdownCapable(op Op) bool {
-	switch op {
-	case OpKMeans, OpCrossProd, OpColSums, OpSum:
-		return true
-	default:
-		return false
-	}
-}
 
 // Operands is the planner's view of the data: structural facts only,
 // gathered by the *Operands builders. Zero-valued fields mean "fact not
@@ -96,41 +85,23 @@ type Operands struct {
 }
 
 // Env is the execution environment the planner reads: the facts that are
-// properties of the machine and store rather than of the operands.
+// properties of the machine rather than of the operands.
 type Env struct {
 	// MemBudgetBytes bounds decoded-chunk residency (0 = unbounded).
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 	// Workers bounds chunk parallelism (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Shards and ExecShards describe the chunk store: total shard count
-	// and how many advertise the /exec worker capability.
-	Shards     int `json:"shards,omitempty"`
-	ExecShards int `json:"exec_shards,omitempty"`
-	// ShardBytes is ShardStats' per-shard footprint, the placement fact
-	// behind the read-interleave choice.
-	ShardBytes []int64 `json:"shard_bytes,omitempty"`
-	// ZoneMapShards counts shards whose backend records zone maps at spill
-	// time — the placement fact behind skip-aware scheduling: on such
-	// shards, all-zero chunks commit identity partials without a read.
-	ZoneMapShards int `json:"zone_map_shards,omitempty"`
 	// Advisor overrides the §5.1 thresholds; the zero value means
 	// core.DefaultAdvisor() (τ=5, ρ=1).
 	Advisor core.Advisor `json:"advisor,omitzero"`
 }
 
-// EnvFor gathers the environment facts from a chunk store: shard count,
-// per-shard bytes (ShardStats), and exec capability.
-func EnvFor(st *chunk.Store, workers int, memBudgetBytes int64) Env {
-	e := Env{Workers: workers, MemBudgetBytes: memBudgetBytes}
-	if st != nil {
-		e.Shards = st.NumShards()
-		e.ExecShards = st.ExecShards()
-		e.ZoneMapShards = st.ZoneMapShards()
-		for _, s := range st.ShardStats() {
-			e.ShardBytes = append(e.ShardBytes, s.Bytes)
-		}
-	}
-	return e
+// EnvFor gathers the environment facts for passes over a chunk store:
+// the worker count and the memory budget. The store itself contributes no
+// planning fact — placement is observed per pass by the store (see the
+// package comment) — and is accepted only to keep the call sites stable.
+func EnvFor(_ *chunk.Store, workers int, memBudgetBytes int64) Env {
+	return Env{Workers: workers, MemBudgetBytes: memBudgetBytes}
 }
 
 func (e Env) advisor() core.Advisor {
@@ -155,23 +126,14 @@ type Strategy struct {
 	Chunked    bool `json:"chunked"`
 	// ChunkRows is the chunk height for chunked execution (existing
 	// chunking, or AutoRowsChecked from the memory budget).
-	ChunkRows int  `json:"chunk_rows,omitempty"`
-	Workers   int  `json:"workers"`
-	Prefetch  int  `json:"prefetch"`
-	Pushdown  bool `json:"pushdown,omitempty"`
-	// Interleave records that the multi-shard pipeline will spread reads
-	// round-robin across shards (informational: the pipeline applies it
-	// automatically whenever chunks span shards).
-	Interleave bool `json:"interleave,omitempty"`
-	// SkipAware records that zone-map-annotated shards let the pass skip
-	// proven all-zero chunks (informational: runOp consults zone maps
-	// automatically whenever the store's backends record them).
-	SkipAware bool `json:"skip_aware,omitempty"`
+	ChunkRows int `json:"chunk_rows,omitempty"`
+	Workers   int `json:"workers"`
+	Prefetch  int `json:"prefetch"`
 }
 
 // Exec returns the chunk execution configuration the strategy selects.
 func (s Strategy) Exec() chunk.Exec {
-	return chunk.Exec{Workers: s.Workers, Prefetch: s.Prefetch, Pushdown: s.Pushdown}
+	return chunk.Exec{Workers: s.Workers, Prefetch: s.Prefetch}
 }
 
 // Decision is an explainable plan: the chosen strategy plus the facts
@@ -205,29 +167,15 @@ func (d Decision) String() string {
 	if d.Strategy.Chunked {
 		res = fmt.Sprintf("chunked[%d rows]", d.Strategy.ChunkRows)
 	}
-	var opts []string
-	if d.Strategy.Pushdown {
-		opts = append(opts, "pushdown")
-	}
-	if d.Strategy.Interleave {
-		opts = append(opts, "interleave")
-	}
-	if d.Strategy.SkipAware {
-		opts = append(opts, "skip")
-	}
-	opt := ""
-	if len(opts) > 0 {
-		opt = " +" + strings.Join(opts, "+")
-	}
-	return fmt.Sprintf("%s: %s %s workers=%d prefetch=%d%s — %s (%.1fµs)",
-		d.Op, rep, res, d.Strategy.Workers, d.Strategy.Prefetch, opt, d.Rule, d.PlanMicros)
+	return fmt.Sprintf("%s: %s %s workers=%d prefetch=%d — %s (%.1fµs)",
+		d.Op, rep, res, d.Strategy.Workers, d.Strategy.Prefetch, d.Rule, d.PlanMicros)
 }
 
 // Plan greedily picks a strategy for op over the given operands in the
 // given environment. Each axis is decided by the first rule whose facts
-// match, in a fixed order — representation, residency, execution,
-// placement — and the fired rules are recorded on the Decision. Planning
-// reads only the facts in Operands/Env; it never touches data.
+// match, in a fixed order — representation, residency, execution — and
+// the fired rules are recorded on the Decision. Planning reads only the
+// facts in Operands/Env; it never touches data.
 func Plan(op Op, o Operands, env Env) Decision {
 	start := time.Now()
 	d := Decision{Op: op, Operands: o, Env: env}
@@ -315,26 +263,6 @@ func Plan(op Op, o Operands, env Env) Decision {
 		} else {
 			rule("execution", "parallel — %d workers for the in-memory kernels", w)
 		}
-	}
-
-	// Axis 4 — placement. Pushdown only for registry ops on exec-capable
-	// shards; the multi-shard read interleave whenever the pipelined
-	// reader will see more than one shard.
-	if d.Strategy.Chunked && env.ExecShards > 0 {
-		if pushdownCapable(op) {
-			d.Strategy.Pushdown = true
-			rule("placement", "pushdown — %d exec-capable shard(s) and op %q is in the chunk-op registry", env.ExecShards, op)
-		} else {
-			rule("placement", "no pushdown — op %q has no registered per-chunk map (closure-based pass)", op)
-		}
-	}
-	if d.Strategy.Chunked && env.Shards > 1 && d.Strategy.Workers > 1 {
-		d.Strategy.Interleave = true
-		rule("placement", "interleave — reads round-robin across %d shards (ShardStats: %v bytes)", env.Shards, env.ShardBytes)
-	}
-	if d.Strategy.Chunked && env.ZoneMapShards > 0 {
-		d.Strategy.SkipAware = true
-		rule("placement", "skip-aware — %d shard(s) record zone maps: all-zero chunks commit identity partials without a read", env.ZoneMapShards)
 	}
 
 	d.PlanMicros = float64(time.Since(start).Nanoseconds()) / 1e3

@@ -151,37 +151,12 @@ func TestExecutionAxis(t *testing.T) {
 	}
 }
 
-// TestPlacementAxis: pushdown only for registry ops on exec-capable
-// shards; interleave only when a parallel reader spans multiple shards.
-func TestPlacementAxis(t *testing.T) {
-	o := Operands{Rows: 160, Cols: 4, HasMaterialized: true, Chunked: true, NumChunks: 10, ChunkRows: 16}
-	env := Env{Workers: 4, Shards: 2, ExecShards: 2, ShardBytes: []int64{512, 512}}
-	if d := Plan(OpKMeans, o, env); !d.Strategy.Pushdown {
-		t.Errorf("kmeans on exec shards: no pushdown (%v)", d.Rules)
-	}
-	if d := Plan(OpGLM, o, env); d.Strategy.Pushdown {
-		t.Errorf("glm pushed down despite closure-based passes (%v)", d.Rules)
-	}
-	if d := Plan(OpKMeans, o, Env{Workers: 4, Shards: 2}); d.Strategy.Pushdown {
-		t.Errorf("pushdown without exec-capable shards (%v)", d.Rules)
-	}
-	if d := Plan(OpGLM, o, env); !d.Strategy.Interleave {
-		t.Errorf("2 shards, parallel: no interleave (%v)", d.Rules)
-	}
-	if d := Plan(OpGLM, o, Env{Workers: 4, Shards: 1}); d.Strategy.Interleave {
-		t.Errorf("1 shard: interleave planned (%v)", d.Rules)
-	}
-	if d := Plan(OpGLM, o, Env{Workers: 1, Shards: 2}); d.Strategy.Interleave {
-		t.Errorf("serial reader: interleave planned (%v)", d.Rules)
-	}
-}
-
 // TestDecisionExplainable: every axis records the rule it fired, and the
 // one-line rendering carries the headline rule.
 func TestDecisionExplainable(t *testing.T) {
 	o := starOps(20000, 1000, 60, 120)
 	o.Chunked, o.NumChunks, o.ChunkRows = true, 20, 1000
-	d := Plan(OpGLM, o, Env{Workers: 4, Shards: 2})
+	d := Plan(OpGLM, o, Env{Workers: 4})
 	if len(d.Rules) < 3 {
 		t.Fatalf("only %d rules recorded: %v", len(d.Rules), d.Rules)
 	}
@@ -215,7 +190,7 @@ func TestEveryDecisionIsExplained(t *testing.T) {
 		sweep = append(sweep, mnOps(nOut, 40, 40, 4, 4))
 	}
 	sweep = append(sweep, Operands{}, Operands{Rows: 10, Cols: 2, HasMaterialized: true}, starOps(100, 0, 3, 3))
-	envs := []Env{{}, {Workers: 1}, {Workers: 4, Shards: 2, ExecShards: 1, ZoneMapShards: 1}, {MemBudgetBytes: 1 << 10}}
+	envs := []Env{{}, {Workers: 1}, {Workers: 4}, {MemBudgetBytes: 1 << 10}}
 	for _, op := range []Op{OpGLM, OpKMeans, OpGNMF, OpCrossProd, OpColSums, OpSum} {
 		for _, o := range sweep {
 			for _, chunked := range []bool{false, true} {
