@@ -318,37 +318,23 @@ func AutoRowsChecked(memBudgetBytes int64, cols, workers, prefetch int) (int, er
 	}
 }
 
-// rowSquaredNorms returns the per-row sums of squares of one chunk (the
-// point norms of the k-means distance expansion), with a sparse fast path.
+// rowSquaredNorms returns the per-row sums of squares of one decoded chunk
+// (the point norms of the k-means distance expansion), over the stored
+// values only for a CSR chunk.
 func rowSquaredNorms(c la.Mat) []float64 {
 	out := make([]float64, c.Rows())
-	switch t := c.(type) {
-	case *la.Dense:
-		for i := range out {
-			s := 0.0
-			for _, v := range t.Row(i) {
-				s += v * v
-			}
-			out[i] = s
+	for i := range out {
+		var vals []float64
+		if d, ok := c.(*la.Dense); ok {
+			vals = d.Row(i)
+		} else {
+			_, vals = c.(*la.CSR).RowNNZ(i)
 		}
-	case *la.CSR:
-		for i := range out {
-			_, vals := t.RowNNZ(i)
-			s := 0.0
-			for _, v := range vals {
-				s += v * v
-			}
-			out[i] = s
+		s := 0.0
+		for _, v := range vals {
+			s += v * v
 		}
-	default:
-		for i := range out {
-			s := 0.0
-			for j := 0; j < c.Cols(); j++ {
-				v := c.At(i, j)
-				s += v * v
-			}
-			out[i] = s
-		}
+		out[i] = s
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/ml"
 )
@@ -152,7 +153,7 @@ type assignOp struct {
 }
 
 func (o assignOp) apply(c la.Mat) (any, error) {
-	_, part, err := o.do(&block{c: c})
+	_, part, err := o.do(&block{Block: core.Block{S: c}})
 	return part, err
 }
 

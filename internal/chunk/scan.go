@@ -2,8 +2,8 @@ package chunk
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/core"
 	"repro/internal/la"
 )
 
@@ -16,18 +16,20 @@ import (
 //	M:N           S is zero columns wide; the arms are the two base tables,
 //	              chunked on disk, and the scan streams the IS column
 //
-// A block is one chunk of S beside the aligned chunk of every key column.
-// The star rewrite lives here once: prepare hoists R_t·X_Rt out of the
-// scan and gathers it per block, the reducer scatter-adds K_tᵀP in block
-// order and multiplies by R_tᵀ once at the end.
+// A block is one chunk of S beside the aligned chunk of every key column,
+// run through core's rewrites (core.Block). The operand keeps only I/O,
+// commit order and placement (a registered step runs where its chunk
+// lives), and computes the arm-side products wherever an arm is held: in
+// memory, or chunked on disk (M:N).
 type Operand struct {
 	ex   Exec
 	rows Mat  // what the scan streams: S, or without one arm 0's key column
 	feat bool // rows' chunks are S
 	arms []AttrTable
 	offs []int // offs[0] = dS, offs[t] the first column of arm t, offs[q] = d
+	nR   []int // arm t's row count
 
-	armNorms [][]float64 // per-arm ‖r_i‖², prepared on first use
+	armNorms []*la.Dense // per-arm ‖r_i‖² columns, prepared on first use
 }
 
 // MatOperand views a chunked materialized table — dense or CSR — as a
@@ -47,8 +49,8 @@ func newOperand(ex Exec, rows Mat, feat bool, arms []AttrTable) *Operand {
 		o.offs[0] = rows.Cols()
 	}
 	for t, a := range arms {
-		_, cols := a.Dims()
-		o.offs[t+1] = o.offs[t] + cols
+		rows, cols := a.Dims()
+		o.offs[t+1], o.nR = o.offs[t]+cols, append(o.nR, rows)
 	}
 	return o
 }
@@ -62,31 +64,30 @@ func (o *Operand) Cols() int { return o.offs[len(o.arms)] }
 // block is one chunk of the scan: S's rows and every arm's keys for them.
 type block struct {
 	ci, lo int
-	c      la.Mat
-	keys   [][]int32
+	core.Block
 }
 
 func (b *block) Index() int { return b.ci }
 func (b *block) Lo() int    { return b.lo }
-func (b *block) Rows() int  { return b.c.Rows() }
+func (b *block) Rows() int  { return b.S.Rows() }
 
 // load completes the streamed chunk into a block with the aligned chunk
 // of each key column, read on the worker that will use it.
 func (o *Operand) load(ci, lo int, c la.Mat) (*block, error) {
-	b := &block{ci: ci, lo: lo, c: c}
+	b := &block{ci: ci, lo: lo, Block: core.Block{S: c}}
 	if !o.feat { // the streamed chunk is arm 0's keys
 		ks, err := o.arms[0].FK.decode(ci, c.(*la.Dense))
 		if err != nil {
 			return nil, err
 		}
-		b.c, b.keys = la.NewDense(c.Rows(), 0), append(b.keys, ks)
+		b.S, b.Keys = la.NewDense(c.Rows(), 0), append(b.Keys, ks)
 	}
-	for _, a := range o.arms[len(b.keys):] {
-		_, ks, err := a.FK.Keys(ci)
+	for _, a := range o.arms[len(b.Keys):] {
+		ks, err := a.FK.Keys(ci)
 		if err != nil {
 			return nil, err
 		}
-		b.keys = append(b.keys, ks)
+		b.Keys = append(b.Keys, ks)
 	}
 	return b, nil
 }
@@ -106,7 +107,7 @@ func (o *Operand) Scan(step la.Step, merge func(any) error) (la.Tall, *la.Dense,
 
 // scanPart is what one block sends to the ordered commit: the step's own
 // part and the block's share of Tᵀ·P — the S-side product, plus the keys
-// and rows of P (or its groups) the ordered scatter needs.
+// and rows of P (or its groups) core.TMul's ordered merge scatters.
 type scanPart struct {
 	part   any
 	top    *la.Dense
@@ -117,14 +118,14 @@ type scanPart struct {
 
 // scan is Scan with the n-tall output as the matrix it is.
 func (o *Operand) scan(step la.Step, merge func(any) error) (*Matrix, *la.Dense, error) {
-	var red *tmulReducer
+	var red *core.TMul
 	if step.PCols > 0 {
-		red = o.newReducer(step.PCols)
+		red = core.NewTMul(o.offs[0], o.nR, step.PCols)
 	}
 	commit := func(ci int, v any) error {
 		sp := v.(scanPart)
 		if red != nil {
-			red.merge(sp)
+			red.Merge(sp.top, sp.keys, sp.p, sp.groups)
 		}
 		if merge != nil {
 			return merge(sp.part)
@@ -135,7 +136,7 @@ func (o *Operand) scan(step la.Step, merge func(any) error) (*Matrix, *la.Dense,
 	if err != nil || red == nil {
 		return out, nil, err
 	}
-	tp, err := red.finish()
+	tp, err := red.Finish(func(t int, kp *la.Dense) (*la.Dense, error) { return o.arms[t].tmul(o.ex, kp) })
 	if err != nil && out != nil {
 		out.Free()
 		out = nil
@@ -169,11 +170,10 @@ func (o *Operand) stream(step la.Step, commit func(ci int, v any) error) (*Matri
 	}, commit)
 }
 
-// prepare hoists the small side of the step's products out of the scan
-// (the LMM rewrite of §3.3.3: R_t·X_Rt and each arm's row norms, once) and
-// returns the per-block step: S_b·X_S plus the gathers, ‖s_i‖² plus each
-// arm's ‖r_key‖², step.Do, then the block's share S_bᵀ·P_b of Tᵀ·P (group
-// sums when the step returned Groups).
+// prepare hoists the small side of the step's products out of the scan —
+// R_t·X_Rt and each arm's row norms, once — and returns the per-block
+// step: core.MulBlock for T_b·X and for the rows' ‖t_i‖² (S_b's own plus
+// the arms' gathered), step.Do, then the block's S-side share of Tᵀ·P.
 func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), error) {
 	var xS *la.Dense
 	rx := make([]*la.Dense, len(o.arms)) // nRt×k partials
@@ -200,23 +200,13 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 		var tx *la.Dense
 		var norms []float64
 		if xS != nil {
-			tx = b.c.Mul(xS)
-			for t, ks := range b.keys {
-				for i, rid := range ks {
-					dst := tx.Row(i)
-					for j, v := range rx[t].Row(int(rid)) {
-						dst[j] += v
-					}
-				}
-			}
+			tx = la.NewDense(b.Rows(), xS.Cols())
+			core.MulBlock(tx, b.Block, xS, rx)
 		}
 		if step.Norms {
-			norms = rowSquaredNorms(b.c)
-			for t, ks := range b.keys {
-				for i, rid := range ks {
-					norms[i] += o.armNorms[t][rid]
-				}
-			}
+			nv := la.NewDenseData(b.Rows(), 1, rowSquaredNorms(b.S))
+			core.MulBlock(nv, core.Block{Keys: b.Keys}, nil, o.armNorms)
+			norms = nv.Data()
 		}
 		r, err := step.Do(b, tx, norms)
 		if err != nil {
@@ -224,12 +214,8 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 		}
 		sp := scanPart{part: r.Part}
 		if step.PCols > 0 {
-			if r.P == nil {
-				sp.top = b.c.GroupTMul(r.Groups, step.PCols)
-			} else {
-				sp.top = b.c.TMul(r.P)
-			}
-			if sp.keys = b.keys; len(b.keys) > 0 {
+			sp.top = core.TMulBlock(b.S, r.P, r.Groups, step.PCols)
+			if sp.keys = b.Keys; len(b.Keys) > 0 {
 				sp.p, sp.groups = r.P, r.Groups // only the scatter needs P's rows kept until the merge
 			}
 		}
@@ -251,13 +237,9 @@ func (o *Operand) mul(x *la.Dense) (*Matrix, error) {
 
 // Gram implements la.Operand: TᵀT. A materialized table reduces the
 // registered crossprod op over its chunks, so pushdown and zone-map skips
-// apply. A normalized one runs the paper's efficient rewrite (Algorithm 2,
-// with the §3.5 star generalization) in a single pass over the scan: per
-// arm it scatter-adds K_tᵀS and the key counts, and for every pair of arms
-// the cross gather K_aᵀ(K_b·R_b), so the off-diagonal R_aᵀK_aᵀK_bR_b blocks
-// never materialize an indicator product; the arm-side blocks are
-// assembled in memory afterwards. The cross gather needs random access to
-// R_b's rows, so a chunked arm (M:N) is loaded whole for the pass.
+// apply. A normalized one runs core.Gram's phases in a single pass over the
+// scan, one block per chunk. The arm-side blocks need the arms' feature
+// matrices in memory, so a chunked arm (M:N) is loaded whole for the pass.
 func (o *Operand) Gram() (*la.Dense, error) {
 	if len(o.arms) == 0 {
 		return reduceExec(o.ex, o.rows, OpCrossProd(), o.Cols(), o.Cols())
@@ -266,86 +248,35 @@ func (o *Operand) Gram() (*la.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	dS, q, offs := o.offs[0], len(o.arms), o.offs
-
-	sts := la.NewDense(dS, dS)
-	kts := make([]*la.Dense, q)    // K_tᵀS scatter-adds, nRt×dS
-	counts := make([][]float64, q) // per-arm key multiplicities
-	for t, r := range rs {
-		kts[t] = la.NewDense(r.Rows(), dS)
-		counts[t] = make([]float64, r.Rows())
-	}
-	// gab[a][b] (a<b) accumulates K_aᵀ(K_b·R_b): row ka_i gains R_b's row
-	// kb_i for every joined tuple i.
-	gab := make([][]*la.Dense, q)
-	for a := 0; a < q; a++ {
-		gab[a] = make([]*la.Dense, q)
-		for b := a + 1; b < q; b++ {
-			gab[a][b] = la.NewDense(rs[a].Rows(), rs[b].Cols())
-		}
-	}
-
-	type part struct {
-		cp *la.Dense
-		*block
-	}
+	g := core.NewGram(o.offs[0], rs, false)
 	err = o.rows.Stream(o.ex, func(ci, lo int, c la.Mat) (any, error) {
 		b, err := o.load(ci, lo, c)
 		if err != nil {
 			return nil, err
 		}
-		return part{b.c.CrossProd(), b}, nil
-	}, func(ci int, v any) error {
-		p := v.(part)
-		sts.AddInPlace(p.cp)
-		for i := 0; i < p.c.Rows(); i++ {
-			for t := range p.keys {
-				rid := int(p.keys[t][i])
-				counts[t][rid]++
-				scatterRowInto(kts[t].Row(rid), p.c, i)
-			}
-			for a := 0; a < q; a++ {
-				for b := a + 1; b < q; b++ {
-					scatterRowInto(gab[a][b].Row(int(p.keys[a][i])), rs[b], int(p.keys[b][i]))
-				}
-			}
-		}
+		return g.Block(b.Block), nil
+	}, func(_ int, v any) error {
+		v.(func())()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := la.NewDense(o.Cols(), o.Cols())
-	out.SetBlock(0, 0, sts)
-	for t, r := range rs {
-		// Off-diagonal S block SᵀK_t·R_t = (R_tᵀ·(K_tᵀS))ᵀ.
-		skr := r.TMul(kts[t]).TDense()
-		out.SetBlock(0, offs[t], skr)
-		out.SetBlock(offs[t], 0, skr.TDense())
-		// Diagonal block crossprod(diag(counts)^½ · R_t).
-		sq := make([]float64, len(counts[t]))
-		for i, v := range counts[t] {
-			sq[i] = math.Sqrt(v)
-		}
-		out.SetBlock(offs[t], offs[t], r.ScaleRows(sq).CrossProd())
-		// Cross-arm blocks R_aᵀ·(K_aᵀK_b·R_b).
-		for b := t + 1; b < q; b++ {
-			blk := r.TMul(gab[t][b])
-			out.SetBlock(offs[t], offs[b], blk)
-			out.SetBlock(offs[b], offs[t], blk.TDense())
-		}
-	}
-	return out, nil
+	return g.Finish(), nil
 }
 
-// armMats holds every arm's feature matrix in memory (AttrTable.mat).
+// armMats holds every arm's feature matrix in memory, loading a chunked
+// one whole: what a pass that needs the whole of R (Gram's arm-side
+// blocks, Materialize's gathers) holds for its duration.
 func (o *Operand) armMats() ([]la.Mat, error) {
 	rs := make([]la.Mat, len(o.arms))
 	for t, a := range o.arms {
-		var err error
-		if rs[t], err = a.mat(); err != nil {
-			return nil, err
+		if rs[t] = a.R; a.R == nil {
+			d, err := a.Disk.Dense()
+			if err != nil {
+				return nil, err
+			}
+			rs[t] = d
 		}
 	}
 	return rs, nil
@@ -358,52 +289,4 @@ func (o *Operand) NewTall(cols int, fill func(*la.Dense)) (la.Tall, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// tmulReducer accumulates the transposed LMM Tᵀ·P over a scan: S_bᵀ·P_b
-// from the workers, the K_tᵀP scatter-adds in block order on the
-// committer (for a one-hot P, join counts), R_tᵀ·(K_tᵀP) once in finish.
-type tmulReducer struct {
-	o   *Operand
-	top *la.Dense   // Σ S_bᵀ·P_b
-	ktx []*la.Dense // K_tᵀ·P scatter-adds, nRt×cols
-}
-
-func (o *Operand) newReducer(cols int) *tmulReducer {
-	r := &tmulReducer{o: o, top: la.NewDense(o.offs[0], cols), ktx: make([]*la.Dense, len(o.arms))}
-	for t, a := range o.arms {
-		rows, _ := a.Dims()
-		r.ktx[t] = la.NewDense(rows, cols)
-	}
-	return r
-}
-
-func (r *tmulReducer) merge(pt scanPart) {
-	r.top.AddInPlace(pt.top)
-	for t, ks := range pt.keys {
-		for i, rid := range ks {
-			dst := r.ktx[t].Row(int(rid))
-			if pt.p == nil {
-				dst[pt.groups[i]]++
-				continue
-			}
-			for j, v := range pt.p.Row(i) {
-				dst[j] += v
-			}
-		}
-	}
-}
-
-func (r *tmulReducer) finish() (*la.Dense, error) {
-	o, k := r.o, r.top.Cols()
-	out := la.NewDense(o.Cols(), k)
-	out.SetBlock(0, 0, r.top)
-	for t, a := range o.arms {
-		g, err := a.tmul(o.ex, r.ktx[t]) // R_tᵀ·(K_tᵀP)
-		if err != nil {
-			return nil, err
-		}
-		out.SetBlock(o.offs[t], 0, g)
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/la"
 )
 
@@ -42,18 +43,16 @@ func BuildIntVector(store *Store, keys []int32, chunkRows int) (*IntVector, erro
 // Rows reports the number of keys.
 func (v *IntVector) Rows() int { return v.m.rows }
 
-// Keys reads chunk ci and returns its first-row offset plus the decoded
-// keys. It is safe to call concurrently (each call reads its own chunk),
-// which lets parallel pipelines over an aligned Matrix fetch the matching
-// key chunk from inside their workers.
-func (v *IntVector) Keys(ci int) (lo int, keys []int32, err error) {
-	lo, _ = v.m.chunkBounds(ci)
+// Keys reads chunk ci and returns its decoded keys. It is safe to call
+// concurrently (each call reads its own chunk), which lets parallel
+// pipelines over an aligned Matrix fetch the matching key chunk from
+// inside their workers.
+func (v *IntVector) Keys(ci int) ([]int32, error) {
 	c, err := v.m.readAt(ci)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	keys, err = v.decode(ci, c)
-	return lo, keys, err
+	return v.decode(ci, c)
 }
 
 // decode validates and converts stored key chunk ci. The table
@@ -108,9 +107,15 @@ func (a AttrTable) mul(ex Exec, x *la.Dense) (*la.Dense, error) {
 	if a.R != nil {
 		return a.R.Mul(x), nil
 	}
-	out := la.NewDense(a.Disk.rows, x.Cols())
+	return a.mapChunks(ex, x.Cols(), func(c *la.Dense) *la.Dense { return la.MatMul(c, x) })
+}
+
+// mapChunks computes an nR×cols result of a chunked R, each chunk's rows
+// from the chunk alone.
+func (a AttrTable) mapChunks(ex Exec, cols int, f func(c *la.Dense) *la.Dense) (*la.Dense, error) {
+	out := la.NewDense(a.Disk.rows, cols)
 	return out, a.Disk.ForEachExec(ex, func(lo int, c *la.Dense) error {
-		copy(out.Data()[lo*x.Cols():], la.MatMul(c, x).Data())
+		copy(out.Data()[lo*cols:], f(c).Data())
 		return nil
 	})
 }
@@ -123,30 +128,13 @@ func (a AttrTable) tmul(ex Exec, p *la.Dense) (*la.Dense, error) {
 	return a.Disk.TMulExec(ex, p)
 }
 
-// norms computes the per-row ‖r_i‖².
-func (a AttrTable) norms(ex Exec) ([]float64, error) {
+// norms computes the per-row ‖r_i‖² as a column, the way la.InMemory
+// takes them of an in-memory R: rowSums(R²).
+func (a AttrTable) norms(ex Exec) (*la.Dense, error) {
 	if a.R != nil {
-		return rowSquaredNorms(a.R), nil
+		return a.R.Pow(2).RowSums(), nil
 	}
-	out := make([]float64, a.Disk.rows)
-	return out, a.Disk.ForEachExec(ex, func(lo int, c *la.Dense) error {
-		copy(out[lo:], rowSquaredNorms(c))
-		return nil
-	})
-}
-
-// mat returns the feature matrix in memory, loading a chunked one whole:
-// what a pass that needs random access to R's rows (Gram's cross gather,
-// Materialize) holds for its duration.
-func (a AttrTable) mat() (la.Mat, error) {
-	if a.R != nil {
-		return a.R, nil
-	}
-	d, err := a.Disk.Dense()
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return a.mapChunks(ex, 1, func(c *la.Dense) *la.Dense { return la.NewDenseData(c.Rows(), 1, rowSquaredNorms(c)) })
 }
 
 // NormalizedTable is the out-of-core normalized matrix
@@ -303,9 +291,9 @@ func (nt *NormalizedTable) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
 func (nt *NormalizedTable) CrossProdExec(ex Exec) (*la.Dense, error) { return nt.Operand(ex).Gram() }
 
 // Materialize spills the joined table [S, K_1·R_1, ...] into the table's
-// store, chunked like the scan — the baseline input for Tables 9 and 10.
-// It streams the scan and gathers arm rows (chunked arms are loaded whole
-// for the pass), so building it costs the full n·d write.
+// store, chunked like the scan — the baseline input for Tables 9 and 10:
+// core.JoinBlock per chunk (chunked arms are loaded whole for the pass),
+// so building it costs the full n·d write.
 func (nt *NormalizedTable) Materialize(ex Exec) (*Matrix, error) {
 	o := nt.Operand(ex)
 	rs, err := o.armMats()
@@ -318,13 +306,7 @@ func (nt *NormalizedTable) Materialize(ex Exec) (*Matrix, error) {
 			return nil, nil, err
 		}
 		out := la.NewDense(b.Rows(), o.Cols())
-		for i := 0; i < b.Rows(); i++ {
-			row := out.Row(i)
-			scatterRowInto(row[:o.offs[0]], b.c, i)
-			for t, ks := range b.keys {
-				scatterRowInto(row[o.offs[t]:o.offs[t+1]], rs[t], int(ks[i]))
-			}
-		}
+		core.JoinBlock(out, b.Block, rs)
 		return out, nil, nil
 	}, nil)
 }
@@ -347,23 +329,4 @@ func (nt *NormalizedTable) Free() error {
 		}
 	}
 	return err
-}
-
-// scatterRowInto adds row i of src into dst, honoring sparsity.
-func scatterRowInto(dst []float64, src la.Mat, i int) {
-	switch t := src.(type) {
-	case *la.Dense:
-		for j, v := range t.Row(i) {
-			dst[j] += v
-		}
-	case *la.CSR:
-		idx, vals := t.RowNNZ(i)
-		for k, j := range idx {
-			dst[j] += vals[k]
-		}
-	default:
-		for j := 0; j < src.Cols(); j++ {
-			dst[j] += src.At(i, j)
-		}
-	}
 }

@@ -6,18 +6,6 @@ import (
 	"repro/internal/la"
 )
 
-// CrossProd2 computes the binary cross-product crossprod(T, X) = Tᵀ·X for
-// a regular matrix X (the paper's footnote 5: if only one operand is
-// normalized the binary crossprod reduces to a transposed LMM / RMM; if
-// both are normalized it is the transposed DMM, MulNormTN).
-func (m *NormalizedMatrix) CrossProd2(x *la.Dense) *la.Dense {
-	if m.trans {
-		// crossprod(Tᵀ, X) = T·X: plain LMM.
-		return m.Transpose().Mul(x)
-	}
-	return m.tMulRaw(x)
-}
-
 // InvertibilityBound checks the appendix B theorem: if the materialized
 // matrix T of a two-table PK-FK join is invertible (square and
 // non-singular), then TR ≤ 1/FR + 1. Equivalently, a normalized matrix

@@ -8,19 +8,21 @@ import (
 	"repro/internal/la"
 )
 
-func TestCrossProd2MatchesTransposedLMM(t *testing.T) {
+// TestTMulMatchesTransposedLMM: the binary crossprod(T, X) = Tᵀ·X of the
+// paper's footnote 5 is TMul, on a plain and on a transposed operand
+// (crossprod(Tᵀ, X) = T·X).
+func TestTMulMatchesTransposedLMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	m := randStar(rng)
 	x := randDense(rng, m.Rows(), 3)
-	got := m.CrossProd2(x)
+	got := m.TMul(x)
 	want := la.TMatMul(m.Dense(), x)
 	if la.MaxAbsDiff(got, want) > tol {
 		t.Fatal("binary crossprod mismatch")
 	}
-	// Transposed operand: crossprod(Tᵀ, X) = T·X.
 	tm := m.Transpose()
 	x2 := randDense(rng, tm.Rows(), 2)
-	got2 := tm.CrossProd2(x2)
+	got2 := tm.TMul(x2)
 	want2 := la.TMatMul(m.Dense().TDense(), x2)
 	if la.MaxAbsDiff(got2, want2) > tol {
 		t.Fatal("binary crossprod (transposed) mismatch")

@@ -41,15 +41,11 @@ func (a *NormalizedMatrix) MulNorm(b *NormalizedMatrix) (*la.Dense, error) {
 		return nil, fmt.Errorf("core: DMM %dx%d · %dx%d", a.nRows, a.dCols, b.nRows, b.dCols)
 	}
 	dSA := sa.Cols()
-	sbDense := sb.Dense()
-	sb1 := sbDense.SliceRowsDense(0, dSA)
-	sb2 := sbDense.SliceRowsDense(dSA, sb.Rows())
 	kb1 := kb.SliceRows(0, dSA)
 	kb2 := kb.SliceRows(dSA, kb.Rows())
 
-	// Left block: SA·SB1 + KA·(RA·SB2).
-	left := sa.Mul(sb1)
-	left.AddInPlace(ka.Mul(ra.Mul(sb2)))
+	// Left block: SA·SB1 + KA·(RA·SB2), the LMM of A with SB.
+	left := a.mulRaw(sb.Dense())
 
 	// Right block: (SA·KB1)·RB + KA·((RA·KB2)·RB).
 	saDense := sa.Dense()
@@ -90,8 +86,7 @@ func (a *NormalizedMatrix) MulNormNT(b *NormalizedMatrix) (*la.Dense, error) {
 	switch {
 	case dSA == dSB:
 		out := matMulT(sa, sb)
-		inner := gatherBoth(ka, kb, matMulT(ra, rb))
-		out.AddInPlace(inner)
+		gatherAdd(out, ka, kb, matMulT(ra, rb))
 		return out, nil
 	case dSA < dSB:
 		sbDense, raDense := sb.Dense(), ra.Dense()
@@ -101,7 +96,7 @@ func (a *NormalizedMatrix) MulNormNT(b *NormalizedMatrix) (*la.Dense, error) {
 		ra2 := raDense.SliceColsDense(dSB-dSA, ra.Cols())
 		out := matMulT(sa, sb1)
 		out.AddInPlace(ka.Mul(matMulT(ra1, sb2)))
-		out.AddInPlace(gatherBoth(ka, kb, matMulT(ra2, rb)))
+		gatherAdd(out, ka, kb, matMulT(ra2, rb))
 		return out, nil
 	default:
 		ba, err := b.MulNormNT(a)
@@ -133,8 +128,8 @@ func (a *NormalizedMatrix) MulNormTN(b *NormalizedMatrix) (*la.Dense, error) {
 		return nil, fmt.Errorf("core: DMM TN (%dx%d)ᵀ · %dx%d", a.nRows, a.dCols, b.nRows, b.dCols)
 	}
 	tile11 := matTMulMat(sa, sb)
-	tile12 := matTMulMat(indicatorTMulMat(kb, sa), rb)
-	tile21 := ra.TMul(indicatorTMulMat(ka, sb))
+	tile12 := matTMulMat(kb.TMul(sa.Dense()), rb)
+	tile21 := ra.TMul(ka.TMul(sb.Dense()))
 	p := ka.TMulIndicator(kb)
 	tile22 := ra.TMul(p.MulMat(rb))
 	top := la.HCat(tile11, tile12)
@@ -146,19 +141,4 @@ func (a *NormalizedMatrix) MulNormTN(b *NormalizedMatrix) (*la.Dense, error) {
 // smaller operand pair.
 func matMulT(a, b la.Mat) *la.Dense {
 	return la.MatMulT(a.Dense(), b.Dense())
-}
-
-// gatherBoth computes KA·M·KBᵀ by indexing M with both assignment vectors:
-// out[i,j] = M[KA[i], KB[j]].
-func gatherBoth(ka, kb *la.Indicator, m *la.Dense) *la.Dense {
-	aa, ab := ka.Assignments(), kb.Assignments()
-	out := la.NewDense(len(aa), len(ab))
-	for i, ca := range aa {
-		src := m.Row(int(ca))
-		dst := out.Row(i)
-		for j, cb := range ab {
-			dst[j] = src[cb]
-		}
-	}
-	return out
 }

@@ -34,26 +34,16 @@ func (m *NormalizedMatrix) DivElem(x *la.Dense) *la.Dense { return m.Dense().Div
 // structure (same selectors, same part shapes, same orientation), which is
 // the condition under which element-wise matrix ops stay factorizable.
 func (m *NormalizedMatrix) SameStructure(b *NormalizedMatrix) bool {
-	if m.trans != b.trans || m.nRows != b.nRows || m.dCols != b.dCols {
+	if m.trans != b.trans || m.nRows != b.nRows || m.dCols != b.dCols || (m.s == nil) != (b.s == nil) || (m.is == nil) != (b.is == nil) {
 		return false
 	}
-	if (m.s == nil) != (b.s == nil) || len(m.ks) != len(b.ks) {
+	ms, mks, mrs := m.arms()
+	bs, bks, brs := b.arms()
+	if ms.Cols() != bs.Cols() || len(mks) != len(bks) {
 		return false
 	}
-	if m.s != nil && (m.s.Rows() != b.s.Rows() || m.s.Cols() != b.s.Cols()) {
-		return false
-	}
-	if (m.is == nil) != (b.is == nil) {
-		return false
-	}
-	if m.is != nil && !sameAssign(m.is, b.is) {
-		return false
-	}
-	for i := range m.ks {
-		if m.rs[i].Rows() != b.rs[i].Rows() || m.rs[i].Cols() != b.rs[i].Cols() {
-			return false
-		}
-		if !sameAssign(m.ks[i], b.ks[i]) {
+	for t := range mks {
+		if mrs[t].Rows() != brs[t].Rows() || mrs[t].Cols() != brs[t].Cols() || !sameAssign(mks[t], bks[t]) {
 			return false
 		}
 	}

@@ -16,6 +16,18 @@
 // All operators honor a transpose flag instead of a second class (appendix
 // A), and the heuristic decision rule of §3.7 predicts when factorized
 // execution pays off.
+//
+// The rewrites that touch every row — the LMM (MulBlock), Tᵀ·P (TMul), the
+// Gram matrix (Gram) and the join output (JoinBlock) — are each written
+// once over a row block T_b = [S_b, K_b1·R_1, …, K_bq·R_q], in three
+// phases: prepare the small side once per pass; compute each block's rows
+// and partials, concurrently; merge the partials in ascending row order and
+// finish. NormalizedMatrix drives them over its own rows as one block, with
+// an M:N join's IS·S as arm 0; internal/chunk drives them chunk by chunk.
+// The arm-side products (R_t·X_t before the blocks, R_tᵀ·(K_tᵀP) after)
+// are the driver's, because only it knows where R_t lives. Both drivers run
+// the same kernels in the same order, so a table held in one chunk gives
+// the in-memory result bit for bit.
 package core
 
 import (
@@ -169,25 +181,6 @@ func (m *NormalizedMatrix) Cols() int {
 	return m.dCols
 }
 
-// dS returns the entity feature width.
-func (m *NormalizedMatrix) dS() int {
-	if m.s == nil {
-		return 0
-	}
-	return m.s.Cols()
-}
-
-// colOffsets returns the starting column of each part in T: the entity part
-// at offset 0, then each attribute part (the paper's d'_i boundaries).
-func (m *NormalizedMatrix) colOffsets() []int {
-	offs := make([]int, len(m.ks)+1)
-	offs[0] = m.dS()
-	for i, r := range m.rs {
-		offs[i+1] = offs[i] + r.Cols()
-	}
-	return offs
-}
-
 // T returns the transpose by flipping the flag; no data moves (appendix A).
 func (m *NormalizedMatrix) T() la.Matrix { return m.Transpose() }
 
@@ -207,20 +200,34 @@ func (m *NormalizedMatrix) withParts(s la.Mat, rs []la.Mat) *NormalizedMatrix {
 	return &c
 }
 
+// arms returns T as its entity features beside its arms: an M:N join's
+// IS·S is arm 0, behind IS, as chunk.FromNormalized spills it, and a T
+// with no entity features has a zero-width S.
+func (m *NormalizedMatrix) arms() (la.Mat, []*la.Indicator, []la.Mat) {
+	if m.is != nil {
+		return la.NewDense(m.nRows, 0), append([]*la.Indicator{m.is}, m.ks...), append([]la.Mat{m.s}, m.rs...)
+	}
+	if m.s == nil {
+		return la.NewDense(m.nRows, 0), m.ks, m.rs
+	}
+	return m.s, m.ks, m.rs
+}
+
+// star returns T's rows as one block beside the arms' feature matrices.
+func (m *NormalizedMatrix) star() (Block, []la.Mat) {
+	s, ks, rs := m.arms()
+	b := Block{S: s}
+	for _, k := range ks {
+		b.Keys = append(b.Keys, k.Assignments())
+	}
+	return b, rs
+}
+
 // Dense materializes T (or Tᵀ when the flag is set) as a dense matrix.
 func (m *NormalizedMatrix) Dense() *la.Dense {
-	parts := make([]*la.Dense, 0, len(m.ks)+1)
-	if m.s != nil {
-		sd := m.s.Dense()
-		if m.is != nil {
-			sd = m.is.Mul(sd)
-		}
-		parts = append(parts, sd)
-	}
-	for i, k := range m.ks {
-		parts = append(parts, k.Mul(m.rs[i].Dense()))
-	}
-	out := la.HCat(parts...)
+	b, rs := m.star()
+	out := la.NewDense(m.nRows, m.dCols)
+	JoinBlock(out, b, rs)
 	if m.trans {
 		return out.TDense()
 	}
@@ -244,22 +251,13 @@ func (m *NormalizedMatrix) Sparse() *la.CSR {
 }
 
 // NNZ reports the non-zeros of the logical (materialized) matrix without
-// materializing it.
+// materializing it: each arm's per-row counts, weighted by how often a row
+// is selected.
 func (m *NormalizedMatrix) NNZ() int {
-	n := 0
-	if m.s != nil {
-		if m.is == nil {
-			n += m.s.NNZ()
-		} else {
-			// Count per source row, weighted by how often it is selected.
-			rowNNZ := perRowNNZ(m.s)
-			for _, src := range m.is.Assignments() {
-				n += rowNNZ[src]
-			}
-		}
-	}
-	for i, k := range m.ks {
-		rowNNZ := perRowNNZ(m.rs[i])
+	s, ks, rs := m.arms()
+	n := s.NNZ()
+	for t, k := range ks {
+		rowNNZ := perRowNNZ(rs[t])
 		for _, src := range k.Assignments() {
 			n += rowNNZ[src]
 		}
@@ -268,22 +266,18 @@ func (m *NormalizedMatrix) NNZ() int {
 }
 
 func perRowNNZ(x la.Mat) []int {
+	x = rowAddressable(x)
 	out := make([]int, x.Rows())
-	switch t := x.(type) {
-	case *la.CSR:
-		for i := range out {
-			idx, _ := t.RowNNZ(i)
+	for i := range out {
+		if c, ok := x.(*la.CSR); ok {
+			idx, _ := c.RowNNZ(i)
 			out[i] = len(idx)
+			continue
 		}
-	default:
-		for i := range out {
-			c := 0
-			for j := 0; j < x.Cols(); j++ {
-				if x.At(i, j) != 0 {
-					c++
-				}
+		for _, v := range x.(*la.Dense).Row(i) {
+			if v != 0 {
+				out[i]++
 			}
-			out[i] = c
 		}
 	}
 	return out
@@ -298,19 +292,16 @@ func (m *NormalizedMatrix) At(i, j int) float64 {
 	if i < 0 || i >= m.nRows || j < 0 || j >= m.dCols {
 		panic(fmt.Sprintf("core: index (%d,%d) out of bounds %dx%d", i, j, m.nRows, m.dCols))
 	}
-	if j < m.dS() {
-		si := i
-		if m.is != nil {
-			si = m.is.ColOf(i)
-		}
-		return m.s.At(si, j)
+	s, ks, rs := m.arms()
+	if j < s.Cols() {
+		return s.At(i, j)
 	}
-	off := m.dS()
-	for t, r := range m.rs {
-		if j < off+r.Cols() {
-			return r.At(m.ks[t].ColOf(i), j-off)
+	j -= s.Cols()
+	for t, r := range rs {
+		if j < r.Cols() {
+			return r.At(ks[t].ColOf(i), j)
 		}
-		off += r.Cols()
+		j -= r.Cols()
 	}
 	panic("core: unreachable")
 }
@@ -321,27 +312,19 @@ func (m *NormalizedMatrix) At(i, j int) float64 {
 // normalized matrix; the receiver is unchanged.
 func (m *NormalizedMatrix) Compact() *NormalizedMatrix {
 	c := *m
-	if m.is != nil && m.s != nil {
-		if s, is, changed := compactTable(m.s, m.is); changed {
-			c.s, c.is = s, is
-		}
+	if m.is != nil {
+		c.s, c.is = compactTable(m.s, m.is)
 	}
-	ks := make([]*la.Indicator, len(m.ks))
-	rs := make([]la.Mat, len(m.rs))
-	copy(ks, m.ks)
-	copy(rs, m.rs)
+	c.ks, c.rs = make([]*la.Indicator, len(m.ks)), make([]la.Mat, len(m.rs))
 	for i, k := range m.ks {
-		if r, nk, changed := compactTable(m.rs[i], k); changed {
-			rs[i], ks[i] = r, nk
-		}
+		c.rs[i], c.ks[i] = compactTable(m.rs[i], k)
 	}
-	c.ks, c.rs = ks, rs
 	return &c
 }
 
 // compactTable drops the rows of r that indicator k never references and
 // remaps k's column space accordingly.
-func compactTable(r la.Mat, k *la.Indicator) (la.Mat, *la.Indicator, bool) {
+func compactTable(r la.Mat, k *la.Indicator) (la.Mat, *la.Indicator) {
 	counts := k.ColCounts()
 	kept := make([]int32, 0, len(counts))
 	perm := make([]int32, len(counts))
@@ -354,8 +337,8 @@ func compactTable(r la.Mat, k *la.Indicator) (la.Mat, *la.Indicator, bool) {
 		}
 	}
 	if len(kept) == len(counts) {
-		return r, k, false
+		return r, k
 	}
 	sel := la.NewIndicatorInt32(kept, r.Rows())
-	return sel.GatherMat(r), k.Permute(perm, len(kept)), true
+	return sel.GatherMat(r), k.Permute(perm, len(kept))
 }

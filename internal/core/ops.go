@@ -47,44 +47,29 @@ func (m *NormalizedMatrix) Apply(f func(float64) float64) la.Matrix {
 
 // --- Aggregation operators (§3.3.2, §3.5, appendix A/D/E) ---
 
-// rowSumsRaw computes rowSums over the untransposed T:
+// rowSumsRaw computes rowSums over the untransposed T, the LMM's gather
+// with each arm's row sums as its prepared product:
 //
 //	rowSums(T) → IS·rowSums(S) + Σ Ki·rowSums(Ri)
 func (m *NormalizedMatrix) rowSumsRaw() *la.Dense {
-	out := make([]float64, m.nRows)
-	if m.s != nil {
-		sv := m.s.RowSums().Data()
-		if m.is == nil {
-			copy(out, sv)
-		} else {
-			for i, c := range m.is.Assignments() {
-				out[i] = sv[c]
-			}
-		}
+	b, rs := m.star()
+	z := make([]*la.Dense, len(rs))
+	for t, r := range rs {
+		z[t] = r.RowSums()
 	}
-	for i, k := range m.ks {
-		rv := m.rs[i].RowSums().Data()
-		for r, c := range k.Assignments() {
-			out[r] += rv[c]
-		}
-	}
-	return la.ColVector(out)
+	out := b.S.RowSums()
+	MulBlock(out, Block{Keys: b.Keys}, nil, z)
+	return out
 }
 
 // colSumsRaw computes colSums over the untransposed T:
 //
 //	colSums(T) → [colSums(IS)·S, colSums(K1)·R1, ..., colSums(Kq)·Rq]
 func (m *NormalizedMatrix) colSumsRaw() *la.Dense {
-	parts := make([]*la.Dense, 0, len(m.ks)+1)
-	if m.s != nil {
-		if m.is == nil {
-			parts = append(parts, m.s.ColSums())
-		} else {
-			parts = append(parts, m.s.LeftMul(la.RowVector(m.is.ColCounts())))
-		}
-	}
-	for i, k := range m.ks {
-		parts = append(parts, m.rs[i].LeftMul(la.RowVector(k.ColCounts())))
+	s, ks, rs := m.arms()
+	parts := []*la.Dense{s.ColSums()}
+	for t, k := range ks {
+		parts = append(parts, rs[t].LeftMul(la.RowVector(k.ColCounts())))
 	}
 	return la.HCat(parts...)
 }
@@ -113,16 +98,10 @@ func (m *NormalizedMatrix) ColSums() *la.Dense {
 //
 // sum(Tᵀ) = sum(T), so the transpose flag is irrelevant.
 func (m *NormalizedMatrix) Sum() float64 {
-	total := 0.0
-	if m.s != nil {
-		if m.is == nil {
-			total += m.s.Sum()
-		} else {
-			total += weightedSum(m.is.ColCounts(), m.s.RowSums().Data())
-		}
-	}
-	for i, k := range m.ks {
-		total += weightedSum(k.ColCounts(), m.rs[i].RowSums().Data())
+	s, ks, rs := m.arms()
+	total := s.Sum()
+	for t, k := range ks {
+		total += weightedSum(k.ColCounts(), rs[t].RowSums().Data())
 	}
 	return total
 }
@@ -137,140 +116,58 @@ func weightedSum(w, v []float64) float64 {
 
 // --- Multiplication operators (§3.3.3, §3.3.4, §3.5, appendix A/D/E) ---
 
-// rowMuler is a base-table matrix whose LMM kernel runs block by block
-// over a caller's output (la.Dense and la.CSR).
-type rowMuler interface {
-	MulRows(out, x *la.Dense, lo, hi int)
-}
-
-// mulBlock is how many output rows mulRaw finishes at a time: few enough
-// that the block stays in cache between the entity part writing it and
-// the gathers adding to it.
-const mulBlock = 256
-
 // mulRaw computes the factorized LMM over the untransposed T:
 //
 //	TX → IS·(S·X[1:dS,]) + Σ Ki·(Ri·X[d'i-1+1 : d'i,])
 //
-// The multiplication order Ki·(Ri·Xi) — never (Ki·Ri)·Xi — is what avoids
-// re-materializing the join (§3.3.3). The small products Zi = Ri·Xi come
-// first; then one pass over the output computes, block by block,
-// out[i,:] = S[i,:]·X_S + Σ Zi[Ki[i],:], so each row is written once
-// instead of once per table.
+// The small products Zi = Ri·Xi come first, then MulBlock's one pass over
+// the output.
 func (m *NormalizedMatrix) mulRaw(x *la.Dense) *la.Dense {
 	if x.Rows() != m.dCols {
 		panicShape("LMM", m.nRows, m.dCols, x)
 	}
-	offs := m.colOffsets()
-	k := x.Cols()
-	type gather struct {
-		assign []int32
-		z      []float64
+	b, rs := m.star()
+	off := b.S.Cols()
+	xs := x.SliceRowsDense(0, off)
+	z := make([]*la.Dense, len(rs))
+	for t, r := range rs {
+		z[t] = r.Mul(x.SliceRowsDense(off, off+r.Cols()))
+		off += r.Cols()
 	}
-	terms := make([]gather, 0, len(m.ks)+1)
-	var out, xs *la.Dense
-	var direct rowMuler
-	if m.s != nil {
-		xs = x.SliceRowsDense(0, offs[0])
-		if m.is != nil {
-			terms = append(terms, gather{m.is.Assignments(), m.s.Mul(xs).Data()})
-		} else if rm, ok := m.s.(rowMuler); ok {
-			direct = rm
-		} else {
-			out = m.s.Mul(xs)
-		}
+	out := la.NewDense(m.nRows, x.Cols())
+	if _, ok := b.S.(rowMuler); !ok {
+		out, b.S = b.S.Mul(xs), nil
 	}
-	for i, ki := range m.ks {
-		zi := m.rs[i].Mul(x.SliceRowsDense(offs[i], offs[i+1]))
-		terms = append(terms, gather{ki.Assignments(), zi.Data()})
-	}
-	fresh := out == nil
-	if fresh {
-		out = la.NewDense(m.nRows, k)
-	}
-	od := out.Data()
-	la.ParallelRows(m.nRows, m.nRows*k*(m.dS()+len(terms)), func(lo, hi int) {
-		for b := lo; b < hi; b += mulBlock {
-			e := min(b+mulBlock, hi)
-			if direct != nil {
-				direct.MulRows(out, xs, b, e)
-			} else if fresh {
-				clear(od[b*k : e*k]) // written before read: one page fault per fresh page, not two
-			}
-			for _, t := range terms {
-				if k == 1 {
-					for i, a := range t.assign[b:e] {
-						od[b+i] += t.z[a]
-					}
-					continue
-				}
-				for i := b; i < e; i++ {
-					dst, a := od[i*k:(i+1)*k], int(t.assign[i])
-					for c, v := range t.z[a*k : (a+1)*k] {
-						dst[c] += v
-					}
-				}
-			}
-		}
-	})
+	MulBlock(out, b, xs, z)
 	return out
 }
 
-// tMulRaw computes the transposed LMM TᵀX over the untransposed parts:
-//
-//	TᵀX → [ Sᵀ·(ISᵀ·X) ; R1ᵀ·(K1ᵀ·X) ; ... ]  (stacked),
-//
-// which is the [PS, (PK)R]ᵀ pattern the factorized ML algorithms in §4 use.
-func (m *NormalizedMatrix) tMulRaw(x *la.Dense) *la.Dense {
-	if x.Rows() != m.nRows {
-		panicShape("transposed LMM", m.dCols, m.nRows, x)
-	}
-	parts := make([]*la.Dense, 0, len(m.ks)+1)
-	if m.s != nil {
-		xs := x
-		if m.is != nil {
-			xs = m.is.TMul(x)
-		}
-		parts = append(parts, m.s.TMul(xs))
-	}
-	for i, k := range m.ks {
-		parts = append(parts, m.rs[i].TMul(k.TMul(x)))
-	}
-	return la.VCat(parts...)
-}
-
 // GroupTMul computes Tᵀ·A for A = la.OneHot(groups, k) without forming A:
-// tMulRaw's rewrite with the indicator products taken on A's groups,
-//
-//	TᵀA → [ Sᵀ·(ISᵀ·A) ; R1ᵀ·(K1ᵀ·A) ; ... ],
-//
-// where Sᵀ·A without an IS is S's own group sums, and each KᵀA (ISᵀA) is
-// an nR×k matrix of join counts — small integers, exact in any order. A
+// TMul's reduction with the indicator products taken on A's groups. A
 // transposed T takes the LMM rewrite over the materialized A.
 func (m *NormalizedMatrix) GroupTMul(groups []int32, k int) *la.Dense {
 	if m.trans {
 		return m.mulRaw(la.OneHot(groups, k))
 	}
-	counts := func(ind *la.Indicator) *la.Dense {
-		c := la.NewDense(ind.Cols(), k)
-		cd := c.Data()
-		for i, r := range ind.Assignments() {
-			cd[int(r)*k+int(groups[i])]++
-		}
-		return c
+	return m.reduceT(nil, groups, k)
+}
+
+// reduceT computes the transposed LMM TᵀP over the untransposed parts, or
+// TᵀA for A = OneHot(groups, k) when p is nil: TMul's phases with the whole
+// of T as one block.
+func (m *NormalizedMatrix) reduceT(p *la.Dense, groups []int32, k int) *la.Dense {
+	if p != nil && p.Rows() != m.nRows {
+		panicShape("transposed LMM", m.dCols, m.nRows, p)
 	}
-	parts := make([]*la.Dense, 0, len(m.ks)+1)
-	if m.s != nil {
-		if m.is == nil {
-			parts = append(parts, m.s.GroupTMul(groups, k))
-		} else {
-			parts = append(parts, m.s.TMul(counts(m.is)))
-		}
+	b, rs := m.star()
+	nR := make([]int, len(rs))
+	for t, r := range rs {
+		nR[t] = r.Rows()
 	}
-	for i, ki := range m.ks {
-		parts = append(parts, m.rs[i].TMul(counts(ki)))
-	}
-	return la.VCat(parts...)
+	red := NewTMul(b.S.Cols(), nR, k)
+	red.Merge(TMulBlock(b.S, p, groups, k), b.Keys, p, groups)
+	out, _ := red.Finish(func(t int, kp *la.Dense) (*la.Dense, error) { return rs[t].TMul(kp), nil })
+	return out
 }
 
 // leftMulRaw computes the factorized RMM over the untransposed T:
@@ -280,16 +177,10 @@ func (m *NormalizedMatrix) leftMulRaw(x *la.Dense) *la.Dense {
 	if x.Cols() != m.nRows {
 		panicShape("RMM", m.nRows, m.dCols, x)
 	}
-	parts := make([]*la.Dense, 0, len(m.ks)+1)
-	if m.s != nil {
-		xs := x
-		if m.is != nil {
-			xs = m.is.LeftMul(x)
-		}
-		parts = append(parts, m.s.LeftMul(xs))
-	}
-	for i, k := range m.ks {
-		parts = append(parts, m.rs[i].LeftMul(k.LeftMul(x)))
+	s, ks, rs := m.arms()
+	parts := []*la.Dense{s.LeftMul(x)}
+	for t, k := range ks {
+		parts = append(parts, rs[t].LeftMul(k.LeftMul(x)))
 	}
 	return la.HCat(parts...)
 }
@@ -298,7 +189,7 @@ func (m *NormalizedMatrix) leftMulRaw(x *la.Dense) *la.Dense {
 // stacked transposed-LMM rewrite.
 func (m *NormalizedMatrix) Mul(x *la.Dense) *la.Dense {
 	if m.trans {
-		return m.tMulRaw(x)
+		return m.reduceT(x, nil, x.Cols())
 	}
 	return m.mulRaw(x)
 }
