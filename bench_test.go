@@ -628,7 +628,7 @@ func BenchmarkServeUpdateWeights(b *testing.B) {
 }
 
 // BenchmarkServeBatcher pushes concurrent single-row traffic through the
-// micro-batching frontend (8 client goroutines per core so coalescing has
+// flat-combining frontend (8 client goroutines per core so coalescing has
 // traffic to work with).
 func BenchmarkServeBatcher(b *testing.B) {
 	nm, _, sc := serveSetup(b, 20, 2)

@@ -38,9 +38,10 @@
 // every replica the full cache and rotates batches round-robin. Both
 // placements work with -mutable: every replica subscribes to the one
 // store, and a commit patches entity rows on the slice that owns them and
-// attribute rows everywhere before it returns. -queue bounds the
-// admission queue; when it is full, requests are rejected with
-// ErrOverloaded instead of queueing without bound.
+// attribute rows everywhere before it returns. Requests go through a
+// serve.Batcher that owns no goroutines: callers score their own batches,
+// at most -workers at once and -batch rows a pass. -queue bounds the
+// waiting requests; a full queue rejects with ErrOverloaded.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops admitting
 // new requests, answers every request already accepted, flushes output,
@@ -79,9 +80,8 @@ func main() {
 		iters   = flag.Int("iters", 20, "training iterations")
 		step    = flag.Float64("step", 1e-6, "gradient-descent step size")
 		seed    = flag.Int64("seed", 1, "data generator seed")
-		batch   = flag.Int("batch", 256, "micro-batch size")
-		delay   = flag.Duration("delay", 100*time.Microsecond, "micro-batch max delay")
-		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		batch   = flag.Int("batch", 256, "largest batch one caller scores")
+		workers = flag.Int("workers", 0, "callers scoring batches at once (0 = GOMAXPROCS)")
 		compare = flag.Bool("compare", false, "report cached vs naive scoring throughput before serving")
 		mutable = flag.Bool("mutable", false, "serve from a versioned epoch store accepting set/commit/epoch requests")
 		fleet   = flag.Int("replicas", 1, "serving-fleet width")
@@ -167,7 +167,7 @@ func main() {
 	if *compare {
 		reportSpeedup(sc, nm, head, w)
 	}
-	b := serve.NewBatcher(sc, serve.BatchOptions{MaxBatch: *batch, MaxDelay: *delay, Workers: *workers, QueueDepth: *queue})
+	b := serve.NewBatcher(sc, serve.BatchOptions{MaxBatch: *batch, Workers: *workers, QueueDepth: *queue})
 	defer b.Close()
 
 	out := bufio.NewWriter(os.Stdout)

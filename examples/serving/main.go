@@ -75,8 +75,9 @@ func main() {
 	p0v2, _ := sc.ScoreRow(0)
 	fmt.Printf("after UpdateWeights(0.5*w): row 0 score %.6f (was %.6f)\n", p0v2, p0)
 
-	// 5. Micro-batched serving: concurrent callers share gather passes.
-	b := repro.NewBatcher(sc, repro.BatchOptions{MaxBatch: 512, MaxDelay: 200 * time.Microsecond})
+	// 5. Batched serving: concurrent callers share gather passes, which
+	// the callers themselves run; a lone request is scored at once.
+	b := repro.NewBatcher(sc, repro.BatchOptions{MaxBatch: 512})
 	defer b.Close()
 	var wg sync.WaitGroup
 	const clients, perClient = 32, 50

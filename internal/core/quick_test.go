@@ -84,7 +84,10 @@ func TestQuickOperatorComposition(t *testing.T) {
 }
 
 // TestQuickGinvMoorePenrose checks the Moore-Penrose conditions for the
-// factorized pseudo-inverse on random normalized matrices.
+// factorized pseudo-inverse on random normalized matrices, each residual
+// relative to the magnitude of the matrix it reproduces. Seed
+// 4351238604292222028 is always checked: it draws a 22×8 PK-FK with
+// κ(AᵀA) ≈ 1.2e10, the draw that once failed a fixed 1e-5 bound.
 func TestQuickGinvMoorePenrose(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,12 +96,37 @@ func TestQuickGinvMoorePenrose(t *testing.T) {
 		g := m.Ginv()
 		aga := la.MatMul(la.MatMul(a, g), a)
 		gag := la.MatMul(la.MatMul(g, a), g)
-		scale := 1 + symMax(a)
-		return la.MaxAbsDiff(aga, a) < 1e-5*scale && la.MaxAbsDiff(gag, g) < 1e-5*scale
+		rel := ginvBound(a)
+		return la.MaxAbsDiff(aga, a) < rel*(1+symMax(a)) && la.MaxAbsDiff(gag, g) < rel*(1+symMax(g))
+	}
+	if !f(4351238604292222028) {
+		t.Fatal("Moore-Penrose conditions fail on seed 4351238604292222028")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ginvBound is the relative residual Ginv(a) is held to. Ginv solves the
+// normal equations (§3.3.6: ginv(AᵀA)·Aᵀ), whose relative error grows as
+// ε·κ(AᵀA) over the eigenvalues SymGinv keeps, so no fixed bound holds
+// for every draw. Well-conditioned draws keep the 1e-5 bound; the
+// residuals measure 0.05–0.2·ε·κ, and 64·ε·κ leaves room above that.
+func ginvBound(a *la.Dense) float64 {
+	vals, _ := la.SymEigen(a.CrossProd())
+	hi, lo := 0.0, math.Inf(1)
+	for _, v := range vals {
+		hi = max(hi, math.Abs(v))
+	}
+	for _, v := range vals {
+		if math.Abs(v) > float64(len(vals))*1e-13*hi {
+			lo = min(lo, math.Abs(v))
+		}
+	}
+	if hi == 0 {
+		return 1e-5
+	}
+	return max(1e-5, 64*0x1p-52*hi/lo)
 }
 
 func symMax(a *la.Dense) float64 {

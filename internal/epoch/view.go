@@ -9,9 +9,10 @@ import (
 // viewMat is one table of a pinned epoch: the frozen base matrix with
 // the epoch's overlay patched on top. Element access (At, ReadRow) is
 // served directly from base+overlay, so streaming a snapshot out of
-// core never materializes the table; the heavy la.Mat operations
-// delegate to a lazily materialized patched matrix, built at most once.
-// A viewMat is immutable and safe for concurrent use.
+// core never materializes the table, and neither does Mul; the other
+// heavy la.Mat operations delegate to a lazily materialized patched
+// matrix, built at most once. A viewMat is immutable and safe for
+// concurrent use.
 type viewMat struct {
 	base    la.Mat
 	overlay map[int32][]float64
@@ -77,28 +78,50 @@ func patchCSR(c *la.CSR, overlay map[int32][]float64) *la.CSR {
 	var indices []int32
 	var vals []float64
 	for i := 0; i < rows; i++ {
+		idx, vs := c.RowNNZ(i)
 		if row, ok := overlay[int32(i)]; ok {
-			for j, x := range row {
-				if x != 0 {
-					indices = append(indices, int32(j))
-					vals = append(vals, x)
-				}
-			}
-		} else {
-			idx, vs := c.RowNNZ(i)
-			indices = append(indices, idx...)
-			vals = append(vals, vs...)
+			idx, vs = csrRow(row).RowNNZ(0)
 		}
+		indices = append(indices, idx...)
+		vals = append(vals, vs...)
 		indptr[i+1] = len(indices)
 	}
 	return la.NewCSR(rows, cols, indptr, indices, vals)
 }
 
+// csrRow is row as a one-row CSR matrix of its nonzeros.
+func csrRow(row []float64) *la.CSR {
+	idx, vs := make([]int32, 0, len(row)), make([]float64, 0, len(row))
+	for j, x := range row {
+		if x != 0 {
+			idx, vs = append(idx, int32(j)), append(vs, x)
+		}
+	}
+	return la.NewCSR(1, len(row), []int{0, len(idx)}, idx, vs)
+}
+
 // NNZ counts nonzero elements of the patched table.
 func (v *viewMat) NNZ() int { return v.materialize().NNZ() }
 
-// Mul computes A·X.
-func (v *viewMat) Mul(x *la.Dense) *la.Dense { return v.materialize().Mul(x) }
+// Mul computes A·X without materializing the table: base·X, with each
+// overlay row recomputed by the kernel the materialized product runs on
+// that row. Rows are independent, so the result is bit-identical.
+func (v *viewMat) Mul(x *la.Dense) *la.Dense {
+	_, dense := v.base.(*la.Dense)
+	if _, sparse := v.base.(*la.CSR); !dense && !sparse {
+		return v.materialize().Mul(x)
+	}
+	out := v.base.Mul(x)
+	for i, r := range v.overlay {
+		dst := la.NewDenseData(1, out.Cols(), out.Row(int(i)))
+		if dense {
+			la.NewDenseData(1, len(r), r).MulRows(dst, x, 0, 1)
+		} else {
+			csrRow(r).MulRows(dst, x, 0, 1)
+		}
+	}
+	return out
+}
 
 // TMul computes Aᵀ·X.
 func (v *viewMat) TMul(x *la.Dense) *la.Dense { return v.materialize().TMul(x) }

@@ -4,23 +4,18 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// BatchOptions tunes the micro-batching dispatcher.
+// BatchOptions tunes the flat-combining Batcher.
 type BatchOptions struct {
-	// MaxBatch is the largest number of requests coalesced into one gather
+	// MaxBatch is the largest number of requests scored in one gather
 	// pass (default 256).
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company (default 100µs).
-	MaxDelay time.Duration
-	// Workers bounds how many batches execute concurrently
-	// (default GOMAXPROCS).
+	// Workers bounds how many callers combine at once, which is how many
+	// batches execute concurrently (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds how many admitted requests may wait for a batch
-	// slot (default Workers × MaxBatch). When the queue is full, Score
+	// QueueDepth bounds how many admitted requests may wait for a
+	// combiner (default Workers × MaxBatch). When the queue is full, Score
 	// fails fast with ErrOverloaded instead of blocking — the admission
 	// edge of the serving stack.
 	QueueDepth int
@@ -29,9 +24,6 @@ type BatchOptions struct {
 func (o BatchOptions) withDefaults() BatchOptions {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 100 * time.Microsecond
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -63,12 +55,12 @@ type IntoScorer interface {
 // BatcherStats counts the admission and execution work a Batcher has
 // performed. Snapshot via Batcher.Stats.
 type BatcherStats struct {
-	// Accepted is the number of requests admitted into the queue.
+	// Accepted is the number of requests admitted.
 	Accepted uint64
 	// Rejected is the number of requests refused with ErrOverloaded
 	// because the queue was full.
 	Rejected uint64
-	// Batches is the number of coalesced gather passes executed.
+	// Batches is the number of gather passes executed.
 	Batches uint64
 	// Scored is the number of admitted requests answered (equals Accepted
 	// once the batcher is idle or closed). A request is counted before its
@@ -79,13 +71,17 @@ type BatcherStats struct {
 }
 
 // Batcher coalesces concurrent single-row scoring calls into shared batch
-// gather passes behind a bounded admission queue. Callers block in Score
-// until their batch executes; a dispatcher goroutine groups arrivals (up
-// to MaxBatch, waiting at most MaxDelay) and feeds a fixed pool of Workers
-// batch executors, so heavy concurrent traffic amortizes into a few wide
-// gather passes instead of many single-row lock acquisitions.
+// gather passes behind a bounded admission queue, by flat combining: it
+// owns no goroutines, and callers score the batches themselves. A caller
+// that arrives while fewer than Workers callers are combining scores its
+// own request at once. Otherwise it queues, and a combiner ending its pass
+// hands its slot to the oldest waiter, which then scores itself and up to
+// MaxBatch−1 requests queued behind it in one pass. A combiner returns
+// after the one pass that answers its own request. A lone request thus
+// never waits for company, and under load batches grow from queue
+// pressure alone.
 //
-// Overload semantics: at most QueueDepth requests wait for execution; a
+// Overload semantics: at most QueueDepth requests wait for a combiner; a
 // request arriving at a full queue fails fast with ErrOverloaded instead
 // of queuing unboundedly, so latency under saturation stays bounded and
 // the caller — not the queue — decides whether to retry. After Close,
@@ -98,25 +94,19 @@ type Batcher struct {
 	into IntoScorer // non-nil when sc supports allocation-free scoring
 	opt  BatchOptions
 
-	reqs chan batchReq // buffered by QueueDepth: the admission queue
-	jobs chan *batchJob
-	quit chan struct{}
-
-	// admit orders Score's closed-check + enqueue against Close: Score
-	// holds it shared around the try-send, Close sets closed exclusively
-	// first, so once Close holds the lock every admitted request is
-	// already in the queue and the final drain answers all of them.
-	admit  sync.RWMutex
-	closed bool
+	// mu guards everything below it. The queue is empty whenever fewer
+	// than Workers callers combine, so a caller that combines at once
+	// jumps no one.
+	mu        sync.Mutex
+	queue     []batchReq // ring buffer of waiting requests, QueueDepth long
+	head, n   int
+	combining int
+	closed    bool
+	idle      sync.Cond // broadcast when the last combiner leaves a closed batcher
+	stats     BatcherStats
 
 	resps sync.Pool // chan batchResp (cap 1), reused across Score calls
-	batch sync.Pool // *batchJob, reused across gather passes
-
-	wg   sync.WaitGroup
-	once sync.Once
-
-	accepted, rejected, batches, scored atomic.Uint64
-	peakQueue                           atomic.Int64
+	jobs  sync.Pool // *batchJob, reused across gather passes
 }
 
 type batchReq struct {
@@ -124,43 +114,37 @@ type batchReq struct {
 	out chan batchResp
 }
 
+// batchResp answers a waiting caller: its score or error, or — when job
+// is set — the combiner slot, with the pass the caller is to run.
 type batchResp struct {
 	score float64
 	err   error
+	job   *batchJob
 }
 
-// batchJob is one coalesced gather pass in flight between the dispatcher
-// and a worker; pooling it (with its id and score buffers) keeps the
-// steady-state path off the allocator.
+// batchJob is one gather pass; reqs[0] is the combiner's own request.
+// Pooling it (with its id and score buffers) keeps the steady-state path
+// off the allocator.
 type batchJob struct {
 	reqs []batchReq
 	ids  []int
 	out  []float64
 }
 
-// NewBatcher starts a micro-batching frontend over sc.
+// NewBatcher returns a flat-combining frontend over sc. It starts no
+// goroutines.
 func NewBatcher(sc BatchScorer, opt BatchOptions) *Batcher {
 	opt = opt.withDefaults()
-	b := &Batcher{
-		sc:   sc,
-		opt:  opt,
-		reqs: make(chan batchReq, opt.QueueDepth),
-		jobs: make(chan *batchJob),
-		quit: make(chan struct{}),
-	}
+	b := &Batcher{sc: sc, opt: opt, queue: make([]batchReq, opt.QueueDepth)}
 	b.into, _ = sc.(IntoScorer)
+	b.idle.L = &b.mu
 	b.resps.New = func() any { return make(chan batchResp, 1) }
-	b.batch.New = func() any {
+	b.jobs.New = func() any {
 		return &batchJob{
 			reqs: make([]batchReq, 0, opt.MaxBatch),
 			ids:  make([]int, 0, opt.MaxBatch),
 			out:  make([]float64, 0, opt.MaxBatch),
 		}
-	}
-	b.wg.Add(1 + opt.Workers)
-	go b.dispatch()
-	for i := 0; i < opt.Workers; i++ {
-		go b.worker()
 	}
 	return b
 }
@@ -174,175 +158,118 @@ func (b *Batcher) Score(id int) (float64, error) {
 	if id < 0 || id >= b.sc.Rows() {
 		return 0, ErrRowRange
 	}
-	out := b.resps.Get().(chan batchResp)
-
-	b.admit.RLock()
-	if b.closed {
-		b.admit.RUnlock()
-		b.resps.Put(out)
+	b.mu.Lock()
+	switch {
+	case b.closed:
+		b.mu.Unlock()
 		return 0, ErrBatcherClosed
-	}
-	select {
-	case b.reqs <- batchReq{id: id, out: out}:
-	default:
-		b.admit.RUnlock()
-		b.rejected.Add(1)
-		b.resps.Put(out)
+	case b.combining < b.opt.Workers:
+		b.combining++
+		b.stats.Accepted++
+		b.mu.Unlock()
+		job := b.jobs.Get().(*batchJob)
+		job.reqs = append(job.reqs, batchReq{id: id})
+		return b.combine(job)
+	case b.n == len(b.queue):
+		b.stats.Rejected++
+		b.mu.Unlock()
 		return 0, ErrOverloaded
 	}
-	b.accepted.Add(1)
-	if d := int64(len(b.reqs)); d > b.peakQueue.Load() {
-		for {
-			cur := b.peakQueue.Load()
-			if d <= cur || b.peakQueue.CompareAndSwap(cur, d) {
-				break
-			}
-		}
-	}
-	b.admit.RUnlock()
+	out := b.resps.Get().(chan batchResp)
+	b.queue[(b.head+b.n)%len(b.queue)] = batchReq{id: id, out: out}
+	b.n++
+	b.stats.Accepted++
+	b.stats.PeakQueue = max(b.stats.PeakQueue, b.n)
+	b.mu.Unlock()
 
 	r := <-out
 	b.resps.Put(out)
+	if r.job != nil {
+		return b.combine(r.job)
+	}
 	return r.score, r.err
 }
 
-// Close stops admitting, answers every already-admitted request, waits
-// for in-flight batches to finish, and releases the worker pool. Later
-// Score calls return ErrBatcherClosed. Close is idempotent.
+// Close stops admitting and returns once every already-admitted request
+// has been scored. Later Score calls return ErrBatcherClosed. Close is
+// idempotent.
 func (b *Batcher) Close() {
-	b.once.Do(func() {
-		b.admit.Lock()
-		b.closed = true
-		b.admit.Unlock()
-		close(b.quit)
-	})
-	b.wg.Wait()
+	b.mu.Lock()
+	b.closed = true
+	for b.combining > 0 {
+		b.idle.Wait()
+	}
+	b.mu.Unlock()
 }
 
 // Stats returns a snapshot of the admission and execution counters.
 func (b *Batcher) Stats() BatcherStats {
-	return BatcherStats{
-		Accepted:  b.accepted.Load(),
-		Rejected:  b.rejected.Load(),
-		Batches:   b.batches.Load(),
-		Scored:    b.scored.Load(),
-		PeakQueue: int(b.peakQueue.Load()),
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stats
 }
 
 // QueueDepth reports the configured admission-queue bound.
 func (b *Batcher) QueueDepth() int { return b.opt.QueueDepth }
 
-// dispatch is the single goroutine that turns the admission queue into
-// coalesced jobs. On shutdown it drains every request admitted before
-// Close (the admission lock guarantees they are all in the queue by
-// then), so no accepted caller is left waiting.
-func (b *Batcher) dispatch() {
-	defer b.wg.Done()
-	defer close(b.jobs)
-	for {
-		select {
-		case <-b.quit:
-			b.finalDrain()
-			return
-		case first := <-b.reqs:
-			b.jobs <- b.collect(first)
-		}
-	}
-}
-
-// finalDrain answers the requests still queued at Close time.
-func (b *Batcher) finalDrain() {
-	for {
-		select {
-		case first := <-b.reqs:
-			b.jobs <- b.collect(first)
-		default:
-			return
-		}
-	}
-}
-
-// collect grows a job from the first request. Requests already waiting in
-// the admission queue are drained greedily — under load, coalescing
-// emerges from queue pressure with no added latency. Only a lone request
-// waits (up to MaxDelay) for company before going out solo.
-func (b *Batcher) collect(first batchReq) *batchJob {
-	job := b.batch.Get().(*batchJob)
-	job.reqs = append(job.reqs[:0], first)
-	b.drain(job)
-	if len(job.reqs) > 1 || len(job.reqs) == b.opt.MaxBatch {
-		return job
-	}
-	timer := time.NewTimer(b.opt.MaxDelay)
-	defer timer.Stop()
-	select {
-	case r := <-b.reqs:
-		job.reqs = append(job.reqs, r)
-		b.drain(job)
-	case <-timer.C:
-	case <-b.quit:
-	}
-	return job
-}
-
-// drain performs non-blocking receives until the queue is momentarily
-// empty or the job is full.
-func (b *Batcher) drain(job *batchJob) {
-	for len(job.reqs) < b.opt.MaxBatch {
-		select {
-		case r := <-b.reqs:
-			job.reqs = append(job.reqs, r)
-		default:
-			return
-		}
-	}
-}
-
-// worker executes coalesced jobs until the dispatcher closes the job
-// stream at shutdown.
-func (b *Batcher) worker() {
-	defer b.wg.Done()
-	for job := range b.jobs {
-		b.runJob(job)
-	}
-}
-
-// runJob executes one gather pass and answers every caller in the job.
-// Each admitted request gets exactly one response — on success, backend
-// error, or backend panic — which is what lets Score reuse pooled
-// response channels safely.
-func (b *Batcher) runJob(job *batchJob) {
-	n := len(job.reqs)
+// combine runs one gather pass as its combiner and returns the
+// combiner's own answer. Each admitted request gets exactly one response
+// — on success, backend error, or backend panic — which is what lets
+// Score reuse pooled response channels safely. The pass is counted
+// before any caller wakes; then, if requests are waiting, the slot passes
+// to the oldest of them together with its pass, else it is freed.
+func (b *Batcher) combine(job *batchJob) (float64, error) {
 	job.ids = job.ids[:0]
 	for _, r := range job.reqs {
 		job.ids = append(job.ids, r.id)
 	}
 	scores, err := b.scoreBatch(job)
-	if err == nil && len(scores) != n {
-		err = fmt.Errorf("serve: ScoreBatch returned %d scores for %d ids", len(scores), n)
+	if err == nil && len(scores) != len(job.ids) {
+		err = fmt.Errorf("serve: ScoreBatch returned %d scores for %d ids", len(scores), len(job.ids))
 	}
-	// Count before any caller wakes: one holding its answer sees it in Stats.
-	b.batches.Add(1)
-	b.scored.Add(uint64(n))
-	for i, r := range job.reqs {
+
+	b.mu.Lock()
+	b.stats.Batches++
+	b.stats.Scored += uint64(len(job.reqs))
+	var next *batchJob
+	if b.n > 0 {
+		next = b.jobs.Get().(*batchJob)
+		for ; b.n > 0 && len(next.reqs) < b.opt.MaxBatch; b.n-- {
+			next.reqs = append(next.reqs, b.queue[b.head])
+			b.queue[b.head] = batchReq{}
+			b.head = (b.head + 1) % len(b.queue)
+		}
+	} else if b.combining--; b.combining == 0 && b.closed {
+		b.idle.Broadcast()
+	}
+	b.mu.Unlock()
+
+	for i, r := range job.reqs[1:] {
 		if err != nil {
 			r.out <- batchResp{err: err}
 		} else {
-			r.out <- batchResp{score: scores[i]}
+			r.out <- batchResp{score: scores[i+1]}
 		}
 	}
+	if next != nil {
+		next.reqs[0].out <- batchResp{job: next}
+	}
+	var own float64
+	if err == nil {
+		own = scores[0]
+	}
+	clear(job.reqs)
 	job.reqs = job.reqs[:0]
-	b.batch.Put(job)
+	b.jobs.Put(job)
+	return own, err
 }
 
 // scoreBatch calls the backend — through the allocation-free IntoScorer
 // path into the job's pooled score buffer when available — converting a
 // panic into an error: without the recover, a panicking backend would
-// escape the worker goroutine, skipping the response sends so every
-// coalesced caller in the batch blocks forever while the panic takes down
-// the process. With it, all callers get the error and the batcher keeps
-// serving.
+// unwind the combiner past its answers and its slot, so every caller in
+// the batch blocks forever while the panic takes down the process. With
+// it, all callers get the error and the batcher keeps serving.
 func (b *Batcher) scoreBatch(job *batchJob) (scores []float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {

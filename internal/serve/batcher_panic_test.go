@@ -53,7 +53,7 @@ func (s *shortScorer) ScoreBatch(ids []int) ([]float64, error) {
 func TestBatcherRecoversFromScorerPanic(t *testing.T) {
 	const workers = 2
 	sc := &panicScorer{rows: 64, panics: workers + 1}
-	b := NewBatcher(sc, BatchOptions{Workers: workers, MaxDelay: time.Millisecond})
+	b := NewBatcher(sc, BatchOptions{Workers: workers})
 	defer b.Close()
 
 	// Drive enough concurrent traffic that every worker slot sees at
@@ -124,7 +124,7 @@ func TestBatcherRecoversFromScorerPanic(t *testing.T) {
 // TestBatcherRejectsShortScoreSlice: a backend that silently returns too
 // few scores yields an error for the whole batch, not an index panic.
 func TestBatcherRejectsShortScoreSlice(t *testing.T) {
-	b := NewBatcher(&shortScorer{rows: 8}, BatchOptions{MaxDelay: time.Microsecond})
+	b := NewBatcher(&shortScorer{rows: 8}, BatchOptions{})
 	defer b.Close()
 	if _, err := b.Score(3); err == nil {
 		t.Fatal("Score accepted a short score slice")

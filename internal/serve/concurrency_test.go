@@ -98,7 +98,7 @@ func TestBatcherCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(sc, BatchOptions{MaxBatch: 8, MaxDelay: 200 * time.Microsecond, Workers: 4})
+	b := NewBatcher(sc, BatchOptions{MaxBatch: 8, Workers: 4})
 	defer b.Close()
 
 	want := make([]float64, nm.Rows())
@@ -158,7 +158,7 @@ func TestBatcherClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(sc, BatchOptions{MaxBatch: 4, MaxDelay: 50 * time.Microsecond})
+	b := NewBatcher(sc, BatchOptions{MaxBatch: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -203,7 +203,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := &countingScorer{Scorer: sc, perBatch: 2 * time.Millisecond}
-	b := NewBatcher(cs, BatchOptions{MaxBatch: 64, MaxDelay: 100 * time.Microsecond, Workers: 1})
+	b := NewBatcher(cs, BatchOptions{MaxBatch: 64, Workers: 1})
 	defer b.Close()
 	const n = 64
 	var start, wg sync.WaitGroup

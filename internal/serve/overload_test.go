@@ -36,7 +36,7 @@ func (g *gateScorer) ScoreBatch(ids []int) ([]float64, error) {
 // request must still be answered correctly once the backend recovers.
 func TestBatcherOverloadRejectsFast(t *testing.T) {
 	sc := &gateScorer{rows: 64, gate: make(chan struct{})}
-	b := NewBatcher(sc, BatchOptions{MaxBatch: 1, MaxDelay: time.Microsecond, Workers: 1, QueueDepth: 4})
+	b := NewBatcher(sc, BatchOptions{MaxBatch: 1, Workers: 1, QueueDepth: 4})
 	defer b.Close()
 
 	const callers = 64
@@ -120,7 +120,7 @@ func TestBatcherSlowBackendSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := &countingScorer{Scorer: sc, perBatch: 2 * time.Millisecond}
-	b := NewBatcher(cs, BatchOptions{MaxBatch: 4, MaxDelay: 10 * time.Microsecond, Workers: 1, QueueDepth: 2})
+	b := NewBatcher(cs, BatchOptions{MaxBatch: 4, Workers: 1, QueueDepth: 2})
 	defer b.Close()
 
 	want := make([]float64, nm.Rows())
@@ -171,7 +171,7 @@ func TestBatcherCountsBeforeAnswering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(sc, BatchOptions{MaxBatch: 4, MaxDelay: time.Microsecond, Workers: 2})
+	b := NewBatcher(sc, BatchOptions{MaxBatch: 4, Workers: 2})
 	defer b.Close()
 	for i := 0; i < 2000; i++ {
 		if _, err := b.Score(i % nm.Rows()); err != nil {
@@ -223,7 +223,7 @@ func TestBatcherCloseScoreStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBatcher(sc, BatchOptions{MaxBatch: 4, MaxDelay: 20 * time.Microsecond, Workers: 2, QueueDepth: 8})
+		b := NewBatcher(sc, BatchOptions{MaxBatch: 4, Workers: 2, QueueDepth: 8})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

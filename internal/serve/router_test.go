@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/epoch"
@@ -94,7 +93,7 @@ func checkFleet(t *testing.T, rng *rand.Rand, rt *Router, want []float64) {
 		t.Fatalf("%s/%d ScoreRow(%d): %g want %g", rt.Placement(), rt.NumReplicas(), id, v, want[id])
 	}
 
-	b := NewBatcher(rt, BatchOptions{MaxBatch: 8, MaxDelay: 100 * time.Microsecond, Workers: 2})
+	b := NewBatcher(rt, BatchOptions{MaxBatch: 8, Workers: 2})
 	defer b.Close()
 	var wg sync.WaitGroup
 	var failures atomic.Int32
@@ -302,7 +301,7 @@ func TestEpochFleetCommitStorm(t *testing.T) {
 	if rt.Placement() != Replicated {
 		t.Fatalf("epoch fleet placement %v, want replicated", rt.Placement())
 	}
-	b := NewBatcher(rt, BatchOptions{MaxBatch: 16, MaxDelay: 50 * time.Microsecond, Workers: 2})
+	b := NewBatcher(rt, BatchOptions{MaxBatch: 16, Workers: 2})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -13,7 +13,7 @@ import (
 // routers over explicit replicas, sharded epoch slices, stats — is in
 // internal/serve, described in docs/ARCHITECTURE.md.
 
-// BatchOptions tunes the Batcher's micro-batching dispatcher and
+// BatchOptions tunes the Batcher's batch size, concurrent combiners and
 // admission queue.
 type BatchOptions = serve.BatchOptions
 
