@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -78,32 +77,27 @@ func TestBatcherCombinerHandsOff(t *testing.T) {
 	for id := range done {
 		done[id] = make(chan answer, 1)
 	}
-	wait := func(what string, c <-chan struct{}) {
-		t.Helper()
-		select {
-		case <-c:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
+	const timeout = 10 * time.Second
 	nextPass := func(want ...int) {
 		t.Helper()
-		var got []int
-		ready := make(chan struct{})
-		go func() { got = <-sc.passes; close(ready) }()
-		wait("a gather pass", ready)
-		if !slices.Equal(got, want) {
-			t.Fatalf("pass scored ids %v, want %v", got, want)
+		select {
+		case got := <-sc.passes:
+			if !slices.Equal(got, want) {
+				t.Fatalf("pass scored ids %v, want %v", got, want)
+			}
+		case <-time.After(timeout):
+			t.Fatalf("no gather pass for ids %v", want)
 		}
 	}
 	answered := func(id int) {
 		t.Helper()
-		ready := make(chan struct{})
-		var a answer
-		go func() { a = <-done[id]; close(ready) }()
-		wait(fmt.Sprint("caller ", id), ready)
-		if a.err != nil || a.score != float64(id) {
-			t.Fatalf("caller %d answered (%v, %v)", id, a.score, a.err)
+		select {
+		case a := <-done[id]:
+			if a.err != nil || a.score != float64(id) {
+				t.Fatalf("caller %d answered (%v, %v)", id, a.score, a.err)
+			}
+		case <-time.After(timeout):
+			t.Fatalf("caller %d was not answered", id)
 		}
 	}
 	pending := func(id int) {
