@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,6 +109,29 @@ func (b *dirBackend) ReadChunk(key string) ([]byte, error) {
 		return nil, fmt.Errorf("chunk: %w", err)
 	}
 	return raw, nil
+}
+
+// readInto is ReadChunk into buf when it holds the blob (a recycled read
+// buffer, Store.readChunkBlob), so it is neither allocated nor zeroed.
+func (b *dirBackend) readInto(key string, buf []byte) ([]byte, error) {
+	f, err := os.Open(filepath.Join(b.dir, key))
+	if err != nil {
+		return nil, fmt.Errorf("chunk: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err == nil {
+		if n := int(st.Size()); cap(buf) < n {
+			buf = make([]byte, n)
+		} else {
+			buf = buf[:n]
+		}
+		_, err = io.ReadFull(f, buf)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("chunk: %w", err)
+	}
+	return buf, nil
 }
 
 func (b *dirBackend) Remove(key string) error {

@@ -114,6 +114,9 @@ type Store struct {
 	refs    map[string]*chunkInfo
 	orphans int // stale spill files reaped at startup
 	closed  bool
+
+	free      [][]byte         // read buffers handed back by recycle
+	onRecycle func(buf []byte) // tests only: sees every buffer handed back
 }
 
 // NewStore creates (if needed) and wraps a single-directory chunk store —
@@ -526,6 +529,7 @@ func (s *Store) Close() error {
 		removals = append(removals, removal{backend: s.shards[info.shard].backend, key: p})
 	}
 	s.refs = make(map[string]*chunkInfo)
+	s.free = nil
 	for i := range s.shards {
 		s.shards[i] = shard{backend: s.shards[i].backend}
 	}
@@ -653,7 +657,9 @@ func (s *Store) writeChunkFile(key string, d *la.Dense) error {
 // skips feed the per-shard I/O accounting at the chunk's stored size, so
 // bytes_read reflects actual (possibly compressed) I/O and bytes_skipped
 // reflects what skipping avoided.
-func (s *Store) readChunkBlob(key string) (raw []byte, skipped bool, err error) {
+// With own, the caller hands the chunk back (recycle), so a local shard
+// reads into the last buffer freed (dropped if too small: a last chunk).
+func (s *Store) readChunkBlob(key string, own bool) (raw []byte, skipped bool, err error) {
 	s.mu.Lock()
 	info, ok := s.refs[key]
 	if !ok {
@@ -663,6 +669,13 @@ func (s *Store) readChunkBlob(key string) (raw []byte, skipped bool, err error) 
 	si := info.shard
 	stored := info.bytes
 	b := s.shards[si].backend
+	db, local := b.(*dirBackend)
+	var buf []byte
+	if n := len(s.free); own && local && n > 0 {
+		if buf, s.free = s.free[n-1], s.free[:n-1]; int64(cap(buf)) < stored {
+			buf = nil
+		}
+	}
 	s.mu.Unlock()
 	if provenZero(b, key) {
 		s.mu.Lock()
@@ -671,7 +684,11 @@ func (s *Store) readChunkBlob(key string) (raw []byte, skipped bool, err error) 
 		s.mu.Unlock()
 		return nil, true, nil
 	}
-	raw, err = b.ReadChunk(key)
+	if own && local {
+		raw, err = db.readInto(key, buf)
+	} else {
+		raw, err = b.ReadChunk(key)
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -706,8 +723,8 @@ func (s *Store) noteExecuted(si int) {
 // rows×cols dense chunk; a zone-map-skipped read synthesizes the zero
 // chunk, which is bit-identical to what decoding would have produced
 // (AllZero admits only +0.0 cells).
-func (s *Store) readDenseChunk(key string, rows, cols int) (*la.Dense, error) {
-	raw, skipped, err := s.readChunkBlob(key)
+func (s *Store) readDenseChunk(key string, rows, cols int, own bool) (*la.Dense, error) {
+	raw, skipped, err := s.readChunkBlob(key, own)
 	if err != nil {
 		return nil, err
 	}
@@ -715,6 +732,24 @@ func (s *Store) readDenseChunk(key string, rows, cols int) (*la.Dense, error) {
 		return la.NewDense(rows, cols), nil
 	}
 	return decodeDenseChunk(key, raw, rows, cols)
+}
+
+// recycle hands back a chunk read with own, never to be used again: a dense
+// chunk's storage joins the free list if it holds fewer than window.
+func (s *Store) recycle(c la.Mat, window int) {
+	d, ok := c.(*la.Dense)
+	if !ok || len(d.Data()) == 0 {
+		return
+	}
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&d.Data()[0])), 8*len(d.Data()))
+	if s.onRecycle != nil {
+		s.onRecycle(buf)
+	}
+	s.mu.Lock()
+	if len(s.free) < window {
+		s.free = append(s.free, buf)
+	}
+	s.mu.Unlock()
 }
 
 // encodeDenseChunk serializes d as raw little-endian float64 rows.
@@ -763,7 +798,7 @@ func (m *Matrix) Chunk(ci int) (lo int, c *la.Dense, err error) {
 		return 0, nil, ErrFreed
 	}
 	lo, _ = m.chunkBounds(ci)
-	c, err = m.readAt(ci)
+	c, err = m.readAt(ci, false)
 	return lo, c, err
 }
 

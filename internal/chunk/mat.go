@@ -68,7 +68,7 @@ type chunked[C la.Mat] struct {
 	paths      []string
 	freed      bool
 	kind       string
-	decode     func(s *Store, key string, rows, cols int) (C, error)
+	decode     func(s *Store, key string, rows, cols int, own bool) (C, error)
 }
 
 // Rows reports the number of rows.
@@ -109,19 +109,26 @@ func (m *chunked[C]) chunkBounds(i int) (lo, hi int) {
 	return lo, min(lo+m.chunkRows, m.rows)
 }
 
-func (m *chunked[C]) readAt(ci int) (C, error) {
+// readAt decodes chunk ci; with own, the caller recycles it after use.
+func (m *chunked[C]) readAt(ci int, own bool) (C, error) {
 	lo, hi := m.chunkBounds(ci)
-	return m.decode(m.store, m.paths[ci], hi-lo, m.cols)
+	return m.decode(m.store, m.paths[ci], hi-lo, m.cols, own)
 }
 
 // pipeline runs the chunk pipeline over the chunks cis of this matrix (nil:
 // all of them, in order), committing in the order cis lists them; on a
 // multi-shard store the reads are interleaved across shards
 // (Store.readOrder).
-func (m *chunked[C]) pipeline(ex Exec, cis []int, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
+// With own, nothing mapFn returns may alias its chunk and nothing keeps
+// the chunk once mapFn returns: its buffer goes back to the store, whose
+// free list keeps at most the pass's in-flight window (runPipeline's
+// admission bound) of them.
+func (m *chunked[C]) pipeline(ex Exec, cis []int, own bool, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
 	if m.freed {
 		return ErrFreed
 	}
+	nx := ex.normalized()
+	window := nx.Workers + nx.Prefetch + 1
 	keys, at := m.paths, func(i int) int { return i }
 	if cis != nil {
 		keys, at = make([]string, len(cis)), func(i int) int { return cis[i] }
@@ -134,10 +141,14 @@ func (m *chunked[C]) pipeline(ex Exec, cis []int, mapFn func(ci, lo int, c C) (a
 		commitAt = func(i int, v any) error { return commit(at(i), v) }
 	}
 	return runPipelineOrder(len(keys), ex, m.store.readOrder(keys, ex),
-		func(i int) (C, error) { return m.readAt(at(i)) },
+		func(i int) (C, error) { return m.readAt(at(i), own) },
 		func(i int, c C) (any, error) {
 			lo, _ := m.chunkBounds(at(i))
-			return mapFn(at(i), lo, c)
+			v, err := mapFn(at(i), lo, c)
+			if own {
+				m.store.recycle(c, window)
+			}
+			return v, err
 		},
 		commitAt)
 }
@@ -154,17 +165,33 @@ func (m *chunked[C]) ForEach(fn func(lo int, chunk C) error) error {
 // and chunk order is unspecified; fn must be safe for concurrent use.
 // Use Stream when per-chunk results must be combined in chunk order.
 func (m *chunked[C]) ForEachExec(ex Exec, fn func(lo int, chunk C) error) error {
-	return m.pipeline(ex, nil, func(ci, lo int, c C) (any, error) {
+	return m.pipeline(ex, nil, false, func(ci, lo int, c C) (any, error) {
 		return nil, fn(lo, c)
 	}, nil)
 }
 
 // Stream implements Mat: the chunk pipeline with each decoded chunk
-// delivered as an la.Mat.
+// delivered as an la.Mat. mapFn may keep its chunk.
 func (m *chunked[C]) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, nil, func(ci, lo int, c C) (any, error) {
+	return m.stream(ex, false, mapFn, commit)
+}
+
+// stream is Stream, recycling each chunk's buffer with own (see pipeline).
+func (m *chunked[C]) stream(ex Exec, own bool, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
+	return m.pipeline(ex, nil, own, func(ci, lo int, c C) (any, error) {
 		return mapFn(ci, lo, c)
 	}, commit)
+}
+
+// streamAs is t.Stream, recycling each chunk's buffer once mapFn returns
+// (see pipeline) when own and t is a chunked matrix.
+func streamAs(t Mat, own bool, ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
+	if o, ok := t.(interface {
+		stream(Exec, bool, func(ci, lo int, c la.Mat) (any, error), func(ci int, v any) error) error
+	}); ok {
+		return o.stream(ex, own, mapFn, commit)
+	}
+	return t.Stream(ex, mapFn, commit)
 }
 
 // StreamOp implements Mat: it runs a registered op over every chunk and
@@ -184,7 +211,7 @@ func (m *chunked[C]) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) 
 // a serial pass. On failure every output chunk written so far is removed
 // and no matrix is registered.
 func (m *chunked[C]) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
-	return scanToMatrix(ex, m, outCols, func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
+	return scanToMatrix(ex, m, false, outCols, func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
 		out, err := f(ci, lo, c)
 		return out, nil, err
 	}, nil)
@@ -224,13 +251,15 @@ func (m *chunked[C]) SumExec(ex Exec) (float64, error) {
 // scanToMatrix streams t, spilling each chunk's mapped rows×outCols output
 // as the aligned chunk of a new matrix (through the write-behind stage
 // under a pipelined execution) while commit sees the parts in chunk order.
-// On failure every output chunk written so far is removed.
-func scanToMatrix(ex Exec, t Mat, outCols int, mapFn func(ci, lo int, c la.Mat) (*la.Dense, any, error), commit func(ci int, v any) error) (*Matrix, error) {
+// With own, the mapped output must not alias the chunk, whose buffer is
+// recycled (streamAs). On failure every output chunk written so far is
+// removed.
+func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, c la.Mat) (*la.Dense, any, error), commit func(ci int, v any) error) (*Matrix, error) {
 	sp, err := newOutputSpiller(t.Store(), t.NumChunks(), ex)
 	if err != nil {
 		return nil, err
 	}
-	err = t.Stream(ex, func(ci, lo int, c la.Mat) (any, error) {
+	err = streamAs(t, own, ex, func(ci, lo int, c la.Mat) (any, error) {
 		out, part, err := mapFn(ci, lo, c)
 		if err != nil {
 			return nil, err
@@ -320,10 +349,26 @@ func AutoRowsChecked(memBudgetBytes int64, cols, workers, prefetch int) (int, er
 
 // rowSquaredNorms returns the per-row sums of squares of one decoded chunk
 // (the point norms of the k-means distance expansion), over the stored
-// values only for a CSR chunk.
+// values only for a CSR chunk. Each row sums in ascending column order from
+// zero; a dense chunk runs four rows' chains at once, so the adds overlap.
 func rowSquaredNorms(c la.Mat) []float64 {
 	out := make([]float64, c.Rows())
-	for i := range out {
+	i := 0
+	if d, ok := c.(*la.Dense); ok {
+		for ; i+4 <= len(out); i += 4 {
+			r0, r1, r2, r3 := d.Row(i), d.Row(i+1), d.Row(i+2), d.Row(i+3)
+			r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+			var s0, s1, s2, s3 float64
+			for j, v := range r0 {
+				s0 += v * v
+				s1 += r1[j] * r1[j]
+				s2 += r2[j] * r2[j]
+				s3 += r3[j] * r3[j]
+			}
+			out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+		}
+	}
+	for ; i < len(out); i++ {
 		var vals []float64
 		if d, ok := c.(*la.Dense); ok {
 			vals = d.Row(i)

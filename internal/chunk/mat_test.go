@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -229,5 +230,35 @@ func TestAutoRows(t *testing.T) {
 	many := AutoRows(1<<24, 16, 16, 16)
 	if many >= few {
 		t.Fatalf("more workers should get shorter chunks: few=%d many=%d", few, many)
+	}
+}
+
+// TestRowSquaredNormsBitwise: the four-row norms equal, bit for bit, the
+// one-chain loop and la.InMemory's Pow(2).RowSums() — the norms the
+// in-memory k-means sees — with ±0, NaN and ±Inf cells, for every row
+// count's remainder after the four-row strips and for a CSR chunk.
+func TestRowSquaredNormsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 63, 130} {
+		for _, d := range []int{0, 1, 3, 10, 50} {
+			m := la.NewDense(rows, d)
+			for i := range m.Data() {
+				if m.Data()[i] = rng.NormFloat64(); rng.Intn(20) == 0 {
+					m.Data()[i] = special[rng.Intn(len(special))]
+				}
+			}
+			chain := make([]float64, rows)
+			for i := range chain {
+				for _, v := range m.Row(i) {
+					chain[i] += v * v
+				}
+			}
+			got := la.NewDenseData(rows, 1, rowSquaredNorms(m))
+			bitsEqual(t, "rowSquaredNorms vs one chain", got, la.NewDenseData(rows, 1, chain))
+			bitsEqual(t, "rowSquaredNorms vs Pow(2).RowSums()", got, m.Pow(2).RowSums())
+			sp := la.CSRFromDense(m)
+			bitsEqual(t, "rowSquaredNorms of a CSR chunk", la.NewDenseData(rows, 1, rowSquaredNorms(sp)), sp.Pow(2).RowSums())
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (m *chunked[C]) runOp(ex Exec, op Op, commit func(ci int, v any) error) err
 	apply := func(ci, lo int, c C) (any, error) { return st.apply(c) }
 	groups, local := m.store.execPlacement(m.paths)
 	if len(groups) == 0 {
-		return m.pipeline(ex, nil, apply, commit)
+		return m.pipeline(ex, nil, true, apply, commit)
 	}
 
 	done := make(chan struct{})
@@ -70,7 +70,7 @@ func (m *chunked[C]) runOp(ex Exec, op Op, commit func(ci int, v any) error) err
 			owner[ci] = ch
 		}
 		go func() {
-			err := m.pipeline(ex, local, apply, func(ci int, v any) error {
+			err := m.pipeline(ex, local, true, apply, func(ci int, v any) error {
 				if !sendRes(ch, done, pushRes{ci: ci, v: v}) {
 					return errCanceled
 				}
@@ -116,7 +116,7 @@ func sendRes(ch chan<- pushRes, done <-chan struct{}, r pushRes) bool {
 func (m *chunked[C]) runRemoteGroup(st opState, op Op, g execGroup, out chan<- pushRes, done <-chan struct{}) {
 	fallback := func(cis []int) {
 		for _, ci := range cis {
-			c, err := m.readAt(ci)
+			c, err := m.readAt(ci, false)
 			var v any
 			if err == nil {
 				v, err = st.apply(c)

@@ -161,10 +161,12 @@ func (o *Operand) stream(step la.Step, commit func(ci int, v any) error) (*Matri
 		}
 		return do(b)
 	}
+	// Nothing keeps a streamed chunk past its map (products are new, steps
+	// see only T_b·X and norms, keys decode anew), so its buffer recycles.
 	if step.OutCols > 0 {
-		return scanToMatrix(o.ex, o.rows, step.OutCols, mapFn, commit)
+		return scanToMatrix(o.ex, o.rows, true, step.OutCols, mapFn, commit)
 	}
-	return nil, o.rows.Stream(o.ex, func(ci, lo int, c la.Mat) (any, error) {
+	return nil, streamAs(o.rows, true, o.ex, func(ci, lo int, c la.Mat) (any, error) {
 		_, part, err := mapFn(ci, lo, c)
 		return part, err
 	}, commit)

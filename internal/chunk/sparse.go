@@ -106,8 +106,8 @@ func encodeSparseChunk(c *la.CSR) []byte {
 // never a panic). A zone-map-skipped read synthesizes the empty CSR chunk,
 // allocated exactly as decodeSparseChunk would for a stored nnz=0 blob, so
 // the result is bit-identical to reading.
-func (s *Store) readSparseChunk(key string, rows, cols int) (*la.CSR, error) {
-	raw, skipped, err := s.readChunkBlob(key)
+func (s *Store) readSparseChunk(key string, rows, cols int, _ bool) (*la.CSR, error) {
+	raw, skipped, err := s.readChunkBlob(key, false)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func decodeSparseChunk(path string, raw []byte, rows, cols int) (c *la.CSR, err 
 // CSR loads the whole matrix back into memory (tests and small data only).
 func (m *SparseMatrix) CSR() (*la.CSR, error) {
 	parts := make([]*la.CSR, len(m.paths))
-	err := m.pipeline(Parallel(), nil, func(ci, lo int, c *la.CSR) (any, error) {
+	err := m.pipeline(Parallel(), nil, false, func(ci, lo int, c *la.CSR) (any, error) {
 		return c, nil
 	}, func(ci int, v any) error {
 		parts[ci] = v.(*la.CSR)

@@ -48,7 +48,7 @@ func (v *IntVector) Rows() int { return v.m.rows }
 // pipelines over an aligned Matrix fetch the matching key chunk from
 // inside their workers.
 func (v *IntVector) Keys(ci int) ([]int32, error) {
-	c, err := v.m.readAt(ci)
+	c, err := v.m.readAt(ci, false)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +300,7 @@ func (nt *NormalizedTable) Materialize(ex Exec) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scanToMatrix(ex, o.rows, o.Cols(), func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
+	return scanToMatrix(ex, o.rows, false, o.Cols(), func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
 		b, err := o.load(ci, lo, c)
 		if err != nil {
 			return nil, nil, err

@@ -40,6 +40,16 @@ func BenchmarkCrossProdDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.CrossProd()
 	}
+	reportGFLOPs(b, crossProdFlops(a))
+}
+
+// crossProdFlops counts CrossProd's multiply-adds as two flops each: the
+// upper triangle, diagonal included, once per row.
+func crossProdFlops(a *Dense) float64 { return float64(a.rows) * float64(a.cols*(a.cols+1)) }
+
+// reportGFLOPs reports flops per op as GFLOP/s over the benchmark's time.
+func reportGFLOPs(b *testing.B, flops float64) {
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 func BenchmarkCSRMul(b *testing.B) {
@@ -131,20 +141,31 @@ func oneHotCSR(rng *rand.Rand, rows, cols, nnz int) *CSR {
 // K 400k→20k; a 400k×600 one-hot CSR stands for e2e-csv's tables) for the
 // widths the §4 algorithms multiply by. SetBytes counts each operand and
 // the output once, as bench/roofline.go does, so the MB/s column reads
-// against la.copy_gb_per_s.
+// against la.copy_gb_per_s. The T-chunk cases are train-ooc's per-chunk
+// kernels on a 5991×50 chunk of the joined table: k-means' Mul at k = 10
+// and crossprod's CrossProd. They and the dense Mul cases also report
+// GFLOP/s, the compute-side figure.
 func BenchmarkNarrowKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	s, r := randDense(rng, 400_000, 10), randDense(rng, 20_000, 40)
 	c := oneHotCSR(rng, 400_000, 600, 3)
 	ind := randIndicator(rng, 400_000, 20_000)
-	run := func(name string, bytes int, f func()) {
+	runFlops := func(name string, bytes int, flops float64, f func()) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(bytes))
 			for i := 0; i < b.N; i++ {
 				f()
 			}
+			if flops > 0 {
+				reportGFLOPs(b, flops)
+			}
 		})
 	}
+	run := func(name string, bytes int, f func()) { runFlops(name, bytes, 0, f) }
+	tb := randDense(rng, 5991, 50)
+	tx := randDense(rng, 50, 10)
+	runFlops("dense/T5991x50/Mul/k10", 8*(5991*50+50*10+5991*10), 2*5991*50*10, func() { tb.Mul(tx) })
+	runFlops("dense/T5991x50/CrossProd", 8*(5991*50+50*50), crossProdFlops(tb), func() { tb.CrossProd() })
 	for _, k := range []int{1, 5, 10} {
 		for _, m := range []struct {
 			name string
@@ -153,7 +174,7 @@ func BenchmarkNarrowKernels(b *testing.B) {
 			n, d := m.a.rows, m.a.cols
 			x, xt := randDense(rng, d, k), randDense(rng, n, k)
 			bytes := 8 * (n*d + d*k + n*k)
-			run(fmt.Sprintf("dense/%s/Mul/k%d", m.name, k), bytes, func() { m.a.Mul(x) })
+			runFlops(fmt.Sprintf("dense/%s/Mul/k%d", m.name, k), bytes, float64(2*n*d*k), func() { m.a.Mul(x) })
 			run(fmt.Sprintf("dense/%s/TMul/k%d", m.name, k), bytes, func() { m.a.TMul(xt) })
 		}
 		x, xt := randDense(rng, c.cols, k), randDense(rng, c.rows, k)

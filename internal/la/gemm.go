@@ -9,14 +9,22 @@ import "fmt"
 //   - vector (k = 1): loops over plain slices, four rows of the left
 //     operand at a time where they can share loads or stores;
 //   - narrow (1 < k ≤ narrowMax): the k columns are looped over in the
-//     kernel itself, four of them held in registers where the access
-//     pattern allows (combineNarrow), and nothing is called per scalar of
-//     the left operand;
+//     kernel itself, and nothing is called per scalar of the left operand:
+//     MulRows keeps two rows × three columns of the output in registers
+//     (mulNarrow2), the others four columns of one row (combineNarrow);
 //   - wide (k > narrowMax): one unrolled axpy per scalar.
 //
-// The §4 algorithms multiply by k = 1 (GLMs) or k = 5–10 (K-Means, GNMF),
-// where a call per scalar costs more than the flops it performs.
+// CrossProd packs up to crossPanel rows column-major and sums 2×3 tiles of
+// the upper triangle over them (crossTiles); a 2×4 tile spills, as Go
+// reserves X15. The §4 algorithms multiply by k = 1 (GLMs) or k = 5–10
+// (K-Means, GNMF), where a call per scalar costs more than its flops.
+//
+// A kernel may reorder loops, never an element's additions: each output
+// element sums in the same order under every class, tile and GOMAXPROCS.
 const narrowMax = 16
+
+// crossPanel rows of a 50-column chunk (25 KiB) stay in the L1 cache.
+const crossPanel = 64
 
 // Dot returns Σ x[i]·y[i] over four independent accumulators; y must be at
 // least as long as x.
@@ -103,7 +111,11 @@ func (m *Dense) MulRows(out, x *Dense, lo, hi int) {
 			out.data[i] = s
 		}
 	case k <= narrowMax:
-		for i := lo; i < hi; i++ {
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			mulNarrow2(out.data[i*k:(i+2)*k], m.data[i*d:(i+2)*d], x.data)
+		}
+		if i < hi {
 			combineNarrow(out.data[i*k:(i+1)*k], false, m.data[i*d:], 1, d, x.data)
 		}
 	default:
@@ -120,6 +132,39 @@ func (m *Dense) MulRows(out, x *Dense, lo, hi int) {
 				}
 			}
 		}
+	}
+}
+
+// mulNarrow2 sets the two rows of out (2×k) to the two rows of a (2×d)
+// times the d×k x, three columns per sweep (each load of x feeds two
+// products), then one at a time; each sum runs in ascending j from zero.
+func mulNarrow2(out, a, x []float64) {
+	k, d := len(out)/2, len(a)/2
+	a0, a1 := a[:d], a[d : 2*d][:d]
+	o0, o1 := out[:k:k], out[k:2*k:2*k]
+	c := 0
+	for ; c+3 <= k; c += 3 {
+		var s00, s01, s02, s10, s11, s12 float64
+		for j, v0 := range a0 {
+			v1, xr := a1[j], x[j*k+c:j*k+c+3:j*k+c+3]
+			s00 += v0 * xr[0]
+			s01 += v0 * xr[1]
+			s02 += v0 * xr[2]
+			s10 += v1 * xr[0]
+			s11 += v1 * xr[1]
+			s12 += v1 * xr[2]
+		}
+		o0[c], o0[c+1], o0[c+2] = s00, s01, s02
+		o1[c], o1[c+1], o1[c+2] = s10, s11, s12
+	}
+	for ; c < k; c++ {
+		var s0, s1 float64
+		for j, v0 := range a0 {
+			xv := x[j*k+c]
+			s0 += v0 * xv
+			s1 += a1[j] * xv
+		}
+		o0[c], o1[c] = s0, s1
 	}
 }
 
@@ -261,23 +306,72 @@ func MatMulT(a, b *Dense) *Dense {
 // CrossProd computes mᵀm exploiting symmetry: only the upper triangle is
 // accumulated (a blockReduce over the rows, so bit-identical for any
 // GOMAXPROCS), then mirrored. This is the dense building block used by
-// the efficient factorized cross-product (Algorithm 2).
+// the efficient factorized cross-product (Algorithm 2). Each block is
+// packed crossPanel rows at a time and summed by crossTiles.
 func (m *Dense) CrossProd() *Dense {
 	d := m.cols
 	out := NewDenseData(d, d, blockReduce(m.rows, d*d, m.rows*d*d/2, func(acc []float64, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := m.data[r*d : (r+1)*d]
-			for i, v := range row {
-				if d <= narrowMax {
-					axpyNarrow(acc[i*d+i:], row[i:], v)
-				} else {
-					axpy(acc[i*d+i:], row[i:], v)
+		pack := make([]float64, min(crossPanel, hi-lo)*d)
+		for r0 := lo; r0 < hi; r0 += crossPanel {
+			nb := min(crossPanel, hi-r0)
+			for r, row := 0, m.data[r0*d:]; r < nb; r, row = r+1, row[d:] {
+				for j, v := range row[:d] {
+					pack[j*nb+r] = v
 				}
 			}
+			crossTiles(acc, pack[:nb*d], d, nb)
 		}
 	}))
 	mirrorLower(out)
 	return out
+}
+
+// crossTiles adds the upper triangle of pᵀp into the d×d acc for a panel p
+// of nb rows stored column-major, 2×3 elements of acc in registers at a
+// time (a diagonal tile also sums one lower element, which mirrorLower
+// overwrites). Each element adds row i's value times column j's in
+// ascending row order, as one rank-one update per row would.
+func crossTiles(acc, p []float64, d, nb int) {
+	col := func(j int) []float64 { return p[j*nb : (j+1)*nb : (j+1)*nb] }
+	i := 0
+	for ; i+2 <= d; i += 2 {
+		a0, a1 := col(i), col(i+1)
+		a1 = a1[:len(a0)] // here and below: no bounds checks in the loops
+		o0, o1 := acc[i*d:(i+1)*d:(i+1)*d], acc[(i+1)*d:(i+2)*d:(i+2)*d]
+		j := i
+		for ; j+3 <= d; j += 3 {
+			b0, b1, b2 := col(j)[:len(a0)], col(j + 1)[:len(a0)], col(j + 2)[:len(a0)]
+			s00, s01, s02 := o0[j], o0[j+1], o0[j+2]
+			s10, s11, s12 := o1[j], o1[j+1], o1[j+2]
+			for r, x0 := range a0 {
+				x1, y0, y1, y2 := a1[r], b0[r], b1[r], b2[r]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+			}
+			o0[j], o0[j+1], o0[j+2] = s00, s01, s02
+			o1[j], o1[j+1], o1[j+2] = s10, s11, s12
+		}
+		for ; j < d; j++ {
+			b := col(j)[:len(a0)]
+			s0, s1 := o0[j], o1[j]
+			for r, x0 := range a0 {
+				s0 += x0 * b[r]
+				s1 += a1[r] * b[r]
+			}
+			o0[j], o1[j] = s0, s1
+		}
+	}
+	if i < d { // an odd d leaves the last diagonal element
+		s := acc[i*d+i]
+		for _, x := range col(i) {
+			s += x * x
+		}
+		acc[i*d+i] = s
+	}
 }
 
 func mirrorLower(s *Dense) {

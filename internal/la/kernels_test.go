@@ -108,7 +108,9 @@ func FuzzKernelShapes(f *testing.F) {
 		if d == 0 || k == 0 {
 			t.Skip()
 		}
-		checkKernels(t, rand.New(rand.NewSource(seed)), int(rows%2048), int(d%48)+1, int(k%72)+1)
+		rng := rand.New(rand.NewSource(seed))
+		checkKernels(t, rng, int(rows%2048), int(d%48)+1, int(k%72)+1)
+		checkTiledBitwise(t, rng, int(rows%2048), int(d%48)+1, int(k%72)+1)
 	})
 }
 
