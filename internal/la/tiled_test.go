@@ -8,9 +8,9 @@ import (
 
 // The register-tiled kernels (CrossProd's packed 2×3 tiles, MulRows' two
 // rows × three columns) may reorder loops but never an element's
-// additions. These tests hold them, bit for bit, to copies of the
-// one-row loops they replaced: refCrossProd's rank-one update per row and
-// refCombineNarrow's four-column sweep per output row.
+// additions. These tests hold them, bit for bit, to one-row references:
+// refCrossProd's rank-one update per row and refCombineNarrow's
+// four-column sweep per output row.
 
 // refCrossProd is CrossProd as one rank-one update of the upper triangle
 // per row, under the same blockReduce.

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,10 +109,32 @@ func TestBatcherOverloadRejectsFast(t *testing.T) {
 	}
 }
 
+// pacedScorer is a real scorer whose every batch waits for a tick from
+// the test: the backend moves only when the test lets it.
+type pacedScorer struct {
+	*Scorer
+	tick chan struct{}
+}
+
+func (p *pacedScorer) ScoreBatch(ids []int) ([]float64, error) {
+	<-p.tick
+	return p.Scorer.ScoreBatch(ids)
+}
+
+// ScoreBatchInto is gated too: the embedded *Scorer promotes it, and the
+// Batcher prefers it.
+func (p *pacedScorer) ScoreBatchInto(ids []int, out []float64) error {
+	<-p.tick
+	return p.Scorer.ScoreBatchInto(ids, out)
+}
+
 // TestBatcherSlowBackendSaturation drives a slow (but moving) backend
 // past its throughput with a tiny queue: the batcher must keep serving,
 // reject the excess, and answer every accepted request — the queue bounds
-// latency instead of growing without limit.
+// latency instead of growing without limit. The backend is gated, not
+// sleeping: the test lets each pass finish only once the queue has refused
+// a request since the last one, or once every caller still running may be
+// parked in the batcher (MaxBatch in the held pass, QueueDepth queued).
 func TestBatcherSlowBackendSaturation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	nm := randPKFK(rng, false)
@@ -119,8 +142,9 @@ func TestBatcherSlowBackendSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := &countingScorer{Scorer: sc, perBatch: 2 * time.Millisecond}
-	b := NewBatcher(cs, BatchOptions{MaxBatch: 4, Workers: 1, QueueDepth: 2})
+	ps := &pacedScorer{Scorer: sc, tick: make(chan struct{})}
+	const maxBatch, queueDepth = 4, 2
+	b := NewBatcher(ps, BatchOptions{MaxBatch: maxBatch, Workers: 1, QueueDepth: queueDepth})
 	defer b.Close()
 
 	want := make([]float64, nm.Rows())
@@ -130,11 +154,13 @@ func TestBatcherSlowBackendSaturation(t *testing.T) {
 	const callers = 8
 	const perCaller = 30
 	var wg sync.WaitGroup
-	var bad atomic.Int32
+	var bad, running atomic.Int32
+	running.Store(callers)
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			defer running.Add(-1)
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < perCaller; i++ {
 				id := r.Intn(nm.Rows())
@@ -148,7 +174,21 @@ func TestBatcherSlowBackendSaturation(t *testing.T) {
 			}
 		}(int64(g + 11))
 	}
-	wg.Wait()
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	for ticking := true; ticking; {
+		for rej := b.Stats().Rejected; b.Stats().Rejected == rej && running.Load() > maxBatch+queueDepth; {
+			runtime.Gosched()
+		}
+		select {
+		case ps.tick <- struct{}{}:
+		case <-finished:
+			ticking = false
+		}
+	}
 	if n := bad.Load(); n > 0 {
 		t.Fatalf("%d accepted requests answered wrongly under saturation", n)
 	}
@@ -158,6 +198,9 @@ func TestBatcherSlowBackendSaturation(t *testing.T) {
 	}
 	if st.Scored != st.Accepted {
 		t.Fatalf("scored %d != accepted %d", st.Scored, st.Accepted)
+	}
+	if st.Rejected == 0 {
+		t.Fatalf("the backend was never saturated: %+v", st)
 	}
 }
 
