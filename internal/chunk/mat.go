@@ -346,40 +346,3 @@ func AutoRowsChecked(memBudgetBytes int64, cols, workers, prefetch int) (int, er
 		return int(rows), nil
 	}
 }
-
-// rowSquaredNorms returns the per-row sums of squares of one decoded chunk
-// (the point norms of the k-means distance expansion), over the stored
-// values only for a CSR chunk. Each row sums in ascending column order from
-// zero; a dense chunk runs four rows' chains at once, so the adds overlap.
-func rowSquaredNorms(c la.Mat) []float64 {
-	out := make([]float64, c.Rows())
-	i := 0
-	if d, ok := c.(*la.Dense); ok {
-		for ; i+4 <= len(out); i += 4 {
-			r0, r1, r2, r3 := d.Row(i), d.Row(i+1), d.Row(i+2), d.Row(i+3)
-			r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
-			var s0, s1, s2, s3 float64
-			for j, v := range r0 {
-				s0 += v * v
-				s1 += r1[j] * r1[j]
-				s2 += r2[j] * r2[j]
-				s3 += r3[j] * r3[j]
-			}
-			out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-		}
-	}
-	for ; i < len(out); i++ {
-		var vals []float64
-		if d, ok := c.(*la.Dense); ok {
-			vals = d.Row(i)
-		} else {
-			_, vals = c.(*la.CSR).RowNNZ(i)
-		}
-		s := 0.0
-		for _, v := range vals {
-			s += v * v
-		}
-		out[i] = s
-	}
-	return out
-}

@@ -233,9 +233,9 @@ func TestAutoRows(t *testing.T) {
 	}
 }
 
-// TestRowSquaredNormsBitwise: the four-row norms equal, bit for bit, the
-// one-chain loop and la.InMemory's Pow(2).RowSums() — the norms the
-// in-memory k-means sees — with ±0, NaN and ±Inf cells, for every row
+// TestRowSquaredNormsBitwise: the chunk norms (la.RowSquaredNorms, four
+// rows at a time) equal, bit for bit, the one-chain loop and
+// Pow(2).RowSums() with ±0, NaN and ±Inf cells, for every row
 // count's remainder after the four-row strips and for a CSR chunk.
 func TestRowSquaredNormsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
@@ -254,11 +254,11 @@ func TestRowSquaredNormsBitwise(t *testing.T) {
 					chain[i] += v * v
 				}
 			}
-			got := la.NewDenseData(rows, 1, rowSquaredNorms(m))
-			bitsEqual(t, "rowSquaredNorms vs one chain", got, la.NewDenseData(rows, 1, chain))
-			bitsEqual(t, "rowSquaredNorms vs Pow(2).RowSums()", got, m.Pow(2).RowSums())
+			got := la.NewDenseData(rows, 1, la.RowSquaredNorms(m))
+			bitsEqual(t, "RowSquaredNorms vs one chain", got, la.NewDenseData(rows, 1, chain))
+			bitsEqual(t, "RowSquaredNorms vs Pow(2).RowSums()", got, m.Pow(2).RowSums())
 			sp := la.CSRFromDense(m)
-			bitsEqual(t, "rowSquaredNorms of a CSR chunk", la.NewDenseData(rows, 1, rowSquaredNorms(sp)), sp.Pow(2).RowSums())
+			bitsEqual(t, "RowSquaredNorms of a CSR chunk", la.NewDenseData(rows, 1, la.RowSquaredNorms(sp)), sp.Pow(2).RowSums())
 		}
 	}
 }

@@ -29,7 +29,8 @@ type Operand struct {
 	offs []int // offs[0] = dS, offs[t] the first column of arm t, offs[q] = d
 	nR   []int // arm t's row count
 
-	armNorms []*la.Dense // per-arm ‖r_i‖² columns, prepared on first use
+	armNorms []*la.Dense      // per-arm ‖r_i‖² columns, prepared on first use
+	free     chan *la.Buffers // blocks' workspaces, back from the ordered commit
 }
 
 // MatOperand views a chunked materialized table — dense or CSR — as a
@@ -44,7 +45,9 @@ func (nt *NormalizedTable) Operand(ex Exec) *Operand {
 }
 
 func newOperand(ex Exec, rows Mat, feat bool, arms []AttrTable) *Operand {
-	o := &Operand{ex: ex, rows: rows, feat: feat, arms: arms, offs: make([]int, len(arms)+1)}
+	nx := ex.normalized()
+	o := &Operand{ex: ex, rows: rows, feat: feat, arms: arms, offs: make([]int, len(arms)+1),
+		free: make(chan *la.Buffers, nx.Workers+nx.Prefetch+1)}
 	if feat {
 		o.offs[0] = rows.Cols()
 	}
@@ -61,10 +64,12 @@ var _ la.Operand = (*Operand)(nil)
 func (o *Operand) Rows() int { return o.rows.Rows() }
 func (o *Operand) Cols() int { return o.offs[len(o.arms)] }
 
-// block is one chunk of the scan: S's rows and every arm's keys for them.
+// block is one chunk of the scan: S's rows, every arm's keys for them and
+// the workspace its step writes.
 type block struct {
 	ci, lo int
 	core.Block
+	*la.Buffers
 }
 
 func (b *block) Index() int { return b.ci }
@@ -114,6 +119,7 @@ type scanPart struct {
 	keys   [][]int32
 	p      *la.Dense
 	groups []int32
+	bufs   *la.Buffers // released once merged
 }
 
 // scan is Scan with the n-tall output as the matrix it is.
@@ -126,6 +132,12 @@ func (o *Operand) scan(step la.Step, merge func(any) error) (*Matrix, *la.Dense,
 		sp := v.(scanPart)
 		if red != nil {
 			red.Merge(sp.top, sp.keys, sp.p, sp.groups)
+		}
+		if sp.bufs != nil { // nil: a registered op's partial
+			select { // the free list holds at most the pass's in-flight window
+			case o.free <- sp.bufs:
+			default:
+			}
 		}
 		if merge != nil {
 			return merge(sp.part)
@@ -201,12 +213,18 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 	return func(b *block) (*la.Dense, any, error) {
 		var tx *la.Dense
 		var norms []float64
+		select { // a workspace a committed block gave back, or a new one
+		case b.Buffers = <-o.free:
+		default:
+			b.Buffers = new(la.Buffers)
+		}
+		b.Start(b.Rows(), step.OutCols, step.PCols) // Out is always new: it is spilled, maybe after the commit
 		if xS != nil {
-			tx = la.NewDense(b.Rows(), xS.Cols())
+			tx = b.TX(xS.Cols())
 			core.MulBlock(tx, b.Block, xS, rx)
 		}
 		if step.Norms {
-			nv := la.NewDenseData(b.Rows(), 1, rowSquaredNorms(b.S))
+			nv := la.ColVector(la.RowSquaredNorms(b.S))
 			core.MulBlock(nv, core.Block{Keys: b.Keys}, nil, o.armNorms)
 			norms = nv.Data()
 		}
@@ -214,7 +232,10 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 		if err != nil {
 			return nil, nil, err
 		}
-		sp := scanPart{part: r.Part}
+		sp := scanPart{part: r.Part, bufs: b.Buffers}
+		if o.free == nil { // a registered op's bare chunk: its partial keeps nothing
+			sp.bufs = nil
+		}
 		if step.PCols > 0 {
 			sp.top = core.TMulBlock(b.S, r.P, r.Groups, step.PCols)
 			if sp.keys = b.Keys; len(b.Keys) > 0 {
@@ -231,8 +252,10 @@ func (o *Operand) mul(x *la.Dense) (*Matrix, error) {
 	if x.Cols() == 0 && x.Rows() == o.Cols() { // the product is n×0: nothing to scan for
 		return Build(o.rows.Store(), o.Rows(), 0, o.rows.ChunkRows(), func(int, int, *la.Dense) {})
 	}
-	out, _, err := o.scan(la.Step{X: x, OutCols: x.Cols(), Do: func(_ la.Block, tx *la.Dense, _ []float64) (la.Result, error) {
-		return la.Result{Out: tx}, nil
+	out, _, err := o.scan(la.Step{X: x, OutCols: x.Cols(), Do: func(b la.Block, tx *la.Dense, _ []float64) (la.Result, error) {
+		out := b.Out()
+		copy(out.Data(), tx.Data())
+		return la.Result{Out: out}, nil
 	}}, nil)
 	return out, err
 }

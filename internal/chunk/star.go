@@ -134,7 +134,7 @@ func (a AttrTable) norms(ex Exec) (*la.Dense, error) {
 	if a.R != nil {
 		return a.R.Pow(2).RowSums(), nil
 	}
-	return a.mapChunks(ex, 1, func(c *la.Dense) *la.Dense { return la.NewDenseData(c.Rows(), 1, rowSquaredNorms(c)) })
+	return a.mapChunks(ex, 1, func(c *la.Dense) *la.Dense { return la.ColVector(la.RowSquaredNorms(c)) })
 }
 
 // NormalizedTable is the out-of-core normalized matrix

@@ -45,7 +45,7 @@ func (a *NormalizedMatrix) MulNorm(b *NormalizedMatrix) (*la.Dense, error) {
 	kb2 := kb.SliceRows(dSA, kb.Rows())
 
 	// Left block: SA·SB1 + KA·(RA·SB2), the LMM of A with SB.
-	left := a.mulRaw(sb.Dense())
+	left := a.mulRaw(nil, sb.Dense())
 
 	// Right block: (SA·KB1)·RB + KA·((RA·KB2)·RB).
 	saDense := sa.Dense()

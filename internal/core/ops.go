@@ -52,12 +52,27 @@ func (m *NormalizedMatrix) Apply(f func(float64) float64) la.Matrix {
 //
 //	rowSums(T) → IS·rowSums(S) + Σ Ki·rowSums(Ri)
 func (m *NormalizedMatrix) rowSumsRaw() *la.Dense {
+	return m.gatherRows(func(p la.Mat) *la.Dense { return p.RowSums() })
+}
+
+// RowSquaredNorms returns ‖t_i‖² for every row of T without forming T²
+// (la.RowSquaredNorms): rowSums(T²) → IS·norms(S) + Σ Ki·norms(Ri).
+func (m *NormalizedMatrix) RowSquaredNorms() []float64 {
+	if m.trans {
+		return m.Pow(2).RowSums().Data()
+	}
+	return m.gatherRows(func(p la.Mat) *la.Dense { return la.ColVector(la.RowSquaredNorms(p)) }).Data()
+}
+
+// gatherRows computes a per-row statistic f of the untransposed T from its
+// parts': S's beside each arm's, gathered by MulBlock's nil-S path.
+func (m *NormalizedMatrix) gatherRows(f func(la.Mat) *la.Dense) *la.Dense {
 	b, rs := m.star()
 	z := make([]*la.Dense, len(rs))
 	for t, r := range rs {
-		z[t] = r.RowSums()
+		z[t] = f(r)
 	}
-	out := b.S.RowSums()
+	out := f(b.S)
 	MulBlock(out, Block{Keys: b.Keys}, nil, z)
 	return out
 }
@@ -121,10 +136,13 @@ func weightedSum(w, v []float64) float64 {
 //	TX → IS·(S·X[1:dS,]) + Σ Ki·(Ri·X[d'i-1+1 : d'i,])
 //
 // The small products Zi = Ri·Xi come first, then MulBlock's one pass over
-// the output.
-func (m *NormalizedMatrix) mulRaw(x *la.Dense) *la.Dense {
+// the output, out, or a new matrix when it is nil.
+func (m *NormalizedMatrix) mulRaw(out, x *la.Dense) *la.Dense {
 	if x.Rows() != m.dCols {
 		panicShape("LMM", m.nRows, m.dCols, x)
+	}
+	if out == nil {
+		out = la.NewDense(m.nRows, x.Cols())
 	}
 	b, rs := m.star()
 	off := b.S.Cols()
@@ -134,9 +152,9 @@ func (m *NormalizedMatrix) mulRaw(x *la.Dense) *la.Dense {
 		z[t] = r.Mul(x.SliceRowsDense(off, off+r.Cols()))
 		off += r.Cols()
 	}
-	out := la.NewDense(m.nRows, x.Cols())
 	if _, ok := b.S.(rowMuler); !ok {
-		out, b.S = b.S.Mul(xs), nil
+		copy(out.Data(), b.S.Mul(xs).Data())
+		b.S = nil
 	}
 	MulBlock(out, b, xs, z)
 	return out
@@ -147,7 +165,7 @@ func (m *NormalizedMatrix) mulRaw(x *la.Dense) *la.Dense {
 // transposed T takes the LMM rewrite over the materialized A.
 func (m *NormalizedMatrix) GroupTMul(groups []int32, k int) *la.Dense {
 	if m.trans {
-		return m.mulRaw(la.OneHot(groups, k))
+		return m.mulRaw(nil, la.OneHot(groups, k))
 	}
 	return m.reduceT(nil, groups, k)
 }
@@ -191,14 +209,24 @@ func (m *NormalizedMatrix) Mul(x *la.Dense) *la.Dense {
 	if m.trans {
 		return m.reduceT(x, nil, x.Cols())
 	}
-	return m.mulRaw(x)
+	return m.mulRaw(nil, x)
+}
+
+// MulInto writes T·X into out, n×k: MulBlock's one pass over a caller's
+// output (la.InMemory's T·X, kept from scan to scan).
+func (m *NormalizedMatrix) MulInto(out, x *la.Dense) {
+	if m.trans {
+		copy(out.Data(), m.Mul(x).Data())
+	} else {
+		m.mulRaw(out, x)
+	}
 }
 
 // LeftMul computes X·T (RMM); on a transposed matrix, X·Tᵀ → (T·Xᵀ)ᵀ
 // (appendix A).
 func (m *NormalizedMatrix) LeftMul(x *la.Dense) *la.Dense {
 	if m.trans {
-		return m.mulRaw(x.TDense()).TDense()
+		return m.mulRaw(nil, x.TDense()).TDense()
 	}
 	return m.leftMulRaw(x)
 }

@@ -75,8 +75,14 @@ func MatMul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("la: MatMul %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.cols)
-	parallelFor(a.rows, a.rows*a.cols*b.cols, func(lo, hi int) { a.MulRows(out, b, lo, hi) })
+	a.MulInto(out, b)
 	return out
+}
+
+// MulInto writes m·x into out, m.Rows()×x.Cols(): Mul for a caller that
+// keeps its output from product to product (la.InMemory's T·X).
+func (m *Dense) MulInto(out, x *Dense) {
+	parallelFor(m.rows, m.rows*m.cols*x.cols, func(lo, hi int) { m.MulRows(out, x, lo, hi) })
 }
 
 // MulRows writes rows [lo,hi) of m·x into the same rows of out. It is the
@@ -311,7 +317,11 @@ func MatMulT(a, b *Dense) *Dense {
 func (m *Dense) CrossProd() *Dense {
 	d := m.cols
 	out := NewDenseData(d, d, blockReduce(m.rows, d*d, m.rows*d*d/2, func(acc []float64, lo, hi int) {
-		pack := make([]float64, min(crossPanel, hi-lo)*d)
+		var panel [crossPanel * narrowMax]float64 // a narrow matrix packs on the stack
+		pack := panel[:]
+		if d > narrowMax {
+			pack = make([]float64, crossPanel*d)
+		}
 		for r0 := lo; r0 < hi; r0 += crossPanel {
 			nb := min(crossPanel, hi-r0)
 			for r, row := 0, m.data[r0*d:]; r < nb; r, row = r+1, row[d:] {

@@ -14,15 +14,13 @@ const parallelThreshold = 1 << 15
 // GOMAXPROCS. Only kernels whose result does not depend on the split may
 // use it: each output element is written by one chunk, in an order of
 // additions the split cannot change. Reductions go through blockReduce.
+// The thresholds come first: GOMAXPROCS takes the scheduler's lock, and a
+// single-row gather must not pay for it.
 func parallelChunks(n int, work int) int {
-	procs := runtime.GOMAXPROCS(0)
-	if procs == 1 || work < parallelThreshold || n < 2 {
+	if work < parallelThreshold || n < 2 {
 		return 1
 	}
-	if procs > n {
-		return n
-	}
-	return procs
+	return min(runtime.GOMAXPROCS(0), n)
 }
 
 // parallelFor splits [0,n) into contiguous chunks and runs body(lo, hi) on

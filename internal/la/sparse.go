@@ -343,8 +343,13 @@ func (c *CSR) Mul(x *Dense) *Dense {
 		panic(fmt.Sprintf("la: CSR Mul %dx%d · %dx%d", c.rows, c.cols, x.rows, x.cols))
 	}
 	out := NewDense(c.rows, x.cols)
-	parallelFor(c.rows, c.NNZ()*x.cols, func(lo, hi int) { c.MulRows(out, x, lo, hi) })
+	c.MulInto(out, x)
 	return out
+}
+
+// MulInto writes c·x into out, c.Rows()×x.Cols(), like Dense.MulInto.
+func (c *CSR) MulInto(out, x *Dense) {
+	parallelFor(c.rows, c.NNZ()*x.cols, func(lo, hi int) { c.MulRows(out, x, lo, hi) })
 }
 
 // MulRows writes rows [lo,hi) of c·x into the same rows of out: the

@@ -39,8 +39,8 @@ func GNMF(t la.Matrix, rank int, opt Options) (*GNMFResult, error) {
 
 // GNMFScan is GNMF over any operand. Each iteration is two scans of T
 // beside the aligned blocks of W: the H scan reduces Tᵀ·W and WᵀW in block
-// order, the W scan writes the next W generation block by block and the
-// previous one is freed. The caller owns the returned W.
+// order, the W scan writes the next W generation into the blocks' Out and
+// the previous one is freed. The caller owns the returned W.
 func GNMFScan(t la.Operand, rank int, opt Options) (fit *GNMFFit, err error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -79,7 +79,7 @@ func GNMFScan(t la.Operand, rank int, opt Options) (fit *GNMFFit, err error) {
 		if err != nil {
 			return nil, err
 		}
-		h = multiplicative(h, tw, la.MatMul(h, wtw), eps)
+		h = multiplicative(la.NewDense(h.Rows(), rank), h, tw, la.MatMul(h, wtw), eps)
 
 		// W update: W ∗ TH / (W HᵀH), written as the next generation.
 		hth := h.CrossProd()
@@ -88,7 +88,9 @@ func GNMFScan(t la.Operand, rank int, opt Options) (fit *GNMFFit, err error) {
 			if err != nil {
 				return la.Result{}, err
 			}
-			return la.Result{Out: multiplicative(wb, th, la.MatMul(wb, hth), eps)}, nil
+			out := b.Out()
+			wb.MulInto(out, hth) // W_b·HᵀH, then the update in place
+			return la.Result{Out: multiplicative(out, wb, th, out, eps)}, nil
 		}}, nil)
 		if err != nil {
 			return nil, err
@@ -139,9 +141,8 @@ func (r *GNMFResult) ReconstructionError(t la.Matrix) float64 {
 	return diff.PowDense(2).Sum()
 }
 
-// multiplicative computes base ∗ num / den element-wise with a stabilizer.
-func multiplicative(base, num, den *la.Dense, eps float64) *la.Dense {
-	out := la.NewDense(base.Rows(), base.Cols())
+// multiplicative writes base ∗ num / (den + eps) element-wise into out, which may be den.
+func multiplicative(out, base, num, den *la.Dense, eps float64) *la.Dense {
 	bd, nd, dd, od := base.Data(), num.Data(), den.Data(), out.Data()
 	cols := base.Cols()
 	la.ParallelRows(base.Rows(), 4*len(bd), func(lo, hi int) {

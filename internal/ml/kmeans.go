@@ -85,11 +85,11 @@ func KMeansScan(t la.Operand, k int, opt Options) (*KMeansFit, error) {
 		}
 	}
 	fit := &KMeansFit{Centroids: c}
-	final := nearest(c, func(assign []int32, bestD []float64) la.Result {
-		ids, obj := la.NewDense(len(assign), 1), 0.0
+	final := nearest(c, func(b la.Block, assign []int32, dist func(i int) float64) la.Result {
+		ids, obj := b.Out(), 0.0
 		for i, j := range assign {
 			ids.Data()[i] = float64(j)
-			obj += bestD[i]
+			obj += dist(i)
 		}
 		return la.Result{Out: ids, Part: obj}
 	})
@@ -109,7 +109,7 @@ func KMeansScan(t la.Operand, k int, opt Options) (*KMeansFit, error) {
 // operand that stores blocks remotely may run this same function there.
 func KMeansAssign(c *la.Dense) la.Step {
 	k := c.Cols()
-	step := nearest(c, func(assign []int32, _ []float64) la.Result {
+	step := nearest(c, func(_ la.Block, assign []int32, _ func(int) float64) la.Result {
 		counts := make([]float64, k)
 		for _, j := range assign {
 			counts[j]++
@@ -123,13 +123,13 @@ func KMeansAssign(c *la.Dense) la.Step {
 // nearest is the distance+argmin step for centroids c: a block's squared
 // distances D = dt·1 + 1·colSums(C²) − T_b·(2C) (an LMM; the doubling is
 // exact) are formed, scanned for their minimum (ties to the lowest cluster
-// index) and dropped one row at a time; then gets each row's result.
-func nearest(c *la.Dense, then func(assign []int32, bestD []float64) la.Result) la.Step {
+// index) and dropped one row at a time; then gets the rows' clusters, in
+// the block's Groups, and dist(i), row i's distance recomputed bit for bit.
+func nearest(c *la.Dense, then func(b la.Block, assign []int32, dist func(i int) float64) la.Result) la.Step {
 	k := c.Cols()
 	cNorm := c.PowDense(2).ColSums().Data() // length k
-	return la.Step{X: c.ScaleDense(2), Norms: true, Do: func(_ la.Block, tc *la.Dense, dt []float64) (la.Result, error) {
-		tcd := tc.Data()
-		assign, bestD := make([]int32, len(dt)), make([]float64, len(dt))
+	return la.Step{X: c.ScaleDense(2), Norms: true, Do: func(b la.Block, tc *la.Dense, dt []float64) (la.Result, error) {
+		tcd, assign := tc.Data(), b.Groups()
 		la.ParallelRows(len(dt), 2*len(tcd), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				row := tcd[i*k : (i+1)*k]
@@ -139,9 +139,9 @@ func nearest(c *la.Dense, then func(assign []int32, bestD []float64) la.Result) 
 						best, bd = j, dd
 					}
 				}
-				assign[i], bestD[i] = int32(best), bd
+				assign[i] = int32(best)
 			}
 		})
-		return then(assign, bestD), nil
+		return then(b, assign, func(i int) float64 { j := int(assign[i]); return dt[i] + cNorm[j] - tcd[i*k+j] }), nil
 	}}
 }

@@ -63,8 +63,8 @@ func LogRegScan(t la.Operand, y, w0 *la.Dense, opt Options) (*la.Dense, error) {
 }
 
 // descend runs gradient descent w ← w + step·Tᵀ·link(T·w). Each iteration
-// is one scan: the LMM T_b·w, the link on the block's rows (first row lo),
-// and the transposed-LMM partial, merged in block order.
+// is one scan: the LMM T_b·w, the link on the block's rows (first row lo)
+// into all of the block's P, and the transposed-LMM partial, in block order.
 func descend(t la.Operand, y, w0 *la.Dense, opt Options, step float64, link func(lo int, tw, p []float64)) (*la.Dense, error) {
 	w, err := start(t, y, w0, opt)
 	if err != nil {
@@ -73,7 +73,7 @@ func descend(t la.Operand, y, w0 *la.Dense, opt Options, step float64, link func
 	for it := 0; it < opt.Iters; it++ {
 		// LMM in, transposed LMM of the link's output out.
 		_, grad, err := t.Scan(la.Step{X: w, PCols: 1, Do: func(b la.Block, tw *la.Dense, _ []float64) (la.Result, error) {
-			p := la.NewDense(b.Rows(), 1)
+			p := b.P()
 			link(b.Lo(), tw.Data(), p.Data())
 			return la.Result{P: p}, nil
 		}}, nil)
