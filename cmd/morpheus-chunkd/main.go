@@ -4,8 +4,7 @@
 // (chunk.NewRemoteBackend / morpheus-bench -remote-shards). Every
 // registered-op pass the store runs maps the chunks held here in place
 // instead of streaming them back: the shard's capability decides, no
-// client option does, and chunks a zone map proves all-zero are never
-// sent.
+// client option does.
 //
 // Usage:
 //

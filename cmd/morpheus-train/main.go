@@ -17,17 +17,26 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"repro/internal/la"
 	"repro/internal/ml"
 	"repro/internal/plan"
 	"repro/internal/table"
 )
 
 type attrFlag struct{ specs []string }
+
+// attrRef is one parsed -attr flag.
+type attrRef struct {
+	path, pk, fk string
+	feats, cats  []string
+}
 
 func (a *attrFlag) String() string { return strings.Join(a.specs, ";") }
 func (a *attrFlag) Set(v string) error {
@@ -36,23 +45,34 @@ func (a *attrFlag) Set(v string) error {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "morpheus-train: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("morpheus-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		entityPath = flag.String("entity", "", "entity (fact) table CSV path")
-		target     = flag.String("target", "", "target column in the entity table")
-		features   = flag.String("features", "", "comma-separated entity feature columns")
-		catCols    = flag.String("categorical", "", "comma-separated categorical entity columns")
-		keyCols    = flag.String("keys", "", "comma-separated entity key columns (e.g. the primary key)")
-		model      = flag.String("model", "logreg", "model: logreg | linreg | ridge")
-		iters      = flag.Int("iters", 100, "gradient-descent iterations")
-		step       = flag.Float64("step", 1e-4, "gradient-descent step size")
-		lambda     = flag.Float64("lambda", 1.0, "ridge regularization strength")
+		entityPath = fs.String("entity", "", "entity (fact) table CSV path")
+		target     = fs.String("target", "", "target column in the entity table")
+		features   = fs.String("features", "", "comma-separated entity feature columns")
+		catCols    = fs.String("categorical", "", "comma-separated categorical entity columns")
+		keyCols    = fs.String("keys", "", "comma-separated entity key columns (e.g. the primary key)")
+		model      = fs.String("model", "logreg", "model: logreg | linreg | ridge")
+		iters      = fs.Int("iters", 100, "gradient-descent iterations")
+		step       = fs.Float64("step", 1e-4, "gradient-descent step size")
+		lambda     = fs.Float64("lambda", 1.0, "ridge regularization strength")
 		attrs      attrFlag
 	)
-	flag.Var(&attrs, "attr", "attribute table: file:pk:fk:features[@categoricalCols] (repeatable)")
-	flag.Parse()
+	fs.Var(&attrs, "attr", "attribute table: file:pk:fk:features[@categoricalCols] (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *entityPath == "" || *target == "" {
-		fail("need -entity and -target (see -h)")
+		return errors.New("need -entity and -target (see -h)")
 	}
 
 	spec := table.JoinSpec{Target: *target}
@@ -63,20 +83,14 @@ func main() {
 	for _, c := range splitList(*keyCols) {
 		entityKinds[c] = table.Key
 	}
-	var attrRefs []struct {
-		path, pk, fk string
-		feats, cats  []string
-	}
+	var attrRefs []attrRef
 	for _, raw := range attrs.specs {
 		parts := strings.SplitN(raw, ":", 4)
 		if len(parts) != 4 {
-			fail("bad -attr %q: want file:pk:fk:features[@categoricalCols]", raw)
+			return fmt.Errorf("bad -attr %q: want file:pk:fk:features[@categoricalCols]", raw)
 		}
 		featsAndCats := strings.SplitN(parts[3], "@", 2)
-		ref := struct {
-			path, pk, fk string
-			feats, cats  []string
-		}{path: parts[0], pk: parts[1], fk: parts[2], feats: splitList(featsAndCats[0])}
+		ref := attrRef{path: parts[0], pk: parts[1], fk: parts[2], feats: splitList(featsAndCats[0])}
 		if len(featsAndCats) == 2 {
 			ref.cats = splitList(featsAndCats[1])
 		}
@@ -84,7 +98,13 @@ func main() {
 		attrRefs = append(attrRefs, ref)
 	}
 
-	entity := readTable("Entity", *entityPath, entityKinds)
+	entity, err := readTable("Entity", *entityPath, entityKinds)
+	if err != nil {
+		return err
+	}
+	if entity.NumRows() == 0 {
+		return fmt.Errorf("entity table %s has no rows", *entityPath)
+	}
 	spec.Entity = entity
 	spec.EntityFeatures = splitList(*features)
 	for _, ref := range attrRefs {
@@ -92,82 +112,79 @@ func main() {
 		for _, c := range ref.cats {
 			kinds[c] = table.Categorical
 		}
-		spec.Attributes = append(spec.Attributes, table.AttributeRef{
-			Table:      readTable(baseName(ref.path), ref.path, kinds),
-			PrimaryKey: ref.pk,
-			ForeignKey: ref.fk,
-			Features:   ref.feats,
-		})
+		t, err := readTable(baseName(ref.path), ref.path, kinds)
+		if err != nil {
+			return err
+		}
+		spec.Attributes = append(spec.Attributes, table.AttributeRef{Table: t, PrimaryKey: ref.pk, ForeignKey: ref.fk, Features: ref.feats})
 	}
 
 	nm, y, featNames, err := table.Build(spec)
 	if err != nil {
-		fail("building normalized matrix: %v", err)
+		return fmt.Errorf("building normalized matrix: %v", err)
 	}
 	st := nm.ComputeStats()
-	fmt.Printf("normalized matrix: %d rows x %d features over %d attribute table(s)\n",
+	fmt.Fprintf(stdout, "normalized matrix: %d rows x %d features over %d attribute table(s)\n",
 		nm.Rows(), nm.Cols(), nm.NumTables())
-	fmt.Printf("tuple ratio %.2f, feature ratio %.2f, join redundancy %.2fx\n",
+	fmt.Fprintf(stdout, "tuple ratio %.2f, feature ratio %.2f, join redundancy %.2fx\n",
 		st.TupleRatio, st.FeatureRatio, st.Redundancy)
 
 	// Every training entry point runs through the planner seam: Plan reads
 	// the structural facts above and picks the operand representation; the
 	// model trains and predicts on whatever it chose.
 	operand, dec := plan.Choose(plan.OpGLM, plan.Env{}, nm)
-	fmt.Printf("plan: %s\n\n", dec)
+	fmt.Fprintf(stdout, "plan: %s\n\n", dec)
 
-	opt := ml.Options{Iters: *iters, StepSize: *step}
-	var w interface {
-		At(i, j int) float64
-		Rows() int
-	}
+	var w *la.Dense
 	switch *model {
 	case "logreg":
-		wd, err := ml.LogisticRegressionGD(operand, y, nil, opt)
-		if err != nil {
-			fail("training: %v", err)
-		}
-		pred := ml.ClassifyLogistic(operand, wd)
-		acc, _ := ml.Accuracy(pred, y)
-		fmt.Printf("logistic regression: training accuracy %.1f%%\n", 100*acc)
-		w = wd
+		w, err = ml.LogisticRegressionGD(operand, y, nil, ml.Options{Iters: *iters, StepSize: *step})
 	case "linreg":
-		wd, err := ml.LinearRegressionGD(operand, y, nil, opt)
-		if err != nil {
-			fail("training: %v", err)
-		}
-		rmse, _ := ml.RMSE(ml.PredictLinear(operand, wd), y)
-		fmt.Printf("linear regression: training RMSE %.4f\n", rmse)
-		w = wd
+		w, err = ml.LinearRegressionGD(operand, y, nil, ml.Options{Iters: *iters, StepSize: *step})
 	case "ridge":
-		wd, err := ml.RidgeRegression(operand, y, *lambda)
-		if err != nil {
-			fail("training: %v", err)
-		}
-		rmse, _ := ml.RMSE(ml.PredictLinear(operand, wd), y)
-		fmt.Printf("ridge regression (lambda=%g): training RMSE %.4f\n", *lambda, rmse)
-		w = wd
+		w, err = ml.RidgeRegression(operand, y, *lambda)
 	default:
-		fail("unknown -model %q", *model)
+		return fmt.Errorf("unknown -model %q", *model)
+	}
+	if err != nil {
+		return fmt.Errorf("training: %v", err)
+	}
+	if *model == "logreg" {
+		acc, err := ml.Accuracy(ml.ClassifyLogistic(operand, w), y)
+		if err != nil {
+			return fmt.Errorf("training accuracy: %v", err)
+		}
+		fmt.Fprintf(stdout, "logistic regression: training accuracy %.1f%%\n", 100*acc)
+	} else {
+		rmse, err := ml.RMSE(ml.PredictLinear(operand, w), y)
+		if err != nil {
+			return fmt.Errorf("training RMSE: %v", err)
+		}
+		name := "linear regression"
+		if *model == "ridge" {
+			name = fmt.Sprintf("ridge regression (lambda=%g)", *lambda)
+		}
+		fmt.Fprintf(stdout, "%s: training RMSE %.4f\n", name, rmse)
 	}
 
-	fmt.Println("\nweights:")
+	fmt.Fprintln(stdout, "\nweights:")
 	for i, f := range featNames {
-		fmt.Printf("  %-30s %+.6f\n", f, w.At(i, 0))
+		fmt.Fprintf(stdout, "  %-30s %+.6f\n", f, w.At(i, 0))
 	}
+	return nil
 }
 
-func readTable(name, path string, kinds map[string]table.ColumnKind) *table.Table {
+func readTable(name, path string, kinds map[string]table.ColumnKind) (*table.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fail("opening %s: %v", path, err)
+		return nil, fmt.Errorf("opening %s: %v", path, err)
 	}
 	defer f.Close()
 	t, err := table.ReadCSV(name, f, kinds)
 	if err != nil {
-		fail("parsing %s: %v", path, err)
+		return nil, fmt.Errorf("parsing %s: %v", path, err)
 	}
-	return t
+	return t, nil
 }
 
 func splitList(s string) []string {
@@ -187,9 +204,4 @@ func baseName(path string) string {
 		b = b[i+1:]
 	}
 	return strings.TrimSuffix(b, ".csv")
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "morpheus-train: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -49,9 +49,9 @@ type Backend interface {
 	// BytesOf reports the stored size of the blob under key.
 	BytesOf(key string) (int64, error)
 	// List returns the valid chunk keys currently stored, sorted. Write
-	// debris (*.tmp) and foreign files are excluded here, so wrapped
-	// backends (compression, zone maps) and the chunk server's listing all
-	// share one notion of "what is a chunk".
+	// debris (*.tmp) and foreign files are excluded here, so a wrapped
+	// backend (compression) and the chunk server's listing share one
+	// notion of "what is a chunk".
 	List() ([]string, error)
 }
 
@@ -202,4 +202,56 @@ func validChunkKey(key string) bool {
 		}
 	}
 	return true
+}
+
+// Capability interfaces the store probes on a chunk's backend. They are
+// structural (type assertions), so wrappers compose freely and a plain
+// Backend implementation never has to know about them.
+
+// sizedWriter is implemented by backends whose stored blob differs in size
+// from the logical chunk encoding (compression): WriteChunkSized reports
+// the bytes that actually landed, which the store records instead of the
+// raw encoding's length.
+type sizedWriter interface {
+	WriteChunkSized(key string, data []byte) (int64, error)
+}
+
+// wireMeter is implemented by backends that move chunk bytes over a
+// network (RemoteBackend) and can report how many.
+type wireMeter interface {
+	BytesOnWire() int64
+}
+
+// unwrapper is implemented by wrapper backends; the wire-meter probe walks
+// the chain so the meter of a compressed remote shard is still found.
+type unwrapper interface {
+	Unwrap() Backend
+}
+
+// wireMeterOf probes b and its wrapped chain for the wire meter.
+func wireMeterOf(b Backend) (wireMeter, bool) {
+	for b != nil {
+		if m, ok := b.(wireMeter); ok {
+			return m, true
+		}
+		u, ok := b.(unwrapper)
+		if !ok {
+			return nil, false
+		}
+		b = u.Unwrap()
+	}
+	return nil, false
+}
+
+// writeSized writes through b, preferring the sized-write capability so the
+// bytes that actually landed (compressed, when a codec wrapper is in the
+// chain) flow back to the store's accounting.
+func writeSized(b Backend, key string, data []byte) (int64, error) {
+	if sw, ok := b.(sizedWriter); ok {
+		return sw.WriteChunkSized(key, data)
+	}
+	if err := b.WriteChunk(key, data); err != nil {
+		return 0, err
+	}
+	return int64(len(data)), nil
 }

@@ -60,17 +60,14 @@ const (
 )
 
 // ShardStat is one shard's accounted footprint and read-side I/O: what was
-// placed there, what the passes actually fetched, and what zone maps let
-// them avoid fetching.
+// placed there and what the passes actually fetched.
 type ShardStat struct {
 	Dir    string // shard identity: directory path, or base URL for a remote shard
 	Chunks int    // tracked chunk files placed on this shard
 	Bytes  int64  // bytes of written chunk files currently tracked
 
-	ChunksRead    int   // chunk blobs fetched from this shard
-	BytesRead     int64 // stored bytes of those fetches (compressed size under a codec)
-	ChunksSkipped int   // reads avoided because the shard's zone map proved the chunk all-zero
-	BytesSkipped  int64 // stored bytes those skipped reads would have fetched
+	ChunksRead int   // chunk blobs fetched from this shard
+	BytesRead  int64 // stored bytes of those fetches (compressed size under a codec)
 
 	ChunksExecuted int // chunks whose op partial came back from this shard's /exec and was accepted
 }
@@ -85,8 +82,6 @@ type shard struct {
 
 	chunksRead     int   // blobs fetched by passes
 	bytesRead      int64 // stored bytes of those fetches
-	chunksSkipped  int   // reads avoided via the zone map
-	bytesSkipped   int64 // stored bytes of the avoided reads
 	chunksExecuted int   // chunks mapped in place by the shard's /exec
 }
 
@@ -267,10 +262,9 @@ type execGroup struct {
 }
 
 // execPlacement partitions a pass's keys by where their op runs: one group
-// per exec-capable shard, holding its chunks the shard's zone map does not
-// prove all-zero, and local for the rest — chunks on passive shards,
-// zone-proven zero chunks (the read path synthesizes them without touching
-// the backend), and untracked keys, which surface their error on read.
+// per exec-capable shard, holding its chunks, and local for the rest —
+// chunks on passive shards, and untracked keys, which surface their error
+// on read.
 func (s *Store) execPlacement(keys []string) (groups []execGroup, local []int) {
 	s.mu.Lock()
 	byShard := make([]execGroup, len(s.shards))
@@ -287,7 +281,7 @@ func (s *Store) execPlacement(keys []string) (groups []execGroup, local []int) {
 	}
 	s.mu.Unlock()
 	for ci, si := range shardOf {
-		if si < 0 || provenZero(byShard[si].eb, keys[ci]) {
+		if si < 0 {
 			local = append(local, ci)
 			continue
 		}
@@ -457,7 +451,7 @@ func (s *Store) BytesOnDisk() int64 {
 }
 
 // ShardStats reports each shard's tracked chunk count and bytes plus its
-// read-side I/O accounting (fetches and zone-map skips).
+// read-side I/O accounting.
 func (s *Store) ShardStats() []ShardStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,7 +461,6 @@ func (s *Store) ShardStats() []ShardStat {
 		out[i] = ShardStat{
 			Dir: sh.backend.Name(), Chunks: sh.chunks, Bytes: sh.bytes,
 			ChunksRead: sh.chunksRead, BytesRead: sh.bytesRead,
-			ChunksSkipped: sh.chunksSkipped, BytesSkipped: sh.bytesSkipped,
 			ChunksExecuted: sh.chunksExecuted,
 		}
 	}
@@ -478,19 +471,17 @@ func (s *Store) ShardStats() []ShardStat {
 type IOStats struct {
 	ChunksRead    int   `json:"chunks_read"`              // blobs fetched from shard backends
 	BytesRead     int64 `json:"bytes_read"`               // stored bytes of those fetches (compressed size under a codec)
-	ChunksSkipped int   `json:"chunks_skipped,omitempty"` // reads avoided via zone maps
-	BytesSkipped  int64 `json:"bytes_skipped,omitempty"`  // stored bytes of the avoided reads
+	ChunksSkipped int   `json:"chunks_skipped,omitempty"` // always 0; kept for bench/'s chunk.chunks_skipped until a benchmark change drops it
 	BytesOnWire   int64 `json:"bytes_on_wire,omitempty"`  // chunk payload bytes that crossed remote-shard connections
 
 	ChunksExecuted int `json:"chunks_executed,omitempty"` // chunks mapped in place by their shard's /exec
 }
 
 // IOStats reports what the store's passes actually moved: blobs fetched
-// (at their stored size, so compression shows up as fewer bytes), reads
-// avoided because a zone map proved the chunk all-zero, chunks their shard
-// mapped in place (observed placement), and — for stores with remote
-// shards anywhere in their wrapper chains — the chunk payload bytes that
-// crossed the network.
+// (at their stored size, so compression shows up as fewer bytes), chunks
+// their shard mapped in place (observed placement), and — for stores with
+// remote shards anywhere in their wrapper chains — the chunk payload bytes
+// that crossed the network.
 func (s *Store) IOStats() IOStats {
 	s.mu.Lock()
 	var out IOStats
@@ -499,8 +490,6 @@ func (s *Store) IOStats() IOStats {
 		sh := &s.shards[i]
 		out.ChunksRead += sh.chunksRead
 		out.BytesRead += sh.bytesRead
-		out.ChunksSkipped += sh.chunksSkipped
-		out.BytesSkipped += sh.bytesSkipped
 		out.ChunksExecuted += sh.chunksExecuted
 		backends[i] = sh.backend
 	}
@@ -634,15 +623,14 @@ func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la
 }
 
 // writeChunkFile encodes one dense chunk, stores it on the key's shard
-// backend — annotated with its zone map when the backend records them, at
-// its compressed size when the backend compresses — and attributes the
-// stored size to that shard on success.
+// backend — at its compressed size when the backend compresses — and
+// attributes the stored size to that shard on success.
 func (s *Store) writeChunkFile(key string, d *la.Dense) error {
 	b, err := s.backendFor(key)
 	if err != nil {
 		return err
 	}
-	stored, err := writeThrough(b, key, encodeDenseChunk(d), func() ZoneMap { return denseZoneMap(d) })
+	stored, err := writeSized(b, key, encodeDenseChunk(d))
 	if err != nil {
 		return err
 	}
@@ -650,21 +638,17 @@ func (s *Store) writeChunkFile(key string, d *la.Dense) error {
 	return nil
 }
 
-// readChunkBlob fetches key's blob from its shard backend — unless the
-// shard's zone map proves the chunk all-zero, in which case the read is
-// skipped entirely (skipped=true, no backend touched) and the caller
-// synthesizes the zero chunk the decode would have produced. Fetches and
-// skips feed the per-shard I/O accounting at the chunk's stored size, so
-// bytes_read reflects actual (possibly compressed) I/O and bytes_skipped
-// reflects what skipping avoided.
+// readChunkBlob fetches key's blob from its shard backend and feeds the
+// per-shard I/O accounting at the chunk's stored size, so bytes_read
+// reflects actual (possibly compressed) I/O.
 // With own, the caller hands the chunk back (recycle), so a local shard
 // reads into the last buffer freed (dropped if too small: a last chunk).
-func (s *Store) readChunkBlob(key string, own bool) (raw []byte, skipped bool, err error) {
+func (s *Store) readChunkBlob(key string, own bool) (raw []byte, err error) {
 	s.mu.Lock()
 	info, ok := s.refs[key]
 	if !ok {
 		s.mu.Unlock()
-		return nil, false, fmt.Errorf("chunk: %s is not tracked by this store (freed or foreign)", key)
+		return nil, fmt.Errorf("chunk: %s is not tracked by this store (freed or foreign)", key)
 	}
 	si := info.shard
 	stored := info.bytes
@@ -677,38 +661,19 @@ func (s *Store) readChunkBlob(key string, own bool) (raw []byte, skipped bool, e
 		}
 	}
 	s.mu.Unlock()
-	if provenZero(b, key) {
-		s.mu.Lock()
-		s.shards[si].chunksSkipped++
-		s.shards[si].bytesSkipped += stored
-		s.mu.Unlock()
-		return nil, true, nil
-	}
 	if own && local {
 		raw, err = db.readInto(key, buf)
 	} else {
 		raw, err = b.ReadChunk(key)
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	s.mu.Lock()
 	s.shards[si].chunksRead++
 	s.shards[si].bytesRead += stored
 	s.mu.Unlock()
-	return raw, false, nil
-}
-
-// provenZero is the one skip proof: b's zone map records key as all-zero,
-// so decoding the chunk would yield exactly the zero chunk of its shape.
-// Never touches chunk bytes.
-func provenZero(b Backend, key string) bool {
-	zb, ok := zoneMapperOf(b)
-	if !ok {
-		return false
-	}
-	zm, ok := zb.ZoneMap(key)
-	return ok && zm.AllZero
+	return raw, nil
 }
 
 // noteExecuted counts one chunk whose partial shard si's /exec returned
@@ -720,16 +685,11 @@ func (s *Store) noteExecuted(si int) {
 }
 
 // readDenseChunk fetches key from its shard backend and decodes it as a
-// rows×cols dense chunk; a zone-map-skipped read synthesizes the zero
-// chunk, which is bit-identical to what decoding would have produced
-// (AllZero admits only +0.0 cells).
+// rows×cols dense chunk.
 func (s *Store) readDenseChunk(key string, rows, cols int, own bool) (*la.Dense, error) {
-	raw, skipped, err := s.readChunkBlob(key, own)
+	raw, err := s.readChunkBlob(key, own)
 	if err != nil {
 		return nil, err
-	}
-	if skipped {
-		return la.NewDense(rows, cols), nil
 	}
 	return decodeDenseChunk(key, raw, rows, cols)
 }

@@ -174,11 +174,6 @@ func byteUnshuffle(shuf []byte) []byte {
 // format. The compression is transparent at the Backend seam: ReadChunk
 // returns the original raw encoding, so the store's decoders (and every
 // driver above them) run unmodified.
-//
-// Composition order: compression goes inside, the zone-map annotating
-// wrapper outside (NewZoneMapBackend(compressed, dir)), so zone maps are
-// computed from the uncompressed encoding and sidecars are never
-// compressed.
 type compressingBackend struct {
 	inner Backend
 	codec Codec

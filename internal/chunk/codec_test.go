@@ -271,10 +271,9 @@ func TestCompressedStoreAccounting(t *testing.T) {
 	}
 }
 
-// TestBackendListContract: every backend — plain directory, remote, the
-// compressing wrapper, the zone-map wrapper, and the composed pair — lists
-// exactly the stored chunk keys, excluding *.tmp write debris, zone-map
-// sidecars, and foreign files sharing the directory.
+// TestBackendListContract: every backend — plain directory, remote, and the
+// compressing wrapper — lists exactly the stored chunk keys, excluding *.tmp
+// write debris and foreign files sharing the directory.
 func TestBackendListContract(t *testing.T) {
 	builders := []struct {
 		name string
@@ -304,50 +303,19 @@ func TestBackendListContract(t *testing.T) {
 			}
 			return b, dir
 		}},
-		{"zone(dir)", func(t *testing.T) (Backend, string) {
-			// Sidecars share the shard directory: the hardest listing case.
-			dir := t.TempDir()
-			inner, err := NewDirBackend(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := NewZoneMapBackend(inner, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b, dir
-		}},
-		{"zone(compress(dir))", func(t *testing.T) (Backend, string) {
-			dir := t.TempDir()
-			inner, err := NewDirBackend(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			comp, err := NewCompressingBackend(inner, CodecShuffleFlate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := NewZoneMapBackend(comp, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b, dir
-		}},
 	}
 	for _, bc := range builders {
 		t.Run(bc.name, func(t *testing.T) {
 			b, dir := bc.make(t)
 			want := []string{"chunk-000001.bin", "chunk-000002.bin"}
 			for _, key := range want {
-				if _, err := writeThrough(b, key, []byte{1, 2, 3, 4}, func() ZoneMap { return ZoneMap{} }); err != nil {
+				if _, err := writeSized(b, key, []byte{1, 2, 3, 4}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// Debris and metadata sharing the directory must never list.
+			// Debris and foreign files sharing the directory must never list.
 			for _, name := range []string{
 				"chunk-000003.bin" + tmpSuffix,
-				"chunk-000001.bin" + zoneSuffix,
-				"chunk-000002.bin" + zoneSuffix + tmpSuffix,
 				"README.txt",
 			} {
 				if err := os.WriteFile(filepath.Join(dir, name), []byte{9}, 0o644); err != nil {
@@ -367,6 +335,217 @@ func TestBackendListContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWrappedDifferentialDrivers pins every driver — dense GLM, sparse GLM,
+// star-schema factorized GLM, streamed k-means, streamed GNMF — to
+// bitwise-identical results between a plain local-only store and a store
+// whose shards (one local, one exec-capable remote) sit behind compressing
+// wrappers: compression and pushdown change bytes moved, never results.
+func TestWrappedDifferentialDrivers(t *testing.T) {
+	plain := testStore(t)
+
+	localDir := t.TempDir()
+	var local Backend
+	local, err := NewDirBackend(localDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local, err = NewCompressingBackend(local, CodecShuffleFlate); err != nil {
+		t.Fatal(err)
+	}
+	var remote Backend
+	remote, _ = startChunkServer(t)
+	if remote, err = NewCompressingBackend(remote, CodecShuffleFlate); err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := NewShardedStoreBackends([]Backend{local, remote}, LeastBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrapped.Close()
+
+	d1, s1, nt1, y := buildPKFKInputs(t, plain, 55)
+	d2, s2, nt2, _ := buildPKFKInputs(t, wrapped, 55)
+
+	const iters = 3
+	ex := Parallel()
+
+	rd1, err := logRegM(ex, d1, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd2, err := logRegM(ex, d2, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(rd1.W, rd2.W) != 0 {
+		t.Fatal("dense GLM weights differ under wrapped backends")
+	}
+
+	rs1, err := logRegM(ex, s1, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs2, err := logRegM(ex, s2, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(rs1.W, rs2.W) != 0 {
+		t.Fatal("sparse GLM weights differ under wrapped backends")
+	}
+
+	rf1, err := logRegF(ex, nt1, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf2, err := logRegF(ex, nt2, y, iters, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(rf1.W, rf2.W) != 0 {
+		t.Fatal("star GLM weights differ under wrapped backends")
+	}
+
+	km1, err := kMeans(ex, d1, 4, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	km2, err := kMeans(ex, d2, 4, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(km1.Centroids, km2.Centroids) != 0 || km1.Objective != km2.Objective {
+		t.Fatal("k-means results differ under wrapped backends")
+	}
+	a1, err := km1.Assign.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := km2.Assign.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(a1, a2) != 0 {
+		t.Fatal("k-means assignments differ under wrapped backends")
+	}
+
+	g1, err := gnmf(ex, s1, 3, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := gnmf(ex, s2, 3, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, err := g1.W.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := g2.W.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.MaxAbsDiff(g1.H, g2.H) != 0 || la.MaxAbsDiff(w1, w2) != 0 {
+		t.Fatal("GNMF factors differ under wrapped backends")
+	}
+
+	// The wrapped store stores the same matrices in fewer tracked bytes
+	// (the compressed sizes), and the wire meter saw the remote traffic.
+	if wb, pb := wrapped.BytesOnDisk(), plain.BytesOnDisk(); wb >= pb {
+		t.Fatalf("wrapped store BytesOnDisk = %d, plain = %d — compression saved nothing", wb, pb)
+	}
+	if io := wrapped.IOStats(); io.BytesOnWire <= 0 {
+		t.Fatalf("BytesOnWire = %d, want > 0 through the remote shard", io.BytesOnWire)
+	}
+}
+
+// TestWrappedMidStreamFailureAccounting mirrors the remote failure-injection
+// test with the compressing wrapper in the chain: injected mid-stream
+// failures error the pass, and LiveChunks/BytesOnDisk return to baseline —
+// the wrapper adds no leak paths.
+func TestWrappedMidStreamFailureAccounting(t *testing.T) {
+	dir := t.TempDir()
+	inner, err := NewChunkServer(filepath.Join(dir, "remote"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := &faultServer{inner: inner, dir: filepath.Join(dir, "remote")}
+	srv := httptest.NewServer(fault)
+	defer srv.Close()
+	var remote Backend
+	remote, err = NewRemoteBackend(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote, err = NewCompressingBackend(remote, CodecShuffleFlate); err != nil {
+		t.Fatal(err)
+	}
+	localDir := filepath.Join(dir, "local")
+	var local Backend
+	local, err = NewDirBackend(localDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local, err = NewCompressingBackend(local, CodecShuffleFlate); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewShardedStoreBackends([]Backend{local, remote}, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, sp, nt, y := buildPKFKInputs(t, s, 56)
+	baselineChunks := s.LiveChunks()
+	baselineBytes := s.BytesOnDisk()
+
+	ex := Exec{Workers: 2, Prefetch: 2}
+
+	fault.arm("read")
+	if _, err := logRegM(ex, d, y, 2, 1e-3); err == nil {
+		t.Fatal("dense GLM succeeded despite mid-stream read failures")
+	}
+	fault.arm("")
+	if got := s.LiveChunks(); got != baselineChunks {
+		t.Fatalf("after read failures: %d live chunks, want baseline %d", got, baselineChunks)
+	}
+	if got := s.BytesOnDisk(); got != baselineBytes {
+		t.Fatalf("after read failures: %d bytes, want baseline %d", got, baselineBytes)
+	}
+
+	fault.arm("write")
+	if _, err := d.MulExec(ex, la.Ones(d.Cols(), 3)); err == nil {
+		t.Fatal("spilled Mul succeeded despite remote write outage")
+	}
+	fault.arm("")
+	if got := s.LiveChunks(); got != baselineChunks {
+		t.Fatalf("after write failures: %d live chunks, want baseline %d", got, baselineChunks)
+	}
+	if got := s.BytesOnDisk(); got != baselineBytes {
+		t.Fatalf("after write failures: %d bytes, want baseline %d", got, baselineBytes)
+	}
+
+	if _, err := d.SumExec(ex); err != nil {
+		t.Fatalf("pass after recovery: %v", err)
+	}
+	if err := nt.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LiveChunks(); got != 0 {
+		t.Fatalf("%d live chunks after freeing everything", got)
+	}
+	if got := s.BytesOnDisk(); got != 0 {
+		t.Fatalf("%d bytes accounted after freeing everything", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -25,11 +25,10 @@ type pushRes struct {
 
 // runOp streams every chunk through the op and commits the partials in
 // ascending chunk order. Where each chunk is mapped is the store's
-// placement, not an option: chunks held by exec-capable shards and not
-// proven all-zero are mapped in place by the shard's worker — one /exec
-// stream per shard, partials relayed in that shard's ascending chunk order
-// — and every other chunk goes through the same pipeline Stream uses,
-// whose read path synthesizes the zone-proven zero chunks. The committer
+// placement, not an option: chunks held by exec-capable shards are mapped
+// in place by the shard's worker — one /exec stream per shard, partials
+// relayed in that shard's ascending chunk order — and every other chunk
+// goes through the same pipeline Stream uses. The committer
 // merges the per-source streams in ascending global chunk order, so the
 // reduction visits partials in the same order as an all-local run and the
 // result is bit-identical. Any exec failure (no endpoint, unknown op, cut

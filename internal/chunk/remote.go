@@ -260,9 +260,6 @@ func (b *RemoteBackend) List() ([]string, error) {
 	return keys, nil
 }
 
-// ListKeys is List under its historical name.
-func (b *RemoteBackend) ListKeys() ([]string, error) { return b.List() }
-
 // ExecOp asks the chunk server to run the op over chunks it holds and
 // returns the stream of encoded partials, in request order. A server
 // without /exec (or without this op in its registry) yields

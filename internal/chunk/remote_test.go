@@ -65,9 +65,9 @@ func TestRemoteBackendRoundTrip(t *testing.T) {
 	if n, err := b.BytesOf("chunk-000001.bin"); err != nil || n != int64(len(blob)) {
 		t.Fatalf("BytesOf = %d, %v, want %d", n, err, len(blob))
 	}
-	keys, err := b.ListKeys()
+	keys, err := b.List()
 	if err != nil || len(keys) != 2 {
-		t.Fatalf("ListKeys = %v, %v, want 2 keys", keys, err)
+		t.Fatalf("List = %v, %v, want 2 keys", keys, err)
 	}
 	got, err := b.ReadChunk("chunk-000001.bin")
 	if err != nil || !bytes.Equal(got, blob) {
@@ -94,8 +94,8 @@ func TestRemoteBackendRoundTrip(t *testing.T) {
 	if err != nil || n != 2 { // chunk-000002.bin + the tmp debris
 		t.Fatalf("Reap = %d, %v, want 2", n, err)
 	}
-	if keys, err := b.ListKeys(); err != nil || len(keys) != 0 {
-		t.Fatalf("after Reap: ListKeys = %v, %v", keys, err)
+	if keys, err := b.List(); err != nil || len(keys) != 0 {
+		t.Fatalf("after Reap: List = %v, %v", keys, err)
 	}
 }
 

@@ -55,15 +55,14 @@ func FromCSR(store *Store, c *la.CSR, chunkRows int) (*SparseMatrix, error) {
 }
 
 // writeSparseChunkFile encodes one CSR chunk, stores it on the key's shard
-// backend — annotated with its zone map when the backend records them, at
-// its compressed size when the backend compresses — and attributes the
-// stored size to that shard on success.
+// backend — at its compressed size when the backend compresses — and
+// attributes the stored size to that shard on success.
 func (s *Store) writeSparseChunkFile(key string, c *la.CSR) error {
 	b, err := s.backendFor(key)
 	if err != nil {
 		return err
 	}
-	stored, err := writeThrough(b, key, encodeSparseChunk(c), func() ZoneMap { return csrZoneMap(c) })
+	stored, err := writeSized(b, key, encodeSparseChunk(c))
 	if err != nil {
 		return err
 	}
@@ -103,16 +102,11 @@ func encodeSparseChunk(c *la.CSR) []byte {
 
 // readSparseChunk fetches key from its shard backend and decodes it,
 // validating shape and invariants (a corrupt blob surfaces as an error,
-// never a panic). A zone-map-skipped read synthesizes the empty CSR chunk,
-// allocated exactly as decodeSparseChunk would for a stored nnz=0 blob, so
-// the result is bit-identical to reading.
+// never a panic).
 func (s *Store) readSparseChunk(key string, rows, cols int, _ bool) (*la.CSR, error) {
-	raw, skipped, err := s.readChunkBlob(key, false)
+	raw, err := s.readChunkBlob(key, false)
 	if err != nil {
 		return nil, err
-	}
-	if skipped {
-		return la.NewCSR(rows, cols, make([]int, rows+1), make([]int32, 0), make([]float64, 0)), nil
 	}
 	return decodeSparseChunk(key, raw, rows, cols)
 }

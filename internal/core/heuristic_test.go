@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/la"
@@ -46,5 +47,61 @@ func TestComputeStatsOREScaleNoOverflow(t *testing.T) {
 	// The huge tuple ratio must keep the Advisor on the factorized side.
 	if !DefaultAdvisor().ShouldFactorize(st) {
 		t.Fatal("Advisor flipped to materialized on ORE-scale redundancy")
+	}
+}
+
+// randPKFKDims builds a PK-FK normalized matrix with exact dimensions.
+func randPKFKDims(rng *rand.Rand, nS, dS, nR, dR int) *NormalizedMatrix {
+	m, err := NewPKFK(randMat(rng, nS, dS), randIndicator(rng, nS, nR), randMat(rng, nR, dR))
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+func TestHeuristicRule(t *testing.T) {
+	adv := DefaultAdvisor()
+	// High TR, high FR: factorize.
+	if !adv.ShouldFactorize(Stats{TupleRatio: 20, FeatureRatio: 4}) {
+		t.Fatal("should factorize at TR=20, FR=4")
+	}
+	// Low TR: don't, regardless of FR.
+	if adv.ShouldFactorize(Stats{TupleRatio: 2, FeatureRatio: 4}) {
+		t.Fatal("should not factorize at TR=2")
+	}
+	// Low FR: don't.
+	if adv.ShouldFactorize(Stats{TupleRatio: 20, FeatureRatio: 0.5}) {
+		t.Fatal("should not factorize at FR=0.5")
+	}
+	// Boundary: thresholds are inclusive.
+	if !adv.ShouldFactorize(Stats{TupleRatio: 5, FeatureRatio: 1}) {
+		t.Fatal("boundary should factorize")
+	}
+}
+
+func TestComputeStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	m := randPKFKDims(rng, 100, 4, 10, 8)
+	st := m.ComputeStats()
+	if st.NS != 100 || st.NR != 10 || st.DS != 4 || st.DR != 8 {
+		t.Fatalf("stats %+v", st)
+	}
+	if st.TupleRatio != 10 || st.FeatureRatio != 2 {
+		t.Fatalf("ratios %+v", st)
+	}
+	// Redundancy = nS·d / (nS·dS + nR·dR) = 1200/480.
+	if st.Redundancy != 1200.0/480.0 {
+		t.Fatalf("redundancy %v", st.Redundancy)
+	}
+	if !DefaultAdvisor().Decide(m) {
+		t.Fatal("advisor should factorize TR=10 FR=2")
+	}
+	// dS = 0 datasets report FeatureRatio = DR.
+	m2, err := NewPKFK(nil, randIndicator(rng, 50, 5), randMat(rng, 5, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.ComputeStats().FeatureRatio; got != 7 {
+		t.Fatalf("dS=0 feature ratio %v", got)
 	}
 }

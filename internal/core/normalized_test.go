@@ -410,3 +410,24 @@ func TestCompactMNEntitySide(t *testing.T) {
 		t.Fatal("Compact changed the logical M:N matrix")
 	}
 }
+
+// TestTMulMatchesTransposedLMM: the binary crossprod(T, X) = Tᵀ·X of the
+// paper's footnote 5 is TMul, on a plain and on a transposed operand
+// (crossprod(Tᵀ, X) = T·X).
+func TestTMulMatchesTransposedLMM(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	m := randStar(rng)
+	x := randDense(rng, m.Rows(), 3)
+	got := m.TMul(x)
+	want := la.TMatMul(m.Dense(), x)
+	if la.MaxAbsDiff(got, want) > tol {
+		t.Fatal("binary crossprod mismatch")
+	}
+	tm := m.Transpose()
+	x2 := randDense(rng, tm.Rows(), 2)
+	got2 := tm.TMul(x2)
+	want2 := la.TMatMul(m.Dense().TDense(), x2)
+	if la.MaxAbsDiff(got2, want2) > tol {
+		t.Fatal("binary crossprod (transposed) mismatch")
+	}
+}

@@ -280,7 +280,8 @@ func TestStreamedTMulMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestStreamedMulNormMatchesDMM pins the streamed DMM against the
+// TestStreamedMulNormMatchesDMM pins the streamed LMM (MulExec) of a
+// chunked normalized matrix by a materialized normalized B against the
 // materialized product of both operands.
 func TestStreamedMulNormMatchesDMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))

@@ -101,10 +101,6 @@ type MNSpec struct {
 	Seed               int64
 }
 
-// UniquenessDegree returns nU/nS, the paper's join-attribute uniqueness
-// degree from Figure 4.
-func (s MNSpec) UniquenessDegree() float64 { return float64(s.NU) / float64(s.NS) }
-
 func (s MNSpec) String() string {
 	return fmt.Sprintf("mn(nS=%d,nR=%d,dS=%d,dR=%d,nU=%d)", s.NS, s.NR, s.DS, s.DR, s.NU)
 }

@@ -110,13 +110,6 @@ func TestMNCartesianProduct(t *testing.T) {
 	}
 }
 
-func TestMNUniquenessDegree(t *testing.T) {
-	spec := MNSpec{NS: 100, NR: 100, DS: 2, DR: 2, NU: 50, Seed: 5}
-	if spec.UniquenessDegree() != 0.5 {
-		t.Fatal("uniqueness degree")
-	}
-}
-
 func TestLabels(t *testing.T) {
 	m, _ := PKFK(PKFKSpec{NS: 60, DS: 2, NR: 6, DR: 2, Seed: 6})
 	y := Labels(m, 0, true, 9)

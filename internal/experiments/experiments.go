@@ -92,9 +92,6 @@ type Config struct {
 	Codec string
 }
 
-// DefaultConfig returns Scale=1, Seed=1.
-func DefaultConfig() Config { return Config{Scale: 1, Seed: 1} }
-
 func (c Config) scaled(n int) int {
 	v := int(float64(n) * c.Scale)
 	if v < 1 {

@@ -28,7 +28,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestRunUnknown(t *testing.T) {
 	for _, id := range []string{"nope", "chunkpar", "serve-slo"} {
-		if _, err := Run(id, DefaultConfig()); err == nil {
+		if _, err := Run(id, Config{Scale: 1, Seed: 1}); err == nil {
 			t.Fatalf("unknown experiment %q accepted", id)
 		}
 	}

@@ -236,18 +236,6 @@ func (m *Dense) SetBlock(r0, c0 int, blk *Dense) {
 	}
 }
 
-// SliceColsDense returns a copy of columns [j0,j1).
-func (m *Dense) SliceColsDense(j0, j1 int) *Dense {
-	if j0 < 0 || j1 > m.cols || j0 > j1 {
-		panic(fmt.Sprintf("la: col slice [%d,%d) out of bounds %d", j0, j1, m.cols))
-	}
-	out := NewDense(m.rows, j1-j0)
-	for i := 0; i < m.rows; i++ {
-		copy(out.Row(i), m.data[i*m.cols+j0:i*m.cols+j1])
-	}
-	return out
-}
-
 // HCat concatenates matrices side by side: [a, b, ...].
 func HCat(ms ...*Dense) *Dense {
 	if len(ms) == 0 {

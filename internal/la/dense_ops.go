@@ -86,16 +86,6 @@ func (m *Dense) Sub(b *Dense) *Dense {
 	return m.zipWith(b, func(x, y float64) float64 { return x - y })
 }
 
-// MulElem returns m*b element-wise (Hadamard product).
-func (m *Dense) MulElem(b *Dense) *Dense {
-	return m.zipWith(b, func(x, y float64) float64 { return x * y })
-}
-
-// DivElem returns m/b element-wise.
-func (m *Dense) DivElem(b *Dense) *Dense {
-	return m.zipWith(b, func(x, y float64) float64 { return x / y })
-}
-
 func (m *Dense) zipWith(b *Dense, f func(x, y float64) float64) *Dense {
 	if m.rows != b.rows || m.cols != b.cols {
 		panic(fmt.Sprintf("la: shape mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
@@ -166,25 +156,6 @@ func (m *Dense) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// RowMins returns the per-row minimum values (the paper's rowMin, used by
-// K-Means cluster assignment).
-func (m *Dense) RowMins() []float64 {
-	out := make([]float64, m.rows)
-	parallelFor(m.rows, len(m.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			mn := math.Inf(1)
-			for _, v := range row {
-				if v < mn {
-					mn = v
-				}
-			}
-			out[i] = mn
-		}
-	})
-	return out
 }
 
 // --- la.Matrix interface ---

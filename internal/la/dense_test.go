@@ -198,12 +198,6 @@ func TestZipOps(t *testing.T) {
 	if got := a.Sub(b).At(1, 1); got != -4 {
 		t.Fatalf("Sub: %v", got)
 	}
-	if got := a.MulElem(b).At(1, 0); got != 21 {
-		t.Fatalf("MulElem: %v", got)
-	}
-	if got := b.DivElem(a).At(0, 1); got != 3 {
-		t.Fatalf("DivElem: %v", got)
-	}
 }
 
 func TestAggregations(t *testing.T) {
@@ -221,23 +215,11 @@ func TestAggregations(t *testing.T) {
 	}
 }
 
-func TestRowMins(t *testing.T) {
-	m := DenseFromRows([][]float64{{3, 1, 2}, {-5, 0, 9}})
-	mins := m.RowMins()
-	if mins[0] != 1 || mins[1] != -5 {
-		t.Fatalf("RowMins: %v", mins)
-	}
-}
-
 func TestSlices(t *testing.T) {
 	m := DenseFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	r := m.SliceRowsDense(1, 3)
 	if r.Rows() != 2 || r.At(0, 0) != 4 || r.At(1, 2) != 9 {
 		t.Fatalf("SliceRows: %v", r)
-	}
-	c := m.SliceColsDense(1, 2)
-	if c.Cols() != 1 || c.At(2, 0) != 8 {
-		t.Fatalf("SliceCols: %v", c)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Binary serialization for matrices: a small self-describing format so
@@ -244,59 +242,4 @@ func ReadIndicator(r io.Reader) (*Indicator, error) {
 		}
 	}
 	return NewIndicatorInt32(assign, cols), nil
-}
-
-// WriteCSV emits the dense matrix as comma-separated values (no header).
-func (m *Dense) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			if j > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadDenseCSV parses headerless numeric CSV into a dense matrix.
-func ReadDenseCSV(r io.Reader) (*Dense, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var rows [][]float64
-	cols := -1
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if cols == -1 {
-			cols = len(fields)
-		} else if len(fields) != cols {
-			return nil, fmt.Errorf("la: ragged CSV row %d: %d fields, want %d", len(rows), len(fields), cols)
-		}
-		row := make([]float64, cols)
-		for j, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("la: CSV row %d col %d: %w", len(rows), j, err)
-			}
-			row[j] = v
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return DenseFromRows(rows), nil
 }

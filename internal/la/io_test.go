@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -164,36 +163,5 @@ func TestReadLyingHeaders(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("%s: allocated %d bytes before failing", h.name, grew)
 		}
-	}
-}
-
-func TestDenseCSVRoundTrip(t *testing.T) {
-	m := DenseFromRows([][]float64{{1.5, -2}, {0, 3e10}})
-	var buf bytes.Buffer
-	if err := m.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDenseCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualApprox(got, m, 0) {
-		t.Fatal("CSV round trip mismatch")
-	}
-}
-
-func TestReadDenseCSVErrors(t *testing.T) {
-	if _, err := ReadDenseCSV(strings.NewReader("1,2\n3\n")); err == nil {
-		t.Fatal("accepted ragged CSV")
-	}
-	if _, err := ReadDenseCSV(strings.NewReader("1,x\n")); err == nil {
-		t.Fatal("accepted non-numeric CSV")
-	}
-	m, err := ReadDenseCSV(strings.NewReader("\n\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 0 {
-		t.Fatal("blank CSV should be empty")
 	}
 }

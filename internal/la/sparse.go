@@ -466,39 +466,6 @@ func (c *CSR) CrossProd() *Dense {
 // Gram computes c·cᵀ via the transpose: (cᵀ)ᵀ(cᵀ).
 func (c *CSR) Gram() *Dense { return c.TCSR().CrossProd() }
 
-// MulCSR computes c·o for two sparse matrices, returning a dense result
-// (used by the indicator-product tiles where the output is small).
-func (c *CSR) MulCSR(o *CSR) *Dense {
-	if o.rows != c.cols {
-		panic(fmt.Sprintf("la: MulCSR %dx%d · %dx%d", c.rows, c.cols, o.rows, o.cols))
-	}
-	out := NewDense(c.rows, o.cols)
-	for i := 0; i < c.rows; i++ {
-		idx, vs := c.RowNNZ(i)
-		orow := out.Row(i)
-		for k, j := range idx {
-			jidx, jvs := o.RowNNZ(int(j))
-			v := vs[k]
-			for t, jj := range jidx {
-				orow[jj] += v * jvs[t]
-			}
-		}
-	}
-	return out
-}
-
-// MulMat computes c·r where r may be dense or sparse, returning dense.
-func (c *CSR) MulMat(r Mat) *Dense {
-	switch rm := r.(type) {
-	case *Dense:
-		return c.Mul(rm)
-	case *CSR:
-		return c.MulCSR(rm)
-	default:
-		return c.Mul(r.Dense())
-	}
-}
-
 // RowSums returns an n×1 column vector of row sums.
 func (c *CSR) RowSums() *Dense {
 	out := make([]float64, c.rows)

@@ -176,15 +176,6 @@ func TestCSRGramMatchesDense(t *testing.T) {
 	}
 }
 
-func TestCSRMulCSRMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a, da := randCSR(rng, 7, 11, 0.3)
-	b, db := randCSR(rng, 11, 5, 0.3)
-	if !EqualApprox(a.MulCSR(b), MatMul(da, db), 1e-10) {
-		t.Fatal("MulCSR mismatch")
-	}
-}
-
 func TestCSRAggregations(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	c, d := randCSR(rng, 15, 7, 0.4)

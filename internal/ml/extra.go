@@ -96,7 +96,3 @@ func PCAScan(t la.Operand, k int) (*PCAResult, error) {
 	}
 	return &PCAResult{Components: comp, Variances: variances}, nil
 }
-
-// Project maps the rows of T onto the fitted components: T·Components.
-// The LMM factorizes over normalized input.
-func (p *PCAResult) Project(t la.Matrix) *la.Dense { return t.Mul(p.Components) }

@@ -95,8 +95,8 @@ func TestPCAFactorizedMatchesMaterialized(t *testing.T) {
 		}
 	}
 	// Projection over the normalized matrix factorizes the LMM.
-	projM := pM.Project(td)
-	projF := pM.Project(nm)
+	projM := td.Mul(pM.Components)
+	projF := nm.Mul(pM.Components)
 	if la.MaxAbsDiff(projM, projF) > 1e-9 {
 		t.Fatal("factorized projection differs")
 	}

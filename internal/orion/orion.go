@@ -97,50 +97,6 @@ func (g *GLM) LogisticGD(y *la.Dense, iters int, alpha float64) (*la.Dense, erro
 	return w, nil
 }
 
-// LinearGD trains least squares by factorized gradient descent with the
-// same associative-array structure.
-func (g *GLM) LinearGD(y *la.Dense, iters int, alpha float64) (*la.Dense, error) {
-	if y.Rows() != g.s.Rows() || y.Cols() != 1 {
-		return nil, fmt.Errorf("orion: labels are %dx%d, want %dx1", y.Rows(), y.Cols(), g.s.Rows())
-	}
-	if iters <= 0 {
-		return nil, fmt.Errorf("orion: iters must be positive")
-	}
-	dS, dR := g.s.Cols(), g.r.Cols()
-	w := la.NewDense(dS+dR, 1)
-	wS := w.Data()[:dS]
-	wR := w.Data()[dS:]
-	gradS := make([]float64, dS)
-	gradRByRID := make(map[int32]float64, g.r.Rows())
-	for it := 0; it < iters; it++ {
-		for rid := 0; rid < g.r.Rows(); rid++ {
-			g.partials[int32(rid)] = dot(g.r.Row(rid), wR)
-		}
-		for j := range gradS {
-			gradS[j] = 0
-		}
-		clearMap(gradRByRID)
-		for i := 0; i < g.s.Rows(); i++ {
-			srow := g.s.Row(i)
-			resid := dot(srow, wS) + g.partials[g.fk[i]] - y.At(i, 0)
-			for j, v := range srow {
-				gradS[j] += resid * v
-			}
-			gradRByRID[g.fk[i]] += resid
-		}
-		for j := range wS {
-			wS[j] -= alpha * gradS[j]
-		}
-		for rid, c := range gradRByRID {
-			rrow := g.r.Row(int(rid))
-			for j, v := range rrow {
-				wR[j] -= alpha * c * v
-			}
-		}
-	}
-	return w, nil
-}
-
 func dot(x, y []float64) float64 {
 	s := 0.0
 	for i, v := range x {

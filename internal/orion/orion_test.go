@@ -71,27 +71,6 @@ func TestOrionLogisticMatchesMorpheus(t *testing.T) {
 	}
 }
 
-func TestOrionLinearMatchesMorpheus(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s, r, fk, nm := makeData(rng, 100, 2, 6, 3)
-	y := nm.Mul(la.Ones(nm.Cols(), 1))
-	g, err := NewGLM(s, r, fk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wOrion, err := g.LinearGD(y, 10, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wMorpheus, err := ml.LinearRegressionGD(nm, y, nil, ml.Options{Iters: 10, StepSize: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la.MaxAbsDiff(wOrion, wMorpheus) > 1e-9 {
-		t.Fatalf("Orion vs Morpheus linear weights differ by %g", la.MaxAbsDiff(wOrion, wMorpheus))
-	}
-}
-
 func TestOrionValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s, r, fk, _ := makeData(rng, 10, 2, 3, 2)

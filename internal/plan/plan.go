@@ -7,9 +7,9 @@
 //	execution:      serial vs the parallel prefetching pipeline
 //
 // Placement is not an axis: where a chunk is mapped (on an exec-capable
-// shard or locally), which chunks a zone map lets the read path skip, and
-// the multi-shard read interleave are the chunk store's own observations,
-// made per pass, so the planner neither decides nor records them.
+// shard or locally) and the multi-shard read interleave are the chunk
+// store's own observations, made per pass, so the planner neither decides
+// nor records them.
 //
 // The planner reads only cheap structural facts already on hand — n, d,
 // q, nnz, core.StatsFromDims (tuple ratio / feature ratio / redundancy)

@@ -60,9 +60,6 @@ func NewEncoder(t *Table, featureCols []string) (*Encoder, error) {
 	return e, nil
 }
 
-// Width reports the encoded feature dimensionality.
-func (e *Encoder) Width() int { return len(e.Features) }
-
 // Encode produces the feature matrix: CSR when any categorical column is
 // present (one-hot dominated), dense otherwise. The CSR arrays are written
 // row by row in feature order, so they are final as emitted; numeric zeros

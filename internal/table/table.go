@@ -8,11 +8,8 @@
 package table
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"slices"
-	"strconv"
 )
 
 // ColumnKind classifies a column's role and type.
@@ -73,33 +70,6 @@ func (t *Table) Column(name string) (*Column, error) {
 		}
 	}
 	return nil, fmt.Errorf("table: %s has no column %q", t.Name, name)
-}
-
-// WriteCSV emits the table with a header row.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, len(t.Cols))
-	for i, c := range t.Cols {
-		header[i] = c.Name
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, len(t.Cols))
-	for r := 0; r < t.rows; r++ {
-		for i, c := range t.Cols {
-			if c.Kind == Numeric {
-				row[i] = strconv.FormatFloat(c.Nums[r], 'g', -1, 64)
-			} else {
-				row[i] = c.Dict[c.Codes[r]]
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // ResolveForeignKey maps the entity's foreign-key column to row numbers of
