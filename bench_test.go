@@ -288,11 +288,7 @@ func BenchmarkFig10GNMFTopics(b *testing.B) {
 // --- Table 7: real-data clones ---
 
 func BenchmarkTable7LogReg(b *testing.B) {
-	for _, name := range []string{"Expedia", "Movies", "Yelp", "Walmart", "LastFM", "Books", "Flights"} {
-		spec, err := realdata.SpecByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, spec := range realdata.Specs() {
 		ds, err := realdata.Generate(spec.Scaled(400), 1)
 		if err != nil {
 			b.Fatal(err)
@@ -300,7 +296,7 @@ func BenchmarkTable7LogReg(b *testing.B) {
 		sp := ds.Norm.Sparse()
 		y := ds.BinaryY()
 		opt := ml.Options{Iters: 20, StepSize: 1e-6}
-		b.Run(name, func(b *testing.B) {
+		b.Run(spec.Name, func(b *testing.B) {
 			b.Run("M", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := ml.LogisticRegressionGD(sp, y, nil, opt); err != nil {
@@ -320,7 +316,7 @@ func BenchmarkTable7LogReg(b *testing.B) {
 }
 
 func BenchmarkTable7LinReg(b *testing.B) {
-	spec, _ := realdata.SpecByName("Movies")
+	spec := realdata.Specs()[1] // Movies
 	ds, err := realdata.Generate(spec.Scaled(400), 1)
 	if err != nil {
 		b.Fatal(err)
@@ -692,7 +688,7 @@ func BenchmarkRouterScore(b *testing.B) {
 // --- Table 12 (appendix): data preparation ---
 
 func BenchmarkTable12DataPrep(b *testing.B) {
-	spec, _ := realdata.SpecByName("Expedia")
+	spec := realdata.Specs()[0] // Expedia
 	ds, err := realdata.Generate(spec.Scaled(400), 1)
 	if err != nil {
 		b.Fatal(err)

@@ -16,7 +16,7 @@
 // to reap every chunk plus interrupted-spill temp debris (the remote
 // analogue of startup orphan reaping — the store issues it when it adopts
 // the shard). POST /exec runs a registered per-chunk op (crossprod,
-// colsums, sum, kmeans-assign-v2) over listed local chunks and streams back
+// kmeans-assign-v2) over listed local chunks and streams back
 // the encoded partials in request order, so only partials — not chunks —
 // cross the wire; the driver remains the reducer, checks each partial's
 // shape against the op, and results are bit-identical with an all-local

@@ -51,13 +51,14 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -69,26 +70,55 @@ import (
 	"repro/internal/serve"
 )
 
+// errDrain ends the request stream on SIGINT/SIGTERM.
+var errDrain = errors.New("draining")
+
 func main() {
+	// Graceful shutdown: a signal ends the request stream run reads, so
+	// run answers everything already accepted, flushes, reports and
+	// returns — instead of dying mid-batch.
+	in, stream := io.Pipe()
+	go func() {
+		_, err := io.Copy(stream, os.Stdin)
+		stream.CloseWithError(err)
+	}()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		s := <-sig
+		fmt.Fprintf(os.Stderr, "morpheus-serve: %v — draining in-flight batches\n", s)
+		stream.CloseWithError(errDrain)
+	}()
+	if err := run(os.Args[1:], in, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "morpheus-serve: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("morpheus-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ns      = flag.Int("ns", 20000, "entity tuples (fact-table rows)")
-		ds      = flag.Int("ds", 20, "entity features")
-		nr      = flag.Int("nr", 1000, "attribute-table tuples")
-		dr      = flag.Int("dr", 80, "attribute features")
-		tables  = flag.Int("tables", 1, "attribute tables (star schema when > 1)")
-		model   = flag.String("model", "logreg", "model: logreg | linreg")
-		iters   = flag.Int("iters", 20, "training iterations")
-		step    = flag.Float64("step", 1e-6, "gradient-descent step size")
-		seed    = flag.Int64("seed", 1, "data generator seed")
-		batch   = flag.Int("batch", 256, "largest batch one caller scores")
-		workers = flag.Int("workers", 0, "callers scoring batches at once (0 = GOMAXPROCS)")
-		compare = flag.Bool("compare", false, "report cached vs naive scoring throughput before serving")
-		mutable = flag.Bool("mutable", false, "serve from a versioned epoch store accepting set/commit/epoch requests")
-		fleet   = flag.Int("replicas", 1, "serving-fleet width")
-		place   = flag.String("placement", "sharded", "fleet cache placement: sharded | replicated")
-		queue   = flag.Int("queue", 0, "admission queue depth; full queue rejects with ErrOverloaded (0 = workers x batch)")
+		ns      = fs.Int("ns", 20000, "entity tuples (fact-table rows)")
+		ds      = fs.Int("ds", 20, "entity features")
+		nr      = fs.Int("nr", 1000, "attribute-table tuples")
+		dr      = fs.Int("dr", 80, "attribute features")
+		tables  = fs.Int("tables", 1, "attribute tables (star schema when > 1)")
+		model   = fs.String("model", "logreg", "model: logreg | linreg")
+		iters   = fs.Int("iters", 20, "training iterations")
+		step    = fs.Float64("step", 1e-6, "gradient-descent step size")
+		seed    = fs.Int64("seed", 1, "data generator seed")
+		batch   = fs.Int("batch", 256, "largest batch one caller scores")
+		workers = fs.Int("workers", 0, "callers scoring batches at once (0 = GOMAXPROCS)")
+		compare = fs.Bool("compare", false, "report cached vs naive scoring throughput before serving")
+		mutable = fs.Bool("mutable", false, "serve from a versioned epoch store accepting set/commit/epoch requests")
+		fleet   = fs.Int("replicas", 1, "serving-fleet width")
+		place   = fs.String("placement", "sharded", "fleet cache placement: sharded | replicated")
+		queue   = fs.Int("queue", 0, "admission queue depth; full queue rejects with ErrOverloaded (0 = workers x batch)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	head := serve.Logistic
 	binarize := true
@@ -96,14 +126,26 @@ func main() {
 		head = serve.Linear
 		binarize = false
 	} else if *model != "logreg" {
-		fail("unknown -model %q (want logreg or linreg)", *model)
+		return fmt.Errorf("unknown -model %q (want logreg or linreg)", *model)
+	}
+	var placement serve.Placement
+	switch *place {
+	case "sharded":
+		placement = serve.HashSharded
+	case "replicated":
+		placement = serve.Replicated
+	default:
+		return fmt.Errorf("unknown -placement %q (want sharded or replicated)", *place)
+	}
+	if *fleet < 1 {
+		return fmt.Errorf("-replicas must be >= 1, got %d", *fleet)
 	}
 
 	nm, err := generate(*ns, *ds, *nr, *dr, *tables, *seed)
 	if err != nil {
-		fail("generating data: %v", err)
+		return fmt.Errorf("generating data: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "dataset: %d rows x %d features over %d attribute table(s)\n",
+	fmt.Fprintf(stderr, "dataset: %d rows x %d features over %d attribute table(s)\n",
 		nm.Rows(), nm.Cols(), nm.NumTables())
 	y := datagen.Labels(nm, 0.1, binarize, *seed+1)
 	start := time.Now()
@@ -114,29 +156,16 @@ func main() {
 		w, err = ml.LinearRegressionGD(nm, y, nil, ml.Options{Iters: *iters, StepSize: *step})
 	}
 	if err != nil {
-		fail("training: %v", err)
+		return fmt.Errorf("training: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "trained %s factorized in %v\n", *model, time.Since(start).Round(time.Millisecond))
-
-	var placement serve.Placement
-	switch *place {
-	case "sharded":
-		placement = serve.HashSharded
-	case "replicated":
-		placement = serve.Replicated
-	default:
-		fail("unknown -placement %q (want sharded or replicated)", *place)
-	}
-	if *fleet < 1 {
-		fail("-replicas must be >= 1, got %d", *fleet)
-	}
+	fmt.Fprintf(stderr, "trained %s factorized in %v\n", *model, time.Since(start).Round(time.Millisecond))
 
 	// One construction path for every configuration: -mutable picks the
 	// partial source, -placement the ownership of each of -replicas scorers.
 	var st *epoch.Store
 	if *mutable {
 		if st, err = epoch.NewStore(nm); err != nil {
-			fail("building epoch store: %v", err)
+			return fmt.Errorf("building epoch store: %v", err)
 		}
 	}
 	replicas := make([]serve.Replica, *fleet)
@@ -151,74 +180,58 @@ func main() {
 			replicas[i], err = serve.NewShardedScorer(nm, w, head, shard, of)
 		}
 		if err != nil {
-			fail("building scorer: %v", err)
+			return fmt.Errorf("building scorer: %v", err)
 		}
 	}
 	sc, err := serve.NewRouter(replicas, placement)
 	if err != nil {
-		fail("building fleet: %v", err)
+		return fmt.Errorf("building fleet: %v", err)
 	}
 	if st != nil {
-		fmt.Fprintf(os.Stderr, "mutable fleet: %d %s replicas at epoch %d (set/commit/epoch requests enabled)\n",
+		fmt.Fprintf(stderr, "mutable fleet: %d %s replicas at epoch %d (set/commit/epoch requests enabled)\n",
 			sc.NumReplicas(), sc.Placement(), st.Version())
 	} else {
-		fmt.Fprintf(os.Stderr, "serving fleet: %d %s replicas\n", sc.NumReplicas(), sc.Placement())
+		fmt.Fprintf(stderr, "serving fleet: %d %s replicas\n", sc.NumReplicas(), sc.Placement())
 	}
 	if *compare {
-		reportSpeedup(sc, nm, head, w)
+		reportSpeedup(stderr, sc, nm, head, w)
 	}
 	b := serve.NewBatcher(sc, serve.BatchOptions{MaxBatch: *batch, Workers: *workers, QueueDepth: *queue})
 	defer b.Close()
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-
-	// Graceful shutdown: stop admitting, answer everything already
-	// accepted, flush, report, exit — instead of dying mid-batch. outMu
-	// orders the final flush against the request loop's writes.
-	var outMu sync.Mutex
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		fmt.Fprintf(os.Stderr, "morpheus-serve: %v — draining in-flight batches\n", s)
-		b.Close()
-		outMu.Lock()
-		out.Flush()
-		bs := b.Stats()
-		fmt.Fprintf(os.Stderr, "morpheus-serve: drained; accepted=%d rejected=%d batches=%d peak_queue=%d\n",
-			bs.Accepted, bs.Rejected, bs.Batches, bs.PeakQueue)
-		os.Exit(0)
-	}()
-
-	in := bufio.NewScanner(os.Stdin)
+	out := bufio.NewWriter(stdout)
+	in := bufio.NewScanner(stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	for in.Scan() {
 		line := strings.TrimSpace(in.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		outMu.Lock()
-		if st != nil && handleMutation(line, st, out) {
-			out.Flush()
-			outMu.Unlock()
-			continue
+		if st == nil || !handleMutation(line, st, out, stderr) {
+			handleRequest(line, sc, b, out, stderr)
 		}
-		handleRequest(line, sc, b, out)
 		// Flush per request so interactive callers see their response
 		// immediately rather than at buffer/EOF boundaries.
-		out.Flush()
-		outMu.Unlock()
+		if err := out.Flush(); err != nil {
+			return err
+		}
 	}
-	if err := in.Err(); err != nil {
-		fail("reading stdin: %v", err)
+	switch err := in.Err(); {
+	case errors.Is(err, errDrain):
+		b.Close()
+		bs := b.Stats()
+		fmt.Fprintf(stderr, "morpheus-serve: drained; accepted=%d rejected=%d batches=%d peak_queue=%d\n",
+			bs.Accepted, bs.Rejected, bs.Batches, bs.PeakQueue)
+	case err != nil:
+		return fmt.Errorf("reading stdin: %v", err)
 	}
+	return nil
 }
 
 // handleMutation serves the -mutable request forms; it reports whether
 // the line was a mutation request (handled or rejected) as opposed to a
 // scoring request.
-func handleMutation(line string, st *epoch.Store, out *bufio.Writer) bool {
+func handleMutation(line string, st *epoch.Store, out, stderr io.Writer) bool {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case "epoch":
@@ -227,24 +240,24 @@ func handleMutation(line string, st *epoch.Store, out *bufio.Writer) bool {
 	case "commit":
 		c, err := st.Commit()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "commit failed: %v\n", err)
+			fmt.Fprintf(stderr, "commit failed: %v\n", err)
 			return true
 		}
 		fmt.Fprintf(out, "epoch,%d,rows,%d\n", c.Version, c.RowsChanged())
 		return true
 	case "set":
 		if len(fields) != 4 {
-			fmt.Fprintf(os.Stderr, "skipping %q: want 'set s|rN ROW v1,v2,...'\n", line)
+			fmt.Fprintf(stderr, "skipping %q: want 'set s|rN ROW v1,v2,...'\n", line)
 			return true
 		}
 		row, err := strconv.Atoi(fields[2])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipping %q: bad row %q\n", line, fields[2])
+			fmt.Fprintf(stderr, "skipping %q: bad row %q\n", line, fields[2])
 			return true
 		}
 		vals, err := parseVals(fields[3])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipping %q: %v\n", line, err)
+			fmt.Fprintf(stderr, "skipping %q: %v\n", line, err)
 			return true
 		}
 		switch {
@@ -253,16 +266,16 @@ func handleMutation(line string, st *epoch.Store, out *bufio.Writer) bool {
 		case strings.HasPrefix(fields[1], "r"):
 			t, terr := strconv.Atoi(fields[1][1:])
 			if terr != nil || t < 1 {
-				fmt.Fprintf(os.Stderr, "skipping %q: bad table %q (want s or r1..r%d)\n", line, fields[1], st.NumTables())
+				fmt.Fprintf(stderr, "skipping %q: bad table %q (want s or r1..r%d)\n", line, fields[1], st.NumTables())
 				return true
 			}
 			err = st.UpsertAttr(t-1, row, vals)
 		default:
-			fmt.Fprintf(os.Stderr, "skipping %q: bad table %q (want s or r1..r%d)\n", line, fields[1], st.NumTables())
+			fmt.Fprintf(stderr, "skipping %q: bad table %q (want s or r1..r%d)\n", line, fields[1], st.NumTables())
 			return true
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipping %q: %v\n", line, err)
+			fmt.Fprintf(stderr, "skipping %q: %v\n", line, err)
 			return true
 		}
 		fmt.Fprintf(out, "staged,%d\n", st.Pending())
@@ -293,7 +306,7 @@ func parseVals(csv string) ([]float64, error) {
 
 // handleRequest serves one input line: "all", a single row id, or a
 // comma-separated batch. Bad requests are reported to stderr and skipped.
-func handleRequest(line string, sc *serve.Router, b *serve.Batcher, out *bufio.Writer) {
+func handleRequest(line string, sc *serve.Router, b *serve.Batcher, out, stderr io.Writer) {
 	if line == "all" {
 		for id, v := range sc.ScoreAll() {
 			fmt.Fprintf(out, "%d,%g\n", id, v)
@@ -302,13 +315,13 @@ func handleRequest(line string, sc *serve.Router, b *serve.Batcher, out *bufio.W
 	}
 	ids, err := parseIDs(line)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipping %q: %v\n", line, err)
+		fmt.Fprintf(stderr, "skipping %q: %v\n", line, err)
 		return
 	}
 	if len(ids) == 1 {
 		v, err := b.Score(ids[0])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipping %d: %v\n", ids[0], err)
+			fmt.Fprintf(stderr, "skipping %d: %v\n", ids[0], err)
 			return
 		}
 		fmt.Fprintf(out, "%d,%g\n", ids[0], v)
@@ -316,7 +329,7 @@ func handleRequest(line string, sc *serve.Router, b *serve.Batcher, out *bufio.W
 	}
 	vs, err := sc.ScoreBatch(ids)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipping %q: %v\n", line, err)
+		fmt.Fprintf(stderr, "skipping %q: %v\n", line, err)
 		return
 	}
 	for i, id := range ids {
@@ -340,7 +353,7 @@ func generate(ns, ds, nr, dr, tables int, seed int64) (*core.NormalizedMatrix, e
 // reportSpeedup times scoring every row via the serving fleet's cached
 // partials against rerunning the factorized predictor, mirroring
 // BenchmarkServe*.
-func reportSpeedup(sc *serve.Router, nm *core.NormalizedMatrix, head serve.Head, w *la.Dense) {
+func reportSpeedup(stderr io.Writer, sc *serve.Router, nm *core.NormalizedMatrix, head serve.Head, w *la.Dense) {
 	const reps = 5
 	naive := time.Duration(1<<63 - 1)
 	for r := 0; r < reps; r++ {
@@ -362,7 +375,7 @@ func reportSpeedup(sc *serve.Router, nm *core.NormalizedMatrix, head serve.Head,
 			cached = d
 		}
 	}
-	fmt.Fprintf(os.Stderr, "scoring %d rows: naive factorized %v, cached partials %v (%.1fx)\n",
+	fmt.Fprintf(stderr, "scoring %d rows: naive factorized %v, cached partials %v (%.1fx)\n",
 		nm.Rows(), naive, cached, float64(naive)/float64(cached))
 }
 
@@ -384,9 +397,4 @@ func parseIDs(line string) ([]int, error) {
 		return nil, fmt.Errorf("no row ids")
 	}
 	return ids, nil
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "morpheus-serve: "+format+"\n", args...)
-	os.Exit(1)
 }

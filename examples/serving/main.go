@@ -23,25 +23,43 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"math/rand"
 	"sync"
 	"time"
 
 	repro "repro"
-	"repro/internal/datagen"
 )
+
+// randDense fills a rows×cols matrix with standard normal draws.
+func randDense(rng *rand.Rand, rows, cols int) *repro.Dense {
+	m := repro.NewDense(rows, cols)
+	for i := range m.Data() {
+		m.Data()[i] = rng.NormFloat64()
+	}
+	return m
+}
 
 func main() {
 	// 1. A PK-FK dataset shaped like the paper's serving-relevant cells:
 	// 20k fact rows with 5 features, 1k dimension rows with 80 features.
-	nm, err := datagen.PKFK(datagen.PKFKSpec{NS: 20000, DS: 5, NR: 1000, DR: 80, Seed: 42})
+	rng := rand.New(rand.NewSource(42))
+	s, r := randDense(rng, 20000, 5), randDense(rng, 1000, 80)
+	fk := make([]int, s.Rows())
+	for i := range fk {
+		fk[i] = rng.Intn(r.Rows())
+	}
+	nm, err := repro.NewPKFK(s, repro.NewIndicator(fk, r.Rows()), r)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("feature store: %d rows x %d features (dS=5, dR=80, never joined)\n",
 		nm.Rows(), nm.Cols())
 
-	// 2. Train factorized.
-	y := datagen.Labels(nm, 0.1, true, 43)
+	// 2. Train factorized, on ±1 labels from a hidden linear model.
+	y := nm.Mul(randDense(rng, nm.Cols(), 1))
+	for i, v := range y.Data() {
+		y.Data()[i] = math.Copysign(1, v)
+	}
 	w, err := repro.LogisticRegressionGD(nm, y, nil, repro.Options{Iters: 20, StepSize: 1e-6})
 	if err != nil {
 		log.Fatal(err)

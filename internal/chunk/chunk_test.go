@@ -25,6 +25,20 @@ func randDense(rng *rand.Rand, rows, cols int) *la.Dense {
 	return d
 }
 
+// mulExec computes T·x into a chunked matrix aligned with o's scan: the
+// whole-matrix LMM of every chunked representation.
+func mulExec(o *Operand, x *la.Dense) (*Matrix, error) {
+	if x.Cols() == 0 && x.Rows() == o.Cols() { // the product is n×0: nothing to scan for
+		return Build(o.rows.Store(), o.Rows(), 0, o.rows.ChunkRows(), func(int, int, *la.Dense) {})
+	}
+	out, _, err := o.scan(la.Step{X: x, OutCols: x.Cols(), Do: func(b la.Block, tx *la.Dense, _ []float64) (la.Result, error) {
+		out := b.Out()
+		copy(out.Data(), tx.Data())
+		return la.Result{Out: out}, nil
+	}}, nil)
+	return out, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := testStore(t)
@@ -75,7 +89,7 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randDense(rng, 6, 3)
-	mul, err := m.MulExec(Parallel(), x)
+	mul, err := mulExec(MatOperand(Parallel(), m), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +120,6 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 	if !la.EqualApprox(scD, d.ScaleDense(2.5), 1e-12) {
 		t.Fatal("chunked Scale mismatch")
 	}
-	cs, err := m.ColSumsExec(Parallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !la.EqualApprox(cs, d.ColSums(), 1e-10) {
-		t.Fatal("chunked ColSums mismatch")
-	}
 	rs, err := m.RowSumsExec(Parallel())
 	if err != nil {
 		t.Fatal(err)
@@ -121,20 +128,13 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 	if !la.EqualApprox(rsD, d.RowSums(), 1e-12) {
 		t.Fatal("chunked RowSums mismatch")
 	}
-	sum, err := m.SumExec(Parallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := sum - d.Sum(); diff > 1e-9 || diff < -1e-9 {
-		t.Fatal("chunked Sum mismatch")
-	}
 }
 
 func TestMulShapeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := testStore(t)
 	m, _ := FromDense(s, randDense(rng, 10, 4), 5)
-	if _, err := m.MulExec(Parallel(), randDense(rng, 5, 2)); err == nil {
+	if _, err := mulExec(MatOperand(Parallel(), m), randDense(rng, 5, 2)); err == nil {
 		t.Fatal("accepted shape mismatch")
 	}
 }

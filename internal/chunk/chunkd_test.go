@@ -162,9 +162,9 @@ func FuzzExecOp(f *testing.F) {
 		{"kmeans-assign-v2", huge, 2, false},
 		{"kmeans-assign", valid, 2, false}, // the retired name
 		{"crossprod", nil, 4, false},
-		{"colsums", nil, 0, true},
-		{"sum", nil, 7, false},
-		{"sum", []byte{1}, 7, false},
+		{"crossprod", nil, 0, true},
+		{"sum", nil, 7, false}, // a retired name
+		{"crossprod", []byte{1}, 7, false},
 		{"no-such-op", nil, 1, false},
 		{"", nil, 0, false},
 	} {

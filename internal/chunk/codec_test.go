@@ -515,7 +515,7 @@ func TestWrappedMidStreamFailureAccounting(t *testing.T) {
 	}
 
 	fault.arm("write")
-	if _, err := d.MulExec(ex, la.Ones(d.Cols(), 3)); err == nil {
+	if _, err := mulExec(MatOperand(ex, d), la.Ones(d.Cols(), 3)); err == nil {
 		t.Fatal("spilled Mul succeeded despite remote write outage")
 	}
 	fault.arm("")
@@ -526,7 +526,7 @@ func TestWrappedMidStreamFailureAccounting(t *testing.T) {
 		t.Fatalf("after write failures: %d bytes, want baseline %d", got, baselineBytes)
 	}
 
-	if _, err := d.SumExec(ex); err != nil {
+	if _, err := d.CrossProdExec(ex); err != nil {
 		t.Fatalf("pass after recovery: %v", err)
 	}
 	if err := nt.Free(); err != nil {
@@ -575,11 +575,11 @@ func TestExecUnknownCodecIs400(t *testing.T) {
 	}
 	chunks := []ExecChunk{{Key: key, Rows: 4}}
 
-	if _, err := rb.execOpCodec(OpSum(), chunkKindDense, 3, chunks, "no-such-codec"); err == nil {
+	if _, err := rb.execOpCodec(OpCrossProd(), chunkKindDense, 3, chunks, "no-such-codec"); err == nil {
 		t.Fatal("exec with an unknown codec succeeded")
 	}
 	// The failure was per-request: plain exec still works on this shard.
-	ps, err := rb.ExecOp(OpSum(), chunkKindDense, 3, chunks)
+	ps, err := rb.ExecOp(OpCrossProd(), chunkKindDense, 3, chunks)
 	if err != nil {
 		t.Fatalf("plain exec after a codec rejection: %v", err)
 	}

@@ -123,7 +123,7 @@ func TestLyingCSRHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := func(key string) ([]byte, error) {
-		ps, err := rb.ExecOp(OpSum(), chunkKindCSR, 1, []ExecChunk{{Key: key, Rows: 1}})
+		ps, err := rb.ExecOp(OpCrossProd(), chunkKindCSR, 1, []ExecChunk{{Key: key, Rows: 1}})
 		if err != nil {
 			return nil, err
 		}
@@ -137,8 +137,8 @@ func TestLyingCSRHeader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/exec after the lying chunk: %v", err)
 	}
-	if sum, _, err := readDenseBlob(raw); err != nil || sum.At(0, 0) != 2 {
-		t.Fatalf("/exec after the lying chunk = %v, %v; want the 1x1 sum 2", sum, err)
+	if cp, _, err := readDenseBlob(raw); err != nil || cp.At(0, 0) != 4 {
+		t.Fatalf("/exec after the lying chunk = %v, %v; want the 1x1 cross product 4", cp, err)
 	}
 }
 

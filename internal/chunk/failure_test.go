@@ -49,11 +49,8 @@ func TestTruncatedChunkSurfacesError(t *testing.T) {
 	if _, err := m.CrossProdExec(Parallel()); err == nil {
 		t.Fatal("CrossProd succeeded on truncated chunk")
 	}
-	if _, err := m.MulExec(Parallel(), randDense(rng, 4, 2)); err == nil {
+	if _, err := mulExec(MatOperand(Parallel(), m), randDense(rng, 4, 2)); err == nil {
 		t.Fatal("Mul succeeded on truncated chunk")
-	}
-	if _, err := m.SumExec(Parallel()); err == nil {
-		t.Fatal("Sum succeeded on truncated chunk")
 	}
 }
 
@@ -72,8 +69,8 @@ func TestMissingChunkSurfacesError(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, entries[0].Name())); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ColSumsExec(Parallel()); err == nil {
-		t.Fatal("ColSums succeeded on missing chunk")
+	if _, err := m.CrossProdExec(Parallel()); err == nil {
+		t.Fatal("CrossProd succeeded on missing chunk")
 	}
 }
 
@@ -136,7 +133,7 @@ func TestMapOpsCleanUpOnMidStreamFailure(t *testing.T) {
 		before := chunkFileCount(t, dir)
 		live := store.LiveChunks()
 
-		if _, err := m.MulExec(ex, randDense(rng, 4, 2)); err == nil {
+		if _, err := mulExec(MatOperand(ex, m), randDense(rng, 4, 2)); err == nil {
 			t.Fatal("Mul succeeded on truncated input")
 		}
 		if _, err := m.ScaleExec(ex, 2); err == nil {
@@ -213,15 +210,15 @@ func TestDamagedKeyChunkSurfacesError(t *testing.T) {
 
 	y := pmLabels(rng, n)
 	passes := map[string]func(*NormalizedTable, Exec) error{
-		"MulExec": func(nt *NormalizedTable, ex Exec) error {
-			m, err := nt.MulExec(ex, la.Ones(nt.Cols(), 1))
+		"Mul": func(nt *NormalizedTable, ex Exec) error {
+			m, err := mulExec(nt.Operand(ex), la.Ones(nt.Cols(), 1))
 			if err == nil {
 				m.Free()
 			}
 			return err
 		},
-		"TMulExec": func(nt *NormalizedTable, ex Exec) error { _, err := nt.TMulExec(ex, y); return err },
-		"Gram":     func(nt *NormalizedTable, ex Exec) error { _, err := nt.Operand(ex).Gram(); return err },
+		"TMul": func(nt *NormalizedTable, ex Exec) error { _, err := la.ScanTMul(nt.Operand(ex), y); return err },
+		"Gram": func(nt *NormalizedTable, ex Exec) error { _, err := nt.Operand(ex).Gram(); return err },
 		"LogRegScan": func(nt *NormalizedTable, ex Exec) error {
 			_, err := ml.LogRegScan(nt.Operand(ex), y, nil, ml.Options{Iters: 1, StepSize: 1e-3})
 			return err

@@ -104,14 +104,14 @@ func TestPipelineShardInterleave(t *testing.T) {
 		t.Fatal("2-shard interleave collapsed to chunk order")
 	}
 
-	serial, err := m.ColSumsExec(Serial)
+	serial, err := m.CrossProdExec(Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	reads = reads[:0]
 	mu.Unlock()
-	inter, err := m.ColSumsExec(ex)
+	inter, err := m.CrossProdExec(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPipelineShardInterleave(t *testing.T) {
 	if ord := mS.store.readOrder(mS.paths, ex); ord != nil {
 		t.Fatalf("1-shard store: read order %v, want nil (chunk order)", ord)
 	}
-	single, err := mS.ColSumsExec(ex)
+	single, err := mS.CrossProdExec(ex)
 	if err != nil {
 		t.Fatal(err)
 	}

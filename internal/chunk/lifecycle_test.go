@@ -41,7 +41,7 @@ func TestFreeRemovesIntermediateChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := chunkFileCount(t, dir)
-	inter, err := m.MulExec(Parallel(), randDense(rng, 4, 4))
+	inter, err := mulExec(MatOperand(Parallel(), m), randDense(rng, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,10 @@ func TestFreeRemovesIntermediateChunks(t *testing.T) {
 		t.Fatalf("after Free: %d files, want %d", got, base+final.NumChunks())
 	}
 	// The freed matrix refuses further streaming.
-	if _, err := inter.SumExec(Parallel()); !errors.Is(err, ErrFreed) {
-		t.Fatalf("Sum on freed matrix: %v, want ErrFreed", err)
+	if _, err := inter.CrossProdExec(Parallel()); !errors.Is(err, ErrFreed) {
+		t.Fatalf("CrossProd on freed matrix: %v, want ErrFreed", err)
 	}
-	if _, err := inter.MulExec(Parallel(), randDense(rng, 4, 1)); !errors.Is(err, ErrFreed) {
+	if _, err := mulExec(MatOperand(Parallel(), inter), randDense(rng, 4, 1)); !errors.Is(err, ErrFreed) {
 		t.Fatalf("Mul on freed matrix: %v, want ErrFreed", err)
 	}
 	// The surviving result is still readable.
@@ -94,7 +94,7 @@ func TestRetainSharesChunkFiles(t *testing.T) {
 	if got := chunkFileCount(t, dir); got != h.NumChunks() {
 		t.Fatalf("after freeing one handle: %d files, want %d", got, h.NumChunks())
 	}
-	if _, err := h.SumExec(Parallel()); err != nil {
+	if _, err := h.CrossProdExec(Parallel()); err != nil {
 		t.Fatalf("retained handle unusable: %v", err)
 	}
 	if err := h.Free(); err != nil {
@@ -118,8 +118,8 @@ func TestRetainAfterFreeIsFreed(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := m.Retain()
-	if _, err := h.SumExec(Parallel()); !errors.Is(err, ErrFreed) {
-		t.Fatalf("Sum on retain-after-free handle: %v, want ErrFreed", err)
+	if _, err := h.CrossProdExec(Parallel()); !errors.Is(err, ErrFreed) {
+		t.Fatalf("CrossProd on retain-after-free handle: %v, want ErrFreed", err)
 	}
 	if err := h.Free(); err != nil { // no double release
 		t.Fatal(err)
@@ -186,11 +186,11 @@ func TestPipelineLeavesNoDeadChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := scaled.MulExec(Parallel(), randDense(rng, 6, 2))
+	prod, err := mulExec(MatOperand(Parallel(), scaled), randDense(rng, 6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prod.ColSumsExec(Parallel()); err != nil {
+	if _, err := prod.CrossProdExec(Parallel()); err != nil {
 		t.Fatal(err)
 	}
 	if err := scaled.Free(); err != nil {

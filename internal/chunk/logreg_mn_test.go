@@ -169,7 +169,7 @@ func TestMNGramMatchesCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ex := range []Exec{Serial, Parallel()} {
-		got, err := nt.CrossProdExec(ex)
+		got, err := nt.Operand(ex).Gram()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,7 @@ import (
 // Stream is the fused-pass primitive: it delivers each decoded chunk as an
 // la.Mat (concretely *la.Dense or *la.CSR), which carries the full Table 1
 // operator set, while commit receives per-chunk results strictly in chunk
-// order — reductions stay bit-identical for every Exec. The coarse-grained
-// whole-matrix operators (MulExec, TMulExec, ...) are built on it.
+// order — reductions stay bit-identical for every Exec.
 type Mat interface {
 	Rows() int
 	Cols() int
@@ -32,24 +31,12 @@ type Mat interface {
 	// the decoded chunk and its first-row offset, commit on the calling
 	// goroutine in ascending chunk order.
 	Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error
-	// StreamToMatrix maps every chunk to a dense output chunk (same row
-	// count, outCols columns) and spills the results as a new chunked
-	// matrix aligned with the input's chunking.
-	StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error)
 	// StreamOp is Stream for registered ops: because the per-chunk map is
 	// named rather than a closure, it runs on the shard holding each chunk
 	// wherever that shard can execute ops, and only the partials travel
 	// back, with commit still running in ascending chunk order — results
 	// are bit-identical with an all-local run.
 	StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error
-
-	// Whole-matrix operators, mirroring la.Mat's Mul/TMul/CrossProd/
-	// ColSums/Sum under an explicit execution.
-	MulExec(ex Exec, x *la.Dense) (*Matrix, error)
-	TMulExec(ex Exec, x *la.Dense) (*la.Dense, error)
-	CrossProdExec(ex Exec) (*la.Dense, error)
-	ColSumsExec(ex Exec) (*la.Dense, error)
-	SumExec(ex Exec) (float64, error)
 }
 
 var (
@@ -205,7 +192,9 @@ func (m *chunked[C]) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) 
 	return m.runOp(ex, op, commit)
 }
 
-// StreamToMatrix implements Mat. Under a pipelined execution the spills go
+// StreamToMatrix maps every chunk to a dense output chunk (same row count,
+// outCols columns) and spills the results as a new chunked matrix aligned
+// with the input's chunking. Under a pipelined execution the spills go
 // through the dedicated write-behind stage, so output I/O overlaps compute;
 // output chunk files keep the input's chunk order and are byte-identical to
 // a serial pass. On failure every output chunk written so far is removed
@@ -217,10 +206,6 @@ func (m *chunked[C]) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c l
 	}, nil)
 }
 
-// MulExec computes m·x into a new chunked dense matrix under the given
-// execution. On failure every output chunk written so far is removed.
-func (m *chunked[C]) MulExec(ex Exec, x *la.Dense) (*Matrix, error) { return MatOperand(ex, m).mul(x) }
-
 // TMulExec computes mᵀ·x for an in-memory x, accumulating the (small)
 // cols×xCols output in memory.
 func (m *chunked[C]) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
@@ -231,22 +216,6 @@ func (m *chunked[C]) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
 // cross-products run through the registered op, so they execute on the
 // shard holding each chunk wherever that shard can.
 func (m *chunked[C]) CrossProdExec(ex Exec) (*la.Dense, error) { return MatOperand(ex, m).Gram() }
-
-// ColSumsExec aggregates column sums under the given execution, via the
-// registered op.
-func (m *chunked[C]) ColSumsExec(ex Exec) (*la.Dense, error) {
-	return reduceExec(ex, m, OpColSums(), 1, m.cols)
-}
-
-// SumExec aggregates the grand total under the given execution, via the
-// registered op.
-func (m *chunked[C]) SumExec(ex Exec) (float64, error) {
-	total, err := reduceExec(ex, m, OpSum(), 1, 1)
-	if err != nil {
-		return 0, err
-	}
-	return total.At(0, 0), nil
-}
 
 // scanToMatrix streams t, spilling each chunk's mapped rows×outCols output
 // as the aligned chunk of a new matrix (through the write-behind stage

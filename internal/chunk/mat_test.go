@@ -86,7 +86,7 @@ func TestMatInterfaceOps(t *testing.T) {
 		"sparse": {m: cm, mem: c, cols: c.Cols()},
 	} {
 		x := randDense(rng, tc.cols, 3)
-		mul, err := tc.m.MulExec(parExec, x)
+		mul, err := mulExec(MatOperand(parExec, tc.m), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,33 +98,19 @@ func TestMatInterfaceOps(t *testing.T) {
 			t.Fatalf("%s Mat.Mul deviates by %g", name, diff)
 		}
 		xt := randDense(rng, 75, 2)
-		tm, err := tc.m.TMulExec(parExec, xt)
+		tm, err := la.ScanTMul(MatOperand(parExec, tc.m), xt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diff := la.MaxAbsDiff(tm, tc.mem.TMul(xt)); diff > 1e-12 {
 			t.Fatalf("%s Mat.TMul deviates by %g", name, diff)
 		}
-		cp, err := tc.m.CrossProdExec(parExec)
+		cp, err := MatOperand(parExec, tc.m).Gram()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diff := la.MaxAbsDiff(cp, tc.mem.CrossProd()); diff > 1e-12 {
 			t.Fatalf("%s Mat.CrossProd deviates by %g", name, diff)
-		}
-		cs, err := tc.m.ColSumsExec(parExec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := la.MaxAbsDiff(cs, tc.mem.ColSums()); diff > 1e-12 {
-			t.Fatalf("%s Mat.ColSums deviates by %g", name, diff)
-		}
-		sum, err := tc.m.SumExec(Serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := sum - tc.mem.Sum(); diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("%s Mat.Sum deviates by %g", name, diff)
 		}
 	}
 }
@@ -140,11 +126,11 @@ func TestWriteBehindBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randDense(rng, 5, 3)
-	serialOut, err := m.MulExec(Serial, x) // synchronous writes
+	serialOut, err := mulExec(MatOperand(Serial, m), x) // synchronous writes
 	if err != nil {
 		t.Fatal(err)
 	}
-	parOut, err := m.MulExec(parExec, x) // write-behind stage
+	parOut, err := mulExec(MatOperand(parExec, m), x) // write-behind stage
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +152,11 @@ func TestWriteBehindBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := randDense(rng, c.Cols(), 2)
-	serialS, err := cm.MulExec(Serial, xs)
+	serialS, err := mulExec(MatOperand(Serial, cm), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parS, err := cm.MulExec(parExec, xs)
+	parS, err := mulExec(MatOperand(parExec, cm), xs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,15 +47,10 @@ type opState interface {
 
 var opRegistry = map[string]func(params []byte, cols int) (opState, error){
 	"crossprod": func(params []byte, cols int) (opState, error) {
-		return newReduceOp("crossprod", params, cols, cols, func(c la.Mat) *la.Dense { return c.CrossProd() })
-	},
-	"colsums": func(params []byte, cols int) (opState, error) {
-		return newReduceOp("colsums", params, 1, cols, func(c la.Mat) *la.Dense { return c.ColSums() })
-	},
-	// The partial is 1×1: a chunkd that still answers a bare float64 sends
-	// 8 bytes, which fail to decode, so its chunks are read passively.
-	"sum": func(params []byte, _ int) (opState, error) {
-		return newReduceOp("sum", params, 1, 1, func(c la.Mat) *la.Dense { return la.ColVector([]float64{c.Sum()}) })
+		if len(params) != 0 {
+			return nil, errors.New("chunk: op crossprod takes no params")
+		}
+		return denseReduceOp{f: func(c la.Mat) *la.Dense { return c.CrossProd() }, rows: cols, cols: cols}, nil
 	},
 	// The name carries a version: this partial sums S_bᵀ·A by groups, and a
 	// chunkd that still answers the first name forms the dense product, so
@@ -85,13 +80,6 @@ var opRegistry = map[string]func(params []byte, cols int) (opState, error){
 // OpCrossProd names the AᵀA partial: each chunk contributes chunkᵀ·chunk.
 func OpCrossProd() Op { return Op{Name: "crossprod"} }
 
-// OpColSums names the column-sum partial: each chunk contributes its 1×d
-// column sums.
-func OpColSums() Op { return Op{Name: "colsums"} }
-
-// OpSum names the grand-total partial: each chunk contributes its 1×1 sum.
-func OpSum() Op { return Op{Name: "sum"} }
-
 // prepareOp resolves an Op against the registry for chunks cols wide.
 func prepareOp(op Op, cols int) (opState, error) {
 	mk, ok := opRegistry[op.Name]
@@ -102,18 +90,10 @@ func prepareOp(op Op, cols int) (opState, error) {
 }
 
 // denseReduceOp covers ops whose partial is a single rows×cols dense matrix
-// reduced by element-wise addition (crossprod, colsums, sum).
+// reduced by element-wise addition (crossprod).
 type denseReduceOp struct {
 	f          func(c la.Mat) *la.Dense
 	rows, cols int
-}
-
-// newReduceOp prepares a params-free denseReduceOp.
-func newReduceOp(name string, params []byte, rows, cols int, f func(c la.Mat) *la.Dense) (opState, error) {
-	if len(params) != 0 {
-		return nil, fmt.Errorf("chunk: op %s takes no params", name)
-	}
-	return denseReduceOp{f: f, rows: rows, cols: cols}, nil
 }
 
 func (o denseReduceOp) apply(c la.Mat) (any, error) { return o.f(c), nil }

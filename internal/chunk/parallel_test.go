@@ -27,7 +27,7 @@ func TestParallelOpsMatchInMemory(t *testing.T) {
 	}
 
 	x := randDense(rng, 7, 3)
-	mulP, err := m.MulExec(parExec, x)
+	mulP, err := mulExec(MatOperand(parExec, m), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestParallelOpsMatchInMemory(t *testing.T) {
 	if !la.EqualApprox(mulPD, la.MatMul(d, x), 1e-12) {
 		t.Fatal("parallel Mul deviates from in-memory")
 	}
-	mulS, err := m.MulExec(Serial, x)
+	mulS, err := mulExec(MatOperand(Serial, m), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,33 +76,6 @@ func TestParallelOpsMatchInMemory(t *testing.T) {
 	}
 	if la.MaxAbsDiff(cpP, cpS) != 0 {
 		t.Fatal("parallel CrossProd not bit-identical to serial")
-	}
-
-	csP, err := m.ColSumsExec(parExec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !la.EqualApprox(csP, d.ColSums(), 1e-12) {
-		t.Fatal("parallel ColSums deviates from in-memory")
-	}
-	csS, err := m.ColSumsExec(Serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la.MaxAbsDiff(csP, csS) != 0 {
-		t.Fatal("parallel ColSums not bit-identical to serial")
-	}
-
-	sumP, err := m.SumExec(parExec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sumS, err := m.SumExec(Serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sumP != sumS {
-		t.Fatal("parallel Sum not bit-identical to serial")
 	}
 
 	scP, err := m.ScaleExec(parExec, 1.5)
@@ -271,7 +244,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	if _, err := m.CrossProdExec(parExec); err == nil {
 		t.Fatal("parallel CrossProd succeeded on corrupt store")
 	}
-	if _, err := m.MulExec(parExec, randDense(rng, 4, 2)); err == nil {
+	if _, err := mulExec(MatOperand(parExec, m), randDense(rng, 4, 2)); err == nil {
 		t.Fatal("parallel Mul succeeded on corrupt store")
 	}
 	if err := m.ForEachExec(parExec, func(lo int, c *la.Dense) error { return nil }); err == nil {

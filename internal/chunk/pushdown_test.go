@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -67,7 +66,7 @@ func pushdownStore(t testing.TB, nWorkers int) (*Store, []*execCountingServer) {
 }
 
 // TestPushdownDifferential pins the acceptance criterion: every pushed-down
-// op — CrossProd, ColSums, Sum over dense and CSR chunks, and the k-means
+// op — CrossProd over dense and CSR chunks, and the k-means
 // distance+argmin pass — on a mixed local+remote store is bitwise identical
 // to the same data spilled to a local-only store with the same chunk
 // height, and the /exec endpoint really was used.
@@ -97,38 +96,16 @@ func TestPushdownDifferential(t *testing.T) {
 		{Workers: 1, Prefetch: 0}, // serial driver, remote workers
 	} {
 		for i, m := range pushed {
-			xpL, err := ref[i].CrossProdExec(ex)
+			xpL, err := MatOperand(ex, ref[i]).Gram()
 			if err != nil {
 				t.Fatal(err)
 			}
-			xpP, err := m.CrossProdExec(ex)
+			xpP, err := MatOperand(ex, m).Gram()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if la.MaxAbsDiff(xpL, xpP) != 0 {
 				t.Fatalf("%T crossprod under %+v diverged from all-local", m, ex)
-			}
-			csL, err := ref[i].ColSumsExec(ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			csP, err := m.ColSumsExec(ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if la.MaxAbsDiff(csL, csP) != 0 {
-				t.Fatalf("%T colsums under %+v diverged from all-local", m, ex)
-			}
-			sumL, err := ref[i].SumExec(ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sumP, err := m.SumExec(ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(sumL) != math.Float64bits(sumP) {
-				t.Fatalf("%T sum under %+v = %v, all-local %v", m, ex, sumP, sumL)
 			}
 		}
 
@@ -249,7 +226,7 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 		t.Fatalf("probed /exec %d times, want exactly 1", n)
 	}
 	// The unsupported answer is cached: another pass must not re-probe.
-	if _, err := dM.ColSumsExec(ex); err != nil {
+	if _, err := dM.CrossProdExec(ex); err != nil {
 		t.Fatal(err)
 	}
 	if n := old.execs.Load(); n != 1 {
@@ -258,7 +235,7 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 	if n := s.IOStats().ChunksExecuted; n != 0 {
 		t.Fatalf("ChunksExecuted = %d against a shard without /exec", n)
 	}
-	if _, err := rb.ExecOp(OpSum(), chunkKindDense, 5, []ExecChunk{{Key: "chunk-000001.bin", Rows: 8}}); !errors.Is(err, ErrExecUnsupported) {
+	if _, err := rb.ExecOp(OpCrossProd(), chunkKindDense, 5, []ExecChunk{{Key: "chunk-000001.bin", Rows: 8}}); !errors.Is(err, ErrExecUnsupported) {
 		t.Fatalf("ExecOp on a cached no-exec backend = %v, want ErrExecUnsupported", err)
 	}
 }
@@ -452,8 +429,7 @@ func TestPushdownWrongShapeFallsBack(t *testing.T) {
 	}
 	ex := Exec{Workers: 2, Prefetch: 2}
 	for name, pass := range map[string]func(Mat) (*la.Dense, error){
-		"crossprod": func(m Mat) (*la.Dense, error) { return m.CrossProdExec(ex) },
-		"colsums":   func(m Mat) (*la.Dense, error) { return m.ColSumsExec(ex) },
+		"crossprod": func(m Mat) (*la.Dense, error) { return MatOperand(ex, m).Gram() },
 	} {
 		got, err := pass(m)
 		if err != nil {
@@ -490,21 +466,21 @@ func TestExecOpRoundTrip(t *testing.T) {
 	rb, _ := startChunkServer(t)
 	rng := rand.New(rand.NewSource(5))
 	chunks := make([]ExecChunk, 3)
-	want := make([]float64, 3)
+	want := make([]*la.Dense, 3)
 	for i := range chunks {
 		d := randDense(rng, 4, 3)
 		if err := rb.WriteChunk(keyFor(i), encodeDenseChunk(d)); err != nil {
 			t.Fatal(err)
 		}
 		chunks[i] = ExecChunk{Key: keyFor(i), Rows: 4}
-		want[i] = d.Sum()
+		want[i] = d.CrossProd()
 	}
-	ps, err := rb.ExecOp(OpSum(), chunkKindDense, 3, chunks)
+	ps, err := rb.ExecOp(OpCrossProd(), chunkKindDense, 3, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	st, err := prepareOp(OpSum(), 3)
+	st, err := prepareOp(OpCrossProd(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,8 +493,8 @@ func TestExecOpRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partial %d: %v", i, err)
 		}
-		if got := v.(*la.Dense); got.Rows() != 1 || got.Cols() != 1 || got.At(0, 0) != want[i] {
-			t.Fatalf("partial %d = %v, want the 1x1 %v", i, got, want[i])
+		if got := v.(*la.Dense); got.Rows() != 3 || got.Cols() != 3 || la.MaxAbsDiff(got, want[i]) != 0 {
+			t.Fatalf("partial %d = %v, want the 3x3 %v", i, got, want[i])
 		}
 	}
 	if _, err := ps.Next(); err != io.EOF {
@@ -556,12 +532,12 @@ func TestServeExecProtocolErrors(t *testing.T) {
 	}
 	for name, body := range map[string]string{
 		"bad JSON":    `{`,
-		"bad key":     `{"op":"sum","kind":"dense","cols":3,"chunks":[{"key":"../etc/passwd","rows":4}]}`,
-		"bad kind":    `{"op":"sum","kind":"coo","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
-		"bad cols":    `{"op":"sum","kind":"dense","cols":0,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
-		"bad rows":    `{"op":"sum","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":0}]}`,
-		"no chunks":   `{"op":"sum","kind":"dense","cols":3,"chunks":[]}`,
-		"bad params":  `{"op":"sum","params":"AAAA","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
+		"bad key":     `{"op":"crossprod","kind":"dense","cols":3,"chunks":[{"key":"../etc/passwd","rows":4}]}`,
+		"bad kind":    `{"op":"crossprod","kind":"coo","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
+		"bad cols":    `{"op":"crossprod","kind":"dense","cols":0,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
+		"bad rows":    `{"op":"crossprod","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":0}]}`,
+		"no chunks":   `{"op":"crossprod","kind":"dense","cols":3,"chunks":[]}`,
+		"bad params":  `{"op":"crossprod","params":"AAAA","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
 		"kmeans junk": `{"op":"kmeans-assign-v2","params":"AAAA","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`,
 	} {
 		if rr := post(body); rr.Code != http.StatusBadRequest {
@@ -574,7 +550,7 @@ func TestServeExecProtocolErrors(t *testing.T) {
 		t.Fatalf("GET /exec = %d, want 405", rr.Code)
 	}
 	// A missing chunk surfaces in-band: 200, then an error frame.
-	rr = post(`{"op":"sum","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`)
+	rr = post(`{"op":"crossprod","kind":"dense","cols":3,"chunks":[{"key":"chunk-000001.bin","rows":4}]}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("exec over a missing chunk = %d, want 200 + error frame", rr.Code)
 	}

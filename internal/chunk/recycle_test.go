@@ -48,13 +48,13 @@ func recycleStore(t *testing.T, recycle bool) (*Store, *atomic.Int64) {
 
 // recycledRun is what every recycling pass computes over one table.
 type recycledRun struct {
-	w, centroids, assign, gram, colSums *la.Dense
-	objective                           float64
+	w, centroids, assign, gram *la.Dense
+	objective                  float64
 }
 
-// runRecycled runs LogReg, k-means (with its final assignment pass), Gram
-// and ColSums over t, through the scan contract.
-func runRecycled(t *testing.T, op la.Operand, y *la.Dense, gram, colSums func() (*la.Dense, error)) recycledRun {
+// runRecycled runs LogReg, k-means (with its final assignment pass) and
+// Gram over t, through the scan contract.
+func runRecycled(t *testing.T, op la.Operand, y *la.Dense, gram func() (*la.Dense, error)) recycledRun {
 	t.Helper()
 	var r recycledRun
 	var err error
@@ -79,9 +79,6 @@ func runRecycled(t *testing.T, op la.Operand, y *la.Dense, gram, colSums func() 
 	if r.gram, err = gram(); err != nil {
 		t.Fatal(err)
 	}
-	if r.colSums, err = colSums(); err != nil {
-		t.Fatal(err)
-	}
 	return r
 }
 
@@ -92,7 +89,6 @@ func sameRun(t *testing.T, what string, got, want recycledRun) {
 	bitsEqual(t, what+": k-means assignment", got.assign, want.assign)
 	bitsEqual(t, what+": k-means objective", la.ColVector([]float64{got.objective}), la.ColVector([]float64{want.objective}))
 	bitsEqual(t, what+": Gram", got.gram, want.gram)
-	bitsEqual(t, what+": ColSums", got.colSums, want.colSums)
 }
 
 // TestRecycledReadsSafe: the passes that recycle their chunks' read buffers
@@ -110,8 +106,7 @@ func TestRecycledReadsSafe(t *testing.T) {
 		y.Data()[i] = float64(2*rng.Intn(2) - 1)
 	}
 	inMem := runRecycled(t, la.InMemory(x), y,
-		func() (*la.Dense, error) { return x.CrossProd(), nil },
-		func() (*la.Dense, error) { return x.ColSums(), nil })
+		func() (*la.Dense, error) { return x.CrossProd(), nil })
 
 	for _, ex := range []Exec{Serial, {Workers: 2, Prefetch: 2}} {
 		// One chunk: every pass reads it into the buffer the previous pass
@@ -122,8 +117,7 @@ func TestRecycledReadsSafe(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRun(t, "one chunk, recycled", runRecycled(t, MatOperand(ex, m), y,
-			func() (*la.Dense, error) { return m.CrossProdExec(ex) },
-			func() (*la.Dense, error) { return m.ColSumsExec(ex) }), inMem)
+			func() (*la.Dense, error) { return m.CrossProdExec(ex) }), inMem)
 		if poisoned.Load() == 0 {
 			t.Fatal("no read buffer was recycled")
 		}
@@ -164,8 +158,7 @@ func TestRecycledReadsSafe(t *testing.T) {
 				t.Fatal(err)
 			}
 			runs[recycle] = runRecycled(t, MatOperand(ex, m), y,
-				func() (*la.Dense, error) { return m.CrossProdExec(ex) },
-				func() (*la.Dense, error) { return m.ColSumsExec(ex) })
+				func() (*la.Dense, error) { return m.CrossProdExec(ex) })
 			bitsEqual(t, "a chunk from Matrix.Chunk, held across the passes", held, rowsOf(1))
 			bitsEqual(t, "a chunk kept from a Stream map, held across the passes", kept, rowsOf(2))
 			bitsEqual(t, "a chunk kept from a StreamToMatrix map, held across the passes", mapped, rowsOf(3))

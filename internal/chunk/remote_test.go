@@ -308,7 +308,7 @@ func BenchmarkRemoteSpill(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := m.MulExec(Parallel(), x)
+		p, err := mulExec(MatOperand(Parallel(), m), x)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func TestRemoteMidStreamFailureNoLeakedAccounting(t *testing.T) {
 
 	// Mid-stream write failure: spilled products die on the remote shard.
 	fault.arm("write")
-	if _, err := d.MulExec(ex, la.Ones(d.Cols(), 3)); err == nil {
+	if _, err := mulExec(MatOperand(ex, d), la.Ones(d.Cols(), 3)); err == nil {
 		t.Fatal("spilled Mul succeeded despite remote write outage")
 	}
 	fault.arm("")
@@ -433,7 +433,7 @@ func TestRemoteMidStreamFailureNoLeakedAccounting(t *testing.T) {
 
 	// Healthy again: the same matrices stream to completion, then the
 	// store unwinds to zero.
-	if _, err := d.SumExec(ex); err != nil {
+	if _, err := d.CrossProdExec(ex); err != nil {
 		t.Fatalf("pass after recovery: %v", err)
 	}
 	if err := nt.Free(); err != nil {

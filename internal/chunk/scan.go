@@ -246,25 +246,12 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 	}, nil
 }
 
-// mul computes T·x into a chunked matrix aligned with the scan: the
-// whole-matrix LMM of every chunked representation.
-func (o *Operand) mul(x *la.Dense) (*Matrix, error) {
-	if x.Cols() == 0 && x.Rows() == o.Cols() { // the product is n×0: nothing to scan for
-		return Build(o.rows.Store(), o.Rows(), 0, o.rows.ChunkRows(), func(int, int, *la.Dense) {})
-	}
-	out, _, err := o.scan(la.Step{X: x, OutCols: x.Cols(), Do: func(b la.Block, tx *la.Dense, _ []float64) (la.Result, error) {
-		out := b.Out()
-		copy(out.Data(), tx.Data())
-		return la.Result{Out: out}, nil
-	}}, nil)
-	return out, err
-}
-
 // Gram implements la.Operand: TᵀT. A materialized table reduces the
-// registered crossprod op over its chunks, so pushdown and zone-map skips
-// apply. A normalized one runs core.Gram's phases in a single pass over the
-// scan, one block per chunk. The arm-side blocks need the arms' feature
-// matrices in memory, so a chunked arm (M:N) is loaded whole for the pass.
+// registered crossprod op over its chunks, so each chunk held by an
+// exec-capable shard is mapped there and only its partial travels back.
+// A normalized one runs core.Gram's phases in a single pass over the scan,
+// one block per chunk. The arm-side blocks need the arms' feature matrices
+// in memory, so a chunked arm (M:N) is loaded whole for the pass.
 func (o *Operand) Gram() (*la.Dense, error) {
 	if len(o.arms) == 0 {
 		return reduceExec(o.ex, o.rows, OpCrossProd(), o.Cols(), o.Cols())

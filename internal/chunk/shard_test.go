@@ -239,11 +239,11 @@ func TestShardedWriteBehindBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randDense(rng, 5, 3)
-	serial, err := m.MulExec(Serial, x)
+	serial, err := mulExec(MatOperand(Serial, m), x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := m.MulExec(Parallel(), x)
+	parallel, err := mulExec(MatOperand(Parallel(), m), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestShardedFreeReapsAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, err := m.MulExec(Parallel(), randDense(rng, 3, 2))
+	keep, err := mulExec(MatOperand(Parallel(), m), randDense(rng, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +320,10 @@ func TestShardedCloseWithLiveMatrices(t *testing.T) {
 	if _, err := FromDense(s, randDense(rng, 8, 2), 4); !errors.Is(err, ErrClosed) {
 		t.Fatalf("FromDense on closed sharded store: %v, want ErrClosed", err)
 	}
-	if _, err := m.SumExec(Parallel()); err == nil {
+	if _, err := m.CrossProdExec(Parallel()); err == nil {
 		t.Fatal("streaming a matrix whose files were reaped by Close succeeded")
 	}
-	if _, err := sp.SumExec(Parallel()); err == nil {
+	if _, err := sp.CrossProdExec(Parallel()); err == nil {
 		t.Fatal("streaming a sparse matrix whose files were reaped by Close succeeded")
 	}
 	if err := s.Close(); err != nil { // idempotent
@@ -369,7 +369,7 @@ func TestShardedStartupOrphanCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SumExec(Parallel()); err != nil {
+	if _, err := m.CrossProdExec(Parallel()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -385,7 +385,7 @@ func TestZeroWidthChunkAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := m.MulExec(Parallel(), la.NewDense(3, 0))
+	z, err := mulExec(MatOperand(Parallel(), m), la.NewDense(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func BenchmarkShardedSpill(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				p, err := m.MulExec(Parallel(), x)
+				p, err := mulExec(MatOperand(Parallel(), m), x)
 				if err != nil {
 					b.Fatal(err)
 				}

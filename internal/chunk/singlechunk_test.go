@@ -96,7 +96,7 @@ func TestSingleChunkBitwise(t *testing.T) {
 			if op.rows.NumChunks() != 1 {
 				t.Fatalf("%s: %d chunks, want one", sc.name, op.rows.NumChunks())
 			}
-			tx, err := nt.MulExec(ex, x)
+			tx, err := mulExec(nt.Operand(ex), x)
 			if err != nil {
 				t.Fatal(err)
 			}

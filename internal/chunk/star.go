@@ -40,9 +40,6 @@ func BuildIntVector(store *Store, keys []int32, chunkRows int) (*IntVector, erro
 	return v, nil
 }
 
-// Rows reports the number of keys.
-func (v *IntVector) Rows() int { return v.m.rows }
-
 // Keys reads chunk ci and returns its decoded keys. It is safe to call
 // concurrently (each call reads its own chunk), which lets parallel
 // pipelines over an aligned Matrix fetch the matching key chunk from
@@ -270,25 +267,6 @@ func (nt *NormalizedTable) Cols() int {
 
 // NumTables reports the number of arms q.
 func (nt *NormalizedTable) NumTables() int { return len(nt.Attrs) }
-
-// MulExec computes T·x (LMM, §3.3.3) for an in-memory x into a chunked
-// result aligned with the scan: only the base tables and key columns are
-// read, never the joined n×d output. For a DMM against an in-memory
-// normalized B (appendix C), pass B.Dense(): it is the small side of the
-// product.
-func (nt *NormalizedTable) MulExec(ex Exec, x *la.Dense) (*Matrix, error) {
-	return nt.Operand(ex).mul(x)
-}
-
-// TMulExec computes Tᵀ·x (RMM on the transpose) for an in-memory x: the S
-// block streams Sᵀ·x chunk by chunk, each arm scatter-adds x's rows per
-// join key in chunk order and multiplies by R_tᵀ once at the end.
-func (nt *NormalizedTable) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
-	return la.ScanTMul(nt.Operand(ex), x)
-}
-
-// CrossProdExec computes TᵀT factorized: Operand.Gram.
-func (nt *NormalizedTable) CrossProdExec(ex Exec) (*la.Dense, error) { return nt.Operand(ex).Gram() }
 
 // Materialize spills the joined table [S, K_1·R_1, ...] into the table's
 // store, chunked like the scan — the baseline input for Tables 9 and 10:

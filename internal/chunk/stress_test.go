@@ -32,7 +32,7 @@ func TestStoreAccountingConcurrentStress(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 5; i++ {
-				p, err := m.MulExec(Exec{Workers: 2, Prefetch: 2}, x)
+				p, err := mulExec(MatOperand(Exec{Workers: 2, Prefetch: 2}, m), x)
 				if err != nil {
 					errs <- err
 					return

@@ -57,6 +57,20 @@ func buildStreamed(t *testing.T, rng *rand.Rand, nS, dS, nR, dR, chunkRows int) 
 
 var streamExecs = []chunk.Exec{chunk.Serial, {Workers: 4, Prefetch: 3}}
 
+// mulExec computes T·x in one scan of o into a chunked result aligned with
+// it: the whole-matrix LMM of a chunked table.
+func mulExec(o la.Operand, x *la.Dense) (*chunk.Matrix, error) {
+	tall, _, err := o.Scan(la.Step{X: x, OutCols: x.Cols(), Do: func(b la.Block, tx *la.Dense, _ []float64) (la.Result, error) {
+		out := b.Out()
+		copy(out.Data(), tx.Data())
+		return la.Result{Out: out}, nil
+	}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return tall.(*chunk.Matrix), nil
+}
+
 // buildStreamedStar creates matching in-memory and out-of-core views of a
 // two-attribute-table star schema, with a dense R1 and a sparse CSR R2.
 func buildStreamedStar(t *testing.T, rng *rand.Rand, nS, dS, chunkRows int) (*core.NormalizedMatrix, *chunk.NormalizedTable, *chunk.Store) {
@@ -123,7 +137,7 @@ func TestStreamedStarCrossProdMatchesInMemory(t *testing.T) {
 	want := nm.CrossProd()
 	mat := nm.Dense().CrossProd()
 	for _, ex := range streamExecs {
-		got, err := nt.CrossProdExec(ex)
+		got, err := nt.Operand(ex).Gram()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +166,7 @@ func TestStreamedStarMulTMulMatchesInMemory(t *testing.T) {
 	}
 	wantTMul := nm.Transpose().Mul(xt)
 	for _, ex := range streamExecs {
-		got, err := nt.MulExec(ex, x)
+		got, err := mulExec(nt.Operand(ex), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +180,7 @@ func TestStreamedStarMulTMulMatchesInMemory(t *testing.T) {
 		if err := got.Free(); err != nil {
 			t.Fatal(err)
 		}
-		gotT, err := nt.TMulExec(ex, xt)
+		gotT, err := la.ScanTMul(nt.Operand(ex), xt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +226,7 @@ func TestStreamedCrossProdMatchesInMemory(t *testing.T) {
 	want := nm.CrossProd()
 	mat := nm.Dense().CrossProd()
 	for _, ex := range streamExecs {
-		got, err := nt.CrossProdExec(ex)
+		got, err := nt.Operand(ex).Gram()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +250,7 @@ func TestStreamedMulMatchesInMemory(t *testing.T) {
 	}
 	want := nm.Mul(x)
 	for _, ex := range streamExecs {
-		got, err := nt.MulExec(ex, x)
+		got, err := mulExec(nt.Operand(ex), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +265,7 @@ func TestStreamedMulMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := nt.MulExec(chunk.Serial, la.NewDense(nm.Cols()+1, 2)); err == nil {
+	if _, err := mulExec(nt.Operand(chunk.Serial), la.NewDense(nm.Cols()+1, 2)); err == nil {
 		t.Fatal("accepted shape mismatch")
 	}
 }
@@ -267,7 +281,7 @@ func TestStreamedTMulMatchesInMemory(t *testing.T) {
 	}
 	want := nm.Transpose().Mul(x)
 	for _, ex := range streamExecs {
-		got, err := nt.TMulExec(ex, x)
+		got, err := la.ScanTMul(nt.Operand(ex), x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,12 +289,12 @@ func TestStreamedTMulMatchesInMemory(t *testing.T) {
 			t.Fatalf("workers=%d: streamed TMul deviates by %g", ex.Workers, la.MaxAbsDiff(got, want))
 		}
 	}
-	if _, err := nt.TMulExec(chunk.Serial, la.NewDense(nm.Rows()+1, 2)); err == nil {
+	if _, err := la.ScanTMul(nt.Operand(chunk.Serial), la.NewDense(nm.Rows()+1, 2)); err == nil {
 		t.Fatal("accepted shape mismatch")
 	}
 }
 
-// TestStreamedMulNormMatchesDMM pins the streamed LMM (MulExec) of a
+// TestStreamedMulNormMatchesDMM pins the streamed LMM (mulExec) of a
 // chunked normalized matrix by a materialized normalized B against the
 // materialized product of both operands.
 func TestStreamedMulNormMatchesDMM(t *testing.T) {
@@ -307,7 +321,7 @@ func TestStreamedMulNormMatchesDMM(t *testing.T) {
 	}
 	want := la.MatMul(nm.Dense(), b.Dense())
 	for _, ex := range streamExecs {
-		got, err := nt.MulExec(ex, b.Dense()) // B is the small side: materialize it
+		got, err := mulExec(nt.Operand(ex), b.Dense()) // B is the small side: materialize it
 		if err != nil {
 			t.Fatal(err)
 		}

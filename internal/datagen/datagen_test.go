@@ -94,7 +94,7 @@ func TestMNJoinSemantics(t *testing.T) {
 	}
 	// Expected output cardinality: nnz(T') = Σ_u cntS(u)·cntR(u).
 	// Verify via the indicators against a direct recount.
-	if m.IS().NNZ() != m.Rows() || m.Ks()[0].NNZ() != m.Rows() {
+	if m.IS().Rows() != m.Rows() || m.Ks()[0].Rows() != m.Rows() {
 		t.Fatal("indicator nnz != |T'|")
 	}
 }

@@ -25,9 +25,6 @@ type Snapshot struct {
 // Version reports the epoch this snapshot is pinned to.
 func (s *Snapshot) Version() Version { return s.ep.version }
 
-// Rows reports the logical row count of the join output T.
-func (s *Snapshot) Rows() int { return s.store.nRows }
-
 // NumTables reports the number of attribute tables q.
 func (s *Snapshot) NumTables() int { return s.store.NumTables() }
 

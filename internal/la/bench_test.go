@@ -109,7 +109,8 @@ func BenchmarkSymGinv(b *testing.B) {
 func BenchmarkCholeskySolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	m := randDense(rng, 200, 80)
-	a := m.CrossProd().Add(Eye(80))
+	a := m.CrossProd()
+	a.AddInPlace(Eye(80))
 	rhs := randDense(rng, 80, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -76,11 +76,6 @@ func (m *Dense) ScaleRowsDense(v []float64) *Dense {
 	return out
 }
 
-// Add returns m+b element-wise.
-func (m *Dense) Add(b *Dense) *Dense {
-	return m.zipWith(b, func(x, y float64) float64 { return x + y })
-}
-
 // Sub returns m-b element-wise.
 func (m *Dense) Sub(b *Dense) *Dense {
 	return m.zipWith(b, func(x, y float64) float64 { return x - y })

@@ -9,7 +9,9 @@ import (
 
 func randSym(rng *rand.Rand, n int) *Dense {
 	a := randDense(rng, n, n)
-	return a.Add(a.TDense()).ScaleDense(0.5)
+	s := a.TDense()
+	s.AddInPlace(a)
+	return s.ScaleDense(0.5)
 }
 
 func TestSymEigenReconstruction(t *testing.T) {
@@ -39,7 +41,8 @@ func TestSymGinvIsInverseForPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	// A = MᵀM + I is PD, so SymGinv must be the exact inverse.
 	m := randDense(rng, 20, 8)
-	a := m.CrossProd().Add(Eye(8))
+	a := m.CrossProd()
+	a.AddInPlace(Eye(8))
 	inv := SymGinv(a)
 	if !EqualApprox(MatMul(a, inv), Eye(8), 1e-8) {
 		t.Fatal("SymGinv not an inverse for PD matrix")
@@ -139,7 +142,8 @@ func TestGinvProperty(t *testing.T) {
 func TestCholeskySolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	m := randDense(rng, 30, 10)
-	a := m.CrossProd().Add(Eye(10).ScaleDense(0.1))
+	a := m.CrossProd()
+	a.AddInPlace(Eye(10).ScaleDense(0.1))
 	b := randDense(rng, 10, 3)
 	x, err := SolveSPD(a, b)
 	if err != nil {

@@ -58,22 +58,11 @@ func (k *Indicator) Rows() int { return len(k.rows) }
 // Cols reports the number of columns.
 func (k *Indicator) Cols() int { return k.nCols }
 
-// NNZ reports the number of non-zeros, which is exactly the row count.
-func (k *Indicator) NNZ() int { return len(k.rows) }
-
 // ColOf returns the column of the single 1 in row i.
 func (k *Indicator) ColOf(i int) int { return int(k.rows[i]) }
 
 // Assignments returns the backing row→column slice (no copy).
 func (k *Indicator) Assignments() []int32 { return k.rows }
-
-// At returns the (i,j) element (1 or 0).
-func (k *Indicator) At(i, j int) float64 {
-	if int(k.rows[i]) == j {
-		return 1
-	}
-	return 0
-}
 
 // Mul computes K·Z: a row gather. Z must have k.Cols() rows.
 func (k *Indicator) Mul(z *Dense) *Dense {
@@ -196,16 +185,6 @@ func (k *Indicator) ColCounts() []float64 {
 		out[c]++
 	}
 	return out
-}
-
-// SliceRows returns the indicator restricted to rows [i0,i1).
-func (k *Indicator) SliceRows(i0, i1 int) *Indicator {
-	if i0 < 0 || i1 > len(k.rows) || i0 > i1 {
-		panic(fmt.Sprintf("la: indicator row slice [%d,%d) out of bounds %d", i0, i1, len(k.rows)))
-	}
-	r := make([]int32, i1-i0)
-	copy(r, k.rows[i0:i1])
-	return &Indicator{rows: r, nCols: k.nCols}
 }
 
 // TMulIndicator computes KᵀJ for two indicators with the same row count.

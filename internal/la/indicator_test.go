@@ -21,12 +21,6 @@ func TestIndicatorDense(t *testing.T) {
 	if !EqualApprox(d, want, 0) {
 		t.Fatal("indicator Dense mismatch")
 	}
-	if k.NNZ() != 5 {
-		t.Fatalf("NNZ = %d", k.NNZ())
-	}
-	if k.At(2, 1) != 1 || k.At(2, 0) != 0 {
-		t.Fatal("At mismatch")
-	}
 }
 
 func TestIndicatorOutOfRangePanics(t *testing.T) {
@@ -90,14 +84,6 @@ func TestIdentityIndicator(t *testing.T) {
 	id := IdentityIndicator(4)
 	if !EqualApprox(id.Dense(), Eye(4), 0) {
 		t.Fatal("IdentityIndicator != Eye")
-	}
-}
-
-func TestIndicatorSliceRows(t *testing.T) {
-	k := NewIndicator([]int{0, 1, 2, 1, 0}, 3)
-	s := k.SliceRows(1, 4)
-	if s.Rows() != 3 || s.ColOf(0) != 1 || s.ColOf(2) != 1 {
-		t.Fatal("SliceRows mismatch")
 	}
 }
 

@@ -48,12 +48,9 @@ func fitAll(t *testing.T, op func() la.Operand, y *la.Dense) fits {
 		must(err)
 		f.dense[fmt.Sprint("centroids", seed)], f.scalar[fmt.Sprint("objective", seed)] = km.Centroids, km.Objective
 		f.talls[fmt.Sprint("assign", seed)] = km.Assign
-		gop := op()
-		g, err := ml.GNMFScan(gop, 2, ml.Options{Iters: 3, Seed: seed})
+		g, err := ml.GNMFScan(op(), 2, ml.Options{Iters: 3, Seed: seed})
 		must(err)
 		f.dense[fmt.Sprint("H", seed)], f.talls[fmt.Sprint("W", seed)] = g.H, g.W
-		f.scalar[fmt.Sprint("error", seed)], err = g.ReconstructionError(gop)
-		must(err)
 	}
 	return f
 }

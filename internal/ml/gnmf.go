@@ -104,43 +104,6 @@ func GNMFScan(t la.Operand, rank int, opt Options) (fit *GNMFFit, err error) {
 	return &GNMFFit{W: w, H: h}, nil
 }
 
-// ReconstructionError returns ‖T − W·Hᵀ‖²_F in one scan of T beside the
-// aligned blocks of W, expanded per block as
-//
-//	‖T_b‖² − 2·Σ W_b ∗ (T_b·H) + tr((W_bᵀW_b)·(HᵀH))
-//
-// so the cross term is an LMM and the reconstruction never materializes.
-func (f *GNMFFit) ReconstructionError(t la.Operand) (float64, error) {
-	hth, total := f.H.CrossProd(), 0.0
-	_, _, err := t.Scan(la.Step{X: f.H, Norms: true, Do: func(b la.Block, th *la.Dense, norms []float64) (la.Result, error) {
-		_, wb, err := f.W.Chunk(b.Index())
-		if err != nil {
-			return la.Result{}, err
-		}
-		s := 0.0
-		for _, v := range norms {
-			s += v
-		}
-		for i, v := range wb.Data() {
-			s -= 2 * v * th.Data()[i]
-		}
-		for i, v := range wb.CrossProd().Data() { // both symmetric: the trace is their dot
-			s += v * hth.Data()[i]
-		}
-		return la.Result{Part: s}, nil
-	}}, func(part any) error { total += part.(float64); return nil })
-	return total, err
-}
-
-// ReconstructionError returns ‖T − W·Hᵀ‖²_F computed against the
-// materialized matrix; intended for tests and small inputs.
-func (r *GNMFResult) ReconstructionError(t la.Matrix) float64 {
-	td := t.Dense()
-	rec := la.MatMulT(r.W, r.H)
-	diff := td.Sub(rec)
-	return diff.PowDense(2).Sum()
-}
-
 // multiplicative writes base ∗ num / (den + eps) element-wise into out, which may be den.
 func multiplicative(out, base, num, den *la.Dense, eps float64) *la.Dense {
 	bd, nd, dd, od := base.Data(), num.Data(), den.Data(), out.Data()

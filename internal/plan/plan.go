@@ -39,15 +39,13 @@ import (
 type Op string
 
 // Planned operations. The training ops choose all three axes; the
-// operator ops (crossprod/colsums/sum) exist so streaming passes can ask
-// the planner for an Exec too.
+// operator op (crossprod) exists so streaming passes can ask the planner
+// for an Exec too.
 const (
 	OpGLM       Op = "glm"
 	OpKMeans    Op = "kmeans"
 	OpGNMF      Op = "gnmf"
 	OpCrossProd Op = "crossprod"
-	OpColSums   Op = "colsums"
-	OpSum       Op = "sum"
 )
 
 // Operands is the planner's view of the data: structural facts only,

@@ -52,16 +52,6 @@ func Specs() []DatasetSpec {
 	}
 }
 
-// SpecByName looks up a Table 6 dataset by (case-sensitive) name.
-func SpecByName(name string) (DatasetSpec, error) {
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return DatasetSpec{}, fmt.Errorf("realdata: unknown dataset %q", name)
-}
-
 // Scaled returns a copy with row counts divided by f (minimum 1 row) and
 // non-zero counts shrunk proportionally.
 func (s DatasetSpec) Scaled(f int) DatasetSpec {

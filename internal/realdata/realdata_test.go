@@ -29,17 +29,8 @@ func TestSpecsMatchTable6(t *testing.T) {
 	}
 }
 
-func TestSpecByName(t *testing.T) {
-	if _, err := SpecByName("Yelp"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SpecByName("nope"); err == nil {
-		t.Fatal("unknown dataset accepted")
-	}
-}
-
 func TestScaled(t *testing.T) {
-	s, _ := SpecByName("Walmart")
+	s := Specs()[3] // Walmart
 	sc := s.Scaled(10)
 	if sc.NS != s.NS/10 {
 		t.Fatal("NS not scaled")
@@ -53,7 +44,7 @@ func TestScaled(t *testing.T) {
 }
 
 func TestGenerateCloneInvariants(t *testing.T) {
-	spec, _ := SpecByName("Flights")
+	spec := Specs()[6] // Flights
 	spec = spec.Scaled(20)
 	d, err := Generate(spec, 1)
 	if err != nil {
@@ -98,7 +89,7 @@ func TestGenerateCloneInvariants(t *testing.T) {
 }
 
 func TestGenerateDSZero(t *testing.T) {
-	spec, _ := SpecByName("Movies")
+	spec := Specs()[1] // Movies
 	spec = spec.Scaled(100)
 	d, err := Generate(spec, 2)
 	if err != nil {
@@ -110,7 +101,7 @@ func TestGenerateDSZero(t *testing.T) {
 }
 
 func TestBinaryY(t *testing.T) {
-	spec, _ := SpecByName("Books")
+	spec := Specs()[5] // Books
 	d, err := Generate(spec.Scaled(200), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +124,7 @@ func TestBinaryY(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	spec, _ := SpecByName("Yelp")
+	spec := Specs()[2] // Yelp
 	spec = spec.Scaled(200)
 	a, _ := Generate(spec, 5)
 	b, _ := Generate(spec, 5)

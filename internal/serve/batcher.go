@@ -209,9 +209,6 @@ func (b *Batcher) Stats() BatcherStats {
 	return b.stats
 }
 
-// QueueDepth reports the configured admission-queue bound.
-func (b *Batcher) QueueDepth() int { return b.opt.QueueDepth }
-
 // combine runs one gather pass as its combiner and returns the
 // combiner's own answer. Each admitted request gets exactly one response
 // — on success, backend error, or backend panic — which is what lets

@@ -37,7 +37,8 @@ func (g *gateScorer) ScoreBatch(ids []int) ([]float64, error) {
 // request must still be answered correctly once the backend recovers.
 func TestBatcherOverloadRejectsFast(t *testing.T) {
 	sc := &gateScorer{rows: 64, gate: make(chan struct{})}
-	b := NewBatcher(sc, BatchOptions{MaxBatch: 1, Workers: 1, QueueDepth: 4})
+	const queueDepth = 4
+	b := NewBatcher(sc, BatchOptions{MaxBatch: 1, Workers: 1, QueueDepth: queueDepth})
 	defer b.Close()
 
 	const callers = 64
@@ -104,8 +105,8 @@ func TestBatcherOverloadRejectsFast(t *testing.T) {
 	if st.Scored != st.Accepted {
 		t.Fatalf("scored %d != accepted %d: an admitted request was dropped", st.Scored, st.Accepted)
 	}
-	if st.PeakQueue == 0 || st.PeakQueue > b.QueueDepth() {
-		t.Fatalf("peak queue %d outside (0, %d]", st.PeakQueue, b.QueueDepth())
+	if st.PeakQueue == 0 || st.PeakQueue > queueDepth {
+		t.Fatalf("peak queue %d outside (0, %d]", st.PeakQueue, queueDepth)
 	}
 }
 

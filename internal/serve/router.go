@@ -291,15 +291,6 @@ func (rt *Router) ScoreBatchInto(ids []int, out []float64) error {
 	return nil
 }
 
-// ScoreRow serves a single prediction as a one-row batch: routed to the
-// owning replica under HashSharded placement, round-robin under
-// Replicated.
-func (rt *Router) ScoreRow(id int) (float64, error) {
-	ids, out := [1]int{id}, [1]float64{}
-	err := rt.ScoreBatchInto(ids[:], out[:])
-	return out[0], err
-}
-
 // ScoreAll serves every row in order through the fleet, under one weight
 // version.
 func (rt *Router) ScoreAll() []float64 {

@@ -85,12 +85,12 @@ func checkFleet(t *testing.T, rng *rand.Rand, rt *Router, want []float64) {
 		}
 	}
 	id := rng.Intn(rt.Rows())
-	v, err := rt.ScoreRow(id)
-	if err != nil {
+	one := [1]float64{}
+	if err := rt.ScoreBatchInto([]int{id}, one[:]); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(v-want[id]) > diffTol {
-		t.Fatalf("%s/%d ScoreRow(%d): %g want %g", rt.Placement(), rt.NumReplicas(), id, v, want[id])
+	if v := one[0]; math.Abs(v-want[id]) > diffTol {
+		t.Fatalf("%s/%d one-row batch [%d]: %g want %g", rt.Placement(), rt.NumReplicas(), id, v, want[id])
 	}
 
 	b := NewBatcher(rt, BatchOptions{MaxBatch: 8, Workers: 2})
