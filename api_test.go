@@ -20,48 +20,18 @@ import (
 	"testing"
 )
 
-// uncalledAllowlist names the exported internal identifiers that no non-test
-// code reaches but that stay on purpose, keyed "pkg.Name" or
-// "pkg.Type.Method" (pkg relative to internal/), each with its reason.
+// uncalledAllowlist names the internal declarations that no root reaches
+// but that stay on purpose, keyed "pkg.name" or "pkg.Type.method" (pkg
+// relative to internal/), each with its reason and the ROADMAP item that
+// decides it.
 var uncalledAllowlist = map[string]string{
-	"la.ReadDense":     "binary matrix reader: the model artifact's framing, held to its writer by FuzzReadMatrix",
-	"la.ReadCSR":       "binary matrix reader: the model artifact's framing, held to its writer by FuzzReadMatrix",
-	"la.ReadIndicator": "binary matrix reader: the model artifact's framing, held to its writer by FuzzReadMatrix",
-	"la.EqualApprox":   "the approximate-equality oracle the package tests share",
+	"plan.GNMF": "planned GNMF entry point; ROADMAP item 1 folds it into the planned Fit entry point",
 
-	"la.Dense.Encode":     "binary matrix writer: the round trip FuzzReadMatrix holds the reader beside it to",
-	"la.CSR.Encode":       "binary matrix writer: the round trip FuzzReadMatrix holds the reader beside it to",
-	"la.Indicator.Encode": "binary matrix writer: the round trip FuzzReadMatrix holds the reader beside it to",
-	"la.Dense.Sub":        "the residual oracle the ml tests share",
-	"la.Indicator.Dense":  "the dense oracle the indicator and kernel tests compare against",
-
-	"plan.GNMF": "planned GNMF entry point, folded into the planned Fit entry point when it lands",
-
-	"epoch.Snapshot.BuildChunked": "spills a snapshot to a chunk store, as the README walkthrough shows",
-
-	"epoch.Store.EntityRows":  "observer the epoch tests assert through",
-	"epoch.Store.AttrRows":    "observer the epoch tests assert through",
-	"epoch.Store.AttrCols":    "observer the epoch tests assert through",
-	"epoch.Store.PatchedRows": "observer the epoch tests assert through",
-
-	"serve.Scorer.Owns":      "observer the placement tests assert through",
-	"serve.Scorer.CacheRows": "observer the placement tests assert through",
-	"serve.Scorer.Weights":   "observer the weight-swap tests assert through",
-	"serve.Scorer.Version":   "observer the commit-tracking tests assert through",
-
-	"chunk.NewStore":            "the one-directory store the package tests build on",
-	"chunk.Store.OrphansReaped": "observer the orphan-reaping tests assert through",
-	"chunk.Store.ShardStats":    "observer the shard-placement tests assert through",
-	"chunk.Matrix.Retain":       "refcount hook the lifecycle tests assert through",
-	"chunk.Matrix.ScaleExec":    "chunked operator the parallel and failure tests run against la",
-	"chunk.Matrix.RowSumsExec":  "chunked operator the parallel and failure tests run against la",
-	"chunk.SparseMatrix.CSR":    "gathers a chunked CSR for the sparse tests' oracle",
-
-	"expr.Scale":     "script-level builder of the expression DAG the rewrite tests drive; expr stays or goes as a whole",
-	"expr.Apply":     "script-level builder of the expression DAG the rewrite tests drive; expr stays or goes as a whole",
-	"expr.RowSums":   "script-level builder of the expression DAG the rewrite tests drive; expr stays or goes as a whole",
-	"expr.ColSums":   "script-level builder of the expression DAG the rewrite tests drive; expr stays or goes as a whole",
-	"expr.CrossProd": "script-level builder of the expression DAG the rewrite tests drive; expr stays or goes as a whole",
+	"expr.Scale":     "script-level DAG builder; ROADMAP item 22 keeps or deletes expr as a whole, with bench/'s probe",
+	"expr.Apply":     "script-level DAG builder; ROADMAP item 22 keeps or deletes expr as a whole, with bench/'s probe",
+	"expr.RowSums":   "script-level DAG builder; ROADMAP item 22 keeps or deletes expr as a whole, with bench/'s probe",
+	"expr.ColSums":   "script-level DAG builder; ROADMAP item 22 keeps or deletes expr as a whole, with bench/'s probe",
+	"expr.CrossProd": "script-level DAG builder; ROADMAP item 22 keeps or deletes expr as a whole, with bench/'s probe",
 }
 
 // interfaceMethods are method names interfaces outside this module's
@@ -73,21 +43,25 @@ var interfaceMethods = map[string]bool{
 	"Unwrap": true, "Is": true, "As": true,
 }
 
-// TestNoUncalledInternalAPI fails when an exported identifier under
-// internal/ has no caller in non-test code. Nothing outside this module can
-// import internal/, so such an identifier cannot run: delete it, or list it
-// in uncalledAllowlist with the reason it stays. A listed identifier that
-// has a caller again, or no longer exists, fails too.
+// TestNoUncalledInternalAPI fails when a declaration under internal/ is
+// not reached from a root. Nothing outside this module can import internal/,
+// so such a declaration cannot run in any binary: delete it, move it into its
+// package's tests, or list it in uncalledAllowlist with the reason it stays.
+// A listed declaration that is reached again, or no longer exists, fails too.
 //
-// Liveness is by type: every non-test package of this module and of the
-// nested bench/ module is type-checked with go/types under the default
-// build tags (the standard library from its gc export data), and
-//   - a package-level identifier is live when any code refers to it;
-//   - a method is live when some selection resolves to it (a generic
-//     type's through its origin), when an interface selection names it and
-//     a type whose method set holds it (embedding counts) implements that
-//     interface, or when interfaceMethods names it;
-//   - an interface method is live when some selection resolves to it.
+// Liveness is reachability by type: every non-test package of this module
+// and of the nested bench/ module is type-checked with go/types under the
+// default build tags (the standard library from its gc export data), and
+//   - the roots are every func main, every init, every package-level var
+//     initializer and the root package's exported identifiers and methods;
+//   - a reached declaration reaches every object its identifiers use (a
+//     method its receiver type; a generic type's method through its
+//     origin) and every interface selection it makes;
+//   - a reached interface selection reaches the method it names on every
+//     reached type (embedding counts) that implements that interface, and
+//     a reached type reaches the methods interfaceMethods names;
+//   - functions, methods, types, vars and consts are judged, exported or
+//     not; struct fields are not.
 func TestNoUncalledInternalAPI(t *testing.T) {
 	fset := token.NewFileSet()
 	var pkgs []*srcPkg
@@ -110,7 +84,7 @@ func TestNoUncalledInternalAPI(t *testing.T) {
 	var problems []string
 	for key, ok := range live {
 		if _, listed := uncalledAllowlist[key]; !ok && !listed {
-			problems = append(problems, key+": no non-test caller; delete it or allowlist it with a reason")
+			problems = append(problems, key+": no root reaches it; delete it or move it into its package's tests")
 		}
 	}
 	for key, reason := range uncalledAllowlist {
@@ -119,9 +93,9 @@ func TestNoUncalledInternalAPI(t *testing.T) {
 		case !exists:
 			problems = append(problems, key+": allowlisted but not declared any more; drop the entry")
 		case ok:
-			problems = append(problems, key+": allowlisted but called again; drop the entry")
-		case strings.TrimSpace(reason) == "":
-			problems = append(problems, key+": allowlisted without a reason")
+			problems = append(problems, key+": allowlisted but reached again; drop the entry")
+		case !strings.Contains(reason, "ROADMAP item "):
+			problems = append(problems, key+": allowlisted without the ROADMAP item that decides it")
 		}
 	}
 	sort.Strings(problems)
@@ -170,6 +144,22 @@ type Impl struct{}
 
 func (Impl) Called() int   { return 5 }
 func (Impl) Uncalled() int { return 6 }
+
+func DeadCaller() { calledOnlyFromDead() }
+
+func calledOnlyFromDead() {}
+
+func unexportedDead() {}
+
+func (Live) unexportedDead() int { return 7 }
+
+func init() { fromInit() }
+
+func fromInit() {}
+
+var table = fromVar()
+
+func fromVar() int { return 8 }
 `
 	const main = `package main
 
@@ -201,17 +191,23 @@ func main() {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]bool{
-		"lib.Live.Name":         true,
-		"lib.Dead.Name":         false, // a dead method sharing a live method's name
-		"lib.Asserted.Hidden":   true,  // reached only through an interface-literal assertion
-		"lib.Outer":             true,
-		"lib.Promoter.Promoted": true,
-		"lib.base.Promoted":     true, // promoted into Outer, which implements Promoter
-		"lib.Box.Get":           true, // a generic type's method, through its origin
-		"lib.Unused.Called":     true,
-		"lib.Unused.Uncalled":   false, // an interface method nothing calls
-		"lib.Impl.Called":       true,
-		"lib.Impl.Uncalled":     false,
+		"lib.Live.Name":           true,
+		"lib.Dead.Name":           false, // a dead method sharing a live method's name
+		"lib.Asserted.Hidden":     true,  // reached only through an interface-literal assertion
+		"lib.Outer":               true,
+		"lib.Promoter.Promoted":   true,
+		"lib.base.Promoted":       true, // promoted into Outer, which implements Promoter
+		"lib.Box.Get":             true, // a generic type's method, through its origin
+		"lib.Unused.Called":       true,
+		"lib.Unused.Uncalled":     false, // an interface method nothing calls
+		"lib.Impl.Called":         true,
+		"lib.Impl.Uncalled":       false,
+		"lib.DeadCaller":          false,
+		"lib.calledOnlyFromDead":  false, // called only from a dead function
+		"lib.unexportedDead":      false,
+		"lib.Live.unexportedDead": false,
+		"lib.fromInit":            true, // reached only from an init
+		"lib.fromVar":             true, // reached only from a var initializer
 	} {
 		if got, ok := live[key]; !ok || got != want {
 			t.Errorf("%s: live %v (declared %v), want live %v", key, got, ok, want)
@@ -315,11 +311,10 @@ func stdImporter(fset *token.FileSet, pkgs []*srcPkg) (types.Importer, error) {
 	}), nil
 }
 
-// internalLiveness type-checks pkgs and reports, for every exported
-// package-level identifier, method and interface method declared under
-// repro/internal/ (keyed "pkg.Name" or "pkg.Type.Method"), whether
-// non-test code reaches it by the rules TestNoUncalledInternalAPI states.
-// Imports outside pkgs come from std.
+// internalLiveness type-checks pkgs and reports, for every package-level
+// declaration, method and interface method declared under repro/internal/
+// (keyed "pkg.name" or "pkg.Type.method"), whether a root reaches it by the
+// rules TestNoUncalledInternalAPI states. Imports outside pkgs come from std.
 func internalLiveness(fset *token.FileSet, pkgs []*srcPkg, std types.Importer) (map[string]bool, error) {
 	info := &types.Info{
 		Defs:       map[*ast.Ident]types.Object{},
@@ -338,17 +333,107 @@ func internalLiveness(fset *token.FileSet, pkgs []*srcPkg, std types.Importer) (
 		}
 	}
 
-	reached := map[types.Object]bool{}
-	for _, obj := range info.Uses {
-		reached[origin(obj)] = true
+	// A declaration's edges are the objects its identifiers use and the
+	// interface selections it makes; the roots' are gathered under nil.
+	type ifaceSel struct {
+		iface *types.Interface
+		name  string
+		pkg   *types.Package
+	}
+	uses := map[types.Object][]types.Object{}
+	dyn := map[types.Object][]ifaceSel{}
+	collect := func(from types.Object, n ast.Node) {
+		if n == nil {
+			return
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if obj := info.Uses[n]; obj != nil {
+					uses[from] = append(uses[from], origin(obj))
+				}
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				if sel == nil || sel.Kind() == types.FieldVal {
+					break
+				}
+				m := sel.Obj().(*types.Func)
+				iface, ok := deref(sel.Recv()).Underlying().(*types.Interface)
+				if !ok {
+					iface, ok = m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+				}
+				if ok {
+					dyn[from] = append(dyn[from], ifaceSel{iface, m.Name(), m.Pkg()})
+				}
+			}
+			return true
+		})
+	}
+	var roots []types.Object
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := info.Defs[d.Name]
+					collect(obj, d)
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && f.Name.Name == "main") {
+						roots = append(roots, obj)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							collect(info.Defs[s.Name], s)
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								obj := info.Defs[name]
+								if d.Tok == token.VAR {
+									collect(obj, s.Type)
+									continue
+								}
+								collect(obj, s)
+								// A repeated iota spec names no type of its own.
+								if n, ok := obj.Type().(*types.Named); ok {
+									uses[obj] = append(uses[obj], n.Obj())
+								}
+							}
+							if d.Tok == token.VAR {
+								for _, v := range s.Values {
+									collect(nil, v)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if p.path != "repro" {
+			continue
+		}
+		scope := l.done[p.path].Scope()
+		for _, name := range scope.Names() {
+			if obj := scope.Lookup(name); obj.Exported() {
+				roots = append(roots, obj)
+				if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+					n := tn.Type().(*types.Named)
+					for i := 0; i < n.NumMethods(); i++ {
+						if m := n.Method(i); m.Exported() {
+							roots = append(roots, m)
+						}
+					}
+				}
+			}
+		}
 	}
 
 	// Every named non-interface type, instances of generic ones included,
-	// is a candidate to implement an interface a selection goes through.
-	var impls []types.Type
+	// is a candidate to implement an interface a reached selection goes
+	// through, once its declaration is reached.
+	var impls []*types.Named
 	addImpl := func(t types.Type) {
 		if n, ok := t.(*types.Named); ok && !types.IsInterface(n) && (n.TypeParams().Len() == 0 || n.TypeArgs().Len() > 0) {
-			impls = append(impls, n, types.NewPointer(n))
+			impls = append(impls, n)
 		}
 	}
 	for _, obj := range info.Defs {
@@ -359,30 +444,51 @@ func internalLiveness(fset *token.FileSet, pkgs []*srcPkg, std types.Importer) (
 	for _, inst := range info.Instances {
 		addImpl(inst.Type)
 	}
-	type ifaceSel struct {
-		iface *types.Interface
-		name  string
-		pkg   *types.Package
-	}
+
+	reached := map[types.Object]bool{}
 	dynamic := map[ifaceSel]bool{}
-	for _, sel := range info.Selections {
-		m, ok := sel.Obj().(*types.Func)
-		if !ok || sel.Kind() == types.FieldVal {
-			continue
-		}
-		iface, ok := deref(sel.Recv()).Underlying().(*types.Interface)
-		if !ok {
-			iface, ok = m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-		}
-		if ok {
-			dynamic[ifaceSel{iface, m.Name(), m.Pkg()}] = true
+	var work []types.Object
+	reach := func(obj types.Object) {
+		if !reached[obj] {
+			reached[obj] = true
+			work = append(work, obj)
 		}
 	}
-	for s := range dynamic {
-		for _, t := range impls {
-			obj, _, _ := types.LookupFieldOrMethod(t, false, s.pkg, s.name)
-			if m, ok := obj.(*types.Func); ok && !reached[origin(m)] && types.Implements(t, s.iface) {
-				reached[origin(m)] = true
+	for _, obj := range append(roots, uses[nil]...) {
+		reach(obj)
+	}
+	for _, s := range dyn[nil] {
+		dynamic[s] = true
+	}
+	for len(work) > 0 {
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, u := range uses[obj] {
+				reach(u)
+			}
+			for _, s := range dyn[obj] {
+				dynamic[s] = true
+			}
+		}
+		// A reached type's methods that a reached interface selection, or
+		// a dynamic caller outside this source, can dispatch to.
+		for _, n := range impls {
+			if !reached[n.Origin().Obj()] {
+				continue
+			}
+			for i := 0; i < n.NumMethods(); i++ {
+				if m := n.Method(i); interfaceMethods[m.Name()] {
+					reach(m.Origin())
+				}
+			}
+			for s := range dynamic {
+				for _, t := range []types.Type{n, types.NewPointer(n)} {
+					obj, _, _ := types.LookupFieldOrMethod(t, false, s.pkg, s.name)
+					if m, ok := obj.(*types.Func); ok && types.Implements(t, s.iface) {
+						reach(m.Origin())
+					}
+				}
 			}
 		}
 	}
@@ -396,9 +502,7 @@ func internalLiveness(fset *token.FileSet, pkgs []*srcPkg, std types.Importer) (
 		scope := l.done[p.path].Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() {
-				live[rel+"."+name] = reached[obj]
-			}
+			live[rel+"."+name] = reached[obj]
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -406,16 +510,14 @@ func internalLiveness(fset *token.FileSet, pkgs []*srcPkg, std types.Importer) (
 			n := tn.Type().(*types.Named)
 			if iface, ok := n.Underlying().(*types.Interface); ok {
 				for i := 0; i < iface.NumExplicitMethods(); i++ {
-					if m := iface.ExplicitMethod(i); m.Exported() {
-						live[rel+"."+name+"."+m.Name()] = reached[m] || interfaceMethods[m.Name()]
-					}
+					m := iface.ExplicitMethod(i)
+					live[rel+"."+name+"."+m.Name()] = reached[m] || reached[tn] && interfaceMethods[m.Name()]
 				}
 				continue
 			}
 			for i := 0; i < n.NumMethods(); i++ {
-				if m := n.Method(i); m.Exported() {
-					live[rel+"."+name+"."+m.Name()] = reached[m] || interfaceMethods[m.Name()]
-				}
+				m := n.Method(i)
+				live[rel+"."+name+"."+m.Name()] = reached[m]
 			}
 		}
 	}

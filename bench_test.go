@@ -377,10 +377,7 @@ func BenchmarkTable8OrionVsMorpheus(b *testing.B) {
 func BenchmarkTable9OutOfCore(b *testing.B) {
 	nm, td := benchPKFK(b, 20, 2)
 	y := datagen.Labels(nm, 0, true, 1)
-	store, err := chunk.NewStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	store := dirStore(b)
 	tM, err := chunk.FromDense(store, td, 2048)
 	if err != nil {
 		b.Fatal(err)
@@ -416,10 +413,7 @@ func BenchmarkTable9OutOfCore(b *testing.B) {
 func BenchmarkTable10OutOfCoreMN(b *testing.B) {
 	nm, _ := benchMN(b, 1000, 0.05)
 	y := datagen.Labels(nm, 0, true, 1)
-	store, err := chunk.NewStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	store := dirStore(b)
 	mn, err := chunk.FromNormalized(store, nm.S(), nm.IS(), nm.Ks(), nm.Rs(), 2048)
 	if err != nil {
 		b.Fatal(err)
@@ -452,10 +446,7 @@ func BenchmarkTable10OutOfCoreMN(b *testing.B) {
 func BenchmarkChunkedGLMSerialVsParallel(b *testing.B) {
 	nm, td := benchPKFK(b, 20, 2)
 	y := datagen.Labels(nm, 0, true, 1)
-	store, err := chunk.NewStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	store := dirStore(b)
 	defer store.Close()
 	tM, err := chunk.FromDense(store, td, 1024)
 	if err != nil {
@@ -710,4 +701,18 @@ func BenchmarkTable12DataPrep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// dirStore is a chunk store over one fresh temp directory.
+func dirStore(tb testing.TB) *chunk.Store {
+	tb.Helper()
+	b, err := chunk.NewDirBackend(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := chunk.NewShardedStoreBackends([]chunk.Backend{b}, chunk.RoundRobin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }

@@ -35,8 +35,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -46,20 +48,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "morpheus-chunkd: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run validates the flags, opens the shard directory and serves it until
+// the listener fails.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("morpheus-chunkd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr  = flag.String("addr", ":9431", "listen address")
-		dir   = flag.String("dir", "", "shard directory to serve (required)")
-		maxMB = flag.Int64("max-chunk-mb", chunk.DefaultMaxChunkBytes>>20, "largest accepted chunk upload in MiB")
+		addr  = fs.String("addr", ":9431", "listen address")
+		dir   = fs.String("dir", "", "shard directory to serve (required)")
+		maxMB = fs.Int64("max-chunk-mb", chunk.DefaultMaxChunkBytes>>20, "largest accepted chunk upload in MiB")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "morpheus-chunkd: -dir is required")
-		os.Exit(2)
+		return errors.New("-dir is required")
 	}
 	srv, err := chunk.NewChunkServer(*dir, *maxMB<<20)
 	if err != nil {
-		log.Fatalf("morpheus-chunkd: %v", err)
+		return err
 	}
-	log.Printf("morpheus-chunkd: serving shard %s on %s (max chunk %d MiB; exec codecs: %s)", *dir, *addr, *maxMB, strings.Join(chunk.Codecs(), ", "))
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	log.New(stderr, "", log.LstdFlags).Printf("morpheus-chunkd: serving shard %s on %s (max chunk %d MiB; exec codecs: %s)", *dir, *addr, *maxMB, strings.Join(chunk.Codecs(), ", "))
+	return http.ListenAndServe(*addr, srv)
 }

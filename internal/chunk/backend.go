@@ -9,12 +9,12 @@ import (
 )
 
 // Backend stores the chunk blobs of one shard. The Store handles placement,
-// refcounting, and byte accounting; a Backend only has to persist, return,
+// the chunk ledger, and byte accounting; a Backend only has to persist, return,
 // and delete opaque blobs under store-assigned keys (chunk-NNNNNN.bin). The
 // default backend is a local directory (NewDirBackend); NewRemoteBackend
 // talks to a morpheus-chunkd chunk server over HTTP, so one sharded store
 // can mix local disks and remote nodes behind the same placement policies,
-// per-shard write-behind queues, and ShardStats accounting.
+// per-shard write-behind queues, and IOStats accounting.
 //
 // A Backend must be safe for concurrent use: a streaming pass reads chunks
 // from worker goroutines while the write-behind stage spills to the same

@@ -16,10 +16,10 @@
 // committed in chunk order, which makes parallel results bit-identical to
 // the serial pass. See Exec, Serial, and Parallel.
 //
-// Chunk files are refcounted by their Store: Matrix.Free releases a
-// matrix's chunks as soon as a pipeline no longer needs the intermediate,
-// and Store.Close removes whatever is left, so long pipelines do not
-// accumulate dead spill files.
+// Every chunk file has exactly one owning matrix, and its Store tracks it:
+// Matrix.Free deletes a matrix's chunks as soon as a pipeline no longer
+// needs the intermediate, and Store.Close removes whatever is left, so long
+// pipelines do not accumulate dead spill files.
 //
 // Where a shard's bytes live is pluggable (Backend): local spill
 // directories by default, remote chunk servers (NewRemoteBackend, the
@@ -59,19 +59,6 @@ const (
 	LeastBytes
 )
 
-// ShardStat is one shard's accounted footprint and read-side I/O: what was
-// placed there and what the passes actually fetched.
-type ShardStat struct {
-	Dir    string // shard identity: directory path, or base URL for a remote shard
-	Chunks int    // tracked chunk files placed on this shard
-	Bytes  int64  // bytes of written chunk files currently tracked
-
-	ChunksRead int   // chunk blobs fetched from this shard
-	BytesRead  int64 // stored bytes of those fetches (compressed size under a codec)
-
-	ChunksExecuted int // chunks whose op partial came back from this shard's /exec and was accepted
-}
-
 // shard is one chunk backend (a spill directory or a remote chunk server)
 // plus its placement accounting.
 type shard struct {
@@ -87,7 +74,6 @@ type shard struct {
 
 // chunkInfo is the store's bookkeeping for one chunk file.
 type chunkInfo struct {
-	refs    int
 	shard   int
 	written bool  // recordWrite ran (distinguishes a 0-byte file from no file)
 	bytes   int64 // actual file size once written
@@ -95,64 +81,32 @@ type chunkInfo struct {
 
 // Store manages chunks across one or more shard backends — local spill
 // directories, remote chunk servers, or a mix (NewShardedStoreBackends).
-// Chunk files are refcounted: matrices register their chunks at creation,
-// Free releases them (files are deleted when the last referencing matrix
-// is freed), and Close deletes every file the store still tracks, across
-// all shards. A Store is safe for concurrent use.
+// Each chunk file belongs to exactly one matrix: the matrix registers its
+// chunks at creation, Free deletes them, and Close deletes every file the
+// store still tracks, across all shards. A Store is safe for concurrent use.
 type Store struct {
 	policy Placement
 
-	mu      sync.Mutex
-	shards  []shard
-	next    int
-	allocs  int // round-robin cursor
-	refs    map[string]*chunkInfo
-	orphans int // stale spill files reaped at startup
-	closed  bool
+	mu     sync.Mutex
+	shards []shard
+	next   int
+	allocs int // round-robin cursor
+	refs   map[string]*chunkInfo
+	closed bool
 
 	free      [][]byte         // read buffers handed back by recycle
 	onRecycle func(buf []byte) // tests only: sees every buffer handed back
 }
 
-// NewStore creates (if needed) and wraps a single-directory chunk store —
-// NewShardedStore with one shard.
-func NewStore(dir string) (*Store, error) {
-	return NewShardedStore([]string{dir}, RoundRobin)
-}
-
-// NewShardedStore creates (if needed) the shard directories and wraps them
-// as one chunk store: every chunk allocation is placed on a shard by the
-// policy, and spill passes write to different shards concurrently (one
-// write-behind queue per shard). Point the directories at different disks
-// or volumes to spread out-of-core I/O across spindles.
-//
-// Any stale spill files (chunk-*.bin, plus *.tmp debris of interrupted
-// spills) already present in a shard directory — left by a crashed
-// previous run — are reaped before the store is returned; OrphansReaped
-// reports how many.
-func NewShardedStore(dirs []string, policy Placement) (*Store, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("chunk: sharded store needs at least one directory")
-	}
-	backends := make([]Backend, 0, len(dirs))
-	for _, dir := range dirs {
-		b, err := NewDirBackend(dir)
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, b)
-	}
-	return NewShardedStoreBackends(backends, policy)
-}
-
 // NewShardedStoreBackends wraps arbitrary chunk backends as one store, so
 // local spill directories and remote chunk servers (NewRemoteBackend) can
-// shard one store's chunks between them. Placement policies, per-shard
-// write-behind queues, the refcounted chunk lifecycle, and ShardStats
-// accounting are backend-agnostic and run unchanged.
+// shard one store's chunks between them; a local spill directory is
+// NewDirBackend. Placement policies, per-shard write-behind queues, the
+// chunk lifecycle, and IOStats accounting are backend-agnostic and run
+// unchanged.
 //
-// Each backend's stale blobs from a crashed previous run are reaped before
-// the store is returned; OrphansReaped reports the total.
+// Each backend's stale blobs from a crashed previous run (Backend.Reap) are
+// removed before the store is returned.
 func NewShardedStoreBackends(backends []Backend, policy Placement) (*Store, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("chunk: sharded store needs at least one backend")
@@ -167,22 +121,12 @@ func NewShardedStoreBackends(backends []Backend, policy Placement) (*Store, erro
 			return nil, fmt.Errorf("chunk: shard %q listed twice", b.Name())
 		}
 		seen[b.Name()] = true
-		reaped, err := b.Reap()
-		if err != nil {
+		if _, err := b.Reap(); err != nil {
 			return nil, err
 		}
-		s.orphans += reaped
 		s.shards = append(s.shards, shard{backend: b})
 	}
 	return s, nil
-}
-
-// OrphansReaped reports how many stale spill files from previous runs the
-// store removed when it was opened.
-func (s *Store) OrphansReaped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.orphans
 }
 
 // NumShards reports the number of shard directories.
@@ -216,10 +160,10 @@ func (s *Store) pickShard() int {
 	return best
 }
 
-// alloc reserves n fresh chunk keys, each with an initial refcount of 1,
-// placing each on a shard by the store's policy. Keys are unique across
-// the whole store (one counter), so a key also names a unique blob within
-// whichever backend it lands on.
+// alloc reserves n fresh chunk keys for one new matrix, placing each on a
+// shard by the store's policy. Keys are unique across the whole store (one
+// counter), so a key also names a unique blob within whichever backend it
+// lands on.
 func (s *Store) alloc(n int) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,7 +176,7 @@ func (s *Store) alloc(n int) ([]string, error) {
 		si := s.pickShard()
 		s.allocs++
 		p := fmt.Sprintf("chunk-%06d.bin", s.next)
-		s.refs[p] = &chunkInfo{refs: 1, shard: si}
+		s.refs[p] = &chunkInfo{shard: si}
 		s.shards[si].chunks++
 		s.shards[si].pending++
 		paths[i] = p
@@ -349,17 +293,6 @@ func (s *Store) recordWrite(path string, n int64) {
 	s.shards[info.shard].bytes += n
 }
 
-// retain increments the refcount of every path.
-func (s *Store) retain(paths []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range paths {
-		if info, ok := s.refs[p]; ok {
-			info.refs++
-		}
-	}
-}
-
 // removal is one untracked chunk blob awaiting backend deletion. Backend
 // removes run outside the store mutex — a Remove may now be a network
 // call (remote shards), and holding the lock across it would stall every
@@ -403,18 +336,14 @@ func removeAll(removals []removal) error {
 	return firstErr
 }
 
-// release decrements refcounts and deletes files that reach zero. Missing
-// files (e.g. a failed write that never created one) are not errors.
+// release untracks the chunks of a freed matrix and deletes their files.
+// Missing files (e.g. a failed write that never created one) are not errors.
 func (s *Store) release(paths []string) error {
 	s.mu.Lock()
 	var removals []removal
 	for _, p := range paths {
 		info, ok := s.refs[p]
 		if !ok {
-			continue
-		}
-		if info.refs > 1 {
-			info.refs--
 			continue
 		}
 		delete(s.refs, p)
@@ -448,23 +377,6 @@ func (s *Store) BytesOnDisk() int64 {
 		b += s.shards[i].bytes
 	}
 	return b
-}
-
-// ShardStats reports each shard's tracked chunk count and bytes plus its
-// read-side I/O accounting.
-func (s *Store) ShardStats() []ShardStat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ShardStat, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		out[i] = ShardStat{
-			Dir: sh.backend.Name(), Chunks: sh.chunks, Bytes: sh.bytes,
-			ChunksRead: sh.chunksRead, BytesRead: sh.bytesRead,
-			ChunksExecuted: sh.chunksExecuted,
-		}
-	}
-	return out
 }
 
 // IOStats aggregates the store's read-side accounting across shards.
@@ -535,20 +447,6 @@ type Matrix struct{ chunked[*la.Dense] }
 func newMatrix(store *Store, rows, cols, chunkRows int, paths []string) *Matrix {
 	return &Matrix{chunked[*la.Dense]{store: store, rows: rows, cols: cols, chunkRows: chunkRows, paths: paths,
 		kind: chunkKindDense, decode: (*Store).readDenseChunk}}
-}
-
-// Retain returns a new handle sharing this matrix's chunk files. The
-// files are deleted only after every handle (the original and all
-// retained ones) has been freed, which lets pipelines hand intermediates
-// to consumers with independent lifetimes. Retaining an already-freed
-// matrix yields a handle that is itself freed (its files are gone), so
-// streaming it reports ErrFreed instead of a confusing missing-file
-// error.
-func (m *Matrix) Retain() *Matrix {
-	if !m.freed {
-		m.store.retain(m.paths)
-	}
-	return &Matrix{m.chunked}
 }
 
 func numChunks(rows, chunkRows int) int {
@@ -773,21 +671,6 @@ func (m *Matrix) Dense() (*la.Dense, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ScaleExec computes m·x element-wise under the given execution.
-func (m *Matrix) ScaleExec(ex Exec, x float64) (*Matrix, error) {
-	return m.StreamToMatrix(ex, m.cols, func(ci, lo int, c la.Mat) (*la.Dense, error) {
-		return c.(*la.Dense).ScaleDense(x), nil
-	})
-}
-
-// RowSumsExec computes row sums into a chunked n×1 matrix under the given
-// execution.
-func (m *Matrix) RowSumsExec(ex Exec) (*Matrix, error) {
-	return m.StreamToMatrix(ex, 1, func(ci, lo int, c la.Mat) (*la.Dense, error) {
-		return c.RowSums(), nil
-	})
 }
 
 // trackedBytes sums the recorded written sizes of the given chunk keys;

@@ -209,7 +209,7 @@ func (b *compressingBackend) WriteChunk(key string, data []byte) error {
 
 // WriteChunkSized stores the encoded blob and reports the bytes that
 // actually landed — the compressed size, which is what the store's
-// BytesOnDisk/ShardStats accounting should track.
+// BytesOnDisk accounting should track.
 func (b *compressingBackend) WriteChunkSized(key string, data []byte) (int64, error) {
 	blob := b.codec.Encode(data)
 	if err := b.inner.WriteChunk(key, blob); err != nil {

@@ -200,7 +200,7 @@ func FuzzDecodeChunk(f *testing.F) {
 // BenchmarkReadDenseChunk: one 6000×50 chunk fetched from a directory
 // backend and decoded, as every pass over a dense table does it.
 func BenchmarkReadDenseChunk(b *testing.B) {
-	st, err := NewStore(b.TempDir())
+	st, err := newStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func BenchmarkChunkedKMeans(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	store, err := NewStore(filepath.Join(dir, "chunks"))
+	store, err := newStore(filepath.Join(dir, "chunks"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func chunkFileCount(t *testing.T, dir string) int {
 func TestFreeRemovesIntermediateChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFreeRemovesIntermediateChunks(t *testing.T) {
 	if got := chunkFileCount(t, dir); got != base+inter.NumChunks() {
 		t.Fatalf("after Mul: %d files, want %d", got, base+inter.NumChunks())
 	}
-	final, err := inter.RowSumsExec(Parallel())
+	final, err := mulExec(MatOperand(Parallel(), inter), randDense(rng, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,67 +74,12 @@ func TestFreeRemovesIntermediateChunks(t *testing.T) {
 	}
 }
 
-// TestRetainSharesChunkFiles: files survive until the last handle is
-// freed.
-func TestRetainSharesChunkFiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	dir := t.TempDir()
-	s, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := FromDense(s, randDense(rng, 20, 3), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := m.Retain()
-	if err := m.Free(); err != nil {
-		t.Fatal(err)
-	}
-	if got := chunkFileCount(t, dir); got != h.NumChunks() {
-		t.Fatalf("after freeing one handle: %d files, want %d", got, h.NumChunks())
-	}
-	if _, err := h.CrossProdExec(Parallel()); err != nil {
-		t.Fatalf("retained handle unusable: %v", err)
-	}
-	if err := h.Free(); err != nil {
-		t.Fatal(err)
-	}
-	if got := chunkFileCount(t, dir); got != 0 {
-		t.Fatalf("after freeing both handles: %d files, want 0", got)
-	}
-}
-
-// TestRetainAfterFreeIsFreed: retaining a freed matrix must yield a
-// handle that reports ErrFreed, not a dangling handle over deleted files.
-func TestRetainAfterFreeIsFreed(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	s := testStore(t)
-	m, err := FromDense(s, randDense(rng, 16, 2), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Free(); err != nil {
-		t.Fatal(err)
-	}
-	h := m.Retain()
-	if _, err := h.CrossProdExec(Parallel()); !errors.Is(err, ErrFreed) {
-		t.Fatalf("CrossProd on retain-after-free handle: %v, want ErrFreed", err)
-	}
-	if err := h.Free(); err != nil { // no double release
-		t.Fatal(err)
-	}
-	if s.LiveChunks() != 0 {
-		t.Fatalf("store tracks %d chunks", s.LiveChunks())
-	}
-}
-
 // TestStoreCloseRemovesEverything: Close deletes all remaining spill
 // files and blocks new allocations.
 func TestStoreCloseRemovesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +87,7 @@ func TestStoreCloseRemovesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ScaleExec(Parallel(), 2); err != nil {
+	if _, err := materialize(Parallel(), m); err != nil {
 		t.Fatal(err)
 	}
 	if s.LiveChunks() == 0 {
@@ -172,7 +117,7 @@ func TestStoreCloseRemovesEverything(t *testing.T) {
 func TestPipelineLeavesNoDeadChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,18 +127,18 @@ func TestPipelineLeavesNoDeadChunks(t *testing.T) {
 	}
 	base := chunkFileCount(t, dir)
 
-	scaled, err := m.ScaleExec(Parallel(), 0.5)
+	joined, err := materialize(Parallel(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := mulExec(MatOperand(Parallel(), scaled), randDense(rng, 6, 2))
+	prod, err := mulExec(MatOperand(Parallel(), joined), randDense(rng, 6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := prod.CrossProdExec(Parallel()); err != nil {
 		t.Fatal(err)
 	}
-	if err := scaled.Free(); err != nil {
+	if err := joined.Free(); err != nil {
 		t.Fatal(err)
 	}
 	if err := prod.Free(); err != nil {
@@ -219,7 +164,7 @@ func TestBuildCleansUpOnWriteFailure(t *testing.T) {
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewStore(sub)
+	s2, err := newStore(sub)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestMaterializeMNAndIOAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !la.EqualApprox(tmD, td, 0) {
+	if la.MaxAbsDiff(tmD, td) > 0 {
 		t.Fatal("Materialize content mismatch")
 	}
 	const iters, alpha = 4, 1e-3

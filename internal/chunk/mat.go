@@ -45,7 +45,7 @@ var (
 )
 
 // chunked is a chunked matrix up to its codec: shape, chunking, the
-// refcounted chunk files, the pipeline over them and the whole-matrix
+// chunk files it owns, the pipeline over them and the whole-matrix
 // operators. C is the decoded chunk type; kind names the codec on the
 // /exec wire and decode is its reader.
 type chunked[C la.Mat] struct {
@@ -79,8 +79,7 @@ func (m *chunked[C]) Store() *Store { return m.store }
 // Zero once the matrix has been freed (its files are gone).
 func (m *chunked[C]) BytesOnDisk() int64 { return m.store.trackedBytes(m.paths) }
 
-// Free releases the matrix's chunk files (deleting each once no other
-// Retain-ed handle references it). Freeing is idempotent; streaming a
+// Free deletes the matrix's chunk files. Freeing is idempotent; streaming a
 // freed matrix fails with ErrFreed. Free is not safe to race with an
 // in-flight pipeline over the same matrix.
 func (m *chunked[C]) Free() error {
@@ -192,20 +191,6 @@ func (m *chunked[C]) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) 
 	return m.runOp(ex, op, commit)
 }
 
-// StreamToMatrix maps every chunk to a dense output chunk (same row count,
-// outCols columns) and spills the results as a new chunked matrix aligned
-// with the input's chunking. Under a pipelined execution the spills go
-// through the dedicated write-behind stage, so output I/O overlaps compute;
-// output chunk files keep the input's chunk order and are byte-identical to
-// a serial pass. On failure every output chunk written so far is removed
-// and no matrix is registered.
-func (m *chunked[C]) StreamToMatrix(ex Exec, outCols int, f func(ci, lo int, c la.Mat) (*la.Dense, error)) (*Matrix, error) {
-	return scanToMatrix(ex, m, false, outCols, func(ci, lo int, c la.Mat) (*la.Dense, any, error) {
-		out, err := f(ci, lo, c)
-		return out, nil, err
-	}, nil)
-}
-
 // TMulExec computes mᵀ·x for an in-memory x, accumulating the (small)
 // cols×xCols output in memory.
 func (m *chunked[C]) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
@@ -270,7 +255,7 @@ func reduceExec(ex Exec, t Mat, op Op, rows, cols int) (*la.Dense, error) {
 // and whether one worker or thirty-two are running.
 //
 // The budget covers the decoded *input* chunks. Passes that spill a chunked
-// output (StreamToMatrix, Mul, Scale, ...) additionally hold up to
+// output (a scan step with OutCols, Materialize) additionally hold up to
 // workers+spillQueueDepth+1 output chunks per shard (one per busy worker
 // plus the bounded write-behind queues), and each chunk being written
 // briefly holds one encoded []byte copy next to its decoded form (blobs

@@ -138,7 +138,7 @@ func TestRecycledReadsSafe(t *testing.T) {
 				t.Fatal(err)
 			}
 			rowsOf := func(ci int) *la.Dense { return x.SliceRowsDense(ci*17, (ci+1)*17) }
-			var kept, mapped *la.Dense
+			var kept *la.Dense
 			if err := m.Stream(ex, func(ci, _ int, c la.Mat) (any, error) {
 				if ci == 2 {
 					kept = c.(*la.Dense)
@@ -147,13 +147,7 @@ func TestRecycledReadsSafe(t *testing.T) {
 			}, nil); err != nil {
 				t.Fatal(err)
 			}
-			// StreamToMatrix may spill its chunk itself, after the map.
-			same, err := m.StreamToMatrix(ex, d, func(ci, _ int, c la.Mat) (*la.Dense, error) {
-				if ci == 3 {
-					mapped = c.(*la.Dense)
-				}
-				return c.(*la.Dense), nil
-			})
+			same, err := materialize(ex, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,12 +155,11 @@ func TestRecycledReadsSafe(t *testing.T) {
 				func() (*la.Dense, error) { return m.CrossProdExec(ex) })
 			bitsEqual(t, "a chunk from Matrix.Chunk, held across the passes", held, rowsOf(1))
 			bitsEqual(t, "a chunk kept from a Stream map, held across the passes", kept, rowsOf(2))
-			bitsEqual(t, "a chunk kept from a StreamToMatrix map, held across the passes", mapped, rowsOf(3))
 			spilled, err := same.Dense()
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitsEqual(t, "StreamToMatrix spilling its chunks", spilled, x)
+			bitsEqual(t, "Materialize spilling its chunks", spilled, x)
 			if err := same.Free(); err != nil {
 				t.Fatal(err)
 			}

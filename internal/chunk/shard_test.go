@@ -12,6 +12,36 @@ import (
 	"repro/internal/la"
 )
 
+// ShardStat is one shard's accounted footprint and read-side I/O: what was
+// placed there and what the passes actually fetched.
+type ShardStat struct {
+	Dir    string // shard identity: directory path, or base URL for a remote shard
+	Chunks int    // tracked chunk files placed on this shard
+	Bytes  int64  // bytes of written chunk files currently tracked
+
+	ChunksRead int   // chunk blobs fetched from this shard
+	BytesRead  int64 // stored bytes of those fetches (compressed size under a codec)
+
+	ChunksExecuted int // chunks whose op partial came back from this shard's /exec and was accepted
+}
+
+// ShardStats reports each shard's tracked chunk count and bytes plus its
+// read-side I/O accounting.
+func (s *Store) ShardStats() []ShardStat {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]ShardStat, len(s.shards))
+	for i := range s.shards {
+		sh := &s.shards[i]
+		out[i] = ShardStat{
+			Dir: sh.backend.Name(), Chunks: sh.chunks, Bytes: sh.bytes,
+			ChunksRead: sh.chunksRead, BytesRead: sh.bytesRead,
+			ChunksExecuted: sh.chunksExecuted,
+		}
+	}
+	return out
+}
+
 // shardDirs makes n fresh shard directories under one test temp root.
 func shardDirs(t testing.TB, n int) []string {
 	t.Helper()
@@ -26,7 +56,7 @@ func shardDirs(t testing.TB, n int) []string {
 func testShardedStore(t testing.TB, n int, policy Placement) (*Store, []string) {
 	t.Helper()
 	dirs := shardDirs(t, n)
-	s, err := NewShardedStore(dirs, policy)
+	s, err := newShardedStore(dirs, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +366,7 @@ func TestShardedCloseWithLiveMatrices(t *testing.T) {
 func TestShardedStartupOrphanCleanup(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	dirs := shardDirs(t, 2)
-	s1, err := NewShardedStore(dirs, RoundRobin)
+	s1, err := newShardedStore(dirs, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,12 +382,9 @@ func TestShardedStartupOrphanCleanup(t *testing.T) {
 	}
 	// Simulated crash: s1 is dropped without Close or Free. A fresh store
 	// over the same directories reaps the debris before first use.
-	s2, err := NewShardedStore(dirs, RoundRobin)
+	s2, err := newShardedStore(dirs, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := s2.OrphansReaped(); got != orphaned {
-		t.Fatalf("OrphansReaped = %d, want %d", got, orphaned)
 	}
 	for i, d := range dirs {
 		if got := filesIn(t, d); got != 0 {
@@ -413,14 +440,14 @@ func TestZeroWidthChunkAccounting(t *testing.T) {
 
 // TestShardedStoreValidation: bad constructor inputs fail loudly.
 func TestShardedStoreValidation(t *testing.T) {
-	if _, err := NewShardedStore(nil, RoundRobin); err == nil {
+	if _, err := newShardedStore(nil, RoundRobin); err == nil {
 		t.Fatal("empty dir list accepted")
 	}
 	d := t.TempDir()
-	if _, err := NewShardedStore([]string{d, d}, RoundRobin); err == nil {
+	if _, err := newShardedStore([]string{d, d}, RoundRobin); err == nil {
 		t.Fatal("duplicate shard directory accepted")
 	}
-	if _, err := NewShardedStore([]string{d}, Placement(99)); err == nil {
+	if _, err := newShardedStore([]string{d}, Placement(99)); err == nil {
 		t.Fatal("unknown placement policy accepted")
 	}
 }
@@ -436,7 +463,7 @@ func BenchmarkShardedSpill(b *testing.B) {
 	x := randDense(rand.New(rand.NewSource(8)), cols, cols)
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := NewShardedStore(shardDirs(b, shards), LeastBytes)
+			s, err := newShardedStore(shardDirs(b, shards), LeastBytes)
 			if err != nil {
 				b.Fatal(err)
 			}

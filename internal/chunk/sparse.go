@@ -155,18 +155,3 @@ func decodeSparseChunk(path string, raw []byte, rows, cols int) (c *la.CSR, err 
 	}()
 	return la.NewCSR(rows, cols, indptr, indices, vals), nil
 }
-
-// CSR loads the whole matrix back into memory (tests and small data only).
-func (m *SparseMatrix) CSR() (*la.CSR, error) {
-	parts := make([]*la.CSR, len(m.paths))
-	err := m.pipeline(Parallel(), nil, false, func(ci, lo int, c *la.CSR) (any, error) {
-		return c, nil
-	}, func(ci int, v any) error {
-		parts[ci] = v.(*la.CSR)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return la.VCatCSR(parts...), nil
-}

@@ -10,6 +10,36 @@ import (
 	"repro/internal/la"
 )
 
+// CSR loads the whole matrix back into memory: its chunks stacked in order.
+func (m *SparseMatrix) CSR() (*la.CSR, error) {
+	parts := make([]*la.CSR, len(m.paths))
+	err := m.pipeline(Parallel(), nil, false, func(ci, lo int, c *la.CSR) (any, error) {
+		return c, nil
+	}, func(ci int, v any) error {
+		parts[ci] = v.(*la.CSR)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return vcatCSR(m.cols, parts), nil
+}
+
+// vcatCSR stacks cols-wide sparse matrices vertically: [a; b; ...].
+func vcatCSR(cols int, ms []*la.CSR) *la.CSR {
+	indptr := []int{0}
+	var indices []int32
+	var vals []float64
+	for _, m := range ms {
+		for i := 0; i < m.Rows(); i++ {
+			idx, vs := m.RowNNZ(i)
+			indices, vals = append(indices, idx...), append(vals, vs...)
+			indptr = append(indptr, len(indices))
+		}
+	}
+	return la.NewCSR(len(indptr)-1, cols, indptr, indices, vals)
+}
+
 // randCSR builds a random sparse matrix with ~density fraction non-zeros.
 func randCSR(rng *rand.Rand, rows, cols int, density float64) *la.CSR {
 	b := la.NewCSRBuilder(rows, cols)
@@ -41,7 +71,7 @@ func TestSparseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !la.EqualApprox(got.Dense(), c.Dense(), 0) {
+	if la.MaxAbsDiff(got.Dense(), c.Dense()) > 0 {
 		t.Fatal("sparse round trip mismatch")
 	}
 }
@@ -66,7 +96,7 @@ func TestSparseOpsMatchInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !la.EqualApprox(mulD, c.Mul(x), 1e-12) {
+		if la.MaxAbsDiff(mulD, c.Mul(x)) > 1e-12 {
 			t.Fatal("chunked sparse Mul mismatch")
 		}
 		if err := mul.Free(); err != nil {
@@ -78,7 +108,7 @@ func TestSparseOpsMatchInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !la.EqualApprox(tm, c.TMul(xt), 1e-12) {
+		if la.MaxAbsDiff(tm, c.TMul(xt)) > 1e-12 {
 			t.Fatal("chunked sparse TMul mismatch")
 		}
 
@@ -86,7 +116,7 @@ func TestSparseOpsMatchInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !la.EqualApprox(cp, c.CrossProd(), 1e-12) {
+		if la.MaxAbsDiff(cp, c.CrossProd()) > 1e-12 {
 			t.Fatal("chunked sparse CrossProd mismatch")
 		}
 	}
@@ -97,7 +127,7 @@ func TestSparseOpsMatchInMemory(t *testing.T) {
 func TestSparseCorruptChunkSurfacesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +172,7 @@ func TestSparseCorruptChunkSurfacesError(t *testing.T) {
 func TestSparseFreeRemovesChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	dir := t.TempDir()
-	s, err := NewStore(dir)
+	s, err := newStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func TestSparseMaterializeMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, gen := range allKinds() {
 		m := gen(rng)
-		if !la.EqualApprox(m.Sparse().Dense(), m.Dense(), 0) {
+		if la.MaxAbsDiff(m.Sparse().Dense(), m.Dense()) > 0 {
 			t.Fatal("Sparse() != Dense()")
 		}
 	}

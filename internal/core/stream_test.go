@@ -36,10 +36,7 @@ func buildStreamed(t *testing.T, rng *rand.Rand, nS, dS, nR, dR, chunkRows int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := chunk.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := dirStore(t)
 	sm, err := chunk.FromDense(store, s, chunkRows)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +102,7 @@ func buildStreamedStar(t *testing.T, rng *rand.Rand, nS, dS, chunkRows int) (*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := chunk.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := dirStore(t)
 	sm, err := chunk.FromDense(store, s, chunkRows)
 	if err != nil {
 		t.Fatal(err)
@@ -336,4 +330,18 @@ func TestStreamedMulNormMatchesDMM(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// dirStore is a chunk store over one fresh temp directory.
+func dirStore(tb testing.TB) *chunk.Store {
+	tb.Helper()
+	b, err := chunk.NewDirBackend(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := chunk.NewShardedStoreBackends([]chunk.Backend{b}, chunk.RoundRobin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }

@@ -18,9 +18,9 @@
 //     cached partial products per changed row — see serve.Scorer.
 //   - The training path pins an epoch (Pin) and reads a consistent
 //     snapshot — in memory via Snapshot.NormalizedMatrix, or streamed
-//     out-of-core via Snapshot.BuildChunked — that later commits can
-//     never perturb: results are bitwise independent of concurrent
-//     writes.
+//     out-of-core by chunk.FromNormalized over its parts — that later
+//     commits can never perturb: results are bitwise independent of
+//     concurrent writes.
 //
 // Epoch lifetime is refcounted: the store keeps the current epoch live,
 // every Snapshot pins the epoch it reads, and an epoch superseded by a
@@ -159,20 +159,6 @@ func (st *Store) EntityCols() int {
 	return st.bases[0].Cols()
 }
 
-// EntityRows reports the entity table's tuple count (0 when absent).
-func (st *Store) EntityRows() int {
-	if st.bases[0] == nil {
-		return 0
-	}
-	return st.bases[0].Rows()
-}
-
-// AttrRows reports attribute table t's tuple count nR_t.
-func (st *Store) AttrRows(t int) int { return st.bases[1+t].Rows() }
-
-// AttrCols reports attribute table t's feature width dR_t.
-func (st *Store) AttrCols(t int) int { return st.bases[1+t].Cols() }
-
 // IS returns the entity-side row selector (nil for PK-FK/star schemas).
 // The indicator is shared and immutable.
 func (st *Store) IS() *la.Indicator { return st.is }
@@ -196,21 +182,6 @@ func (st *Store) LiveEpochs() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.live
-}
-
-// PatchedRows reports how many rows the current epoch's overlays patch
-// over the base tables (summed across tables) — the copy-on-write
-// footprint serving pays per snapshot, and a rough measure of when
-// re-basing the store would pay off.
-func (st *Store) PatchedRows() int {
-	st.mu.Lock()
-	cur := st.cur
-	st.mu.Unlock()
-	n := 0
-	for _, ov := range cur.overlays {
-		n += len(ov)
-	}
-	return n
 }
 
 // Pending reports the number of staged (uncommitted) row upserts.

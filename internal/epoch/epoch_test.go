@@ -10,6 +10,35 @@ import (
 	"repro/internal/la"
 )
 
+// EntityRows reports the entity table's tuple count (0 when absent).
+func (st *Store) EntityRows() int {
+	if st.bases[0] == nil {
+		return 0
+	}
+	return st.bases[0].Rows()
+}
+
+// AttrRows reports attribute table t's tuple count nR_t.
+func (st *Store) AttrRows(t int) int { return st.bases[1+t].Rows() }
+
+// AttrCols reports attribute table t's feature width dR_t.
+func (st *Store) AttrCols(t int) int { return st.bases[1+t].Cols() }
+
+// PatchedRows reports how many rows the current epoch's overlays patch
+// over the base tables (summed across tables) — the copy-on-write
+// footprint serving pays per snapshot, and a rough measure of when
+// re-basing the store would pay off.
+func (st *Store) PatchedRows() int {
+	st.mu.Lock()
+	cur := st.cur
+	st.mu.Unlock()
+	n := 0
+	for _, ov := range cur.overlays {
+		n += len(ov)
+	}
+	return n
+}
+
 // diffTol matches the repo-wide differential budget: patched reads must
 // agree with rebuilt-from-scratch state far tighter than 1e-12.
 const diffTol = 1e-12

@@ -1,10 +1,8 @@
 package epoch
 
 import (
-	"errors"
 	"sync"
 
-	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/la"
 )
@@ -61,26 +59,6 @@ func (s *Snapshot) rs() []la.Mat {
 		rs[t] = s.views[1+t]
 	}
 	return rs
-}
-
-// BuildChunked streams the snapshot into cs as an out-of-core
-// star-schema table: the entity table is spilled row-by-row through the
-// epoch view (base + overlay, never materialized whole), each
-// foreign-key column is spilled chunk-aligned with it, and the attribute
-// tables stay in memory as epoch views. Only PK-FK/star schemas chunk;
-// M:N snapshots (IS() != nil) and schemas without an entity feature
-// table return an error. The caller owns the returned table's on-disk
-// chunks (Free them); the snapshot must stay pinned only while this call
-// runs — training on the result afterwards needs no pin, because the
-// spilled chunks and the in-memory R views are immutable.
-func (s *Snapshot) BuildChunked(cs *chunk.Store, chunkRows int) (*chunk.NormalizedTable, error) {
-	if s.store.is != nil {
-		return nil, errors.New("epoch: chunked snapshots support PK-FK/star schemas only (no M:N row expansion)")
-	}
-	if s.views[0] == nil {
-		return nil, errors.New("epoch: chunked snapshot requires an entity feature table")
-	}
-	return chunk.FromNormalized(cs, s.views[0], nil, s.store.ks, s.rs(), chunkRows)
 }
 
 // Release unpins the snapshot's epoch; once every pin on a superseded

@@ -13,7 +13,11 @@ import (
 
 func testChunkStore(t *testing.T) *chunk.Store {
 	t.Helper()
-	cs, err := chunk.NewStore(t.TempDir())
+	csb, err := chunk.NewDirBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := chunk.NewShardedStoreBackends([]chunk.Backend{csb}, chunk.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +51,22 @@ func frozenCopy(snap *Snapshot) (la.Mat, []la.Mat) {
 	return s, rs
 }
 
+// spillSnapshot streams a pinned snapshot into cs as a chunked table: the
+// entity table row by row through its epoch view, the attribute tables
+// kept in memory as views.
+func spillSnapshot(t *testing.T, snap *Snapshot, cs *chunk.Store, chunkRows int) *chunk.NormalizedTable {
+	t.Helper()
+	nm, err := snap.NormalizedMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nt, err := chunk.FromNormalized(cs, nm.S(), nm.IS(), nm.Ks(), nm.Rs(), chunkRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nt
+}
+
 // TestBuildChunkedDifferential streams a patched snapshot into chunked
 // storage, trains out-of-core, and pins the result bitwise against the
 // same training over a frozen copy of the epoch — then checks the chunk
@@ -73,10 +93,7 @@ func TestBuildChunkedDifferential(t *testing.T) {
 		y := labels(rng, st.Rows())
 
 		cs := testChunkStore(t)
-		nt, err := snap.BuildChunked(cs, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nt := spillSnapshot(t, snap, cs, 16)
 		got, err := ml.LogRegScan(nt.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 5, StepSize: 1e-3})
 		if err != nil {
 			t.Fatal(err)
@@ -116,47 +133,6 @@ func TestBuildChunkedDifferential(t *testing.T) {
 		if cs.LiveChunks() != 0 || cs.BytesOnDisk() != 0 {
 			t.Fatalf("chunk accounting not at baseline: %d chunks, %d bytes", cs.LiveChunks(), cs.BytesOnDisk())
 		}
-	}
-}
-
-// TestBuildChunkedRejects pins the documented unsupported shapes.
-func TestBuildChunkedRejects(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	cs := testChunkStore(t)
-
-	// No entity feature table.
-	nm, err := core.NewPKFK(nil, randIndicatorE(rng, 10, 3), randDense(rng, 3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewStore(nm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Pin()
-	if _, err := snap.BuildChunked(cs, 8); err == nil {
-		t.Fatal("no-entity snapshot chunked without error")
-	}
-	snap.Release()
-
-	// M:N schemas need row expansion the chunked star table doesn't model.
-	mn, err := core.NewMN(randDense(rng, 6, 2), la.NewIndicator([]int{0, 1, 2, 3, 4, 5}, 6),
-		la.NewIndicator([]int{0, 0, 1, 1, 2, 2}, 4), randDense(rng, 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stMN, err := NewStore(mn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapMN := stMN.Pin()
-	if _, err := snapMN.BuildChunked(cs, 8); err == nil {
-		t.Fatal("M:N snapshot chunked without error")
-	}
-	snapMN.Release()
-
-	if cs.LiveChunks() != 0 {
-		t.Fatalf("rejected builds leaked %d chunks", cs.LiveChunks())
 	}
 }
 
@@ -221,10 +197,7 @@ func TestPinnedTrainingUnderConcurrentCommits(t *testing.T) {
 
 	// Out-of-core: stream the pinned snapshot while commits continue.
 	cs := testChunkStore(t)
-	nt, err := snap.BuildChunked(cs, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nt := spillSnapshot(t, snap, cs, 16)
 	got, err := ml.LogRegScan(nt.Operand(chunk.Parallel()), y, nil, ml.Options{Iters: 4, StepSize: 1e-3})
 	if err != nil {
 		t.Fatal(err)

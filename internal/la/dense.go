@@ -283,20 +283,6 @@ func VCat(ms ...*Dense) *Dense {
 	return out
 }
 
-// EqualApprox reports whether a and b have the same shape and all elements
-// within tol of each other.
-func EqualApprox(a, b *Dense, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i, v := range a.data {
-		if math.Abs(v-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference between a
 // and b, which must have the same shape.
 func MaxAbsDiff(a, b *Dense) float64 {

@@ -76,24 +76,6 @@ func (m *Dense) ScaleRowsDense(v []float64) *Dense {
 	return out
 }
 
-// Sub returns m-b element-wise.
-func (m *Dense) Sub(b *Dense) *Dense {
-	return m.zipWith(b, func(x, y float64) float64 { return x - y })
-}
-
-func (m *Dense) zipWith(b *Dense, f func(x, y float64) float64) *Dense {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("la: shape mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewDense(m.rows, m.cols)
-	parallelFor(m.rows, len(m.data), func(lo, hi int) {
-		for i := lo * m.cols; i < hi*m.cols; i++ {
-			out.data[i] = f(m.data[i], b.data[i])
-		}
-	})
-	return out
-}
-
 // AddInPlace adds b into m.
 func (m *Dense) AddInPlace(b *Dense) {
 	if m.rows != b.rows || m.cols != b.cols {

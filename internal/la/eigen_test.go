@@ -27,11 +27,11 @@ func TestSymEigenReconstruction(t *testing.T) {
 			}
 		}
 		rec := MatMulT(vd, v)
-		if !EqualApprox(rec, a, 1e-9) {
+		if MaxAbsDiff(rec, a) > 1e-9 {
 			t.Fatalf("n=%d: eigen reconstruction error %g", n, MaxAbsDiff(rec, a))
 		}
 		// V orthogonal: VᵀV = I.
-		if !EqualApprox(TMatMul(v, v), Eye(n), 1e-9) {
+		if MaxAbsDiff(TMatMul(v, v), Eye(n)) > 1e-9 {
 			t.Fatalf("n=%d: eigenvectors not orthonormal", n)
 		}
 	}
@@ -44,7 +44,7 @@ func TestSymGinvIsInverseForPD(t *testing.T) {
 	a := m.CrossProd()
 	a.AddInPlace(Eye(8))
 	inv := SymGinv(a)
-	if !EqualApprox(MatMul(a, inv), Eye(8), 1e-8) {
+	if MaxAbsDiff(MatMul(a, inv), Eye(8)) > 1e-8 {
 		t.Fatal("SymGinv not an inverse for PD matrix")
 	}
 }
@@ -76,10 +76,10 @@ func moorePenroseOK(a, g *Dense, tol float64) bool {
 	gag := MatMul(MatMul(g, a), g)
 	ag := MatMul(a, g)
 	ga := MatMul(g, a)
-	return EqualApprox(aga, a, tol) &&
-		EqualApprox(gag, g, tol) &&
-		EqualApprox(ag, ag.TDense(), tol) &&
-		EqualApprox(ga, ga.TDense(), tol)
+	return MaxAbsDiff(aga, a) <= tol &&
+		MaxAbsDiff(gag, g) <= tol &&
+		MaxAbsDiff(ag, ag.TDense()) <= tol &&
+		MaxAbsDiff(ga, ga.TDense()) <= tol
 }
 
 func TestGinvMoorePenroseTall(t *testing.T) {
@@ -149,7 +149,7 @@ func TestCholeskySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EqualApprox(MatMul(a, x), b, 1e-8) {
+	if MaxAbsDiff(MatMul(a, x), b) > 1e-8 {
 		t.Fatal("SolveSPD residual too large")
 	}
 }

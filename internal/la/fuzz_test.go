@@ -1,10 +1,7 @@
 package la
 
 import (
-	"bytes"
 	"encoding/binary"
-	"io"
-	"math"
 	"testing"
 )
 
@@ -128,56 +125,6 @@ func FuzzNewIndicator(f *testing.F) {
 		}
 		if int(sum) != k.Rows() {
 			t.Fatalf("ColCounts sum %g != rows %d", sum, k.Rows())
-		}
-	})
-}
-
-// FuzzReadMatrix throws arbitrary bytes at the three binary readers. Each
-// either returns an error or a matrix that encodes back to the bytes it
-// was read from, so decode → encode → decode is the identity; a panic, or
-// a matrix the bytes do not describe, fails. The seeds are valid encodings
-// (NaN and -0 included), the lying headers, truncations and a corrupt
-// indptr.
-func FuzzReadMatrix(f *testing.F) {
-	encode := func(m interface{ Encode(io.Writer) error }) []byte {
-		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	csr := NewCSR(3, 4, []int{0, 2, 2, 3}, []int32{0, 3, 1}, []float64{1.5, math.NaN(), -2})
-	for _, valid := range [][]byte{
-		encode(DenseFromRows([][]float64{{1, math.Copysign(0, -1)}, {math.NaN(), math.Inf(1)}})),
-		encode(NewDense(0, 3)),
-		encode(csr),
-		encode(NewIndicator([]int{2, 0, 2, 1}, 3)),
-	} {
-		f.Add(valid)
-		f.Add(valid[:len(valid)-1])
-		f.Add(valid[:20])
-	}
-	for _, h := range lyingHeaders {
-		f.Add(h.raw)
-	}
-	readers := []func(io.Reader) (interface{ Encode(io.Writer) error }, error){
-		func(r io.Reader) (interface{ Encode(io.Writer) error }, error) { return ReadDense(r) },
-		func(r io.Reader) (interface{ Encode(io.Writer) error }, error) { return ReadCSR(r) },
-		func(r io.Reader) (interface{ Encode(io.Writer) error }, error) { return ReadIndicator(r) },
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for i, read := range readers {
-			m, err := read(bytes.NewReader(data))
-			if err != nil {
-				continue
-			}
-			var buf bytes.Buffer
-			if err := m.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.HasPrefix(data, buf.Bytes()) {
-				t.Fatalf("reader %d accepted bytes that its matrix does not encode back to", i)
-			}
 		}
 	})
 }

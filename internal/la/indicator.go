@@ -225,15 +225,6 @@ func (k *Indicator) TMulIndicator(j *Indicator) *CSR {
 	return NewCSR(k.nCols, j.nCols, indptr, indices, vals)
 }
 
-// Dense materializes the indicator.
-func (k *Indicator) Dense() *Dense {
-	out := NewDense(len(k.rows), k.nCols)
-	for i, c := range k.rows {
-		out.data[i*k.nCols+int(c)] = 1
-	}
-	return out
-}
-
 // GatherMat computes K·R for a base-table matrix R (dense or sparse),
 // preserving sparsity: the result rows are copies of R's rows.
 func (k *Indicator) GatherMat(r Mat) Mat {

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// Dense materializes the indicator.
+func (k *Indicator) Dense() *Dense {
+	out := NewDense(len(k.rows), k.nCols)
+	for i, c := range k.rows {
+		out.data[i*k.nCols+int(c)] = 1
+	}
+	return out
+}
+
 func randIndicator(rng *rand.Rand, rows, cols int) *Indicator {
 	assign := make([]int, rows)
 	for i := range assign {
@@ -18,7 +27,7 @@ func TestIndicatorDense(t *testing.T) {
 	k := NewIndicator([]int{0, 1, 1, 0, 1}, 2)
 	d := k.Dense()
 	want := DenseFromRows([][]float64{{1, 0}, {0, 1}, {0, 1}, {1, 0}, {0, 1}})
-	if !EqualApprox(d, want, 0) {
+	if MaxAbsDiff(d, want) > 0 {
 		t.Fatal("indicator Dense mismatch")
 	}
 }
@@ -38,7 +47,7 @@ func TestIndicatorMulIsGather(t *testing.T) {
 	z := randDense(rng, 6, 4)
 	got := k.Mul(z)
 	want := MatMul(k.Dense(), z)
-	if !EqualApprox(got, want, 1e-12) {
+	if MaxAbsDiff(got, want) > 1e-12 {
 		t.Fatal("indicator Mul mismatch")
 	}
 }
@@ -49,7 +58,7 @@ func TestIndicatorTMulIsScatter(t *testing.T) {
 	z := randDense(rng, 20, 3)
 	got := k.TMul(z)
 	want := TMatMul(k.Dense(), z)
-	if !EqualApprox(got, want, 1e-12) {
+	if MaxAbsDiff(got, want) > 1e-12 {
 		t.Fatal("indicator TMul mismatch")
 	}
 }
@@ -60,7 +69,7 @@ func TestIndicatorLeftMul(t *testing.T) {
 	x := randDense(rng, 4, 15)
 	got := k.LeftMul(x)
 	want := MatMul(x, k.Dense())
-	if !EqualApprox(got, want, 1e-12) {
+	if MaxAbsDiff(got, want) > 1e-12 {
 		t.Fatal("indicator LeftMul mismatch")
 	}
 }
@@ -82,7 +91,7 @@ func TestIndicatorColCounts(t *testing.T) {
 
 func TestIdentityIndicator(t *testing.T) {
 	id := IdentityIndicator(4)
-	if !EqualApprox(id.Dense(), Eye(4), 0) {
+	if MaxAbsDiff(id.Dense(), Eye(4)) > 0 {
 		t.Fatal("IdentityIndicator != Eye")
 	}
 }
@@ -100,7 +109,7 @@ func TestTMulIndicatorMatchesDense(t *testing.T) {
 		j := randIndicator(r, rows, cj)
 		got := k.TMulIndicator(j)
 		want := TMatMul(k.Dense(), j.Dense())
-		if !EqualApprox(got.Dense(), want, 1e-12) {
+		if MaxAbsDiff(got.Dense(), want) > 1e-12 {
 			return false
 		}
 		return got.NNZ() <= rows
@@ -153,10 +162,10 @@ func TestIndicatorGatherMat(t *testing.T) {
 	gd := k.GatherMat(rd)
 	gc := k.GatherMat(rc)
 	want := MatMul(k.Dense(), rd)
-	if !EqualApprox(gd.Dense(), want, 1e-12) {
+	if MaxAbsDiff(gd.Dense(), want) > 1e-12 {
 		t.Fatal("GatherMat dense mismatch")
 	}
-	if !EqualApprox(gc.Dense(), want, 1e-12) {
+	if MaxAbsDiff(gc.Dense(), want) > 1e-12 {
 		t.Fatal("GatherMat sparse mismatch")
 	}
 	if _, ok := gc.(*CSR); !ok {

@@ -46,19 +46,19 @@ func TestLargeKernelsHitParallelPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	a := randDense(rng, 300, 200)
 	b := randDense(rng, 200, 150)
-	if !EqualApprox(MatMul(a, b), naiveMul(a, b), 1e-9) {
+	if MaxAbsDiff(MatMul(a, b), naiveMul(a, b)) > 1e-9 {
 		t.Fatal("parallel MatMul mismatch")
 	}
 	c := randDense(rng, 300, 150)
-	if !EqualApprox(TMatMul(a, c), naiveMul(a.TDense(), c), 1e-9) {
+	if MaxAbsDiff(TMatMul(a, c), naiveMul(a.TDense(), c)) > 1e-9 {
 		t.Fatal("parallel TMatMul mismatch")
 	}
-	if !EqualApprox(a.CrossProd(), naiveMul(a.TDense(), a), 1e-8) {
+	if MaxAbsDiff(a.CrossProd(), naiveMul(a.TDense(), a)) > 1e-8 {
 		t.Fatal("parallel CrossProd mismatch")
 	}
 	twice := a.Clone()
 	twice.AddInPlace(a)
-	if !EqualApprox(a.ScaleDense(2), twice, 1e-12) {
+	if MaxAbsDiff(a.ScaleDense(2), twice) > 1e-12 {
 		t.Fatal("parallel Scale mismatch")
 	}
 }

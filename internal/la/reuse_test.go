@@ -111,7 +111,15 @@ func TestReuseSafe(t *testing.T) {
 		y.Data()[i] = float64(2*rng.Intn(2) - 1)
 	}
 
-	st, err := chunk.NewShardedStore([]string{t.TempDir(), t.TempDir()}, chunk.RoundRobin)
+	var shards []chunk.Backend
+	for range 2 {
+		b, err := chunk.NewDirBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, b)
+	}
+	st, err := chunk.NewShardedStoreBackends(shards, chunk.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}

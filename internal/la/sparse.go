@@ -305,36 +305,6 @@ func JoinCSR(ks []*Indicator, parts []Mat) *CSR {
 	return &CSR{rows: n, cols: int(offs[len(cs)]), indptr: indptr, indices: indices, vals: vals}
 }
 
-// VCatCSR stacks sparse matrices vertically: [a; b; ...].
-func VCatCSR(ms ...*CSR) *CSR {
-	if len(ms) == 0 {
-		return NewCSR(0, 0, []int{0}, nil, nil)
-	}
-	cols := ms[0].cols
-	rows, nnz := 0, 0
-	for _, m := range ms {
-		if m.cols != cols {
-			panic(fmt.Sprintf("la: VCatCSR col mismatch %d != %d", m.cols, cols))
-		}
-		rows += m.rows
-		nnz += m.NNZ()
-	}
-	indptr := make([]int, rows+1)
-	indices := make([]int32, 0, nnz)
-	vals := make([]float64, 0, nnz)
-	r := 0
-	for _, m := range ms {
-		base := len(indices)
-		for i := 0; i < m.rows; i++ {
-			indptr[r+i+1] = base + m.indptr[i+1]
-		}
-		r += m.rows
-		indices = append(indices, m.indices...)
-		vals = append(vals, m.vals...)
-	}
-	return &CSR{rows: rows, cols: cols, indptr: indptr, indices: indices, vals: vals}
-}
-
 // --- Mat interface ---
 
 // Mul computes c·X (sparse × dense → dense), row-parallel.

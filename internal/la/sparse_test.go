@@ -102,11 +102,11 @@ func TestCSRBuilderMatchesSortedTriplets(t *testing.T) {
 func TestCSRDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	c, d := randCSR(rng, 13, 9, 0.3)
-	if !EqualApprox(c.Dense(), d, 0) {
+	if MaxAbsDiff(c.Dense(), d) > 0 {
 		t.Fatal("Dense() round trip mismatch")
 	}
 	c2 := CSRFromDense(d)
-	if !EqualApprox(c2.Dense(), d, 0) {
+	if MaxAbsDiff(c2.Dense(), d) > 0 {
 		t.Fatal("CSRFromDense round trip mismatch")
 	}
 	if c2.NNZ() != c.NNZ() {
@@ -128,7 +128,7 @@ func TestCSRAt(t *testing.T) {
 func TestCSRTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c, d := randCSR(rng, 17, 8, 0.25)
-	if !EqualApprox(c.TCSR().Dense(), d.TDense(), 0) {
+	if MaxAbsDiff(c.TCSR().Dense(), d.TDense()) > 0 {
 		t.Fatal("TCSR mismatch")
 	}
 }
@@ -137,7 +137,7 @@ func TestCSRMulMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c, d := randCSR(rng, 20, 15, 0.2)
 	x := randDense(rng, 15, 6)
-	if !EqualApprox(c.Mul(x), MatMul(d, x), 1e-10) {
+	if MaxAbsDiff(c.Mul(x), MatMul(d, x)) > 1e-10 {
 		t.Fatal("CSR Mul mismatch")
 	}
 }
@@ -146,7 +146,7 @@ func TestCSRTMulMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	c, d := randCSR(rng, 20, 15, 0.2)
 	x := randDense(rng, 20, 4)
-	if !EqualApprox(c.TMul(x), TMatMul(d, x), 1e-10) {
+	if MaxAbsDiff(c.TMul(x), TMatMul(d, x)) > 1e-10 {
 		t.Fatal("CSR TMul mismatch")
 	}
 }
@@ -155,7 +155,7 @@ func TestCSRLeftMulMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	c, d := randCSR(rng, 12, 18, 0.2)
 	x := randDense(rng, 5, 12)
-	if !EqualApprox(c.LeftMul(x), MatMul(x, d), 1e-10) {
+	if MaxAbsDiff(c.LeftMul(x), MatMul(x, d)) > 1e-10 {
 		t.Fatal("CSR LeftMul mismatch")
 	}
 }
@@ -163,7 +163,7 @@ func TestCSRLeftMulMatchesDense(t *testing.T) {
 func TestCSRCrossProdMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	c, d := randCSR(rng, 40, 9, 0.3)
-	if !EqualApprox(c.CrossProd(), d.CrossProd(), 1e-10) {
+	if MaxAbsDiff(c.CrossProd(), d.CrossProd()) > 1e-10 {
 		t.Fatal("CSR CrossProd mismatch")
 	}
 }
@@ -171,7 +171,7 @@ func TestCSRCrossProdMatchesDense(t *testing.T) {
 func TestCSRGramMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	c, d := randCSR(rng, 9, 14, 0.3)
-	if !EqualApprox(c.Gram(), d.Gram(), 1e-10) {
+	if MaxAbsDiff(c.Gram(), d.Gram()) > 1e-10 {
 		t.Fatal("CSR Gram mismatch")
 	}
 }
@@ -179,10 +179,10 @@ func TestCSRGramMatchesDense(t *testing.T) {
 func TestCSRAggregations(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	c, d := randCSR(rng, 15, 7, 0.4)
-	if !EqualApprox(c.RowSums(), d.RowSums(), 1e-12) {
+	if MaxAbsDiff(c.RowSums(), d.RowSums()) > 1e-12 {
 		t.Fatal("RowSums mismatch")
 	}
-	if !EqualApprox(c.ColSums(), d.ColSums(), 1e-12) {
+	if MaxAbsDiff(c.ColSums(), d.ColSums()) > 1e-12 {
 		t.Fatal("ColSums mismatch")
 	}
 	if math.Abs(c.Sum()-d.Sum()) > 1e-12 {
@@ -193,10 +193,10 @@ func TestCSRAggregations(t *testing.T) {
 func TestCSRElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	c, d := randCSR(rng, 10, 10, 0.3)
-	if !EqualApprox(c.Scale(2.5).Dense(), d.ScaleDense(2.5), 1e-12) {
+	if MaxAbsDiff(c.Scale(2.5).Dense(), d.ScaleDense(2.5)) > 1e-12 {
 		t.Fatal("Scale mismatch")
 	}
-	if !EqualApprox(c.Pow(2).Dense(), d.PowDense(2), 1e-12) {
+	if MaxAbsDiff(c.Pow(2).Dense(), d.PowDense(2)) > 1e-12 {
 		t.Fatal("Pow mismatch")
 	}
 	// AddScalar densifies.
@@ -204,7 +204,7 @@ func TestCSRElementwise(t *testing.T) {
 	if _, ok := add.(*Dense); !ok {
 		t.Fatal("AddScalar(3) should densify")
 	}
-	if !EqualApprox(add.Dense(), d.AddScalarDense(3), 1e-12) {
+	if MaxAbsDiff(add.Dense(), d.AddScalarDense(3)) > 1e-12 {
 		t.Fatal("AddScalar mismatch")
 	}
 	// Apply with f(0)==0 stays sparse; with f(0)!=0 densifies.
@@ -216,7 +216,7 @@ func TestCSRElementwise(t *testing.T) {
 	if _, ok := ex.(*Dense); !ok {
 		t.Fatal("exp Apply should densify")
 	}
-	if !EqualApprox(ex.Dense(), d.ApplyDense(math.Exp), 1e-12) {
+	if MaxAbsDiff(ex.Dense(), d.ApplyDense(math.Exp)) > 1e-12 {
 		t.Fatal("exp Apply values mismatch")
 	}
 }
@@ -225,7 +225,7 @@ func TestCSRScaleRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	c, d := randCSR(rng, 6, 4, 0.5)
 	v := []float64{1, 2, 0, -1, 0.5, 3}
-	if !EqualApprox(c.ScaleRows(v).Dense(), d.ScaleRowsDense(v), 1e-12) {
+	if MaxAbsDiff(c.ScaleRows(v).Dense(), d.ScaleRowsDense(v)) > 1e-12 {
 		t.Fatal("ScaleRows mismatch")
 	}
 }
@@ -233,7 +233,7 @@ func TestCSRScaleRows(t *testing.T) {
 func TestCSRSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	c, d := randCSR(rng, 9, 7, 0.4)
-	if !EqualApprox(c.SliceRows(2, 6).Dense(), d.SliceRowsDense(2, 6), 0) {
+	if MaxAbsDiff(c.SliceRows(2, 6).Dense(), d.SliceRowsDense(2, 6)) > 0 {
 		t.Fatal("SliceRows mismatch")
 	}
 }
@@ -247,7 +247,7 @@ func TestCSRGatherRows(t *testing.T) {
 	for i, r := range assign {
 		copy(want.Row(i), d.Row(int(r)))
 	}
-	if !EqualApprox(got.Dense(), want, 0) {
+	if MaxAbsDiff(got.Dense(), want) > 0 {
 		t.Fatal("GatherRows mismatch")
 	}
 }
@@ -257,7 +257,7 @@ func TestHCatCSR(t *testing.T) {
 	a, da := randCSR(rng, 8, 3, 0.5)
 	b, db := randCSR(rng, 8, 5, 0.5)
 	got := JoinCSR([]*Indicator{nil, nil}, []Mat{a, b})
-	if !EqualApprox(got.Dense(), HCat(da, db), 0) {
+	if MaxAbsDiff(got.Dense(), HCat(da, db)) > 0 {
 		t.Fatal("JoinCSR side-by-side mismatch")
 	}
 	if got.NNZ() != a.NNZ()+b.NNZ() {
@@ -272,10 +272,10 @@ func TestCSRPropertyAgainstDense(t *testing.T) {
 		rows, cols := 1+r.Intn(15), 1+r.Intn(15)
 		c, d := randCSR(r, rows, cols, 0.3)
 		x := randDense(r, cols, 1+r.Intn(4))
-		if !EqualApprox(c.Mul(x), MatMul(d, x), 1e-10) {
+		if MaxAbsDiff(c.Mul(x), MatMul(d, x)) > 1e-10 {
 			return false
 		}
-		if !EqualApprox(c.CrossProd(), d.CrossProd(), 1e-10) {
+		if MaxAbsDiff(c.CrossProd(), d.CrossProd()) > 1e-10 {
 			return false
 		}
 		return math.Abs(c.Sum()-d.Sum()) < 1e-10
@@ -289,10 +289,10 @@ func TestCSRMatrixInterface(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	c, d := randCSR(rng, 10, 6, 0.4)
 	var m Matrix = c
-	if !EqualApprox(m.T().Dense(), d.TDense(), 0) {
+	if MaxAbsDiff(m.T().Dense(), d.TDense()) > 0 {
 		t.Fatal("Matrix.T mismatch")
 	}
-	if !EqualApprox(m.Scale(2).Dense(), d.ScaleDense(2), 1e-12) {
+	if MaxAbsDiff(m.Scale(2).Dense(), d.ScaleDense(2)) > 1e-12 {
 		t.Fatal("Matrix.Scale mismatch")
 	}
 	if math.Abs(m.Sum()-d.Sum()) > 1e-12 {

@@ -130,7 +130,7 @@ func TestLinRegNERecoversPlantedWeights(t *testing.T) {
 		t.Fatalf("NE materialized vs factorized differ by %g", la.MaxAbsDiff(wM, wF))
 	}
 	// Residual ‖Tw−y‖ must be ~0 for noiseless planted labels.
-	resid := la.MatMul(td, wF).Sub(y)
+	resid := sub(la.MatMul(td, wF), y)
 	if r := math.Sqrt(resid.PowDense(2).Sum()); r > 1e-6 {
 		t.Fatalf("NE residual %g", r)
 	}
@@ -170,7 +170,7 @@ func TestLinRegCofactorMatchesAcrossStrategies(t *testing.T) {
 	}
 	// AdaGrad on the co-factor must reduce the squared error.
 	resid0 := y.PowDense(2).Sum()
-	resid := la.MatMul(td, wF).Sub(y).PowDense(2).Sum()
+	resid := sub(la.MatMul(td, wF), y).PowDense(2).Sum()
 	if resid >= resid0 {
 		t.Fatalf("cofactor did not reduce error: %g -> %g", resid0, resid)
 	}
@@ -263,7 +263,7 @@ func TestGNMFFactorizedMatchesMaterialized(t *testing.T) {
 
 // reconstructionError returns ‖T − W·Hᵀ‖²_F against the materialized T.
 func reconstructionError(t la.Matrix, r *GNMFResult) float64 {
-	return t.Dense().Sub(la.MatMulT(r.W, r.H)).PowDense(2).Sum()
+	return sub(t.Dense(), la.MatMulT(r.W, r.H)).PowDense(2).Sum()
 }
 
 func TestGNMFReducesReconstructionError(t *testing.T) {
@@ -373,5 +373,25 @@ func TestWidthDeterminismLogReg(t *testing.T) {
 				t.Fatalf("weight %d is %v at GOMAXPROCS=1 and %v at GOMAXPROCS=%d", i, v, g, procs)
 			}
 		}
+	}
+}
+
+// sub returns a-b element-wise.
+func sub(a, b *la.Dense) *la.Dense {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		panic("sub: shape mismatch")
+	}
+	out := a.Clone()
+	for i, v := range b.Data() {
+		out.Data()[i] -= v
+	}
+	return out
+}
+
+func TestZipOps(t *testing.T) {
+	a := la.DenseFromRows([][]float64{{1, 2}, {3, 4}})
+	b := la.DenseFromRows([][]float64{{5, 6}, {7, 8}})
+	if got := sub(a, b).At(1, 1); got != -4 {
+		t.Fatalf("sub: %v", got)
 	}
 }

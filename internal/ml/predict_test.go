@@ -78,7 +78,7 @@ func TestLinRegNESingularFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resid := la.MatMul(td, w).Sub(y)
+	resid := sub(la.MatMul(td, w), y)
 	if r := math.Sqrt(resid.PowDense(2).Sum()); r > 1e-6 {
 		t.Fatalf("singular fallback residual %g", r)
 	}

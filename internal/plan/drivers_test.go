@@ -13,7 +13,11 @@ import (
 
 func testStore(t *testing.T) *chunk.Store {
 	t.Helper()
-	st, err := chunk.NewStore(t.TempDir())
+	stb, err := chunk.NewDirBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := chunk.NewShardedStoreBackends([]chunk.Backend{stb}, chunk.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}

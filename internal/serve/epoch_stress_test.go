@@ -120,12 +120,16 @@ func TestConcurrentWriterScorerTrainerStress(t *testing.T) {
 		t.Fatal("pinned in-memory training drifted from frozen copy under storm")
 	}
 
-	cs, err := chunk.NewStore(t.TempDir())
+	csb, err := chunk.NewDirBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := chunk.NewShardedStoreBackends([]chunk.Backend{csb}, chunk.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	nt, err := snap.BuildChunked(cs, 16)
+	nt, err := chunk.FromNormalized(cs, snapNM.S(), snapNM.IS(), snapNM.Ks(), snapNM.Rs(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,13 @@ import (
 	"repro/internal/la"
 )
 
-// mutateStore applies one random round of upserts and commits it.
-func mutateStore(t *testing.T, rng *rand.Rand, st *epoch.Store) {
+// mutateStore applies one random round of upserts to st, built from nm,
+// and commits it.
+func mutateStore(t *testing.T, rng *rand.Rand, st *epoch.Store, nm *core.NormalizedMatrix) {
 	t.Helper()
 	if st.EntityCols() > 0 {
 		for i := 0; i < 1+rng.Intn(3); i++ {
-			row := rng.Intn(st.EntityRows())
+			row := rng.Intn(nm.S().Rows())
 			v := make([]float64, st.EntityCols())
 			for j := range v {
 				v[j] = rng.NormFloat64()
@@ -27,8 +28,8 @@ func mutateStore(t *testing.T, rng *rand.Rand, st *epoch.Store) {
 		}
 	}
 	for tb := 0; tb < st.NumTables(); tb++ {
-		row := rng.Intn(st.AttrRows(tb))
-		v := make([]float64, st.AttrCols(tb))
+		row := rng.Intn(nm.Rs()[tb].Rows())
+		v := make([]float64, nm.Rs()[tb].Cols())
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
@@ -69,7 +70,7 @@ func TestEpochScorerPatchMatchesRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				for round := 0; round < 5; round++ {
-					mutateStore(t, rng, st)
+					mutateStore(t, rng, st, nm)
 					got := es.ScoreAll()
 
 					snap := st.Pin()
@@ -115,12 +116,12 @@ func TestEpochScorerUpdateWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutateStore(t, rng, st)
+	mutateStore(t, rng, st, nm)
 	w2 := randWeights(rng, nm.Cols())
 	if err := es.UpdateWeights(w2); err != nil {
 		t.Fatal(err)
 	}
-	mutateStore(t, rng, st) // patch on top of the recomputed partials
+	mutateStore(t, rng, st, nm) // patch on top of the recomputed partials
 
 	snap := st.Pin()
 	defer snap.Release()
@@ -143,6 +144,9 @@ func TestEpochScorerUpdateWeights(t *testing.T) {
 	}
 }
 
+// markerRows is the attribute table height of a markerStore.
+const markerRows = 8
+
 // markerStore builds a store whose every score equals one scalar marker:
 // no entity features, one 1-wide attribute table with all rows equal.
 // Upserting every attribute row to a new marker and committing moves all
@@ -150,7 +154,7 @@ func TestEpochScorerUpdateWeights(t *testing.T) {
 // detectable from its values alone.
 func markerStore(t *testing.T, marker float64) (*epoch.Store, *EpochScorer) {
 	t.Helper()
-	nS, nR := 64, 8
+	nS, nR := 64, markerRows
 	assign := make([]int, nS)
 	for i := range assign {
 		assign[i] = i % nR
@@ -196,7 +200,7 @@ func TestEpochScorerBatchObservesOneGeneration(t *testing.T) {
 				return
 			default:
 			}
-			for i := 0; i < st.AttrRows(0); i++ {
+			for i := 0; i < markerRows; i++ {
 				st.UpsertAttr(0, i, []float64{m})
 			}
 			st.Commit()
@@ -265,7 +269,7 @@ func TestEpochScorerWithBatcher(t *testing.T) {
 				return
 			default:
 			}
-			for i := 0; i < st.AttrRows(0); i++ {
+			for i := 0; i < markerRows; i++ {
 				st.UpsertAttr(0, i, []float64{m})
 			}
 			st.Commit()

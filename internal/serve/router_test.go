@@ -117,6 +117,29 @@ func checkFleet(t *testing.T, rng *rand.Rand, rt *Router, want []float64) {
 	}
 }
 
+// TestShardedScorerShardRange: a slice index outside [0, of), or a fleet
+// of no slices, is refused at construction.
+func TestShardedScorerShardRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	nm := randPKFK(rng, false)
+	w := randWeights(rng, nm.Cols())
+	for _, c := range []struct {
+		shard, of int
+		ok        bool
+	}{
+		{-1, 2, false},
+		{2, 2, false},
+		{3, 2, false},
+		{0, 0, false},
+		{1, 2, true},
+	} {
+		_, err := NewShardedScorer(nm, w, Linear, c.shard, c.of)
+		if (err == nil) != c.ok {
+			t.Errorf("shard %d of %d: err %v, want ok %v", c.shard, c.of, err, c.ok)
+		}
+	}
+}
+
 // TestShardedScorerOwnership pins the slice contract: foreign rows fail
 // with ErrNotOwned, out-of-range ids with ErrRowRange, mismatched buffers
 // with ErrOutputLen — and the sliced entity cache exists exactly once
@@ -312,7 +335,7 @@ func TestEpochFleetCommitStorm(t *testing.T) {
 		r := rand.New(rand.NewSource(99))
 		for round := 0; round < 40; round++ {
 			if st.EntityCols() > 0 {
-				row := r.Intn(st.EntityRows())
+				row := r.Intn(nm.S().Rows())
 				v := make([]float64, st.EntityCols())
 				for j := range v {
 					v[j] = r.NormFloat64()
@@ -323,8 +346,8 @@ func TestEpochFleetCommitStorm(t *testing.T) {
 				}
 			}
 			tb := r.Intn(st.NumTables())
-			row := r.Intn(st.AttrRows(tb))
-			v := make([]float64, st.AttrCols(tb))
+			row := r.Intn(nm.Rs()[tb].Rows())
+			v := make([]float64, nm.Rs()[tb].Cols())
 			for j := range v {
 				v[j] = r.NormFloat64()
 			}

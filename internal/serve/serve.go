@@ -290,26 +290,9 @@ func (s *Scorer) UpdateWeights(w *la.Dense) error {
 	return nil
 }
 
-// Weights returns a copy of the current d×1 weight vector.
-func (s *Scorer) Weights() *la.Dense { return s.gen.Load().w.Clone() }
-
 // Rows reports the number of logical rows of T — the fleet-wide count
 // even on a slice (ownership is a routing concern, not a shape change).
 func (s *Scorer) Rows() int { return s.rows }
-
-// Owns reports whether row id belongs to this scorer's slice.
-func (s *Scorer) Owns(id int) bool {
-	return id >= 0 && id < s.rows && id%s.of == s.shard
-}
-
-// CacheRows reports how many entity-side partial entries this scorer
-// holds — the sliced footprint a fleet memory audit sums.
-func (s *Scorer) CacheRows() int { return len(s.gen.Load().sw) }
-
-// Version reports the epoch the scorer currently serves. Over a store it
-// advances synchronously with Store.Commit; over an immutable matrix it
-// is always 0.
-func (s *Scorer) Version() epoch.Version { return s.gen.Load().version }
 
 // validate checks that every id is a row this scorer serves.
 func (s *Scorer) validate(ids []int) error {

@@ -7,9 +7,27 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/la"
 	"repro/internal/ml"
 )
+
+// Weights returns a copy of the current d×1 weight vector.
+func (s *Scorer) Weights() *la.Dense { return s.gen.Load().w.Clone() }
+
+// Owns reports whether row id belongs to this scorer's slice.
+func (s *Scorer) Owns(id int) bool {
+	return id >= 0 && id < s.rows && id%s.of == s.shard
+}
+
+// CacheRows reports how many entity-side partial entries this scorer
+// holds — the sliced footprint a fleet memory audit sums.
+func (s *Scorer) CacheRows() int { return len(s.gen.Load().sw) }
+
+// Version reports the epoch the scorer currently serves. Over a store it
+// advances synchronously with Store.Commit; over an immutable matrix it
+// is always 0.
+func (s *Scorer) Version() epoch.Version { return s.gen.Load().version }
 
 // diffTol is the differential-test budget: the scorer accumulates partial
 // sums in a different order than the materialized dot product, so exact

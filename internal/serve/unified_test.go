@@ -16,8 +16,9 @@ import (
 
 // stormRound stages one random round of upserts — an entity row or two and
 // one row per attribute table — each preceded by a non-finite upsert of the
-// same row, which the store must refuse, and commits it.
-func stormRound(t *testing.T, rng *rand.Rand, st *epoch.Store) *epoch.Commit {
+// same row, which the store must refuse, and commits it. st was built
+// from nm.
+func stormRound(t *testing.T, rng *rand.Rand, st *epoch.Store, nm *core.NormalizedMatrix) *epoch.Commit {
 	t.Helper()
 	row := func(n int) []float64 {
 		v := make([]float64, n)
@@ -34,7 +35,7 @@ func stormRound(t *testing.T, rng *rand.Rand, st *epoch.Store) *epoch.Commit {
 	staged := 0
 	if dS := st.EntityCols(); dS > 0 {
 		for i := 0; i < 1+rng.Intn(2); i++ {
-			r := rng.Intn(st.EntityRows())
+			r := rng.Intn(nm.S().Rows())
 			if err := st.UpsertEntity(r, poisoned(dS)); !errors.Is(err, epoch.ErrNonFinite) {
 				t.Fatalf("non-finite entity upsert: got %v", err)
 			}
@@ -44,11 +45,11 @@ func stormRound(t *testing.T, rng *rand.Rand, st *epoch.Store) *epoch.Commit {
 		}
 	}
 	for tb := 0; tb < st.NumTables(); tb++ {
-		r := rng.Intn(st.AttrRows(tb))
-		if err := st.UpsertAttr(tb, r, poisoned(st.AttrCols(tb))); !errors.Is(err, epoch.ErrNonFinite) {
+		r := rng.Intn(nm.Rs()[tb].Rows())
+		if err := st.UpsertAttr(tb, r, poisoned(nm.Rs()[tb].Cols())); !errors.Is(err, epoch.ErrNonFinite) {
 			t.Fatalf("non-finite attr upsert: got %v", err)
 		}
-		if err := st.UpsertAttr(tb, r, row(st.AttrCols(tb))); err != nil {
+		if err := st.UpsertAttr(tb, r, row(nm.Rs()[tb].Cols())); err != nil {
 			t.Fatal(err)
 		}
 		staged++
@@ -150,7 +151,7 @@ func TestShardedEpochDifferential(t *testing.T) {
 				}
 				entRows, attrRows := 0, 0
 				for round := 0; round < 8; round++ {
-					c := stormRound(t, rng, st)
+					c := stormRound(t, rng, st, nm)
 					if c.Entity != nil {
 						entRows += len(c.Entity.Rows)
 					}
@@ -187,15 +188,15 @@ func TestShardedEpochDifferential(t *testing.T) {
 					if s.Version() != st.Version() {
 						t.Fatalf("slice %d at epoch %d, store at %d", i, s.Version(), st.Version())
 					}
-					if sh.name == "mn" && s.CacheRows() != st.EntityRows() {
-						t.Fatalf("M:N slice %d holds %d entity partials, want all %d", i, s.CacheRows(), st.EntityRows())
+					if sh.name == "mn" && s.CacheRows() != nm.S().Rows() {
+						t.Fatalf("M:N slice %d holds %d entity partials, want all %d", i, s.CacheRows(), nm.S().Rows())
 					}
 					cacheRows += s.CacheRows()
 					patched += s.PatchStats().Rows
 				}
-				wantCache, wantPatched := st.EntityRows(), entRows+n*attrRows
+				wantCache, wantPatched := nm.S().Rows(), entRows+n*attrRows
 				if sh.name == "mn" {
-					wantCache, wantPatched = n*st.EntityRows(), n*(entRows+attrRows)
+					wantCache, wantPatched = n*nm.S().Rows(), n*(entRows+attrRows)
 				}
 				if cacheRows != wantCache {
 					t.Fatalf("%s/%d: fleet holds %d entity partials, want %d", sh.name, n, cacheRows, wantCache)

@@ -303,9 +303,7 @@ func TestWidthDeterminismIngest(t *testing.T) {
 		}
 		fmt.Fprintln(&got, features)
 		for _, m := range append([]la.Mat{nm.S(), y}, nm.Rs()...) {
-			if err := m.(interface{ Encode(io.Writer) error }).Encode(&got); err != nil {
-				t.Fatal(err)
-			}
+			writeMat(t, &got, m)
 		}
 		for _, k := range nm.Ks() {
 			fmt.Fprintln(&got, k.Assignments())
@@ -316,6 +314,30 @@ func TestWidthDeterminismIngest(t *testing.T) {
 			t.Fatalf("ingest at GOMAXPROCS %d differs from GOMAXPROCS 1", width)
 		}
 	})
+}
+
+// writeMat writes m's shape, then each row's stored column indices and the
+// bits of their values.
+func writeMat(t *testing.T, w io.Writer, m la.Mat) {
+	t.Helper()
+	fmt.Fprintf(w, "%T %dx%d\n", m, m.Rows(), m.Cols())
+	for i := 0; i < m.Rows(); i++ {
+		var idx []int32
+		var vals []float64
+		switch m := m.(type) {
+		case *la.Dense:
+			vals = m.Row(i)
+		case *la.CSR:
+			idx, vals = m.RowNNZ(i)
+		default:
+			t.Fatalf("writeMat: %T", m)
+		}
+		fmt.Fprint(w, idx)
+		for _, v := range vals {
+			fmt.Fprintf(w, " %x", math.Float64bits(v))
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // TestIngestErrorRows: each check names the row (or, for a malformed
