@@ -19,11 +19,6 @@ import (
 // A Backend must be safe for concurrent use: a streaming pass reads chunks
 // from worker goroutines while the write-behind stage spills to the same
 // shard.
-//
-// Blobs cross the interface as whole []byte values (the natural unit for a
-// remote shard), so each in-flight spill briefly holds one encoded copy of
-// its chunk next to the decoded *la.Dense — budget for it when sizing
-// chunks, as the AutoRows docs describe for output residency.
 type Backend interface {
 	// Name identifies the shard in stats and errors: the directory path
 	// for a local shard, the base URL for a remote one. Names must be
@@ -32,7 +27,8 @@ type Backend interface {
 	// WriteChunk durably stores data under key, replacing any previous
 	// blob. The write must be atomic: a crashed or failed write may leave
 	// temporary debris (removed by Reap) but never a readable partial
-	// blob under the final key.
+	// blob under the final key. data is a dense chunk's own storage, so
+	// the backend must not retain or modify it after WriteChunk returns.
 	WriteChunk(key string, data []byte) error
 	// ReadChunk returns the blob stored under key. The slice belongs to
 	// the caller from then on: the backend must never retain, reuse or

@@ -455,9 +455,6 @@ func numChunks(rows, chunkRows int) int {
 
 // FromDense partitions d into chunks of chunkRows rows and spills them.
 func FromDense(store *Store, d *la.Dense, chunkRows int) (*Matrix, error) {
-	if chunkRows <= 0 {
-		return nil, fmt.Errorf("chunk: chunkRows must be positive, got %d", chunkRows)
-	}
 	return Build(store, d.Rows(), d.Cols(), chunkRows, func(lo, hi int, dst *la.Dense) {
 		copy(dst.Data(), d.Data()[lo*d.Cols():hi*d.Cols()])
 	})
@@ -476,46 +473,39 @@ type RowSource interface {
 }
 
 // FromRowSource streams src into chunks of chunkRows rows and spills
-// them, one row at a time — only one chunk buffer is resident. src is
-// read exactly once per row, in ascending row order.
+// them, one row at a time, through Build's write-behind: at most its
+// window of chunk buffers is resident. src is read exactly once per row,
+// in ascending row order, on the calling goroutine.
 func FromRowSource(store *Store, src RowSource, chunkRows int) (*Matrix, error) {
-	if chunkRows <= 0 {
-		return nil, fmt.Errorf("chunk: chunkRows must be positive, got %d", chunkRows)
-	}
-	cols := src.Cols()
-	return Build(store, src.Rows(), cols, chunkRows, func(lo, hi int, dst *la.Dense) {
+	return Build(store, src.Rows(), src.Cols(), chunkRows, func(lo, hi int, dst *la.Dense) {
 		for i := lo; i < hi; i++ {
 			src.ReadRow(i, dst.Row(i-lo))
 		}
 	})
 }
 
-// Build streams rows from gen (called once per chunk with the half-open row
-// range) directly to disk, so matrices larger than memory can be created.
-// On failure every chunk written so far is removed.
+// Build streams rows from gen to the store, so matrices larger than memory
+// can be created. gen fills a zeroed buffer per chunk (its half-open row
+// range), in ascending order, on the calling goroutine, while the chunks
+// before it are written behind (the stage scans spill through, holding at
+// most Exec{}'s window of buffers). On failure every written chunk is removed.
 func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la.Dense)) (*Matrix, error) {
 	if chunkRows <= 0 {
 		return nil, fmt.Errorf("chunk: chunkRows must be positive, got %d", chunkRows)
 	}
-	paths, err := store.alloc(numChunks(rows, chunkRows))
+	sp, err := newOutputSpiller(store, numChunks(rows, chunkRows), Exec{}, true)
 	if err != nil {
 		return nil, err
 	}
-	m := newMatrix(store, rows, cols, chunkRows, paths)
-	buf := la.NewDense(min(chunkRows, rows), cols)
-	for ci := range paths {
+	m := newMatrix(store, rows, cols, chunkRows, nil)
+	for ci := 0; ci < len(sp.paths) && err == nil; ci++ {
 		lo, hi := m.chunkBounds(ci)
-		dst := buf
-		if hi-lo != buf.Rows() {
-			dst = la.NewDense(hi-lo, cols)
-		} else {
-			clear(dst.Data())
-		}
+		dst := sp.next(hi-lo, cols)
 		gen(lo, hi, dst)
-		if err := store.writeChunkFile(paths[ci], dst); err != nil {
-			store.release(paths)
-			return nil, err
-		}
+		err = sp.emit(ci, dst)
+	}
+	if m.paths, err = sp.finish(err); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -610,9 +600,14 @@ func (s *Store) recycle(c la.Mat, window int) {
 	s.mu.Unlock()
 }
 
-// encodeDenseChunk serializes d as raw little-endian float64 rows.
+// encodeDenseChunk serializes d as raw little-endian float64 rows: on a
+// little-endian host d's own aligned storage, no copy (decodeDenseChunk's
+// mirror), so d must not change until its write returns; else a copy.
 func encodeDenseChunk(d *la.Dense) []byte {
 	data := d.Data()
+	if len(data) > 0 && littleEndian && uintptr(unsafe.Pointer(&data[0]))%8 == 0 {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data))
+	}
 	raw := make([]byte, 8*len(data))
 	for i, v := range data {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))

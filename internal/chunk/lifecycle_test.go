@@ -155,7 +155,7 @@ func TestPipelineLeavesNoDeadChunks(t *testing.T) {
 	}
 }
 
-// TestBuildCleansUpOnGenFailure: Build removes already-written chunks
+// TestBuildCleansUpOnWriteFailure: Build removes already-written chunks
 // when a later write fails (here: the store directory vanishes
 // mid-build).
 func TestBuildCleansUpOnWriteFailure(t *testing.T) {

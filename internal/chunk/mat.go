@@ -209,7 +209,7 @@ func (m *chunked[C]) CrossProdExec(ex Exec) (*la.Dense, error) { return MatOpera
 // recycled (streamAs). On failure every output chunk written so far is
 // removed.
 func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, c la.Mat) (*la.Dense, any, error), commit func(ci int, v any) error) (*Matrix, error) {
-	sp, err := newOutputSpiller(t.Store(), t.NumChunks(), ex)
+	sp, err := newOutputSpiller(t.Store(), t.NumChunks(), ex, false)
 	if err != nil {
 		return nil, err
 	}
@@ -257,10 +257,9 @@ func reduceExec(ex Exec, t Mat, op Op, rows, cols int) (*la.Dense, error) {
 // The budget covers the decoded *input* chunks. Passes that spill a chunked
 // output (a scan step with OutCols, Materialize) additionally hold up to
 // workers+spillQueueDepth+1 output chunks per shard (one per busy worker
-// plus the bounded write-behind queues), and each chunk being written
-// briefly holds one encoded []byte copy next to its decoded form (blobs
-// cross the Backend interface whole); when the output is as wide as the
-// input, size the budget for roughly twice the pass's input residency.
+// plus the bounded write-behind queues); a chunk is written from its own
+// storage, with no encoded copy. When the output is as wide as the input,
+// size the budget for roughly twice the pass's input residency.
 //
 // A small budget degrades gracefully: the chunk height shrinks with the
 // budget but never under one row, so the pass stays within (or as close

@@ -76,19 +76,23 @@ type spillWriter struct {
 	err  error
 }
 
-func newSpillWriter(store *Store, depth int) *spillWriter {
-	if depth < 1 {
-		depth = 1
-	}
-	w := &spillWriter{jobs: make(chan writeJob, depth), done: make(chan struct{})}
+// newSpillWriter starts a shard's writer. Given Build's free list, it puts
+// each dequeued chunk back once written when reuse holds, else a nil.
+func newSpillWriter(store *Store, free chan<- *la.Dense, reuse bool) *spillWriter {
+	w := &spillWriter{jobs: make(chan writeJob, spillQueueDepth), done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
 		for j := range w.jobs {
-			if w.firstErr() != nil {
-				continue
+			if w.firstErr() == nil {
+				if err := store.writeChunkFile(j.path, j.d); err != nil {
+					w.setErr(err)
+				}
 			}
-			if err := store.writeChunkFile(j.path, j.d); err != nil {
-				w.setErr(err)
+			if free != nil {
+				if !reuse {
+					j.d = nil
+				}
+				free <- j.d
 			}
 		}
 	}()
@@ -136,6 +140,8 @@ type outputSpiller struct {
 	paths   []string
 	shards  []int          // shard of each output path, parallel to paths
 	writers []*spillWriter // indexed by shard; all nil → synchronous writes
+	free    chan *la.Dense // Build's buffers back from their writes (nil: still held); cap is the window
+	made    int            // buffers next has allocated
 }
 
 // spillQueueDepth bounds each shard's write-behind queue. A small constant
@@ -145,7 +151,9 @@ type outputSpiller struct {
 // chunk completion.
 const spillQueueDepth = 2
 
-func newOutputSpiller(store *Store, n int, ex Exec) (*outputSpiller, error) {
+// newOutputSpiller allocates n output chunks. With recycle (Build, under a
+// pipelined ex) written chunks' buffers come back through next.
+func newOutputSpiller(store *Store, n int, ex Exec, recycle bool) (*outputSpiller, error) {
 	paths, err := store.alloc(n)
 	if err != nil {
 		return nil, err
@@ -163,14 +171,46 @@ func newOutputSpiller(store *Store, n int, ex Exec) (*outputSpiller, error) {
 		sp.shards[i] = si
 	}
 	if nx := ex.normalized(); nx.Workers > 1 || nx.Prefetch > 0 {
+		if recycle {
+			sp.free = make(chan *la.Dense, nx.Workers+nx.Prefetch+1)
+		}
 		sp.writers = make([]*spillWriter, store.NumShards())
-		for _, si := range sp.shards {
+		for i, si := range sp.shards {
 			if sp.writers[si] == nil {
-				sp.writers[si] = newSpillWriter(store, spillQueueDepth)
+				// A directory and the codec wrapper keep nothing of a written
+				// blob; a RemoteBackend's request body can outlive Client.Do.
+				b, _ := store.backendFor(paths[i])
+				var reuse bool
+				switch b.(type) {
+				case *dirBackend, *compressingBackend, *compressingExecBackend:
+					reuse = true
+				}
+				sp.writers[si] = newSpillWriter(store, sp.free, reuse)
 			}
 		}
 	}
 	return sp, nil
+}
+
+// next returns a zeroed rows×cols buffer for Build: one a write gave back,
+// a new one while fewer than the window exist, else the next to come back.
+func (sp *outputSpiller) next(rows, cols int) *la.Dense {
+	var d *la.Dense
+	select {
+	case d = <-sp.free:
+	default:
+		if sp.made < cap(sp.free) {
+			sp.made++
+		} else {
+			d = <-sp.free
+		}
+	}
+	if d == nil || cap(d.Data()) < rows*cols {
+		return la.NewDense(rows, cols)
+	}
+	d = la.NewDenseData(rows, cols, d.Data()[:rows*cols])
+	clear(d.Data())
+	return d
 }
 
 // emit spills chunk ci's output, possibly asynchronously through the

@@ -224,9 +224,8 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 			core.MulBlock(tx, b.Block, xS, rx)
 		}
 		if step.Norms {
-			nv := la.ColVector(la.RowSquaredNorms(b.S))
-			core.MulBlock(nv, core.Block{Keys: b.Keys}, nil, o.armNorms)
-			norms = nv.Data()
+			norms = la.RowSquaredNorms(b.S)
+			core.MulBlock(la.NewDenseData(len(norms), 1, norms), core.Block{Keys: b.Keys}, nil, o.armNorms)
 		}
 		r, err := step.Do(b, tx, norms)
 		if err != nil {

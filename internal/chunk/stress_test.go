@@ -152,7 +152,7 @@ func TestSpillWriterEnqueueVsErrorRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		const n = 12
-		sp, err := newOutputSpiller(s, n, Exec{Workers: 4, Prefetch: 2})
+		sp, err := newOutputSpiller(s, n, Exec{Workers: 4, Prefetch: 2}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
