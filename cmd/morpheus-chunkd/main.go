@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -48,15 +49,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stderr, net.Listen); err != nil {
 		fmt.Fprintf(os.Stderr, "morpheus-chunkd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// run validates the flags, opens the shard directory and serves it until
-// the listener fails.
-func run(args []string, stderr io.Writer) error {
+// run validates the flags, opens the shard directory, listens on -addr
+// through listen and serves the shard until the listener fails or is
+// closed.
+func run(args []string, stderr io.Writer, listen func(network, addr string) (net.Listener, error)) error {
 	fs := flag.NewFlagSet("morpheus-chunkd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -74,6 +76,10 @@ func run(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	log.New(stderr, "", log.LstdFlags).Printf("morpheus-chunkd: serving shard %s on %s (max chunk %d MiB; exec codecs: %s)", *dir, *addr, *maxMB, strings.Join(chunk.Codecs(), ", "))
-	return http.ListenAndServe(*addr, srv)
+	ln, err := listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	log.New(stderr, "", log.LstdFlags).Printf("morpheus-chunkd: serving shard %s on %s (max chunk %d MiB; exec codecs: %s)", *dir, ln.Addr(), *maxMB, strings.Join(chunk.Codecs(), ", "))
+	return http.Serve(ln, srv)
 }

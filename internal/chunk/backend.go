@@ -39,9 +39,9 @@ type Backend interface {
 	// written (e.g. after a failed spill) is not an error.
 	Remove(key string) error
 	// Reap removes stale blobs left behind by a crashed previous run —
-	// chunk blobs and write-temporary debris — and reports how many it
-	// removed. The Store calls it once when the backend is adopted.
-	Reap() (int, error)
+	// chunk blobs and write-temporary debris. The Store calls it once when
+	// the backend is adopted.
+	Reap() error
 	// BytesOf reports the stored size of the blob under key.
 	BytesOf(key string) (int64, error)
 	// List returns the valid chunk keys currently stored, sorted. Write
@@ -139,21 +139,19 @@ func (b *dirBackend) Remove(key string) error {
 
 // Reap removes the debris of a crashed previous run: stale chunk files and
 // interrupted-spill *.tmp files.
-func (b *dirBackend) Reap() (int, error) {
-	reaped := 0
+func (b *dirBackend) Reap() error {
 	for _, pattern := range []string{"chunk-*.bin", "chunk-*.bin" + tmpSuffix} {
 		stale, err := filepath.Glob(filepath.Join(b.dir, pattern))
 		if err != nil {
-			return reaped, fmt.Errorf("chunk: scanning for orphans: %w", err)
+			return fmt.Errorf("chunk: scanning for orphans: %w", err)
 		}
 		for _, p := range stale {
 			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-				return reaped, fmt.Errorf("chunk: reaping orphan: %w", err)
+				return fmt.Errorf("chunk: reaping orphan: %w", err)
 			}
-			reaped++
 		}
 	}
-	return reaped, nil
+	return nil
 }
 
 // List returns the chunk keys in the directory, sorted (os.ReadDir order),

@@ -121,7 +121,7 @@ func NewShardedStoreBackends(backends []Backend, policy Placement) (*Store, erro
 			return nil, fmt.Errorf("chunk: shard %q listed twice", b.Name())
 		}
 		seen[b.Name()] = true
-		if _, err := b.Reap(); err != nil {
+		if err := b.Reap(); err != nil {
 			return nil, err
 		}
 		s.shards = append(s.shards, shard{backend: b})
@@ -205,38 +205,30 @@ type execGroup struct {
 	cis   []int
 }
 
-// execPlacement partitions a pass's keys by where their op runs: one group
-// per exec-capable shard, holding its chunks, and local for the rest —
-// chunks on passive shards, and untracked keys, which surface their error
-// on read.
-func (s *Store) execPlacement(keys []string) (groups []execGroup, local []int) {
+// execPlacement groups a pass's keys by the exec-capable shard holding
+// them, one group per shard. Keys on passive shards, and untracked keys
+// (which surface their error on read), are in no group: they are read.
+func (s *Store) execPlacement(keys []string) []execGroup {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	byShard := make([]execGroup, len(s.shards))
-	for si := range s.shards {
-		byShard[si].shard = si
-		byShard[si].eb, _ = s.shards[si].backend.(ExecBackend)
-	}
-	shardOf := make([]int, len(keys))
-	for i, k := range keys {
-		shardOf[i] = -1
-		if info, ok := s.refs[k]; ok && byShard[info.shard].eb != nil {
-			shardOf[i] = info.shard
-		}
-	}
-	s.mu.Unlock()
-	for ci, si := range shardOf {
-		if si < 0 {
-			local = append(local, ci)
+	for ci, k := range keys {
+		info, ok := s.refs[k]
+		if !ok {
 			continue
 		}
-		byShard[si].cis = append(byShard[si].cis, ci)
+		g := &byShard[info.shard]
+		if g.eb, ok = s.shards[info.shard].backend.(ExecBackend); ok {
+			g.shard, g.cis = info.shard, append(g.cis, ci)
+		}
 	}
+	var groups []execGroup
 	for _, g := range byShard {
 		if len(g.cis) > 0 {
 			groups = append(groups, g)
 		}
 	}
-	return groups, local
+	return groups
 }
 
 // shardIndex reports which shard a chunk path was placed on (-1 when the

@@ -31,7 +31,7 @@ const DefaultMaxChunkBytes = 1 << 30 // 1 GiB
 //	DELETE /chunks/{key}  remove a blob (idempotent)
 //	GET    /chunks        list stored chunk keys, one per line
 //	DELETE /chunks        reap every stored chunk plus interrupted-spill
-//	                      temp debris; responds with the reaped count
+//	                      temp debris; 200 with an empty body
 //	POST   /exec          run a registered op over locally stored chunks
 //	                      and stream back the encoded partials, in request
 //	                      order (see the framing in exec.go)
@@ -100,13 +100,9 @@ func (s *ChunkServer) serveCollection(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, k)
 		}
 	case http.MethodDelete:
-		n, err := s.backend.Reap()
-		if err != nil {
+		if err := s.backend.Reap(); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, n)
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -276,6 +272,7 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+	flush() // the client opens every shard's stream before its first read
 	read := func(ci int) (la.Mat, error) {
 		c := req.Chunks[ci]
 		raw, err := s.backend.ReadChunk(c.Key)
@@ -292,18 +289,18 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 		}
 		return decodeDenseChunk(c.Key, raw, c.Rows, req.Cols)
 	}
-	err = runPipeline(len(req.Chunks), Parallel(), read,
+	err = runPipelineOrder(len(req.Chunks), Parallel(), nil, read,
 		func(ci int, c la.Mat) (raw any, err error) {
 			defer func() {
 				if p := recover(); p != nil {
 					raw, err = nil, fmt.Errorf("chunk: op %s on %s: %v", req.Op, req.Chunks[ci].Key, p)
 				}
 			}()
-			v, err := st.apply(c)
+			p, err := st.apply(c)
 			if err != nil {
 				return nil, err
 			}
-			return st.encodePartial(v)
+			return st.encodePartial(p), nil
 		},
 		func(ci int, v any) error {
 			if err := writePartialFrame(w, v.([]byte)); err != nil {

@@ -120,7 +120,7 @@ func TestServeExecRejectsBadCentroids(t *testing.T) {
 	if status, _, _ := fx.exec(t, Op{Name: "kmeans-assign", Params: centroidOp(3, 2, 1).Params}, 3, false); status != http.StatusNotImplemented {
 		t.Fatalf("retired kmeans-assign: status %d, want 501", status)
 	}
-	opRegistry["test-panic"] = func([]byte, int) (opState, error) { return panicOp{}, nil }
+	opRegistry["test-panic"] = func([]byte, int) (*preparedOp, error) { return panicOp, nil }
 	defer delete(opRegistry, "test-panic")
 	if status, _, err := fx.exec(t, Op{Name: "test-panic"}, 3, false); status != http.StatusOK || err == nil {
 		t.Fatalf("a panicking op: status %d, stream error %v; want 200 and an error frame", status, err)
@@ -132,9 +132,7 @@ func TestServeExecRejectsBadCentroids(t *testing.T) {
 }
 
 // panicOp is an op whose apply panics, as a bug in a registered op would.
-type panicOp struct{ denseReduceOp }
-
-func (panicOp) apply(la.Mat) (any, error) { panic("apply bug") }
+var panicOp = &preparedOp{apply: func(la.Mat) (scanPart, error) { panic("apply bug") }}
 
 // FuzzExecOp: any op name, params blob and chunk width — prepared and
 // applied in-process, then sent to a chunkd — gives an error or a value,
@@ -176,12 +174,8 @@ func FuzzExecOp(f *testing.F) {
 		op := Op{Name: name, Params: params}
 		st, prepErr := prepareOp(op, w)
 		if prepErr == nil {
-			if v, err := st.apply(fx.chunks[fx.key(w, csr)]); err == nil {
-				raw, err := st.encodePartial(v)
-				if err != nil {
-					t.Fatalf("%s: encoding its own partial: %v", name, err)
-				}
-				if _, err := st.decodePartial(raw); err != nil {
+			if p, err := st.apply(fx.chunks[fx.key(w, csr)]); err == nil {
+				if _, err := st.decodePartial(st.encodePartial(p)); err != nil {
 					t.Fatalf("%s: decoding its own partial: %v", name, err)
 				}
 			}

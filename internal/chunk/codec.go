@@ -3,6 +3,7 @@ package chunk
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -232,7 +233,7 @@ func (b *compressingBackend) ReadChunk(key string) ([]byte, error) {
 
 func (b *compressingBackend) Remove(key string) error { return b.inner.Remove(key) }
 
-func (b *compressingBackend) Reap() (int, error) { return b.inner.Reap() }
+func (b *compressingBackend) Reap() error { return b.inner.Reap() }
 
 // BytesOf reports the stored (compressed) size, consistent with what
 // WriteChunkSized accounted.
@@ -249,8 +250,8 @@ type compressingExecBackend struct {
 	exec codecExecer
 }
 
-func (b *compressingExecBackend) ExecOp(op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error) {
-	return b.exec.execOpCodec(op, kind, cols, chunks, b.codec.Name())
+func (b *compressingExecBackend) ExecOp(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error) {
+	return b.exec.execOpCodec(ctx, op, kind, cols, chunks, b.codec.Name())
 }
 
 var (

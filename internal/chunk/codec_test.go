@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -575,11 +576,11 @@ func TestExecUnknownCodecIs400(t *testing.T) {
 	}
 	chunks := []ExecChunk{{Key: key, Rows: 4}}
 
-	if _, err := rb.execOpCodec(OpCrossProd(), chunkKindDense, 3, chunks, "no-such-codec"); err == nil {
+	if _, err := rb.execOpCodec(context.Background(), OpCrossProd(), chunkKindDense, 3, chunks, "no-such-codec"); err == nil {
 		t.Fatal("exec with an unknown codec succeeded")
 	}
 	// The failure was per-request: plain exec still works on this shard.
-	ps, err := rb.ExecOp(OpCrossProd(), chunkKindDense, 3, chunks)
+	ps, err := rb.ExecOp(context.Background(), OpCrossProd(), chunkKindDense, 3, chunks)
 	if err != nil {
 		t.Fatalf("plain exec after a codec rejection: %v", err)
 	}
@@ -612,7 +613,7 @@ func TestExecDecodesCodecShardSide(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ps, err := eb.ExecOp(OpCrossProd(), chunkKindDense, 5, []ExecChunk{{Key: key, Rows: 8}})
+	ps, err := eb.ExecOp(context.Background(), OpCrossProd(), chunkKindDense, 5, []ExecChunk{{Key: key, Rows: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +634,7 @@ func TestExecDecodesCodecShardSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.MaxAbsDiff(got.(*la.Dense), want.(*la.Dense)) != 0 {
+	if la.MaxAbsDiff(got.top, want.top) != 0 {
 		t.Fatal("shard-side decoded partial differs from the local apply")
 	}
 }

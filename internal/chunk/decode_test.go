@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"math"
@@ -123,7 +124,7 @@ func TestLyingCSRHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := func(key string) ([]byte, error) {
-		ps, err := rb.ExecOp(OpCrossProd(), chunkKindCSR, 1, []ExecChunk{{Key: key, Rows: 1}})
+		ps, err := rb.ExecOp(context.Background(), OpCrossProd(), chunkKindCSR, 1, []ExecChunk{{Key: key, Rows: 1}})
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,9 +68,10 @@ const maxPartialBytes = 1 << 30
 type ExecBackend interface {
 	Backend
 	// ExecOp starts the op over the given chunks. The returned stream
-	// yields one encoded partial per chunk, in request order. A server
+	// yields one encoded partial per chunk, in request order, until ctx is
+	// canceled: then a Next blocked on the shard returns an error. A server
 	// without /exec (or without the op) returns ErrExecUnsupported.
-	ExecOp(op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error)
+	ExecOp(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error)
 }
 
 // ErrExecUnsupported reports a shard that stores chunks but cannot execute
@@ -81,7 +83,7 @@ var ErrExecUnsupported = errors.New("chunk: exec not supported by backend")
 // worker decodes them shard-side. RemoteBackend implements it (ExecOp is
 // the codec="" case); the compressing wrapper injects its codec's name.
 type codecExecer interface {
-	execOpCodec(op Op, kind string, cols int, chunks []ExecChunk, codec string) (*PartialStream, error)
+	execOpCodec(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk, codec string) (*PartialStream, error)
 }
 
 // PartialStream iterates the partial frames of one /exec response.
@@ -138,8 +140,9 @@ func (ps *PartialStream) Next() ([]byte, error) {
 	}
 }
 
-// Close releases the underlying response body. Safe to call at any point;
-// always call it when done with the stream.
+// Close releases the underlying response body. Always call it when done
+// with the stream, and never while another goroutine is inside Next (to
+// end a blocked Next, cancel the context ExecOp was given).
 func (ps *PartialStream) Close() error {
 	ps.done = true
 	return ps.body.Close()

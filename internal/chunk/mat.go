@@ -31,11 +31,12 @@ type Mat interface {
 	// the decoded chunk and its first-row offset, commit on the calling
 	// goroutine in ascending chunk order.
 	Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error
-	// StreamOp is Stream for registered ops: because the per-chunk map is
-	// named rather than a closure, it runs on the shard holding each chunk
-	// wherever that shard can execute ops, and only the partials travel
-	// back, with commit still running in ascending chunk order — results
-	// are bit-identical with an all-local run.
+	// StreamOp is Stream for registered ops, in the same pipeline: because
+	// the per-chunk map is named rather than a closure, a chunk on a shard
+	// that can execute ops is mapped there and the pipeline's reader takes
+	// its partial (a scanPart) in place of the chunk; commit still runs in
+	// ascending chunk order, so results are bit-identical with an all-local
+	// run.
 	StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error
 }
 
@@ -101,42 +102,30 @@ func (m *chunked[C]) readAt(ci int, own bool) (C, error) {
 	return m.decode(m.store, m.paths[ci], hi-lo, m.cols, own)
 }
 
-// pipeline runs the chunk pipeline over the chunks cis of this matrix (nil:
-// all of them, in order), committing in the order cis lists them; on a
+// pipeline runs the chunk pipeline over every chunk of this matrix; on a
 // multi-shard store the reads are interleaved across shards
 // (Store.readOrder).
 // With own, nothing mapFn returns may alias its chunk and nothing keeps
 // the chunk once mapFn returns: its buffer goes back to the store, whose
-// free list keeps at most the pass's in-flight window (runPipeline's
+// free list keeps at most the pass's in-flight window (runPipelineOrder's
 // admission bound) of them.
-func (m *chunked[C]) pipeline(ex Exec, cis []int, own bool, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
+func (m *chunked[C]) pipeline(ex Exec, own bool, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
 	if m.freed {
 		return ErrFreed
 	}
 	nx := ex.normalized()
 	window := nx.Workers + nx.Prefetch + 1
-	keys, at := m.paths, func(i int) int { return i }
-	if cis != nil {
-		keys, at = make([]string, len(cis)), func(i int) int { return cis[i] }
-		for i, ci := range cis {
-			keys[i] = m.paths[ci]
-		}
-	}
-	var commitAt func(i int, v any) error
-	if commit != nil {
-		commitAt = func(i int, v any) error { return commit(at(i), v) }
-	}
-	return runPipelineOrder(len(keys), ex, m.store.readOrder(keys, ex),
-		func(i int) (C, error) { return m.readAt(at(i), own) },
-		func(i int, c C) (any, error) {
-			lo, _ := m.chunkBounds(at(i))
-			v, err := mapFn(at(i), lo, c)
+	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
+		func(ci int) (C, error) { return m.readAt(ci, own) },
+		func(ci int, c C) (any, error) {
+			lo, _ := m.chunkBounds(ci)
+			v, err := mapFn(ci, lo, c)
 			if own {
 				m.store.recycle(c, window)
 			}
 			return v, err
 		},
-		commitAt)
+		commit)
 }
 
 // ForEach streams every chunk through fn in row order (the ore.rowapply
@@ -151,7 +140,7 @@ func (m *chunked[C]) ForEach(fn func(lo int, chunk C) error) error {
 // and chunk order is unspecified; fn must be safe for concurrent use.
 // Use Stream when per-chunk results must be combined in chunk order.
 func (m *chunked[C]) ForEachExec(ex Exec, fn func(lo int, chunk C) error) error {
-	return m.pipeline(ex, nil, false, func(ci, lo int, c C) (any, error) {
+	return m.pipeline(ex, false, func(ci, lo int, c C) (any, error) {
 		return nil, fn(lo, c)
 	}, nil)
 }
@@ -164,7 +153,7 @@ func (m *chunked[C]) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, erro
 
 // stream is Stream, recycling each chunk's buffer with own (see pipeline).
 func (m *chunked[C]) stream(ex Exec, own bool, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, nil, own, func(ci, lo int, c C) (any, error) {
+	return m.pipeline(ex, own, func(ci, lo int, c C) (any, error) {
 		return mapFn(ci, lo, c)
 	}, commit)
 }
@@ -178,17 +167,6 @@ func streamAs(t Mat, own bool, ex Exec, mapFn func(ci, lo int, c la.Mat) (any, e
 		return o.stream(ex, own, mapFn, commit)
 	}
 	return t.Stream(ex, mapFn, commit)
-}
-
-// StreamOp implements Mat: it runs a registered op over every chunk and
-// commits the partials in chunk order. Chunks held by exec-capable shards
-// are mapped in place by the shard's worker and only the partials travel
-// back (runOp); results are bit-identical with an all-local run.
-func (m *chunked[C]) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error {
-	if m.freed {
-		return ErrFreed
-	}
-	return m.runOp(ex, op, commit)
 }
 
 // TMulExec computes mᵀ·x for an in-memory x, accumulating the (small)
@@ -234,7 +212,7 @@ func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, 
 func reduceExec(ex Exec, t Mat, op Op, rows, cols int) (*la.Dense, error) {
 	acc := la.NewDense(rows, cols)
 	err := t.StreamOp(ex, op, func(ci int, v any) error {
-		acc.AddInPlace(v.(*la.Dense))
+		acc.AddInPlace(v.(scanPart).top)
 		return nil
 	})
 	if err != nil {
@@ -245,7 +223,7 @@ func reduceExec(ex Exec, t Mat, op Op, rows, cols int) (*la.Dense, error) {
 
 // AutoRows picks a chunk height from a memory budget: the pipeline keeps at
 // most workers+prefetch+1 decoded input chunks resident (admission tickets,
-// see runPipeline), so the chunk height that fills memBudgetBytes is
+// see runPipelineOrder), so the chunk height that fills memBudgetBytes is
 //
 //	chunkRows = memBudgetBytes / ((workers+prefetch+1) · cols · 8)
 //

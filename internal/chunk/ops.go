@@ -31,32 +31,30 @@ type Op struct {
 // client against an older chunkd).
 var ErrUnknownOp = errors.New("chunk: unknown op")
 
-// opState is a prepared op: immutable after construction, so one instance
-// is shared safely by all pipeline workers.
-type opState interface {
-	// apply runs the per-chunk map. The returned value is what the
-	// driver-side committer sees — the same Go value whether the chunk was
-	// mapped locally or remotely.
-	apply(c la.Mat) (any, error)
-	// encodePartial and decodePartial serialize apply's result for the
-	// /exec wire. Floats travel as raw IEEE-754 bit patterns, so the
-	// round-trip is lossless.
-	encodePartial(v any) ([]byte, error)
-	decodePartial(raw []byte) (any, error)
+// preparedOp is a registered op resolved for chunks cols wide: immutable
+// after construction, so one instance is shared safely by all pipeline
+// workers. Every op's partial is a scanPart: top, a rows×cols dense share
+// of a reduction, and for k > 0 the chunk's 1×k counts as part — the same
+// Go value whether the chunk was mapped by the driver or by the shard
+// holding it.
+type preparedOp struct {
+	apply      func(c la.Mat) (scanPart, error)
+	rows, cols int // top's shape
+	k          int // counts' width; 0: the partial is top alone
 }
 
-var opRegistry = map[string]func(params []byte, cols int) (opState, error){
-	"crossprod": func(params []byte, cols int) (opState, error) {
+var opRegistry = map[string]func(params []byte, cols int) (*preparedOp, error){
+	"crossprod": func(params []byte, cols int) (*preparedOp, error) {
 		if len(params) != 0 {
 			return nil, errors.New("chunk: op crossprod takes no params")
 		}
-		return denseReduceOp{f: func(c la.Mat) *la.Dense { return c.CrossProd() }, rows: cols, cols: cols}, nil
+		return &preparedOp{apply: func(c la.Mat) (scanPart, error) { return scanPart{top: c.CrossProd()}, nil }, rows: cols, cols: cols}, nil
 	},
 	// The name carries a version: this partial sums S_bᵀ·A by groups, and a
 	// chunkd that still answers the first name forms the dense product, so
 	// a driver must not merge its partials with these (it gets 501 instead
 	// and reads passively).
-	"kmeans-assign-v2": func(params []byte, cols int) (opState, error) {
+	"kmeans-assign-v2": func(params []byte, cols int) (*preparedOp, error) {
 		cent, rest, err := readDenseBlob(params)
 		if err != nil {
 			return nil, fmt.Errorf("chunk: op kmeans-assign-v2 params: %w", err)
@@ -67,13 +65,21 @@ var opRegistry = map[string]func(params []byte, cols int) (opState, error){
 		if cent.Rows() != cols || cent.Cols() == 0 {
 			return nil, fmt.Errorf("chunk: op kmeans-assign-v2 params: %dx%d centroids for %d-column chunks, want %d×k with k ≥ 1", cent.Rows(), cent.Cols(), cols, cols)
 		}
-		// The step ml.KMeansScan runs locally, prepared over a bare chunk.
+		// The step ml.KMeansScan runs locally, prepared over a bare chunk:
+		// its part is the chunk's cols×k share of Tᵀ·A and its k counts.
 		o := &Operand{feat: true, offs: []int{cent.Rows()}}
 		do, err := o.prepare(ml.KMeansAssign(cent))
 		if err != nil {
 			return nil, err
 		}
-		return assignOp{do: do, cols: cols, k: cent.Cols()}, nil
+		apply := func(c la.Mat) (scanPart, error) {
+			_, part, err := do(&block{Block: core.Block{S: c}})
+			if err != nil {
+				return scanPart{}, err
+			}
+			return part.(scanPart), nil
+		}
+		return &preparedOp{apply: apply, rows: cols, cols: cent.Cols(), k: cent.Cols()}, nil
 	},
 }
 
@@ -81,7 +87,7 @@ var opRegistry = map[string]func(params []byte, cols int) (opState, error){
 func OpCrossProd() Op { return Op{Name: "crossprod"} }
 
 // prepareOp resolves an Op against the registry for chunks cols wide.
-func prepareOp(op Op, cols int) (opState, error) {
+func prepareOp(op Op, cols int) (*preparedOp, error) {
 	mk, ok := opRegistry[op.Name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownOp, op.Name)
@@ -89,77 +95,43 @@ func prepareOp(op Op, cols int) (opState, error) {
 	return mk(op.Params, cols)
 }
 
-// denseReduceOp covers ops whose partial is a single rows×cols dense matrix
-// reduced by element-wise addition (crossprod).
-type denseReduceOp struct {
-	f          func(c la.Mat) *la.Dense
-	rows, cols int
-}
-
-func (o denseReduceOp) apply(c la.Mat) (any, error) { return o.f(c), nil }
-
-func (o denseReduceOp) encodePartial(v any) ([]byte, error) {
-	d, ok := v.(*la.Dense)
-	if !ok {
-		return nil, fmt.Errorf("chunk: dense op partial is %T, want *la.Dense", v)
+// encodePartial serializes apply's result for the /exec wire: the top
+// blob, then the counts blob when the op has counts. Floats travel as raw
+// IEEE-754 bit patterns, so the round trip is lossless.
+func (o *preparedOp) encodePartial(p scanPart) []byte {
+	raw := appendDenseBlob(nil, p.top)
+	if o.k > 0 {
+		raw = appendDenseBlob(raw, la.RowVector(p.part.([]float64)))
 	}
-	return appendDenseBlob(nil, d), nil
+	return raw
 }
 
 // decodePartial checks the partial against the prepared op's shape, so a
 // shard answering the wrong shape is a decode error (and a fallback to the
 // passive path), never a shape panic in the reduction.
-func (o denseReduceOp) decodePartial(raw []byte) (any, error) {
-	d, rest, err := readDenseBlob(raw)
+func (o *preparedOp) decodePartial(raw []byte) (scanPart, error) {
+	top, rest, err := readDenseBlob(raw)
 	if err != nil {
-		return nil, err
+		return scanPart{}, fmt.Errorf("chunk: partial: %w", err)
+	}
+	if top.Rows() != o.rows || top.Cols() != o.cols {
+		return scanPart{}, fmt.Errorf("chunk: partial is %dx%d, want %dx%d", top.Rows(), top.Cols(), o.rows, o.cols)
+	}
+	p := scanPart{top: top}
+	if o.k > 0 {
+		counts, tail, err := readDenseBlob(rest)
+		if err != nil {
+			return scanPart{}, fmt.Errorf("chunk: partial counts: %w", err)
+		}
+		if counts.Rows() != 1 || counts.Cols() != o.k {
+			return scanPart{}, fmt.Errorf("chunk: partial counts are %dx%d, want 1x%d", counts.Rows(), counts.Cols(), o.k)
+		}
+		p.part, rest = counts.Data(), tail
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("chunk: dense partial: %d trailing bytes", len(rest))
+		return scanPart{}, fmt.Errorf("chunk: partial: %d trailing bytes", len(rest))
 	}
-	if d.Rows() != o.rows || d.Cols() != o.cols {
-		return nil, fmt.Errorf("chunk: dense partial is %dx%d, want %dx%d", d.Rows(), d.Cols(), o.rows, o.cols)
-	}
-	return d, nil
-}
-
-// assignOp maps a chunk to its scanPart under ml.KMeansAssign for fixed
-// centroids — the chunk's cols×k share of Tᵀ·A and its k cluster counts:
-// the same function whether the chunk is mapped by the driver's workers or
-// by the chunkd worker holding it.
-type assignOp struct {
-	do      func(*block) (*la.Dense, any, error)
-	cols, k int
-}
-
-func (o assignOp) apply(c la.Mat) (any, error) {
-	_, part, err := o.do(&block{Block: core.Block{S: c}})
-	return part, err
-}
-
-func (assignOp) encodePartial(v any) ([]byte, error) {
-	sp, ok := v.(scanPart)
-	if !ok {
-		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial is %T, want scanPart", v)
-	}
-	raw := appendDenseBlob(nil, sp.top)
-	return appendDenseBlob(raw, la.RowVector(sp.part.([]float64))), nil
-}
-
-func (o assignOp) decodePartial(raw []byte) (any, error) {
-	sums, rest, err := readDenseBlob(raw)
-	if err != nil {
-		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial: %w", err)
-	}
-	counts, rest, err := readDenseBlob(rest)
-	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial: bad counts (%d trailing bytes): %v", len(rest), err)
-	}
-	if sums.Rows() != o.cols || sums.Cols() != o.k || counts.Rows() != 1 || counts.Cols() != o.k {
-		return nil, fmt.Errorf("chunk: kmeans-assign-v2 partial is %dx%d sums and %dx%d counts, want %dx%d and 1x%d",
-			sums.Rows(), sums.Cols(), counts.Rows(), counts.Cols(), o.cols, o.k, o.k)
-	}
-	return scanPart{top: sums, part: counts.Data()}, nil
+	return p, nil
 }
 
 // appendDenseBlob serializes a dense matrix as uint64 rows, uint64 cols,

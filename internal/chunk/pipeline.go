@@ -324,31 +324,25 @@ func interleavedOrder(shardOf []int, numShards, window int) []int {
 	return nil // the interleave is the identity; keep the fast path
 }
 
-// runPipeline streams chunks [0,n) through mapFn and commits the results
-// strictly in chunk order:
+// runPipelineOrder streams chunks [0,n) through mapFn and commits the
+// results strictly in chunk order:
 //
 //	reader ──bounded chan──▶ workers ──chan──▶ ordered commit
 //
 // read(ci) decodes chunk ci from disk; it runs on a single background
-// reader goroutine so disk access stays sequential. mapFn runs on
-// ex.Workers goroutines and must not touch shared state. commit runs on
-// the calling goroutine, in ascending ci order regardless of which worker
-// finishes first — reductions committed this way are bit-identical to the
-// serial pass. The first error cancels the pipeline and is returned.
-func runPipeline[T any](n int, ex Exec,
-	read func(ci int) (T, error),
-	mapFn func(ci int, c T) (any, error),
-	commit func(ci int, v any) error) error {
-	return runPipelineOrder(n, ex, nil, read, mapFn, commit)
-}
-
-// runPipelineOrder is runPipeline with an explicit read order: the single
-// reader goroutine visits chunks in order[0..n) instead of ascending ci
-// (nil or mis-sized order means chunk order). Pass the result of
-// interleavedOrder to spread a multi-shard pass's reads round-robin across
-// the shards; because commit order is unchanged, the read order never
-// affects results — only which disk is busy when. The serial reference
-// path (Workers 1, Prefetch 0) always reads in chunk order.
+// reader goroutine so disk access stays sequential, visiting chunks in
+// order[0..n) (nil or mis-sized order means ascending ci). Pass the result
+// of interleavedOrder to spread a multi-shard pass's reads round-robin
+// across the shards; because commit order is unchanged, the read order
+// never affects results — only which disk is busy when. The serial
+// reference path (Workers 1, Prefetch 0) always reads in chunk order.
+// mapFn runs on ex.Workers goroutines and must not touch shared state.
+// commit runs on the calling goroutine, in ascending ci order regardless
+// of which worker finishes first — reductions committed this way are
+// bit-identical to the serial pass. The first error cancels the pipeline
+// and is returned once every goroutine it started has exited; a read
+// in progress is waited for, so whatever can block it must be ended by the
+// failing mapFn or commit.
 func runPipelineOrder[T any](n int, ex Exec, order []int,
 	read func(ci int) (T, error),
 	mapFn func(ci int, c T) (any, error),
@@ -380,7 +374,11 @@ func runPipelineOrder[T any](n int, ex Exec, order []int,
 	done := make(chan struct{})
 	var cancelOnce sync.Once
 	cancel := func() { cancelOnce.Do(func() { close(done) }) }
-	defer cancel()
+	readerDone := make(chan struct{})
+	defer func() {
+		cancel()
+		<-readerDone
+	}()
 
 	// Admission tickets bound the chunks in flight between read and
 	// ordered commit. Without them a single straggler chunk would let
@@ -399,6 +397,7 @@ func runPipelineOrder[T any](n int, ex Exec, order []int,
 	}
 	feed := make(chan loaded[T], ex.Prefetch)
 	go func() {
+		defer close(readerDone)
 		defer close(feed)
 		for i := 0; i < n; i++ {
 			ci := i

@@ -90,7 +90,7 @@ func TestAdmissionTicketsBoundResidency(t *testing.T) {
 		cur.Add(-1)
 		return nil
 	}
-	if err := runPipeline(n, ex, read, mapFn, commit); err != nil {
+	if err := runPipelineOrder(n, ex, nil, read, mapFn, commit); err != nil {
 		t.Fatal(err)
 	}
 	if next != n {

@@ -1,157 +1,98 @@
 package chunk
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-)
+import "context"
 
-// errCanceled marks a pushdown producer stopped by the committer's
-// cancellation; it never surfaces to callers.
-var errCanceled = errors.New("chunk: pushdown pass canceled")
-
-// streamSlack is how many results a producer may deliver ahead of the
-// committer, so it keeps working while the committer drains another
-// stream; more would only hold more partials in memory.
-const streamSlack = 4
-
-// pushRes is one chunk's op result traveling from a producer (local
-// pipeline or remote group relay) to the merging committer.
-type pushRes struct {
-	ci  int
-	v   any
-	err error
-}
-
-// runOp streams every chunk through the op and commits the partials in
-// ascending chunk order. Where each chunk is mapped is the store's
-// placement, not an option: chunks held by exec-capable shards are mapped
-// in place by the shard's worker — one /exec stream per shard, partials
-// relayed in that shard's ascending chunk order — and every other chunk
-// goes through the same pipeline Stream uses. The committer
-// merges the per-source streams in ascending global chunk order, so the
-// reduction visits partials in the same order as an all-local run and the
-// result is bit-identical. Any exec failure (no endpoint, unknown op, cut
-// stream, corrupt or mis-shaped partial) degrades that shard's remaining
-// chunks to the passive read + local-map path; a partial is dropped only by
-// erroring the whole pass, never silently.
-func (m *chunked[C]) runOp(ex Exec, op Op, commit func(ci int, v any) error) error {
+// StreamOp implements Mat: it runs a registered op over every chunk inside
+// the one chunk pipeline and commits the partials in ascending chunk order.
+// Where a chunk is mapped is the store's placement, not an option: before
+// the first read StreamOp opens one /exec stream per exec-capable shard
+// over that shard's chunks, so the shards compute concurrently, and the
+// pipeline's reader takes such a chunk's decoded partial from its shard's
+// stream in place of reading the chunk; every other chunk is read and
+// mapped locally. The reader visits a shard's chunks in ascending order
+// (Store.readOrder keeps it), the order its stream delivers them, and a
+// partial holds an admission ticket as a chunk does, so a pushed-down pass
+// keeps the pipeline's residency bound. The committer reduces in global
+// chunk order either way, so results are bit-identical with an all-local
+// run. Any exec failure (no endpoint, unknown op, cut stream, corrupt or
+// mis-shaped partial) sends that shard's remaining chunks down the local
+// path; a partial is dropped only by erroring the whole pass, never
+// silently. Every stream is closed by the time StreamOp returns.
+func (m *chunked[C]) StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error {
+	if m.freed {
+		return ErrFreed
+	}
 	st, err := prepareOp(op, m.cols)
 	if err != nil {
 		return err
 	}
-	apply := func(ci, lo int, c C) (any, error) { return st.apply(c) }
-	groups, local := m.store.execPlacement(m.paths)
-	if len(groups) == 0 {
-		return m.pipeline(ex, nil, true, apply, commit)
-	}
-
-	done := make(chan struct{})
-	var cancelOnce sync.Once
-	cancel := func() { cancelOnce.Do(func() { close(done) }) }
+	// Canceling ctx ends the streams' requests, and with them a Next the
+	// reader may be blocked in, so a failing pass returns without waiting
+	// on a stalled shard.
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	// owner[ci] is the channel chunk ci's result arrives on. Each producer
-	// delivers its results in its own ascending chunk order, so the
-	// committer below — walking global chunk order and reading each chunk's
-	// owner — always finds the next result at the head of some stream.
-	owner := make([]chan pushRes, len(m.paths))
-	for _, g := range groups {
-		ch := make(chan pushRes, streamSlack)
-		for _, ci := range g.cis {
-			owner[ci] = ch
-		}
-		go m.runRemoteGroup(st, op, g, ch, done)
+	type stream struct {
+		shard int
+		ps    *PartialStream // nil once it failed; only the reader touches it
 	}
-	if len(local) > 0 {
-		ch := make(chan pushRes, streamSlack)
-		for _, ci := range local {
-			owner[ci] = ch
+	src := make([]*stream, len(m.paths)) // chunk ci's shard stream, nil: read locally
+	for _, g := range m.store.execPlacement(m.paths) {
+		chunks := make([]ExecChunk, len(g.cis))
+		for i, ci := range g.cis {
+			lo, hi := m.chunkBounds(ci)
+			chunks[i] = ExecChunk{Key: m.paths[ci], Rows: hi - lo}
 		}
-		go func() {
-			err := m.pipeline(ex, local, true, apply, func(ci int, v any) error {
-				if !sendRes(ch, done, pushRes{ci: ci, v: v}) {
-					return errCanceled
-				}
-				return nil
-			})
-			if err != nil && !errors.Is(err, errCanceled) {
-				sendRes(ch, done, pushRes{ci: -1, err: err})
-			}
-		}()
-	}
-
-	for ci, ch := range owner {
-		r := <-ch
-		if r.err != nil {
-			return r.err
-		}
-		if r.ci != ci {
-			return fmt.Errorf("chunk: pushdown merge out of order: got chunk %d, want %d", r.ci, ci)
-		}
-		if err := commit(ci, r.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendRes delivers a result unless the pass was canceled.
-func sendRes(ch chan<- pushRes, done <-chan struct{}, r pushRes) bool {
-	select {
-	case ch <- r:
-		return true
-	case <-done:
-		return false
-	}
-}
-
-// runRemoteGroup maps one shard's chunks in place via its /exec stream,
-// relaying decoded partials in the group's ascending chunk order and
-// counting each accepted one as executed on that shard. Any failure — the
-// endpoint missing, the stream cut mid-partial, a corrupt or mis-shaped
-// partial — drops this chunk and the rest of the group to the passive
-// read + local-map path; only a failure of that path too errors the pass.
-func (m *chunked[C]) runRemoteGroup(st opState, op Op, g execGroup, out chan<- pushRes, done <-chan struct{}) {
-	fallback := func(cis []int) {
-		for _, ci := range cis {
-			c, err := m.readAt(ci, false)
-			var v any
-			if err == nil {
-				v, err = st.apply(c)
-			}
-			if !sendRes(out, done, pushRes{ci: ci, v: v, err: err}) || err != nil {
-				return
-			}
-		}
-	}
-	chunks := make([]ExecChunk, len(g.cis))
-	for i, ci := range g.cis {
-		lo, hi := m.chunkBounds(ci)
-		chunks[i] = ExecChunk{Key: m.paths[ci], Rows: hi - lo}
-	}
-	ps, err := g.eb.ExecOp(op, m.kind, m.cols, chunks)
-	if err != nil {
-		fallback(g.cis)
-		return
-	}
-	defer ps.Close()
-	for i, ci := range g.cis {
-		raw, err := ps.Next()
-		var v any
-		if err == nil {
-			v, err = st.decodePartial(raw)
-		}
+		ps, err := g.eb.ExecOp(ctx, op, m.kind, m.cols, chunks)
 		if err != nil {
-			// Stream dead or partial unusable: the rest of the group falls
-			// back to the passive path.
-			ps.Close()
-			fallback(g.cis[i:])
-			return
+			continue
 		}
-		m.store.noteExecuted(g.shard)
-		if !sendRes(out, done, pushRes{ci: ci, v: v}) {
-			return
+		defer ps.Close() // after the pipeline, whose reader has exited by then
+		s := &stream{shard: g.shard, ps: ps}
+		for _, ci := range g.cis {
+			src[ci] = s
 		}
 	}
+	fail := func(err error) error {
+		if err != nil {
+			cancel()
+		}
+		return err
+	}
+	type item struct {
+		c     C
+		p     scanPart
+		local bool
+	}
+	nx := ex.normalized()
+	window := nx.Workers + nx.Prefetch + 1
+	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
+		func(ci int) (item, error) {
+			if s := src[ci]; s != nil && s.ps != nil {
+				raw, err := s.ps.Next()
+				var p scanPart
+				if err == nil {
+					p, err = st.decodePartial(raw)
+				}
+				if err == nil {
+					m.store.noteExecuted(s.shard)
+					return item{p: p}, nil
+				}
+				s.ps.Close()
+				s.ps = nil
+				if ctx.Err() != nil {
+					return item{}, err
+				}
+			}
+			c, err := m.readAt(ci, true)
+			return item{c: c, local: true}, err
+		},
+		func(ci int, it item) (any, error) {
+			if !it.local {
+				return it.p, nil
+			}
+			p, err := st.apply(it.c)
+			m.store.recycle(it.c, window)
+			return p, fail(err)
+		},
+		func(ci int, v any) error { return fail(commit(ci, v)) })
 }

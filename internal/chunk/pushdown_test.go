@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/la"
 )
@@ -235,7 +238,7 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 	if n := s.IOStats().ChunksExecuted; n != 0 {
 		t.Fatalf("ChunksExecuted = %d against a shard without /exec", n)
 	}
-	if _, err := rb.ExecOp(OpCrossProd(), chunkKindDense, 5, []ExecChunk{{Key: "chunk-000001.bin", Rows: 8}}); !errors.Is(err, ErrExecUnsupported) {
+	if _, err := rb.ExecOp(context.Background(), OpCrossProd(), chunkKindDense, 5, []ExecChunk{{Key: "chunk-000001.bin", Rows: 8}}); !errors.Is(err, ErrExecUnsupported) {
 		t.Fatalf("ExecOp on a cached no-exec backend = %v, want ErrExecUnsupported", err)
 	}
 }
@@ -475,7 +478,7 @@ func TestExecOpRoundTrip(t *testing.T) {
 		chunks[i] = ExecChunk{Key: keyFor(i), Rows: 4}
 		want[i] = d.CrossProd()
 	}
-	ps, err := rb.ExecOp(OpCrossProd(), chunkKindDense, 3, chunks)
+	ps, err := rb.ExecOp(context.Background(), OpCrossProd(), chunkKindDense, 3, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +496,7 @@ func TestExecOpRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partial %d: %v", i, err)
 		}
-		if got := v.(*la.Dense); got.Rows() != 3 || got.Cols() != 3 || la.MaxAbsDiff(got, want[i]) != 0 {
+		if got := v.top; got.Rows() != 3 || got.Cols() != 3 || la.MaxAbsDiff(got, want[i]) != 0 {
 			t.Fatalf("partial %d = %v, want the 3x3 %v", i, got, want[i])
 		}
 	}
@@ -575,5 +578,188 @@ func TestPutOverrunReturns413(t *testing.T) {
 	h.ServeHTTP(rr, req)
 	if rr.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("overrunning PUT = %d, want 413", rr.Code)
+	}
+}
+
+// pipeExecBackend is an exec-capable shard in process: ExecOp maps the
+// requested chunks of its directory with the registered op and streams the
+// real partial frames through an io.Pipe, counting the frames the driver
+// has taken off the pipe and the driver's reads in progress on it. After
+// stallAfter frames (< 0: never) the stream stalls until the request's
+// context ends, as a wedged worker's would.
+type pipeExecBackend struct {
+	Backend
+	stallAfter     int
+	taken, reading *atomic.Int64
+}
+
+// countedPipe is a stream body that counts the reads in progress on it.
+type countedPipe struct {
+	*io.PipeReader
+	reading *atomic.Int64
+}
+
+func (r countedPipe) Read(p []byte) (int, error) {
+	r.reading.Add(1)
+	defer r.reading.Add(-1)
+	return r.PipeReader.Read(p)
+}
+
+func (b *pipeExecBackend) ExecOp(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error) {
+	st, err := prepareOp(op, cols)
+	if err != nil || kind != chunkKindDense {
+		return nil, fmt.Errorf("%w: %v", ErrExecUnsupported, err)
+	}
+	pr, pw := io.Pipe()
+	go func() {
+		for i, c := range chunks {
+			if i == b.stallAfter {
+				<-ctx.Done()
+				pw.CloseWithError(ctx.Err())
+				return
+			}
+			raw, err := b.ReadChunk(c.Key)
+			var d *la.Dense
+			if err == nil {
+				d, err = decodeDenseChunk(c.Key, raw, c.Rows, cols)
+			}
+			var p scanPart
+			if err == nil {
+				p, err = st.apply(d)
+			}
+			if err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+			if writePartialFrame(pw, st.encodePartial(p)) != nil {
+				return
+			}
+			b.taken.Add(1)
+		}
+		writeEndFrame(pw)
+		pw.Close()
+	}()
+	return newPartialStream(countedPipe{pr, b.reading}), nil
+}
+
+// pipeExecStore builds a store of the given passive backends followed by
+// nExec pipeExecBackends (RoundRobin), all counting into b's counters.
+func pipeExecStore(t *testing.T, passive []Backend, nExec int, b pipeExecBackend) *Store {
+	t.Helper()
+	backends := passive
+	for i := 0; i < nExec; i++ {
+		dir, err := NewDirBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb := b
+		eb.Backend = dir
+		backends = append(backends, &eb)
+	}
+	s, err := NewShardedStoreBackends(backends, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestPushdownAdmission: a pushed-down pass holds the pipeline's admission
+// bound — the partials taken off the shards' streams and not yet committed
+// never exceed Workers+Prefetch+1 (+1 for the frame a stream's reader may
+// hold) — while the committer holds chunk 0 back, and the result is
+// bitwise the all-local one with every chunk executed on its shard.
+func TestPushdownAdmission(t *testing.T) {
+	d := randDense(rand.New(rand.NewSource(43)), 48*4, 3) // 48 chunks, 16 per shard
+	want, err := localCrossProd(t, d, 4, Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []Exec{Serial, {Workers: 2, Prefetch: 2}} {
+		var taken, reading atomic.Int64
+		s := pipeExecStore(t, nil, 3, pipeExecBackend{stallAfter: -1, taken: &taken, reading: &reading})
+		m, err := FromDense(s, d, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nx := ex.normalized()
+		bound := int64(nx.Workers + nx.Prefetch + 1 + 1)
+		got := la.NewDense(3, 3)
+		var committed, peak int64
+		err = m.StreamOp(ex, OpCrossProd(), func(ci int, v any) error {
+			// Hold chunk 0 back long enough for a reader without
+			// admission control to run far ahead of the commit.
+			for end := time.Now().Add(50 * time.Millisecond); ci == 0 && taken.Load() <= bound && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
+			}
+			peak = max(peak, taken.Load()-committed)
+			committed++
+			got.AddInPlace(v.(scanPart).top)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", ex, err)
+		}
+		if peak > bound {
+			t.Fatalf("%+v: %d partials taken ahead of the commit, want ≤ %d", ex, peak, bound)
+		}
+		if la.MaxAbsDiff(got, want) != 0 {
+			t.Fatalf("%+v: pushed-down crossprod diverged from all-local", ex)
+		}
+		if n := s.IOStats().ChunksExecuted; n != m.NumChunks() {
+			t.Fatalf("%+v: %d of %d chunks executed on their shards", ex, n, m.NumChunks())
+		}
+	}
+}
+
+// TestPushdownFailureLeavesNoGoroutine: a pass that fails on a local chunk
+// while the exec shards stall mid-stream returns the error, and nothing it
+// started outlives it: the stalled streams are ended, not left blocked on
+// their shards. Local chunk 3's read fails after each shard's first
+// partial, or the commit of local chunk 0 fails while the pipeline's
+// reader is blocked on a stalled stream.
+func TestPushdownFailureLeavesNoGoroutine(t *testing.T) {
+	d := randDense(rand.New(rand.NewSource(44)), 30*4, 3) // 30 chunks over 3 shards
+	errCommit := errors.New("injected commit failure")
+	for _, ex := range []Exec{Serial, {Workers: 2, Prefetch: 2}} {
+		for _, failRead := range []bool{true, false} {
+			dir, err := NewDirBackend(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			local := &failingBackend{Backend: dir}
+			local.left.Store(neverFail)
+			var taken, reading atomic.Int64
+			stallAfter, want := 0, errCommit
+			if failRead {
+				stallAfter, want = 1, errInjectedRead
+			}
+			s := pipeExecStore(t, []Backend{local}, 2, pipeExecBackend{stallAfter: stallAfter, taken: &taken, reading: &reading})
+			m, err := FromDense(s, d, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failRead {
+				local.left.Store(1) // chunk 0 reads, chunk 3 fails
+			}
+			before := runtime.NumGoroutine()
+			err = m.StreamOp(ex, OpCrossProd(), func(ci int, v any) error {
+				if failRead {
+					return nil
+				}
+				// A pipelined reader goes on to chunk 1, whose stream
+				// stalls at once: fail once it is blocked there.
+				for end := time.Now().Add(time.Second); ex != Serial && reading.Load() == 0 && time.Now().Before(end); {
+					time.Sleep(time.Millisecond)
+				}
+				return errCommit
+			})
+			if !errors.Is(err, want) {
+				t.Fatalf("%+v, read failure %v: pass returned %v, want %v", ex, failRead, err, want)
+			}
+			if got := waitGoroutines(before); got > before {
+				t.Fatalf("%+v, read failure %v: %d goroutines after the pass, %d before", ex, failRead, got, before)
+			}
+		}
 	}
 }

@@ -2,12 +2,12 @@ package chunk
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -207,21 +207,17 @@ func (b *RemoteBackend) Remove(key string) error {
 }
 
 // Reap asks the server to remove every stored chunk plus temp debris (the
-// remote analogue of startup orphan reaping) and reports the count.
-func (b *RemoteBackend) Reap() (int, error) {
+// remote analogue of startup orphan reaping).
+func (b *RemoteBackend) Reap() error {
 	u := b.base + "/chunks"
 	status, body, _, err := b.do(http.MethodDelete, u, nil)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if status != http.StatusOK {
-		return 0, statusErr(http.MethodDelete, u, status, body)
+		return statusErr(http.MethodDelete, u, status, body)
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(string(body)))
-	if err != nil {
-		return 0, fmt.Errorf("chunk: remote reap count %q: %w", strings.TrimSpace(string(body)), err)
-	}
-	return n, nil
+	return nil
 }
 
 // BytesOf reports the stored size from a HEAD request's Content-Length.
@@ -267,8 +263,8 @@ func (b *RemoteBackend) List() ([]string, error) {
 // Transport errors and 5xx answers before the stream starts are retried
 // like every other verb; once the stream is open, failures surface through
 // PartialStream.Next and the caller falls back per chunk.
-func (b *RemoteBackend) ExecOp(op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error) {
-	return b.execOpCodec(op, kind, cols, chunks, "")
+func (b *RemoteBackend) ExecOp(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error) {
+	return b.execOpCodec(ctx, op, kind, cols, chunks, "")
 }
 
 // execOpCodec is ExecOp with content negotiation: codec (when non-empty)
@@ -277,7 +273,7 @@ func (b *RemoteBackend) ExecOp(op Op, kind string, cols int, chunks []ExecChunk)
 // codec answers 400, which surfaces as a hard error here and drops the
 // group to the passive path — without caching noExec, since plain /exec
 // may still work.
-func (b *RemoteBackend) execOpCodec(op Op, kind string, cols int, chunks []ExecChunk, codec string) (*PartialStream, error) {
+func (b *RemoteBackend) execOpCodec(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk, codec string) (*PartialStream, error) {
 	if b.noExec.Load() {
 		return nil, fmt.Errorf("%w: %s", ErrExecUnsupported, b.base)
 	}
@@ -292,7 +288,7 @@ func (b *RemoteBackend) execOpCodec(op Op, kind string, cols int, chunks []ExecC
 	}
 	u := b.base + "/exec"
 	for attempt := 0; ; attempt++ {
-		req, reqErr := http.NewRequest(http.MethodPost, u, bytes.NewReader(body))
+		req, reqErr := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 		if reqErr != nil {
 			return nil, fmt.Errorf("chunk: remote POST %s: %w", u, reqErr)
 		}
