@@ -42,13 +42,6 @@ type Backend interface {
 	// chunk blobs and write-temporary debris. The Store calls it once when
 	// the backend is adopted.
 	Reap() error
-	// BytesOf reports the stored size of the blob under key.
-	BytesOf(key string) (int64, error)
-	// List returns the valid chunk keys currently stored, sorted. Write
-	// debris (*.tmp) and foreign files are excluded here, so a wrapped
-	// backend (compression) and the chunk server's listing share one
-	// notion of "what is a chunk".
-	List() ([]string, error)
 }
 
 // tmpSuffix marks an in-progress dirBackend spill. writeChunkFile goes
@@ -155,7 +148,8 @@ func (b *dirBackend) Reap() error {
 }
 
 // List returns the chunk keys in the directory, sorted (os.ReadDir order),
-// skipping *.tmp debris and anything else that is not a valid chunk key.
+// skipping *.tmp debris and anything else that is not a valid chunk key:
+// chunkd's GET /chunks.
 func (b *dirBackend) List() ([]string, error) {
 	entries, err := os.ReadDir(b.dir)
 	if err != nil {
@@ -171,6 +165,7 @@ func (b *dirBackend) List() ([]string, error) {
 	return keys, nil
 }
 
+// BytesOf reports the stored size of the blob under key: chunkd's HEAD.
 func (b *dirBackend) BytesOf(key string) (int64, error) {
 	fi, err := os.Stat(filepath.Join(b.dir, key))
 	if err != nil {

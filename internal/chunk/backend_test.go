@@ -89,7 +89,7 @@ func TestInterruptedSpillNeverReadable(t *testing.T) {
 // the shardIndex -1 case — instead of writing an orphan blob or panicking.
 func TestWriteUntrackedKeyError(t *testing.T) {
 	s := testStore(t)
-	if err := s.writeChunkFile("chunk-999999.bin", la.NewDense(1, 1)); err == nil || !strings.Contains(err.Error(), "not tracked") {
+	if err := s.writeChunkFile("chunk-999999.bin", encodeDenseChunk(la.NewDense(1, 1))); err == nil || !strings.Contains(err.Error(), "not tracked") {
 		t.Fatalf("write to foreign key: %v, want a not-tracked error", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestDirBackendList(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "chunk-000099.bin"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := b.List()
+	keys, err := b.(*dirBackend).List()
 	if err != nil {
 		t.Fatal(err)
 	}

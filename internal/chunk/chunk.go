@@ -502,15 +502,15 @@ func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la
 	return m, nil
 }
 
-// writeChunkFile encodes one dense chunk, stores it on the key's shard
-// backend — at its compressed size when the backend compresses — and
+// writeChunkFile stores one encoded chunk (dense or CSR) on the key's
+// shard backend — at its compressed size when the backend compresses — and
 // attributes the stored size to that shard on success.
-func (s *Store) writeChunkFile(key string, d *la.Dense) error {
+func (s *Store) writeChunkFile(key string, blob []byte) error {
 	b, err := s.backendFor(key)
 	if err != nil {
 		return err
 	}
-	stored, err := writeSized(b, key, encodeDenseChunk(d))
+	stored, err := writeSized(b, key, blob)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ const DefaultMaxChunkBytes = 1 << 30 // 1 GiB
 // directory — so it can sit behind any stock HTTP server or mux.
 type ChunkServer struct {
 	dir      string
-	backend  Backend
+	backend  *dirBackend
 	maxBytes int64
 }
 
@@ -60,7 +60,7 @@ func NewChunkServer(dir string, maxChunkBytes int64) (*ChunkServer, error) {
 	if maxChunkBytes <= 0 {
 		maxChunkBytes = DefaultMaxChunkBytes
 	}
-	return &ChunkServer{dir: dir, backend: b, maxBytes: maxChunkBytes}, nil
+	return &ChunkServer{dir: dir, backend: b.(*dirBackend), maxBytes: maxChunkBytes}, nil
 }
 
 // ServeHTTP implements http.Handler.

@@ -235,12 +235,6 @@ func (b *compressingBackend) Remove(key string) error { return b.inner.Remove(ke
 
 func (b *compressingBackend) Reap() error { return b.inner.Reap() }
 
-// BytesOf reports the stored (compressed) size, consistent with what
-// WriteChunkSized accounted.
-func (b *compressingBackend) BytesOf(key string) (int64, error) { return b.inner.BytesOf(key) }
-
-func (b *compressingBackend) List() ([]string, error) { return b.inner.List() }
-
 // compressingExecBackend adds pushdown to the compressing wrapper: the op
 // ships with the codec name and the worker decodes blobs shard-side, so a
 // pushed-down pass over compressed chunks moves only partials (and the

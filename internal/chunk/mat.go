@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -14,10 +15,10 @@ import (
 // implementation is the chunked base below, under two codecs: dense
 // (*Matrix) and CSR (*SparseMatrix).
 //
-// Stream is the fused-pass primitive: it delivers each decoded chunk as an
-// la.Mat (concretely *la.Dense or *la.CSR), which carries the full Table 1
-// operator set, while commit receives per-chunk results strictly in chunk
-// order — reductions stay bit-identical for every Exec.
+// pipeline is the fused-pass primitive: it delivers each decoded chunk as
+// an la.Mat (concretely *la.Dense or *la.CSR), which carries the full
+// Table 1 operator set, while commit receives per-chunk results strictly
+// in chunk order — reductions stay bit-identical for every Exec.
 type Mat interface {
 	Rows() int
 	Cols() int
@@ -26,18 +27,7 @@ type Mat interface {
 	BytesOnDisk() int64
 	Store() *Store
 	Free() error
-
-	// Stream runs the chunk pipeline under ex: mapFn on the workers with
-	// the decoded chunk and its first-row offset, commit on the calling
-	// goroutine in ascending chunk order.
-	Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error
-	// StreamOp is Stream for registered ops, in the same pipeline: because
-	// the per-chunk map is named rather than a closure, a chunk on a shard
-	// that can execute ops is mapped there and the pipeline's reader takes
-	// its partial (a scanPart) in place of the chunk; commit still runs in
-	// ascending chunk order, so results are bit-identical with an all-local
-	// run.
-	StreamOp(ex Exec, op Op, commit func(ci int, v any) error) error
+	pipeline(ex Exec, own bool, op *execStep, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error
 }
 
 var (
@@ -102,30 +92,131 @@ func (m *chunked[C]) readAt(ci int, own bool) (C, error) {
 	return m.decode(m.store, m.paths[ci], hi-lo, m.cols, own)
 }
 
-// pipeline runs the chunk pipeline over every chunk of this matrix; on a
-// multi-shard store the reads are interleaved across shards
-// (Store.readOrder).
-// With own, nothing mapFn returns may alias its chunk and nothing keeps
-// the chunk once mapFn returns: its buffer goes back to the store, whose
-// free list keeps at most the pass's in-flight window (runPipelineOrder's
-// admission bound) of them.
-func (m *chunked[C]) pipeline(ex Exec, own bool, mapFn func(ci, lo int, c C) (any, error), commit func(ci int, v any) error) error {
+// pipeline runs the chunk pipeline under ex over every chunk of this
+// matrix: mapFn on the workers with the decoded chunk and its first-row
+// offset, commit on the calling goroutine in ascending chunk order, reads
+// interleaved across shards (Store.readOrder). With own, nothing mapFn
+// returns may alias its chunk and nothing keeps the chunk once mapFn
+// returns: its buffer goes back to the store's free list, which keeps at
+// most the pass's in-flight window of them.
+//
+// With op, mapFn is a registered step, and the reader takes the partial of
+// a chunk on an exec-capable shard off that shard's /exec stream in place
+// of the chunk: placement is the store's, not an option. It visits a
+// shard's chunks in the ascending order the stream delivers them, and a
+// partial holds an admission ticket as a chunk does. Commits are in chunk
+// order either way, so results are bit-identical with an all-local run.
+// Any exec failure (no endpoint, unknown op, cut stream, corrupt or
+// mis-shaped partial) sends that shard's remaining chunks down the local
+// path. Every stream is closed by the time pipeline returns.
+func (m *chunked[C]) pipeline(ex Exec, own bool, op *execStep, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
 	if m.freed {
 		return ErrFreed
+	}
+	// Canceling ctx ends a Next the reader may be blocked in, so a failing
+	// pass returns without waiting on a stalled shard.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := m.openExec(ctx, op)
+	defer func() { // after the pipeline, whose reader has exited by then
+		for _, s := range src {
+			if s != nil && s.ps != nil {
+				s.ps.Close()
+				s.ps = nil
+			}
+		}
+	}()
+	fail := func(err error) error {
+		if err != nil {
+			cancel()
+		}
+		return err
+	}
+	type item struct {
+		c    C
+		part any // a shard's partial, in place of the chunk
 	}
 	nx := ex.normalized()
 	window := nx.Workers + nx.Prefetch + 1
 	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
-		func(ci int) (C, error) { return m.readAt(ci, own) },
-		func(ci int, c C) (any, error) {
-			lo, _ := m.chunkBounds(ci)
-			v, err := mapFn(ci, lo, c)
-			if own {
-				m.store.recycle(c, window)
+		func(ci int) (item, error) {
+			if ci < len(src) && src[ci] != nil && src[ci].ps != nil {
+				s := src[ci]
+				raw, err := s.ps.Next()
+				var p scanPart
+				if err == nil {
+					p, err = op.shape.decodePartial(raw)
+				}
+				if err == nil {
+					m.store.noteExecuted(s.shard)
+					return item{part: p}, nil
+				}
+				s.ps.Close()
+				s.ps = nil
+				if ctx.Err() != nil {
+					return item{}, err
+				}
 			}
-			return v, err
+			c, err := m.readAt(ci, own)
+			return item{c: c}, err
 		},
-		commit)
+		func(ci int, it item) (any, error) {
+			if it.part != nil {
+				return it.part, nil
+			}
+			lo, _ := m.chunkBounds(ci)
+			v, err := mapFn(ci, lo, it.c)
+			if own {
+				m.store.recycle(it.c, window)
+			}
+			return v, fail(err)
+		},
+		func(ci int, v any) error {
+			if commit == nil {
+				return nil
+			}
+			return fail(commit(ci, v))
+		})
+}
+
+// execStream is a shard's /exec stream; only the pipeline's reader uses it.
+type execStream struct {
+	shard int
+	ps    *PartialStream // nil once it failed or was closed
+}
+
+// openExec opens op's /exec stream on every exec-capable shard holding
+// chunks of m, so they compute concurrently, and returns chunk ci's stream
+// at ci (nil: the chunk is read).
+func (m *chunked[C]) openExec(ctx context.Context, op *execStep) []*execStream {
+	if op == nil {
+		return nil
+	}
+	groups := m.store.execPlacement(m.paths)
+	if len(groups) == 0 {
+		return nil
+	}
+	wire := Op{Name: op.name}
+	if op.params != nil {
+		wire.Params = appendDenseBlob(nil, op.params)
+	}
+	src := make([]*execStream, len(m.paths))
+	for _, g := range groups {
+		chunks := make([]ExecChunk, len(g.cis))
+		for i, ci := range g.cis {
+			lo, hi := m.chunkBounds(ci)
+			chunks[i] = ExecChunk{Key: m.paths[ci], Rows: hi - lo}
+		}
+		ps, err := g.eb.ExecOp(ctx, wire, m.kind, m.cols, chunks)
+		if err != nil {
+			continue
+		}
+		s := &execStream{shard: g.shard, ps: ps}
+		for _, ci := range g.cis {
+			src[ci] = s
+		}
+	}
+	return src
 }
 
 // ForEach streams every chunk through fn in row order (the ore.rowapply
@@ -140,33 +231,15 @@ func (m *chunked[C]) ForEach(fn func(lo int, chunk C) error) error {
 // and chunk order is unspecified; fn must be safe for concurrent use.
 // Use Stream when per-chunk results must be combined in chunk order.
 func (m *chunked[C]) ForEachExec(ex Exec, fn func(lo int, chunk C) error) error {
-	return m.pipeline(ex, false, func(ci, lo int, c C) (any, error) {
-		return nil, fn(lo, c)
+	return m.pipeline(ex, false, nil, func(ci, lo int, c la.Mat) (any, error) {
+		return nil, fn(lo, c.(C))
 	}, nil)
 }
 
-// Stream implements Mat: the chunk pipeline with each decoded chunk
-// delivered as an la.Mat. mapFn may keep its chunk.
+// Stream is the chunk pipeline with each decoded chunk delivered as an
+// la.Mat. mapFn may keep its chunk.
 func (m *chunked[C]) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	return m.stream(ex, false, mapFn, commit)
-}
-
-// stream is Stream, recycling each chunk's buffer with own (see pipeline).
-func (m *chunked[C]) stream(ex Exec, own bool, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	return m.pipeline(ex, own, func(ci, lo int, c C) (any, error) {
-		return mapFn(ci, lo, c)
-	}, commit)
-}
-
-// streamAs is t.Stream, recycling each chunk's buffer once mapFn returns
-// (see pipeline) when own and t is a chunked matrix.
-func streamAs(t Mat, own bool, ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
-	if o, ok := t.(interface {
-		stream(Exec, bool, func(ci, lo int, c la.Mat) (any, error), func(ci int, v any) error) error
-	}); ok {
-		return o.stream(ex, own, mapFn, commit)
-	}
-	return t.Stream(ex, mapFn, commit)
+	return m.pipeline(ex, false, nil, mapFn, commit)
 }
 
 // TMulExec computes mᵀ·x for an in-memory x, accumulating the (small)
@@ -184,14 +257,14 @@ func (m *chunked[C]) CrossProdExec(ex Exec) (*la.Dense, error) { return MatOpera
 // as the aligned chunk of a new matrix (through the write-behind stage
 // under a pipelined execution) while commit sees the parts in chunk order.
 // With own, the mapped output must not alias the chunk, whose buffer is
-// recycled (streamAs). On failure every output chunk written so far is
+// recycled (chunked.pipeline). On failure every output chunk written so far is
 // removed.
 func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, c la.Mat) (*la.Dense, any, error), commit func(ci int, v any) error) (*Matrix, error) {
 	sp, err := newOutputSpiller(t.Store(), t.NumChunks(), ex, false)
 	if err != nil {
 		return nil, err
 	}
-	err = streamAs(t, own, ex, func(ci, lo int, c la.Mat) (any, error) {
+	err = t.pipeline(ex, own, nil, func(ci, lo int, c la.Mat) (any, error) {
 		out, part, err := mapFn(ci, lo, c)
 		if err != nil {
 			return nil, err
@@ -206,19 +279,6 @@ func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, 
 		return nil, err
 	}
 	return newMatrix(t.Store(), t.Rows(), outCols, t.ChunkRows(), paths), nil
-}
-
-// reduceExec sums a registered op's rows×cols partials in chunk order.
-func reduceExec(ex Exec, t Mat, op Op, rows, cols int) (*la.Dense, error) {
-	acc := la.NewDense(rows, cols)
-	err := t.StreamOp(ex, op, func(ci int, v any) error {
-		acc.AddInPlace(v.(scanPart).top)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
 }
 
 // AutoRows picks a chunk height from a memory budget: the pipeline keeps at

@@ -11,17 +11,10 @@ import (
 	"repro/internal/ml"
 )
 
-// Op names a per-chunk map whose partials reduce associatively on the
-// driver. Ops are registered by name so the exact same apply code runs on
-// the driver's workers and on a remote chunkd worker: a pushed-down pass
-// merges bit-identically with the all-local run because the per-chunk
-// floating-point work is byte-for-byte the same and the committer reduces
-// in ascending chunk order either way.
-//
-// Params carries the op's closure state (e.g. the k-means centroids) as an
-// opaque blob produced by the Op constructors below; both sides decode it
-// with the same registry entry, and check it against the width of the
-// chunks it will be applied to before any chunk is read.
+// Op is a registered per-chunk map on the /exec wire: the name a shard
+// resolves in its registry (prepareOp) and the step's closure state (e.g.
+// the k-means centroids) as an opaque blob, checked against the chunks'
+// width before any chunk is read. The driver runs the step it holds.
 type Op struct {
 	Name   string
 	Params []byte
@@ -31,16 +24,29 @@ type Op struct {
 // client against an older chunkd).
 var ErrUnknownOp = errors.New("chunk: unknown op")
 
-// preparedOp is a registered op resolved for chunks cols wide: immutable
-// after construction, so one instance is shared safely by all pipeline
-// workers. Every op's partial is a scanPart: top, a rows×cols dense share
-// of a reduction, and for k > 0 the chunk's 1×k counts as part — the same
-// Go value whether the chunk was mapped by the driver or by the shard
-// holding it.
-type preparedOp struct {
-	apply      func(c la.Mat) (scanPart, error)
+// execStep names a pass's per-chunk map as a registered op for the shards
+// that can run it: the name and params a shard rebuilds it from (params
+// encoded only when one is asked) and the partial's shape it must answer.
+type execStep struct {
+	name   string
+	params *la.Dense // nil: the op takes none
+	shape  partialShape
+}
+
+// partialShape is what a registered op's partial is on the wire: a
+// scanPart whose top is rows×cols, and for k > 0 whose part is the chunk's
+// 1×k counts — the same Go value whether the driver or the shard holding
+// the chunk mapped it.
+type partialShape struct {
 	rows, cols int // top's shape
 	k          int // counts' width; 0: the partial is top alone
+}
+
+// preparedOp is a registered op resolved by /exec for chunks cols wide,
+// shared by all the pipeline's workers.
+type preparedOp struct {
+	apply func(c la.Mat) (scanPart, error)
+	partialShape
 }
 
 var opRegistry = map[string]func(params []byte, cols int) (*preparedOp, error){
@@ -48,7 +54,7 @@ var opRegistry = map[string]func(params []byte, cols int) (*preparedOp, error){
 		if len(params) != 0 {
 			return nil, errors.New("chunk: op crossprod takes no params")
 		}
-		return &preparedOp{apply: func(c la.Mat) (scanPart, error) { return scanPart{top: c.CrossProd()}, nil }, rows: cols, cols: cols}, nil
+		return &preparedOp{apply: func(c la.Mat) (scanPart, error) { return scanPart{top: c.CrossProd()}, nil }, partialShape: crossProdShape(cols)}, nil
 	},
 	// The name carries a version: this partial sums S_bᵀ·A by groups, and a
 	// chunkd that still answers the first name forms the dense product, so
@@ -65,10 +71,11 @@ var opRegistry = map[string]func(params []byte, cols int) (*preparedOp, error){
 		if cent.Rows() != cols || cent.Cols() == 0 {
 			return nil, fmt.Errorf("chunk: op kmeans-assign-v2 params: %dx%d centroids for %d-column chunks, want %d×k with k ≥ 1", cent.Rows(), cent.Cols(), cols, cols)
 		}
-		// The step ml.KMeansScan runs locally, prepared over a bare chunk:
+		// The step ml.KMeansScan runs on the driver, over a bare chunk:
 		// its part is the chunk's cols×k share of Tᵀ·A and its k counts.
-		o := &Operand{feat: true, offs: []int{cent.Rows()}}
-		do, err := o.prepare(ml.KMeansAssign(cent))
+		step := ml.KMeansAssign(cent)
+		o := &Operand{feat: true, offs: []int{cols}}
+		do, err := o.prepare(step)
 		if err != nil {
 			return nil, err
 		}
@@ -79,14 +86,20 @@ var opRegistry = map[string]func(params []byte, cols int) (*preparedOp, error){
 			}
 			return part.(scanPart), nil
 		}
-		return &preparedOp{apply: apply, rows: cols, cols: cent.Cols(), k: cent.Cols()}, nil
+		return &preparedOp{apply: apply, partialShape: stepShape(cols, step)}, nil
 	},
 }
 
-// OpCrossProd names the AᵀA partial: each chunk contributes chunkᵀ·chunk.
-func OpCrossProd() Op { return Op{Name: "crossprod"} }
+// crossProdShape is the crossprod partial: the chunk's cols×cols AᵀA.
+func crossProdShape(cols int) partialShape { return partialShape{cols, cols, 0} }
 
-// prepareOp resolves an Op against the registry for chunks cols wide.
+// stepShape is a registered scan step's partial over chunks cols wide: its
+// block's share of Tᵀ·P and, as its Part, the PCols counts of its groups.
+func stepShape(cols int, step la.Step) partialShape {
+	return partialShape{cols, step.PCols, step.PCols}
+}
+
+// prepareOp is the /exec interpreter: op resolved for chunks cols wide.
 func prepareOp(op Op, cols int) (*preparedOp, error) {
 	mk, ok := opRegistry[op.Name]
 	if !ok {
@@ -95,10 +108,10 @@ func prepareOp(op Op, cols int) (*preparedOp, error) {
 	return mk(op.Params, cols)
 }
 
-// encodePartial serializes apply's result for the /exec wire: the top
-// blob, then the counts blob when the op has counts. Floats travel as raw
+// encodePartial serializes a partial for the /exec wire: the top blob,
+// then the counts blob when the shape has counts. Floats travel as raw
 // IEEE-754 bit patterns, so the round trip is lossless.
-func (o *preparedOp) encodePartial(p scanPart) []byte {
+func (o partialShape) encodePartial(p scanPart) []byte {
 	raw := appendDenseBlob(nil, p.top)
 	if o.k > 0 {
 		raw = appendDenseBlob(raw, la.RowVector(p.part.([]float64)))
@@ -106,10 +119,10 @@ func (o *preparedOp) encodePartial(p scanPart) []byte {
 	return raw
 }
 
-// decodePartial checks the partial against the prepared op's shape, so a
-// shard answering the wrong shape is a decode error (and a fallback to the
+// decodePartial checks the partial against the shape, so a shard
+// answering the wrong shape is a decode error (and a fallback to the
 // passive path), never a shape panic in the reduction.
-func (o *preparedOp) decodePartial(raw []byte) (scanPart, error) {
+func (o partialShape) decodePartial(raw []byte) (scanPart, error) {
 	top, rest, err := readDenseBlob(raw)
 	if err != nil {
 		return scanPart{}, fmt.Errorf("chunk: partial: %w", err)

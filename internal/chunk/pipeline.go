@@ -84,7 +84,7 @@ func newSpillWriter(store *Store, free chan<- *la.Dense, reuse bool) *spillWrite
 		defer close(w.done)
 		for j := range w.jobs {
 			if w.firstErr() == nil {
-				if err := store.writeChunkFile(j.path, j.d); err != nil {
+				if err := store.writeChunkFile(j.path, encodeDenseChunk(j.d)); err != nil {
 					w.setErr(err)
 				}
 			}
@@ -221,7 +221,7 @@ func (sp *outputSpiller) next(rows, cols int) *la.Dense {
 // rather than an index panic.
 func (sp *outputSpiller) emit(ci int, out *la.Dense) error {
 	if sp.writers == nil {
-		return sp.store.writeChunkFile(sp.paths[ci], out)
+		return sp.store.writeChunkFile(sp.paths[ci], encodeDenseChunk(out))
 	}
 	si := sp.shards[ci]
 	if si < 0 || si >= len(sp.writers) || sp.writers[si] == nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -462,6 +463,63 @@ func TestPushdownWrongShapeFallsBack(t *testing.T) {
 	}
 }
 
+// TestPushdownNeedsNoDriverRegistry: the driver runs the registered step it
+// holds and never resolves its name, so chunked k-means with the step's
+// registry entry removed — on a local-only store, and on a store whose
+// in-process chunkd shard then answers 501 and is read passively — is
+// bitwise the fit with the entry present.
+func TestPushdownNeedsNoDriverRegistry(t *testing.T) {
+	d := randDense(rand.New(rand.NewSource(46)), 61, 5) // ragged last chunk
+	fit := func(s *Store) *kmFit {
+		m, err := FromDense(s, d, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		km, err := kMeans(Exec{Workers: 2, Prefetch: 2}, m, 3, 4, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return km
+	}
+	same := func(what string, got, want *kmFit) {
+		t.Helper()
+		bitsEqual(t, what+" centroids", got.Centroids, want.Centroids)
+		if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("%s objective %v, want %v", what, got.Objective, want.Objective)
+		}
+		ga, err := got.Assign.Dense()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wa, err := want.Assign.Dense()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, what+" assignment", ga, wa)
+	}
+	want := fit(testStore(t))
+	pushed, _ := pushdownStore(t, 1)
+	defer pushed.Close()
+	same("with the entry, pushed down", fit(pushed), want)
+	if pushed.IOStats().ChunksExecuted == 0 {
+		t.Fatal("with the entry, no chunk ran on the chunkd shard")
+	}
+
+	mk := opRegistry["kmeans-assign-v2"]
+	delete(opRegistry, "kmeans-assign-v2")
+	defer func() { opRegistry["kmeans-assign-v2"] = mk }()
+	same("without the entry, local store", fit(testStore(t)), want)
+	passive, counters := pushdownStore(t, 1)
+	defer passive.Close()
+	same("without the entry, chunkd shard", fit(passive), want)
+	if n := counters[0].execs.Load(); n == 0 {
+		t.Fatal("without the entry, the chunkd shard was never asked")
+	}
+	if n := passive.IOStats().ChunksExecuted; n != 0 {
+		t.Fatalf("without the entry, %d chunks ran on a shard that cannot resolve the step", n)
+	}
+}
+
 // TestExecOpRoundTrip drives the client-server /exec pair directly: the
 // stream yields one decodable partial per requested chunk, in request
 // order, then a clean EOF.
@@ -483,16 +541,12 @@ func TestExecOpRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	st, err := prepareOp(OpCrossProd(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range chunks {
 		raw, err := ps.Next()
 		if err != nil {
 			t.Fatalf("partial %d: %v", i, err)
 		}
-		v, err := st.decodePartial(raw)
+		v, err := crossProdShape(3).decodePartial(raw)
 		if err != nil {
 			t.Fatalf("partial %d: %v", i, err)
 		}
@@ -516,6 +570,10 @@ func localCrossProd(t *testing.T, d *la.Dense, chunkRows int, ex Exec) (*la.Dens
 }
 
 func keyFor(i int) string { return fmt.Sprintf("chunk-%06d.bin", i+1) }
+
+// OpCrossProd is the crossprod op as a /exec request names it: each chunk
+// contributes chunkᵀ·chunk.
+func OpCrossProd() Op { return Op{Name: "crossprod"} }
 
 // TestServeExecProtocolErrors pins the /exec status codes the client's
 // probe logic depends on: unknown op → 501 (treated as "no pushdown
@@ -686,7 +744,7 @@ func TestPushdownAdmission(t *testing.T) {
 		bound := int64(nx.Workers + nx.Prefetch + 1 + 1)
 		got := la.NewDense(3, 3)
 		var committed, peak int64
-		err = m.StreamOp(ex, OpCrossProd(), func(ci int, v any) error {
+		err = MatOperand(ex, m).crossProd(func(ci int, v any) error {
 			// Hold chunk 0 back long enough for a reader without
 			// admission control to run far ahead of the commit.
 			for end := time.Now().Add(50 * time.Millisecond); ci == 0 && taken.Load() <= bound && time.Now().Before(end); {
@@ -743,7 +801,7 @@ func TestPushdownFailureLeavesNoGoroutine(t *testing.T) {
 				local.left.Store(1) // chunk 0 reads, chunk 3 fails
 			}
 			before := runtime.NumGoroutine()
-			err = m.StreamOp(ex, OpCrossProd(), func(ci int, v any) error {
+			err = MatOperand(ex, m).crossProd(func(ci int, v any) error {
 				if failRead {
 					return nil
 				}

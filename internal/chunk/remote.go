@@ -107,12 +107,10 @@ func retryable(resp *http.Response, err error) bool {
 }
 
 // do runs one request up to remoteAttempts times and returns the last
-// response's status, body, and declared Content-Length (what HEAD reports
-// a blob's size through). body (may be nil) is re-sent from the start on
-// every attempt. The response body is fully read, validated against the
-// response's Content-Length (except for HEAD, whose body is defined
-// empty), and the connection returned to the pool.
-func (b *RemoteBackend) do(method, u string, body []byte) (status int, respBody []byte, size int64, err error) {
+// response's status and body. body (may be nil) is re-sent from the start
+// on every attempt. The response body is fully read, validated against the
+// response's Content-Length, and the connection returned to the pool.
+func (b *RemoteBackend) do(method, u string, body []byte) (status int, respBody []byte, err error) {
 	for attempt := 0; ; attempt++ {
 		var r io.Reader
 		if body != nil {
@@ -120,7 +118,7 @@ func (b *RemoteBackend) do(method, u string, body []byte) (status int, respBody 
 		}
 		req, reqErr := http.NewRequest(method, u, r)
 		if reqErr != nil {
-			return 0, nil, 0, fmt.Errorf("chunk: remote %s %s: %w", method, u, reqErr)
+			return 0, nil, fmt.Errorf("chunk: remote %s %s: %w", method, u, reqErr)
 		}
 		if body != nil {
 			req.ContentLength = int64(len(body))
@@ -129,18 +127,18 @@ func (b *RemoteBackend) do(method, u string, body []byte) (status int, respBody 
 		if doErr == nil {
 			respBody, doErr = io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if doErr == nil && method != http.MethodHead && resp.ContentLength >= 0 && int64(len(respBody)) != resp.ContentLength {
+			if doErr == nil && resp.ContentLength >= 0 && int64(len(respBody)) != resp.ContentLength {
 				doErr = fmt.Errorf("body has %d bytes, Content-Length declared %d", len(respBody), resp.ContentLength)
 			}
 			if doErr == nil && !retryable(resp, nil) {
-				return resp.StatusCode, respBody, resp.ContentLength, nil
+				return resp.StatusCode, respBody, nil
 			}
 		}
 		if attempt+1 >= remoteAttempts {
 			if doErr != nil {
-				return 0, nil, 0, fmt.Errorf("chunk: remote %s %s: %w (after %d attempts)", method, u, doErr, attempt+1)
+				return 0, nil, fmt.Errorf("chunk: remote %s %s: %w (after %d attempts)", method, u, doErr, attempt+1)
 			}
-			return 0, nil, 0, fmt.Errorf("chunk: remote %s %s: server error %s: %s (after %d attempts)",
+			return 0, nil, fmt.Errorf("chunk: remote %s %s: server error %s: %s (after %d attempts)",
 				method, u, resp.Status, strings.TrimSpace(string(respBody)), attempt+1)
 		}
 		time.Sleep(remoteBackoff * time.Duration(attempt+1))
@@ -160,7 +158,7 @@ func (b *RemoteBackend) WriteChunk(key string, data []byte) error {
 		return fmt.Errorf("chunk: invalid chunk key %q", key)
 	}
 	u := b.chunkURL(key)
-	status, body, _, err := b.do(http.MethodPut, u, data)
+	status, body, err := b.do(http.MethodPut, u, data)
 	if err != nil {
 		return err
 	}
@@ -179,7 +177,7 @@ func (b *RemoteBackend) ReadChunk(key string) ([]byte, error) {
 		return nil, fmt.Errorf("chunk: invalid chunk key %q", key)
 	}
 	u := b.chunkURL(key)
-	status, body, _, err := b.do(http.MethodGet, u, nil)
+	status, body, err := b.do(http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +194,7 @@ func (b *RemoteBackend) Remove(key string) error {
 		return fmt.Errorf("chunk: invalid chunk key %q", key)
 	}
 	u := b.chunkURL(key)
-	status, body, _, err := b.do(http.MethodDelete, u, nil)
+	status, body, err := b.do(http.MethodDelete, u, nil)
 	if err != nil {
 		return err
 	}
@@ -210,7 +208,7 @@ func (b *RemoteBackend) Remove(key string) error {
 // remote analogue of startup orphan reaping).
 func (b *RemoteBackend) Reap() error {
 	u := b.base + "/chunks"
-	status, body, _, err := b.do(http.MethodDelete, u, nil)
+	status, body, err := b.do(http.MethodDelete, u, nil)
 	if err != nil {
 		return err
 	}
@@ -218,42 +216,6 @@ func (b *RemoteBackend) Reap() error {
 		return statusErr(http.MethodDelete, u, status, body)
 	}
 	return nil
-}
-
-// BytesOf reports the stored size from a HEAD request's Content-Length.
-func (b *RemoteBackend) BytesOf(key string) (int64, error) {
-	if !validChunkKey(key) {
-		return 0, fmt.Errorf("chunk: invalid chunk key %q", key)
-	}
-	u := b.chunkURL(key)
-	status, body, size, err := b.do(http.MethodHead, u, nil)
-	if err != nil {
-		return 0, err
-	}
-	if status != http.StatusOK {
-		return 0, statusErr(http.MethodHead, u, status, body)
-	}
-	return size, nil
-}
-
-// List fetches the server's stored chunk keys (the reap listing) —
-// ops/debugging surface, not used by the streaming hot path.
-func (b *RemoteBackend) List() ([]string, error) {
-	u := b.base + "/chunks"
-	status, body, _, err := b.do(http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, statusErr(http.MethodGet, u, status, body)
-	}
-	var keys []string
-	for _, line := range strings.Split(string(body), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			keys = append(keys, line)
-		}
-	}
-	return keys, nil
 }
 
 // ExecOp asks the chunk server to run the op over chunks it holds and

@@ -52,7 +52,8 @@ func remoteStore(t testing.TB, policy Placement) *Store {
 }
 
 // TestRemoteBackendRoundTrip exercises the wire protocol end to end:
-// write, size, list, read, remove, reap.
+// write, size, list, read, remove, reap. Size and list are chunkd's HEAD
+// and GET /chunks, which the store does not call; they are asked directly.
 func TestRemoteBackendRoundTrip(t *testing.T) {
 	b, dir := startChunkServer(t)
 	blob := []byte{1, 2, 3, 4, 5}
@@ -62,12 +63,16 @@ func TestRemoteBackendRoundTrip(t *testing.T) {
 	if err := b.WriteChunk("chunk-000002.bin", nil); err != nil { // 0-byte chunk (0-col matrices)
 		t.Fatal(err)
 	}
-	if n, err := b.BytesOf("chunk-000001.bin"); err != nil || n != int64(len(blob)) {
-		t.Fatalf("BytesOf = %d, %v, want %d", n, err, len(blob))
+	resp, err := http.Head(b.chunkURL("chunk-000001.bin"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	keys, err := b.List()
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("List = %v, %v, want 2 keys", keys, err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(blob)) {
+		t.Fatalf("HEAD = %s, Content-Length %d, want 200 and %d", resp.Status, resp.ContentLength, len(blob))
+	}
+	if keys := listChunks(t, b); len(keys) != 2 {
+		t.Fatalf("GET /chunks = %v, want 2 keys", keys)
 	}
 	got, err := b.ReadChunk("chunk-000001.bin")
 	if err != nil || !bytes.Equal(got, blob) {
@@ -96,9 +101,19 @@ func TestRemoteBackendRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "chunk-000009.bin"+tmpSuffix)); !os.IsNotExist(err) {
 		t.Fatalf("after Reap the tmp debris is still there: %v", err)
 	}
-	if keys, err := b.List(); err != nil || len(keys) != 0 {
-		t.Fatalf("after Reap: List = %v, %v", keys, err)
+	if keys := listChunks(t, b); len(keys) != 0 {
+		t.Fatalf("after Reap: GET /chunks = %v", keys)
 	}
+}
+
+// listChunks is the server's GET /chunks: its chunk keys, one per line.
+func listChunks(t *testing.T, b *RemoteBackend) []string {
+	t.Helper()
+	status, body, err := b.do(http.MethodGet, b.base+"/chunks", nil)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("GET /chunks = %d, %v", status, err)
+	}
+	return strings.Fields(string(body))
 }
 
 // TestChunkServerRejectsBadRequests: traversal keys, foreign paths, and

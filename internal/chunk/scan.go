@@ -99,9 +99,8 @@ func (o *Operand) load(ci, lo int, c la.Mat) (*block, error) {
 
 // Scan implements la.Operand on the chunk pipeline: step runs on the
 // workers, merge and the Tᵀ·P scatter on the calling goroutine in chunk
-// order, so results are bit-identical for every Exec. A step registered
-// as a chunk op runs through StreamOp when every block is just a stored
-// chunk, so on an exec-capable shard it executes where the chunk lives.
+// order, so results are bit-identical for every Exec, wherever a named
+// step ran (stream).
 func (o *Operand) Scan(step la.Step, merge func(any) error) (la.Tall, *la.Dense, error) {
 	m, tp, err := o.scan(step, merge)
 	if m == nil {
@@ -133,7 +132,7 @@ func (o *Operand) scan(step la.Step, merge func(any) error) (*Matrix, *la.Dense,
 		if red != nil {
 			red.Merge(sp.top, sp.keys, sp.p, sp.groups)
 		}
-		if sp.bufs != nil { // nil: a registered op's partial
+		if sp.bufs != nil { // nil: a registered step's or a shard's partial
 			select { // the free list holds at most the pass's in-flight window
 			case o.free <- sp.bufs:
 			default:
@@ -156,12 +155,9 @@ func (o *Operand) scan(step la.Step, merge func(any) error) (*Matrix, *la.Dense,
 	return out, tp, err
 }
 
-// stream runs the step over every block — as a registered op when it has
-// a name and every block is just a stored chunk — committing in order.
+// stream runs the step over every block, committing in order; over a
+// table with no arms a named step may run on the shards (/exec).
 func (o *Operand) stream(step la.Step, commit func(ci int, v any) error) (*Matrix, error) {
-	if step.Op != "" && len(o.arms) == 0 && step.OutCols == 0 {
-		return nil, o.rows.StreamOp(o.ex, Op{Name: step.Op, Params: appendDenseBlob(nil, step.Params)}, commit)
-	}
 	do, err := o.prepare(step)
 	if err != nil {
 		return nil, err
@@ -178,7 +174,11 @@ func (o *Operand) stream(step la.Step, commit func(ci int, v any) error) (*Matri
 	if step.OutCols > 0 {
 		return scanToMatrix(o.ex, o.rows, true, step.OutCols, mapFn, commit)
 	}
-	return nil, streamAs(o.rows, true, o.ex, func(ci, lo int, c la.Mat) (any, error) {
+	var op *execStep
+	if step.Op != "" && len(o.arms) == 0 {
+		op = &execStep{name: step.Op, params: step.Params, shape: stepShape(o.Cols(), step)}
+	}
+	return nil, o.rows.pipeline(o.ex, true, op, func(ci, lo int, c la.Mat) (any, error) {
 		_, part, err := mapFn(ci, lo, c)
 		return part, err
 	}, commit)
@@ -210,12 +210,19 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 		}
 		o.armNorms = append(o.armNorms, nr)
 	}
+	// A registered step's workspace is new for each block, never pooled:
+	// pooling k-means' raised train-ooc's peak RSS 3 to 6 MB (2 vCPUs).
+	pool := step.Op == ""
 	return func(b *block) (*la.Dense, any, error) {
 		var tx *la.Dense
 		var norms []float64
-		select { // a workspace a committed block gave back, or a new one
-		case b.Buffers = <-o.free:
-		default:
+		if pool {
+			select { // a workspace a committed block gave back
+			case b.Buffers = <-o.free:
+			default:
+			}
+		}
+		if b.Buffers == nil {
 			b.Buffers = new(la.Buffers)
 		}
 		b.Start(b.Rows(), step.OutCols, step.PCols) // Out is always new: it is spilled, maybe after the commit
@@ -231,9 +238,9 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 		if err != nil {
 			return nil, nil, err
 		}
-		sp := scanPart{part: r.Part, bufs: b.Buffers}
-		if o.free == nil { // a registered op's bare chunk: its partial keeps nothing
-			sp.bufs = nil
+		sp := scanPart{part: r.Part}
+		if pool {
+			sp.bufs = b.Buffers
 		}
 		if step.PCols > 0 {
 			sp.top = core.TMulBlock(b.S, r.P, r.Groups, step.PCols)
@@ -245,22 +252,26 @@ func (o *Operand) prepare(step la.Step) (func(*block) (*la.Dense, any, error), e
 	}, nil
 }
 
-// Gram implements la.Operand: TᵀT. A materialized table reduces the
-// registered crossprod op over its chunks, so each chunk held by an
-// exec-capable shard is mapped there and only its partial travels back.
+// Gram implements la.Operand: TᵀT. A materialized table sums its chunks'
+// CrossProd as the registered crossprod op (crossProd), so an exec-capable
+// shard maps its chunks and only their partials travel back.
 // A normalized one runs core.Gram's phases in a single pass over the scan,
 // one block per chunk. The arm-side blocks need the arms' feature matrices
 // in memory, so a chunked arm (M:N) is loaded whole for the pass.
 func (o *Operand) Gram() (*la.Dense, error) {
 	if len(o.arms) == 0 {
-		return reduceExec(o.ex, o.rows, OpCrossProd(), o.Cols(), o.Cols())
+		g := la.NewDense(o.Cols(), o.Cols())
+		if err := o.crossProd(func(_ int, v any) error { g.AddInPlace(v.(scanPart).top); return nil }); err != nil {
+			return nil, err
+		}
+		return g, nil
 	}
 	rs, err := o.armMats()
 	if err != nil {
 		return nil, err
 	}
 	g := core.NewGram(o.offs[0], rs, false)
-	err = o.rows.Stream(o.ex, func(ci, lo int, c la.Mat) (any, error) {
+	err = o.rows.pipeline(o.ex, false, nil, func(ci, lo int, c la.Mat) (any, error) {
 		b, err := o.load(ci, lo, c)
 		if err != nil {
 			return nil, err
@@ -274,6 +285,14 @@ func (o *Operand) Gram() (*la.Dense, error) {
 		return nil, err
 	}
 	return g.Finish(), nil
+}
+
+// crossProd commits each chunk's chunkᵀ·chunk, the top of a scanPart.
+func (o *Operand) crossProd(commit func(ci int, v any) error) error {
+	op := &execStep{name: "crossprod", shape: crossProdShape(o.Cols())}
+	return o.rows.pipeline(o.ex, true, op, func(_, _ int, c la.Mat) (any, error) {
+		return scanPart{top: c.CrossProd()}, nil
+	}, commit)
 }
 
 // armMats holds every arm's feature matrix in memory, loading a chunked

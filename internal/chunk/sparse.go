@@ -46,28 +46,12 @@ func FromCSR(store *Store, c *la.CSR, chunkRows int) (*SparseMatrix, error) {
 		kind: chunkKindCSR, decode: (*Store).readSparseChunk}, int64(c.NNZ())}
 	for ci := range paths {
 		lo, hi := m.chunkBounds(ci)
-		if err := store.writeSparseChunkFile(paths[ci], c.SliceRows(lo, hi)); err != nil {
+		if err := store.writeChunkFile(paths[ci], encodeSparseChunk(c.SliceRows(lo, hi))); err != nil {
 			store.release(paths)
 			return nil, err
 		}
 	}
 	return m, nil
-}
-
-// writeSparseChunkFile encodes one CSR chunk, stores it on the key's shard
-// backend — at its compressed size when the backend compresses — and
-// attributes the stored size to that shard on success.
-func (s *Store) writeSparseChunkFile(key string, c *la.CSR) error {
-	b, err := s.backendFor(key)
-	if err != nil {
-		return err
-	}
-	stored, err := writeSized(b, key, encodeSparseChunk(c))
-	if err != nil {
-		return err
-	}
-	s.recordWrite(key, stored)
-	return nil
 }
 
 // encodeSparseChunk serializes c in the CSR chunk layout (header, row

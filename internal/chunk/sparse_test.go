@@ -13,7 +13,7 @@ import (
 // CSR loads the whole matrix back into memory: its chunks stacked in order.
 func (m *SparseMatrix) CSR() (*la.CSR, error) {
 	parts := make([]*la.CSR, len(m.paths))
-	err := m.pipeline(Parallel(), false, func(ci, lo int, c *la.CSR) (any, error) {
+	err := m.pipeline(Parallel(), false, nil, func(ci, lo int, c la.Mat) (any, error) {
 		return c, nil
 	}, func(ci int, v any) error {
 		parts[ci] = v.(*la.CSR)

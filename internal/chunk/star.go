@@ -125,11 +125,11 @@ func (a AttrTable) tmul(ex Exec, p *la.Dense) (*la.Dense, error) {
 	return a.Disk.TMulExec(ex, p)
 }
 
-// norms computes the per-row ‖r_i‖² as a column, the way la.InMemory
-// takes them of an in-memory R: rowSums(R²).
+// norms computes the per-row ‖r_i‖² as a column without forming R², as
+// la.InMemory takes them (la.RowSquaredNorms: factorized for a nested arm).
 func (a AttrTable) norms(ex Exec) (*la.Dense, error) {
 	if a.R != nil {
-		return a.R.Pow(2).RowSums(), nil
+		return la.ColVector(la.RowSquaredNorms(a.R)), nil
 	}
 	return a.mapChunks(ex, 1, func(c *la.Dense) *la.Dense { return la.ColVector(la.RowSquaredNorms(c)) })
 }

@@ -54,8 +54,9 @@ type Block interface {
 // the block, T_b·X when X is set, and the rows' ‖t_i‖² when Norms is. tx is
 // the operand's own buffer, refilled each scan: it is valid only until Do
 // returns, so Result.Out is never tx. A step that is also registered by
-// name (Op, rebuilt from Params) may be run by the operand where the block
-// is stored: the same function either way.
+// name (Op, rebuilt from Params) may be run where the block is stored: the
+// same function either way, so its Part must be the PCols counts of its
+// Groups, the partial a store ships back beside its share of Tᵀ·P.
 type Step struct {
 	X       *Dense
 	Norms   bool
