@@ -19,12 +19,12 @@
 // speed-up, mirroring the series in the paper table/figure its id names.
 //
 // The out-of-core flags steer only Tables 9 and 10 (§5.2.4), which train
-// under the parallel prefetching chunk pipeline: -workers bounds its chunk
+// under the parallel chunk pipeline: -workers bounds its chunk
 // parallelism, -mem its decoded-chunk memory (chunk heights are derived
 // from it via chunk.AutoRows), -codec compresses chunks at rest and on the
 // wire (-list-codecs names the registered codecs). -tmpdir, -shards and
 // -remote-shards say where the chunks live: one directory, several
-// (different disks, size-aware placement), and/or morpheus-chunkd servers.
+// (different disks, round-robin placement), and/or morpheus-chunkd servers.
 //
 // -json emits one JSON array of experiments.Result objects
 // (id/title/header/rows/notes) on stdout.

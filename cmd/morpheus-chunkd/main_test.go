@@ -101,7 +101,7 @@ func TestChunkdServesPushdown(t *testing.T) {
 	for i := range d.Data() {
 		d.Data()[i] = rng.NormFloat64()
 	}
-	ex := chunk.Exec{Workers: 2, Prefetch: 2}
+	ex := chunk.Exec{Workers: 2}
 	var gram [2]*la.Dense
 	var km [2]*ml.KMeansFit
 	var stores [2]*chunk.Store

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -99,5 +100,42 @@ func TestServeMutableFleetsAgree(t *testing.T) {
 		} else if out != first {
 			t.Fatalf("%v prints other bytes than one scorer:\n%.300s\nwant\n%.300s", fleet, out, first)
 		}
+	}
+}
+
+// TestServeDrainAnswersAccepted: when a signal ends the request stream
+// (main closes it with errDrain), run answers every request it already
+// accepted, reports the drain on stderr and returns nil.
+func TestServeDrainAnswersAccepted(t *testing.T) {
+	const n = 40
+	var reqs strings.Builder
+	for id := 0; id < n; id++ {
+		fmt.Fprintf(&reqs, "%d\n", id*7%500)
+	}
+	want, _, err := serveRun(t, reqs.String(), "-iters", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	in, stream := io.Pipe()
+	var out, errOut bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append(append([]string{}, small...), "-iters", "2"), in, &out, &errOut)
+	}()
+	for _, line := range strings.SplitAfter(reqs.String(), "\n") {
+		if _, err := io.WriteString(stream, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream.CloseWithError(errDrain)
+	if err := <-done; err != nil {
+		t.Fatalf("drained run returned %v, want nil", err)
+	}
+	if out.String() != want {
+		t.Fatalf("drained run answered\n%.300s\nwant every accepted request answered:\n%.300s", out.String(), want)
+	}
+	if line := fmt.Sprintf("morpheus-serve: drained; accepted=%d rejected=0 ", n); !strings.Contains(errOut.String(), line) {
+		t.Fatalf("stderr %q lacks %q", errOut.String(), line)
 	}
 }

@@ -100,7 +100,7 @@ func TestWriteUntrackedKeyError(t *testing.T) {
 // panic — for both the synchronous and the write-behind spiller.
 func TestSpillerReleasedPathSurfacesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, ex := range []Exec{Serial, {Workers: 2, Prefetch: 2}} {
+	for _, ex := range []Exec{Serial, {Workers: 2}} {
 		s, _ := testShardedStore(t, 2, RoundRobin)
 		sp, err := newOutputSpiller(s, 3, ex, false)
 		if err != nil {
@@ -123,7 +123,7 @@ func TestSpillerReleasedPathSurfacesError(t *testing.T) {
 func TestSpillerForeignShardIndexSurfacesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	s, _ := testShardedStore(t, 2, RoundRobin)
-	sp, err := newOutputSpiller(s, 2, Exec{Workers: 2, Prefetch: 2}, false)
+	sp, err := newOutputSpiller(s, 2, Exec{Workers: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

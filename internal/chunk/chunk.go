@@ -9,7 +9,7 @@
 //
 // Execution is pipelined and parallel: every streaming pass runs as
 //
-//	reader ──bounded prefetch──▶ compute workers ──▶ ordered commit
+//	reader ──2W chunks ahead──▶ W compute workers ──▶ ordered commit
 //
 // so the next chunks are read from disk while the current ones are being
 // computed, and independent chunks proceed on all cores. Reductions are
@@ -45,27 +45,19 @@ var ErrClosed = errors.New("chunk: store closed")
 var ErrFreed = errors.New("chunk: use of freed matrix")
 
 // Placement selects how a sharded store spreads chunk files across its
-// directories.
+// shards. RoundRobin is the one policy.
 type Placement int
 
-const (
-	// RoundRobin cycles chunk allocations across the shard directories in
-	// order, balancing chunk counts.
-	RoundRobin Placement = iota
-	// LeastBytes places each new chunk on the shard currently holding the
-	// fewest bytes (chunks that are allocated but not yet written count at
-	// the store's average chunk size), so shards stay byte-balanced even
-	// when matrices of very different widths share the store.
-	LeastBytes
-)
+// RoundRobin cycles chunk allocations across the shards in order. It
+// balances chunk counts, and so bytes too: the chunks of each matrix, all
+// of one width, alternate across the shards.
+const RoundRobin Placement = 0
 
 // shard is one chunk backend (a spill directory or a remote chunk server)
-// plus its placement accounting.
+// plus its accounting.
 type shard struct {
 	backend Backend
 	bytes   int64 // written bytes currently tracked on this shard
-	chunks  int   // tracked chunks (written or pending)
-	pending int   // allocated but not yet written
 
 	chunksRead     int   // blobs fetched by passes
 	bytesRead      int64 // stored bytes of those fetches
@@ -85,12 +77,9 @@ type chunkInfo struct {
 // chunks at creation, Free deletes them, and Close deletes every file the
 // store still tracks, across all shards. A Store is safe for concurrent use.
 type Store struct {
-	policy Placement
-
 	mu     sync.Mutex
 	shards []shard
-	next   int
-	allocs int // round-robin cursor
+	next   int // chunks allocated so far: the key counter and the round-robin cursor
 	refs   map[string]*chunkInfo
 	closed bool
 
@@ -101,9 +90,9 @@ type Store struct {
 // NewShardedStoreBackends wraps arbitrary chunk backends as one store, so
 // local spill directories and remote chunk servers (NewRemoteBackend) can
 // shard one store's chunks between them; a local spill directory is
-// NewDirBackend. Placement policies, per-shard write-behind queues, the
+// NewDirBackend. Round-robin placement, per-shard write-behind queues, the
 // chunk lifecycle, and IOStats accounting are backend-agnostic and run
-// unchanged.
+// unchanged; policy must be RoundRobin.
 //
 // Each backend's stale blobs from a crashed previous run (Backend.Reap) are
 // removed before the store is returned.
@@ -111,11 +100,11 @@ func NewShardedStoreBackends(backends []Backend, policy Placement) (*Store, erro
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("chunk: sharded store needs at least one backend")
 	}
-	if policy != RoundRobin && policy != LeastBytes {
+	if policy != RoundRobin {
 		return nil, fmt.Errorf("chunk: unknown placement policy %d", policy)
 	}
 	seen := make(map[string]bool, len(backends))
-	s := &Store{policy: policy, refs: make(map[string]*chunkInfo)}
+	s := &Store{refs: make(map[string]*chunkInfo)}
 	for _, b := range backends {
 		if seen[b.Name()] {
 			return nil, fmt.Errorf("chunk: shard %q listed twice", b.Name())
@@ -132,38 +121,10 @@ func NewShardedStoreBackends(backends []Backend, policy Placement) (*Store, erro
 // NumShards reports the number of shard directories.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// pickShard chooses the shard for the next allocation. Caller holds mu.
-func (s *Store) pickShard() int {
-	if s.policy == RoundRobin || len(s.shards) == 1 {
-		return s.allocs % len(s.shards)
-	}
-	// LeastBytes: score pending (not-yet-written) chunks at the store's
-	// average written chunk size so a burst of allocations spreads out
-	// instead of piling onto whichever shard was lightest at alloc time.
-	var written int64
-	var nWritten int
-	for i := range s.shards {
-		written += s.shards[i].bytes
-		nWritten += s.shards[i].chunks - s.shards[i].pending
-	}
-	provisional := int64(1)
-	if nWritten > 0 && written/int64(nWritten) > 0 {
-		provisional = written / int64(nWritten)
-	}
-	best, bestScore := 0, int64(math.MaxInt64)
-	for i := range s.shards {
-		score := s.shards[i].bytes + int64(s.shards[i].pending)*provisional
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// alloc reserves n fresh chunk keys for one new matrix, placing each on a
-// shard by the store's policy. Keys are unique across the whole store (one
-// counter), so a key also names a unique blob within whichever backend it
-// lands on.
+// alloc reserves n fresh chunk keys for one new matrix, placing each on
+// the next shard in round-robin order. Keys are unique across the whole
+// store (one counter), so a key also names a unique blob within whichever
+// backend it lands on.
 func (s *Store) alloc(n int) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,13 +133,10 @@ func (s *Store) alloc(n int) ([]string, error) {
 	}
 	paths := make([]string, n)
 	for i := range paths {
+		si := s.next % len(s.shards)
 		s.next++
-		si := s.pickShard()
-		s.allocs++
 		p := fmt.Sprintf("chunk-%06d.bin", s.next)
 		s.refs[p] = &chunkInfo{shard: si}
-		s.shards[si].chunks++
-		s.shards[si].pending++
 		paths[i] = p
 	}
 	return paths, nil
@@ -250,8 +208,8 @@ func (s *Store) shardIndex(path string) int {
 // reference execution, whose strict read-compute-commit loop is pinned by
 // the benchmarks.
 func (s *Store) readOrder(keys []string, ex Exec) []int {
-	ex = ex.normalized()
-	if ex.Workers == 1 && ex.Prefetch == 0 {
+	lookahead, window := ex.depth()
+	if lookahead == 0 {
 		return nil
 	}
 	s.mu.Lock()
@@ -267,11 +225,11 @@ func (s *Store) readOrder(keys []string, ex Exec) []int {
 	}
 	numShards := len(s.shards)
 	s.mu.Unlock()
-	return interleavedOrder(shardOf, numShards, ex.Workers+ex.Prefetch+1)
+	return interleavedOrder(shardOf, numShards, window)
 }
 
 // recordWrite attributes a successfully written chunk file's size to its
-// shard. Written bytes drive the LeastBytes policy and the per-shard stats.
+// shard, for the per-shard stats.
 func (s *Store) recordWrite(path string, n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,7 +239,6 @@ func (s *Store) recordWrite(path string, n int64) {
 	}
 	info.written = true
 	info.bytes = n
-	s.shards[info.shard].pending--
 	s.shards[info.shard].bytes += n
 }
 
@@ -340,12 +297,7 @@ func (s *Store) release(paths []string) error {
 		}
 		delete(s.refs, p)
 		sh := &s.shards[info.shard]
-		sh.chunks--
-		if info.written {
-			sh.bytes -= info.bytes
-		} else {
-			sh.pending--
-		}
+		sh.bytes -= info.bytes
 		removals = append(removals, removal{backend: sh.backend, key: p})
 	}
 	s.mu.Unlock()
@@ -650,10 +602,10 @@ func (m *Matrix) Chunk(ci int) (lo int, c *la.Dense, err error) {
 // Dense loads the whole matrix into memory (tests and small data only).
 func (m *Matrix) Dense() (*la.Dense, error) {
 	out := la.NewDense(m.rows, m.cols)
-	err := m.ForEach(func(lo int, c *la.Dense) error {
-		copy(out.Data()[lo*m.cols:], c.Data())
-		return nil
-	})
+	err := m.pipeline(Exec{}, false, nil, func(_, lo int, c la.Mat) (any, error) {
+		copy(out.Data()[lo*m.cols:], c.(*la.Dense).Data())
+		return nil, nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -123,7 +123,7 @@ func TestChunkedOpsMatchInMemory(t *testing.T) {
 		t.Fatal("chunked Mul mismatch")
 	}
 	xt := randDense(rng, 40, 2)
-	tm, err := m.TMulExec(Parallel(), xt)
+	tm, err := la.ScanTMul(MatOperand(Parallel(), m), xt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,14 +317,14 @@ func TestClosureMatrix(t *testing.T) {
 			}
 			return st
 		}},
-		{"parallel", Exec{Workers: 4, Prefetch: 6}, testStore},
+		{"parallel", Exec{Workers: 4}, testStore},
 		{"sharded", Parallel(), func(t *testing.T) *Store {
 			st, _ := testShardedStore(t, 2, RoundRobin)
 			return st
 		}},
 		// Two in-process chunkd workers beside a local shard: placement is
 		// the store's, so the same Exec runs registered steps on them.
-		{"pushdown", Exec{Workers: 3, Prefetch: 4}, func(t *testing.T) *Store {
+		{"pushdown", Exec{Workers: 3}, func(t *testing.T) *Store {
 			st, _ := pushdownStore(t, 2)
 			return st
 		}},
@@ -387,7 +387,7 @@ func TestClosureMatrix(t *testing.T) {
 			// the error surfaces and no output chunk outlives the fit.
 			for _, op := range ops {
 				for _, algo := range closureAlgos {
-					for _, ex := range []Exec{Serial, {Workers: 3, Prefetch: 2}} {
+					for _, ex := range []Exec{Serial, {Workers: 3}} {
 						failing.left.Store(9)
 						_, err := algo.chunked(op.op(ex), op.y)
 						failing.left.Store(neverFail)

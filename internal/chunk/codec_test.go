@@ -291,7 +291,7 @@ func TestWrappedDifferentialDrivers(t *testing.T) {
 	if remote, err = NewCompressingBackend(remote, CodecShuffleFlate); err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := NewShardedStoreBackends([]Backend{local, remote}, LeastBytes)
+	wrapped, err := NewShardedStoreBackends([]Backend{local, remote}, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestWrappedMidStreamFailureAccounting(t *testing.T) {
 	baselineChunks := s.LiveChunks()
 	baselineBytes := s.BytesOnDisk()
 
-	ex := Exec{Workers: 2, Prefetch: 2}
+	ex := Exec{Workers: 2}
 
 	fault.arm("read")
 	if _, err := logRegM(ex, d, y, 2, 1e-3); err == nil {

@@ -118,7 +118,7 @@ func corruptLastChunk(t *testing.T, dir string) {
 // removed and nothing half-registered (the satellite bugfix for
 // out.paths being appended before writeChunk succeeded).
 func TestMapOpsCleanUpOnMidStreamFailure(t *testing.T) {
-	for _, ex := range []Exec{Serial, {Workers: 4, Prefetch: 2}} {
+	for _, ex := range []Exec{Serial, {Workers: 4}} {
 		rng := rand.New(rand.NewSource(9))
 		dir := t.TempDir()
 		store, err := newStore(dir)
@@ -234,7 +234,7 @@ func TestDamagedKeyChunkSurfacesError(t *testing.T) {
 			col.Set(1, 0, bad)
 			must(os.WriteFile(file, encodeDenseChunk(col), 0o644))
 			for name, pass := range passes {
-				for _, ex := range []Exec{Serial, {Workers: 3, Prefetch: 2}} {
+				for _, ex := range []Exec{Serial, {Workers: 3}} {
 					err := pass(tc.nt, ex)
 					if err == nil || !strings.Contains(err.Error(), tc.col.m.paths[0]) {
 						t.Fatalf("%s/%s under %+v with key %v: err = %v, want one naming %s", tc.name, name, ex, bad, err, tc.col.m.paths[0])

@@ -98,7 +98,7 @@ func TestChunkedGNMFSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := gnmf(Exec{Workers: 4, Prefetch: 8}, tc, 3, 5, 2)
+	b, err := gnmf(Exec{Workers: 4}, tc, 3, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

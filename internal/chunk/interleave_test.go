@@ -80,16 +80,16 @@ func TestPipelineShardInterleave(t *testing.T) {
 	}
 	defer st.Close()
 
-	const n, d, chunkRows = 64, 3, 8 // 8 chunks alternating shards
+	const n, d, chunkRows = 64, 3, 4 // 16 chunks alternating shards
 	data := randDense(rng, n, d)
 	m, err := FromDense(st, data, chunkRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers 1 + Prefetch 1: window 3, so window [3,4,5] holds shard-1
-	// chunk 3 behind shard-0 chunk 4 and the interleave is not the
-	// identity.
-	ex := Exec{Workers: 1, Prefetch: 1}
+	// Workers 2: window 7, so window [7..13] starts on shard 1 and its
+	// round-robin reads shard-0 chunk 8 before shard-1 chunk 7: the
+	// interleave is not the identity.
+	ex := Exec{Workers: 2}
 	order := m.store.readOrder(m.paths, ex)
 	if order == nil {
 		t.Fatal("2-shard store: expected a non-nil read order")

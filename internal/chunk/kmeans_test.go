@@ -157,7 +157,7 @@ func BenchmarkChunkedKMeans(b *testing.B) {
 		memBudget = 1 << 20 // 1 MiB of resident decoded chunks
 	)
 	ex := Parallel()
-	chunkRows := AutoRows(memBudget, d, ex.Workers, ex.Prefetch)
+	chunkRows, _ := AutoRowsChecked(memBudget, d, ex.Workers)
 	rng := rand.New(rand.NewSource(1))
 	m, err := Build(store, n, d, chunkRows, func(lo, hi int, dst *la.Dense) {
 		for i := range dst.Data() {

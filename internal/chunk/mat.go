@@ -3,7 +3,6 @@ package chunk
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/la"
 )
@@ -136,8 +135,7 @@ func (m *chunked[C]) pipeline(ex Exec, own bool, op *execStep, mapFn func(ci, lo
 		c    C
 		part any // a shard's partial, in place of the chunk
 	}
-	nx := ex.normalized()
-	window := nx.Workers + nx.Prefetch + 1
+	_, window := ex.depth()
 	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
 		func(ci int) (item, error) {
 			if ci < len(src) && src[ci] != nil && src[ci].ps != nil {
@@ -219,33 +217,10 @@ func (m *chunked[C]) openExec(ctx context.Context, op *execStep) []*execStream {
 	return src
 }
 
-// ForEach streams every chunk through fn in row order (the ore.rowapply
-// analogue). The next chunk is prefetched from disk while fn runs on the
-// current one, but fn itself is never called concurrently.
-func (m *chunked[C]) ForEach(fn func(lo int, chunk C) error) error {
-	return m.ForEachExec(Exec{Workers: 1, Prefetch: 2}, fn)
-}
-
-// ForEachExec streams every chunk through fn under the given execution.
-// With ex.Workers > 1, fn is called concurrently from multiple goroutines
-// and chunk order is unspecified; fn must be safe for concurrent use.
-// Use Stream when per-chunk results must be combined in chunk order.
-func (m *chunked[C]) ForEachExec(ex Exec, fn func(lo int, chunk C) error) error {
-	return m.pipeline(ex, false, nil, func(ci, lo int, c la.Mat) (any, error) {
-		return nil, fn(lo, c.(C))
-	}, nil)
-}
-
 // Stream is the chunk pipeline with each decoded chunk delivered as an
 // la.Mat. mapFn may keep its chunk.
 func (m *chunked[C]) Stream(ex Exec, mapFn func(ci, lo int, c la.Mat) (any, error), commit func(ci int, v any) error) error {
 	return m.pipeline(ex, false, nil, mapFn, commit)
-}
-
-// TMulExec computes mᵀ·x for an in-memory x, accumulating the (small)
-// cols×xCols output in memory.
-func (m *chunked[C]) TMulExec(ex Exec, x *la.Dense) (*la.Dense, error) {
-	return la.ScanTMul(MatOperand(ex, m), x)
 }
 
 // CrossProdExec computes mᵀ·m under the given execution. The per-chunk
@@ -281,16 +256,19 @@ func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, 
 	return newMatrix(t.Store(), t.Rows(), outCols, t.ChunkRows(), paths), nil
 }
 
-// AutoRows picks a chunk height from a memory budget: the pipeline keeps at
-// most workers+prefetch+1 decoded input chunks resident (admission tickets,
-// see runPipelineOrder), so the chunk height that fills memBudgetBytes is
+// AutoRows picks a chunk height from a memory budget: a pass under
+// Exec{Workers: workers} keeps at most its window of decoded input chunks
+// resident (admission tickets, see runPipelineOrder and Exec.depth) —
+// 3·workers+1 for workers > 1, two for the serial loop — so the chunk
+// height that fills memBudgetBytes is
 //
-//	chunkRows = memBudgetBytes / ((workers+prefetch+1) · cols · 8)
+//	chunkRows = memBudgetBytes / (window · cols · 8)
 //
-// clamped to [1, 1<<20]. workers<=0 means GOMAXPROCS, matching Exec;
-// prefetch<0 means 0. Use it instead of hard-coding chunk heights: it keeps
-// the same pass under the same budget whether the table is wide or narrow
-// and whether one worker or thirty-two are running.
+// clamped to [1, 1<<20]. workers<=0 means GOMAXPROCS, matching Exec. The
+// fourth argument is unused: the lookahead follows from workers. Use it
+// instead of hard-coding chunk heights: it keeps the same pass under the
+// same budget whether the table is wide or narrow and whether one worker
+// or thirty-two are running.
 //
 // The budget covers the decoded *input* chunks. Passes that spill a chunked
 // output (a scan step with OutCols, Materialize) additionally hold up to
@@ -304,8 +282,8 @@ func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, 
 // as physically possible to) the budget instead of silently
 // overcommitting it. AutoRowsChecked additionally reports when even
 // one-row chunks exceed the budget.
-func AutoRows(memBudgetBytes int64, cols, workers, prefetch int) int {
-	rows, _ := AutoRowsChecked(memBudgetBytes, cols, workers, prefetch)
+func AutoRows(memBudgetBytes int64, cols, workers, _ int) int {
+	rows, _ := AutoRowsChecked(memBudgetBytes, cols, workers)
 	return rows
 }
 
@@ -314,23 +292,18 @@ func AutoRows(memBudgetBytes int64, cols, workers, prefetch int) int {
 // non-nil when the budget cannot hold even one row of the operand per
 // resident chunk — the caller is about to stream wider than its memory
 // bound and should raise the budget or narrow the operand.
-func AutoRowsChecked(memBudgetBytes int64, cols, workers, prefetch int) (int, error) {
+func AutoRowsChecked(memBudgetBytes int64, cols, workers int) (int, error) {
 	const maxRows = 1 << 20
 	if cols <= 0 {
 		cols = 1
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if prefetch < 0 {
-		prefetch = 0
-	}
-	resident := int64(workers+prefetch+1) * int64(cols) * 8
+	_, window := Exec{Workers: workers}.depth()
+	resident := int64(window) * int64(cols) * 8
 	rows := memBudgetBytes / resident
 	switch {
 	case rows < 1:
 		return 1, fmt.Errorf("chunk: memory budget %d B cannot hold one %d-column row in each of the %d resident chunks (needs %d B); clamping to 1-row chunks",
-			memBudgetBytes, cols, workers+prefetch+1, resident)
+			memBudgetBytes, cols, window, resident)
 	case rows > maxRows:
 		return maxRows, nil
 	default:

@@ -175,9 +175,16 @@ func TestWriteBehindBitIdentical(t *testing.T) {
 
 // TestAutoRows checks the budget arithmetic and the clamps.
 func TestAutoRows(t *testing.T) {
-	// 1 MiB over (4+3+1 resident chunks)·16 cols·8 B = 1024 rows.
-	if got := AutoRows(1<<20, 16, 4, 3); got != 1024 {
-		t.Fatalf("AutoRows(1MiB,16,4,3) = %d, want 1024", got)
+	// 4 workers keep a window of 3·4+1 = 13 resident chunks: a budget of
+	// 1024 rows of them, whatever the unused fourth argument says.
+	for _, prefetch := range []int{0, 3, 8} {
+		if got := AutoRows(1024*13*16*8, 16, 4, prefetch); got != 1024 {
+			t.Fatalf("AutoRows(1024·13·16·8, 16, 4, %d) = %d, want 1024", prefetch, got)
+		}
+	}
+	// The serial loop keeps two.
+	if got, _ := AutoRowsChecked(100*2*16*8, 16, 1); got != 100 {
+		t.Fatalf("serial: got %d, want 100", got)
 	}
 	// A budget smaller than one row of the widest operand clamps to one
 	// row — never 0, never the old overcommitting 64-row floor — and
@@ -185,16 +192,16 @@ func TestAutoRows(t *testing.T) {
 	if got := AutoRows(1, 1000, 8, 16); got != 1 {
 		t.Fatalf("tiny budget: got %d, want 1", got)
 	}
-	rows, err := AutoRowsChecked(1, 1000, 8, 16)
+	rows, err := AutoRowsChecked(1, 1000, 8)
 	if rows != 1 || err == nil {
-		t.Fatalf("AutoRowsChecked(1,1000,8,16) = (%d, %v), want (1, infeasibility error)", rows, err)
+		t.Fatalf("AutoRowsChecked(1,1000,8) = (%d, %v), want (1, infeasibility error)", rows, err)
 	}
 	if got := AutoRows(0, 1<<30, 0, -1); got < 1 {
 		t.Fatalf("zero budget over a 2^30-wide operand: got %d, want >= 1", got)
 	}
 	// A budget worth only a few rows honors the budget: the pass streams
 	// shorter chunks rather than overcommitting.
-	under, err := AutoRowsChecked(10*1000*8*(8+16+1), 1000, 8, 16)
+	under, err := AutoRowsChecked(10*1000*8*(3*8+1), 1000, 8)
 	if err != nil {
 		t.Fatalf("10-row budget unexpectedly infeasible: %v", err)
 	}
@@ -206,14 +213,14 @@ func TestAutoRows(t *testing.T) {
 		t.Fatalf("huge budget: got %d, want %d", got, 1<<20)
 	}
 	// Wider tables get shorter chunks under the same budget.
-	narrow := AutoRows(1<<24, 8, 4, 4)
-	wide := AutoRows(1<<24, 64, 4, 4)
+	narrow := AutoRows(1<<24, 8, 4, 0)
+	wide := AutoRows(1<<24, 64, 4, 0)
 	if wide >= narrow {
 		t.Fatalf("wider table should get shorter chunks: narrow=%d wide=%d", narrow, wide)
 	}
 	// More workers get shorter chunks under the same budget.
-	few := AutoRows(1<<24, 16, 2, 2)
-	many := AutoRows(1<<24, 16, 16, 16)
+	few := AutoRows(1<<24, 16, 2, 0)
+	many := AutoRows(1<<24, 16, 16, 0)
 	if many >= few {
 		t.Fatalf("more workers should get shorter chunks: few=%d many=%d", few, many)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // parExec exercises real worker fan-out even on a single-core runner.
-var parExec = Exec{Workers: 4, Prefetch: 3}
+var parExec = Exec{Workers: 4}
 
 // TestParallelOpsMatchInMemory pins the parallel chunked operators to
 // their in-memory la counterparts (within 1e-12) and to the serial
@@ -48,14 +48,14 @@ func TestParallelOpsMatchInMemory(t *testing.T) {
 	}
 
 	xt := randDense(rng, 103, 2)
-	tmP, err := m.TMulExec(parExec, xt)
+	tmP, err := la.ScanTMul(MatOperand(parExec, m), xt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if la.MaxAbsDiff(tmP, la.TMatMul(d, xt)) > 1e-12 {
 		t.Fatal("parallel TMul deviates from in-memory")
 	}
-	tmS, err := m.TMulExec(Serial, xt)
+	tmS, err := la.ScanTMul(MatOperand(Serial, m), xt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +182,9 @@ func TestParallelGLMMatchesSerialMN(t *testing.T) {
 	}
 }
 
-// TestForEachExecConcurrent checks that the unordered parallel ForEach
-// visits every chunk exactly once and tolerates concurrent fn calls.
-func TestForEachExecConcurrent(t *testing.T) {
+// TestStreamMapsEachChunkOnce checks that a parallel pass with no commit
+// maps every chunk exactly once under concurrent mapFn calls.
+func TestStreamMapsEachChunkOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	s := testStore(t)
 	d := randDense(rng, 90, 3)
@@ -195,18 +195,18 @@ func TestForEachExecConcurrent(t *testing.T) {
 	var rows atomic.Int64
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	err = m.ForEachExec(parExec, func(lo int, c *la.Dense) error {
+	err = m.Stream(parExec, func(_, lo int, c la.Mat) (any, error) {
 		rows.Add(int64(c.Rows()))
 		mu.Lock()
 		if seen[lo] {
 			mu.Unlock()
 			t.Errorf("chunk at %d visited twice", lo)
-			return nil
+			return nil, nil
 		}
 		seen[lo] = true
 		mu.Unlock()
-		return nil
-	})
+		return nil, nil
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	if _, err := mulExec(MatOperand(parExec, m), randDense(rng, 4, 2)); err == nil {
 		t.Fatal("parallel Mul succeeded on corrupt store")
 	}
-	if err := m.ForEachExec(parExec, func(lo int, c *la.Dense) error { return nil }); err == nil {
-		t.Fatal("parallel ForEach succeeded on corrupt store")
+	if err := m.Stream(parExec, func(_, _ int, _ la.Mat) (any, error) { return nil, nil }, nil); err == nil {
+		t.Fatal("parallel Stream succeeded on corrupt store")
 	}
 }

@@ -8,49 +8,46 @@ import (
 	"repro/internal/la"
 )
 
-// Exec configures how a streaming pass executes. The zero value is
-// normalized to the full parallel configuration; use Serial for the
-// strictly sequential read-compute-read loop (the pre-parallel engine,
-// kept as the baseline the benchmarks compare against).
+// Exec configures how a streaming pass executes: by its worker count
+// alone. Workers 1 is the strictly sequential read-compute-read loop (the
+// pre-parallel engine, kept as the baseline the benchmarks compare
+// against); W > 1 workers are fed by a reader running 2W chunks ahead
+// (depth). The zero value is Parallel().
 type Exec struct {
 	// Workers is the number of goroutines computing over chunks
 	// concurrently (<=0 means GOMAXPROCS).
 	Workers int
-	// Prefetch bounds how many decoded chunks the background reader may
-	// buffer ahead of the compute workers (<0 means 0). Workers=1 with
-	// Prefetch=1 is the classic double-buffered pipeline: the next chunk
-	// is read while the current one is computed.
-	Prefetch int
 }
 
 // Serial is the strictly sequential execution: one chunk is read,
 // computed, and committed before the next is touched.
-var Serial = Exec{Workers: 1, Prefetch: 0}
+var Serial = Exec{Workers: 1}
 
 // Parallel returns the default parallel execution: GOMAXPROCS compute
-// workers fed by a prefetching reader that keeps up to 2×Workers decoded
-// chunks in flight, so I/O and compute overlap and independent chunks
-// proceed concurrently.
-func Parallel() Exec {
-	w := runtime.GOMAXPROCS(0)
-	return Exec{Workers: w, Prefetch: 2 * w}
-}
+// workers fed by a reader that keeps up to 2×Workers decoded chunks
+// ahead, so I/O and compute overlap and independent chunks proceed
+// concurrently.
+func Parallel() Exec { return Exec{Workers: runtime.GOMAXPROCS(0)} }
 
-// normalized resolves the zero value to the full parallel configuration:
-// when Workers is defaulted, an unset Prefetch defaults alongside it to
-// Parallel()'s 2×Workers, so Exec{} ≡ Parallel(). An explicit Workers
-// count leaves Prefetch: 0 meaning no prefetching, as documented.
+// normalized resolves Workers <= 0 to GOMAXPROCS, so Exec{} ≡ Parallel().
 func (ex Exec) normalized() Exec {
 	if ex.Workers <= 0 {
 		ex.Workers = runtime.GOMAXPROCS(0)
-		if ex.Prefetch == 0 {
-			ex.Prefetch = 2 * ex.Workers
-		}
-	}
-	if ex.Prefetch < 0 {
-		ex.Prefetch = 0
 	}
 	return ex
+}
+
+// depth is what the worker count sets: how many decoded chunks the reader
+// may buffer ahead of the workers (none for the serial loop, 2W for W > 1)
+// and the pass's in-flight window, Workers+lookahead+1 — the chunks held
+// between read and ordered commit, the bound AutoRows sizes chunks for and
+// every per-pass free list keeps to.
+func (ex Exec) depth() (lookahead, window int) {
+	w := ex.normalized().Workers
+	if w > 1 {
+		lookahead = 2 * w
+	}
+	return lookahead, w + lookahead + 1
 }
 
 // writeJob is one finished output chunk awaiting spill by the write-behind
@@ -63,7 +60,7 @@ type writeJob struct {
 // spillWriter is the dedicated write-behind stage: compute workers enqueue
 // finished output chunks onto a bounded queue and a single writer goroutine
 // spills them to disk, overlapping output I/O with compute the same way the
-// prefetching reader overlaps input I/O. enqueue blocks when the queue is
+// reader running ahead overlaps input I/O. enqueue blocks when the queue is
 // full, which bounds in-memory output-chunk residency at the queue depth.
 // After the first write error the writer keeps draining (so blocked
 // producers always make progress) but drops the jobs; the error surfaces on
@@ -130,8 +127,9 @@ func (w *spillWriter) close() error {
 
 // outputSpiller pairs freshly allocated output chunk paths with the
 // writers that spill mapped chunks to them: asynchronous (write-behind)
-// whenever the execution is pipelined, strictly synchronous for the Serial
-// baseline so the reference path stays read-compute-write. Under a sharded
+// whenever the execution is pipelined or the spill is Build's, strictly
+// synchronous for a Serial pass so the reference path stays
+// read-compute-write. Under a sharded
 // store the spiller runs one write-behind queue per shard, so output
 // chunks placed on different disks are written concurrently. Output bytes
 // are identical either way — only the overlap changes.
@@ -151,8 +149,10 @@ type outputSpiller struct {
 // chunk completion.
 const spillQueueDepth = 2
 
-// newOutputSpiller allocates n output chunks. With recycle (Build, under a
-// pipelined ex) written chunks' buffers come back through next.
+// newOutputSpiller allocates n output chunks. With recycle (Build, whose
+// gen runs on the caller, so its writes are behind even for one worker)
+// written chunks' buffers come back through next, at most ex's window of
+// them.
 func newOutputSpiller(store *Store, n int, ex Exec, recycle bool) (*outputSpiller, error) {
 	paths, err := store.alloc(n)
 	if err != nil {
@@ -170,9 +170,9 @@ func newOutputSpiller(store *Store, n int, ex Exec, recycle bool) (*outputSpille
 		}
 		sp.shards[i] = si
 	}
-	if nx := ex.normalized(); nx.Workers > 1 || nx.Prefetch > 0 {
+	if lookahead, window := ex.depth(); lookahead > 0 || recycle {
 		if recycle {
-			sp.free = make(chan *la.Dense, nx.Workers+nx.Prefetch+1)
+			sp.free = make(chan *la.Dense, window)
 		}
 		sp.writers = make([]*spillWriter, store.NumShards())
 		for i, si := range sp.shards {
@@ -270,11 +270,11 @@ type loaded[T any] struct {
 // present in the window, so every disk (or remote chunk server) streams
 // concurrently instead of serving the pass one shard at a time.
 //
-// The window never exceeds the pipeline's admission bound
-// (Workers+Prefetch+1): the reader cannot enter window w+1 before every
-// chunk of window w has been read, so whenever the ordered committer is
-// waiting on chunk `next`, at most window-1 < inflight later chunks hold
-// tickets and the ticket for `next`'s read is always admittable — a
+// The window never exceeds the pipeline's admission bound (Exec.depth):
+// the reader cannot enter window w+1 before every chunk of window w has
+// been read, so whenever the ordered committer is waiting on chunk
+// `next`, at most window-1 < inflight later chunks hold tickets and the
+// ticket for `next`'s read is always admittable — a
 // global (unwindowed) shuffle could instead fill every ticket with
 // later-ordered chunks and deadlock against the ascending-ci commit.
 // Commits still run in ascending chunk order, so results are bit-identical
@@ -335,7 +335,7 @@ func interleavedOrder(shardOf []int, numShards, window int) []int {
 // of interleavedOrder to spread a multi-shard pass's reads round-robin
 // across the shards; because commit order is unchanged, the read order
 // never affects results — only which disk is busy when. The serial
-// reference path (Workers 1, Prefetch 0) always reads in chunk order.
+// reference path (Workers 1) always reads in chunk order.
 // mapFn runs on ex.Workers goroutines and must not touch shared state.
 // commit runs on the calling goroutine, in ascending ci order regardless
 // of which worker finishes first — reductions committed this way are
@@ -351,7 +351,8 @@ func runPipelineOrder[T any](n int, ex Exec, order []int,
 		return nil
 	}
 	ex = ex.normalized()
-	if ex.Workers == 1 && ex.Prefetch == 0 {
+	lookahead, inflight := ex.depth()
+	if lookahead == 0 {
 		// Strictly serial reference path.
 		for ci := 0; ci < n; ci++ {
 			c, err := read(ci)
@@ -386,16 +387,15 @@ func runPipelineOrder[T any](n int, ex Exec, order []int,
 	// backpressure — unbounded memory in exactly the larger-than-RAM
 	// regime this engine exists for. The ticket is acquired before the
 	// read and released after the commit, so decoded-chunk residency is
-	// capped at Workers+Prefetch+1 regardless of worker skew. Releasing
-	// at commit (in ci order) cannot deadlock: the straggler holds a
-	// ticket, so its result always has room to reach the committer.
-	inflight := ex.Workers + ex.Prefetch + 1
+	// capped at the window regardless of worker skew. Releasing at commit
+	// (in ci order) cannot deadlock: the straggler holds a ticket, so its
+	// result always has room to reach the committer.
 	tickets := make(chan struct{}, inflight)
 
 	if len(order) != n {
 		order = nil
 	}
-	feed := make(chan loaded[T], ex.Prefetch)
+	feed := make(chan loaded[T], lookahead)
 	go func() {
 		defer close(readerDone)
 		defer close(feed)

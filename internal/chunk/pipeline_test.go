@@ -1,57 +1,75 @@
 package chunk
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestExecZeroValueIsParallel pins the documented zero-value contract:
-// Exec{} normalizes to the full parallel configuration — Parallel()'s
-// workers AND prefetch — while Serial and explicit worker counts keep
-// their stated meaning.
+// TestExecZeroValueIsParallel pins the one setting's contract: Exec{}
+// normalizes to Parallel(), Serial has no lookahead, and W > 1 workers
+// read 2W chunks ahead inside a window of 3W+1.
 func TestExecZeroValueIsParallel(t *testing.T) {
-	zero := Exec{}.normalized()
-	par := Parallel().normalized()
-	if zero != par {
+	if zero, par := (Exec{}).normalized(), Parallel().normalized(); zero != par {
 		t.Fatalf("Exec{}.normalized() = %+v, want Parallel() = %+v", zero, par)
 	}
-	if par.Prefetch != 2*par.Workers {
-		t.Fatalf("Parallel().normalized() prefetch = %d, want 2×%d", par.Prefetch, par.Workers)
+	if nx := (Exec{Workers: -3}).normalized(); nx.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Exec{Workers: -3}.normalized() = %+v, want GOMAXPROCS workers", nx)
 	}
+	if ahead, win := Serial.depth(); ahead != 0 || win != 2 {
+		t.Fatalf("Serial.depth() = (%d, %d), want no lookahead, window 2", ahead, win)
+	}
+	for _, w := range []int{2, 3, 4, 8} {
+		if ahead, win := (Exec{Workers: w}).depth(); ahead != 2*w || win != 3*w+1 {
+			t.Fatalf("Exec{Workers: %d}.depth() = (%d, %d), want (%d, %d)", w, ahead, win, 2*w, 3*w+1)
+		}
+	}
+}
 
-	ser := Serial.normalized()
-	if ser.Workers != 1 || ser.Prefetch != 0 {
-		t.Fatalf("Serial.normalized() = %+v, want workers=1 prefetch=0", ser)
+// TestSerialCommitsBeforeNextRead pins the serial reference loop: chunk
+// ci+1 is read only after chunk ci has been committed.
+func TestSerialCommitsBeforeNextRead(t *testing.T) {
+	const n = 16
+	var events []string
+	read := func(ci int) (int, error) {
+		events = append(events, fmt.Sprint("read ", ci))
+		return ci, nil
 	}
-
-	// An explicit worker count with Prefetch: 0 means "no prefetching",
-	// as documented — only the all-defaulted zero value gets the parallel
-	// prefetch depth.
-	explicit := Exec{Workers: 3}.normalized()
-	if explicit.Workers != 3 || explicit.Prefetch != 0 {
-		t.Fatalf("Exec{Workers: 3}.normalized() = %+v, want workers=3 prefetch=0", explicit)
+	mapFn := func(ci int, c int) (any, error) { return c, nil }
+	commit := func(ci int, v any) error {
+		events = append(events, fmt.Sprint("commit ", ci))
+		return nil
 	}
-
-	// Negative prefetch still clamps to 0, with and without workers set.
-	if nx := (Exec{Workers: 2, Prefetch: -1}).normalized(); nx.Prefetch != 0 {
-		t.Fatalf("negative prefetch normalized to %d, want 0", nx.Prefetch)
+	if err := runPipelineOrder(n, Serial, nil, read, mapFn, commit); err != nil {
+		t.Fatal(err)
 	}
-	if nx := (Exec{Prefetch: -1}).normalized(); nx.Workers != runtime.GOMAXPROCS(0) || nx.Prefetch != 0 {
-		t.Fatalf("Exec{Prefetch: -1}.normalized() = %+v, want workers=GOMAXPROCS prefetch=0", nx)
+	if len(events) != 2*n {
+		t.Fatalf("%d events, want %d: %v", len(events), 2*n, events)
+	}
+	for ci := 0; ci < n; ci++ {
+		if events[2*ci] != fmt.Sprint("read ", ci) || events[2*ci+1] != fmt.Sprint("commit ", ci) {
+			t.Fatalf("event %d: %v, want read %d then commit %d", 2*ci, events, ci, ci)
+		}
 	}
 }
 
 // TestAdmissionTicketsBoundResidency pins the pipeline's residency bound:
 // under a deliberately skewed straggler mapFn, the number of chunks
-// admitted past read and not yet retired by commit never exceeds
-// Workers+Prefetch+1. This is the invariant AutoRows sizes memory budgets
+// admitted past read and not yet retired by commit never exceeds the
+// window 3W+1. This is the invariant AutoRows sizes memory budgets
 // against, so the larger-than-RAM regime depends on it.
 func TestAdmissionTicketsBoundResidency(t *testing.T) {
+	for _, w := range []int{2, 3, 4} {
+		t.Run(fmt.Sprint("workers=", w), func(t *testing.T) { testAdmissionBound(t, w) })
+	}
+}
+
+func testAdmissionBound(t *testing.T, w int) {
 	const n = 64
-	ex := Exec{Workers: 4, Prefetch: 3}
-	bound := ex.Workers + ex.Prefetch + 1
+	ex := Exec{Workers: w}
+	bound := 3*w + 1
 
 	var cur, peak atomic.Int64
 	var release sync.Once
@@ -97,7 +115,7 @@ func TestAdmissionTicketsBoundResidency(t *testing.T) {
 		t.Fatalf("committed %d chunks, want %d", next, n)
 	}
 	if got := peak.Load(); got > int64(bound) {
-		t.Fatalf("peak in-flight residency %d exceeds Workers+Prefetch+1 = %d", got, bound)
+		t.Fatalf("peak in-flight residency %d exceeds 3W+1 = %d", got, bound)
 	}
 	// The straggler really did hold the bound open: the pipeline reached
 	// it (otherwise the release never fired and the test would deadlock).

@@ -96,8 +96,8 @@ func TestPushdownDifferential(t *testing.T) {
 	pushed, ref := spill(s), spill(local)
 
 	for _, ex := range []Exec{
-		{Workers: 4, Prefetch: 3},
-		{Workers: 1, Prefetch: 0}, // serial driver, remote workers
+		{Workers: 4},
+		{Workers: 1}, // serial driver, remote workers
 	} {
 		for i, m := range pushed {
 			xpL, err := MatOperand(ex, ref[i]).Gram()
@@ -214,7 +214,7 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := Exec{Workers: 2, Prefetch: 2}
+	ex := Exec{Workers: 2}
 	want, err := localCrossProd(t, d, 8, ex)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestPushdownMidStreamCutFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exPush := Exec{Workers: 4, Prefetch: 3}
+	exPush := Exec{Workers: 4}
 	want, err := localCrossProd(t, d, 8, exPush)
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +431,7 @@ func TestPushdownWrongShapeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := Exec{Workers: 2, Prefetch: 2}
+	ex := Exec{Workers: 2}
 	for name, pass := range map[string]func(Mat) (*la.Dense, error){
 		"crossprod": func(m Mat) (*la.Dense, error) { return MatOperand(ex, m).Gram() },
 	} {
@@ -475,7 +475,7 @@ func TestPushdownNeedsNoDriverRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		km, err := kMeans(Exec{Workers: 2, Prefetch: 2}, m, 3, 4, 13)
+		km, err := kMeans(Exec{Workers: 2}, m, 3, 4, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -724,7 +724,7 @@ func pipeExecStore(t *testing.T, passive []Backend, nExec int, b pipeExecBackend
 
 // TestPushdownAdmission: a pushed-down pass holds the pipeline's admission
 // bound — the partials taken off the shards' streams and not yet committed
-// never exceed Workers+Prefetch+1 (+1 for the frame a stream's reader may
+// never exceed the pass's window (+1 for the frame a stream's reader may
 // hold) — while the committer holds chunk 0 back, and the result is
 // bitwise the all-local one with every chunk executed on its shard.
 func TestPushdownAdmission(t *testing.T) {
@@ -733,15 +733,15 @@ func TestPushdownAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ex := range []Exec{Serial, {Workers: 2, Prefetch: 2}} {
+	for _, ex := range []Exec{Serial, {Workers: 2}} {
 		var taken, reading atomic.Int64
 		s := pipeExecStore(t, nil, 3, pipeExecBackend{stallAfter: -1, taken: &taken, reading: &reading})
 		m, err := FromDense(s, d, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nx := ex.normalized()
-		bound := int64(nx.Workers + nx.Prefetch + 1 + 1)
+		_, window := ex.depth()
+		bound := int64(window + 1)
 		got := la.NewDense(3, 3)
 		var committed, peak int64
 		err = MatOperand(ex, m).crossProd(func(ci int, v any) error {
@@ -779,7 +779,7 @@ func TestPushdownAdmission(t *testing.T) {
 func TestPushdownFailureLeavesNoGoroutine(t *testing.T) {
 	d := randDense(rand.New(rand.NewSource(44)), 30*4, 3) // 30 chunks over 3 shards
 	errCommit := errors.New("injected commit failure")
-	for _, ex := range []Exec{Serial, {Workers: 2, Prefetch: 2}} {
+	for _, ex := range []Exec{Serial, {Workers: 2}} {
 		for _, failRead := range []bool{true, false} {
 			dir, err := NewDirBackend(t.TempDir())
 			if err != nil {

@@ -108,7 +108,7 @@ func TestRecycledReadsSafe(t *testing.T) {
 	inMem := runRecycled(t, la.InMemory(x), y,
 		func() (*la.Dense, error) { return x.CrossProd(), nil })
 
-	for _, ex := range []Exec{Serial, {Workers: 2, Prefetch: 2}} {
+	for _, ex := range []Exec{Serial, {Workers: 2}} {
 		// One chunk: every pass reads it into the buffer the previous pass
 		// recycled, and the results are la.InMemory's, bit for bit.
 		s, poisoned := recycleStore(t, true)
@@ -168,8 +168,8 @@ func TestRecycledReadsSafe(t *testing.T) {
 				if poisoned.Load() == 0 {
 					t.Fatal("no read buffer was recycled")
 				}
-				if w := ex.normalized(); len(s.free) > w.Workers+w.Prefetch+1 {
-					t.Fatalf("free list holds %d buffers, more than the in-flight window %d", len(s.free), w.Workers+w.Prefetch+1)
+				if _, window := ex.depth(); len(s.free) > window {
+					t.Fatalf("free list holds %d buffers, more than the in-flight window %d", len(s.free), window)
 				}
 			}
 			if err := m.Free(); err != nil {

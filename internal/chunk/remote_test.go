@@ -204,7 +204,7 @@ func TestRemoteRetriesTransientFailures(t *testing.T) {
 // node) changes placement, never results.
 func TestRemoteDifferentialDrivers(t *testing.T) {
 	local := testStore(t)
-	mixed := remoteStore(t, LeastBytes)
+	mixed := remoteStore(t, RoundRobin)
 
 	d1, s1, nt1, y := buildPKFKInputs(t, local, 55)
 	d2, s2, nt2, _ := buildPKFKInputs(t, mixed, 55)
@@ -414,7 +414,7 @@ func TestRemoteMidStreamFailureNoLeakedAccounting(t *testing.T) {
 	baselineChunks := s.LiveChunks()
 	baselineBytes := s.BytesOnDisk()
 
-	ex := Exec{Workers: 2, Prefetch: 2}
+	ex := Exec{Workers: 2}
 
 	// Mid-stream read failure: a GET dies halfway through the body.
 	fault.arm("read")

@@ -45,9 +45,9 @@ func (nt *NormalizedTable) Operand(ex Exec) *Operand {
 }
 
 func newOperand(ex Exec, rows Mat, feat bool, arms []AttrTable) *Operand {
-	nx := ex.normalized()
+	_, window := ex.depth()
 	o := &Operand{ex: ex, rows: rows, feat: feat, arms: arms, offs: make([]int, len(arms)+1),
-		free: make(chan *la.Buffers, nx.Workers+nx.Prefetch+1)}
+		free: make(chan *la.Buffers, window)}
 	if feat {
 		o.offs[0] = rows.Cols()
 	}

@@ -31,10 +31,13 @@ func (s *Store) ShardStats() []ShardStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ShardStat, len(s.shards))
+	for _, info := range s.refs {
+		out[info.shard].Chunks++
+	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		out[i] = ShardStat{
-			Dir: sh.backend.Name(), Chunks: sh.chunks, Bytes: sh.bytes,
+			Dir: sh.backend.Name(), Chunks: out[i].Chunks, Bytes: sh.bytes,
 			ChunksRead: sh.chunksRead, BytesRead: sh.bytesRead,
 			ChunksExecuted: sh.chunksExecuted,
 		}
@@ -116,30 +119,55 @@ func TestShardedRoundRobinSpreadsChunks(t *testing.T) {
 	}
 }
 
-// TestShardedLeastBytesBalances: the size-aware policy keeps shard byte
-// counts balanced even when wide and narrow matrices share the store, and
-// never starves a shard.
-func TestShardedLeastBytesBalances(t *testing.T) {
+// TestShardedRoundRobinBalances: round-robin placement keeps shard byte
+// counts within one widest chunk of each other even when wide and narrow
+// matrices share the store, and never starves a shard.
+func TestShardedRoundRobinBalances(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s, _ := testShardedStore(t, 2, LeastBytes)
+	s, _ := testShardedStore(t, 2, RoundRobin)
 	if _, err := FromDense(s, randDense(rng, 64, 32), 8); err != nil { // 8 wide chunks
 		t.Fatal(err)
 	}
 	if _, err := FromDense(s, randDense(rng, 64, 2), 8); err != nil { // 8 narrow chunks
 		t.Fatal(err)
 	}
+	// Imbalance stays within one widest chunk (8 rows × 32 cols × 8 B).
+	assertBalanced(t, s, 8*32*8)
+}
+
+// TestRoundRobinBalancesTrainShape: the store of an out-of-core training
+// job — a wide fact table T, a narrower S, the key column and a k-means
+// assignment column, chunk-aligned with odd chunk counts — stays within
+// one widest chunk across two shards under round-robin placement.
+func TestRoundRobinBalancesTrainShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	s, _ := testShardedStore(t, 2, RoundRobin)
+	// 15 chunks per matrix, each one of T, S, the key column and the
+	// assignment column.
+	const n, chunkRows = 150, 10
+	for _, cols := range []int{50, 10, 1, 1} {
+		if _, err := FromDense(s, randDense(rng, n, cols), chunkRows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertBalanced(t, s, chunkRows*50*8)
+}
+
+// assertBalanced fails unless every shard holds chunks and the shards'
+// bytes are at most bound apart.
+func assertBalanced(t *testing.T, s *Store, bound int64) {
+	t.Helper()
 	stats := s.ShardStats()
 	var maxB, minB int64 = stats[0].Bytes, stats[0].Bytes
 	for _, st := range stats {
 		if st.Chunks == 0 {
-			t.Fatalf("least-bytes starved a shard: %+v", stats)
+			t.Fatalf("round-robin starved a shard: %+v", stats)
 		}
 		maxB = max(maxB, st.Bytes)
 		minB = min(minB, st.Bytes)
 	}
-	// Imbalance stays within one widest chunk (8 rows × 32 cols × 8 B).
-	if maxB-minB > 8*32*8 {
-		t.Fatalf("least-bytes imbalance %d B exceeds one chunk: %+v", maxB-minB, stats)
+	if maxB-minB > bound {
+		t.Fatalf("round-robin imbalance %d B exceeds one widest chunk (%d B): %+v", maxB-minB, bound, stats)
 	}
 }
 
@@ -171,7 +199,7 @@ func buildPKFKInputs(t *testing.T, store *Store, seed int64) (tDense *Matrix, tS
 // single-directory store: sharding changes placement, never results.
 func TestShardedDifferentialDrivers(t *testing.T) {
 	single := testStore(t)
-	sharded, _ := testShardedStore(t, 3, LeastBytes)
+	sharded, _ := testShardedStore(t, 3, RoundRobin)
 
 	d1, s1, nt1, y := buildPKFKInputs(t, single, 55)
 	d2, s2, nt2, _ := buildPKFKInputs(t, sharded, 55)
@@ -327,7 +355,7 @@ func TestShardedFreeReapsAcrossShards(t *testing.T) {
 // a reaped matrix surfaces an error rather than silently reading nothing.
 func TestShardedCloseWithLiveMatrices(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	s, dirs := testShardedStore(t, 3, LeastBytes)
+	s, dirs := testShardedStore(t, 3, RoundRobin)
 	m, err := FromDense(s, randDense(rng, 50, 4), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -402,12 +430,10 @@ func TestShardedStartupOrphanCleanup(t *testing.T) {
 }
 
 // TestZeroWidthChunkAccounting: a 0-column product writes 0-byte chunk
-// files; releasing them must unwind the shard accounting exactly once
-// (regression: bytes==0 used to be conflated with "never written",
-// double-decrementing the pending counter and skewing LeastBytes scores).
+// files; releasing them must unwind the shard accounting exactly once.
 func TestZeroWidthChunkAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	s, _ := testShardedStore(t, 2, LeastBytes)
+	s, _ := testShardedStore(t, 2, RoundRobin)
 	m, err := FromDense(s, randDense(rng, 20, 3), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +489,7 @@ func BenchmarkShardedSpill(b *testing.B) {
 	x := randDense(rand.New(rand.NewSource(8)), cols, cols)
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := newShardedStore(shardDirs(b, shards), LeastBytes)
+			s, err := newShardedStore(shardDirs(b, shards), RoundRobin)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -104,7 +104,7 @@ func TestSparseOpsMatchInMemory(t *testing.T) {
 		}
 
 		xt := randDense(rng, 83, 2)
-		tm, err := m.TMulExec(ex, xt)
+		tm, err := la.ScanTMul(MatOperand(ex, m), xt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestSparseFreeRemovesChunks(t *testing.T) {
 	if got := chunkFileCount(t, dir); got != 0 {
 		t.Fatalf("%d files left after Free", got)
 	}
-	if err := m.ForEach(func(lo int, c *la.CSR) error { return nil }); err != ErrFreed {
-		t.Fatalf("ForEach on freed sparse matrix: %v, want ErrFreed", err)
+	if err := m.Stream(Serial, func(_, _ int, _ la.Mat) (any, error) { return nil, nil }, nil); err != ErrFreed {
+		t.Fatalf("Stream on freed sparse matrix: %v, want ErrFreed", err)
 	}
 }

@@ -372,28 +372,33 @@ func TestBuildLeavesHeldBlobsAlone(t *testing.T) {
 // TestBuildAllocs: Build writes each chunk's own storage, with no encoded
 // copy, and a directory shard hands the buffer back once its write has
 // returned, so spilling 64 chunks allocates fewer than the write-behind
-// window's buffers plus one, not a buffer (or two) per chunk.
+// window's buffers plus one, not a buffer (or two) per chunk — on one
+// core too, where Exec{} is the serial loop but Build still writes behind.
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	const chunks, cols, chunkRows = 64, 16, 512
-	s := testStore(t)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := Build(s, chunks*chunkRows, cols, chunkRows, func(lo, _ int, dst *la.Dense) {
-		for i := range dst.Data() {
-			dst.Data()[i] = float64(lo + i)
-		}
-	})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := after.TotalAlloc - before.TotalAlloc
-	nx := Exec{}.normalized()
-	if limit := uint64((nx.Workers + nx.Prefetch + 2) * chunkRows * cols * 8); got >= limit {
-		t.Errorf("Build of %d chunks allocates %d B, want < %d (the window's buffers plus one)", chunks, got, limit)
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const chunks, cols, chunkRows = 64, 16, 512
+			s := testStore(t)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Build(s, chunks*chunkRows, cols, chunkRows, func(lo, _ int, dst *la.Dense) {
+				for i := range dst.Data() {
+					dst.Data()[i] = float64(lo + i)
+				}
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			_, window := Exec{}.depth()
+			if limit := uint64((window + 1) * chunkRows * cols * 8); got >= limit {
+				t.Errorf("GOMAXPROCS %d: Build of %d chunks allocates %d B, want < %d (the window's buffers plus one)", procs, chunks, got, limit)
+			}
+		}()
 	}
 }

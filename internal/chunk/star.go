@@ -111,10 +111,10 @@ func (a AttrTable) mul(ex Exec, x *la.Dense) (*la.Dense, error) {
 // from the chunk alone.
 func (a AttrTable) mapChunks(ex Exec, cols int, f func(c *la.Dense) *la.Dense) (*la.Dense, error) {
 	out := la.NewDense(a.Disk.rows, cols)
-	return out, a.Disk.ForEachExec(ex, func(lo int, c *la.Dense) error {
-		copy(out.Data()[lo*cols:], f(c).Data())
-		return nil
-	})
+	return out, a.Disk.pipeline(ex, false, nil, func(_, lo int, c la.Mat) (any, error) {
+		copy(out.Data()[lo*cols:], f(c.(*la.Dense)).Data())
+		return nil, nil
+	}, nil)
 }
 
 // tmul computes Rᵀ·p.
@@ -122,7 +122,7 @@ func (a AttrTable) tmul(ex Exec, p *la.Dense) (*la.Dense, error) {
 	if a.R != nil {
 		return a.R.TMul(p), nil
 	}
-	return a.Disk.TMulExec(ex, p)
+	return la.ScanTMul(MatOperand(ex, a.Disk), p)
 }
 
 // norms computes the per-row ‖r_i‖² as a column without forming R², as

@@ -16,7 +16,7 @@ import (
 // pins the Store's locking; afterwards the accounting must unwind to
 // exactly zero.
 func TestStoreAccountingConcurrentStress(t *testing.T) {
-	s, _ := testShardedStore(t, 3, LeastBytes)
+	s, _ := testShardedStore(t, 3, RoundRobin)
 	base := randDense(rand.New(rand.NewSource(81)), 120, 6)
 	m, err := FromDense(s, base, 8)
 	if err != nil {
@@ -32,7 +32,7 @@ func TestStoreAccountingConcurrentStress(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 5; i++ {
-				p, err := mulExec(MatOperand(Exec{Workers: 2, Prefetch: 2}, m), x)
+				p, err := mulExec(MatOperand(Exec{Workers: 2}, m), x)
 				if err != nil {
 					errs <- err
 					return
@@ -152,7 +152,7 @@ func TestSpillWriterEnqueueVsErrorRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		const n = 12
-		sp, err := newOutputSpiller(s, n, Exec{Workers: 4, Prefetch: 2}, false)
+		sp, err := newOutputSpiller(s, n, Exec{Workers: 4}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func buildStreamed(t *testing.T, rng *rand.Rand, nS, dS, nR, dR, chunkRows int) 
 	return nm, nt, store
 }
 
-var streamExecs = []chunk.Exec{chunk.Serial, {Workers: 4, Prefetch: 3}}
+var streamExecs = []chunk.Exec{chunk.Serial, {Workers: 4}}
 
 // mulExec computes T·x in one scan of o into a chunked result aligned with
 // it: the whole-matrix LMM of a chunked table.

@@ -72,7 +72,7 @@ type Config struct {
 	// TmpDir hosts the out-of-core chunk stores (Tables 9, 10).
 	TmpDir string
 	// ShardDirs, when set, spreads every out-of-core chunk store across
-	// these directories (point them at different disks) with size-aware
+	// these directories (point them at different disks) with round-robin
 	// placement; it takes precedence over TmpDir.
 	ShardDirs []string
 	// RemoteShards lists morpheus-chunkd base URLs to shard the chunk

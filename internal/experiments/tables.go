@@ -142,12 +142,10 @@ func chunkStore(cfg Config, name string) (*chunk.Store, func(), error) {
 		cleanup()
 		return nil, nil, err
 	}
-	policy := chunk.RoundRobin
 	if len(cfg.ShardDirs) > 0 || len(cfg.RemoteShards) > 0 {
 		// User-supplied shards — local directories (different disks)
 		// and/or remote chunkd servers — are not removed, but Close still
 		// deletes every spill file the run created, on every shard.
-		policy = chunk.LeastBytes
 		for _, d := range cfg.ShardDirs {
 			b, err := chunk.NewDirBackend(d)
 			if err != nil {
@@ -189,21 +187,11 @@ func chunkStore(cfg Config, name string) (*chunk.Store, func(), error) {
 			backends[i] = wb
 		}
 	}
-	st, err := chunk.NewShardedStoreBackends(backends, policy)
+	st, err := chunk.NewShardedStoreBackends(backends, chunk.RoundRobin)
 	if err != nil {
 		return fail(err)
 	}
 	return st, func() { st.Close(); cleanup() }, nil
-}
-
-// chunkExec is the parallel out-of-core execution used by the §5.2.4
-// runners, honoring the configured worker bound.
-func chunkExec(cfg Config) chunk.Exec {
-	ex := chunk.Parallel()
-	if cfg.Workers > 0 {
-		ex = chunk.Exec{Workers: cfg.Workers, Prefetch: 2 * cfg.Workers}
-	}
-	return ex
 }
 
 // memBudgetMB resolves the configured out-of-core memory budget.
@@ -218,8 +206,8 @@ func memBudgetMB(cfg Config) int {
 // configured memory budget, replacing the hard-coded chunk heights the
 // sweeps used to carry.
 func autoChunkRows(cfg Config, cols int) int {
-	ex := chunkExec(cfg)
-	return chunk.AutoRows(int64(memBudgetMB(cfg))<<20, cols, ex.Workers, ex.Prefetch)
+	rows, _ := chunk.AutoRowsChecked(int64(memBudgetMB(cfg))<<20, cols, cfg.Workers)
+	return rows
 }
 
 // timeGLM times ml.LogRegScan over a chunked operand held in st and
@@ -272,7 +260,7 @@ func table9(cfg Config) (Result, error) {
 	nS := 20 * nR
 	dS := 60
 	const iters = 2
-	ex := chunkExec(cfg)
+	ex := chunk.Exec{Workers: cfg.Workers}
 
 	// sweep times one sweep point and appends its per-iteration row.
 	sweep := func(label string, tM chunk.Mat, nt *chunk.NormalizedTable, y *la.Dense) error {
@@ -418,7 +406,7 @@ func table10(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		ex := chunkExec(cfg)
+		ex := chunk.Exec{Workers: cfg.Workers}
 		tM, err := mn.Materialize(ex)
 		if err != nil {
 			return Result{}, err

@@ -146,7 +146,7 @@ func TestReuseSafe(t *testing.T) {
 		"csr":        func() la.Operand { return la.InMemory(la.CSRFromDense(nm.Dense())) },
 		"normalized": func() la.Operand { return la.InMemory(nm) },
 	}
-	for _, ex := range []chunk.Exec{chunk.Serial, {Workers: 2, Prefetch: 2}} {
+	for _, ex := range []chunk.Exec{chunk.Serial, {Workers: 2}} {
 		operands[fmt.Sprintf("chunked dense, %d workers", ex.Workers)] = func() la.Operand { return chunk.MatOperand(ex, tM) }
 		operands[fmt.Sprintf("chunked star, %d workers", ex.Workers)] = func() la.Operand { return nt.Operand(ex) }
 	}

@@ -4,7 +4,7 @@
 //
 //	representation: factorized vs materialized (the paper's §3.7/§5.1 rule)
 //	residency:      in-memory vs chunked, with the chunk height
-//	execution:      serial vs the parallel prefetching pipeline
+//	execution:      serial vs the parallel pipeline, by worker count
 //
 // Placement is not an axis: where a chunk is mapped (on an exec-capable
 // shard or locally) and the multi-shard read interleave are the chunk
@@ -89,9 +89,6 @@ type Env struct {
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 	// Workers bounds chunk parallelism (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Advisor overrides the §5.1 thresholds; the zero value means
-	// core.DefaultAdvisor() (τ=5, ρ=1).
-	Advisor core.Advisor `json:"advisor,omitzero"`
 }
 
 // EnvFor gathers the environment facts for passes over a chunk store:
@@ -102,13 +99,6 @@ func EnvFor(_ *chunk.Store, workers int, memBudgetBytes int64) Env {
 	return Env{Workers: workers, MemBudgetBytes: memBudgetBytes}
 }
 
-func (e Env) advisor() core.Advisor {
-	if e.Advisor == (core.Advisor{}) {
-		return core.DefaultAdvisor()
-	}
-	return e.Advisor
-}
-
 func (e Env) workers() int {
 	if e.Workers > 0 {
 		return e.Workers
@@ -117,8 +107,8 @@ func (e Env) workers() int {
 }
 
 // Strategy is the plan: one value per execution axis. Exec() converts the
-// chunked-execution axes into the chunk.Exec a scan operand is built
-// under, so a Strategy can always be replayed through the override seam.
+// worker count into the chunk.Exec a scan operand is built under, so a
+// Strategy can always be replayed through the override seam.
 type Strategy struct {
 	Factorized bool `json:"factorized"`
 	Chunked    bool `json:"chunked"`
@@ -126,13 +116,10 @@ type Strategy struct {
 	// chunking, or AutoRowsChecked from the memory budget).
 	ChunkRows int `json:"chunk_rows,omitempty"`
 	Workers   int `json:"workers"`
-	Prefetch  int `json:"prefetch"`
 }
 
 // Exec returns the chunk execution configuration the strategy selects.
-func (s Strategy) Exec() chunk.Exec {
-	return chunk.Exec{Workers: s.Workers, Prefetch: s.Prefetch}
-}
+func (s Strategy) Exec() chunk.Exec { return chunk.Exec{Workers: s.Workers} }
 
 // Decision is an explainable plan: the chosen strategy plus the facts
 // consulted and the rule that fired on each axis, so a plan is explainable
@@ -165,8 +152,8 @@ func (d Decision) String() string {
 	if d.Strategy.Chunked {
 		res = fmt.Sprintf("chunked[%d rows]", d.Strategy.ChunkRows)
 	}
-	return fmt.Sprintf("%s: %s %s workers=%d prefetch=%d — %s (%.1fµs)",
-		d.Op, rep, res, d.Strategy.Workers, d.Strategy.Prefetch, d.Rule, d.PlanMicros)
+	return fmt.Sprintf("%s: %s %s workers=%d — %s (%.1fµs)",
+		d.Op, rep, res, d.Strategy.Workers, d.Rule, d.PlanMicros)
 }
 
 // Plan greedily picks a strategy for op over the given operands in the
@@ -187,7 +174,7 @@ func Plan(op Op, o Operands, env Env) Decision {
 	// feature ratio ≥ ρ) for PK-FK/star joins; redundancy > 1 for M:N
 	// joins, where |T'| rather than nS drives the blow-up (Table 10);
 	// conservative materialized fallbacks for degenerate facts.
-	adv := env.advisor()
+	adv := core.DefaultAdvisor()
 	st := o.Stats
 	switch {
 	case !o.HasFactorized && !o.HasMaterialized:
@@ -219,7 +206,6 @@ func Plan(op Op, o Operands, env Env) Decision {
 	// the chosen representation's working set is compared to the memory
 	// budget and the chunk height derived via AutoRowsChecked.
 	w := env.workers()
-	prefetch := 2 * w
 	workingSet := o.BytesMaterialized
 	if d.Strategy.Factorized && o.BytesFactorized > 0 {
 		workingSet = o.BytesFactorized
@@ -234,7 +220,7 @@ func Plan(op Op, o Operands, env Env) Decision {
 		rule("residency", "chunked — operands already spilled (%d chunks × %d rows)", o.NumChunks, o.ChunkRows)
 	case env.MemBudgetBytes > 0 && workingSet > env.MemBudgetBytes:
 		d.Strategy.Chunked = true
-		rows, err := chunk.AutoRowsChecked(env.MemBudgetBytes, o.Cols, w, prefetch)
+		rows, err := chunk.AutoRowsChecked(env.MemBudgetBytes, o.Cols, w)
 		d.Strategy.ChunkRows = rows
 		if err != nil {
 			rule("residency", "chunked — working set %d B exceeds budget %d B; budget cannot hold even 1-row chunks, clamped to %d rows", workingSet, env.MemBudgetBytes, rows)
@@ -252,12 +238,12 @@ func Plan(op Op, o Operands, env Env) Decision {
 		nChunks = (o.Rows + d.Strategy.ChunkRows - 1) / d.Strategy.ChunkRows
 	}
 	if d.Strategy.Chunked && (nChunks <= 1 || w == 1) {
-		d.Strategy.Workers, d.Strategy.Prefetch = 1, 0
+		d.Strategy.Workers = 1
 		rule("execution", "serial — %d chunk(s), %d worker(s): nothing to overlap", nChunks, w)
 	} else {
-		d.Strategy.Workers, d.Strategy.Prefetch = w, prefetch
+		d.Strategy.Workers = w
 		if d.Strategy.Chunked {
-			rule("execution", "parallel — %d workers, prefetch %d over %d chunks", w, prefetch, nChunks)
+			rule("execution", "parallel — %d workers over %d chunks", w, nChunks)
 		} else {
 			rule("execution", "parallel — %d workers for the in-memory kernels", w)
 		}

@@ -114,7 +114,7 @@ func TestResidencyAxis(t *testing.T) {
 	if !d.Strategy.Chunked {
 		t.Fatalf("51 MB working set under 1 MiB budget not chunked (%v)", d.Rules)
 	}
-	want, err := chunk.AutoRowsChecked(1<<20, 64, 2, 4)
+	want, err := chunk.AutoRowsChecked(1<<20, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +138,16 @@ func TestResidencyAxis(t *testing.T) {
 func TestExecutionAxis(t *testing.T) {
 	one := Operands{Rows: 10, Cols: 4, HasMaterialized: true, Chunked: true, NumChunks: 1, ChunkRows: 16}
 	d := Plan(OpGLM, one, Env{Workers: 8})
-	if d.Strategy.Workers != 1 || d.Strategy.Prefetch != 0 {
-		t.Errorf("1 chunk: workers=%d prefetch=%d, want serial", d.Strategy.Workers, d.Strategy.Prefetch)
+	if d.Strategy.Exec() != chunk.Serial {
+		t.Errorf("1 chunk: %+v, want serial", d.Strategy.Exec())
 	}
 	many := Operands{Rows: 160, Cols: 4, HasMaterialized: true, Chunked: true, NumChunks: 10, ChunkRows: 16}
 	if d := Plan(OpGLM, many, Env{Workers: 1}); d.Strategy.Workers != 1 {
 		t.Errorf("workers=1 env planned %d workers", d.Strategy.Workers)
 	}
 	d = Plan(OpGLM, many, Env{Workers: 4})
-	if d.Strategy.Workers != 4 || d.Strategy.Prefetch != 8 {
-		t.Errorf("10 chunks × 4 workers: got workers=%d prefetch=%d", d.Strategy.Workers, d.Strategy.Prefetch)
+	if d.Strategy.Exec() != (chunk.Exec{Workers: 4}) {
+		t.Errorf("10 chunks × 4 workers: got %+v", d.Strategy.Exec())
 	}
 }
 
