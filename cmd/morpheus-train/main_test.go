@@ -107,8 +107,17 @@ func TestTrainBadInputsAreOneLineErrors(t *testing.T) {
 		[2]string{"employers.csv", employersCSV},
 		[2]string{"dangling.csv", customersCSV + "c7,1,30,e9\n"},
 		[2]string{"empty.csv", "CustomerID,Churn,Age,EmployerID\n"},
+		[2]string{"ragged.csv", "CustomerID,Churn,Age,EmployerID\nc1,1,34,e2\nc2,-1,29\n"},
+		[2]string{"quote.csv", "CustomerID,Churn,Age,EmployerID\nc1,1,34,e2\nc2,-1,2\"9,e1\n"},
+		[2]string{"blank.csv", ""},
+		[2]string{"nonnumeric.csv", "CustomerID,Churn,Age,EmployerID\nc1,1,34,e2\nc2,-1,old,e1\n"},
+		[2]string{"dupkey.csv", "EmployerID,Revenue,Country\ne1,12.5,US\ne1,88.0,DE\n"},
 	)
 	attr := p[1] + ":EmployerID:EmployerID:Revenue,Country@Country"
+	missing := filepath.Join(filepath.Dir(p[0]), "absent.csv")
+	entity := func(path string) []string {
+		return []string{"-entity", path, "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", attr}
+	}
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -118,7 +127,15 @@ func TestTrainBadInputsAreOneLineErrors(t *testing.T) {
 		{"malformed attr", []string{"-entity", p[0], "-target", "Churn", "-attr", p[1] + ":EmployerID"}, "bad -attr"},
 		{"dangling fk", []string{"-entity", p[2], "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", attr}, "building normalized matrix"},
 		{"unknown model", []string{"-entity", p[0], "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", attr, "-model", "svm"}, `unknown -model "svm"`},
-		{"zero rows", []string{"-entity", p[3], "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", attr}, "has no rows"},
+		{"zero rows", entity(p[3]), "has no rows"},
+		{"absent entity file", entity(missing), "opening " + missing},
+		{"absent attr file", []string{"-entity", p[0], "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", missing + ":EmployerID:EmployerID:Revenue"}, "opening " + missing},
+		{"ragged row", entity(p[4]), "parsing " + p[4]},
+		{"stray quote", entity(p[5]), "parsing " + p[5]},
+		{"empty file", entity(p[6]), "parsing " + p[6]},
+		{"non-numeric feature", entity(p[7]), `Entity.Age row 1`},
+		{"unknown feature", []string{"-entity", p[0], "-keys", "CustomerID", "-target", "Churn", "-features", "Height", "-attr", attr}, `no column "Height"`},
+		{"duplicate attr key", []string{"-entity", p[0], "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", p[8] + ":EmployerID:EmployerID:Revenue,Country@Country"}, `duplicate primary key "e1"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errOut bytes.Buffer

@@ -124,7 +124,9 @@ func (s *Store) NumShards() int { return len(s.shards) }
 // alloc reserves n fresh chunk keys for one new matrix, placing each on
 // the next shard in round-robin order. Keys are unique across the whole
 // store (one counter), so a key also names a unique blob within whichever
-// backend it lands on.
+// backend it lands on. Every matrix takes all its keys from one call, so
+// its chunk i sits on shard (first+i) mod N: a pass reading in chunk
+// order cycles through every shard, and that is its only read spread.
 func (s *Store) alloc(n int) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -198,34 +200,6 @@ func (s *Store) shardIndex(path string) int {
 		return info.shard
 	}
 	return -1
-}
-
-// readOrder computes the placement-aware read order for a pipelined pass
-// over keys: on a multi-shard store the reader interleaves chunks
-// round-robin across shards within admission-bound windows (see
-// interleavedOrder), so all spindles/nodes stream concurrently. Returns
-// nil — plain chunk order — for single-shard stores and for the serial
-// reference execution, whose strict read-compute-commit loop is pinned by
-// the benchmarks.
-func (s *Store) readOrder(keys []string, ex Exec) []int {
-	lookahead, window := ex.depth()
-	if lookahead == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	if len(s.shards) < 2 {
-		s.mu.Unlock()
-		return nil
-	}
-	shardOf := make([]int, len(keys))
-	for i, k := range keys {
-		if info, ok := s.refs[k]; ok {
-			shardOf[i] = info.shard
-		}
-	}
-	numShards := len(s.shards)
-	s.mu.Unlock()
-	return interleavedOrder(shardOf, numShards, window)
 }
 
 // recordWrite attributes a successfully written chunk file's size to its

@@ -289,7 +289,7 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 		}
 		return decodeDenseChunk(c.Key, raw, c.Rows, req.Cols)
 	}
-	err = runPipelineOrder(len(req.Chunks), Parallel(), nil, read,
+	err = runPipeline(len(req.Chunks), Parallel(), read,
 		func(ci int, c la.Mat) (raw any, err error) {
 			defer func() {
 				if p := recover(); p != nil {

@@ -94,10 +94,10 @@ func (m *chunked[C]) readAt(ci int, own bool) (C, error) {
 // pipeline runs the chunk pipeline under ex over every chunk of this
 // matrix: mapFn on the workers with the decoded chunk and its first-row
 // offset, commit on the calling goroutine in ascending chunk order, reads
-// interleaved across shards (Store.readOrder). With own, nothing mapFn
-// returns may alias its chunk and nothing keeps the chunk once mapFn
-// returns: its buffer goes back to the store's free list, which keeps at
-// most the pass's in-flight window of them.
+// in that same order. With own, nothing mapFn returns may alias its chunk
+// and nothing keeps the chunk once mapFn returns: its buffer goes back to
+// the store's free list, which keeps at most the pass's in-flight window
+// of them.
 //
 // With op, mapFn is a registered step, and the reader takes the partial of
 // a chunk on an exec-capable shard off that shard's /exec stream in place
@@ -136,7 +136,7 @@ func (m *chunked[C]) pipeline(ex Exec, own bool, op *execStep, mapFn func(ci, lo
 		part any // a shard's partial, in place of the chunk
 	}
 	_, window := ex.depth()
-	return runPipelineOrder(len(m.paths), ex, m.store.readOrder(m.paths, ex),
+	return runPipeline(len(m.paths), ex,
 		func(ci int) (item, error) {
 			if ci < len(src) && src[ci] != nil && src[ci].ps != nil {
 				s := src[ci]
@@ -258,7 +258,7 @@ func scanToMatrix(ex Exec, t Mat, own bool, outCols int, mapFn func(ci, lo int, 
 
 // AutoRows picks a chunk height from a memory budget: a pass under
 // Exec{Workers: workers} keeps at most its window of decoded input chunks
-// resident (admission tickets, see runPipelineOrder and Exec.depth) —
+// resident (admission tickets, see runPipeline and Exec.depth) —
 // 3·workers+1 for workers > 1, two for the serial loop — so the chunk
 // height that fills memBudgetBytes is
 //

@@ -264,78 +264,16 @@ type loaded[T any] struct {
 	err error
 }
 
-// interleavedOrder computes the order a pipelined reader visits chunks
-// whose files are spread across multiple shards: within consecutive
-// windows of `window` chunks, reads cycle round-robin across the shards
-// present in the window, so every disk (or remote chunk server) streams
-// concurrently instead of serving the pass one shard at a time.
-//
-// The window never exceeds the pipeline's admission bound (Exec.depth):
-// the reader cannot enter window w+1 before every chunk of window w has
-// been read, so whenever the ordered committer is waiting on chunk
-// `next`, at most window-1 < inflight later chunks hold tickets and the
-// ticket for `next`'s read is always admittable — a
-// global (unwindowed) shuffle could instead fill every ticket with
-// later-ordered chunks and deadlock against the ascending-ci commit.
-// Commits still run in ascending chunk order, so results are bit-identical
-// to the chunk-order read.
-//
-// shardOf[ci] is the owning shard of chunk ci (out-of-range values are
-// grouped together). Returns nil — meaning plain chunk order — when fewer
-// than two shards are present or the interleave is a no-op.
-func interleavedOrder(shardOf []int, numShards, window int) []int {
-	if numShards < 2 || window < 2 {
-		return nil
-	}
-	n := len(shardOf)
-	order := make([]int, 0, n)
-	queues := make([][]int, numShards)
-	for lo := 0; lo < n; lo += window {
-		hi := lo + window
-		if hi > n {
-			hi = n
-		}
-		for i := range queues {
-			queues[i] = queues[i][:0]
-		}
-		for ci := lo; ci < hi; ci++ {
-			si := shardOf[ci]
-			if si < 0 || si >= numShards {
-				si = 0
-			}
-			queues[si] = append(queues[si], ci)
-		}
-		for emitted := true; emitted; {
-			emitted = false
-			for si := range queues {
-				if len(queues[si]) > 0 {
-					order = append(order, queues[si][0])
-					queues[si] = queues[si][1:]
-					emitted = true
-				}
-			}
-		}
-	}
-	for i, ci := range order {
-		if ci != i {
-			return order
-		}
-	}
-	return nil // the interleave is the identity; keep the fast path
-}
-
-// runPipelineOrder streams chunks [0,n) through mapFn and commits the
-// results strictly in chunk order:
+// runPipeline streams chunks [0,n) through mapFn and commits the results
+// strictly in chunk order:
 //
 //	reader ──bounded chan──▶ workers ──chan──▶ ordered commit
 //
 // read(ci) decodes chunk ci from disk; it runs on a single background
-// reader goroutine so disk access stays sequential, visiting chunks in
-// order[0..n) (nil or mis-sized order means ascending ci). Pass the result
-// of interleavedOrder to spread a multi-shard pass's reads round-robin
-// across the shards; because commit order is unchanged, the read order
-// never affects results — only which disk is busy when. The serial
-// reference path (Workers 1) always reads in chunk order.
+// reader goroutine that visits chunks in ascending ci, the order the
+// committer retires them. A matrix's chunks sit on consecutive shards
+// (Store.alloc), so that order already spreads a multi-shard pass's reads
+// across every shard.
 // mapFn runs on ex.Workers goroutines and must not touch shared state.
 // commit runs on the calling goroutine, in ascending ci order regardless
 // of which worker finishes first — reductions committed this way are
@@ -343,7 +281,7 @@ func interleavedOrder(shardOf []int, numShards, window int) []int {
 // and is returned once every goroutine it started has exited; a read
 // in progress is waited for, so whatever can block it must be ended by the
 // failing mapFn or commit.
-func runPipelineOrder[T any](n int, ex Exec, order []int,
+func runPipeline[T any](n int, ex Exec,
 	read func(ci int) (T, error),
 	mapFn func(ci int, c T) (any, error),
 	commit func(ci int, v any) error) error {
@@ -392,18 +330,11 @@ func runPipelineOrder[T any](n int, ex Exec, order []int,
 	// result always has room to reach the committer.
 	tickets := make(chan struct{}, inflight)
 
-	if len(order) != n {
-		order = nil
-	}
 	feed := make(chan loaded[T], lookahead)
 	go func() {
 		defer close(readerDone)
 		defer close(feed)
-		for i := 0; i < n; i++ {
-			ci := i
-			if order != nil {
-				ci = order[i]
-			}
+		for ci := 0; ci < n; ci++ {
 			select {
 			case tickets <- struct{}{}:
 			case <-done:

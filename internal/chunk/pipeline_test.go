@@ -42,7 +42,7 @@ func TestSerialCommitsBeforeNextRead(t *testing.T) {
 		events = append(events, fmt.Sprint("commit ", ci))
 		return nil
 	}
-	if err := runPipelineOrder(n, Serial, nil, read, mapFn, commit); err != nil {
+	if err := runPipeline(n, Serial, read, mapFn, commit); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2*n {
@@ -108,7 +108,7 @@ func testAdmissionBound(t *testing.T, w int) {
 		cur.Add(-1)
 		return nil
 	}
-	if err := runPipelineOrder(n, ex, nil, read, mapFn, commit); err != nil {
+	if err := runPipeline(n, ex, read, mapFn, commit); err != nil {
 		t.Fatal(err)
 	}
 	if next != n {

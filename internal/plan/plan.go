@@ -7,9 +7,10 @@
 //	execution:      serial vs the parallel pipeline, by worker count
 //
 // Placement is not an axis: where a chunk is mapped (on an exec-capable
-// shard or locally) and the multi-shard read interleave are the chunk
-// store's own observations, made per pass, so the planner neither decides
-// nor records them.
+// shard or locally) is the chunk store's own observation, made per pass,
+// and every pass reads its chunks in order, which round-robin placement
+// already spreads across the shards, so the planner neither decides nor
+// records either.
 //
 // The planner reads only cheap structural facts already on hand — n, d,
 // q, nnz, core.StatsFromDims (tuple ratio / feature ratio / redundancy)
