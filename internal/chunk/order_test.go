@@ -2,7 +2,6 @@ package chunk
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -77,11 +76,7 @@ func TestPassReadsInChunkOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, v := range got.Data() {
-					if math.Float64bits(v) != math.Float64bits(serial.Data()[i]) {
-						t.Fatalf("%s: element %d = %v, Serial has %v", name, i, v, serial.Data()[i])
-					}
-				}
+				bitsEqual(t, name, got, serial)
 				mu.Lock()
 				seen := append([]string(nil), reads...)
 				mu.Unlock()
