@@ -10,7 +10,7 @@
 //	morpheus-bench -exp all             # everything (slow)
 //	morpheus-bench -exp fig5 -scale 2   # grow workloads toward paper scale
 //	morpheus-bench -exp fig3 -json      # one JSON array instead of text tables
-//	morpheus-bench -exp table9 -mem 64 -workers 4 -codec shuffle-flate
+//	morpheus-bench -exp table9 -mem 64 -workers 4
 //	morpheus-bench -exp table9 -tmpdir /fast/disk
 //	morpheus-bench -exp table10 -shards /disk1/spill,/disk2/spill
 //	morpheus-bench -exp table9 -remote-shards http://node1:9431,http://node2:9431
@@ -21,10 +21,9 @@
 // The out-of-core flags steer only Tables 9 and 10 (§5.2.4), which train
 // under the parallel chunk pipeline: -workers bounds its chunk
 // parallelism, -mem its decoded-chunk memory (chunk heights are derived
-// from it via chunk.AutoRows), -codec compresses chunks at rest and on the
-// wire (-list-codecs names the registered codecs). -tmpdir, -shards and
-// -remote-shards say where the chunks live: one directory, several
-// (different disks, round-robin placement), and/or morpheus-chunkd servers.
+// from it via chunk.AutoRows). -tmpdir, -shards and -remote-shards say
+// where the chunks live: one directory, several (different disks,
+// round-robin placement), and/or morpheus-chunkd servers.
 //
 // -json emits one JSON array of experiments.Result objects
 // (id/title/header/rows/notes) on stdout.
@@ -38,7 +37,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/chunk"
 	"repro/internal/experiments"
 )
 
@@ -61,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		remote  = fs.String("remote-shards", "", "comma-separated morpheus-chunkd base URLs to shard the out-of-core chunk stores across, alongside -shards")
 		workers = fs.Int("workers", 0, "out-of-core chunk workers (0 = GOMAXPROCS)")
 		mem     = fs.Int("mem", 0, "out-of-core decoded-chunk memory budget in MB; chunk heights are autotuned from it (0 = 256)")
-		codec   = fs.String("codec", "", "compress spill chunks with this chunk codec (see -list-codecs); empty = raw chunks")
-		listCdc = fs.Bool("list-codecs", false, "list registered chunk codec names and exit")
 		asJSON  = fs.Bool("json", false, "emit results as one JSON array on stdout instead of text tables")
 		list    = fs.Bool("list", false, "list experiment IDs and exit")
 	)
@@ -74,19 +70,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, strings.Join(experiments.IDs(), "\n"))
 		return nil
 	}
-	if *listCdc {
-		fmt.Fprintln(stdout, strings.Join(chunk.Codecs(), "\n"))
-		return nil
-	}
-	if *codec != "" {
-		if _, err := chunk.CodecByName(*codec); err != nil {
-			return err
-		}
-	}
 	if *exp == "" {
 		return fmt.Errorf("-exp is required (try -list)")
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, TmpDir: *tmpdir, ShardDirs: splitList(*shards), RemoteShards: splitList(*remote), Workers: *workers, MemBudgetMB: *mem, Codec: *codec}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, TmpDir: *tmpdir, ShardDirs: splitList(*shards), RemoteShards: splitList(*remote), Workers: *workers, MemBudgetMB: *mem}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()

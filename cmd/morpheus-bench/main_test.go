@@ -67,20 +67,20 @@ func TestJSONSchema(t *testing.T) {
 
 func TestBadInvocationsAreErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"missing -exp":    {},
-		"unknown ID":      {"-exp", "nope"},
-		"retired smoke":   {"-exp", "chunkpar"},
-		"-scale 0":        {"-exp", "fig3", "-scale", "0"},
-		"-scale negative": {"-exp", "fig3", "-scale", "-1"},
-		"-scale NaN":      {"-exp", "fig3", "-scale", "NaN"},
-		"unknown codec":   {"-exp", "table9", "-codec", "nope"},
-		"-tmpdir a file":  {"-exp", "table9", "-scale", "0.02", "-tmpdir", "main.go"},
-		"-chunked":        {"-chunked"},
-		"-inproc-chunkd":  {"-exp", "table9", "-inproc-chunkd", "1"},
-		"-slo-rate":       {"-exp", "fig3", "-slo-rate", "100"},
-		"-mutate":         {"-exp", "fig3", "-mutate", "5"},
-		"-pushdown":       {"-exp", "table9", "-pushdown"},
-		"-zonemap":        {"-exp", "table9", "-zonemap"},
+		"missing -exp":       {},
+		"unknown ID":         {"-exp", "nope"},
+		"retired smoke":      {"-exp", "chunkpar"},
+		"-scale 0":           {"-exp", "fig3", "-scale", "0"},
+		"-scale negative":    {"-exp", "fig3", "-scale", "-1"},
+		"-scale NaN":         {"-exp", "fig3", "-scale", "NaN"},
+		"relative shard URL": {"-exp", "table9", "-scale", "0.02", "-remote-shards", "localhost:9431"},
+		"-tmpdir a file":     {"-exp", "table9", "-scale", "0.02", "-tmpdir", "main.go"},
+		"-chunked":           {"-chunked"},
+		"-inproc-chunkd":     {"-exp", "table9", "-inproc-chunkd", "1"},
+		"-slo-rate":          {"-exp", "fig3", "-slo-rate", "100"},
+		"-mutate":            {"-exp", "fig3", "-mutate", "5"},
+		"-pushdown":          {"-exp", "table9", "-pushdown"},
+		"-zonemap":           {"-exp", "table9", "-zonemap"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(args, &out, &errOut)

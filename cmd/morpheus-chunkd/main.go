@@ -21,14 +21,12 @@
 // cross the wire; the driver remains the reducer, checks each partial's
 // shape against the op, and results are bit-identical with an all-local
 // pass. A chunk that fails to decode — a CSR header claiming more entries
-// than its blob holds, say — is an in-band error frame, never a crash. An /exec request may name the
-// codec its stored blobs are framed with (a store whose shards sit behind
-// the compressing wrapper ships them compressed); this worker decodes them
-// shard-side before the chunk decode, and answers 400 — a per-request
-// error, not "no /exec" — for a codec it does not know.
-// Uploads above -max-chunk-mb are
-// rejected; writes are atomic (temp file + rename), so a client or server
-// crash never leaves a truncated chunk readable.
+// than its blob holds, say — is an in-band error frame, never a crash. An
+// /exec request from an older driver over a compressed store is answered
+// 400 — a per-request error, not "no /exec" — so that driver reads those
+// chunks itself. Uploads above -max-chunk-mb are rejected; writes are
+// atomic (temp file + rename), so a client or server crash never leaves a
+// truncated chunk readable.
 //
 // Run one chunkd shard per store: adopting a shard reaps whatever a
 // previous (crashed) run left in it.
@@ -43,7 +41,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 
 	"repro/internal/chunk"
 )
@@ -80,6 +77,6 @@ func run(args []string, stderr io.Writer, listen func(network, addr string) (net
 	if err != nil {
 		return err
 	}
-	log.New(stderr, "", log.LstdFlags).Printf("morpheus-chunkd: serving shard %s on %s (max chunk %d MiB; exec codecs: %s)", *dir, ln.Addr(), *maxMB, strings.Join(chunk.Codecs(), ", "))
+	log.New(stderr, "", log.LstdFlags).Printf("morpheus-chunkd: serving shard %s on %s (max chunk %d MiB)", *dir, ln.Addr(), *maxMB)
 	return http.Serve(ln, srv)
 }

@@ -132,7 +132,7 @@ func TestTrainBadInputsAreOneLineErrors(t *testing.T) {
 		{"absent attr file", []string{"-entity", p[0], "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", missing + ":EmployerID:EmployerID:Revenue"}, "opening " + missing},
 		{"ragged row", entity(p[4]), "parsing " + p[4]},
 		{"stray quote", entity(p[5]), "parsing " + p[5]},
-		{"empty file", entity(p[6]), "parsing " + p[6]},
+		{"empty file", entity(p[6]), "parsing " + p[6] + ": table: Entity is empty: it has no header row"},
 		{"non-numeric feature", entity(p[7]), `Entity.Age row 1`},
 		{"unknown feature", []string{"-entity", p[0], "-keys", "CustomerID", "-target", "Churn", "-features", "Height", "-attr", attr}, `no column "Height"`},
 		{"duplicate attr key", []string{"-entity", p[0], "-keys", "CustomerID", "-target", "Churn", "-features", "Age", "-attr", p[8] + ":EmployerID:EmployerID:Revenue,Country@Country"}, `duplicate primary key "e1"`},

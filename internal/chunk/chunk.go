@@ -300,7 +300,7 @@ func (s *Store) BytesOnDisk() int64 {
 // IOStats aggregates the store's read-side accounting across shards.
 type IOStats struct {
 	ChunksRead    int   `json:"chunks_read"`              // blobs fetched from shard backends
-	BytesRead     int64 `json:"bytes_read"`               // stored bytes of those fetches (compressed size under a codec)
+	BytesRead     int64 `json:"bytes_read"`               // stored bytes of those fetches
 	ChunksSkipped int   `json:"chunks_skipped,omitempty"` // always 0; kept for bench/'s chunk.chunks_skipped until a benchmark change drops it
 	BytesOnWire   int64 `json:"bytes_on_wire,omitempty"`  // chunk payload bytes that crossed remote-shard connections
 
@@ -308,10 +308,9 @@ type IOStats struct {
 }
 
 // IOStats reports what the store's passes actually moved: blobs fetched
-// (at their stored size, so compression shows up as fewer bytes), chunks
-// their shard mapped in place (observed placement), and — for stores with
-// remote shards anywhere in their wrapper chains — the chunk payload bytes
-// that crossed the network.
+// (at their stored size), chunks their shard mapped in place (observed
+// placement), and — for stores with remote shards — the chunk payload
+// bytes that crossed the network.
 func (s *Store) IOStats() IOStats {
 	s.mu.Lock()
 	var out IOStats
@@ -325,8 +324,8 @@ func (s *Store) IOStats() IOStats {
 	}
 	s.mu.Unlock()
 	for _, b := range backends {
-		if m, ok := wireMeterOf(b); ok {
-			out.BytesOnWire += m.BytesOnWire()
+		if rb, ok := b.(*RemoteBackend); ok {
+			out.BytesOnWire += rb.BytesOnWire()
 		}
 	}
 	return out
@@ -429,24 +428,21 @@ func Build(store *Store, rows, cols, chunkRows int, gen func(lo, hi int, dst *la
 }
 
 // writeChunkFile stores one encoded chunk (dense or CSR) on the key's
-// shard backend — at its compressed size when the backend compresses — and
-// attributes the stored size to that shard on success.
+// shard backend and attributes its size to that shard on success.
 func (s *Store) writeChunkFile(key string, blob []byte) error {
 	b, err := s.backendFor(key)
 	if err != nil {
 		return err
 	}
-	stored, err := writeSized(b, key, blob)
-	if err != nil {
+	if err := b.WriteChunk(key, blob); err != nil {
 		return err
 	}
-	s.recordWrite(key, stored)
+	s.recordWrite(key, int64(len(blob)))
 	return nil
 }
 
 // readChunkBlob fetches key's blob from its shard backend and feeds the
-// per-shard I/O accounting at the chunk's stored size, so bytes_read
-// reflects actual (possibly compressed) I/O.
+// per-shard I/O accounting at the chunk's stored size.
 // With own, the caller hands the chunk back (recycle), so a local shard
 // reads into the last buffer freed (dropped if too small: a last chunk).
 func (s *Store) readChunkBlob(key string, own bool) (raw []byte, err error) {

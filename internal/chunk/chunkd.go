@@ -214,7 +214,12 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("reading exec request: %v", err), http.StatusBadRequest)
 		return
 	}
-	var req execRequest
+	// Codec is set only by an older driver whose store compressed its
+	// chunks; this server cannot decode such blobs and refuses it below.
+	var req struct {
+		execRequest
+		Codec string `json:"codec"`
+	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, fmt.Sprintf("decoding exec request: %v", err), http.StatusBadRequest)
 		return
@@ -238,16 +243,12 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("invalid cols %d", req.Cols), http.StatusBadRequest)
 		return
 	}
-	var dec Codec
 	if req.Codec != "" {
-		// Unknown codec answers 400, not 501: 501 means "no /exec at all"
-		// and would poison the client's capability cache even for requests
-		// that ship no codec.
-		dec, err = CodecByName(req.Codec)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+		// 400, not 501: the client reads just this group's chunks
+		// passively, where a 501 would stop it asking this shard for /exec
+		// on every later pass.
+		http.Error(w, fmt.Sprintf("chunk codec %q is not supported", req.Codec), http.StatusBadRequest)
+		return
 	}
 	if len(req.Chunks) == 0 {
 		http.Error(w, "no chunks requested", http.StatusBadRequest)
@@ -278,11 +279,6 @@ func (s *ChunkServer) serveExec(w http.ResponseWriter, r *http.Request) {
 		raw, err := s.backend.ReadChunk(c.Key)
 		if err != nil {
 			return nil, err
-		}
-		if dec != nil {
-			if raw, err = dec.Decode(raw); err != nil {
-				return nil, fmt.Errorf("decoding %s with codec %s: %w", c.Key, dec.Name(), err)
-			}
 		}
 		if req.Kind == chunkKindCSR {
 			return decodeSparseChunk(c.Key, raw, c.Rows, req.Cols)

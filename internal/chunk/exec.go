@@ -24,20 +24,12 @@ type ExecChunk struct {
 }
 
 // execRequest is the POST /exec body. Params is base64 via encoding/json's
-// []byte convention. Codec, when set, names the codec (CodecByName) the
-// stored blobs are framed with: the worker decodes each blob shard-side
-// before the chunk decode — the content negotiation that lets compressed
-// shards execute pushed-down ops without the blobs ever traveling. A
-// server that does not know the codec answers 400 (a per-request hard
-// error, not the 501 that would poison the client's "no /exec here"
-// cache), and the pass falls back to the passive read path, where the
-// compressing wrapper decodes driver-side.
+// []byte convention.
 type execRequest struct {
 	Op     string      `json:"op"`
 	Params []byte      `json:"params,omitempty"`
 	Kind   string      `json:"kind"`
 	Cols   int         `json:"cols"`
-	Codec  string      `json:"codec,omitempty"`
 	Chunks []ExecChunk `json:"chunks"`
 }
 
@@ -77,14 +69,6 @@ type ExecBackend interface {
 // ErrExecUnsupported reports a shard that stores chunks but cannot execute
 // ops on them (older chunkd, or op not in its registry).
 var ErrExecUnsupported = errors.New("chunk: exec not supported by backend")
-
-// codecExecer is the content-negotiating variant of ExecBackend.ExecOp:
-// the request names the codec the stored blobs are framed with, so the
-// worker decodes them shard-side. RemoteBackend implements it (ExecOp is
-// the codec="" case); the compressing wrapper injects its codec's name.
-type codecExecer interface {
-	execOpCodec(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk, codec string) (*PartialStream, error)
-}
 
 // PartialStream iterates the partial frames of one /exec response.
 type PartialStream struct {

@@ -11,7 +11,7 @@ import (
 // so every consumer (the scan operands internal/ml runs over, the star's
 // streamed factorized operators) is written once against it, exactly as
 // the in-memory rewrites are written once against la.Mat. Its one
-// implementation is the chunked base below, under two codecs: dense
+// implementation is the chunked base below, under two chunk kinds: dense
 // (*Matrix) and CSR (*SparseMatrix).
 //
 // pipeline is the fused-pass primitive: it delivers each decoded chunk as
@@ -34,9 +34,9 @@ var (
 	_ Mat = (*SparseMatrix)(nil)
 )
 
-// chunked is a chunked matrix up to its codec: shape, chunking, the
+// chunked is a chunked matrix up to its chunk kind: shape, chunking, the
 // chunk files it owns, the pipeline over them and the whole-matrix
-// operators. C is the decoded chunk type; kind names the codec on the
+// operators. C is the decoded chunk type; kind names the chunk kind on the
 // /exec wire and decode is its reader.
 type chunked[C la.Mat] struct {
 	store      *Store
@@ -64,8 +64,8 @@ func (m *chunked[C]) ChunkRows() int { return m.chunkRows }
 func (m *chunked[C]) Store() *Store { return m.store }
 
 // BytesOnDisk reports the matrix's storage footprint as the store tracks
-// it: the bytes actually written for its chunks — the compressed size when
-// a codec wrapper is in the shard's chain — not a shape-derived estimate.
+// it: the bytes actually written for its chunks, not a shape-derived
+// estimate.
 // Zero once the matrix has been freed (its files are gone).
 func (m *chunked[C]) BytesOnDisk() int64 { return m.store.trackedBytes(m.paths) }
 

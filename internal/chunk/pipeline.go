@@ -177,14 +177,10 @@ func newOutputSpiller(store *Store, n int, ex Exec, recycle bool) (*outputSpille
 		sp.writers = make([]*spillWriter, store.NumShards())
 		for i, si := range sp.shards {
 			if sp.writers[si] == nil {
-				// A directory and the codec wrapper keep nothing of a written
-				// blob; a RemoteBackend's request body can outlive Client.Do.
+				// A directory keeps nothing of a written blob; a
+				// RemoteBackend's request body can outlive Client.Do.
 				b, _ := store.backendFor(paths[i])
-				var reuse bool
-				switch b.(type) {
-				case *dirBackend, *compressingBackend, *compressingExecBackend:
-					reuse = true
-				}
+				_, reuse := b.(*dirBackend)
 				sp.writers[si] = newSpillWriter(store, sp.free, reuse)
 			}
 		}

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -241,6 +242,108 @@ func TestPushdownFallsBackOnOldServer(t *testing.T) {
 	}
 	if _, err := rb.ExecOp(context.Background(), OpCrossProd(), chunkKindDense, 5, []ExecChunk{{Key: "chunk-000001.bin", Rows: 8}}); !errors.Is(err, ErrExecUnsupported) {
 		t.Fatalf("ExecOp on a cached no-exec backend = %v, want ErrExecUnsupported", err)
+	}
+}
+
+// codecRequestServer puts a codec name into every /exec request before the
+// real server sees it, as an older driver over a compressed store sends
+// them, and records the statuses the server answers.
+type codecRequestServer struct {
+	inner    *ChunkServer
+	codec    string
+	mu       sync.Mutex
+	statuses []int
+}
+
+func (s *codecRequestServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/exec" {
+		s.inner.ServeHTTP(w, r)
+		return
+	}
+	var req map[string]any
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	req["codec"] = s.codec
+	body, err := json.Marshal(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	rr := httptest.NewRecorder()
+	s.inner.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/exec", bytes.NewReader(body)))
+	s.mu.Lock()
+	s.statuses = append(s.statuses, rr.Code)
+	s.mu.Unlock()
+	w.WriteHeader(rr.Code)
+	w.Write(rr.Body.Bytes())
+}
+
+// TestExecUnknownCodecIs400: an /exec request naming any chunk codec gets
+// 400 — a per-request error, not the 501 that means "no /exec here" — so
+// a pass reads that shard's chunks passively, bitwise equal to a
+// local-only store, and the next pass asks the shard again.
+func TestExecUnknownCodecIs400(t *testing.T) {
+	h, err := NewChunkServer(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []string{"shuffle-flate", "no-such-codec"} {
+		rr := httptest.NewRecorder()
+		body := `{"op":"crossprod","kind":"dense","cols":3,"codec":"` + codec + `","chunks":[{"key":"chunk-000001.bin","rows":4}]}`
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/exec", strings.NewReader(body)))
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), codec) {
+			t.Fatalf("exec naming codec %q = %d %q, want 400 naming the codec", codec, rr.Code, rr.Body.String())
+		}
+	}
+
+	older := &codecRequestServer{inner: h, codec: "shuffle-flate"}
+	srv := httptest.NewServer(older)
+	defer srv.Close()
+	rb, err := NewRemoteBackend(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := NewDirBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewShardedStoreBackends([]Backend{local, rb}, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	d := randDense(rand.New(rand.NewSource(5)), 61, 5)
+	dM, err := FromDense(s, d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := []Exec{Serial, {Workers: 2}}
+	for _, ex := range execs {
+		want, err := localCrossProd(t, d, 8, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dM.CrossProdExec(ex)
+		if err != nil {
+			t.Fatalf("Workers %d: pass over a shard refusing /exec: %v", ex.Workers, err)
+		}
+		bitsEqual(t, fmt.Sprintf("Workers %d: Gram", ex.Workers), got, want)
+	}
+	older.mu.Lock()
+	statuses := older.statuses
+	older.mu.Unlock()
+	if len(statuses) != len(execs) {
+		t.Fatalf("shard saw %d /exec requests over %d passes, want one a pass", len(statuses), len(execs))
+	}
+	for _, code := range statuses {
+		if code != http.StatusBadRequest {
+			t.Fatalf("/exec statuses %v, want 400 each", statuses)
+		}
+	}
+	if st := s.IOStats(); st.ChunksExecuted != 0 || st.ChunksRead != len(execs)*dM.NumChunks() {
+		t.Fatalf("IOStats %+v, want every chunk of %d passes read and none executed", st, len(execs))
 	}
 }
 

@@ -56,9 +56,7 @@ type RemoteBackend struct {
 	noExec atomic.Bool
 	// wire counts chunk payload bytes shipped to or fetched from this
 	// shard (PUT bodies and GET responses; headers, retries of failed
-	// attempts, and /exec partial frames excluded). With a compressing
-	// wrapper around the backend this is the compressed byte count — the
-	// "ship less" half of the store's IOStats.
+	// attempts, and /exec partial frames excluded).
 	wire atomic.Int64
 }
 
@@ -226,16 +224,6 @@ func (b *RemoteBackend) Reap() error {
 // like every other verb; once the stream is open, failures surface through
 // PartialStream.Next and the caller falls back per chunk.
 func (b *RemoteBackend) ExecOp(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk) (*PartialStream, error) {
-	return b.execOpCodec(ctx, op, kind, cols, chunks, "")
-}
-
-// execOpCodec is ExecOp with content negotiation: codec (when non-empty)
-// names the framing of the stored blobs, and the worker decodes them
-// shard-side before the chunk decode. A server that does not know the
-// codec answers 400, which surfaces as a hard error here and drops the
-// group to the passive path — without caching noExec, since plain /exec
-// may still work.
-func (b *RemoteBackend) execOpCodec(ctx context.Context, op Op, kind string, cols int, chunks []ExecChunk, codec string) (*PartialStream, error) {
 	if b.noExec.Load() {
 		return nil, fmt.Errorf("%w: %s", ErrExecUnsupported, b.base)
 	}
@@ -244,7 +232,7 @@ func (b *RemoteBackend) execOpCodec(ctx context.Context, op Op, kind string, col
 			return nil, fmt.Errorf("chunk: invalid chunk key %q", c.Key)
 		}
 	}
-	body, err := json.Marshal(execRequest{Op: op.Name, Params: op.Params, Kind: kind, Cols: cols, Codec: codec, Chunks: chunks})
+	body, err := json.Marshal(execRequest{Op: op.Name, Params: op.Params, Kind: kind, Cols: cols, Chunks: chunks})
 	if err != nil {
 		return nil, fmt.Errorf("chunk: encoding exec request: %w", err)
 	}
@@ -287,6 +275,4 @@ func (b *RemoteBackend) execOpCodec(ctx context.Context, op Op, kind string, col
 var (
 	_ Backend     = (*RemoteBackend)(nil)
 	_ ExecBackend = (*RemoteBackend)(nil)
-	_ codecExecer = (*RemoteBackend)(nil)
-	_ wireMeter   = (*RemoteBackend)(nil)
 )

@@ -304,6 +304,86 @@ func TestRemoteDifferentialDrivers(t *testing.T) {
 	}
 }
 
+// chunkFileBytes sums the sizes of the chunk files in a shard directory.
+func chunkFileBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "chunk-") {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// TestStoredBytesAccounting: on a mixed local+remote store every chunk is
+// accounted at the size of the blob that landed on its shard, so the
+// matrix, the store and the shard files agree; a full pass reads exactly
+// those bytes, the remote shard's share of them crosses the wire, and
+// freeing the matrix returns the store to zero.
+func TestStoredBytesAccounting(t *testing.T) {
+	localDir := t.TempDir()
+	local, err := NewDirBackend(localDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, remoteDir := startChunkServer(t)
+	s, err := NewShardedStoreBackends([]Backend{local, remote}, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	d := la.NewDense(96, 16)
+	for i := range d.Data() {
+		d.Data()[i] = float64(i % 32)
+	}
+	m, err := FromDense(s, d, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := int64(96 * 16 * 8); m.BytesOnDisk() != raw {
+		t.Fatalf("matrix BytesOnDisk = %d, want %d", m.BytesOnDisk(), raw)
+	}
+	if s.BytesOnDisk() != m.BytesOnDisk() {
+		t.Fatalf("store BytesOnDisk = %d, matrix says %d", s.BytesOnDisk(), m.BytesOnDisk())
+	}
+	localBytes, remoteBytes := chunkFileBytes(t, localDir), chunkFileBytes(t, remoteDir)
+	if localBytes == 0 || remoteBytes == 0 || localBytes+remoteBytes != m.BytesOnDisk() {
+		t.Fatalf("shard files hold %d + %d bytes, matrix accounts %d", localBytes, remoteBytes, m.BytesOnDisk())
+	}
+
+	before := s.IOStats()
+	got, err := m.Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "read-back", got, d)
+	after := s.IOStats()
+	if read := after.BytesRead - before.BytesRead; read != m.BytesOnDisk() {
+		t.Fatalf("a full pass read %d bytes, want the %d stored", read, m.BytesOnDisk())
+	}
+	if wire := after.BytesOnWire - before.BytesOnWire; wire != remoteBytes {
+		t.Fatalf("a full pass moved %d bytes over the wire, want the remote shard's %d", wire, remoteBytes)
+	}
+
+	if err := m.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if s.BytesOnDisk() != 0 || s.LiveChunks() != 0 {
+		t.Fatalf("after Free: %d bytes, %d chunks still accounted", s.BytesOnDisk(), s.LiveChunks())
+	}
+}
+
 // BenchmarkRemoteSpill measures spill + stream throughput when every
 // chunk crosses HTTP to an in-process chunkd — the wire-protocol overhead
 // floor (loopback, no real network). Compare against BenchmarkShardedSpill

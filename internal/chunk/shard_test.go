@@ -20,7 +20,7 @@ type ShardStat struct {
 	Bytes  int64  // bytes of written chunk files currently tracked
 
 	ChunksRead int   // chunk blobs fetched from this shard
-	BytesRead  int64 // stored bytes of those fetches (compressed size under a codec)
+	BytesRead  int64 // stored bytes of those fetches
 
 	ChunksExecuted int // chunks whose op partial came back from this shard's /exec and was accepted
 }

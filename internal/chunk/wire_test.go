@@ -44,8 +44,7 @@ func readWire(t *testing.T, name string) []byte {
 
 // TestWireV1 pins the v1 chunk formats: today's encoders reproduce every
 // golden file byte for byte, and every decoder accepts its file with
-// bit-equal values. The codec frame is checked by decoding only, as Go
-// does not promise flate's output stays the same across releases.
+// bit-equal values.
 func TestWireV1(t *testing.T) {
 	dense := readWire(t, "dense-3x2.bin")
 	if got := encodeDenseChunk(la.NewDenseData(3, 2, wireDenseVals)); !bytes.Equal(got, dense) {
@@ -90,21 +89,5 @@ func TestWireV1(t *testing.T) {
 	}
 	if !slices.Equal(got, wireKeys) {
 		t.Fatalf("key chunk decodes to %v, want %v", got, wireKeys)
-	}
-
-	frame := readWire(t, "dense-3x2.shuffle-flate.bin")
-	if frame[len(codecMagic)] != codecMethodShuffleFlate {
-		t.Fatalf("codec frame method is %#x, want the compressed method %#x", frame[len(codecMagic)], codecMethodShuffleFlate)
-	}
-	codec, err := CodecByName(CodecShuffleFlate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := codec.Decode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, dense) {
-		t.Fatalf("codec frame decodes to %x, want the dense blob %x", raw, dense)
 	}
 }

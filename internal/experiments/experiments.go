@@ -86,10 +86,6 @@ type Config struct {
 	// chunk heights are derived from it via chunk.AutoRows instead of
 	// being hard-coded (0 = 256 MB).
 	MemBudgetMB int
-	// Codec names a registered chunk codec (chunk.CodecByName); every spill
-	// backend is wrapped so chunks are compressed at rest and on the wire.
-	// Empty means raw chunks.
-	Codec string
 }
 
 func (c Config) scaled(n int) int {

@@ -178,15 +178,6 @@ func chunkStore(cfg Config, name string) (*chunk.Store, func(), error) {
 		}
 		backends = append(backends, b)
 	}
-	if cfg.Codec != "" {
-		for i, b := range backends {
-			wb, err := chunk.NewCompressingBackend(b, cfg.Codec)
-			if err != nil {
-				return fail(err)
-			}
-			backends[i] = wb
-		}
-	}
 	st, err := chunk.NewShardedStoreBackends(backends, chunk.RoundRobin)
 	if err != nil {
 		return fail(err)

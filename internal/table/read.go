@@ -2,7 +2,6 @@ package table
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -238,8 +237,10 @@ func ReadCSV(name string, r io.Reader, kinds map[string]ColumnKind) (*Table, err
 func parseCSV(name string, data []byte, kinds map[string]ColumnKind, workers int) (*Table, error) {
 	line := func(at int) int { return 1 + bytes.Count(data[:at], []byte{'\n'}) }
 	hdr := records{data: data}
-	if ok, err := hdr.next(); !ok {
-		return nil, fmt.Errorf("table: reading %s header: %w", name, cmp.Or(err, io.EOF))
+	if ok, err := hdr.next(); err != nil {
+		return nil, fmt.Errorf("table: reading %s header: %w", name, err)
+	} else if !ok {
+		return nil, fmt.Errorf("table: %s is empty: it has no header row", name)
 	}
 	t := &Table{Name: name}
 	for _, cell := range hdr.cells {
